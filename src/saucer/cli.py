@@ -172,7 +172,7 @@ def _trajectory_csv(path: str, traj) -> None:
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     seed = _resolve_seed(args.seed, cfg)
-    jobs = args.jobs if args.jobs is not None else int(cfg.get("jobs", "4"))
+    jobs = args.jobs if args.jobs is not None else cfg.get("jobs", "4")
     fmt = args.format or cfg.get("format", "pretty")
     suite = args.suite or cfg.get("suite", "all")
     if fmt not in ("pretty", "compact"):
@@ -180,8 +180,13 @@ def _cmd_verify(args) -> int:
     if suite != "all" and suite not in SUITE_NAMES:
         raise _usage_error(f"unknown suite {suite!r} "
                            f"(known: {', '.join(SUITE_NAMES)}, all)")
-    if jobs < 1:
-        raise _usage_error("jobs must be at least 1")
+    # Checks run serially; jobs is still validated so old configs keep parsing.
+    try:
+        jobs_ok = int(jobs) >= 1
+    except ValueError:
+        jobs_ok = False
+    if not jobs_ok:
+        raise _usage_error(f"jobs must be an integer >= 1, got {jobs!r}")
     if args.catalog is not None:
         if suite != "symmetry":
             raise _usage_error("--catalog is only meaningful with --suite symmetry")
@@ -192,7 +197,7 @@ def _cmd_verify(args) -> int:
         _emit(_payload_text(payload, fmt), args.out)
         return 0 if payload["pass"] else 1
     names = SUITE_NAMES if suite == "all" else (suite,)
-    reports = run_suites(names, seed, jobs)
+    reports = run_suites(names, seed)
     text = format_pretty(reports) if fmt == "pretty" else format_compact(reports)
     _emit(text, args.out)
     return 0 if all(rep.passed for rep in reports) else 1
@@ -366,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
                    help="sampling seed (overrides config and SAUCER_SEED)")
     p.add_argument("--jobs", type=int, default=None,
-                   help="thread pool width (default 4)")
+                   help="accepted for old scripts and configs and checked to "
+                        "be >= 1, but ignored: checks run serially")
     p.add_argument("--config", metavar="FILE", default=None,
                    help="key=value defaults: " + ", ".join(_CONFIG_KEYS))
     p.add_argument("--catalog", choices=("attacking", "landing", "g2", "g2s", "g2d"),

@@ -401,26 +401,22 @@ def certify_twisted_cubic_tangency(curve: ContactCurve,
 
     The projected velocity is decomposed against the contact Z frame of the x
     side: c = (v4, v3, v2, v1) plus the contact component w0(v). Tangency to
-    the cone means c is parallel to (1, T, T^2, T^3) with T = -y4.
+    the cone means c is parallel to d = (1, T, T^2, T^3) with T = -y4. The
+    angle's sine is the projection residual |c - (c.d / d.d) d| / |c|, which
+    resolves angles down to rounding, unlike sqrt(1 - cos^2).
     """
-    angular = []
-    contact = []
-    skipped = 0
-    for k in range(len(curve.times)):
-        x = curve.states[k]
-        v = curve.velocities[k]
-        c = np.array([v[4], v[3], v[2], v[1]])
-        c0 = v[0] + c[0] * x[1] - 3.0 * c[1] * x[2]
-        speed = float(np.linalg.norm(c))
-        if speed < speed_floor:
-            skipped += 1
-            continue
-        T = curve.cone_parameter[k]
-        d = np.array([1.0, T, T ** 2, T ** 3])
-        cos2 = float(c @ d) ** 2 / (speed ** 2 * float(d @ d))
-        angular.append(np.sqrt(max(0.0, 1.0 - cos2)))
-        contact.append(abs(c0) / speed)
-    return TangencyReport(np.asarray(angular), np.asarray(contact), skipped)
+    x, v = curve.states, curve.velocities
+    c = v[:, [4, 3, 2, 1]]
+    c0 = v[:, 0] + c[:, 0] * x[:, 1] - 3.0 * c[:, 1] * x[:, 2]
+    speed = np.linalg.norm(c, axis=1)
+    skip = speed < speed_floor
+    keep = ~skip
+    c, c0, speed = c[keep], c0[keep], speed[keep]
+    T = curve.cone_parameter[keep]
+    d = np.stack([np.ones_like(T), T, T ** 2, T ** 3], axis=1)
+    along = np.einsum("ki,ki->k", c, d) / np.einsum("ki,ki->k", d, d)
+    angular = np.linalg.norm(c - along[:, None] * d, axis=1) / speed
+    return TangencyReport(angular, np.abs(c0) / speed, int(np.count_nonzero(skip)))
 
 
 @dataclasses.dataclass(frozen=True)

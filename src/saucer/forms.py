@@ -2,9 +2,10 @@
 
 Forms are stored sparsely over sorted index combinations of the coordinate
 coframe; the dimensions here are tiny (4, 5, or 6), so clarity wins over
-vectorization. Vector fields carry closed-form Jacobians where the caller
-knows them; everything else falls back to central finite differences with
-step h = 1e-5 * max(1, |p|).
+vectorization. The Lie derivative of a symmetric tensor also comes stacked
+over many points at once, for the symmetry checks. Vector fields carry
+closed-form Jacobians where the caller knows them; everything else falls
+back to central finite differences with step h = 1e-5 * max(1, |p|).
 """
 from __future__ import annotations
 
@@ -227,23 +228,6 @@ def bracket(X: VectorField, Y: VectorField, p: np.ndarray) -> np.ndarray:
     return Y.jacobian(p) @ X.value(p) - X.jacobian(p) @ Y.value(p)
 
 
-def symmetrize(T: np.ndarray) -> np.ndarray:
-    rank = T.ndim
-    out = np.zeros_like(T)
-    perms = list(itertools.permutations(range(rank)))
-    for perm in perms:
-        out += np.transpose(T, perm)
-    return out / len(perms)
-
-
-def sym_outer(*covectors: np.ndarray) -> np.ndarray:
-    """Symmetrized outer product of covectors (1/k! normalization)."""
-    T = np.asarray(covectors[0], dtype=float)
-    for c in covectors[1:]:
-        T = np.tensordot(T, np.asarray(c, dtype=float), axes=0)
-    return symmetrize(T)
-
-
 @dataclass(frozen=True)
 class SymTensorField:
     """Fully symmetric covariant tensor field over a declared coframe."""
@@ -283,10 +267,21 @@ def constant_symtensor(name: str, frame: str, T: np.ndarray) -> SymTensorField:
 def lie_derivative_symtensor(X: VectorField, S: SymTensorField, p: np.ndarray) -> np.ndarray:
     """(L_X S)_{i...} = X^m dS_{m,i...} + sum over slots S_{..m..} J_X[m, i_slot]."""
     p = np.asarray(p, dtype=float)
-    dS = S.point_derivative(p)
-    out = np.tensordot(X.value(p), dS, axes=([0], [0]))
-    T = S.value(p)
-    J = X.jacobian(p)
-    for slot in range(S.rank):
-        out = out + np.moveaxis(np.tensordot(T, J, axes=([slot], [0])), -1, slot)
+    return lie_derivative_stack(X.value(p)[None], X.jacobian(p)[None],
+                                S.value(p)[None], S.point_derivative(p)[None])[0]
+
+
+def lie_derivative_stack(V: np.ndarray, J: np.ndarray, T: np.ndarray,
+                         dT: np.ndarray) -> np.ndarray:
+    """L_X S at m points at once, from stacked pointwise data.
+
+    V (m, d) and J (m, d, d) are the values and Jacobians of X; T (m, d, .., d)
+    and dT (m, d, d, .., d) those of the rank-k tensor S and its point
+    derivative. Returns (m, d, .., d).
+    """
+    out = np.einsum("zm,zm...->z...", V, dT)
+    slots = "abcdefgh"[:T.ndim - 1]
+    for k, slot in enumerate(slots):
+        moved = slots[:k] + "m" + slots[k + 1:]
+        out = out + np.einsum(f"z{moved},zm{slot}->z{slots}", T, J)
     return out

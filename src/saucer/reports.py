@@ -1,7 +1,7 @@
 """Check results and suite reports for the command-line verifier.
 
-Checks run concurrently but results are collected in submission order, so a
-fixed seed gives byte-identical JSON output apart from the timestamp field.
+Checks run one after another in the order given, so a fixed seed gives
+byte-identical JSON output apart from the timestamp field.
 """
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import dataclasses
 import datetime
 import json
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 from .kernels import BACKEND
@@ -43,8 +42,8 @@ class SuiteReport:
         return good, len(self.results)
 
 
-def run_checks(checks: Sequence[Check], jobs: int = 4) -> tuple[CheckResult, ...]:
-    """Run check thunks on a thread pool; collect in submission order."""
+def run_checks(checks: Sequence[Check]) -> tuple[CheckResult, ...]:
+    """Run check thunks in order; a check that raises becomes a failed result."""
 
     def guarded(name: str, thunk: Callable[[], CheckResult]) -> CheckResult:
         try:
@@ -53,12 +52,7 @@ def run_checks(checks: Sequence[Check], jobs: int = 4) -> tuple[CheckResult, ...
             tb = traceback.format_exc(limit=2).strip().splitlines()[-1]
             return CheckResult(name, False, None, f"raised {exc!r} ({tb})")
 
-    jobs = max(1, jobs)
-    if jobs == 1:
-        return tuple(guarded(name, thunk) for name, thunk in checks)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(guarded, name, thunk) for name, thunk in checks]
-        return tuple(f.result() for f in futures)
+    return tuple(guarded(name, thunk) for name, thunk in checks)
 
 
 def _timestamp() -> str:

@@ -258,22 +258,31 @@ def _gl2_checks(seed: int) -> list[Check]:
 
 # -- symmetry suite ----------------------------------------------------------------
 
+def _catalog_reports(label: str, pts: np.ndarray):
+    """Each field of a catalog with its SymmetryReport against its own structure."""
+    fields = catalogs.catalog(label)
+    if label == "g2":
+        return [(X, symmetry.g2_symmetry_residual(X, pts)) for X in fields]
+    metric = ATTACKING_METRIC_FIELD if label == "attacking" else LANDING_METRIC_FIELD
+    return [(X, symmetry.legendrean_symmetry_residual(X, metric, pts)) for X in fields]
+
+
+def _worst(rep: symmetry.SymmetryReport) -> float:
+    return max(rep.contact, rep.membership)
+
+
+def _worst_field_detail(reports) -> tuple[float, str]:
+    """Largest residual of a catalog and a detail naming its field and sample."""
+    X, rep = max(reports, key=lambda item: _worst(item[1]))
+    where = ", ".join(f"{v:.6f}" for v in rep.worst_point)
+    return _worst(rep), f"worst field {X.id} at ({where})"
+
+
 def _symmetry_checks(seed: int) -> list[Check]:
     def catalog_residuals(name: str, label: str) -> CheckResult:
         pts = sample_chart_points(12, seed, f"symmetry.{label}")
-        worst = 0.0
-        worst_field = ""
-        for X in catalogs.catalog(label):
-            if label == "g2":
-                rep = symmetry.g2_symmetry_residual(X, pts)
-            else:
-                metric = (ATTACKING_METRIC_FIELD if label == "attacking"
-                          else LANDING_METRIC_FIELD)
-                rep = symmetry.legendrean_symmetry_residual(X, metric, pts)
-            m = max(rep.contact, rep.membership)
-            if m > worst:
-                worst, worst_field = m, X.id
-        return _result(name, worst, 1e-7, f"worst field {worst_field}")
+        worst, detail = _worst_field_detail(_catalog_reports(label, pts))
+        return _result(name, worst, 1e-7, detail)
 
     def ranks() -> CheckResult:
         pts = sample_chart_points(10, seed, "symmetry.rank")
@@ -324,7 +333,7 @@ def _symmetry_checks(seed: int) -> list[Check]:
             "euler", 5,
             lambda p: np.array([p[0], p[1], p[2], 0.0, 0.0]),
             lambda p: np.diag([1.0, 1.0, 1.0, 0.0, 0.0]))
-        worstq = max(symmetry.quartic_membership_residual(euler, p) for p in pts)
+        worstq = symmetry.quartic_membership_residual(euler, pts)
         ok = ok and worstq > 1e-3
         return CheckResult("negative-controls", ok, worstq,
                            f"da contact {rep.contact:.3g}, membership "
@@ -538,15 +547,9 @@ def catalog_report(label: str, seed: int) -> dict:
                          f"{tuple(_CATALOG_MODELS)}")
     fields = catalogs.catalog(name)
     pts = sample_chart_points(12, seed, f"symmetry.catalog.{name}")
-    residuals = {}
-    for X in fields:
-        if name == "g2":
-            rep = symmetry.g2_symmetry_residual(X, pts)
-        else:
-            metric = (ATTACKING_METRIC_FIELD if name == "attacking"
-                      else LANDING_METRIC_FIELD)
-            rep = symmetry.legendrean_symmetry_residual(X, metric, pts)
-        residuals[X.id] = float(max(rep.contact, rep.membership))
+    reports = _catalog_reports(name, pts)
+    residuals = {X.id: float(_worst(rep)) for X, rep in reports}
+    _, detail = _worst_field_detail(reports)
     sc_pts = sample_chart_points(10, seed, f"symmetry.catalog.{name}.sc")
     sc = symmetry.extract_structure_constants(fields, sc_pts)
     diag = symmetry.killing_diagnostics(sc)
@@ -559,6 +562,7 @@ def catalog_report(label: str, seed: int) -> dict:
         "seed": seed,
         "dimension": len(fields),
         "field_residuals": residuals,
+        "detail": detail,
         "structure_constants": [[[float(v) for v in row] for row in block]
                                 for block in sc.c],
         "closure_misfit": float(sc.misfit),
@@ -571,12 +575,12 @@ def catalog_report(label: str, seed: int) -> dict:
     }
 
 
-def run_suite(name: str, seed: int, jobs: int = 4) -> SuiteReport:
+def run_suite(name: str, seed: int) -> SuiteReport:
     if name not in _BUILDERS:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
     checks = _BUILDERS[name](seed)
-    return SuiteReport(name, seed, run_checks(checks, jobs))
+    return SuiteReport(name, seed, run_checks(checks))
 
 
-def run_suites(names, seed: int, jobs: int = 4) -> list[SuiteReport]:
-    return [run_suite(name, seed, jobs) for name in names]
+def run_suites(names, seed: int) -> list[SuiteReport]:
+    return [run_suite(name, seed) for name in names]

@@ -1,14 +1,17 @@
 """Symmetry-algebra verification for the maneuver geometries.
 
 A chart vector field X is a symmetry candidate when L_X w0 is proportional
-to w0 (contact residual) and the Lie derivative of the structural tensor
-stays inside the conformal ideal spanned by the tensor itself and terms
-divisible by w0 (membership residual). Catalogs of candidates are compressed
-into structure constants by least squares over sample points, and the
-resulting algebras are identified through their Killing forms against
-independently constructed matrix models: sl(4, R), su(2, 2), and the split
-form of the 14-dimensional exceptional algebra realized as derivations of
-the split octonions.
+to w0 (contact residual) and the Lie derivative of the structural tensor S
+stays inside the conformal ideal spanned by S itself and terms divisible by
+w0 (membership residual). The tensors divisible by w0 are exactly those that
+vanish on the distribution D = ker w0, so membership is tested by restricting
+L_X S and S to D through the E-frame and asking for proportionality there.
+Every residual and bracket is evaluated for all sample points at once. Catalogs
+of candidates are compressed into structure constants by least squares over
+sample points, and the resulting algebras are identified through their
+Killing forms against independently constructed matrix models: sl(4, R),
+su(2, 2), and the split form of the 14-dimensional exceptional algebra
+realized as derivations of the split octonions.
 """
 from __future__ import annotations
 
@@ -19,9 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chart import DIM, contact_covector, contact_point_derivative
-from .forms import (FormValue, SymTensorField, VectorField, bracket,
-                    lie_derivative_symtensor, sym_outer)
+from .chart import DIM, E_FRAME, contact_covector, contact_point_derivative
+from .forms import SymTensorField, VectorField, lie_derivative_stack
 from .maneuvers import QUARTIC_FIELD
 
 #: w0 as a rank-1 tensor field with its exact point derivative.
@@ -32,76 +34,124 @@ KILLING_ZERO_TOL = 1e-8
 RANK_TOL = 1e-8
 
 
-# -- pointwise residuals -------------------------------------------------------
+# -- stacked evaluation ----------------------------------------------------------
 
-def contact_symmetry_residual(X: VectorField, p: np.ndarray) -> float:
-    """Scale-free size of (L_X w0) ^ w0 at p; zero iff L_X w0 || w0."""
-    p = np.asarray(p, dtype=float)
-    lie = lie_derivative_symtensor(X, CONTACT_TENSOR, p)
-    w = contact_covector(p)
-    wedge = FormValue.covector(lie).wedge(FormValue.covector(w))
-    nw = float(np.linalg.norm(w))
-    nl = float(np.linalg.norm(lie))
-    return wedge.norm() / (nw * (nw + nl))
+def _as_points(points: np.ndarray) -> np.ndarray:
+    return np.atleast_2d(np.asarray(points, dtype=float))
 
 
-def _membership_residual(lie: np.ndarray, S: np.ndarray,
-                         ideal_columns: Sequence[np.ndarray]) -> float:
-    """Distance of L_X S from span{S, ideal columns}, relative."""
-    cols = [S.ravel()] + [c.ravel() for c in ideal_columns]
-    A = np.stack(cols, axis=1)
-    b = lie.ravel()
-    coef, *_ = np.linalg.lstsq(A, b, rcond=None)
-    mis = float(np.linalg.norm(A @ coef - b))
-    return mis / (float(np.linalg.norm(S)) + float(np.linalg.norm(b)))
+def _field_values(fields: Sequence[VectorField], pts: np.ndarray) -> np.ndarray:
+    """(m, n, 5): every field's value at every point."""
+    return np.array([[X.value(p) for X in fields] for p in pts])
+
+
+def _field_jacobians(fields: Sequence[VectorField], pts: np.ndarray) -> np.ndarray:
+    """(m, n, 5, 5): every field's Jacobian at every point."""
+    return np.array([[X.jacobian(p) for X in fields] for p in pts])
+
+
+def _tensor_values(S: SymTensorField, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S and its point derivative at every point, stacked along axis 0."""
+    return (np.array([S.value(p) for p in pts]),
+            np.array([S.point_derivative(p) for p in pts]))
+
+
+def _distribution_frames(pts: np.ndarray) -> np.ndarray:
+    """(m, 5, 4): the E-frame of D = ker w0 as columns at every point."""
+    return np.array([[E.value(p) for E in E_FRAME] for p in pts]).transpose(0, 2, 1)
+
+
+def _restrict_to_distribution(T: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Stacked covariant tensors (m, 5, .., 5) restricted to D, (m, 4, .., 4)."""
+    for _ in range(T.ndim - 1):
+        T = np.einsum("zi...,zia->z...a", T, frames)
+    return T
+
+
+def _contact_residuals(V: np.ndarray, J: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Per point, |(L_X w0) ^ w0| / (|w0| (|w0| + |L_X w0|)); zero iff L_X w0 || w0."""
+    w, dw = _tensor_values(CONTACT_TENSOR, pts)
+    lie = lie_derivative_stack(V, J, w, dw)
+    wedge = lie[:, :, None] * w[:, None, :]
+    wedge = wedge - wedge.transpose(0, 2, 1)
+    wedge_norm = np.sqrt(0.5 * np.sum(wedge ** 2, axis=(1, 2)))
+    nw = np.linalg.norm(w, axis=1)
+    return wedge_norm / (nw * (nw + np.linalg.norm(lie, axis=1)))
+
+
+def _membership_residuals(V: np.ndarray, J: np.ndarray, S: SymTensorField,
+                          pts: np.ndarray) -> np.ndarray:
+    """Per point, distance of (L_X S)|_D from span{S|_D}, relative.
+
+    |l - (l.s / s.s) s| / (|s| + |l|) with l = (L_X S)|_D and s = S|_D: zero
+    exactly when L_X S lies in span{S} + w0 . Sym^(k-1).
+    """
+    T, dT = _tensor_values(S, pts)
+    frames = _distribution_frames(pts)
+    m = len(pts)
+    lie = lie_derivative_stack(V, J, T, dT)
+    lie = _restrict_to_distribution(lie, frames).reshape(m, -1)
+    s = _restrict_to_distribution(T, frames).reshape(m, -1)
+    coef = np.einsum("zi,zi->z", lie, s) / np.einsum("zi,zi->z", s, s)
+    mis = np.linalg.norm(lie - coef[:, None] * s, axis=1)
+    return mis / (np.linalg.norm(s, axis=1) + np.linalg.norm(lie, axis=1))
+
+
+def _single_field(X: VectorField, points: np.ndarray):
+    pts = _as_points(points)
+    return pts, _field_values((X,), pts)[:, 0], _field_jacobians((X,), pts)[:, 0]
+
+
+# -- residuals ---------------------------------------------------------------------
+
+def contact_symmetry_residual(X: VectorField, points: np.ndarray) -> float:
+    """Worst scale-free size of (L_X w0) ^ w0 over one point or a stack of them."""
+    pts, V, J = _single_field(X, points)
+    return float(np.max(_contact_residuals(V, J, pts)))
 
 
 def metric_membership_residual(X: VectorField, metric: SymTensorField,
-                               p: np.ndarray) -> float:
-    """L_X g against span{g, w0 . any covector} at p."""
-    p = np.asarray(p, dtype=float)
-    lie = lie_derivative_symtensor(X, metric, p)
-    w = contact_covector(p)
-    eye = np.eye(DIM)
-    cols = [sym_outer(w, eye[i]) for i in range(DIM)]
-    return _membership_residual(lie, metric.value(p), cols)
+                               points: np.ndarray) -> float:
+    """Worst distance of L_X g from span{g, w0 . any covector}, tested on D."""
+    pts, V, J = _single_field(X, points)
+    return float(np.max(_membership_residuals(V, J, metric, pts)))
 
 
-def quartic_membership_residual(X: VectorField, p: np.ndarray) -> float:
-    """L_X Upsilon against span{Upsilon, w0 . sym^3 covectors} at p."""
-    p = np.asarray(p, dtype=float)
-    lie = lie_derivative_symtensor(X, QUARTIC_FIELD, p)
-    w = contact_covector(p)
-    eye = np.eye(DIM)
-    cols = [sym_outer(w, eye[l], eye[m], eye[n])
-            for l, m, n in itertools.combinations_with_replacement(range(DIM), 3)]
-    return _membership_residual(lie, QUARTIC_FIELD.value(p), cols)
+def quartic_membership_residual(X: VectorField, points: np.ndarray) -> float:
+    """Worst distance of L_X Upsilon from span{Upsilon, w0 . sym^3}, tested on D."""
+    pts, V, J = _single_field(X, points)
+    return float(np.max(_membership_residuals(V, J, QUARTIC_FIELD, pts)))
 
 
 @dataclasses.dataclass(frozen=True)
 class SymmetryReport:
     contact: float        # worst contact residual over the points
     membership: float     # worst structural-tensor membership residual
+    worst_point: tuple[float, ...]  # sample where max(contact, membership) peaks
 
     def passed(self, tol: float = 1e-7) -> bool:
         return self.contact <= tol and self.membership <= tol
 
 
+def _symmetry_report(X: VectorField, S: SymTensorField,
+                     points: np.ndarray) -> SymmetryReport:
+    pts, V, J = _single_field(X, points)
+    contact = _contact_residuals(V, J, pts)
+    member = _membership_residuals(V, J, S, pts)
+    worst = int(np.argmax(np.maximum(contact, member)))
+    return SymmetryReport(float(np.max(contact)), float(np.max(member)),
+                          tuple(float(v) for v in pts[worst]))
+
+
 def legendrean_symmetry_residual(X: VectorField, metric: SymTensorField,
                                  points: np.ndarray) -> SymmetryReport:
     """Worst-case residuals of X as a conformal symmetry of (w0, metric)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    contact = max(contact_symmetry_residual(X, p) for p in pts)
-    member = max(metric_membership_residual(X, metric, p) for p in pts)
-    return SymmetryReport(contact, member)
+    return _symmetry_report(X, metric, points)
 
 
 def g2_symmetry_residual(X: VectorField, points: np.ndarray) -> SymmetryReport:
     """Worst-case residuals of X as a symmetry of (w0, quartic cone field)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    contact = max(contact_symmetry_residual(X, p) for p in pts)
-    member = max(quartic_membership_residual(X, p) for p in pts)
-    return SymmetryReport(contact, member)
+    return _symmetry_report(X, QUARTIC_FIELD, points)
 
 
 # -- structure constants -------------------------------------------------------
@@ -121,17 +171,19 @@ def _solve_structure(A: np.ndarray, B: np.ndarray, n: int) -> StructureConstants
     """Least squares A c = B, one column of B per ordered pair i < j."""
     C, *_ = np.linalg.lstsq(A, B, rcond=None)
     scale = max(float(np.linalg.norm(A)), 1e-300)
-    resid = A @ C - B
-    misfit = 0.0
-    for col in range(B.shape[1]):
-        denom = max(float(np.linalg.norm(B[:, col])), scale)
-        misfit = max(misfit, float(np.linalg.norm(resid[:, col])) / denom)
+    denom = np.maximum(np.linalg.norm(B, axis=0), scale)
+    misfit = float(np.max(np.linalg.norm(A @ C - B, axis=0) / denom, initial=0.0))
+    upper, lower = np.triu_indices(n, 1)
     c = np.zeros((n, n, n))
-    for col, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-        c[i, j] = C[:, col]
-        c[j, i] = -C[:, col]
+    c[upper, lower] = C.T
+    c[lower, upper] = -C.T
     rank = int(np.linalg.matrix_rank(A, tol=RANK_TOL * np.linalg.norm(A)))
     return StructureConstants(c, misfit, rank)
+
+
+def _stacked_columns(values: np.ndarray) -> np.ndarray:
+    """(m, n, 5) -> (5m, n): one column per field, points stacked down the rows."""
+    return values.transpose(0, 2, 1).reshape(-1, values.shape[1])
 
 
 def extract_structure_constants(fields: Sequence[VectorField],
@@ -141,15 +193,15 @@ def extract_structure_constants(fields: Sequence[VectorField],
     Stacks the field values at every point into one matrix and solves all
     bracket pairs simultaneously; the misfit certifies closure under brackets.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _as_points(points)
     n = len(fields)
-    A = np.concatenate([np.stack([X.value(p) for X in fields], axis=1)
-                        for p in pts], axis=0)
-    cols = []
-    for i, j in itertools.combinations(range(n), 2):
-        cols.append(np.concatenate([bracket(fields[i], fields[j], p) for p in pts]))
-    B = np.stack(cols, axis=1)
-    return _solve_structure(A, B, n)
+    V = _field_values(fields, pts)
+    J = _field_jacobians(fields, pts)
+    # JV[z, i, j] = J_{X_i} X_j, so [X_i, X_j] = JV[z, j, i] - JV[z, i, j]
+    JV = np.einsum("ziab,zjb->zija", J, V)
+    upper, lower = np.triu_indices(n, 1)
+    brackets = JV[:, lower, upper] - JV[:, upper, lower]
+    return _solve_structure(_stacked_columns(V), _stacked_columns(brackets), n)
 
 
 def matrix_structure_constants(basis: Sequence[np.ndarray]) -> StructureConstants:
@@ -210,9 +262,7 @@ def killing_diagnostics(sc: StructureConstants) -> KillingDiagnostics:
 
 def catalog_rank(fields: Sequence[VectorField], points: np.ndarray) -> int:
     """Numerical rank of the stacked values; full rank = pointwise independence."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    A = np.concatenate([np.stack([X.value(p) for X in fields], axis=1)
-                        for p in pts], axis=0)
+    A = _stacked_columns(_field_values(fields, _as_points(points)))
     return int(np.linalg.matrix_rank(A, tol=RANK_TOL * np.linalg.norm(A)))
 
 
@@ -310,7 +360,7 @@ def split_g2_basis() -> list[np.ndarray]:
                     A[row, r * 8 + i] -= T[r, j, comp]
                     A[row, r * 8 + j] -= T[i, r, comp]
                 row += 1
-    _, sv, Vt = np.linalg.svd(A, full_matrices=True)
+    _, sv, Vt = np.linalg.svd(A, full_matrices=False)
     cut = 1e-10 * sv[0]
     dim = 64 - int(np.sum(sv > cut))
     return [Vt[64 - dim + k].reshape(8, 8) for k in range(dim)]

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -102,8 +103,31 @@ def test_verify_catalog_report(capsys):
     assert data["pass"] is True
     assert len(data["field_residuals"]) == 14
     assert max(data["field_residuals"].values()) < 1e-7
+    assert data["detail"].startswith("worst field g2-")
     c = np.asarray(data["structure_constants"])
     assert c.shape == (14, 14, 14)
+
+
+def test_verify_jobs_is_accepted_but_ignored(capsys, tmp_path):
+    base = ("verify", "--suite", "symmetry", "--seed", "7", "--format", "compact")
+    _, out1, _ = run_cli(capsys, *base, "--jobs", "1")
+    _, out4, _ = run_cli(capsys, *base, "--jobs", "4")
+    assert _without_timestamp(out1) == _without_timestamp(out4)
+    for check in json.loads(out1)["suites"][0]["checks"]:
+        if check["check"].endswith("-catalog"):
+            assert re.fullmatch(r"worst field \S+ at \((-?\d+\.\d{6}, ){4}-?\d+\.\d{6}\)",
+                                check["detail"]), check["detail"]
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text("jobs = 4\n")
+    code, _, _ = run_cli(capsys, "verify", "--suite", "config", "--config", str(cfg))
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "verify", "--suite", "config", "--jobs", "0")
+    assert exc.value.code == 2
+    cfg.write_text("jobs = four\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "verify", "--suite", "config", "--config", str(cfg))
+    assert exc.value.code == 2
 
 
 def test_verify_out_writes_file(capsys, tmp_path):

@@ -119,6 +119,21 @@ def test_joystick_certifies_cone_tangency():
                                -run.engine.states[:, 4], atol=0)
 
 
+def test_tangency_certificate_resolves_small_angles():
+    # velocities along the cone direction (1, T, T^2, T^3), tilted by 1e-12
+    T = np.linspace(-1.0, 1.0, 9)
+    d = np.stack([np.ones_like(T), T, T ** 2, T ** 3], axis=1)
+    tilt = np.stack([-T, np.ones_like(T), np.zeros_like(T), np.zeros_like(T)], axis=1)
+    scale = np.linalg.norm(d, axis=1) / np.linalg.norm(tilt, axis=1)
+    c = d + 1e-12 * scale[:, None] * tilt
+    velocities = np.zeros((len(T), 5))
+    velocities[:, [4, 3, 2, 1]] = c
+    curve = fibration.ContactCurve(T, np.zeros((len(T), 5)), velocities, T)
+    report = fibration.certify_twisted_cubic_tangency(curve)
+    assert report.skipped == 0
+    np.testing.assert_allclose(report.angular, 1e-12, rtol=1e-3)
+
+
 def test_constant_ratio_controls_are_the_fiber_direction():
     # With u/w constant the lift moves only along the projection fiber: the
     # engine curve traces the cubic upstairs while the contact shadow stands

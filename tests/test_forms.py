@@ -9,7 +9,7 @@ from saucer.chart import CONTACT_FORM, contact_covector
 from saucer.forms import (DifferentialForm, FormValue, VectorField, bracket,
                           constant_field, exterior_derivative,
                           lie_derivative_form, lie_derivative_symtensor,
-                          sym_outer, symmetrize, SymTensorField, wedge)
+                          SymTensorField, wedge)
 from saucer.sampling import rng_for, sample_chart_points
 
 vec5 = st.lists(st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
@@ -141,18 +141,6 @@ def bracket_of(A: VectorField, B: VectorField, C: VectorField,
     """[[A, B], C](p) with the inner bracket wrapped as a field."""
     inner = VectorField(f"[{A.id},{B.id}]", 5, lambda q: bracket(A, B, q))
     return bracket(inner, C, p)
-
-
-def test_symmetrize_and_sym_outer():
-    rng = rng_for(0, "forms.sym")
-    T = rng.uniform(-1, 1, (5, 5, 5))
-    S = symmetrize(T)
-    assert np.allclose(S, np.transpose(S, (1, 0, 2)))
-    assert np.allclose(S, np.transpose(S, (0, 2, 1)))
-    c = rng.uniform(-1, 1, (3, 5))
-    A = sym_outer(c[0], c[1], c[2])
-    B = sym_outer(c[2], c[0], c[1])
-    assert np.allclose(A, B)
 
 
 def test_symtensor_lie_derivative_directional_term():

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from saucer import catalogs, symmetry
-from saucer.forms import constant_field
-from saucer.maneuvers import ATTACKING_METRIC_FIELD, LANDING_METRIC_FIELD
+from saucer.chart import contact_covector
+from saucer.forms import VectorField, constant_field, lie_derivative_symtensor
+from saucer.maneuvers import (ATTACKING_METRIC_FIELD, LANDING_METRIC_FIELD,
+                              QUARTIC_FIELD)
 from saucer.sampling import sample_chart_points
 
 
@@ -22,7 +24,7 @@ def test_attacking_catalog_members_are_symmetries():
     pts = _pts(101, 8)
     for X in fields:
         rep = symmetry.legendrean_symmetry_residual(X, ATTACKING_METRIC_FIELD, pts)
-        assert rep.passed(1e-7), X.name
+        assert rep.passed(1e-7), X.id
 
 
 def test_landing_catalog_members_are_symmetries():
@@ -31,7 +33,7 @@ def test_landing_catalog_members_are_symmetries():
     pts = _pts(102, 8)
     for X in fields:
         rep = symmetry.legendrean_symmetry_residual(X, LANDING_METRIC_FIELD, pts)
-        assert rep.passed(1e-7), X.name
+        assert rep.passed(1e-7), X.id
 
 
 def test_g2_catalog_members_are_symmetries():
@@ -40,7 +42,7 @@ def test_g2_catalog_members_are_symmetries():
     pts = _pts(103, 8)
     for X in fields:
         rep = symmetry.g2_symmetry_residual(X, pts)
-        assert rep.passed(1e-7), X.name
+        assert rep.passed(1e-7), X.id
 
 
 def test_catalog_ranks():
@@ -143,3 +145,75 @@ def test_constants_reproduce_brackets_at_fresh_points():
         for i, j in itertools.islice(itertools.combinations(range(15), 2), 12):
             np.testing.assert_allclose(
                 bracket(fields[i], fields[j], p), vals @ sc.c[i, j], atol=1e-7)
+
+
+# -- oracle for the membership residual ----------------------------------------
+#
+# The package tests membership by restriction to D = ker w0. The oracle below
+# is the direct statement: least-squares distance of L_X S from
+# span{S, w0 . e_I} with e_I running over a basis of Sym^(k-1) covectors.
+
+def _sym_outer(*covectors):
+    T = covectors[0]
+    for c in covectors[1:]:
+        T = np.multiply.outer(T, c)
+    perms = list(itertools.permutations(range(T.ndim)))
+    return sum(np.transpose(T, perm) for perm in perms) / len(perms)
+
+
+def _ideal_columns(rank, p):
+    w = contact_covector(p)
+    eye = np.eye(5)
+    return [_sym_outer(w, *(eye[i] for i in idx)).ravel()
+            for idx in itertools.combinations_with_replacement(range(5), rank - 1)]
+
+
+def _lstsq_membership(X, S, p, ideal):
+    lie = lie_derivative_symtensor(X, S, p).ravel()
+    A = np.stack([S.value(p).ravel()] + ideal, axis=1)
+    coef, *_ = np.linalg.lstsq(A, lie, rcond=None)
+    return (float(np.linalg.norm(A @ coef - lie))
+            / (float(np.linalg.norm(S.value(p))) + float(np.linalg.norm(lie))))
+
+
+_EULER = VectorField("euler", 5, lambda p: np.array([p[0], p[1], p[2], 0.0, 0.0]),
+                     lambda p: np.diag([1.0, 1.0, 1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("fields,structure,expect_symmetric", [
+    ("attacking", ATTACKING_METRIC_FIELD, True),
+    ("landing", LANDING_METRIC_FIELD, True),
+    ("g2", QUARTIC_FIELD, True),
+    ("attacking", LANDING_METRIC_FIELD, False),
+    ("landing", ATTACKING_METRIC_FIELD, False),
+    ("attacking", QUARTIC_FIELD, False),
+    ("euler", QUARTIC_FIELD, False),
+])
+def test_restricted_membership_matches_lstsq_oracle(fields, structure, expect_symmetric):
+    tol = 1e-7
+    pts = sample_chart_points(6, 5, "test.oracle")
+    ideal = [_ideal_columns(structure.rank, p) for p in pts]
+    catalog = (_EULER,) if fields == "euler" else catalogs.catalog(fields)
+    for X in catalog:
+        old = np.array([_lstsq_membership(X, structure, p, cols)
+                        for p, cols in zip(pts, ideal)])
+        new = np.array([symmetry.metric_membership_residual(X, structure, p)
+                        for p in pts])
+        np.testing.assert_array_equal(old <= tol, new <= tol, err_msg=X.id)
+        if expect_symmetric:
+            assert new.max() <= tol, X.id
+        elif new.max() > tol:
+            assert symmetry.contact_symmetry_residual(X, pts) <= tol, X.id
+            assert old.max() > 4e-2 and new.max() > 4e-2, X.id
+    if fields == "euler":
+        assert symmetry.quartic_membership_residual(_EULER, pts) == pytest.approx(new.max())
+
+
+def test_report_names_its_worst_sample():
+    pts = _pts(61, 8)
+    X = catalogs.landing_catalog()[0]
+    rep = symmetry.legendrean_symmetry_residual(X, LANDING_METRIC_FIELD, pts)
+    k = [tuple(p) for p in pts].index(rep.worst_point)
+    worst = max(symmetry.contact_symmetry_residual(X, pts[k]),
+                symmetry.metric_membership_residual(X, LANDING_METRIC_FIELD, pts[k]))
+    assert worst == pytest.approx(max(rep.contact, rep.membership))
