@@ -66,12 +66,17 @@ def endomorphism_L_spinor(X: np.ndarray) -> np.ndarray:
     return L
 
 
-def quartic_upsilon(X: np.ndarray) -> float:
-    """Upsilon(X) as the expanded quartic polynomial."""
-    x1, x2, x3, x4 = np.asarray(X, dtype=float)
-    return float(3.0 * x2 ** 2 * x3 ** 2 - 4.0 * x1 * x3 ** 3
-                 - 4.0 * x2 ** 3 * x4 + 6.0 * x1 * x2 * x3 * x4
-                 - x1 ** 2 * x4 ** 2)
+def quartic_upsilon(X: np.ndarray) -> "float | np.ndarray":
+    """Upsilon(X) = 3 x2^2 x3^2 - 4 x1 x3^3 - 4 x2^3 x4 + 6 x1 x2 x3 x4 - x1^2 x4^2.
+
+    X is one vector (4,), giving a float, or a stack (..., 4), giving (...).
+    The polynomial is evaluated in factored form, with products only.
+    """
+    X = np.asarray(X, dtype=float)
+    x1, x2, x3, x4 = np.moveaxis(X, -1, 0)
+    value = (x3 * x3 * (3.0 * x2 * x2 - 4.0 * x1 * x3)
+             + x4 * (x2 * (6.0 * x1 * x3 - 4.0 * x2 * x2) - x1 * x1 * x4))
+    return float(value) if X.ndim == 1 else value
 
 
 def quartic_upsilon_det(X: np.ndarray) -> float:

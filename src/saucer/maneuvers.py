@@ -221,46 +221,13 @@ class Trajectory:
         return self.states[-1]
 
 
-def _velocities_constant(mode: ManeuverMode, states: np.ndarray,
-                         u1: float, u2: float, u3: float) -> np.ndarray:
-    """Vectorized control law over the sample states (constant controls)."""
-    a = states[:, 3]
-    b = states[:, 4]
-    kid = mode.kernel_id
-    if kid == kernels.ATTACKING:
-        c1 = np.full_like(a, 3.0 * u1 * u3)
-        c2 = np.full_like(a, u2 * u3)
-        c3 = np.full_like(a, u1)
-        c4 = np.full_like(a, u2)
-    elif kid == kernels.LANDING:
-        c1 = u3 * ((1.0 + b * b) * u2 + 3.0 * a * b * u1)
-        c2 = -u3 * (a * b * u2 + 3.0 * (1.0 + a * a) * u1)
-        c3 = np.full_like(a, u1)
-        c4 = np.full_like(a, u2)
-    elif kid == kernels.G2_SIMPLE:
-        c1 = np.full_like(a, u1)
-        c2 = np.full_like(a, u1 * (u2 + u3))
-        c3 = np.full_like(a, u1 * (u2 * u2 + 2.0 * u3 * u2))
-        c4 = np.full_like(a, u1 * (u2 ** 3 + 3.0 * u3 * u2 * u2))
-    else:
-        c1 = np.full_like(a, u1)
-        c2 = np.full_like(a, u1 * u2)
-        c3 = np.full_like(a, u1 * u2 * u2)
-        c4 = np.full_like(a, u1 * u2 ** 3)
-    out = np.empty_like(states)
-    out[:, 0] = c1
-    out[:, 1] = c2
-    out[:, 2] = c1 * a + c2 * b
-    out[:, 3] = c4
-    out[:, 4] = -3.0 * c3
-    return out
-
-
 def integrate_trajectory(program: ControlProgram, p0: Sequence[float]) -> Trajectory:
-    """Integrate the control law from p0 with classical RK4 at fixed dt.
+    """Sample the control law's trajectory from p0 at fixed dt.
 
-    Constant-control programs run on the compiled kernel when available;
-    time-dependent controls use a non-autonomous Python RK4 at the same order.
+    Constant-control programs are evaluated in closed form by
+    `kernels.rk4_constant`, exact up to rounding at every sample; controls
+    that vary in time are integrated by classical RK4 at step dt. Velocities
+    come from one stacked `kernels.velocity` call over all samples.
     """
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (DIM,):
@@ -268,18 +235,14 @@ def integrate_trajectory(program: ControlProgram, p0: Sequence[float]) -> Trajec
     n_steps = max(1, int(round(program.duration / program.dt)))
     h = program.duration / n_steps
     times = np.linspace(0.0, program.duration, n_steps + 1)
+    kid = program.mode.kernel_id
 
     if program.is_constant:
-        u1, u2, u3 = program.controls_at(0.0)
-        states = kernels.rk4_constant(program.mode.kernel_id, p0, u1, u2, u3,
-                                      program.duration, n_steps)
-        vels = _velocities_constant(program.mode, states, u1, u2, u3)
+        controls = program.controls_at(0.0)
+        states = kernels.rk4_constant(kid, p0, *controls, program.duration, n_steps)
     else:
-        kid = program.mode.kernel_id
-
         def f(t: float, p: np.ndarray) -> np.ndarray:
-            u1, u2, u3 = program.controls_at(t)
-            return kernels.velocity(kid, p, u1, u2, u3)
+            return kernels.velocity(kid, p, *program.controls_at(t))
 
         states = np.empty((n_steps + 1, DIM))
         states[0] = p0
@@ -292,7 +255,8 @@ def integrate_trajectory(program: ControlProgram, p0: Sequence[float]) -> Trajec
             k4 = f(t + h, p + h * k3)
             p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             states[k + 1] = p
-        vels = np.array([f(t, q) for t, q in zip(times, states)])
+        controls = np.array([program.controls_at(t) for t in times]).T
+    vels = kernels.velocity(kid, states, *controls)
 
     escaped = bool(np.max(np.abs(states)) > BOX_HALF_WIDTH)
     if escaped:
@@ -350,8 +314,7 @@ def constraint_residuals(traj: Trajectory, mode: ManeuverMode | None = None) -> 
         if mode == ManeuverMode.G2_STRICT:
             for name, G in zip(("g1", "g2", "g3"), gl2.BILINEAR_MATRICES):
                 nullity[name] = np.abs(np.einsum("si,ij,sj->s", X, G, X))
-        nullity["upsilon"] = np.abs(
-            np.einsum("ijkl,si,sj,sk,sl->s", gl2.UPSILON_TENSOR, X, X, X, X))
+        nullity["upsilon"] = np.abs(gl2.quartic_upsilon(X))
     return ResidualReport(mode, contact, nullity)
 
 

@@ -40,10 +40,12 @@ FAMILY_CONTROLS: dict[ManeuverMode, tuple[tuple[float, float, float], ...]] = {
                              (1.0, -1.0, 0.0), (1.0, 2.0, 0.0)),
 }
 
-#: Commutator rectangle (field pair, z coefficient of the bracket) per mode.
+#: Commutator rectangle (field pair, z gain of the bracket) per mode. The
+#: landing gain 1 + b^2 depends on the point; `plan_path` reads it from
+#: `landing_depth2_contact_values`.
 _RECTANGLE = {
     ManeuverMode.ATTACKING: ((1, 2), 3.0),
-    ManeuverMode.LANDING: ((1, 3), 1.0),
+    ManeuverMode.LANDING: ((1, 3), None),
     ManeuverMode.G2_STRICT: ((1, 0), 1.0),
 }
 
@@ -51,27 +53,6 @@ _RECTANGLE = {
 def _family_mode(mode: ManeuverMode) -> ManeuverMode:
     """The simple G2 mode plans with the strict family (a subcone of it)."""
     return ManeuverMode.G2_STRICT if mode == ManeuverMode.G2_SIMPLE else mode
-
-
-def _zcoeff_grads(kid: int, a: float, b: float, u1: float, u2: float,
-                  u3: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frame coefficients of the control law and their (a, b) gradients."""
-    if kid == kernels.ATTACKING:
-        c = np.array([3.0 * u1 * u3, u2 * u3, u1, u2])
-    elif kid == kernels.LANDING:
-        c = np.array([u3 * ((1.0 + b * b) * u2 + 3.0 * a * b * u1),
-                      -u3 * (a * b * u2 + 3.0 * (1.0 + a * a) * u1),
-                      u1, u2])
-        dca = np.array([3.0 * b * u1 * u3, -u3 * (b * u2 + 6.0 * a * u1), 0.0, 0.0])
-        dcb = np.array([u3 * (2.0 * b * u2 + 3.0 * a * u1), -u3 * a * u2, 0.0, 0.0])
-        return c, dca, dcb
-    elif kid == kernels.G2_SIMPLE:
-        c = u1 * np.array([1.0, u2 + u3, u2 * u2 + 2.0 * u3 * u2,
-                           u2 ** 3 + 3.0 * u3 * u2 * u2])
-    else:
-        c = u1 * np.array([1.0, u2, u2 * u2, u2 ** 3])
-    zero = np.zeros(4)
-    return c, zero, zero
 
 
 def family_field(mode: ManeuverMode, k: int) -> VectorField:
@@ -85,12 +66,13 @@ def family_field(mode: ManeuverMode, k: int) -> VectorField:
 
     def jacobian(p: np.ndarray) -> np.ndarray:
         a, b = float(p[3]), float(p[4])
-        c, dca, dcb = _zcoeff_grads(kid, a, b, u1, u2, u3)
+        c1, c2, _, _ = kernels.zcoeffs(kid, a, b, u1, u2, u3)
+        dca, dcb = kernels.zcoeff_grads(kid, a, b, u1, u2, u3)
         J = np.zeros((DIM, DIM))
         J[0, 3], J[0, 4] = dca[0], dcb[0]
         J[1, 3], J[1, 4] = dca[1], dcb[1]
-        J[2, 3] = dca[0] * a + c[0] + dca[1] * b
-        J[2, 4] = dcb[0] * a + c[1] + dcb[1] * b
+        J[2, 3] = dca[0] * a + c1 + dca[1] * b
+        J[2, 4] = dcb[0] * a + c2 + dcb[1] * b
         return J
 
     return VectorField(f"{fmode.value}-Y{k + 1}", DIM, value, jacobian)
@@ -177,10 +159,9 @@ def _landing_nested_symbolic():
     coords = sp.symbols("x y z a b")
     a, b = coords[3], coords[4]
 
-    def law(u1, u2, u3):
-        c1 = u3 * ((1 + b ** 2) * u2 + 3 * a * b * u1)
-        c2 = -u3 * (a * b * u2 + 3 * (1 + a ** 2) * u1)
-        return sp.Matrix([c1, c2, c1 * a + c2 * b, u2, -3 * u1])
+    def law(*u):
+        c1, c2, c3, c4 = kernels.zcoeffs(kernels.LANDING, a, b, *map(sp.Rational, u))
+        return sp.Matrix([c1, c2, c1 * a + c2 * b, c4, -3 * c3])
 
     family = [law(*u) for u in FAMILY_CONTROLS[ManeuverMode.LANDING]]
 
@@ -230,18 +211,19 @@ def landing_depth2_contact_values(p: np.ndarray) -> tuple[float, float]:
 # -- flows and plans -----------------------------------------------------------
 
 def _leg_steps(duration: float) -> int:
+    """Samples per leg in `replay`; flows themselves need only one step."""
     return max(LEG_MIN_STEPS, int(math.ceil(abs(duration) / LEG_DT)))
 
 
 def flow(mode: ManeuverMode, k: int, p: np.ndarray, duration: float) -> np.ndarray:
-    """Endpoint of the time-`duration` flow of family member k from p."""
-    if duration == 0.0:
-        return np.asarray(p, dtype=float).copy()
+    """Endpoint of the time-`duration` flow of family member k from p.
+
+    The constant-control flow is exact in one step, so this is the last row
+    of any `rk4_constant` sampling of the leg, bit for bit.
+    """
     fmode = _family_mode(mode)
     u1, u2, u3 = FAMILY_CONTROLS[fmode][k]
-    states = kernels.rk4_constant(fmode.kernel_id, np.asarray(p, dtype=float),
-                                  u1, u2, u3, duration, _leg_steps(duration))
-    return states[-1]
+    return kernels.rk4_constant(fmode.kernel_id, p, u1, u2, u3, duration, 1)[-1]
 
 
 def _phase1_matrix(mode: ManeuverMode, p: np.ndarray) -> np.ndarray:
@@ -291,7 +273,8 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
     Phase 1: durations along the family from a linear solve on the
     (x, y, a, b) block, damped for the landing family whose matrix is
     state-dependent. Phase 2: one commutator rectangle per iteration to move
-    z by eps^2 times the bracket coefficient; negative z gaps swap the legs.
+    z by eps^2 times the bracket's z gain (for landing, the contact value
+    1 + b^2 of [Y2, Y4] at the current point); negative z gaps swap the legs.
     """
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
@@ -335,6 +318,8 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
         dz = goal[2] - p[2]
         if abs(dz) >= 0.1 * tol:
             (i, j), coeff = _RECTANGLE[fmode]
+            if coeff is None:
+                coeff = landing_depth2_contact_values(p)[0]
             if dz < 0.0:
                 i, j = j, i
             eps = min(MAX_RECTANGLE_EPS, math.sqrt(abs(dz) / coeff))
@@ -363,12 +348,14 @@ def replay(plan: Plan) -> Trajectory:
     """
     fmode = _family_mode(plan.mode)
     kid = fmode.kernel_id
-    times = [np.array([0.0])]
-    states = [plan.start[None, :].copy()]
-    vels = [kernels.velocity(kid, plan.start, *FAMILY_CONTROLS[fmode][plan.legs[0][0]])[None, :]
-            if plan.legs else np.zeros((1, DIM))]
+    if not plan.legs:
+        return Trajectory(plan.mode, np.zeros(1), plan.start[None, :].copy(),
+                          np.zeros((1, DIM)))
+    times = [np.zeros(1)]
+    states = [plan.start[None, :]]
+    controls, counts = [], []
     t0 = 0.0
-    p = plan.start.copy()
+    p = plan.start
     for k, s in plan.legs:
         u = FAMILY_CONTROLS[fmode][k]
         if s < 0.0:
@@ -376,14 +363,15 @@ def replay(plan: Plan) -> Trajectory:
         dur = abs(s)
         n = _leg_steps(dur)
         seg = kernels.rk4_constant(kid, p, u[0], u[1], u[2], dur, n)
-        seg_t = t0 + np.linspace(0.0, dur, n + 1)
-        seg_v = np.stack([kernels.velocity(kid, q, *u) for q in seg])
-        times.append(seg_t[1:])
+        times.append(t0 + np.linspace(0.0, dur, n + 1)[1:])
         states.append(seg[1:])
-        vels.append(seg_v[1:])
-        # overwrite the joint velocity so it matches the incoming leg
-        vels[-2][-1] = seg_v[0]
+        controls.append(u)
+        counts.append(n)
         p = seg[-1]
         t0 += dur
-    return Trajectory(plan.mode, np.concatenate(times), np.vstack(states),
-                      np.vstack(vels))
+    # each sample, joints included, moves with the leg that leaves it; the
+    # final sample keeps the last leg's controls
+    counts[-1] += 1
+    states = np.vstack(states)
+    vels = kernels.velocity(kid, states, *np.repeat(controls, counts, axis=0).T)
+    return Trajectory(plan.mode, np.concatenate(times), states, vels)

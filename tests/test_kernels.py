@@ -1,45 +1,75 @@
-"""Compiled and pure integration kernels must agree sample for sample."""
+"""The control law and its closed-form flows, against a plain RK4 oracle."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import sympy as sp
 
-from saucer import kernels
-from saucer.kernels import pure
+from saucer import kernels, planner
 
-compiled = pytest.importorskip("saucer._kernels") \
-    if kernels.BACKEND == "compiled" else None
+MODES = (kernels.ATTACKING, kernels.LANDING, kernels.G2_SIMPLE, kernels.G2_STRICT)
 
-ctrl = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
-coord = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+
+def _oracle_rk4(mode, p0, u1, u2, u3, duration, n_steps):
+    """Classical RK4, one point at a time; the reference for the closed form."""
+    h = duration / n_steps
+    out = np.empty((n_steps + 1, 5))
+    out[0] = p = np.asarray(p0, dtype=float)
+    for k in range(n_steps):
+        k1 = kernels.velocity(mode, p, u1, u2, u3)
+        k2 = kernels.velocity(mode, p + 0.5 * h * k1, u1, u2, u3)
+        k3 = kernels.velocity(mode, p + 0.5 * h * k2, u1, u2, u3)
+        k4 = kernels.velocity(mode, p + h * k3, u1, u2, u3)
+        out[k + 1] = p = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out
 
 
 def test_backend_label():
-    assert kernels.BACKEND in ("compiled", "python")
+    assert kernels.BACKEND == "python"
 
 
-@given(st.integers(0, 3), coord, coord, ctrl, ctrl, ctrl)
-@settings(max_examples=60, deadline=None)
-def test_velocity_backend_parity(mode, a, b, u1, u2, u3):
-    if compiled is None:
-        pytest.skip("compiled backend unavailable")
-    p = np.array([0.1, -0.2, 0.3, a, b])
-    v_py = pure.velocity(mode, p, u1, u2, u3)
-    v_c = np.asarray(compiled.velocity(mode, p, u1, u2, u3))
-    np.testing.assert_allclose(v_c, v_py, atol=1e-14)
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("duration,n_steps", [(1.3, 1), (1.3, 37), (-0.9, 1), (-1.7, 64)])
+def test_closed_form_matches_rk4_oracle(mode, duration, n_steps):
+    rng = np.random.default_rng([mode, n_steps])
+    p0 = rng.uniform(-2.0, 2.0, 5)
+    u = rng.uniform(-2.0, 2.0, 3)
+    got = kernels.rk4_constant(mode, p0, *u, duration, n_steps)
+    want = _oracle_rk4(mode, p0, *u, duration, n_steps)
+    assert got.shape == (n_steps + 1, 5)
+    np.testing.assert_array_equal(got[0], p0)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
-def test_rk4_backend_parity():
-    if compiled is None:
-        pytest.skip("compiled backend unavailable")
-    p0 = np.array([0.1, -0.2, 0.3, 0.4, -0.5])
-    for mode in range(4):
-        out_py = pure.rk4_constant(mode, p0, 0.7, -0.4, 0.3, 1.0, 200)
-        out_c = np.asarray(compiled.rk4_constant(mode, p0, 0.7, -0.4, 0.3, 1.0, 200))
-        assert out_py.shape == (201, 5)
-        np.testing.assert_allclose(out_c, out_py, atol=1e-13)
+@pytest.mark.parametrize("mode", MODES)
+def test_stacked_velocity_equals_pointwise_calls(mode):
+    rng = np.random.default_rng(mode)
+    pts = rng.uniform(-2.0, 2.0, (40, 5))
+    u = rng.uniform(-2.0, 2.0, (40, 3))
+    pointwise = np.stack([kernels.velocity(mode, p, 0.7, -0.4, 0.3) for p in pts])
+    np.testing.assert_array_equal(kernels.velocity(mode, pts, 0.7, -0.4, 0.3), pointwise)
+    pointwise = np.stack([kernels.velocity(mode, p, *c) for p, c in zip(pts, u)])
+    np.testing.assert_array_equal(kernels.velocity(mode, pts, *u.T), pointwise)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_zcoeff_grads_are_the_derivatives_of_zcoeffs(mode):
+    a, b, u1, u2, u3 = sp.symbols("a b u1 u2 u3")
+    c1, c2, _, _ = kernels.zcoeffs(mode, a, b, u1, u2, u3)
+    grads = kernels.zcoeff_grads(mode, a, b, u1, u2, u3)
+    for var, (g1, g2) in zip((a, b), grads):
+        assert sp.simplify(sp.diff(c1, var) - g1) == 0
+        assert sp.simplify(sp.diff(c2, var) - g2) == 0
+
+
+@pytest.mark.parametrize("mode", list(planner.FAMILY_CONTROLS))
+def test_flow_is_the_last_row_of_a_leg_sampling(mode):
+    p = np.array([0.3, -1.1, 0.7, 1.6, -1.4])
+    for k, u in enumerate(planner.FAMILY_CONTROLS[mode]):
+        for duration in (0.37, -1.25, 0.0):
+            dense = kernels.rk4_constant(mode.kernel_id, p, *u, duration,
+                                         planner._leg_steps(duration))
+            np.testing.assert_array_equal(planner.flow(mode, k, p, duration), dense[-1])
 
 
 def test_rk4_negative_duration_reverses_flow():
@@ -58,6 +88,8 @@ def test_mode_validation():
         kernels.rk4_constant(-1, p0, 1.0, 0.0, 0.0, 1.0, 10)
     with pytest.raises(ValueError):
         kernels.rk4_constant(0, p0, 1.0, 0.0, 0.0, 1.0, 0)
+    with pytest.raises(ValueError):
+        kernels.zcoeff_grads(4, 0.0, 0.0, 1.0, 0.0, 0.0)
 
 
 def test_attacking_velocity_law():

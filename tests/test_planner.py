@@ -7,7 +7,7 @@ import pytest
 from saucer import planner
 from saucer.forms import bracket
 from saucer.maneuvers import ManeuverMode, constraint_residuals, maneuver_velocity
-from saucer.sampling import rng_for, sample_chart_points
+from saucer.sampling import BOX_HALF_WIDTH, rng_for, sample_chart_points
 
 MODES = (ManeuverMode.ATTACKING, ManeuverMode.LANDING, ManeuverMode.G2_STRICT)
 
@@ -153,3 +153,14 @@ def test_simple_mode_plans_with_the_strict_family():
     assert plan.mode is ManeuverMode.G2_SIMPLE
     traj = planner.replay(plan)
     assert constraint_residuals(traj, mode=ManeuverMode.G2_STRICT).passed()
+
+
+@pytest.mark.parametrize("mode", list(ManeuverMode))
+def test_every_mode_plans_across_the_sampling_box(mode):
+    pts = sample_chart_points(12, 97, f"test-box-{mode.value}", box=BOX_HALF_WIDTH)
+    for start, goal in zip(pts[0::2], pts[1::2]):
+        plan = planner.plan_path(mode, start, goal, tol=1e-3)
+        assert plan.success, (mode, start, goal)
+        traj = planner.replay(plan)
+        np.testing.assert_allclose(traj.endpoint, plan.achieved, atol=1e-8)
+        assert constraint_residuals(traj).passed()
