@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import numbers
 import os
 import sys
 import warnings
@@ -58,12 +59,13 @@ def _parse_control(text: str):
 
 
 def _control_callable(spec):
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return float(spec)
     try:
-        return fibration.ControlSpec.from_spec(spec).value_fn
+        control = fibration.ControlSpec.from_spec(spec)
     except (TypeError, ValueError) as exc:
         raise _usage_error(f"bad control spec {spec!r}: {exc}")
+    if isinstance(spec, numbers.Real) and not isinstance(spec, bool):
+        return float(spec)
+    return control.value_fn
 
 
 def _load_controls_file(path: str) -> dict:
@@ -98,7 +100,7 @@ def _shift_spec(spec, t0: float):
     return fibration.ControlSpec(
         lambda s: base.value_fn(t0 + s),
         lambda s: base.derivative_fn(t0 + s),
-        f"{base.describe} shifted by {t0:g}")
+        f"{base.describe} shifted by {t0:g}", vectorized=base.vectorized)
 
 
 def _load_config(path: str) -> dict:
@@ -313,12 +315,15 @@ def _cmd_lift(args) -> int:
                    + [con.velocities[:, i] for i in range(5)]
                    + [con.cone_parameter])
     rep = run.report
+    worst_t = (None if rep.worst_sample is None
+               else t0 + float(run.engine.times[rep.worst_sample]))
     payload = {
         "samples": int(len(run.engine.times)),
         "t0": t0,
         "duration": duration,
         "max_angular": float(rep.max_angular),
         "max_contact": float(rep.max_contact),
+        "worst_t": worst_t,
         "skipped": int(rep.skipped),
         "endpoint": [float(v) for v in run.contact.states[-1]],
         "pass": bool(rep.max_angular <= 1e-5 and rep.max_contact <= 1e-8),

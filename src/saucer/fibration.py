@@ -16,12 +16,14 @@ parameter T = -y4.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 import sympy as sp
 
+from . import kernels
 from .forms import (DifferentialForm, FormValue, VectorField, bracket,
                     exterior_derivative)
 
@@ -160,34 +162,40 @@ def y_from_x(x: np.ndarray) -> np.ndarray:
 
 
 def x_from_y(y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    y0, y1, y2, y3, y4, y5 = y
-    return np.array([
+    """x chart coordinates of one y point (6,) or a stack (..., 6)."""
+    y0, y1, y2, y3, y4, y5 = np.moveaxis(np.asarray(y, dtype=float), -1, 0)
+    return np.stack([
         y0 - y1 * y5 - 3 * y2 * y4 * y5 - y4 ** 3 * y5 ** 2,
         y1 - y4 ** 3 * y5,
         y2 + y4 ** 2 * y5,
         y3 - y4 * y5,
         y5,
         y4,
-    ])
+    ], axis=-1)
 
 
-@lru_cache(maxsize=None)
-def _x_from_y_jacobian_fn() -> Callable:
-    y0, y1, y2, y3, y4, y5 = _YS
-    exprs = sp.Matrix([
-        y0 - y1 * y5 - 3 * y2 * y4 * y5 - y4 ** 3 * y5 ** 2,
-        y1 - y4 ** 3 * y5,
-        y2 + y4 ** 2 * y5,
-        y3 - y4 * y5,
-        y5,
-        y4,
-    ])
-    return sp.lambdify(_YS, exprs.jacobian(_YS), modules="numpy")
+def x_from_y_pushforward(y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """d(x_from_y) at y applied to v, written out column by column; (..., 6)."""
+    y, v = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(v, dtype=float))
+    _, y1, y2, _, y4, y5 = np.moveaxis(y, -1, 0)
+    v0, v1, v2, v3, v4, v5 = np.moveaxis(v, -1, 0)
+    y4y4 = y4 * y4
+    return np.stack([
+        v0 - y5 * v1 - 3 * y4 * y5 * v2 - 3 * y5 * (y2 + y4y4 * y5) * v4
+        - (y1 + 3 * y2 * y4 + 2 * y4y4 * y4 * y5) * v5,
+        v1 - 3 * y4y4 * y5 * v4 - y4y4 * y4 * v5,
+        v2 + 2 * y4 * y5 * v4 + y4y4 * v5,
+        v3 - y5 * v4 - y4 * v5,
+        v5,
+        v4,
+    ], axis=-1)
 
 
 def x_from_y_jacobian(y: np.ndarray) -> np.ndarray:
-    return np.asarray(_x_from_y_jacobian_fn()(*np.asarray(y, dtype=float)), dtype=float)
+    """J[i, j] = d x_i / d y_j at y (6,), or at each point of a stack (..., 6, 6)."""
+    y = np.asarray(y, dtype=float)
+    columns = x_from_y_pushforward(y[..., None, :], np.eye(FDIM))
+    return np.swapaxes(columns, -1, -2)
 
 
 # -- structure equations -------------------------------------------------------
@@ -233,14 +241,20 @@ def eds_residual(chart: str, points: np.ndarray) -> float:
 class ControlSpec:
     """A scalar control with an exact (or finite-difference) derivative.
 
-    Built from a number (constant), a list of polynomial coefficients in
-    increasing degree, a dict {"kind": "sin"|"cos", "amplitude", "frequency",
-    "phase"} meaning amplitude * sin(frequency * t + phase), or any callable
-    (derivative by central differences).
+    Built from a real number (constant), a non-empty flat list of polynomial
+    coefficients in increasing degree, a dict {"kind": "sin"|"cos",
+    "amplitude", "frequency", "phase"} meaning amplitude * sin(frequency * t
+    + phase), or any callable (derivative by central differences). Numbers
+    must be finite.
+
+    With `vectorized` set, value_fn and derivative_fn take an array of times
+    and return an array, as the built-in kinds do; otherwise `values` and
+    `derivatives` call them once per distinct time.
     """
     value_fn: Callable[[float], float]
     derivative_fn: Callable[[float], float]
     describe: str
+    vectorized: bool = False
 
     def value(self, t: float) -> float:
         return float(self.value_fn(t))
@@ -248,37 +262,57 @@ class ControlSpec:
     def derivative(self, t: float) -> float:
         return float(self.derivative_fn(t))
 
+    def values(self, t: np.ndarray) -> np.ndarray:
+        return self._sample(self.value_fn, t)
+
+    def derivatives(self, t: np.ndarray) -> np.ndarray:
+        return self._sample(self.derivative_fn, t)
+
+    def _sample(self, fn, t) -> np.ndarray:
+        if self.vectorized:
+            return np.asarray(fn(np.asarray(t, dtype=float)), dtype=float)
+        return kernels.at_distinct_times(fn, t)
+
     @staticmethod
     def from_spec(obj) -> "ControlSpec":
         if isinstance(obj, ControlSpec):
             return obj
-        if isinstance(obj, (int, float)):
-            c = float(obj)
-            return ControlSpec(lambda t: c, lambda t: 0.0, f"const({c:g})")
+        if isinstance(obj, numbers.Real):
+            c = _finite(obj, "constant control")
+            return ControlSpec(lambda t: np.full(np.shape(t), c),
+                               lambda t: np.zeros(np.shape(t)),
+                               f"const({c:g})", vectorized=True)
         if isinstance(obj, (list, tuple)):
-            coeffs = np.asarray(obj, dtype=float)
+            try:
+                coeffs = np.asarray(obj, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"polynomial coefficients must be numbers: {exc}") from None
+            if coeffs.ndim != 1 or len(coeffs) == 0:
+                raise ValueError("polynomial coefficients must be a non-empty flat list")
+            if not np.all(np.isfinite(coeffs)):
+                raise ValueError("polynomial coefficients must be finite")
             dcoeffs = np.polynomial.polynomial.polyder(coeffs) if len(coeffs) > 1 \
                 else np.zeros(1)
             return ControlSpec(
-                lambda t: float(np.polynomial.polynomial.polyval(t, coeffs)),
-                lambda t: float(np.polynomial.polynomial.polyval(t, dcoeffs)),
-                f"poly({list(map(float, coeffs))})")
+                lambda t: np.polynomial.polynomial.polyval(t, coeffs),
+                lambda t: np.polynomial.polynomial.polyval(t, dcoeffs),
+                f"poly({list(map(float, coeffs))})", vectorized=True)
         if isinstance(obj, dict):
             kind = obj.get("kind")
             if kind not in ("sin", "cos"):
                 raise ValueError(f"unknown control kind {kind!r}")
-            A = float(obj.get("amplitude", 1.0))
-            f = float(obj.get("frequency", 1.0))
-            ph = float(obj.get("phase", 0.0))
+            A = _finite(obj.get("amplitude", 1.0), "amplitude")
+            f = _finite(obj.get("frequency", 1.0), "frequency")
+            ph = _finite(obj.get("phase", 0.0), "phase")
             if kind == "sin":
                 return ControlSpec(
                     lambda t: A * np.sin(f * t + ph),
                     lambda t: A * f * np.cos(f * t + ph),
-                    f"sin(A={A:g}, f={f:g}, ph={ph:g})")
+                    f"sin(A={A:g}, f={f:g}, ph={ph:g})", vectorized=True)
             return ControlSpec(
                 lambda t: A * np.cos(f * t + ph),
                 lambda t: -A * f * np.sin(f * t + ph),
-                f"cos(A={A:g}, f={f:g}, ph={ph:g})")
+                f"cos(A={A:g}, f={f:g}, ph={ph:g})", vectorized=True)
         if callable(obj):
             h = 1e-6
             return ControlSpec(
@@ -288,10 +322,22 @@ class ControlSpec:
         raise TypeError(f"cannot build a control from {type(obj).__name__}")
 
 
+def _finite(value, what: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+    if not np.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return number
+
+
 # -- engine curves, lift, projection -------------------------------------------
 
-def _engine_rhs(y: np.ndarray, u: float, w: float) -> np.ndarray:
-    return np.array([3.0 * y[2] * u, 3.0 * y[4] ** 2 * u, -2.0 * y[4] * u, u, w])
+def _engine_rhs(y: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Engine velocity u e_row + w e_col along a stack of states (m, 5)."""
+    y2, y4 = y[:, 2], y[:, 4]
+    return np.column_stack([3.0 * y2 * u, 3.0 * y4 ** 2 * u, -2.0 * y4 * u, u, w])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -306,33 +352,40 @@ class D2Curve:
 
 def integrate_d2_curve(u_spec, w_spec, duration: float, n_steps: int,
                        y0: Sequence[float] | None = None) -> D2Curve:
-    """RK4 integration of the engine system y' = u e_row + w e_col."""
+    """RK4 integration of the engine system y' = u e_row + w e_col.
+
+    The system is triangular: y3' = u and y4' = w see only the controls,
+    y2' = -2 y4 u and y1' = 3 y4^2 u see only y4, and y0' = 3 y2 u sees only
+    y2. So each coordinate is integrated over whole columns once the ones it
+    depends on are known, with the same stage values and the same additions
+    as a per-step RK4 loop.
+    """
     u_spec = ControlSpec.from_spec(u_spec)
     w_spec = ControlSpec.from_spec(w_spec)
     if duration <= 0.0 or n_steps < 1:
         raise ValueError("need positive duration and at least one step")
-    y = np.zeros(5) if y0 is None else np.asarray(y0, dtype=float).copy()
-    if y.shape != (5,):
+    start = np.zeros(5) if y0 is None else np.asarray(y0, dtype=float)
+    if start.shape != (5,):
         raise ValueError("engine state must have 5 components")
-    h = duration / n_steps
-    times = np.linspace(0.0, duration, n_steps + 1)
-    states = np.empty((n_steps + 1, 5))
-    states[0] = y
-    for k in range(n_steps):
-        t = times[k]
-        k1 = _engine_rhs(y, u_spec.value(t), w_spec.value(t))
-        k2 = _engine_rhs(y + 0.5 * h * k1, u_spec.value(t + 0.5 * h),
-                         w_spec.value(t + 0.5 * h))
-        k3 = _engine_rhs(y + 0.5 * h * k2, u_spec.value(t + 0.5 * h),
-                         w_spec.value(t + 0.5 * h))
-        k4 = _engine_rhs(y + h * k3, u_spec.value(t + h), w_spec.value(t + h))
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[k + 1] = y
-    u = np.array([u_spec.value(t) for t in times])
-    w = np.array([w_spec.value(t) for t in times])
-    du = np.array([u_spec.derivative(t) for t in times])
-    dw = np.array([w_spec.derivative(t) for t in times])
-    return D2Curve(times, states, u, w, du, dw)
+    n = n_steps
+    h = duration / n
+    times = np.linspace(0.0, duration, n + 1)
+    stage_times = kernels.rk4_stage_times(times, h)
+    u_all, w_all = u_spec.values(stage_times), w_spec.values(stage_times)
+    u = kernels.rk4_stage_values(u_all, n)
+    w = kernels.rk4_stage_values(w_all, n)
+    col = kernels.rk4_column
+    y3 = col(start[3], h, *u)
+    y4 = col(start[4], h, *w)
+    y4_stages = kernels.rk4_stages(y4, h, *w[:3])
+    slopes_y2 = [-2.0 * y4s * us for y4s, us in zip(y4_stages, u)]
+    y2 = col(start[2], h, *slopes_y2)
+    y2_stages = kernels.rk4_stages(y2, h, *slopes_y2[:3])
+    y1 = col(start[1], h, *(3.0 * y4s ** 2 * us for y4s, us in zip(y4_stages, u)))
+    slopes_y0 = (3.0 * y2s * us for y2s, us in zip(y2_stages, u))
+    states = np.column_stack([col(start[0], h, *slopes_y0), y1, y2, y3, y4])
+    return D2Curve(times, states, u_all[:n + 1], w_all[:n + 1],
+                   u_spec.derivatives(times), w_spec.derivatives(times))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -351,10 +404,8 @@ def lift_curve(curve: D2Curve) -> LiftedCurve:
                            f"(t = {curve.times[idx]:.6g})")
     y5 = curve.u / curve.w
     states = np.column_stack([curve.states, y5])
-    vels = np.empty_like(states)
-    for k in range(len(curve.times)):
-        vels[k, :5] = _engine_rhs(curve.states[k], curve.u[k], curve.w[k])
-    vels[:, 5] = (curve.du * curve.w - curve.u * curve.dw) / curve.w ** 2
+    vels = np.column_stack([_engine_rhs(curve.states, curve.u, curve.w),
+                            (curve.du * curve.w - curve.u * curve.dw) / curve.w ** 2])
     return LiftedCurve(curve.times, states, vels)
 
 
@@ -368,16 +419,9 @@ class ContactCurve:
 
 def project_to_contact(lifted: LiftedCurve) -> ContactCurve:
     """Push the lifted curve to the x chart and forget x5."""
-    m = len(lifted.times)
-    states = np.empty((m, 5))
-    vels = np.empty((m, 5))
-    for k in range(m):
-        y = lifted.states[k]
-        x6 = x_from_y(y)
-        v6 = x_from_y_jacobian(y) @ lifted.velocities[k]
-        states[k] = x6[:5]
-        vels[k] = v6[:5]
-    return ContactCurve(lifted.times, states, vels, -lifted.states[:, 4].copy())
+    states = x_from_y(lifted.states)[:, :5]
+    vels = x_from_y_pushforward(lifted.states, lifted.velocities)[:, :5]
+    return ContactCurve(lifted.times, states, vels, -lifted.states[:, 4])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -385,6 +429,7 @@ class TangencyReport:
     angular: np.ndarray         # per-sample sine of angle to the cone direction
     contact: np.ndarray         # per-sample |w0(v)| / |v|
     skipped: int                # samples with negligible velocity
+    worst_sample: int | None = None  # curve index of the largest angular value
 
     @property
     def max_angular(self) -> float:
@@ -416,7 +461,8 @@ def certify_twisted_cubic_tangency(curve: ContactCurve,
     d = np.stack([np.ones_like(T), T, T ** 2, T ** 3], axis=1)
     along = np.einsum("ki,ki->k", c, d) / np.einsum("ki,ki->k", d, d)
     angular = np.linalg.norm(c - along[:, None] * d, axis=1) / speed
-    return TangencyReport(angular, np.abs(c0) / speed, int(np.count_nonzero(skip)))
+    worst = int(np.flatnonzero(keep)[np.argmax(angular)]) if len(angular) else None
+    return TangencyReport(angular, np.abs(c0) / speed, int(np.count_nonzero(skip)), worst)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -9,6 +9,13 @@ Under constant controls c3 and c4 do not depend on the state, so a and b
 move linearly in t and the velocity along the flow is a polynomial in t of
 degree at most 3. Simpson's rule over [0, t] is exact on such integrands,
 which makes `rk4_constant` a closed-form evaluation rather than a stepper.
+
+Under time-varying controls the law is still triangular: c3 and c4 see only
+the controls, and c1, c2 see only (a, b) and the controls. Every RK4 stage
+slope of every step is then known before the states are, so
+`rk4_stages` and `rk4_column` run classical RK4 one coordinate at a time over
+whole columns. The controls are sampled once on `rk4_stage_times`, by
+`at_distinct_times` when a control is a scalar callable.
 """
 from __future__ import annotations
 
@@ -102,3 +109,53 @@ def rk4_constant(mode: int, p0, u1: float, u2: float, u3: float,
         column *= t
         column += start
     return out
+
+
+def at_distinct_times(fn, t) -> np.ndarray:
+    """float(fn(s)) for every s in the array t, calling fn once per distinct s.
+
+    fn is only ever called with one scalar time, never with an array.
+    """
+    t = np.asarray(t, dtype=float)
+    distinct, where = np.unique(t, return_inverse=True)
+    values = np.array([float(fn(s)) for s in distinct.tolist()])
+    return values[where.reshape(t.shape)]
+
+
+def rk4_stage_times(times: np.ndarray, h: float) -> np.ndarray:
+    """The step times, then every step's midpoint t + h/2, then its end t + h.
+
+    A control is sampled on these (3n + 1,) times once; `rk4_stage_values`
+    then hands each RK4 stage its part.
+    """
+    return np.concatenate([times, times[:-1] + 0.5 * h, times[:-1] + h])
+
+
+def rk4_stage_values(sampled: np.ndarray, n: int) -> list:
+    """Split a sampling on `rk4_stage_times` into the four stages of n steps.
+
+    The stages of a step at t see t, t + h/2, t + h/2 and t + h; the values at
+    the n + 1 step times themselves are sampled[:n + 1].
+    """
+    return [sampled[lo:lo + n] for lo in (0, n + 1, n + 1, 2 * n + 1)]
+
+
+def rk4_stages(column: np.ndarray, h: float, k1, k2, k3) -> tuple:
+    """The four RK4 stage values of one coordinate at every step.
+
+    column holds the coordinate at the n + 1 step times and k1..k3 its stage
+    slopes at the n steps; each stage is formed exactly as the per-step
+    update y + (h/2) k1, y + (h/2) k2, y + h k3 forms it.
+    """
+    start = column[:-1]
+    return start, start + 0.5 * h * k1, start + 0.5 * h * k2, start + h * k3
+
+
+def rk4_column(start: float, h: float, k1, k2, k3, k4) -> np.ndarray:
+    """Classical RK4 values of one coordinate whose n stage slopes are known.
+
+    The increments (h/6)(k1 + 2 k2 + 2 k3 + k4) are summed in order by
+    `np.cumsum`, the same additions a per-step loop makes; (n + 1,).
+    """
+    inc = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.cumsum(np.concatenate(([start], inc)))

@@ -200,6 +200,12 @@ class ControlProgram:
         return tuple(float(u(t)) if callable(u) else float(u)
                      for u in (self.u1, self.u2, self.u3))
 
+    def controls_on(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u1, u2, u3) over an array of times; a callable runs once per distinct time."""
+        return tuple(kernels.at_distinct_times(u, t) if callable(u)
+                     else np.full(np.shape(t), float(u))
+                     for u in (self.u1, self.u2, self.u3))
+
 
 class ChartEscapeWarning(RuntimeWarning):
     """Trajectory left the sampling box; the chart remains valid but distant."""
@@ -225,9 +231,13 @@ def integrate_trajectory(program: ControlProgram, p0: Sequence[float]) -> Trajec
     """Sample the control law's trajectory from p0 at fixed dt.
 
     Constant-control programs are evaluated in closed form by
-    `kernels.rk4_constant`, exact up to rounding at every sample; controls
-    that vary in time are integrated by classical RK4 at step dt. Velocities
-    come from one stacked `kernels.velocity` call over all samples.
+    `kernels.rk4_constant`, exact up to rounding at every sample. Controls
+    that vary in time are integrated by classical RK4 at step dt, run on
+    whole columns: the law is triangular (c3 and c4 see only the controls,
+    and x, y, z never enter it), so a and b are integrated first from the
+    controls alone, and their stage values give every stage slope of x, y
+    and z. The result equals the per-step RK4 loop. Velocities come from one
+    stacked `kernels.velocity` call over all samples.
     """
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (DIM,):
@@ -241,21 +251,26 @@ def integrate_trajectory(program: ControlProgram, p0: Sequence[float]) -> Trajec
         controls = program.controls_at(0.0)
         states = kernels.rk4_constant(kid, p0, *controls, program.duration, n_steps)
     else:
-        def f(t: float, p: np.ndarray) -> np.ndarray:
-            return kernels.velocity(kid, p, *program.controls_at(t))
-
-        states = np.empty((n_steps + 1, DIM))
-        states[0] = p0
-        p = p0.copy()
-        for k in range(n_steps):
-            t = times[k]
-            k1 = f(t, p)
-            k2 = f(t + 0.5 * h, p + 0.5 * h * k1)
-            k3 = f(t + 0.5 * h, p + 0.5 * h * k2)
-            k4 = f(t + h, p + h * k3)
-            p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            states[k + 1] = p
-        controls = np.array([program.controls_at(t) for t in times]).T
+        sampled = program.controls_on(kernels.rk4_stage_times(times, h))
+        controls = tuple(u[:n_steps + 1] for u in sampled)
+        stage_controls = list(zip(*(kernels.rk4_stage_values(u, n_steps) for u in sampled)))
+        slopes_a, slopes_b = [], []
+        for u in stage_controls:
+            _, _, c3, c4 = kernels.zcoeffs(kid, 0.0, 0.0, *u)
+            slopes_a.append(c4)
+            slopes_b.append(-3.0 * c3)
+        a = kernels.rk4_column(p0[3], h, *slopes_a)
+        b = kernels.rk4_column(p0[4], h, *slopes_b)
+        slopes_x, slopes_y, slopes_z = [], [], []
+        for a_s, b_s, u in zip(kernels.rk4_stages(a, h, *slopes_a[:3]),
+                               kernels.rk4_stages(b, h, *slopes_b[:3]), stage_controls):
+            c1, c2, _, _ = kernels.zcoeffs(kid, a_s, b_s, *u)
+            slopes_x.append(c1)
+            slopes_y.append(c2)
+            slopes_z.append(c1 * a_s + c2 * b_s)
+        states = np.column_stack([kernels.rk4_column(p0[0], h, *slopes_x),
+                                  kernels.rk4_column(p0[1], h, *slopes_y),
+                                  kernels.rk4_column(p0[2], h, *slopes_z), a, b])
     vels = kernels.velocity(kid, states, *controls)
 
     escaped = bool(np.max(np.abs(states)) > BOX_HALF_WIDTH)

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from saucer import cli
+from saucer import cli, fibration
 
 
 def run_cli(capsys, *argv):
@@ -263,3 +263,33 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["transmogrify"])
     assert exc.value.code == 2
+
+
+BAD_CONTROL_SPECS = ("[]", "[[1, 2]]", "NaN", '{"kind": "sin", "amplitude": NaN}')
+
+
+@pytest.mark.parametrize("spec", BAD_CONTROL_SPECS)
+def test_lift_rejects_malformed_control_specs(capsys, spec):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lift", "--u", spec, "--steps", "10"])
+    assert exc.value.code == 2
+    assert "saucer: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", BAD_CONTROL_SPECS)
+def test_simulate_rejects_malformed_control_specs(capsys, spec):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--mode", "attacking", "--u1", spec, "--duration", "0.1"])
+    assert exc.value.code == 2
+    assert "bad control spec" in capsys.readouterr().err
+
+
+def test_lift_reports_the_absolute_time_of_its_worst_sample(capsys):
+    spec = {"kind": "sin", "amplitude": 1.0, "frequency": 2.0}
+    code, out, _ = run_cli(capsys, "lift", "--u", json.dumps(spec), "--w", "1",
+                           "--t", "1:3:0.01", "--format", "compact")
+    assert code == 0
+    data = json.loads(out)
+    run = fibration.run_joystick(cli._shift_spec(spec, 1.0), 1.0, duration=2.0, n_steps=200)
+    assert data["worst_t"] == 1.0 + run.engine.times[run.report.worst_sample]
+    assert 1.0 <= data["worst_t"] <= 3.0

@@ -135,3 +135,41 @@ def test_landing_law_components():
     c2 = -u3 * (a * b * u2 + 3 * (1 + a * a) * u1)
     np.testing.assert_allclose(
         v, [c1, c2, c1 * a + c2 * b, u2, -3 * u1], atol=1e-13)
+
+
+def _rk4_loop(program, p0):
+    """Per-step classical RK4 of the control law, one sample at a time."""
+    n_steps = max(1, int(round(program.duration / program.dt)))
+    h = program.duration / n_steps
+    times = np.linspace(0.0, program.duration, n_steps + 1)
+
+    def f(t, p):
+        return maneuver_velocity(program.mode, p, *program.controls_at(t))
+
+    p = np.asarray(p0, dtype=float)
+    states = [p]
+    for t in times[:-1]:
+        k1 = f(t, p)
+        k2 = f(t + 0.5 * h, p + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, p + 0.5 * h * k2)
+        k4 = f(t + h, p + h * k3)
+        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(p)
+    states = np.array(states)
+    vels = np.array([f(t, q) for t, q in zip(times, states)])
+    return states, vels
+
+
+@pytest.mark.parametrize("mode", list(ManeuverMode))
+def test_time_varying_integration_matches_per_step_rk4(mode):
+    p0 = chart.point(0.1, -0.2, 0.3, 0.4, -0.5)
+    for controls in ((lambda t: 0.5 * np.sin(2.0 * t + 0.3),
+                      lambda t: 0.4 * np.cos(1.3 * t), lambda t: 0.2 + 0.1 * t),
+                     (0.3, lambda t: t * t - 0.2, -0.4)):
+        prog = ControlProgram(mode, *controls, duration=0.9, dt=3e-3)
+        traj = integrate_trajectory(prog, p0)
+        states, vels = _rk4_loop(prog, p0)
+        np.testing.assert_allclose(traj.states, states, rtol=1e-12,
+                                   atol=1e-12 * np.abs(states).max())
+        np.testing.assert_allclose(traj.velocities, vels, rtol=1e-12,
+                                   atol=1e-12 * np.abs(vels).max())
