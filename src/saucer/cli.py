@@ -58,14 +58,15 @@ def _parse_control(text: str):
             raise _usage_error(f"cannot parse control spec {text!r}")
 
 
-def _control_callable(spec):
+def _control(spec):
+    """A number stays a constant control; any other spec becomes a ControlSpec."""
     try:
         control = fibration.ControlSpec.from_spec(spec)
     except (TypeError, ValueError) as exc:
         raise _usage_error(f"bad control spec {spec!r}: {exc}")
     if isinstance(spec, numbers.Real) and not isinstance(spec, bool):
         return float(spec)
-    return control.value_fn
+    return control
 
 
 def _load_controls_file(path: str) -> dict:
@@ -228,8 +229,8 @@ def _cmd_simulate(args) -> int:
         start = np.asarray(start_spec, dtype=float)
         if start.shape != (5,):
             raise _usage_error("start in controls file needs 5 components")
-    program = ControlProgram(mode, _control_callable(u1), _control_callable(u2),
-                             _control_callable(u3), duration=duration, dt=dt)
+    program = ControlProgram(mode, _control(u1), _control(u2), _control(u3),
+                             duration=duration, dt=dt)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ChartEscapeWarning)
         traj = integrate_trajectory(program, start)
@@ -338,8 +339,11 @@ def _cmd_plan(args) -> int:
     mode = ManeuverMode.from_name(args.mode)
     start = _parse_vector(args.start, 5, "--from")
     goal = _parse_vector(args.goal, 5, "--to")
-    plan = planner.plan_path(mode, start, goal, tol=args.tol,
-                             max_iterations=args.max_iterations)
+    try:
+        plan = planner.plan_path(mode, start, goal, tol=args.tol,
+                                 max_iterations=args.max_iterations, trace=args.trace)
+    except ValueError as exc:
+        raise _usage_error(str(exc))
     payload = plan.to_json_dict()
     traj = planner.replay(plan)
     residuals = constraint_residuals(traj)
@@ -432,6 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iterations", type=int, default=200)
     p.add_argument("--replay-csv", metavar="FILE", default=None,
                    help="write the replayed trajectory as CSV")
+    p.add_argument("--trace", action="store_true",
+                   help="add a per-iteration trace (max |gap|, legs added) to the report")
     _add_common(p)
     p.set_defaults(func=_cmd_plan)
 

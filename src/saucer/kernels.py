@@ -8,7 +8,8 @@ written; everything else evaluates it through `zcoeffs` or `velocity`.
 Under constant controls c3 and c4 do not depend on the state, so a and b
 move linearly in t and the velocity along the flow is a polynomial in t of
 degree at most 3. Simpson's rule over [0, t] is exact on such integrands,
-which makes `rk4_constant` a closed-form evaluation rather than a stepper.
+so `flow` is a closed-form evaluation rather than a stepper, and
+`rk4_constant` only samples it at even times.
 
 Under time-varying controls the law is still triangular: c3 and c4 see only
 the controls, and c1, c2 see only (a, b) and the controls. Every RK4 stage
@@ -76,38 +77,53 @@ def velocity(mode: int, p, u1, u2, u3) -> np.ndarray:
     return out
 
 
+def flow(mode: int, p0, u1, u2, u3, t) -> tuple:
+    """The exact constant-control flow from p0 for time t, as (x, y, z, a, b).
+
+    p0 holds (x0, y0, z0, a0, b0). Like `zcoeffs`, it is plain arithmetic:
+    the start coordinates, the controls and t may be Python floats or numpy
+    columns that broadcast together, so one call moves one point, samples
+    one leg at many times, or evaluates a different leg on every row. The
+    value is p0 + t/6 (v(0) + 4 v(t/2) + v(t)). Columns are dropped as soon
+    as they are spent, which bounds the memory of a long stacked call.
+    """
+    x0, y0, z0, a0, b0 = p0
+    c1_0, c2_0, c3, c4 = zcoeffs(mode, a0, b0, u1, u2, u3)
+    a = t * c4 + a0
+    b = t * (-3.0 * c3) + b0
+    del c3, c4
+    # x, y, z hold 4 v(t/2), then add v(t) + v(0) in place (addition
+    # commutes, so this rounds as (v(t) + v(0)) + 4 v(t/2) does)
+    am, bm = 0.5 * (a + a0), 0.5 * (b + b0)
+    c1, c2 = zcoeffs(mode, am, bm, u1, u2, u3)[:2]
+    z = c1 * am + c2 * bm
+    del am, bm
+    x, y, z = 4.0 * c1, 4.0 * c2, 4.0 * z
+    c1, c2 = zcoeffs(mode, a, b, u1, u2, u3)[:2]
+    x += c1 + c1_0
+    y += c2 + c2_0
+    z += c1 * a + c2 * b + (c1_0 * a0 + c2_0 * b0)
+    del c1, c2, c1_0, c2_0
+    t = t / 6.0
+    x = x * t + x0
+    y = y * t + y0
+    z = z * t + z0
+    return x, y, z, a, b
+
+
 def rk4_constant(mode: int, p0, u1: float, u2: float, u3: float,
                  duration: float, n_steps: int) -> np.ndarray:
     """States of the constant-control flow at n_steps + 1 even times; (n_steps + 1, 5).
 
-    Each row is p0 + t/6 (v(0) + 4 v(t/2) + v(t)), the exact flow at time t,
-    which is also what classical RK4 returns at any step count.
+    Each row is the exact `flow` at its time, which is also what classical
+    RK4 returns at any step count.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
-    x0, y0, z0, a0, b0 = (float(v) for v in p0)
-    c1_0, c2_0, c3, c4 = zcoeffs(mode, a0, b0, u1, u2, u3)
-    out = np.empty((n_steps + 1, 5))
-    x, y, z, a, b = out.T
     t = np.linspace(0.0, duration, n_steps + 1)
-    np.multiply(t, c4, out=a)
-    a += a0
-    np.multiply(t, -3.0 * c3, out=b)
-    b += b0
-    # the x, y, z columns accumulate v(0) + v(t) + 4 v(t/2), then scale by t/6
-    c1, c2, _, _ = zcoeffs(mode, a, b, u1, u2, u3)
-    x[:] = c1 + c1_0
-    y[:] = c2 + c2_0
-    z[:] = c1 * a + c2 * b + (c1_0 * a0 + c2_0 * b0)
-    am, bm = 0.5 * (a + a0), 0.5 * (b + b0)
-    c1, c2, _, _ = zcoeffs(mode, am, bm, u1, u2, u3)
-    x += 4.0 * c1
-    y += 4.0 * c2
-    z += 4.0 * (c1 * am + c2 * bm)
-    t /= 6.0
-    for column, start in ((x, x0), (y, y0), (z, z0)):
-        column *= t
-        column += start
+    out = np.empty((n_steps + 1, 5))
+    for column, value in zip(out.T, flow(mode, [float(v) for v in p0], u1, u2, u3, t)):
+        column[:] = value
     return out
 
 

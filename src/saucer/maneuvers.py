@@ -172,17 +172,23 @@ def maneuver_velocity(mode: ManeuverMode, p: np.ndarray,
                             float(u1), float(u2), float(u3))
 
 
+def _is_spec(u) -> bool:
+    """A control spec samples itself: `value(t)` for one time, `values(t)` for an array."""
+    return hasattr(u, "values") and hasattr(u, "value")
+
+
 @dataclasses.dataclass(frozen=True)
 class ControlProgram:
     """Open-loop controls for one maneuver segment.
 
-    Each control is a constant or a callable of time. G2 laws ignore u3 only
-    in the strict mode.
+    Each control is a constant, a callable of time, or a control spec such as
+    `fibration.ControlSpec`, which is sampled through its own `values`. G2
+    laws ignore u3 only in the strict mode.
     """
     mode: ManeuverMode
-    u1: "float | Callable[[float], float]"
-    u2: "float | Callable[[float], float]"
-    u3: "float | Callable[[float], float]" = 0.0
+    u1: "float | Callable[[float], float] | ControlSpec"
+    u2: "float | Callable[[float], float] | ControlSpec"
+    u3: "float | Callable[[float], float] | ControlSpec" = 0.0
     duration: float = 1.0
     dt: float = 1e-3
 
@@ -194,15 +200,20 @@ class ControlProgram:
 
     @property
     def is_constant(self) -> bool:
-        return not any(callable(u) for u in (self.u1, self.u2, self.u3))
+        return not any(callable(u) or _is_spec(u) for u in (self.u1, self.u2, self.u3))
 
     def controls_at(self, t: float) -> tuple[float, float, float]:
-        return tuple(float(u(t)) if callable(u) else float(u)
+        return tuple(u.value(t) if _is_spec(u) else float(u(t)) if callable(u) else float(u)
                      for u in (self.u1, self.u2, self.u3))
 
     def controls_on(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u1, u2, u3) over an array of times; a callable runs once per distinct time."""
-        return tuple(kernels.at_distinct_times(u, t) if callable(u)
+        """(u1, u2, u3) over an array of times.
+
+        A spec samples the array itself; a bare callable runs once per
+        distinct time, always with one scalar time.
+        """
+        return tuple(u.values(t) if _is_spec(u)
+                     else kernels.at_distinct_times(u, t) if callable(u)
                      else np.full(np.shape(t), float(u))
                      for u in (self.u1, self.u2, self.u3))
 

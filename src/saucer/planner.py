@@ -28,6 +28,8 @@ IDX4 = (0, 1, 3, 4)
 
 LEG_DT = 1e-2
 LEG_MIN_STEPS = 20
+#: `replay` thins its legs evenly when they would take more samples than this.
+MAX_REPLAY_SAMPLES = 200_000
 MAX_RECTANGLE_EPS = 0.5
 
 #: Frozen (u1, u2, u3) triples whose control-law velocities form the family.
@@ -211,28 +213,39 @@ def landing_depth2_contact_values(p: np.ndarray) -> tuple[float, float]:
 # -- flows and plans -----------------------------------------------------------
 
 def _leg_steps(duration: float) -> int:
-    """Samples per leg in `replay`; flows themselves need only one step."""
-    return max(LEG_MIN_STEPS, int(math.ceil(abs(duration) / LEG_DT)))
+    """Samples per leg in `replay`, at most MAX_REPLAY_SAMPLES; flows need one step."""
+    steps = abs(duration) / LEG_DT
+    if not steps < MAX_REPLAY_SAMPLES:   # also an infinite or nan duration
+        return MAX_REPLAY_SAMPLES
+    return max(LEG_MIN_STEPS, int(math.ceil(steps)))
 
 
-def flow(mode: ManeuverMode, k: int, p: np.ndarray, duration: float) -> np.ndarray:
+def flow(mode: ManeuverMode, k: int, p: Sequence[float], duration: float) -> tuple:
     """Endpoint of the time-`duration` flow of family member k from p.
 
-    The constant-control flow is exact in one step, so this is the last row
+    `kernels.flow` on Python floats, returned as five floats: the last row
     of any `rk4_constant` sampling of the leg, bit for bit.
     """
     fmode = _family_mode(mode)
     u1, u2, u3 = FAMILY_CONTROLS[fmode][k]
-    return kernels.rk4_constant(fmode.kernel_id, p, u1, u2, u3, duration, 1)[-1]
+    return kernels.flow(fmode.kernel_id, [float(v) for v in p], u1, u2, u3,
+                        float(duration))
 
 
-def _phase1_matrix(mode: ManeuverMode, p: np.ndarray) -> np.ndarray:
+def _phase1_matrix(mode: ManeuverMode, p: Sequence[float]) -> np.ndarray:
     """Columns: (x, y, a, b) components of the family fields at p."""
-    M = np.empty((4, 4))
-    for k in range(4):
-        v = family_field(mode, k).value(p)
-        M[:, k] = v[list(IDX4)]
-    return M
+    a, b = float(p[3]), float(p[4])
+    rows = []
+    for u in FAMILY_CONTROLS[mode]:
+        c1, c2, c3, c4 = kernels.zcoeffs(mode.kernel_id, a, b, *u)
+        rows.append((c1, c2, c4, -3.0 * c3))
+    return np.array(rows).T
+
+
+def _sup(v: Sequence[float]) -> float:
+    """max |v_i| over a few floats; nan when any v_i is nan, as np.max gives."""
+    worst = max(map(abs, v))
+    return math.nan if any(x != x for x in v) else worst
 
 
 @dataclasses.dataclass(frozen=True)
@@ -246,9 +259,12 @@ class Plan:
     iterations: int
     tol: float
     success: bool
+    #: Per iteration: max |gap| when it began and the legs it added; only
+    #: recorded when `plan_path` is asked to trace.
+    trace: tuple[tuple[float, int], ...] | None = None
 
     def to_json_dict(self) -> dict:
-        return {
+        payload = {
             "mode": self.mode.value,
             "start": [float(v) for v in self.start],
             "goal": [float(v) for v in self.goal],
@@ -259,6 +275,10 @@ class Plan:
             "tolerance": self.tol,
             "success": self.success,
         }
+        if self.trace is not None:
+            payload["trace"] = [{"gap_max": gap, "legs_added": added}
+                                for gap, added in self.trace]
+        return payload
 
 
 def _append_leg(legs: list, k: int, s: float) -> None:
@@ -266,8 +286,21 @@ def _append_leg(legs: list, k: int, s: float) -> None:
         legs.append((k, float(s)))
 
 
+def _check_plan_inputs(start: np.ndarray, goal: np.ndarray, tol: float,
+                       max_iterations: int) -> None:
+    if start.shape != (DIM,) or goal.shape != (DIM,):
+        raise ValueError(f"start and goal must have shape ({DIM},)")
+    if not (np.all(np.isfinite(start)) and np.all(np.isfinite(goal))):
+        raise ValueError("start and goal must be finite")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations!r}")
+
+
 def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
-              tol: float = 1e-3, max_iterations: int = 200) -> Plan:
+              tol: float = 1e-3, max_iterations: int = 200,
+              trace: bool = False) -> Plan:
     """Plan admissible legs from start to goal within sup-norm tol.
 
     Phase 1: durations along the family from a linear solve on the
@@ -275,28 +308,34 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
     state-dependent. Phase 2: one commutator rectangle per iteration to move
     z by eps^2 times the bracket's z gain (for landing, the contact value
     1 + b^2 of [Y2, Y4] at the current point); negative z gaps swap the legs.
+    The state is carried as Python floats, moved by `flow`. With `trace`,
+    the plan records max |gap| and the legs added per iteration.
     """
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
-    if start.shape != (DIM,) or goal.shape != (DIM,):
-        raise ValueError(f"start and goal must have shape ({DIM},)")
+    _check_plan_inputs(start, goal, tol, max_iterations)
     fmode = _family_mode(mode)
-    p = start.copy()
+    target = goal.tolist()
+    p = start.tolist()
     legs: list[tuple[int, float]] = []
+    steps: list[tuple[float, int]] | None = [] if trace else None
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        gap = goal - p
-        if float(np.max(np.abs(gap))) < tol:
+        gap_max = _sup([g - q for g, q in zip(target, p)])
+        n_before = len(legs)
+        if gap_max < tol:
+            if steps is not None:
+                steps.append((gap_max, 0))
             break
         # phase 1: the 4 matched coordinates
-        gap4 = gap[list(IDX4)]
-        if float(np.max(np.abs(gap4))) > 1e-15:
+        gap4 = [target[i] - p[i] for i in IDX4]
+        if _sup(gap4) > 1e-15:
             if fmode == ManeuverMode.LANDING:
                 for _ in range(40):
-                    gap4 = (goal - p)[list(IDX4)]
-                    if float(np.max(np.abs(gap4))) < 0.1 * tol:
+                    gap4 = [target[i] - p[i] for i in IDX4]
+                    if _sup(gap4) < 0.1 * tol:
                         break
-                    s = np.linalg.solve(_phase1_matrix(fmode, p), gap4)
+                    s = np.linalg.solve(_phase1_matrix(fmode, p), gap4).tolist()
                     before = float(np.linalg.norm(gap4))
                     for damping in (1.0, 0.5, 0.25):
                         q = p
@@ -304,31 +343,35 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
                         for k in range(4):
                             _append_leg(trial, k, damping * s[k])
                             q = flow(fmode, k, q, damping * s[k])
-                        after = float(np.linalg.norm((goal - q)[list(IDX4)]))
+                        after = float(np.linalg.norm([target[i] - q[i] for i in IDX4]))
                         if after < before or damping == 0.25:
                             p = q
                             legs.extend(trial)
                             break
             else:
-                s = np.linalg.solve(_phase1_matrix(fmode, p), gap4)
+                s = np.linalg.solve(_phase1_matrix(fmode, p), gap4).tolist()
                 for k in range(4):
                     _append_leg(legs, k, s[k])
                     p = flow(fmode, k, p, s[k])
         # phase 2: commutator rectangle for the z gap
-        dz = goal[2] - p[2]
+        dz = target[2] - p[2]
         if abs(dz) >= 0.1 * tol:
             (i, j), coeff = _RECTANGLE[fmode]
             if coeff is None:
-                coeff = landing_depth2_contact_values(p)[0]
+                coeff = landing_depth2_contact_values(np.array(p))[0]
             if dz < 0.0:
                 i, j = j, i
             eps = min(MAX_RECTANGLE_EPS, math.sqrt(abs(dz) / coeff))
             for k, s in ((i, eps), (j, eps), (i, -eps), (j, -eps)):
                 _append_leg(legs, k, s)
                 p = flow(fmode, k, p, s)
-    gap = goal - p
+        if steps is not None:
+            steps.append((gap_max, len(legs) - n_before))
+    achieved = np.array(p)
+    gap = goal - achieved
     success = float(np.max(np.abs(gap))) < tol
-    return Plan(mode, start, goal, tuple(legs), p, gap, iterations, tol, success)
+    return Plan(mode, start, goal, tuple(legs), achieved, gap, iterations, tol, success,
+                None if steps is None else tuple(steps))
 
 
 def _negated_controls(kid: int, u: tuple[float, float, float]) -> tuple[float, float, float]:
@@ -339,39 +382,79 @@ def _negated_controls(kid: int, u: tuple[float, float, float]) -> tuple[float, f
     return (-u1, u2, u3)
 
 
+def _replay_counts(durations: Sequence[float]) -> list[int]:
+    """Samples per leg: `_leg_steps` each, scaled down to fit MAX_REPLAY_SAMPLES.
+
+    Flows are exact at any density, so the cap only thins far-flung plans;
+    every leg keeps at least one sample.
+    """
+    counts = [_leg_steps(d) for d in durations]
+    total = sum(counts)
+    if total > MAX_REPLAY_SAMPLES:
+        counts = [max(1, n * MAX_REPLAY_SAMPLES // total) for n in counts]
+    return counts
+
+
+def _per_row(values: Sequence[float], counts: Sequence[int]):
+    """One value per leg repeated over its samples.
+
+    A value every leg shares (u3 of the G2 family) stays one float, which
+    spares the replay a column.
+    """
+    first = values[0]
+    if all(v == first for v in values):
+        return first
+    return np.repeat(values, counts)
+
+
 def replay(plan: Plan) -> Trajectory:
-    """Integrate the plan's legs into one admissible trajectory.
+    """Evaluate the plan's legs as one admissible trajectory.
 
     Backward legs are replayed as forward legs of the reversed control law,
     so time increases monotonically and every sample satisfies the mode's
     constraints; endpoint agreement with the plan certifies the replay.
+    The leg start points are chained on Python floats; then every sample of
+    every leg comes from one stacked `kernels.flow` call, with its own
+    start, controls and local time per row, and one `kernels.velocity` call.
+    Each sample, joints included, moves with the leg that leaves it, and the
+    final sample keeps the last leg's controls.
     """
     fmode = _family_mode(plan.mode)
     kid = fmode.kernel_id
     if not plan.legs:
         return Trajectory(plan.mode, np.zeros(1), plan.start[None, :].copy(),
                           np.zeros((1, DIM)))
-    times = [np.zeros(1)]
-    states = [plan.start[None, :]]
-    controls, counts = [], []
-    t0 = 0.0
-    p = plan.start
+    controls, durations, starts, t0s = [], [], [], []
+    p, t0 = [float(v) for v in plan.start], 0.0
     for k, s in plan.legs:
         u = FAMILY_CONTROLS[fmode][k]
         if s < 0.0:
             u = _negated_controls(kid, u)
         dur = abs(s)
-        n = _leg_steps(dur)
-        seg = kernels.rk4_constant(kid, p, u[0], u[1], u[2], dur, n)
-        times.append(t0 + np.linspace(0.0, dur, n + 1)[1:])
-        states.append(seg[1:])
         controls.append(u)
-        counts.append(n)
-        p = seg[-1]
+        durations.append(dur)
+        starts.append(p)
+        t0s.append(t0)
+        p = kernels.flow(kid, p, *u, dur)
         t0 += dur
-    # each sample, joints included, moves with the leg that leaves it; the
-    # final sample keeps the last leg's controls
-    counts[-1] += 1
-    states = np.vstack(states)
-    vels = kernels.velocity(kid, states, *np.repeat(controls, counts, axis=0).T)
-    return Trajectory(plan.mode, np.concatenate(times), states, vels)
+    # sample i of leg j sits at local time i * (dur_j / n_j), as np.linspace
+    # spaces it; the last leg also holds the final sample, at its full duration
+    steps = _replay_counts(durations)
+    counts = steps[:-1] + [steps[-1] + 1]
+    m = sum(counts)
+    local = np.arange(m, dtype=float)
+    local -= np.repeat(np.cumsum([0] + counts[:-1]), counts)
+    local *= np.repeat([d / n for d, n in zip(durations, steps)], counts)
+    local[-1] = durations[-1]
+    u1, u2, u3 = (_per_row(column, counts) for column in zip(*controls))
+    # column-major, so each coordinate is one contiguous column; the columns
+    # hold the leg starts until the flow overwrites them
+    states = np.empty((DIM, m)).T
+    for column, values in zip(states.T, zip(*starts)):
+        column[:] = np.repeat(values, counts)
+    for column, value in zip(states.T, kernels.flow(kid, states.T, u1, u2, u3, local)):
+        column[:] = value
+    del starts, value   # the velocity pass below is the replay's memory peak
+    local += np.repeat(t0s, counts)
+    vels = kernels.velocity(kid, states, u1, u2, u3)
+    return Trajectory(plan.mode, local, states, vels)

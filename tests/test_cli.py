@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from saucer import cli, fibration
+from saucer.maneuvers import ControlProgram, ManeuverMode, integrate_trajectory
 
 
 def run_cli(capsys, *argv):
@@ -252,11 +253,45 @@ def test_plan_roundtrip_payload(capsys, tmp_path):
 
 
 def test_plan_failure_exits_one(capsys):
+    # one rectangle moves z by at most 3 * 0.5^2, short of the goal
     code, out, _ = run_cli(capsys, "plan", "--mode", "attacking",
-                           "--from", "0,0,0,0,0", "--to", "0,0,0.4,0,0",
-                           "--max-iterations", "0", "--tol", "1e-9")
+                           "--from", "0,0,0,0,0", "--to", "0,0,5,0,0",
+                           "--max-iterations", "1", "--tol", "1e-9")
     assert code == 1
     assert json.loads(out)["success"] is False
+
+
+@pytest.mark.parametrize("flags", [
+    ("--from", "nan,0,0,0,0"),
+    ("--to", "inf,0,0,0,0"),
+    ("--tol", "-1"),
+    ("--tol", "nan"),
+    ("--max-iterations", "0"),
+])
+def test_plan_rejects_bad_inputs_as_usage_errors(capsys, flags):
+    argv = {"--from": "0,0,0,0,0", "--to": "0,0,0.4,0,0"}
+    argv.update([flags])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["plan", "--mode", "attacking", *(v for kv in argv.items() for v in kv)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "saucer: error:" in captured.err
+
+
+def test_plan_trace_is_opt_in(capsys):
+    args = ("plan", "--mode", "landing", "--from", "0,0,0,0,0",
+            "--to", "0.3,-0.2,0.1,0.2,-0.4", "--format", "compact")
+    _, plain, _ = run_cli(capsys, *args)
+    _, traced, _ = run_cli(capsys, *args, "--trace")
+    plain, traced = json.loads(plain), json.loads(traced)
+    assert set(plain) == {"mode", "start", "goal", "legs", "achieved", "gap_max",
+                          "iterations", "tolerance", "success", "replay"}
+    trace = traced.pop("trace")
+    assert traced == plain
+    assert len(trace) == plain["iterations"]
+    assert sum(step["legs_added"] for step in trace) == len(plain["legs"])
+    assert trace[-1]["gap_max"] < 1e-3 <= trace[0]["gap_max"]
 
 
 def test_unknown_subcommand_exits_two(capsys):
@@ -274,6 +309,36 @@ def test_lift_rejects_malformed_control_specs(capsys, spec):
         cli.main(["lift", "--u", spec, "--steps", "10"])
     assert exc.value.code == 2
     assert "saucer: error:" in capsys.readouterr().err
+
+
+def test_simulate_samples_control_specs_as_arrays(capsys):
+    spec = {"kind": "sin", "amplitude": 0.4, "frequency": 2.5, "phase": 0.3}
+    control = cli._control(spec)
+    assert isinstance(control, fibration.ControlSpec)
+    times_seen = []
+
+    def watched(t):
+        times_seen.append(np.ndim(t))
+        return control.value_fn(t)
+
+    counted = fibration.ControlSpec(watched, control.derivative_fn, control.describe,
+                                    vectorized=True)
+    mode = ManeuverMode.LANDING
+    p0 = [0.1, -0.2, 0.3, 0.2, -0.1]
+    by_spec = integrate_trajectory(
+        ControlProgram(mode, counted, 0.5, counted, duration=0.5, dt=1e-3), p0)
+    by_callable = integrate_trajectory(
+        ControlProgram(mode, control.value_fn, 0.5, control.value_fn,
+                       duration=0.5, dt=1e-3), p0)
+    assert times_seen == [1, 1]
+    for field in ("times", "states", "velocities"):
+        np.testing.assert_array_equal(getattr(by_spec, field), getattr(by_callable, field))
+    code, out, _ = run_cli(capsys, "simulate", "--mode", "landing", "--u1", json.dumps(spec),
+                           "--u2", "0.5", "--u3", json.dumps(spec),
+                           "--start", "0.1,-0.2,0.3,0.2,-0.1",
+                           "--duration", "0.5", "--dt", "1e-3", "--format", "compact")
+    assert code == 0
+    assert json.loads(out)["endpoint"] == by_callable.endpoint.tolist()
 
 
 @pytest.mark.parametrize("spec", BAD_CONTROL_SPECS)

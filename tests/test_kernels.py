@@ -62,6 +62,37 @@ def test_zcoeff_grads_are_the_derivatives_of_zcoeffs(mode):
         assert sp.simplify(sp.diff(c2, var) - g2) == 0
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_flow_on_floats_equals_every_sampled_row(mode):
+    rng = np.random.default_rng([mode, 11])
+    for duration, n_steps in ((1.3, 1), (0.8, 17), (-1.7, 40), (0.0, 3)):
+        p0 = tuple(rng.uniform(-2.0, 2.0, 5).tolist())
+        u = rng.uniform(-2.0, 2.0, 3).tolist()
+        rows = kernels.rk4_constant(mode, p0, *u, duration, n_steps)
+        times = np.linspace(0.0, duration, n_steps + 1).tolist()
+        for t, row in zip(times, rows):
+            got = kernels.flow(mode, p0, *u, t)
+            assert all(type(v) is float for v in got)
+            np.testing.assert_array_equal(got, row)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_flow_on_per_row_columns_equals_per_row_floats(mode):
+    rng = np.random.default_rng([mode, 12])
+    starts = rng.uniform(-2.0, 2.0, (30, 5))
+    u = rng.uniform(-2.0, 2.0, (30, 3))
+    t = rng.uniform(-1.5, 1.5, 30)
+    stacked = kernels.flow(mode, starts.T, *u.T, t)
+    rowwise = [kernels.flow(mode, p.tolist(), *c.tolist(), float(s))
+               for p, c, s in zip(starts, u, t)]
+    np.testing.assert_array_equal(np.column_stack(stacked), rowwise)
+    # a float shared by every row broadcasts against the columns
+    stacked = kernels.flow(mode, starts.T, u[0, 0], *u.T[1:], t)
+    rowwise = [kernels.flow(mode, p.tolist(), float(u[0, 0]), *c.tolist(), float(s))
+               for p, c, s in zip(starts, u[:, 1:], t)]
+    np.testing.assert_array_equal(np.column_stack(stacked), rowwise)
+
+
 @pytest.mark.parametrize("mode", list(planner.FAMILY_CONTROLS))
 def test_flow_is_the_last_row_of_a_leg_sampling(mode):
     p = np.array([0.3, -1.1, 0.7, 1.6, -1.4])

@@ -1,10 +1,13 @@
 """Bracket-generating families, distinguished brackets, and path planning."""
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from saucer import planner
+from saucer import kernels, planner
 from saucer.forms import bracket
 from saucer.maneuvers import ManeuverMode, constraint_residuals, maneuver_velocity
 from saucer.sampling import BOX_HALF_WIDTH, rng_for, sample_chart_points
@@ -145,6 +148,159 @@ def test_plan_rejects_bad_shapes():
         planner.plan_path(ManeuverMode.ATTACKING, [0, 0, 0], [0, 0, 0, 0, 0])
 
 
+@pytest.mark.parametrize("start,goal,kwargs", [
+    ([math.nan, 0, 0, 0, 0], [0, 0, 0, 0, 0], {}),
+    ([0, 0, 0, 0, 0], [math.inf, 0, 0, 0, 0], {}),
+    ([0, 0, 0, 0, 0], [0, 0, 0, 0, -math.inf], {}),
+    ([0, 0, 0, 0, 0], [0, 0, 0.4, 0, 0], {"tol": -1.0}),
+    ([0, 0, 0, 0, 0], [0, 0, 0.4, 0, 0], {"tol": 0.0}),
+    ([0, 0, 0, 0, 0], [0, 0, 0.4, 0, 0], {"tol": math.nan}),
+    ([0, 0, 0, 0, 0], [0, 0, 0.4, 0, 0], {"tol": math.inf}),
+    ([0, 0, 0, 0, 0], [0, 0, 0.4, 0, 0], {"max_iterations": 0}),
+])
+def test_plan_rejects_bad_inputs(start, goal, kwargs):
+    with pytest.raises(ValueError):
+        planner.plan_path(ManeuverMode.ATTACKING, start, goal, **kwargs)
+
+
+def test_plan_trace_accounts_for_every_leg():
+    start, goal = [0.1, -0.2, 0.3, 0.0, 0.2], [-0.4, 0.2, -0.1, 0.3, 0.2]
+    plain = planner.plan_path(ManeuverMode.LANDING, start, goal)
+    traced = planner.plan_path(ManeuverMode.LANDING, start, goal, trace=True)
+    assert plain.trace is None and "trace" not in plain.to_json_dict()
+    assert traced.legs == plain.legs
+    np.testing.assert_array_equal(traced.achieved, plain.achieved)
+    assert len(traced.trace) == traced.iterations
+    assert sum(added for _, added in traced.trace) == len(traced.legs)
+    gaps = [gap for gap, _ in traced.trace]
+    assert gaps[0] == float(np.max(np.abs(np.subtract(goal, start))))
+    assert gaps[-1] < traced.tol <= min(gaps[:-1])
+    assert traced.to_json_dict()["trace"][0] == {"gap_max": gaps[0],
+                                                 "legs_added": traced.trace[0][1]}
+
+
+# -- replay --------------------------------------------------------------------
+
+def _hand_plan(mode, start, legs):
+    """A Plan over the given legs, its endpoint chained by planner.flow."""
+    p = np.asarray(start, dtype=float)
+    for k, s in legs:
+        p = np.array(planner.flow(mode, k, p, s))
+    return planner.Plan(mode, np.asarray(start, dtype=float), p, tuple(legs), p,
+                        np.zeros(5), 1, 1e-3, True)
+
+
+def _leg_controls(mode, k, s):
+    fmode = planner._family_mode(mode)
+    u = planner.FAMILY_CONTROLS[fmode][k]
+    return planner._negated_controls(fmode.kernel_id, u) if s < 0.0 else u
+
+
+def _per_leg_replay(plan):
+    """One rk4_constant sampling per leg, joints shared, velocities row by row.
+
+    A sample moves with the leg that leaves it, so every leg's controls cover
+    its start and its interior samples, and the final sample keeps the last
+    leg's controls.
+    """
+    kid = planner._family_mode(plan.mode).kernel_id
+    times, states, controls = [np.zeros(1)], [plan.start[None, :]], []
+    t0, p = 0.0, plan.start
+    for k, s in plan.legs:
+        u = _leg_controls(plan.mode, k, s)
+        n = planner._leg_steps(abs(s))
+        seg = kernels.rk4_constant(kid, p, *u, abs(s), n)
+        times.append(t0 + np.linspace(0.0, abs(s), n + 1)[1:])
+        states.append(seg[1:])
+        controls += [u] * n
+        p = seg[-1]
+        t0 += abs(s)
+    controls.append(controls[-1])
+    states = np.vstack(states)
+    vels = np.array([kernels.velocity(kid, x, *u) for x, u in zip(states, controls)])
+    return np.concatenate(times), states, vels
+
+
+def _assert_matches_per_leg_replay(plan):
+    traj = planner.replay(plan)
+    times, states, vels = _per_leg_replay(plan)
+    np.testing.assert_array_equal(traj.times, times)
+    for got, want in ((traj.states, states), (traj.velocities, vels)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+    return traj
+
+
+@pytest.mark.parametrize("mode", list(ManeuverMode))
+def test_stacked_replay_matches_the_per_leg_replay(mode):
+    rng = rng_for(78, f"test-stacked-{mode.value}")
+    for _ in range(2):
+        plan = planner.plan_path(mode, rng.uniform(-2.0, 2.0, 5),
+                                 rng.uniform(-2.0, 2.0, 5), tol=1e-3)
+        assert any(s < 0.0 for _, s in plan.legs)
+        traj = _assert_matches_per_leg_replay(plan)
+        np.testing.assert_array_equal(traj.endpoint, plan.achieved)
+
+
+def test_replay_of_the_empty_plan_is_its_start():
+    start = np.array([0.1, 0.2, -0.3, 0.4, -0.5])
+    traj = planner.replay(_hand_plan(ManeuverMode.LANDING, start, ()))
+    np.testing.assert_array_equal(traj.times, [0.0])
+    np.testing.assert_array_equal(traj.states, [start])
+    np.testing.assert_array_equal(traj.velocities, np.zeros((1, 5)))
+
+
+@pytest.mark.parametrize("s", [0.37, -0.37])
+def test_replay_of_a_single_leg_is_its_sampling(s):
+    mode = ManeuverMode.ATTACKING
+    start = np.array([0.3, -1.1, 0.7, 1.6, -1.4])
+    traj = _assert_matches_per_leg_replay(_hand_plan(mode, start, ((2, s),)))
+    n = planner._leg_steps(s)
+    u = _leg_controls(mode, 2, s)
+    np.testing.assert_array_equal(
+        traj.states, kernels.rk4_constant(mode.kernel_id, start, *u, abs(s), n))
+    np.testing.assert_array_equal(traj.times, np.linspace(0.0, abs(s), n + 1))
+    np.testing.assert_array_equal(traj.velocities,
+                                  kernels.velocity(mode.kernel_id, traj.states, *u))
+
+
+def test_replay_joints_move_with_the_leg_that_leaves_them():
+    mode = ManeuverMode.LANDING
+    legs = ((0, 0.3), (3, -0.25), (1, 0.2))
+    plan = _hand_plan(mode, [0.1, 0.2, -0.3, 0.4, -0.5], legs)
+    traj = _assert_matches_per_leg_replay(plan)
+    joints = np.cumsum([planner._leg_steps(s) for _, s in legs])
+    assert len(traj) == joints[-1] + 1
+    assert np.all(np.diff(traj.times) > 0.0)
+    kid = mode.kernel_id
+    for row, (k, s) in zip([0, *joints[:-1]], legs):
+        want = kernels.velocity(kid, traj.states[row], *_leg_controls(mode, k, s))
+        np.testing.assert_array_equal(traj.velocities[row], want)
+    k, s = legs[-1]
+    np.testing.assert_array_equal(
+        traj.velocities[-1],
+        kernels.velocity(kid, traj.states[-1], *_leg_controls(mode, k, s)))
+    np.testing.assert_array_equal(traj.endpoint, plan.achieved)
+
+
+def test_replay_caps_the_samples_of_a_far_goal():
+    # Each leg would take about 1e8 samples at LEG_DT; the cap thins them
+    # without ever building the dense sampling.
+    plan = planner.plan_path(ManeuverMode.LANDING, np.zeros(5), [1e6, 0, 0, 0, 0],
+                             max_iterations=1)
+    assert sum(abs(s) for _, s in plan.legs) / planner.LEG_DT > 100 * planner.MAX_REPLAY_SAMPLES
+    tracemalloc.start()
+    try:
+        traj = planner.replay(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) <= planner.MAX_REPLAY_SAMPLES + len(plan.legs)
+    assert peak < 40 * 8 * planner.MAX_REPLAY_SAMPLES
+    assert np.all(np.diff(traj.times) > 0.0)
+    np.testing.assert_array_equal(traj.endpoint, plan.achieved)
+
+
 def test_simple_mode_plans_with_the_strict_family():
     plan = planner.plan_path(ManeuverMode.G2_SIMPLE,
                              [0, 0, 0, 0, 0], [0.5, 0.0, 0.2, 0.0, 0.0],
@@ -164,3 +320,13 @@ def test_every_mode_plans_across_the_sampling_box(mode):
         traj = planner.replay(plan)
         np.testing.assert_allclose(traj.endpoint, plan.achieved, atol=1e-8)
         assert constraint_residuals(traj).passed()
+
+
+def test_replay_survives_a_plan_that_overflows():
+    # finite inputs whose phase-1 solve overflows to an infinite leg
+    plan = planner.plan_path(ManeuverMode.ATTACKING, np.zeros(5), [1e308] * 5,
+                             max_iterations=5)
+    assert not all(math.isfinite(s) for _, s in plan.legs)
+    with np.errstate(all="ignore"):
+        traj = planner.replay(plan)
+    assert len(traj) <= planner.MAX_REPLAY_SAMPLES + len(plan.legs)
