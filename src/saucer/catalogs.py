@@ -1,128 +1,148 @@
 """Symmetry vector-field catalogs for the three maneuver geometries.
 
-Each catalog is a tuple of exact polynomial / algebraic vector fields on the
-chart (x, y, z, a, b), built symbolically once and lambdified with exact
-Jacobians. The attacking and landing catalogs span 15-dimensional algebras,
-the G2 catalog a 14-dimensional one.
+Each catalog is a tuple of the paper's printed fields on the chart
+(x, y, z, a, b), written once as plain arithmetic: a function of the five
+coordinates that returns the five components. Rationals are integer
+divisions, so the same functions take floats, numpy arrays (real or
+complex) and sympy symbols, exactly. A field's value comes from one call
+over a point (5,) or a stack (m, 5); its Jacobian comes from one call over
+the five complex-step copies of the stack,
+
+    J[..., :, k] = Im F(p + i h e_k) / h,    h = 1e-30,
+
+which is exact to roundoff for real-analytic fields (Squire and Trapp, SIAM
+Review 40, 1998): there is no subtraction, so h can be far below the
+rounding unit. The attacking and landing catalogs span 15-dimensional
+algebras, the G2 catalog a 14-dimensional one.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
 import numpy as np
-import sympy as sp
 
 from .forms import VectorField
 
-_X, _Y, _Z, _A, _B = sp.symbols("x y z a b", real=True)
-_COORDS = (_X, _Y, _Z, _A, _B)
-_R = sp.Rational
+#: Complex-step size of the catalog Jacobians.
+COMPLEX_STEP = 1e-30
 
 
-def _field(name: str, exprs) -> VectorField:
-    comps = [sp.sympify(e) for e in exprs]
-    jac = sp.Matrix(comps).jacobian(_COORDS)
-    f_val = sp.lambdify(_COORDS, comps, modules="numpy")
-    f_jac = sp.lambdify(_COORDS, jac, modules="numpy")
+def _e(x, y, z, a, b):
+    return z - a * x - b * y
 
+
+def _s(a, b):
+    return (1 + a * a + b * b) ** 0.5
+
+
+def _r2(x, y, z):
+    return x * x + y * y + z * z
+
+
+ATTACKING_FIELDS = (
+    lambda x, y, z, a, b: (z * x, z * y, z * z, _e(x, y, z, a, b) * a,
+                           _e(x, y, z, a, b) * b),
+    lambda x, y, z, a, b: (x * x, x * y, x * z, _e(x, y, z, a, b), 0),
+    lambda x, y, z, a, b: (0, -z, 0, b * a, b * b),
+    lambda x, y, z, a, b: (0, -x, 0, b, 0),
+    lambda x, y, z, a, b: (-z, 0, 0, a * a, a * b),
+    lambda x, y, z, a, b: (-x, 0, 0, a, 0),
+    lambda x, y, z, a, b: (0, 0, x, 1, 0),
+    lambda x, y, z, a, b: (y * x, y * y, y * z, 0, _e(x, y, z, a, b)),
+    lambda x, y, z, a, b: (-y, 0, 0, 0, a),
+    lambda x, y, z, a, b: (x, 0, z, 0, b),
+    lambda x, y, z, a, b: (0, 0, y, 0, 1),
+    lambda x, y, z, a, b: (x, y, z, 0, 0),
+    lambda x, y, z, a, b: (0, 1, 0, 0, 0),
+    lambda x, y, z, a, b: (1, 0, 0, 0, 0),
+    lambda x, y, z, a, b: (0, 0, 1, 0, 0),
+)
+
+LANDING_FIELDS = (
+    lambda x, y, z, a, b: (-z * x, -z * y, (x * x + y * y - z * z) / 2,
+                           (1 + a * a) * x + a * b * y, (1 + b * b) * y + a * b * x),
+    lambda x, y, z, a, b: ((y * y + z * z - x * x) / 2, -x * y, -x * z,
+                           -((1 + a * a) * z - b * y), -a * (b * z + y)),
+    lambda x, y, z, a, b: (y * x, (y * y - x * x - z * z) / 2, y * z,
+                           b * (a * z + x), (1 + b * b) * z - a * x),
+    lambda x, y, z, a, b: (-_r2(x, y, z) / 2 * a / _s(a, b),
+                           -_r2(x, y, z) / 2 * b / _s(a, b),
+                           _r2(x, y, z) / 2 / _s(a, b),
+                           _s(a, b) * (a * z + x), _s(a, b) * (b * z + y)),
+    lambda x, y, z, a, b: (-z, 0, x, a * a + 1, a * b),
+    lambda x, y, z, a, b: (0, -z, y, a * b, b * b + 1),
+    lambda x, y, z, a, b: (y, -x, 0, b, -a),
+    lambda x, y, z, a, b: (-x * a / _s(a, b), -x * b / _s(a, b), x / _s(a, b),
+                           _s(a, b), 0),
+    lambda x, y, z, a, b: (-z * a / _s(a, b), -z * b / _s(a, b), z / _s(a, b),
+                           _s(a, b) * a, _s(a, b) * b),
+    lambda x, y, z, a, b: (-y * a / _s(a, b), -y * b / _s(a, b), y / _s(a, b),
+                           0, _s(a, b)),
+    lambda x, y, z, a, b: (-a / _s(a, b), -b / _s(a, b), 1 / _s(a, b), 0, 0),
+    lambda x, y, z, a, b: (x, y, z, 0, 0),
+    lambda x, y, z, a, b: (1, 0, 0, 0, 0),
+    lambda x, y, z, a, b: (0, 1, 0, 0, 0),
+    lambda x, y, z, a, b: (0, 0, 1, 0, 0),
+)
+
+G2_FIELDS = (
+    lambda x, y, z, a, b: (y * y * y + x * z,
+                           y * z - b * b * x / 9 - 2 * b * y * y / 3,
+                           z * z - 2 * b * b * b * x / 27 - b * b * y * y / 3,
+                           a * z - a * a * x - a * b * y + b * b * b / 27,
+                           b * z - a * b * x - 3 * a * y * y - b * b * y / 3),
+    lambda x, y, z, a, b: (x * x, x * y, x * z - y * y * y, _e(x, y, z, a, b), -3 * y * y),
+    lambda x, y, z, a, b: (-z / 2, b * b / 18, b * b * b / 27, a * a / 2, a * b / 2),
+    lambda x, y, z, a, b: (-3 * y * y, 4 * b * y / 3 - z, 2 * b * b * y / 3,
+                           a * b, 6 * a * y + b * b / 3),
+    lambda x, y, z, a, b: (0, y / 3, z, a, 2 * b / 3),
+    lambda x, y, z, a, b: (9 * x * y / 2, 3 * y * y / 2 - b * x, (9 * y * z - b * b * x) / 2,
+                           b * b / 2, (9 * z + 3 * b * y - 9 * a * x) / 2),
+    lambda x, y, z, a, b: (0, -x, 3 * y * y, b, 6 * y),
+    lambda x, y, z, a, b: (x, 2 * y / 3, z, 0, b / 3),
+    lambda x, y, z, a, b: (y, -2 * b / 9, -b * b / 9, 0, -a),
+    lambda x, y, z, a, b: (0, 0, x, 1, 0),
+    lambda x, y, z, a, b: (0, 0, y, 0, 1),
+    lambda x, y, z, a, b: (1, 0, 0, 0, 0),
+    lambda x, y, z, a, b: (0, 1, 0, 0, 0),
+    lambda x, y, z, a, b: (0, 0, 1, 0, 0),
+)
+
+#: The five complex-step directions, shaped to lead a stack of points.
+_STEPS = 1j * COMPLEX_STEP * np.eye(5)
+
+
+def _components(fn, p: np.ndarray) -> np.ndarray:
+    """fn at every point of a stack (..., 5), as (..., 5); constants broadcast."""
+    shape = p.shape[:-1]
+    return np.stack([np.broadcast_to(c, shape) for c in fn(*np.moveaxis(p, -1, 0))],
+                    axis=-1)
+
+
+def _field(name: str, fn) -> VectorField:
     def value(p: np.ndarray) -> np.ndarray:
-        return np.asarray(f_val(*p), dtype=float)
+        return _components(fn, p)
 
     def jacobian(p: np.ndarray) -> np.ndarray:
-        return np.asarray(f_jac(*p), dtype=float)
+        steps = _STEPS.reshape((5,) + (1,) * (p.ndim - 1) + (5,))
+        return np.moveaxis(_components(fn, p + steps).imag / COMPLEX_STEP, 0, -1)
 
     return VectorField(name, 5, value, jacobian)
 
 
-def _attacking_exprs():
-    x, y, z, a, b = _COORDS
-    e = z - a * x - b * y
-    return [
-        (z * x, z * y, z * z, e * a, e * b),
-        (x * x, x * y, x * z, e, 0),
-        (0, -z, 0, b * a, b * b),
-        (0, -x, 0, b, 0),
-        (-z, 0, 0, a * a, a * b),
-        (-x, 0, 0, a, 0),
-        (0, 0, x, 1, 0),
-        (y * x, y * y, y * z, 0, e),
-        (-y, 0, 0, 0, a),
-        (x, 0, z, 0, b),
-        (0, 0, y, 0, 1),
-        (x, y, z, 0, 0),
-        (0, 1, 0, 0, 0),
-        (1, 0, 0, 0, 0),
-        (0, 0, 1, 0, 0),
-    ]
-
-
-def _landing_exprs():
-    x, y, z, a, b = _COORDS
-    s = sp.sqrt(a * a + b * b + 1)
-    return [
-        (-z * x, -z * y, (x * x + y * y - z * z) / 2,
-         (1 + a * a) * x + a * b * y, (1 + b * b) * y + a * b * x),
-        ((y * y + z * z - x * x) / 2, -x * y, -x * z,
-         -((1 + a * a) * z - b * y), -a * (b * z + y)),
-        (y * x, (y * y - x * x - z * z) / 2, y * z,
-         b * (a * z + x), (1 + b * b) * z - a * x),
-        (-(x * x + y * y + z * z) / 2 * a / s,
-         -(x * x + y * y + z * z) / 2 * b / s,
-         (x * x + y * y + z * z) / 2 / s,
-         s * (a * z + x), s * (b * z + y)),
-        (-z, 0, x, a * a + 1, a * b),
-        (0, -z, y, a * b, b * b + 1),
-        (y, -x, 0, b, -a),
-        (-x * a / s, -x * b / s, x / s, s, 0),
-        (-z * a / s, -z * b / s, z / s, s * a, s * b),
-        (-y * a / s, -y * b / s, y / s, 0, s),
-        (-a / s, -b / s, 1 / s, 0, 0),
-        (x, y, z, 0, 0),
-        (1, 0, 0, 0, 0),
-        (0, 1, 0, 0, 0),
-        (0, 0, 1, 0, 0),
-    ]
-
-
-def _g2_exprs():
-    x, y, z, a, b = _COORDS
-    return [
-        (y ** 3 + x * z,
-         y * z - _R(1, 9) * b * b * x - _R(2, 3) * b * y * y,
-         z * z - _R(2, 27) * b ** 3 * x - _R(1, 3) * b * b * y * y,
-         a * z - a * a * x - a * b * y + _R(1, 27) * b ** 3,
-         b * z - a * b * x - 3 * a * y * y - _R(1, 3) * b * b * y),
-        (x * x, x * y, x * z - y ** 3, z - a * x - b * y, -3 * y * y),
-        (-z / 2, _R(1, 18) * b * b, _R(1, 27) * b ** 3, a * a / 2, a * b / 2),
-        (-3 * y * y, _R(4, 3) * b * y - z, _R(2, 3) * b * b * y,
-         a * b, 6 * a * y + _R(1, 3) * b * b),
-        (0, y / 3, z, a, _R(2, 3) * b),
-        (_R(9, 2) * x * y, _R(3, 2) * y * y - b * x, (9 * y * z - b * b * x) / 2,
-         b * b / 2, (9 * z + 3 * b * y - 9 * a * x) / 2),
-        (0, -x, 3 * y * y, b, 6 * y),
-        (x, _R(2, 3) * y, z, 0, b / 3),
-        (y, -_R(2, 9) * b, -_R(1, 9) * b * b, 0, -a),
-        (0, 0, x, 1, 0),
-        (0, 0, y, 0, 1),
-        (1, 0, 0, 0, 0),
-        (0, 1, 0, 0, 0),
-        (0, 0, 1, 0, 0),
-    ]
-
-
 @lru_cache(maxsize=None)
 def attacking_catalog() -> tuple[VectorField, ...]:
-    return tuple(_field(f"att-{i + 1}", e) for i, e in enumerate(_attacking_exprs()))
+    return tuple(_field(f"att-{i + 1}", f) for i, f in enumerate(ATTACKING_FIELDS))
 
 
 @lru_cache(maxsize=None)
 def landing_catalog() -> tuple[VectorField, ...]:
-    return tuple(_field(f"lnd-{i + 1}", e) for i, e in enumerate(_landing_exprs()))
+    return tuple(_field(f"lnd-{i + 1}", f) for i, f in enumerate(LANDING_FIELDS))
 
 
 @lru_cache(maxsize=None)
 def g2_catalog() -> tuple[VectorField, ...]:
-    return tuple(_field(f"g2-{i + 1}", e) for i, e in enumerate(_g2_exprs()))
+    return tuple(_field(f"g2-{i + 1}", f) for i, f in enumerate(G2_FIELDS))
 
 
 def catalog(name: str) -> tuple[VectorField, ...]:

@@ -4,15 +4,18 @@ Subcommands: verify (check suites), simulate (maneuver integration),
 classify (null type of a distribution direction), lift (engine-to-contact
 joystick pipeline), plan (reachability planning). Reports are JSON; time
 series are CSV. Exit codes: 0 on success, 1 when a check or plan fails,
-2 for usage errors.
+2 for usage errors. A number that is not finite (an overflowed plan, say)
+is reported as null, so every report is strict JSON.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import math
 import numbers
 import os
+import re
 import sys
 import warnings
 from typing import Sequence
@@ -149,10 +152,22 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text + "\n")
 
 
+def _finite_json(obj):
+    """obj with every float that is not finite replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v) for v in obj]
+    return obj
+
+
 def _payload_text(payload: dict, fmt: str) -> str:
+    payload = _finite_json(payload)
     if fmt == "compact":
-        return json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(payload, separators=(",", ":"), sort_keys=True, allow_nan=False)
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
@@ -345,10 +360,12 @@ def _cmd_plan(args) -> int:
     except ValueError as exc:
         raise _usage_error(str(exc))
     payload = plan.to_json_dict()
-    traj = planner.replay(plan)
-    residuals = constraint_residuals(traj)
+    with np.errstate(over="ignore", invalid="ignore"):   # overflowed legs report null
+        traj = planner.replay(plan)
+        residuals = constraint_residuals(traj)
+        endpoint_error = float(np.max(np.abs(traj.endpoint - plan.achieved)))
     payload["replay"] = {
-        "endpoint_error": float(np.max(np.abs(traj.endpoint - plan.achieved))),
+        "endpoint_error": endpoint_error,
         "max_contact": float(residuals.max_contact),
         "max_nullity": float(residuals.max_nullity),
         "pass": bool(residuals.passed()),
@@ -444,8 +461,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Flags whose value is a comma-separated vector.
+_VECTOR_FLAGS = ("--from", "--to", "--start", "--y0", "--vector")
+_NEGATIVE_NUMBER = re.compile(r"-[\d.]")
+
+
+def _glue_vector_values(argv: Sequence[str]) -> list[str]:
+    """Write "--to -1.7,0.9" as "--to=-1.7,0.9".
+
+    argparse takes an argument that starts with a minus and is not a plain
+    number for an option, so a vector with a negative first component would
+    otherwise leave its flag without a value.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _VECTOR_FLAGS and _NEGATIVE_NUMBER.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_glue_vector_values(argv))
     try:
         return args.func(args)
     except SystemExit:

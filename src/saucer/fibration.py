@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import sympy as sp
 
 from . import kernels
 from .forms import (DifferentialForm, FormValue, VectorField, bracket,
@@ -31,87 +29,109 @@ FDIM = 6
 FORM_LABELS = ("w0", "w1", "w2", "w3", "w4", "w7")
 LIFT_EPS = 1e-6
 
-_XS = sp.symbols("x0 x1 x2 x3 x4 x5", real=True)
-_YS = sp.symbols("y0 y1 y2 y3 y4 y5", real=True)
-
 
 class LiftSingular(ValueError):
     """w vanished along the curve; y5 = u/w has no continuous value."""
 
 
 # -- charts and coframes -------------------------------------------------------
+#
+# Each chart's coframe C and its dual frame E = C^-1 are written out as
+# matrices of the six chart coordinates, and the frame's derivative
+# dE[i, j, m] = d E[i, j] / d(coord m) as its nonzero entries. Both coframes
+# are unitriangular up to a signed permutation of the last two slots, so the
+# inverses are short polynomials.
 
-def _x_coframe_sym():
-    x0, x1, x2, x3, x4, x5 = _XS
-    return sp.Matrix([
-        [1, 0, 0, -3 * x2, x1, 0],
-        [0, 1, 3 * x5, 3 * x5 ** 2, x5 ** 3, 0],
-        [0, 0, 1, 2 * x5, x5 ** 2, 0],
-        [0, 0, 0, 1, x5, 0],
-        [0, 0, 0, 0, 1, 0],
-        [0, 0, 0, 0, 0, -1],
-    ])
-
-
-def _y_coframe_sym():
-    y0, y1, y2, y3, y4, y5 = _YS
-    return sp.Matrix([
-        [1, -y5, -3 * y4 * y5, -3 * (y2 + y4 ** 2 * y5), 0, 0],
-        [0, 1, 3 * y4, 3 * y4 ** 2, 0, 0],
-        [0, 0, 1, 2 * y4, 0, 0],
-        [0, 0, 0, 1, -y5, 0],
-        [0, 0, 0, 0, 0, 1],
-        [0, 0, 0, 0, -1, 0],
-    ])
+def _x_coframe(x0, x1, x2, x3, x4, x5):
+    return [[1, 0, 0, -3 * x2, x1, 0],
+            [0, 1, 3 * x5, 3 * x5 * x5, x5 * x5 * x5, 0],
+            [0, 0, 1, 2 * x5, x5 * x5, 0],
+            [0, 0, 0, 1, x5, 0],
+            [0, 0, 0, 0, 1, 0],
+            [0, 0, 0, 0, 0, -1]]
 
 
-_COFRAME_SYM = {"x": (_x_coframe_sym, _XS), "y": (_y_coframe_sym, _YS)}
+def _x_frame(x0, x1, x2, x3, x4, x5):
+    return [[1, 0, 0, 3 * x2, -x1 - 3 * x2 * x5, 0],
+            [0, 1, -3 * x5, 3 * x5 * x5, -x5 * x5 * x5, 0],
+            [0, 0, 1, -2 * x5, x5 * x5, 0],
+            [0, 0, 0, 1, -x5, 0],
+            [0, 0, 0, 0, 1, 0],
+            [0, 0, 0, 0, 0, -1]]
 
 
-@lru_cache(maxsize=None)
-def _coframe_fn(chart: str) -> Callable:
-    builder, syms = _COFRAME_SYM[chart]
-    return sp.lambdify(syms, builder(), modules="numpy")
+def _x_frame_derivative(x0, x1, x2, x3, x4, x5):
+    return {(1, 2, 5): -3,
+            (0, 3, 2): 3, (1, 3, 5): 6 * x5, (2, 3, 5): -2,
+            (0, 4, 1): -1, (0, 4, 2): -3 * x5, (0, 4, 5): -3 * x2,
+            (1, 4, 5): -3 * x5 * x5, (2, 4, 5): 2 * x5, (3, 4, 5): -1}
+
+
+def _y_coframe(y0, y1, y2, y3, y4, y5):
+    return [[1, -y5, -3 * y4 * y5, -3 * (y2 + y4 * y4 * y5), 0, 0],
+            [0, 1, 3 * y4, 3 * y4 * y4, 0, 0],
+            [0, 0, 1, 2 * y4, 0, 0],
+            [0, 0, 0, 1, -y5, 0],
+            [0, 0, 0, 0, 0, 1],
+            [0, 0, 0, 0, -1, 0]]
+
+
+def _y_frame(y0, y1, y2, y3, y4, y5):
+    return [[1, y5, 0, 3 * y2, 0, -3 * y2 * y5],
+            [0, 1, -3 * y4, 3 * y4 * y4, 0, -3 * y4 * y4 * y5],
+            [0, 0, 1, -2 * y4, 0, 2 * y4 * y5],
+            [0, 0, 0, 1, 0, -y5],
+            [0, 0, 0, 0, 0, -1],
+            [0, 0, 0, 0, 1, 0]]
+
+
+def _y_frame_derivative(y0, y1, y2, y3, y4, y5):
+    return {(0, 1, 5): 1,
+            (1, 2, 4): -3,
+            (0, 3, 2): 3, (1, 3, 4): 6 * y4, (2, 3, 4): -2,
+            (0, 5, 2): -3 * y5, (0, 5, 5): -3 * y2, (1, 5, 4): -6 * y4 * y5,
+            (1, 5, 5): -3 * y4 * y4, (2, 5, 4): 2 * y5, (2, 5, 5): 2 * y4, (3, 5, 5): -1}
+
+
+_CHARTS = {"x": (_x_coframe, _x_frame, _x_frame_derivative),
+           "y": (_y_coframe, _y_frame, _y_frame_derivative)}
+
+
+def _chart_at(chart: str, p: np.ndarray) -> tuple:
+    """The chart's (coframe, frame, frame derivative) builders and p as floats."""
+    try:
+        builders = _CHARTS[chart]
+    except KeyError:
+        raise ValueError(f"unknown chart {chart!r}") from None
+    return builders, np.asarray(p, dtype=float).tolist()
 
 
 def coframe(chart: str, p: np.ndarray) -> np.ndarray:
     """C[i, m]: coefficient of d(coord m) in form i, order FORM_LABELS."""
-    if chart not in _COFRAME_SYM:
-        raise ValueError(f"unknown chart {chart!r}")
-    return np.asarray(_coframe_fn(chart)(*np.asarray(p, dtype=float)), dtype=float)
-
-
-@lru_cache(maxsize=None)
-def _frame_fns(chart: str):
-    """Lambdified dual frame (columns) and per-column exact Jacobians."""
-    builder, syms = _COFRAME_SYM[chart]
-    E = builder().inv()
-    cols = [sp.Matrix(E[:, j]) for j in range(FDIM)]
-    col_fns = [sp.lambdify(syms, c, modules="numpy") for c in cols]
-    jac_fns = [sp.lambdify(syms, c.jacobian(syms), modules="numpy") for c in cols]
-    return col_fns, jac_fns
+    builders, coords = _chart_at(chart, p)
+    return np.array(builders[0](*coords), dtype=float)
 
 
 def frame(chart: str, p: np.ndarray) -> np.ndarray:
     """Columns are the frame vectors dual to the coframe: w^i(e_j) = delta."""
-    col_fns, _ = _frame_fns(chart)
-    p = np.asarray(p, dtype=float)
-    return np.column_stack([np.asarray(f(*p), dtype=float).ravel() for f in col_fns])
+    builders, coords = _chart_at(chart, p)
+    return np.array(builders[1](*coords), dtype=float)
+
+
+def frame_derivative(chart: str, p: np.ndarray) -> np.ndarray:
+    """dE[i, j, m] = d E[i, j] / d(coord m): the frame's exact point derivative."""
+    builders, coords = _chart_at(chart, p)
+    dE = np.zeros((FDIM,) * 3)
+    for index, value in builders[2](*coords).items():
+        dE[index] = value
+    return dE
 
 
 def frame_field(chart: str, j: int) -> VectorField:
     """Frame vector e_j as a vector field on the chart, exact Jacobian."""
-    col_fns, jac_fns = _frame_fns(chart)
-    fv, fj = col_fns[j], jac_fns[j]
     name = f"{chart}-e{(0, 1, 2, 3, 4, 7)[j]}"
-
-    def value(p: np.ndarray) -> np.ndarray:
-        return np.asarray(fv(*p), dtype=float).ravel()
-
-    def jacobian(p: np.ndarray) -> np.ndarray:
-        return np.asarray(fj(*p), dtype=float)
-
-    return VectorField(name, FDIM, value, jacobian)
+    return VectorField(name, FDIM, lambda p: frame(chart, p)[:, j],
+                       lambda p: frame_derivative(chart, p)[:, j])
 
 
 #: Nonzero frame commutators, keyed by frame positions (0..4 = e0..e4, 5 = e7):

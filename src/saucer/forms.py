@@ -217,9 +217,11 @@ class VectorField:
 
 
 def constant_field(name: str, components) -> VectorField:
+    """The same vector at every point; takes one point (dim,) or a stack (m, dim)."""
     comps = np.asarray(components, dtype=float)
     dim = len(comps)
-    return VectorField(name, dim, lambda p: comps.copy(), lambda p: np.zeros((dim, dim)))
+    return VectorField(name, dim, lambda p: np.broadcast_to(comps, p.shape).copy(),
+                       lambda p: np.zeros(p.shape + (dim,)))
 
 
 def bracket(X: VectorField, Y: VectorField, p: np.ndarray) -> np.ndarray:

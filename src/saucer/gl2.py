@@ -96,11 +96,17 @@ def upsilon_polarized(X1, X2, X3, X4) -> float:
 
 
 def _build_upsilon_tensor() -> np.ndarray:
-    eye = np.eye(4)
-    T = np.empty((4, 4, 4, 4))
-    for i, j, k, l in itertools.product(range(4), repeat=4):
-        T[i, j, k, l] = upsilon_polarized(eye[i], eye[j], eye[k], eye[l])
-    return T
+    """upsilon_polarized on every basis quadruple, in one stacked quartic call.
+
+    Row n of `slots` is the index tuple (i, j, k, l); each nonempty subset of
+    the four slots contributes the quartic of its basis-vector sum, signed
+    by (-1)^(4 - r) for a subset of size r.
+    """
+    slots = np.array(list(itertools.product(range(4), repeat=4)))
+    subsets = np.array(list(itertools.product((0, 1), repeat=4))[1:])
+    sums = np.einsum("sq,nqd->nsd", subsets, np.eye(4)[slots])
+    signs = (-1.0) ** (4 - subsets.sum(axis=1))
+    return (quartic_upsilon(sums) @ signs / 24.0).reshape(4, 4, 4, 4)
 
 
 #: Upsilon as a constant symmetric rank-4 tensor over the quartic-mode coframe.

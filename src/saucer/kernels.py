@@ -32,7 +32,8 @@ def zcoeffs(mode: int, a, b, u1, u2, u3):
     """Z-frame coefficients (c1, c2, c3, c4) of the mode's control law.
 
     Plain arithmetic only, so a, b and the controls may be floats, numpy
-    arrays or sympy symbols. c3 and c4 never depend on (a, b).
+    arrays, sympy symbols or the planner's exact (a, b) polynomials. c3 and
+    c4 never depend on (a, b).
     """
     if mode == ATTACKING:
         return 3.0 * u1 * u3, u2 * u3, u1, u2

@@ -16,7 +16,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-import sympy as sp
 
 from . import kernels
 from .chart import DIM
@@ -155,44 +154,95 @@ def distinguished_bracket_residual(mode: ManeuverMode, points: np.ndarray) -> fl
                for p in pts)
 
 
+class _ABPolynomial:
+    """A polynomial in the chart slots (a, b): {(i, j): coefficient of a^i b^j}.
+
+    Just enough arithmetic for `kernels.zcoeffs` to build the landing family
+    from it. The family's coefficients are small integers held as floats, so
+    every sum and product here is exact and cancellation leaves no residue.
+    """
+
+    def __init__(self, terms: dict):
+        self.terms = {k: c for k, c in terms.items() if c != 0.0}
+
+    @staticmethod
+    def of(value) -> "_ABPolynomial":
+        return value if isinstance(value, _ABPolynomial) else _ABPolynomial({(0, 0): value})
+
+    def __add__(self, other) -> "_ABPolynomial":
+        terms = dict(self.terms)
+        for k, c in _ABPolynomial.of(other).terms.items():
+            terms[k] = terms.get(k, 0.0) + c
+        return _ABPolynomial(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_ABPolynomial":
+        return _ABPolynomial({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other) -> "_ABPolynomial":
+        return self + -_ABPolynomial.of(other)
+
+    def __mul__(self, other) -> "_ABPolynomial":
+        terms: dict = {}
+        for (i, j), c in self.terms.items():
+            for (k, l), d in _ABPolynomial.of(other).terms.items():
+                terms[i + k, j + l] = terms.get((i + k, j + l), 0.0) + c * d
+        return _ABPolynomial(terms)
+
+    __rmul__ = __mul__
+
+    def derivative(self, slot: int) -> "_ABPolynomial":
+        """d/da for slot 0, d/db for slot 1."""
+        terms: dict = {}
+        for power, c in self.terms.items():
+            if power[slot]:
+                lowered = tuple(e - (n == slot) for n, e in enumerate(power))
+                terms[lowered] = c * power[slot]
+        return _ABPolynomial(terms)
+
+    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        total = np.zeros(np.shape(a))
+        for (i, j), c in self.terms.items():
+            total += c * a ** i * b ** j
+        return total
+
+
+def _ab_bracket(X: Sequence[_ABPolynomial], Y: Sequence[_ABPolynomial]) -> list:
+    """[X, Y] = J_Y X - J_X Y for fields whose components depend on (a, b) only."""
+    return [X[3] * Yi.derivative(0) + X[4] * Yi.derivative(1)
+            - Y[3] * Xi.derivative(0) - Y[4] * Xi.derivative(1)
+            for Xi, Yi in zip(X, Y)]
+
+
+def _landing_family_polynomials() -> list[list[_ABPolynomial]]:
+    """The landing family's components, from the control law, as polynomials."""
+    a, b = _ABPolynomial({(1, 0): 1.0}), _ABPolynomial({(0, 1): 1.0})
+    family = []
+    for u in FAMILY_CONTROLS[ManeuverMode.LANDING]:
+        c1, c2, c3, c4 = kernels.zcoeffs(kernels.LANDING, a, b, *u)
+        family.append([_ABPolynomial.of(v)
+                       for v in (c1, c2, c1 * a + c2 * b, c4, -3.0 * c3)])
+    return family
+
+
 @functools.lru_cache(maxsize=1)
-def _landing_nested_symbolic():
-    """Exact depth-3 landing bracket, plus the symbolic family for probing."""
-    coords = sp.symbols("x y z a b")
-    a, b = coords[3], coords[4]
-
-    def law(*u):
-        c1, c2, c3, c4 = kernels.zcoeffs(kernels.LANDING, a, b, *map(sp.Rational, u))
-        return sp.Matrix([c1, c2, c1 * a + c2 * b, c4, -3 * c3])
-
-    family = [law(*u) for u in FAMILY_CONTROLS[ManeuverMode.LANDING]]
-
-    def br(X, Y):
-        return sp.expand(Y.jacobian(coords) * X - X.jacobian(coords) * Y)
-
-    nested = br(family[0], br(family[1], br(family[1], family[2])))
-    nested_fn = sp.lambdify(coords, list(nested), "numpy")
-    family_fns = [sp.lambdify(coords, list(F), "numpy") for F in family]
-    return nested_fn, family_fns
+def _landing_nested() -> tuple[_ABPolynomial, ...]:
+    """Components of [Y1, [Y2, [Y2, Y3]]] for the landing family, exactly."""
+    Y = _landing_family_polynomials()
+    return tuple(_ab_bracket(Y[0], _ab_bracket(Y[1], _ab_bracket(Y[1], Y[2]))))
 
 
 def landing_nested_bracket_norm(points: np.ndarray) -> float:
     """Sup norm of the landing depth-3 expression; it vanishes identically.
 
-    Evaluated through an exact symbolic bracket (nested finite differencing
-    amplifies roundoff past 1e-6); the symbolic family is probed against the
-    kernel fields at the first point so the two routes cannot drift apart.
+    The family's components are polynomials in (a, b) with small-integer
+    coefficients, built by the control law itself, so the bracket is taken
+    exactly on them (nested finite differencing amplifies roundoff past 1e-6)
+    and then evaluated at the points.
     """
-    nested_fn, family_fns = _landing_nested_symbolic()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    Y = bracket_family(ManeuverMode.LANDING)
-    probe = pts[0]
-    for fn, field in zip(family_fns, Y):
-        drift = np.max(np.abs(np.array(fn(*probe), dtype=float) - field.value(probe)))
-        if drift > 1e-12:
-            raise AssertionError(f"symbolic family drifted from kernels: {drift:g}")
-    return max(float(np.max(np.abs(np.array(nested_fn(*p), dtype=float))))
-               for p in pts)
+    return max(float(np.max(np.abs(c(pts[:, 3], pts[:, 4])))) for c in _landing_nested())
 
 
 def landing_depth2_contact_values(p: np.ndarray) -> tuple[float, float]:
@@ -298,6 +348,7 @@ def _check_plan_inputs(start: np.ndarray, goal: np.ndarray, tol: float,
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations!r}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
               tol: float = 1e-3, max_iterations: int = 200,
               trace: bool = False) -> Plan:
@@ -310,6 +361,9 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
     1 + b^2 of [Y2, Y4] at the current point); negative z gaps swap the legs.
     The state is carried as Python floats, moved by `flow`. With `trace`,
     the plan records max |gap| and the legs added per iteration.
+
+    Planning stops, unsuccessful, at the first gap that is not finite: the
+    state overflowed (flows far from the origin do) or the gap itself did.
     """
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
@@ -323,7 +377,7 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
     for iterations in range(1, max_iterations + 1):
         gap_max = _sup([g - q for g, q in zip(target, p)])
         n_before = len(legs)
-        if gap_max < tol:
+        if gap_max < tol or not gap_max < math.inf:
             if steps is not None:
                 steps.append((gap_max, 0))
             break
@@ -333,7 +387,7 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
             if fmode == ManeuverMode.LANDING:
                 for _ in range(40):
                     gap4 = [target[i] - p[i] for i in IDX4]
-                    if _sup(gap4) < 0.1 * tol:
+                    if not 0.1 * tol <= _sup(gap4) < math.inf:
                         break
                     s = np.linalg.solve(_phase1_matrix(fmode, p), gap4).tolist()
                     before = float(np.linalg.norm(gap4))

@@ -329,10 +329,10 @@ def _symmetry_checks(seed: int) -> list[Check]:
         da = constant_field("da-dir", [0.0, 0.0, 0.0, 1.0, 0.0])
         rep = symmetry.legendrean_symmetry_residual(da, ATTACKING_METRIC_FIELD, pts)
         ok = rep.contact > 1e-2 and rep.membership < 1e-10
+        scale = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
         euler = VectorField(
-            "euler", 5,
-            lambda p: np.array([p[0], p[1], p[2], 0.0, 0.0]),
-            lambda p: np.diag([1.0, 1.0, 1.0, 0.0, 0.0]))
+            "euler", 5, lambda p: p * scale,
+            lambda p: np.broadcast_to(np.diag(scale), p.shape + (5,)).copy())
         worstq = symmetry.quartic_membership_residual(euler, pts)
         ok = ok and worstq > 1e-3
         return CheckResult("negative-controls", ok, worstq,

@@ -6,12 +6,14 @@ stays inside the conformal ideal spanned by S itself and terms divisible by
 w0 (membership residual). The tensors divisible by w0 are exactly those that
 vanish on the distribution D = ker w0, so membership is tested by restricting
 L_X S and S to D through the E-frame and asking for proportionality there.
-Every residual and bracket is evaluated for all sample points at once. Catalogs
-of candidates are compressed into structure constants by least squares over
-sample points, and the resulting algebras are identified through their
-Killing forms against independently constructed matrix models: sl(4, R),
-su(2, 2), and the split form of the 14-dimensional exceptional algebra
-realized as derivations of the split octonions.
+Every residual and bracket is evaluated for all sample points at once, so a
+vector field handed to this module must take a stack of points (m, 5) as
+well as one point, as the catalog fields do. Catalogs of candidates are
+compressed into structure constants by least squares over sample points,
+and the resulting algebras are identified through their Killing forms
+against independently constructed matrix models: sl(4, R), su(2, 2), and
+the split form of the 14-dimensional exceptional algebra realized as
+derivations of the split octonions.
 """
 from __future__ import annotations
 
@@ -41,13 +43,13 @@ def _as_points(points: np.ndarray) -> np.ndarray:
 
 
 def _field_values(fields: Sequence[VectorField], pts: np.ndarray) -> np.ndarray:
-    """(m, n, 5): every field's value at every point."""
-    return np.array([[X.value(p) for X in fields] for p in pts])
+    """(m, n, 5): every field's value at every point, one stacked call per field."""
+    return np.stack([X.value(pts) for X in fields], axis=1)
 
 
 def _field_jacobians(fields: Sequence[VectorField], pts: np.ndarray) -> np.ndarray:
-    """(m, n, 5, 5): every field's Jacobian at every point."""
-    return np.array([[X.jacobian(p) for X in fields] for p in pts])
+    """(m, n, 5, 5): every field's Jacobian at every point, one stacked call per field."""
+    return np.stack([X.jacobian(pts) for X in fields], axis=1)
 
 
 def _tensor_values(S: SymTensorField, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,11 +3,17 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import saucer
 from saucer import cli, fibration
 from saucer.maneuvers import ControlProgram, ManeuverMode, integrate_trajectory
 
@@ -16,6 +22,13 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity."""
+    def refuse(name):
+        raise ValueError(f"{name} in a report")
+    return json.loads(text, parse_constant=refuse)
 
 
 def _without_timestamp(payload_text):
@@ -358,3 +371,79 @@ def test_lift_reports_the_absolute_time_of_its_worst_sample(capsys):
     run = fibration.run_joystick(cli._shift_spec(spec, 1.0), 1.0, duration=2.0, n_steps=200)
     assert data["worst_t"] == 1.0 + run.engine.times[run.report.worst_sample]
     assert 1.0 <= data["worst_t"] <= 3.0
+
+
+@pytest.mark.parametrize("mode,goal", [("landing", "1e300,0,0,0,0"),
+                                       ("attacking", "1e308,1e308,1e308,1e308,1e308")])
+def test_plan_that_overflows_stops_and_reports_strict_json(capsys, mode, goal):
+    code, out, err = run_cli(capsys, "plan", "--mode", mode, "--from", "0,0,0,0,0",
+                             "--to", goal, "--format", "compact", "--trace")
+    assert code == 1
+    assert "NaN" not in out and "Infinity" not in out
+    data = _strict_json(out)
+    assert data["success"] is False
+    assert data["gap_max"] is None
+    assert data["iterations"] == len(data["trace"]) <= 3
+    assert data["replay"]["pass"] is False
+    assert "Warning" not in err
+
+
+VECTOR_RUNS = [
+    (("plan", "--mode", "landing", "--format", "compact"),
+     (("--from", "-0.3,0.2,0,0.1,0"), ("--to", "-1.7,0.9,-0.6,-1.3,1.8")),
+     lambda d: d["start"][0] == -0.3 and d["goal"] == [-1.7, 0.9, -0.6, -1.3, 1.8]),
+    (("simulate", "--mode", "attacking", "--u1", "1", "--u2", "0", "--u3", "0",
+      "--duration", "0.1", "--format", "compact"),
+     (("--start", "-0.5,0,0,0,0"),),
+     lambda d: d["endpoint"][0] == -0.5),
+    (("lift", "--u", "1", "--w", "1", "--steps", "20", "--format", "compact"),
+     (("--y0", "-1,0,0,0,0"),),
+     lambda d: abs(d["endpoint"][0] + 1.0) < 1e-12),
+    (("classify", "--format", "compact"),
+     (("--vector", "-1,-2,-4,-8"),),
+     lambda d: d["class"] == "TypeN"),
+]
+
+
+@pytest.mark.parametrize("base,vectors,check", VECTOR_RUNS,
+                         ids=[run[0][0] for run in VECTOR_RUNS])
+def test_vector_flags_take_a_negative_first_component(capsys, base, vectors, check):
+    spaced = [v for flag_value in vectors for v in flag_value]
+    glued = [f"{flag}={value}" for flag, value in vectors]
+    code, out, _ = run_cli(capsys, *base, *spaced)
+    code_glued, out_glued, _ = run_cli(capsys, *base, *glued)
+    assert code == code_glued == 0
+    assert out == out_glued
+    assert check(json.loads(out))
+
+
+def test_runtime_never_imports_sympy():
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import numpy as np
+        from saucer import catalogs, cli, fibration, planner
+        for name in ("attacking", "landing", "g2"):
+            catalogs.catalog(name)
+        planner.landing_nested_bracket_norm(np.zeros((1, 5)))
+        for chart in ("x", "y"):
+            fibration.coframe(chart, np.zeros(6))
+            fibration.frame(chart, np.zeros(6))
+        fibration.x_from_y_jacobian(np.zeros(6))
+        runs = [
+            ["verify", "--suite", "all", "--seed", "3"],
+            ["classify", "--vector", "1,2,4,8"],
+            ["simulate", "--mode", "landing", "--u1", "1", "--u2", "0.5",
+             "--u3", "0.2", "--duration", "0.2"],
+            ["plan", "--mode", "landing", "--from", "0,0,0,0,0",
+             "--to", "0.3,-0.2,0.1,0.2,-0.4"],
+            ["lift", "--u", "1", "--w", "1", "--steps", "50"],
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(argv) for argv in runs]
+        print(codes, "sympy" in sys.modules)
+    """)
+    src = str(Path(saucer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.split() == ["[0,", "0,", "0,", "0,", "0]", "False"]

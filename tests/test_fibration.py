@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,58 @@ def test_coframe_frame_duality():
             C = fibration.coframe(chart, p)
             F = fibration.frame(chart, p)
             np.testing.assert_allclose(C @ F, np.eye(6), atol=1e-12)
+
+
+def _sympy_coframes():
+    """The coframes as the package once built them, in sympy."""
+    x0, x1, x2, x3, x4, x5 = xs = sp.symbols("x0:6", real=True)
+    y0, y1, y2, y3, y4, y5 = ys = sp.symbols("y0:6", real=True)
+    cx = sp.Matrix([
+        [1, 0, 0, -3 * x2, x1, 0],
+        [0, 1, 3 * x5, 3 * x5 ** 2, x5 ** 3, 0],
+        [0, 0, 1, 2 * x5, x5 ** 2, 0],
+        [0, 0, 0, 1, x5, 0],
+        [0, 0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0, -1],
+    ])
+    cy = sp.Matrix([
+        [1, -y5, -3 * y4 * y5, -3 * (y2 + y4 ** 2 * y5), 0, 0],
+        [0, 1, 3 * y4, 3 * y4 ** 2, 0, 0],
+        [0, 0, 1, 2 * y4, 0, 0],
+        [0, 0, 0, 1, -y5, 0],
+        [0, 0, 0, 0, 0, 1],
+        [0, 0, 0, 0, -1, 0],
+    ])
+    return {"x": (cx, xs), "y": (cy, ys)}
+
+
+@pytest.mark.parametrize("chart", ["x", "y"])
+def test_frames_match_the_sympy_inverse_and_jacobian(chart):
+    C, syms = _sympy_coframes()[chart]
+    E = C.inv()
+    coframe = sp.lambdify(syms, C, modules="numpy")
+    frame = sp.lambdify(syms, E, modules="numpy")
+    derivative = sp.lambdify(syms, [E[:, j].jacobian(syms) for j in range(6)],
+                             modules="numpy")
+    points = _pts6(35, 20)
+    for p in points:
+        np.testing.assert_allclose(fibration.coframe(chart, p), coframe(*p),
+                                   rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(fibration.frame(chart, p), frame(*p),
+                                   rtol=1e-14, atol=1e-14)
+        dE = np.asarray(derivative(*p), dtype=float)    # (j, i, m)
+        np.testing.assert_allclose(fibration.frame_derivative(chart, p),
+                                   dE.transpose(1, 0, 2), rtol=1e-14, atol=1e-14)
+        for j in range(6):
+            field = fibration.frame_field(chart, j)
+            np.testing.assert_array_equal(field.value(p), fibration.frame(chart, p)[:, j])
+            np.testing.assert_array_equal(field.jacobian(p),
+                                          fibration.frame_derivative(chart, p)[:, j])
+
+
+def test_unknown_chart_is_rejected():
+    with pytest.raises(ValueError, match="unknown chart"):
+        fibration.frame("z", np.zeros(6))
 
 
 @given(coord, coord, coord, coord, safe, coord)

@@ -1,6 +1,8 @@
 """The quartic invariant, its polarization, and the Sym^3 group action."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,13 @@ def test_upsilon_tensor_matches_quartic_and_is_symmetric():
         X = rng.normal(size=4)
         quad = np.einsum("ijkl,i,j,k,l->", T, X, X, X, X)
         assert abs(quad - gl2.quartic_upsilon(X)) < 1e-9
+
+
+def test_upsilon_tensor_equals_the_polarization_of_every_basis_quadruple():
+    eye = np.eye(4)
+    for i, j, k, l in itertools.product(range(4), repeat=4):
+        want = gl2.upsilon_polarized(eye[i], eye[j], eye[k], eye[l])
+        assert abs(gl2.UPSILON_TENSOR[i, j, k, l] - want) <= 1e-15
 
 
 @given(mat2, mat2)

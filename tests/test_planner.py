@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from saucer import kernels, planner
 from saucer.forms import bracket
@@ -67,6 +68,39 @@ def test_landing_nested_bracket_vanishes_identically():
     assert planner.landing_nested_bracket_norm(pts) == 0.0
     resid = planner.distinguished_bracket_residual(ManeuverMode.LANDING, pts)
     assert abs(resid - 9.0) < 1e-4
+
+
+def _sympy_landing_family():
+    coords = sp.symbols("x y z a b")
+    a, b = coords[3], coords[4]
+    family = []
+    for u in planner.FAMILY_CONTROLS[ManeuverMode.LANDING]:
+        c1, c2, c3, c4 = kernels.zcoeffs(kernels.LANDING, a, b, *map(sp.Rational, u))
+        family.append(sp.Matrix([c1, c2, c1 * a + c2 * b, c4, -3 * c3]))
+
+    def br(X, Y):
+        return sp.expand(Y.jacobian(coords) * X - X.jacobian(coords) * Y)
+
+    return family, br, (a, b)
+
+
+def _as_terms(expr, a, b):
+    return {k: float(c) for k, c in sp.Poly(expr, a, b).as_dict().items() if c != 0}
+
+
+def test_polynomial_brackets_match_sympy_expand():
+    family, br, (a, b) = _sympy_landing_family()
+    poly = planner._landing_family_polynomials()
+    for X, P in zip(family, poly):
+        assert [_as_terms(c, a, b) for c in X] == [c.terms for c in P]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            want = [_as_terms(c, a, b) for c in br(family[i], family[j])]
+            got = [c.terms for c in planner._ab_bracket(poly[i], poly[j])]
+            assert got == want, (i, j)
+    nested = br(family[0], br(family[1], br(family[1], family[2])))
+    assert list(nested) == [0] * 5
+    assert [c.terms for c in planner._landing_nested()] == [{}] * 5
 
 
 def test_landing_depth2_contact_values():
@@ -320,6 +354,26 @@ def test_every_mode_plans_across_the_sampling_box(mode):
         traj = planner.replay(plan)
         np.testing.assert_allclose(traj.endpoint, plan.achieved, atol=1e-8)
         assert constraint_residuals(traj).passed()
+
+
+@pytest.mark.parametrize("mode", list(ManeuverMode))
+@pytest.mark.parametrize("goal", [[1e300, 0, 0, 0, 0], [1e308] * 5, [0, 1e155, 0, 0, 1e155]])
+def test_plan_stops_at_the_first_state_that_overflows(mode, goal):
+    plan = planner.plan_path(mode, np.zeros(5), goal, trace=True)
+    if plan.success:   # some families reach these goals in one exact leg
+        assert np.all(np.isfinite(plan.achieved))
+        return
+    assert plan.iterations <= 3
+    assert not np.all(np.isfinite(plan.achieved)) or not np.all(np.isfinite(plan.gap))
+    assert not plan.trace[-1][0] < math.inf and plan.trace[-1][1] == 0
+    assert all(np.isfinite(plan.trace[k][0]) for k in range(len(plan.trace) - 1))
+
+
+def test_plan_stops_when_the_gap_itself_overflows():
+    plan = planner.plan_path(ManeuverMode.ATTACKING, [-1e308, 0, 0, 0, 0],
+                             [1e308, 0, 0, 0, 0])
+    assert not plan.success
+    assert plan.iterations == 1 and plan.legs == ()
 
 
 def test_replay_survives_a_plan_that_overflows():

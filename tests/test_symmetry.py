@@ -176,8 +176,9 @@ def _lstsq_membership(X, S, p, ideal):
             / (float(np.linalg.norm(S.value(p))) + float(np.linalg.norm(lie))))
 
 
-_EULER = VectorField("euler", 5, lambda p: np.array([p[0], p[1], p[2], 0.0, 0.0]),
-                     lambda p: np.diag([1.0, 1.0, 1.0, 0.0, 0.0]))
+_EULER_SCALE = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
+_EULER = VectorField("euler", 5, lambda p: p * _EULER_SCALE,
+                     lambda p: np.broadcast_to(np.diag(_EULER_SCALE), p.shape + (5,)))
 
 
 @pytest.mark.parametrize("fields,structure,expect_symmetric", [
