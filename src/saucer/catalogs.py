@@ -21,10 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forms import VectorField
-
-#: Complex-step size of the catalog Jacobians.
-COMPLEX_STEP = 1e-30
+from .forms import VectorField, complex_step_derivative
 
 
 def _e(x, y, z, a, b):
@@ -108,10 +105,6 @@ G2_FIELDS = (
     lambda x, y, z, a, b: (0, 0, 1, 0, 0),
 )
 
-#: The five complex-step directions, shaped to lead a stack of points.
-_STEPS = 1j * COMPLEX_STEP * np.eye(5)
-
-
 def _components(fn, p: np.ndarray) -> np.ndarray:
     """fn at every point of a stack (..., 5), as (..., 5); constants broadcast."""
     shape = p.shape[:-1]
@@ -124,8 +117,7 @@ def _field(name: str, fn) -> VectorField:
         return _components(fn, p)
 
     def jacobian(p: np.ndarray) -> np.ndarray:
-        steps = _STEPS.reshape((5,) + (1,) * (p.ndim - 1) + (5,))
-        return np.moveaxis(_components(fn, p + steps).imag / COMPLEX_STEP, 0, -1)
+        return np.moveaxis(complex_step_derivative(value, p), 0, -1)
 
     return VectorField(name, 5, value, jacobian)
 

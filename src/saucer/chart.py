@@ -9,11 +9,12 @@ Coordinate order everywhere: (x, y, z, a, b) = indices 0..4.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import DifferentialForm, FormValue, VectorField, exterior_derivative
+from .forms import DifferentialForm, FormValue, VectorField, exterior_derivative_stack
 
 COORD_NAMES = ("x", "y", "z", "a", "b")
 DIM = 5
@@ -27,7 +28,10 @@ class OutsideChart(ValueError):
 
 @dataclass(frozen=True)
 class AmbientConfig:
-    """Disc center r and unit normal n in ambient coordinates."""
+    """Disc center r and unit normal n in ambient coordinates.
+
+    One configuration holds two (3,) vectors; a stack of them, (m, 3) each.
+    """
 
     r: np.ndarray
     n: np.ndarray
@@ -35,8 +39,10 @@ class AmbientConfig:
     def __post_init__(self):
         object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
         object.__setattr__(self, "n", np.asarray(self.n, dtype=float))
-        assert self.r.shape == (3,) and self.n.shape == (3,)
-        if abs(np.linalg.norm(self.n) - 1.0) > _UNIT_NORM_TOL:
+        if self.r.shape[-1:] != (3,) or self.r.shape != self.n.shape:
+            raise ValueError("r and n must be 3-vectors, or stacks of them, "
+                             f"of one shape; got {self.r.shape} and {self.n.shape}")
+        if np.any(np.abs(np.linalg.norm(self.n, axis=-1) - 1.0) > _UNIT_NORM_TOL):
             raise ValueError("normal must be a unit vector")
 
     def to_json_dict(self) -> dict:
@@ -51,29 +57,47 @@ def point_to_json_dict(p: np.ndarray) -> dict:
     return {name: float(v) for name, v in zip(COORD_NAMES, p)}
 
 
-def normal_scale(p: np.ndarray) -> float:
-    """|N| = sqrt(1 + a^2 + b^2), the normalization factor of the chart."""
-    return float(np.sqrt(1.0 + p[3] ** 2 + p[4] ** 2))
+def normal_scale(p: np.ndarray) -> "float | np.ndarray":
+    """|N| = sqrt(1 + a^2 + b^2), the normalization factor of the chart.
+
+    At one point (5,) or each point of a stack (..., 5). No abs or norm, so
+    complex-step points pass through: the square root is analytic there.
+    """
+    p = np.asarray(p)
+    a, b = p[..., 3], p[..., 4]
+    return np.sqrt(1.0 + a * a + b * b)
 
 
 def chart_from_ambient(c: AmbientConfig) -> np.ndarray:
-    if c.n[2] <= 0.0:
-        raise OutsideChart("n_z = %.6g is not positive" % c.n[2])
-    a = -c.n[0] / c.n[2]
-    b = -c.n[1] / c.n[2]
-    return np.array([c.r[0], c.r[1], c.r[2], a, b])
+    """Chart point (5,) of one configuration, or (m, 5) of a stack."""
+    nz = c.n[..., 2]
+    if np.any(nz <= 0.0):
+        raise OutsideChart("n_z = %.6g is not positive" % np.min(nz))
+    ab = -c.n[..., :2] / nz[..., None]
+    return np.concatenate([c.r, ab], axis=-1)
 
 
 def ambient_from_chart(p: np.ndarray) -> AmbientConfig:
+    """Configuration of one chart point (5,), or a stack of them for (m, 5)."""
     p = np.asarray(p, dtype=float)
-    assert np.all(np.isfinite(p))
-    N = np.array([-p[3], -p[4], 1.0])
-    return AmbientConfig(r=p[:3].copy(), n=N / np.linalg.norm(N))
+    if not np.all(np.isfinite(p)):
+        raise ValueError("chart point must be finite")
+    N = np.concatenate([-p[..., 3:], np.ones(p.shape[:-1] + (1,))], axis=-1)
+    return AmbientConfig(r=p[..., :3].copy(), n=N / normal_scale(p)[..., None])
 
 
 def contact_covector(p: np.ndarray) -> np.ndarray:
-    """Components of w0 = dz - a dx - b dy against (dx, dy, dz, da, db)."""
-    return np.array([-p[3], -p[4], 1.0, 0.0, 0.0])
+    """Components of w0 = dz - a dx - b dy against (dx, dy, dz, da, db).
+
+    At one point (5,) or each point of a stack (..., 5); complex points give
+    complex components.
+    """
+    p = np.asarray(p)
+    out = np.zeros(p.shape, dtype=np.result_type(p, float))
+    out[..., 0] = -p[..., 3]
+    out[..., 1] = -p[..., 4]
+    out[..., 2] = 1.0
+    return out
 
 
 def contact_value(p: np.ndarray, v: np.ndarray) -> float:
@@ -112,12 +136,15 @@ def _frame_field(name: str, x_comp: float, y_comp: float, a_comp: float,
                  b_comp: float) -> VectorField:
     # distribution fields c1*(dx-dir + a dz-dir) + ... have only one varying slot
     def value(p: np.ndarray) -> np.ndarray:
-        return np.array([x_comp, y_comp, x_comp * p[3] + y_comp * p[4], a_comp, b_comp])
+        out = np.empty(p.shape)
+        out[..., :] = (x_comp, y_comp, 0.0, a_comp, b_comp)
+        out[..., 2] = x_comp * p[..., 3] + y_comp * p[..., 4]
+        return out
 
     def jacobian(p: np.ndarray) -> np.ndarray:
-        J = np.zeros((DIM, DIM))
-        J[2, 3] = x_comp
-        J[2, 4] = y_comp
+        J = np.zeros(p.shape + (DIM,))
+        J[..., 2, 3] = x_comp
+        J[..., 2, 4] = y_comp
         return J
 
     return VectorField(name, DIM, value, jacobian)
@@ -155,48 +182,76 @@ _VOLUME_FRAME_VECTORS = (
 )
 
 
-def contact_nondegeneracy(p: np.ndarray) -> float:
+def _triple_tensor() -> np.ndarray:
+    """T with coefficient(dw ^ dw ^ w) = T[i, j, k, l, m] dw_ij dw_kl w_m.
+
+    dw = 1/2 dw_ij dx^i ^ dx^j, so the 5-form is 1/4 eps^{ijklm} dw_ij dw_kl
+    w_m against dx^0 ^ .. ^ dx^4; the frame-oriented volume differs from
+    that one by the determinant of the frame vectors.
+    """
+    eps = np.zeros((DIM,) * DIM)
+    for perm in itertools.permutations(range(DIM)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(DIM), 2))
+        eps[perm] = -1.0 if inversions % 2 else 1.0
+    return 0.25 * np.linalg.det(np.column_stack(_VOLUME_FRAME_VECTORS)) * eps
+
+
+_TRIPLE_TENSOR = _triple_tensor()
+
+#: da ^ db ^ dx ^ dy ^ dz against the frame-oriented volume.
+_AREA_VOLUME = FormValue(DIM, 2, {(3, 4): 1.0}).wedge(
+    FormValue(DIM, 3, {(0, 1, 2): 1.0})).evaluate(*_VOLUME_FRAME_VECTORS)
+
+
+def _triple_coefficient(dw: np.ndarray, w: np.ndarray) -> "float | np.ndarray":
+    """Coefficient of dw ^ dw ^ w against the frame-oriented volume, per point."""
+    # contract w first, G[.., ij, kl] = T[i, j, k, l, m] w_m, then F G F^T
+    # over the flattened dw: two matrix products instead of a five-index sum
+    G = (w @ _TRIPLE_TENSOR.reshape(DIM ** 4, DIM).T).reshape(w.shape[:-1] + (DIM * DIM,) * 2)
+    F = dw.reshape(dw.shape[:-2] + (1, DIM * DIM))
+    value = (F @ G @ np.swapaxes(F, -1, -2))[..., 0, 0]
+    return float(value) if w.ndim == 1 else value
+
+
+def contact_nondegeneracy(p: np.ndarray) -> "float | np.ndarray":
     """Coefficient of dw0 ^ dw0 ^ w0 against the frame-oriented volume.
 
     The constant is 2. The volume is dx^dy^db^da^dz (the orientation that
     makes the distribution frame positive); against the alphabetical ordering
     dx^dy^da^db^dz the same 5-form has coefficient -2, which is the price of
-    one transposition. Computed through the generic engine with the
-    finite-difference exterior derivative, not the registered closed form.
+    one transposition. At one point (5,) or each point of a stack (m, 5).
+    dw0 is the complex-step exterior derivative of the components, not the
+    registered closed form.
     """
     p = np.asarray(p, dtype=float)
-    fd_contact = DifferentialForm("w0-fd", DIM, 1, _contact_coeff_fn)
-    dw = exterior_derivative(fd_contact, p)
-    triple = dw.wedge(dw).wedge(fd_contact.value(p))
-    return triple.evaluate(*_VOLUME_FRAME_VECTORS)
+    return _triple_coefficient(exterior_derivative_stack(contact_covector, p),
+                               contact_covector(p))
 
 
-def ambient_nondegeneracy_pair(p: np.ndarray) -> tuple[float, float]:
+def _ambient_covector(q: np.ndarray) -> np.ndarray:
+    """n . dr pulled back to the chart: w0 / |N|."""
+    return contact_covector(q) / normal_scale(q)[..., None]
+
+
+def ambient_nondegeneracy_pair(p: np.ndarray) -> tuple:
     """Both sides of the ambient identity (n.dr version of the triple product).
 
     Returns (coefficient of d(w)^d(w)^w, coefficient of -2 vol_{S2}^vol_{R3}),
     both against the frame-oriented volume, where w = n . dr is the unscaled
     ambient contact form pulled back to the chart and vol_{S2} is the sphere
-    area form pulled back through a -> n(a, b).
+    area form pulled back through a -> n(a, b). At one point (5,), as floats,
+    or each point of a stack (m, 5), as arrays; d(w) is a complex step.
     """
     p = np.asarray(p, dtype=float)
-
-    def ambient_covector(q: np.ndarray) -> FormValue:
-        return FormValue.covector(contact_covector(q) / normal_scale(q))
-
-    w = DifferentialForm("n.dr", DIM, 1, ambient_covector)
-    dw = exterior_derivative(w, p)
-    lhs = dw.wedge(dw).wedge(w.value(p)).evaluate(*_VOLUME_FRAME_VECTORS)
-
-    a, b = p[3], p[4]
-    f = 1.0 / normal_scale(p)
-    N = np.array([-a, -b, 1.0])
+    lhs = _triple_coefficient(exterior_derivative_stack(_ambient_covector, p),
+                              _ambient_covector(p))
+    a, b = p[..., 3], p[..., 4]
+    f = (1.0 / normal_scale(p))[..., None]
+    N = np.stack([-a, -b, np.ones_like(a)], axis=-1)
     # exact partials of n = f N; df/da = -a f^3, dN/da = (-1, 0, 0)
-    n_a = (-a * f ** 3) * N + f * np.array([-1.0, 0.0, 0.0])
-    n_b = (-b * f ** 3) * N + f * np.array([0.0, -1.0, 0.0])
-    sigma = float((f * N) @ np.cross(n_a, n_b))
+    n_a = (-a[..., None] * f ** 3) * N + f * np.array([-1.0, 0.0, 0.0])
+    n_b = (-b[..., None] * f ** 3) * N + f * np.array([0.0, -1.0, 0.0])
+    sigma = np.sum((f * N) * np.cross(n_a, n_b), axis=-1)
     # vol_{S2} ^ vol_{R3} = sigma da^db ^ dx^dy^dz
-    area = FormValue(DIM, 2, {(3, 4): sigma})
-    vol3 = FormValue(DIM, 3, {(0, 1, 2): 1.0})
-    rhs = area.wedge(vol3).scaled(-2.0).evaluate(*_VOLUME_FRAME_VECTORS)
-    return lhs, rhs
+    rhs = -2.0 * sigma * _AREA_VOLUME
+    return lhs, (float(rhs) if p.ndim == 1 else rhs)

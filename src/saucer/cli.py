@@ -17,6 +17,7 @@ import numbers
 import os
 import re
 import sys
+import time
 import warnings
 from typing import Sequence
 
@@ -26,7 +27,7 @@ from . import fibration, gl2, planner
 from .kernels import BACKEND
 from .maneuvers import (ChartEscapeWarning, ControlProgram, ManeuverMode,
                         constraint_residuals, integrate_trajectory)
-from .reports import format_compact, format_pretty
+from .reports import format_compact, format_pretty, timings_payload
 from .sampling import DEFAULT_SEED
 from .suites import SUITE_NAMES, catalog_report, run_suites
 
@@ -206,6 +207,8 @@ def _cmd_verify(args) -> int:
     if not jobs_ok:
         raise _usage_error(f"jobs must be an integer >= 1, got {jobs!r}")
     if args.catalog is not None:
+        if args.timings:
+            raise _usage_error("--timings applies to suite runs, not to --catalog")
         if suite != "symmetry":
             raise _usage_error("--catalog is only meaningful with --suite symmetry")
         try:
@@ -215,9 +218,15 @@ def _cmd_verify(args) -> int:
         _emit(_payload_text(payload, fmt), args.out)
         return 0 if payload["pass"] else 1
     names = SUITE_NAMES if suite == "all" else (suite,)
+    start = time.perf_counter()
     reports = run_suites(names, seed)
+    total_s = time.perf_counter() - start
     text = format_pretty(reports) if fmt == "pretty" else format_compact(reports)
     _emit(text, args.out)
+    if args.timings:
+        with open(args.timings, "w", encoding="utf-8") as fh:
+            json.dump(timings_payload(reports, total_s), fh, indent=2)
+            fh.write("\n")
     return 0 if all(rep.passed for rep in reports) else 1
 
 
@@ -406,6 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --suite symmetry: focused per-field catalog report")
     p.add_argument("--format", choices=("pretty", "compact"), default=None)
     p.add_argument("--out", metavar="FILE", default=None)
+    p.add_argument("--timings", metavar="FILE", default=None,
+                   help="also write per-check wall times in seconds, "
+                        "{suite: {check: s}} and the total, to FILE")
     p.set_defaults(func=_cmd_verify)
 
     p = subs.add_parser("simulate", help="integrate a maneuver control law")

@@ -22,8 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import kernels
-from .forms import (DifferentialForm, FormValue, VectorField, bracket,
-                    exterior_derivative)
+from .forms import VectorField, bracket, exterior_derivative_stack
 
 FDIM = 6
 FORM_LABELS = ("w0", "w1", "w2", "w3", "w4", "w7")
@@ -98,40 +97,58 @@ _CHARTS = {"x": (_x_coframe, _x_frame, _x_frame_derivative),
 
 
 def _chart_at(chart: str, p: np.ndarray) -> tuple:
-    """The chart's (coframe, frame, frame derivative) builders and p as floats."""
+    """The chart's (coframe, frame, frame derivative) builders, p's six
+    coordinates, and the leading shape and dtype of the matrices to build."""
     try:
         builders = _CHARTS[chart]
     except KeyError:
         raise ValueError(f"unknown chart {chart!r}") from None
-    return builders, np.asarray(p, dtype=float).tolist()
+    p = np.asarray(p)
+    return builders, np.moveaxis(p, -1, 0), p.shape[:-1], np.result_type(p, float)
+
+
+def _matrix(rows, lead: tuple, dtype) -> np.ndarray:
+    """Written-out entries (numbers or arrays of shape lead) as (*lead, n, n)."""
+    out = np.empty(lead + (len(rows), len(rows[0])), dtype=dtype)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
 
 
 def coframe(chart: str, p: np.ndarray) -> np.ndarray:
-    """C[i, m]: coefficient of d(coord m) in form i, order FORM_LABELS."""
-    builders, coords = _chart_at(chart, p)
-    return np.array(builders[0](*coords), dtype=float)
+    """C[..., i, m]: coefficient of d(coord m) in form i, order FORM_LABELS.
+
+    At one point (6,) or each point of a stack (..., 6); the entries are
+    plain arithmetic, so complex points give complex coframes.
+    """
+    builders, coords, lead, dtype = _chart_at(chart, p)
+    return _matrix(builders[0](*coords), lead, dtype)
 
 
 def frame(chart: str, p: np.ndarray) -> np.ndarray:
-    """Columns are the frame vectors dual to the coframe: w^i(e_j) = delta."""
-    builders, coords = _chart_at(chart, p)
-    return np.array(builders[1](*coords), dtype=float)
+    """Columns are the frame vectors dual to the coframe: w^i(e_j) = delta.
+
+    At one point (6,) or each point of a stack (..., 6).
+    """
+    builders, coords, lead, dtype = _chart_at(chart, p)
+    return _matrix(builders[1](*coords), lead, dtype)
 
 
 def frame_derivative(chart: str, p: np.ndarray) -> np.ndarray:
-    """dE[i, j, m] = d E[i, j] / d(coord m): the frame's exact point derivative."""
-    builders, coords = _chart_at(chart, p)
-    dE = np.zeros((FDIM,) * 3)
+    """dE[..., i, j, m] = d E[i, j] / d(coord m): the frame's exact point derivative."""
+    builders, coords, lead, dtype = _chart_at(chart, p)
+    dE = np.zeros(lead + (FDIM,) * 3, dtype=dtype)
     for index, value in builders[2](*coords).items():
-        dE[index] = value
+        dE[(...,) + index] = value
     return dE
 
 
 def frame_field(chart: str, j: int) -> VectorField:
     """Frame vector e_j as a vector field on the chart, exact Jacobian."""
     name = f"{chart}-e{(0, 1, 2, 3, 4, 7)[j]}"
-    return VectorField(name, FDIM, lambda p: frame(chart, p)[:, j],
-                       lambda p: frame_derivative(chart, p)[:, j])
+    return VectorField(name, FDIM, lambda p: frame(chart, p)[..., :, j],
+                       lambda p: frame_derivative(chart, p)[..., :, j, :])
 
 
 #: Nonzero frame commutators, keyed by frame positions (0..4 = e0..e4, 5 = e7):
@@ -150,35 +167,39 @@ FRAME_COMMUTATORS = {
 }
 
 
-def verify_frame_commutators(chart: str, points: np.ndarray) -> float:
-    """Worst deviation of the listed frame brackets from the stated table."""
+def frame_commutator_residuals(chart: str, points: np.ndarray) -> np.ndarray:
+    """Per point (m,): worst deviation of the listed frame brackets from the table."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     fields = [frame_field(chart, j) for j in range(FDIM)]
-    worst = 0.0
+    F = frame(chart, pts)
+    worst = np.zeros(len(pts))
     for (i, j), combo in FRAME_COMMUTATORS.items():
-        for p in pts:
-            got = bracket(fields[i], fields[j], p)
-            expected = np.zeros(FDIM)
-            F = frame(chart, p)
-            for k, coef in combo.items():
-                expected += coef * F[:, k]
-            worst = max(worst, float(np.max(np.abs(got - expected))))
+        expected = np.zeros(pts.shape)
+        for k, coef in combo.items():
+            expected += coef * F[:, :, k]
+        got = bracket(fields[i], fields[j], pts)
+        worst = np.maximum(worst, np.max(np.abs(got - expected), axis=1))
     return worst
+
+
+def verify_frame_commutators(chart: str, points: np.ndarray) -> float:
+    """Worst deviation of the listed frame brackets from the stated table."""
+    return float(np.max(frame_commutator_residuals(chart, points)))
 
 
 # -- chart transition ----------------------------------------------------------
 
 def y_from_x(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    x0, x1, x2, x3, x4, x5 = x
-    return np.array([
+    """y chart coordinates of one x point (6,) or a stack (..., 6)."""
+    x0, x1, x2, x3, x4, x5 = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+    return np.stack([
         x0 + x1 * x4 + 3 * x5 * x2 * x4 - x5 ** 3 * x4 ** 2,
         x1 + x5 ** 3 * x4,
         x2 - x5 ** 2 * x4,
         x3 + x5 * x4,
         x5,
         x4,
-    ])
+    ], axis=-1)
 
 
 def x_from_y(y: np.ndarray) -> np.ndarray:
@@ -231,28 +252,30 @@ _EDS_RHS = {
 }
 
 
-def eds_residual(chart: str, points: np.ndarray) -> float:
-    """Worst coefficient error in the six structure equations at the points.
+def eds_residuals(chart: str, points: np.ndarray) -> np.ndarray:
+    """Per point (m,): worst coefficient error over the six structure equations.
 
-    The exterior derivatives are taken by finite differences through the
-    generic engine, so this exercises the coframe itself rather than any
-    registered closed form.
+    The error of an equation is the norm of its 2-form, the root of the sum
+    of squared coefficients over i < j. The exterior derivatives are complex
+    steps of the coframe's own entries through the generic engine, so this
+    exercises the coframe itself rather than any registered closed form;
+    the coframe is built once for the points and once for their copies.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    worst = 0.0
-    for k in range(FDIM):
-        form = DifferentialForm(
-            FORM_LABELS[k], FDIM, 1,
-            lambda p, k=k: FormValue.covector(coframe(chart, p)[k]))
-        for p in pts:
-            d = exterior_derivative(form, p)
-            C = coframe(chart, p)
-            rhs = FormValue.zero(FDIM, 2)
-            for i, j, coef in _EDS_RHS[k]:
-                rhs = rhs + FormValue.covector(C[i]).wedge(
-                    FormValue.covector(C[j])).scaled(coef)
-            worst = max(worst, (d - rhs).norm())
-    return worst
+    C = coframe(chart, pts)
+    dw = exterior_derivative_stack(lambda q: coframe(chart, q), pts)
+    rhs = np.zeros(dw.shape)
+    for k, terms in _EDS_RHS.items():
+        for i, j, coef in terms:
+            wedge = coef * C[:, i, :, None] * C[:, j, None, :]
+            rhs[:, k] += wedge - np.swapaxes(wedge, -1, -2)
+    err = dw - rhs
+    return np.max(np.sqrt(0.5 * np.sum(err * err, axis=(-2, -1))), axis=1)
+
+
+def eds_residual(chart: str, points: np.ndarray) -> float:
+    """Worst coefficient error in the six structure equations at the points."""
+    return float(np.max(eds_residuals(chart, points)))
 
 
 # -- joystick controls ---------------------------------------------------------

@@ -1,11 +1,17 @@
 """Exterior calculus and tensor fields on coordinate charts of dimension <= 6.
 
-Forms are stored sparsely over sorted index combinations of the coordinate
-coframe; the dimensions here are tiny (4, 5, or 6), so clarity wins over
-vectorization. The Lie derivative of a symmetric tensor also comes stacked
-over many points at once, for the symmetry checks. Vector fields carry
-closed-form Jacobians where the caller knows them; everything else falls
-back to central finite differences with step h = 1e-5 * max(1, |p|).
+Form values at one point are stored sparsely over sorted index combinations
+of the coordinate coframe. The certificates work on whole sample sets, so
+the array routines take one point (d,) or a stack (m, d) and evaluate it
+with array expressions: brackets, Lie derivatives of symmetric tensors and
+the exterior derivative of a 1-form. That derivative is a complex step,
+
+    d_i w_j = Im w_j(p + i h e_i) / h,    h = 1e-30,
+
+exact to roundoff for real-analytic forms (Squire and Trapp, SIAM Review 40,
+1998), so it leaves no sqrt(eps) floor. Vector fields carry closed-form
+Jacobians where the caller knows them; everything else falls back to central
+finite differences with step h = 1e-5 * max(1, |p|), one step per point.
 """
 from __future__ import annotations
 
@@ -18,11 +24,20 @@ import numpy as np
 
 FD_STEP = 1e-5
 
+#: Step of the complex-step derivatives; far below the rounding unit, since
+#: nothing is subtracted.
+COMPLEX_STEP = 1e-30
+
 Coeffs = dict[tuple[int, ...], float]
 
 
-def _fd_step(p: np.ndarray) -> float:
-    return FD_STEP * max(1.0, float(np.linalg.norm(p)))
+def _fd_step(p: np.ndarray) -> np.ndarray:
+    """1e-5 * max(1, |p|) for one point (1,) or for each row of a stack (m, 1).
+
+    |p| is summed the same way for a point and for a row, so a stacked
+    difference quotient equals the per-point ones bit for bit.
+    """
+    return FD_STEP * np.maximum(1.0, np.sqrt(np.sum(p * p, axis=-1, keepdims=True)))
 
 
 def _merge_indices(left: tuple[int, ...], right: tuple[int, ...]):
@@ -160,7 +175,7 @@ def exterior_derivative(alpha: DifferentialForm, p: np.ndarray) -> FormValue:
     p = np.asarray(p, dtype=float)
     if alpha.d_fn is not None:
         return alpha.d_fn(p)
-    h = _fd_step(p)
+    h = _fd_step(p)[0]
     coeffs: Coeffs = {}
     for i in range(alpha.dim):
         step = np.zeros(alpha.dim)
@@ -203,17 +218,20 @@ class VectorField:
         return np.asarray(self.value_fn(np.asarray(p, dtype=float)), dtype=float)
 
     def jacobian(self, p: np.ndarray) -> np.ndarray:
-        """J[m, i] = d(X^m)/dx^i, closed form when registered."""
+        """J[..., m, i] = d(X^m)/dx^i at one point (d,) or a stack (n, d).
+
+        Closed form when registered, else central differences with the step
+        of each point, so a stacked row equals the per-point call.
+        """
         p = np.asarray(p, dtype=float)
         if self.jacobian_fn is not None:
             return np.asarray(self.jacobian_fn(p), dtype=float)
         h = _fd_step(p)
         cols = []
         for i in range(self.dim):
-            step = np.zeros(self.dim)
-            step[i] = h
+            step = h * np.eye(self.dim)[i]
             cols.append((self.value(p + step) - self.value(p - step)) / (2.0 * h))
-        return np.column_stack(cols)
+        return np.stack(cols, axis=-1)
 
 
 def constant_field(name: str, components) -> VectorField:
@@ -224,10 +242,43 @@ def constant_field(name: str, components) -> VectorField:
                        lambda p: np.zeros(p.shape + (dim,)))
 
 
+def _apply(J: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """J v for one matrix (d, d) or a stack (m, d, d); a stacked row is the
+    same matrix-vector product as the single one, bit for bit."""
+    return (J @ v[..., None])[..., 0]
+
+
 def bracket(X: VectorField, Y: VectorField, p: np.ndarray) -> np.ndarray:
-    """[X, Y](p) = J_Y(p) X(p) - J_X(p) Y(p)."""
+    """[X, Y](p) = J_Y(p) X(p) - J_X(p) Y(p) at one point (d,) or a stack (m, d)."""
     p = np.asarray(p, dtype=float)
-    return Y.jacobian(p) @ X.value(p) - X.jacobian(p) @ Y.value(p)
+    return _apply(Y.jacobian(p), X.value(p)) - _apply(X.jacobian(p), Y.value(p))
+
+
+def complex_step_derivative(fn: Callable[[np.ndarray], np.ndarray],
+                            p: np.ndarray) -> np.ndarray:
+    """D[k, ...] = d fn / dx^k at one point (d,) or each point of a stack (m, d).
+
+    fn maps points (..., d) to values (..., *shape) in plain arithmetic (no
+    float(), abs or norm), so it takes complex points; it is called once, on
+    the d copies p + i h e_k stacked on a new leading axis, h = COMPLEX_STEP.
+    """
+    p = np.asarray(p, dtype=float)
+    d = p.shape[-1]
+    steps = (1j * COMPLEX_STEP * np.eye(d)).reshape((d,) + (1,) * (p.ndim - 1) + (d,))
+    return np.asarray(fn(p + steps)).imag / COMPLEX_STEP
+
+
+def exterior_derivative_stack(covector_fn: Callable[[np.ndarray], np.ndarray],
+                              p: np.ndarray) -> np.ndarray:
+    """d of 1-forms given by their components, by one complex-step call.
+
+    covector_fn maps points (..., d) to components (..., d), or (..., n, d)
+    for n forms at once, as `complex_step_derivative` requires. Returns
+    dw[..., i, j] = d_i w_j - d_j w_i, the coefficient of dx^i ^ dx^j for
+    i < j, at one point (d,) or each point of a stack (m, d).
+    """
+    grad = np.moveaxis(complex_step_derivative(covector_fn, p), 0, -2)
+    return grad - np.swapaxes(grad, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -249,7 +300,7 @@ class SymTensorField:
         p = np.asarray(p, dtype=float)
         if self.point_derivative_fn is not None:
             return np.asarray(self.point_derivative_fn(p), dtype=float)
-        h = _fd_step(p)
+        h = _fd_step(p)[0]
         out = np.empty((self.dim,) + (self.dim,) * self.rank)
         for m in range(self.dim):
             step = np.zeros(self.dim)

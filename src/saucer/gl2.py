@@ -30,13 +30,13 @@ class NullClass(enum.Enum):
     NOT_NULL = "NotNull"
 
 
+#: Slot of X holding the spinor entry T[A, B, C]: the count of index 1.
+_SPINOR_SLOTS = np.indices((2, 2, 2)).sum(axis=0)
+
+
 def spinor_from_vector(X: np.ndarray) -> np.ndarray:
-    """Totally symmetric (2,2,2) tensor for X; entry by count of index 1."""
-    X = np.asarray(X, dtype=float)
-    T = np.empty((2, 2, 2))
-    for idx in itertools.product((0, 1), repeat=3):
-        T[idx] = X[sum(idx)]
-    return T
+    """Totally symmetric (2,2,2) tensor for X (4,), or (..., 2, 2, 2) for a stack."""
+    return np.asarray(X, dtype=float)[..., _SPINOR_SLOTS]
 
 
 def vector_from_spinor(T: np.ndarray) -> np.ndarray:
@@ -44,26 +44,26 @@ def vector_from_spinor(T: np.ndarray) -> np.ndarray:
 
 
 def endomorphism_L(X: np.ndarray) -> np.ndarray:
-    """The natural trace-free 2x2 endomorphism of X (closed form)."""
-    x1, x2, x3, x4 = np.asarray(X, dtype=float)
-    return np.array([
-        [x2 * x3 - x1 * x4, -2.0 * x2 ** 2 + 2.0 * x1 * x3],
-        [2.0 * x3 ** 2 - 2.0 * x2 * x4, -x2 * x3 + x1 * x4],
-    ])
+    """The natural trace-free 2x2 endomorphism of X (closed form).
+
+    X is one vector (4,), giving (2, 2), or a stack (..., 4), giving (..., 2, 2);
+    products only, so a stacked row equals the single call.
+    """
+    x1, x2, x3, x4 = np.moveaxis(np.asarray(X, dtype=float), -1, 0)
+    return np.stack([
+        np.stack([x2 * x3 - x1 * x4, -2.0 * x2 * x2 + 2.0 * x1 * x3], axis=-1),
+        np.stack([2.0 * x3 * x3 - 2.0 * x2 * x4, -x2 * x3 + x1 * x4], axis=-1),
+    ], axis=-2)
 
 
 def endomorphism_L_spinor(X: np.ndarray) -> np.ndarray:
-    """L via the spinor contraction Psi Psi eps eps eps; cross-check route."""
+    """L via the spinor contraction Psi Psi eps eps eps; cross-check route.
+
+    L[A, H] = T[A, B, C] T[D, E, F] eps[C, D] eps[B, E] eps[F, H], one
+    einsum over one vector (4,) or a stack (..., 4).
+    """
     T = spinor_from_vector(X)
-    L = np.zeros((2, 2))
-    rng = (0, 1)
-    for A, H in itertools.product(rng, rng):
-        total = 0.0
-        for B, C, D, E, F in itertools.product(rng, repeat=5):
-            total += (T[A, B, C] * T[D, E, F]
-                      * EPSILON[C, D] * EPSILON[B, E] * EPSILON[F, H])
-        L[A, H] = total
-    return L
+    return np.einsum("...ABC,...DEF,CD,BE,FH->...AH", T, T, EPSILON, EPSILON, EPSILON)
 
 
 def quartic_upsilon(X: np.ndarray) -> "float | np.ndarray":
@@ -79,14 +79,22 @@ def quartic_upsilon(X: np.ndarray) -> "float | np.ndarray":
     return float(value) if X.ndim == 1 else value
 
 
-def quartic_upsilon_det(X: np.ndarray) -> float:
-    """Upsilon(X) as det L(X); independent route, tested against the polynomial."""
-    return float(np.linalg.det(endomorphism_L(X)))
+def quartic_upsilon_det(X: np.ndarray) -> "float | np.ndarray":
+    """Upsilon(X) as det L(X); independent route, tested against the polynomial.
+
+    One vector (4,) gives a float, a stack (..., 4) one stacked determinant.
+    """
+    value = np.linalg.det(endomorphism_L(X))
+    return float(value) if np.ndim(value) == 0 else value
 
 
-def upsilon_polarized(X1, X2, X3, X4) -> float:
-    """The symmetric 4-linear extension of Upsilon by finite polarization."""
-    args = [np.asarray(v, dtype=float) for v in (X1, X2, X3, X4)]
+def upsilon_polarized(X1, X2, X3, X4) -> "float | np.ndarray":
+    """The symmetric 4-linear extension of Upsilon by finite polarization.
+
+    The arguments are vectors (4,), giving a float, or stacks (..., 4) that
+    broadcast together, giving one value per row from 15 stacked quartic calls.
+    """
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (X1, X2, X3, X4)))
     total = 0.0
     for r in range(1, 5):
         for subset in itertools.combinations(range(4), r):
@@ -177,30 +185,46 @@ def gl2_action_derivative(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def cubic_point(t: float) -> np.ndarray:
-    return np.array([1.0, t, t ** 2, t ** 3])
+def cubic_point(t) -> np.ndarray:
+    """nu(t) = (1, t, t^2, t^3): (4,) for one parameter, (..., 4) for an array."""
+    t = np.asarray(t, dtype=float)
+    return np.stack([np.ones_like(t), t, t * t, t * t * t], axis=-1)
 
 
-def cubic_velocity(t: float) -> np.ndarray:
-    return np.array([0.0, 1.0, 2.0 * t, 3.0 * t ** 2])
+def cubic_velocity(t) -> np.ndarray:
+    """nu'(t) = (0, 1, 2 t, 3 t^2): (4,) for one parameter, (..., 4) for an array."""
+    t = np.asarray(t, dtype=float)
+    return np.stack([np.zeros_like(t), np.ones_like(t), 2.0 * t, 3.0 * t * t], axis=-1)
 
 
-def tangent_point(t: float, s: float) -> np.ndarray:
-    return cubic_point(t) + s * cubic_velocity(t)
+def tangent_point(t, s) -> np.ndarray:
+    """nu(t) + s nu'(t), for one (t, s) or arrays of them that broadcast."""
+    return cubic_point(t) + np.asarray(s, dtype=float)[..., None] * cubic_velocity(t)
 
 
-def classify_direction(X: np.ndarray, tol: float = CLASSIFY_TOL) -> NullClass:
-    """Type N on the cubic cone, type II on its tangent variety, else not null.
+#: The classes in the order of the codes `classify_directions` returns.
+NULL_CLASSES = (NullClass.TYPE_N, NullClass.TYPE_II, NullClass.NOT_NULL)
 
+
+def classify_directions(X: np.ndarray, tol: float = CLASSIFY_TOL) -> np.ndarray:
+    """Codes into NULL_CLASSES for a stack of directions (m, 4), as (m,).
+
+    Type N on the cubic cone, type II on its tangent variety, else not null.
     Thresholds are relative: |g_i| against |X|^2, |Upsilon| against |X|^4.
     """
     X = np.asarray(X, dtype=float)
-    norm = float(np.linalg.norm(X))
-    if norm == 0.0:
+    norm2 = np.einsum("...i,...i->...", X, X)
+    if np.any(norm2 == 0.0):
         raise ValueError("cannot classify the zero vector")
-    g = bilinears(X, X)
-    if max(abs(v) for v in g) < tol * norm ** 2:
-        return NullClass.TYPE_N
-    if abs(quartic_upsilon(X)) < tol * norm ** 4:
-        return NullClass.TYPE_II
-    return NullClass.NOT_NULL
+    g = np.einsum("...i,kij,...j->...k", X, np.array(BILINEAR_MATRICES), X)
+    type_n = np.max(np.abs(g), axis=-1) < tol * norm2
+    type_ii = np.abs(quartic_upsilon(X)) < tol * norm2 * norm2
+    return np.where(type_n, 0, np.where(type_ii, 1, 2))
+
+
+def classify_direction(X: np.ndarray, tol: float = CLASSIFY_TOL) -> NullClass:
+    """The null class of one direction (4,); see `classify_directions`."""
+    X = np.asarray(X, dtype=float)
+    if X.shape != (4,):
+        raise ValueError(f"expected one direction of 4 components, got shape {X.shape}")
+    return NULL_CLASSES[int(classify_directions(X[None])[0])]

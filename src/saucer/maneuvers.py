@@ -98,12 +98,13 @@ def g2_coframe(p: np.ndarray) -> np.ndarray:
 
     omega^1 = dx, omega^2 = dy, omega^3 = -(1/3) db, omega^4 = da; dual to
     the Z frame, and d(omega^0) = omega^1 ^ omega^4 - 3 omega^2 ^ omega^3.
+    The rows are constant: (4, 5) at one point, (..., 4, 5) over a stack.
     """
-    C = np.zeros((4, DIM))
-    C[0, 0] = 1.0
-    C[1, 1] = 1.0
-    C[2, 4] = -1.0 / 3.0
-    C[3, 3] = 1.0
+    C = np.zeros(np.shape(p)[:-1] + (4, DIM))
+    C[..., 0, 0] = 1.0
+    C[..., 1, 1] = 1.0
+    C[..., 2, 4] = -1.0 / 3.0
+    C[..., 3, 3] = 1.0
     return C
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .chart import DIM
+from .chart import DIM, contact_covector
 from .forms import VectorField, bracket, constant_field
 from .maneuvers import ManeuverMode, Trajectory
 
@@ -42,8 +42,8 @@ FAMILY_CONTROLS: dict[ManeuverMode, tuple[tuple[float, float, float], ...]] = {
 }
 
 #: Commutator rectangle (field pair, z gain of the bracket) per mode. The
-#: landing gain 1 + b^2 depends on the point; `plan_path` reads it from
-#: `landing_depth2_contact_values`.
+#: landing gain is the contact value 1 + b^2 of [Y2, Y4] at the current point
+#: (`landing_depth2_contact_values`); `plan_path` takes it in that closed form.
 _RECTANGLE = {
     ManeuverMode.ATTACKING: ((1, 2), 3.0),
     ManeuverMode.LANDING: ((1, 3), None),
@@ -57,7 +57,10 @@ def _family_mode(mode: ManeuverMode) -> ManeuverMode:
 
 
 def family_field(mode: ManeuverMode, k: int) -> VectorField:
-    """Member k of the mode's admissible family, with exact Jacobian."""
+    """Member k of the mode's admissible family, with exact Jacobian.
+
+    Value and Jacobian take one point (5,) or a stack (m, 5).
+    """
     fmode = _family_mode(mode)
     u1, u2, u3 = FAMILY_CONTROLS[fmode][k]
     kid = fmode.kernel_id
@@ -66,14 +69,15 @@ def family_field(mode: ManeuverMode, k: int) -> VectorField:
         return kernels.velocity(kid, p, u1, u2, u3)
 
     def jacobian(p: np.ndarray) -> np.ndarray:
-        a, b = float(p[3]), float(p[4])
+        # one point's (a, b) as Python floats, which are cheaper than numpy scalars
+        a, b = (float(p[3]), float(p[4])) if p.ndim == 1 else (p[:, 3], p[:, 4])
         c1, c2, _, _ = kernels.zcoeffs(kid, a, b, u1, u2, u3)
         dca, dcb = kernels.zcoeff_grads(kid, a, b, u1, u2, u3)
-        J = np.zeros((DIM, DIM))
-        J[0, 3], J[0, 4] = dca[0], dcb[0]
-        J[1, 3], J[1, 4] = dca[1], dcb[1]
-        J[2, 3] = dca[0] * a + c1 + dca[1] * b
-        J[2, 4] = dcb[0] * a + c2 + dcb[1] * b
+        J = np.zeros(p.shape + (DIM,))
+        J[..., 0, 3], J[..., 0, 4] = dca[0], dcb[0]
+        J[..., 1, 3], J[..., 1, 4] = dca[1], dcb[1]
+        J[..., 2, 3] = dca[0] * a + c1 + dca[1] * b
+        J[..., 2, 4] = dcb[0] * a + c2 + dcb[1] * b
         return J
 
     return VectorField(f"{fmode.value}-Y{k + 1}", DIM, value, jacobian)
@@ -93,6 +97,7 @@ def bracket_field(X: VectorField, Y: VectorField) -> VectorField:
 class GeneratingReport:
     min_rank: int              # over the sample points
     worst_fifth_singular: float  # smallest 5th singular value, scaled
+    worst_point: tuple[float, ...]  # sample where that value is taken
 
     def passed(self) -> bool:
         return self.min_rank >= DIM
@@ -100,21 +105,22 @@ class GeneratingReport:
 
 def bracket_generating_report(mode: ManeuverMode,
                               points: np.ndarray) -> GeneratingReport:
-    """Rank of the family plus all pairwise brackets at each point."""
+    """Rank of the family plus all pairwise brackets at each point.
+
+    Every field is evaluated once over the whole stack, and one stacked SVD
+    gives the singular values at all points.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     fields = list(bracket_family(mode))
     fields += [bracket_field(fields[i], fields[j])
                for i, j in itertools.combinations(range(4), 2)]
-    min_rank = DIM
-    worst = math.inf
-    for p in pts:
-        A = np.stack([X.value(p) for X in fields], axis=1)
-        sv = np.linalg.svd(A, compute_uv=False)
-        scaled = float(sv[DIM - 1] / sv[0])
-        worst = min(worst, scaled)
-        rank = int(np.sum(sv > 1e-10 * sv[0]))
-        min_rank = min(min_rank, rank)
-    return GeneratingReport(min_rank, worst)
+    A = np.stack([X.value(pts) for X in fields], axis=-1)
+    sv = np.linalg.svd(A, compute_uv=False)
+    scaled = sv[:, DIM - 1] / sv[:, 0]
+    ranks = np.sum(sv > 1e-10 * sv[:, :1], axis=1)
+    worst = int(np.argmin(scaled))
+    return GeneratingReport(int(np.min(ranks)), float(scaled[worst]),
+                            tuple(float(v) for v in pts[worst]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,10 +154,10 @@ def distinguished_bracket(mode: ManeuverMode) -> DistinguishedBracket:
 
 
 def distinguished_bracket_residual(mode: ManeuverMode, points: np.ndarray) -> float:
+    """Sup norm of the identity's two sides, evaluated over the stack at once."""
     db = distinguished_bracket(mode)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return max(float(np.max(np.abs(db.field.value(p) - db.expected.value(p))))
-               for p in pts)
+    return float(np.max(np.abs(db.field.value(pts) - db.expected.value(pts))))
 
 
 class _ABPolynomial:
@@ -245,19 +251,19 @@ def landing_nested_bracket_norm(points: np.ndarray) -> float:
     return max(float(np.max(np.abs(c(pts[:, 3], pts[:, 4])))) for c in _landing_nested())
 
 
-def landing_depth2_contact_values(p: np.ndarray) -> tuple[float, float]:
+def landing_depth2_contact_values(p: np.ndarray) -> tuple:
     """Contact values of the depth-2 landing brackets [Y2, Y4] and [Y1, Y3].
 
     Both are bounded away from zero (1 + b^2 and 9(1 + a^2)), which is what
-    actually generates the missing direction for the landing family.
+    actually generates the missing direction for the landing family. At one
+    point (5,) they are floats; over a stack (m, 5), arrays.
     """
     Y = bracket_family(ManeuverMode.LANDING)
     p = np.asarray(p, dtype=float)
-    a, b = p[3], p[4]
-    w = np.array([-a, -b, 1.0, 0.0, 0.0])
-    v24 = bracket(Y[1], Y[3], p)
-    v13 = bracket(Y[0], Y[2], p)
-    return float(w @ v24), float(w @ v13)
+    w = contact_covector(p)[..., None, :]
+    v24 = (w @ bracket(Y[1], Y[3], p)[..., None])[..., 0, 0]
+    v13 = (w @ bracket(Y[0], Y[2], p)[..., None])[..., 0, 0]
+    return (float(v24), float(v13)) if p.ndim == 1 else (v24, v13)
 
 
 # -- flows and plans -----------------------------------------------------------
@@ -412,7 +418,7 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
         if abs(dz) >= 0.1 * tol:
             (i, j), coeff = _RECTANGLE[fmode]
             if coeff is None:
-                coeff = landing_depth2_contact_values(np.array(p))[0]
+                coeff = 1.0 + p[4] * p[4]
             if dz < 0.0:
                 i, j = j, i
             eps = min(MAX_RECTANGLE_EPS, math.sqrt(abs(dz) / coeff))

@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import json
+import time
 import traceback
 from typing import Callable, Sequence
 
@@ -21,6 +22,8 @@ class CheckResult:
     value: float | None = None
     detail: str = ""
     threshold: float | None = None
+    #: Wall time of the check, set by `run_checks`; never in the payload.
+    seconds: float | None = dataclasses.field(default=None, compare=False)
 
 
 Check = tuple[str, Callable[[], CheckResult]]
@@ -43,14 +46,19 @@ class SuiteReport:
 
 
 def run_checks(checks: Sequence[Check]) -> tuple[CheckResult, ...]:
-    """Run check thunks in order; a check that raises becomes a failed result."""
+    """Run check thunks in order; a check that raises becomes a failed result.
+
+    Each result carries the check's wall time in `seconds`.
+    """
 
     def guarded(name: str, thunk: Callable[[], CheckResult]) -> CheckResult:
+        start = time.perf_counter()
         try:
-            return thunk()
+            result = thunk()
         except Exception as exc:  # a crashed check is a failed check
             tb = traceback.format_exc(limit=2).strip().splitlines()[-1]
-            return CheckResult(name, False, None, f"raised {exc!r} ({tb})")
+            result = CheckResult(name, False, None, f"raised {exc!r} ({tb})")
+        return dataclasses.replace(result, seconds=time.perf_counter() - start)
 
     return tuple(guarded(name, thunk) for name, thunk in checks)
 
@@ -87,6 +95,13 @@ def report_payload(reports: Sequence[SuiteReport]) -> dict:
         "pass": all(bool(rep.passed) for rep in reports),
         "timestamp": _timestamp(),
     }
+
+
+def timings_payload(reports: Sequence[SuiteReport], total_s: float) -> dict:
+    """{suite: {check: seconds}} plus the wall time of the whole run as "total"."""
+    payload: dict = {rep.suite: {r.name: r.seconds for r in rep.results} for rep in reports}
+    payload["total"] = total_s
+    return payload
 
 
 def format_pretty(reports: Sequence[SuiteReport]) -> str:

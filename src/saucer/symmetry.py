@@ -60,7 +60,7 @@ def _tensor_values(S: SymTensorField, pts: np.ndarray) -> tuple[np.ndarray, np.n
 
 def _distribution_frames(pts: np.ndarray) -> np.ndarray:
     """(m, 5, 4): the E-frame of D = ker w0 as columns at every point."""
-    return np.array([[E.value(p) for E in E_FRAME] for p in pts]).transpose(0, 2, 1)
+    return np.stack([E.value(pts) for E in E_FRAME], axis=-1)
 
 
 def _restrict_to_distribution(T: np.ndarray, frames: np.ndarray) -> np.ndarray:

@@ -80,3 +80,26 @@ def test_frame_vectors_span_distribution():
     p = point(0.4, -0.3, 0.9, 1.1, -0.7)
     A = np.stack([X.value(p) for X in E_FRAME], axis=1)
     assert np.linalg.matrix_rank(A) == 4
+
+
+def test_stacked_contact_certificates_equal_pointwise_calls():
+    pts = sample_chart_points(40, label="test.stacked-contact")
+    values = contact_nondegeneracy(pts)
+    np.testing.assert_array_equal(values, [contact_nondegeneracy(p) for p in pts])
+    assert np.max(np.abs(values - 2.0)) <= 1e-14
+    lhs, rhs = ambient_nondegeneracy_pair(pts)
+    pairs = np.array([ambient_nondegeneracy_pair(p) for p in pts])
+    np.testing.assert_allclose(lhs, pairs[:, 0], rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(rhs, pairs[:, 1], rtol=1e-13, atol=1e-15)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-13
+
+
+def test_stacked_ambient_roundtrip():
+    pts = sample_chart_points(40, label="test.stacked-ambient")
+    cfg = ambient_from_chart(pts)
+    assert cfg.n.shape == (40, 3)
+    np.testing.assert_allclose(np.linalg.norm(cfg.n, axis=1), 1.0, atol=1e-15)
+    np.testing.assert_allclose(chart_from_ambient(cfg), pts, atol=1e-12)
+    with pytest.raises(OutsideChart):
+        chart_from_ambient(AmbientConfig(r=np.zeros((2, 3)),
+                                         n=np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])))

@@ -153,6 +153,32 @@ def test_verify_out_writes_file(capsys, tmp_path):
     assert data["pass"] is True
 
 
+def test_verify_timings_cover_every_check_and_leave_stdout_alone(capsys, tmp_path):
+    timings = tmp_path / "timings.json"
+    plain = run_cli(capsys, "verify", "--suite", "all", "--seed", "7")
+    timed = run_cli(capsys, "verify", "--suite", "all", "--seed", "7",
+                    "--timings", str(timings))
+    assert plain[0] == timed[0] == 0
+    assert _without_timestamp(plain[1]) == _without_timestamp(timed[1])
+    assert "seconds" not in timed[1] and "total" not in timed[1]
+    report = json.loads(timed[1])
+    data = json.loads(timings.read_text())
+    total = data.pop("total")
+    assert {(s["suite"], c["check"]) for s in report["suites"] for c in s["checks"]} \
+        == {(suite, check) for suite, checks in data.items() for check in checks}
+    assert sum(len(checks) for checks in data.values()) == 39
+    seconds = [v for checks in data.values() for v in checks.values()]
+    assert all(v >= 0.0 for v in seconds)
+    assert total >= sum(seconds)
+
+
+def test_verify_timings_do_not_apply_to_catalog_reports(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "verify", "--suite", "symmetry", "--catalog", "g2",
+                "--timings", str(tmp_path / "t.json"))
+    assert exc.value.code == 2
+
+
 def test_classify_payload(capsys):
     code, out, _ = run_cli(capsys, "classify", "--vector", "1,2,4,8")
     assert code == 0

@@ -352,3 +352,21 @@ def test_tangency_report_names_its_worst_sample():
     empty = fibration.certify_twisted_cubic_tangency(
         fibration.ContactCurve(T, np.zeros((len(T), 5)), np.zeros((len(T), 5)), T))
     assert empty.worst_sample is None
+
+
+@pytest.mark.parametrize("chart", ["x", "y"])
+def test_stacked_frames_and_residuals_equal_pointwise_calls(chart):
+    pts = _pts6(36, 20)
+    for build in (fibration.coframe, fibration.frame, fibration.frame_derivative):
+        np.testing.assert_array_equal(build(chart, pts), [build(chart, p) for p in pts])
+    np.testing.assert_array_equal(fibration.eds_residuals(chart, pts),
+                                  [fibration.eds_residual(chart, p) for p in pts])
+    np.testing.assert_array_equal(fibration.frame_commutator_residuals(chart, pts),
+                                  [fibration.verify_frame_commutators(chart, p) for p in pts])
+    np.testing.assert_array_equal(fibration.y_from_x(pts), [fibration.y_from_x(p) for p in pts])
+
+
+def test_complex_step_structure_equations_resolve_roundoff():
+    # the central differences they replaced left a floor near 1e-9
+    for chart in ("x", "y"):
+        assert fibration.eds_residual(chart, _pts6(37, 50)) < 1e-13

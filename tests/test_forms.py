@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from saucer.chart import CONTACT_FORM, contact_covector
 from saucer.forms import (DifferentialForm, FormValue, VectorField, bracket,
                           constant_field, exterior_derivative,
+                          exterior_derivative_stack,
                           lie_derivative_form, lie_derivative_symtensor,
                           SymTensorField, wedge)
 from saucer.sampling import rng_for, sample_chart_points
@@ -159,3 +160,65 @@ def test_symtensor_lie_derivative_directional_term():
         expected[0, 0] = 2.0 * p[3] * 2.0
         expected[0, 1] = expected[1, 0] = 1.0
         assert np.max(np.abs(lie - expected)) < 1e-9
+
+
+def test_complex_step_exterior_derivative_of_the_contact_form():
+    # dw0 = dx ^ da + dy ^ db, the registered closed form, to roundoff; the
+    # central differences it replaced agree to their own truncation level
+    fd_only = DifferentialForm("w0-fd", 5, 1,
+                               lambda p: FormValue.covector(contact_covector(p)))
+    pts = sample_chart_points(40, label="test.cstep")
+    dw = exterior_derivative_stack(contact_covector, pts)
+    assert dw.shape == (40, 5, 5)
+    for p, F in zip(pts, dw):
+        for d_ref, tol in ((exterior_derivative(CONTACT_FORM, p), 1e-14),
+                           (exterior_derivative(fd_only, p), 1e-8)):
+            for (i, j), c in d_ref.coeffs.items():
+                assert abs(F[i, j] - c) <= tol
+                assert abs(F[j, i] + c) <= tol
+            listed = set(d_ref.coeffs)
+            rest = [F[i, j] for i in range(5) for j in range(i + 1, 5) if (i, j) not in listed]
+            assert max(map(abs, rest)) <= tol
+    np.testing.assert_array_equal(exterior_derivative_stack(contact_covector, pts[0]), dw[0])
+
+
+def test_complex_step_exterior_derivative_of_a_polynomial_form():
+    alpha = _poly_one_form()
+
+    def components(q):
+        x, y, z, a, b = np.moveaxis(q, -1, 0)
+        return np.stack([z * y, x * x, a * b, y, x * z], axis=-1)
+
+    pts = sample_chart_points(10, label="test.cstep.poly")
+    dw = exterior_derivative_stack(components, pts)
+    for p, F in zip(pts, dw):
+        d_fd = exterior_derivative(alpha, p)
+        for (i, j), c in d_fd.coeffs.items():
+            assert abs(F[i, j] - c) < 1e-8
+
+
+def test_stacked_brackets_equal_pointwise_brackets():
+    # a closed-form Jacobian pair, and a bracket field whose Jacobian falls
+    # back to differences with each point's own step
+    def value(p):
+        x, y, z, a, b = np.moveaxis(p, -1, 0)
+        return np.stack([y, -x, x * z, 0.5 * b, a * a], axis=-1)
+
+    def jac(p):
+        x, y, z, a, b = np.moveaxis(p, -1, 0)
+        J = np.zeros(p.shape + (5,))
+        J[..., 0, 1], J[..., 1, 0], J[..., 3, 4] = 1.0, -1.0, 0.5
+        J[..., 2, 0], J[..., 2, 2], J[..., 4, 3] = z, x, 2.0 * a
+        return J
+
+    X = VectorField("poly-field", 5, value, jac)
+    Y = constant_field("ey", [0.0, 1.0, 0.0, 0.0, 0.0])
+    Z = VectorField("[X,ey]", 5, lambda p: bracket(X, Y, p))
+    pts = sample_chart_points(30, label="test.stacked-bracket")
+    for p in pts[:3]:
+        np.testing.assert_array_equal(X.jacobian(p), _poly_field().jacobian(p))
+    for A, B in ((X, Y), (Z, X), (Z, Y)):
+        stacked = bracket(A, B, pts)
+        assert stacked.shape == (30, 5)
+        np.testing.assert_array_equal(stacked, [bracket(A, B, p) for p in pts])
+    np.testing.assert_array_equal(Z.jacobian(pts), [Z.jacobian(p) for p in pts])

@@ -139,3 +139,56 @@ def test_bilinears_and_two_form_on_cubic_frame():
     assert max(abs(g) for g in gl2.bilinears(X, X)) < 1e-12
     omega = gl2.invariant_two_form(X, V)
     assert abs(omega) < 1e-12
+
+
+def _classify_pointwise(X, tol=gl2.CLASSIFY_TOL):
+    """The one-vector classifier as it was written before it was stacked."""
+    norm = float(np.linalg.norm(X))
+    g = gl2.bilinears(X, X)
+    if max(abs(v) for v in g) < tol * norm ** 2:
+        return gl2.NullClass.TYPE_N
+    if abs(gl2.quartic_upsilon(X)) < tol * norm ** 4:
+        return gl2.NullClass.TYPE_II
+    return gl2.NullClass.NOT_NULL
+
+
+def _spinor_route_pointwise(X):
+    """L by the explicit loop over spinor indices."""
+    T = gl2.spinor_from_vector(X)
+    L = np.zeros((2, 2))
+    for A, H in itertools.product((0, 1), repeat=2):
+        L[A, H] = sum(T[A, B, C] * T[D, E, F] * gl2.EPSILON[C, D]
+                      * gl2.EPSILON[B, E] * gl2.EPSILON[F, H]
+                      for B, C, D, E, F in itertools.product((0, 1), repeat=5))
+    return L
+
+
+def test_stacked_classifier_matches_the_pointwise_one():
+    rng = np.random.default_rng(41)
+    t = rng.uniform(-1.5, 1.5, 1000)
+    s = rng.uniform(0.1, 2.0, 1000) * rng.choice([-1.0, 1.0], 1000)
+    X = np.concatenate([s[:300, None] * gl2.cubic_point(t[:300]),
+                        gl2.tangent_point(t[300:600], s[300:600]),
+                        rng.uniform(-2.0, 2.0, (400, 4))])
+    codes = gl2.classify_directions(X)
+    got = [gl2.NULL_CLASSES[c] for c in codes]
+    assert got == [_classify_pointwise(v) for v in X]
+    assert got == [gl2.classify_direction(v) for v in X]
+    np.testing.assert_array_equal(np.bincount(codes), [300, 300, 400])
+    with pytest.raises(ValueError):
+        gl2.classify_directions(np.vstack([X[:3], np.zeros(4)]))
+
+
+def test_stacked_gl2_routes_equal_pointwise_calls():
+    X = np.random.default_rng(42).uniform(-2.0, 2.0, (200, 4))
+    np.testing.assert_array_equal(gl2.upsilon_polarized(X, X, X, X),
+                                  [gl2.upsilon_polarized(v, v, v, v) for v in X])
+    Y = X[::-1]
+    np.testing.assert_array_equal(gl2.upsilon_polarized(X, Y, X, Y),
+                                  [gl2.upsilon_polarized(v, w, v, w) for v, w in zip(X, Y)])
+    for route in (gl2.endomorphism_L, gl2.endomorphism_L_spinor, gl2.quartic_upsilon_det):
+        np.testing.assert_array_equal(route(X), [route(v) for v in X])
+    spinor = gl2.endomorphism_L_spinor(X)
+    np.testing.assert_allclose(spinor, [_spinor_route_pointwise(v) for v in X],
+                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose(spinor, gl2.endomorphism_L(X), rtol=0, atol=1e-12)

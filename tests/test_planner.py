@@ -384,3 +384,42 @@ def test_replay_survives_a_plan_that_overflows():
     with np.errstate(all="ignore"):
         traj = planner.replay(plan)
     assert len(traj) <= planner.MAX_REPLAY_SAMPLES + len(plan.legs)
+
+
+def test_stacked_family_fields_equal_pointwise_calls():
+    pts = sample_chart_points(50, 92, "test-family-stack")
+    for mode in MODES:
+        for k in range(4):
+            X = planner.family_field(mode, k)
+            np.testing.assert_array_equal(X.value(pts), [X.value(p) for p in pts])
+            np.testing.assert_array_equal(X.jacobian(pts), [X.jacobian(p) for p in pts])
+        Y = planner.bracket_family(mode)
+        for i, j in ((0, 1), (1, 3), (2, 3)):
+            np.testing.assert_array_equal(bracket(Y[i], Y[j], pts),
+                                          [bracket(Y[i], Y[j], p) for p in pts])
+
+
+def test_stacked_nested_landing_bracket_equals_pointwise():
+    # three nested finite-difference Jacobians, each with its row's own step;
+    # the points of acceptance criterion 8
+    pts = sample_chart_points(10, 7, "acc.ids")
+    field = planner.distinguished_bracket(ManeuverMode.LANDING).field
+    np.testing.assert_array_equal(field.value(pts), [field.value(p) for p in pts])
+    resid = planner.distinguished_bracket_residual(ManeuverMode.LANDING, pts)
+    assert resid == max(planner.distinguished_bracket_residual(ManeuverMode.LANDING, p)
+                        for p in pts)
+    assert f"{resid:.3e}" == "9.000e+00"
+
+
+def test_stacked_depth2_values_and_generating_report():
+    pts = sample_chart_points(40, 27, "test-depth2-stack")
+    v24, v13 = planner.landing_depth2_contact_values(pts)
+    per_point = np.array([planner.landing_depth2_contact_values(p) for p in pts])
+    np.testing.assert_allclose(v24, per_point[:, 0], rtol=1e-13, atol=0)
+    np.testing.assert_allclose(v13, per_point[:, 1], rtol=1e-13, atol=0)
+    for mode in MODES:
+        report = planner.bracket_generating_report(mode, pts)
+        scaled = [planner.bracket_generating_report(mode, p).worst_fifth_singular
+                  for p in pts]
+        assert report.worst_fifth_singular == min(scaled)
+        assert report.worst_point == tuple(pts[int(np.argmin(scaled))])

@@ -1,0 +1,123 @@
+"""The verify suites as a whole: sample streams, call budgets, worst samples."""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import re
+import sys
+
+import numpy as np
+
+from saucer import cli, fibration, forms, gl2, suites
+from saucer.sampling import rng_for
+
+#: sha256 over (label, samples) of every sample_chart_points and
+#: sample_vectors call the config, gl2, fibration and planner suites make at
+#: seed 5, labels sorted: the draws these checks made when they still
+#: evaluated their samples one point at a time.
+DRAWS_AT_SEED_5 = "48cbc2790abba9855fca184c13e689525f41dfbfa9f346c177a53622a0d0ef67"
+DRAW_LABELS = 26
+
+
+def test_stacked_checks_draw_the_samples_they_always_drew(monkeypatch):
+    seen = {}
+
+    def recorded(fn):
+        def sampler(count, *args, **kwargs):
+            out = fn(count, *args, **kwargs)
+            label = next(a for a in args if isinstance(a, str))
+            seen[label] = out.copy()
+            return out
+        return sampler
+
+    for name in ("sample_chart_points", "sample_vectors"):
+        monkeypatch.setattr(suites, name, recorded(getattr(suites, name)))
+    for name in ("config", "gl2", "fibration", "planner"):
+        assert suites.run_suite(name, 5).passed
+    digest = hashlib.sha256()
+    for label in sorted(seen):
+        digest.update(label.encode())
+        digest.update(seen[label].tobytes())
+    assert len(seen) == DRAW_LABELS
+    assert digest.hexdigest() == DRAWS_AT_SEED_5
+
+
+def _classification_draws_by_choice(seed):
+    """The labeled samples drawn as the per-point check drew them."""
+    rng = rng_for(seed, "gl2.classify")
+    cubic, tangent = [], []
+    for _ in range(300):
+        t = rng.uniform(-1.5, 1.5)
+        cubic.append((t, rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0])))
+    for _ in range(300):
+        t = rng.uniform(-1.5, 1.5)
+        tangent.append((t, rng.uniform(0.1, 1.0) * rng.choice([-1.0, 1.0])))
+    generic = [rng.uniform(-2.0, 2.0, size=4) for _ in range(400)]
+    return np.array(cubic), np.array(tangent), np.array(generic)
+
+
+def test_classification_sign_draw_leaves_the_samples_bitwise_unchanged():
+    for seed in (1, 5, 7919):
+        cubic, tangent, generic = _classification_draws_by_choice(seed)
+        X, codes = suites._classification_samples(seed)
+        want = np.concatenate([cubic[:, 1:] * gl2.cubic_point(cubic[:, 0]),
+                               gl2.tangent_point(*tangent.T), generic])
+        np.testing.assert_array_equal(X, want)
+        np.testing.assert_array_equal(np.bincount(codes), [300, 300, 400])
+
+
+def _count_calls(monkeypatch, functions):
+    """Count calls of each (module, name) through every saucer binding of it."""
+    counts = {}
+    for module, name in functions:
+        original = getattr(module, name)
+        key = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
+        counts[key] = 0
+
+        def counted(*args, _fn=original, _key=key, **kwargs):
+            counts[_key] += 1
+            return _fn(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod is None or not (mod_name == "saucer" or mod_name.startswith("saucer.")):
+                continue
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+def _verify_all(seed):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["verify", "--suite", "all", "--seed", str(seed),
+                         "--format", "compact"])
+    return code, out.getvalue()
+
+
+def test_verify_pass_stays_within_call_budgets(monkeypatch):
+    # brackets, coframes and quartics run over whole sample stacks, a few
+    # calls per check; action-equivariance alone stays per iteration
+    _verify_all(5)
+    counts = _count_calls(monkeypatch, [(forms, "bracket"), (fibration, "coframe"),
+                                        (gl2, "quartic_upsilon")])
+    code, _ = _verify_all(5)
+    assert code == 0
+    assert counts["forms.bracket"] <= 40, counts
+    assert counts["fibration.coframe"] <= 20, counts
+    assert counts["gl2.quartic_upsilon"] <= 150, counts
+
+
+WORST_SAMPLE_CHECKS = ("structure-equations", "contact-constant", "ambient-triple-match",
+                       "bracket-generating", "frame-commutators", "quartic-dual-route",
+                       "polarization-diagonal")
+
+
+def test_residual_checks_name_their_worst_sample():
+    _, out = _verify_all(5)
+    details = {c["check"]: c["detail"]
+               for s in json.loads(out)["suites"] for c in s["checks"]}
+    point = re.compile(r"at \((-?\d+\.\d{6}, )+-?\d+\.\d{6}\)")
+    for name in WORST_SAMPLE_CHECKS:
+        assert point.search(details[name]), (name, details[name])
