@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import fibration, gl2, planner
+from . import fibration, gl2, kernels, planner
 from .kernels import BACKEND
 from .maneuvers import (ChartEscapeWarning, ControlProgram, ManeuverMode,
                         constraint_residuals, integrate_trajectory)
@@ -102,10 +102,14 @@ def _shift_spec(spec, t0: float):
     base = fibration.ControlSpec.from_spec(spec)
     if t0 == 0.0:
         return base
-    return fibration.ControlSpec(
-        lambda s: base.value_fn(t0 + s),
-        lambda s: base.derivative_fn(t0 + s),
-        f"{base.describe} shifted by {t0:g}", vectorized=base.vectorized)
+
+    def shifted(fn):
+        def moved(s):
+            return fn(t0 + s)
+        return kernels.ArrayFunction(moved) if isinstance(fn, kernels.ArrayFunction) else moved
+
+    return fibration.ControlSpec(shifted(base.value_fn), shifted(base.derivative_fn),
+                                 f"{base.describe} shifted by {t0:g}")
 
 
 def _load_config(path: str) -> dict:

@@ -290,14 +290,15 @@ class ControlSpec:
     + phase), or any callable (derivative by central differences). Numbers
     must be finite.
 
-    With `vectorized` set, value_fn and derivative_fn take an array of times
-    and return an array, as the built-in kinds do; otherwise `values` and
-    `derivatives` call them once per distinct time.
+    `values` and `derivatives` sample value_fn and derivative_fn through
+    `kernels.sample`. The built-in kinds, and a callable that is itself a
+    `kernels.ArrayFunction`, wrap both in `kernels.ArrayFunction`, so each
+    samples a whole time array in one call, also when value_fn is passed on
+    alone; a plain callable is called once per distinct time.
     """
     value_fn: Callable[[float], float]
     derivative_fn: Callable[[float], float]
     describe: str
-    vectorized: bool = False
 
     def value(self, t: float) -> float:
         return float(self.value_fn(t))
@@ -306,15 +307,10 @@ class ControlSpec:
         return float(self.derivative_fn(t))
 
     def values(self, t: np.ndarray) -> np.ndarray:
-        return self._sample(self.value_fn, t)
+        return kernels.sample(self.value_fn, t)
 
     def derivatives(self, t: np.ndarray) -> np.ndarray:
-        return self._sample(self.derivative_fn, t)
-
-    def _sample(self, fn, t) -> np.ndarray:
-        if self.vectorized:
-            return np.asarray(fn(np.asarray(t, dtype=float)), dtype=float)
-        return kernels.at_distinct_times(fn, t)
+        return kernels.sample(self.derivative_fn, t)
 
     @staticmethod
     def from_spec(obj) -> "ControlSpec":
@@ -322,9 +318,8 @@ class ControlSpec:
             return obj
         if isinstance(obj, numbers.Real):
             c = _finite(obj, "constant control")
-            return ControlSpec(lambda t: np.full(np.shape(t), c),
-                               lambda t: np.zeros(np.shape(t)),
-                               f"const({c:g})", vectorized=True)
+            return _array_spec(lambda t: np.full(np.shape(t), c),
+                               lambda t: np.zeros(np.shape(t)), f"const({c:g})")
         if isinstance(obj, (list, tuple)):
             try:
                 coeffs = np.asarray(obj, dtype=float)
@@ -336,10 +331,9 @@ class ControlSpec:
                 raise ValueError("polynomial coefficients must be finite")
             dcoeffs = np.polynomial.polynomial.polyder(coeffs) if len(coeffs) > 1 \
                 else np.zeros(1)
-            return ControlSpec(
-                lambda t: np.polynomial.polynomial.polyval(t, coeffs),
-                lambda t: np.polynomial.polynomial.polyval(t, dcoeffs),
-                f"poly({list(map(float, coeffs))})", vectorized=True)
+            return _array_spec(lambda t: np.polynomial.polynomial.polyval(t, coeffs),
+                               lambda t: np.polynomial.polynomial.polyval(t, dcoeffs),
+                               f"poly({list(map(float, coeffs))})")
         if isinstance(obj, dict):
             kind = obj.get("kind")
             if kind not in ("sin", "cos"):
@@ -348,21 +342,28 @@ class ControlSpec:
             f = _finite(obj.get("frequency", 1.0), "frequency")
             ph = _finite(obj.get("phase", 0.0), "phase")
             if kind == "sin":
-                return ControlSpec(
-                    lambda t: A * np.sin(f * t + ph),
-                    lambda t: A * f * np.cos(f * t + ph),
-                    f"sin(A={A:g}, f={f:g}, ph={ph:g})", vectorized=True)
-            return ControlSpec(
-                lambda t: A * np.cos(f * t + ph),
-                lambda t: -A * f * np.sin(f * t + ph),
-                f"cos(A={A:g}, f={f:g}, ph={ph:g})", vectorized=True)
+                return _array_spec(lambda t: A * np.sin(f * t + ph),
+                                   lambda t: A * f * np.cos(f * t + ph),
+                                   f"sin(A={A:g}, f={f:g}, ph={ph:g})")
+            return _array_spec(lambda t: A * np.cos(f * t + ph),
+                               lambda t: -A * f * np.sin(f * t + ph),
+                               f"cos(A={A:g}, f={f:g}, ph={ph:g})")
         if callable(obj):
             h = 1e-6
+            if isinstance(obj, kernels.ArrayFunction):
+                return _array_spec(obj.fn, lambda t: (obj(t + h) - obj(t - h)) / (2.0 * h),
+                                   "callable")
             return ControlSpec(
                 lambda t: float(obj(t)),
                 lambda t: (float(obj(t + h)) - float(obj(t - h))) / (2.0 * h),
                 "callable")
         raise TypeError(f"cannot build a control from {type(obj).__name__}")
+
+
+def _array_spec(value_fn, derivative_fn, describe: str) -> ControlSpec:
+    """A spec whose two functions each take a whole array of times."""
+    return ControlSpec(kernels.ArrayFunction(value_fn), kernels.ArrayFunction(derivative_fn),
+                       describe)
 
 
 def _finite(value, what: str) -> float:

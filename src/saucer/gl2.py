@@ -137,10 +137,20 @@ BILINEAR_MATRICES = (G1_MATRIX, G2_MATRIX, G3_MATRIX)
 
 
 def bilinears(X: np.ndarray, Y: np.ndarray) -> tuple[float, float, float]:
-    """(g1, g2, g3)(X, Y); on the diagonal g1 = X1 X3 - X2^2 and so on."""
+    """(g1, g2, g3)(X, Y); on the diagonal see `bilinear_diagonals`."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     return tuple(float(X @ G @ Y) for G in BILINEAR_MATRICES)
+
+
+def bilinear_diagonals(X: np.ndarray) -> tuple:
+    """(g1, g2, g3)(X, X) = (X1 X3 - X2^2, X3^2 - X2 X4, X1 X4 - X2 X3).
+
+    X is one vector (4,), giving three floats, or a stack (..., 4), giving
+    three arrays (...); products only, so a stacked row equals the single call.
+    """
+    x1, x2, x3, x4 = np.moveaxis(np.asarray(X, dtype=float), -1, 0)
+    return x1 * x3 - x2 * x2, x3 * x3 - x2 * x4, x1 * x4 - x2 * x3
 
 
 #: Invariant 2-form omega(X, Y) = X1 Y4 - X4 Y1 - 3 X2 Y3 + 3 X3 Y2.
@@ -216,8 +226,8 @@ def classify_directions(X: np.ndarray, tol: float = CLASSIFY_TOL) -> np.ndarray:
     norm2 = np.einsum("...i,...i->...", X, X)
     if np.any(norm2 == 0.0):
         raise ValueError("cannot classify the zero vector")
-    g = np.einsum("...i,kij,...j->...k", X, np.array(BILINEAR_MATRICES), X)
-    type_n = np.max(np.abs(g), axis=-1) < tol * norm2
+    g1, g2, g3 = (np.abs(g) for g in bilinear_diagonals(X))
+    type_n = np.maximum(np.maximum(g1, g2), g3) < tol * norm2
     type_ii = np.abs(quartic_upsilon(X)) < tol * norm2 * norm2
     return np.where(type_n, 0, np.where(type_ii, 1, 2))
 

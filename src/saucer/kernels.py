@@ -15,8 +15,10 @@ Under time-varying controls the law is still triangular: c3 and c4 see only
 the controls, and c1, c2 see only (a, b) and the controls. Every RK4 stage
 slope of every step is then known before the states are, so
 `rk4_stages` and `rk4_column` run classical RK4 one coordinate at a time over
-whole columns. The controls are sampled once on `rk4_stage_times`, by
-`at_distinct_times` when a control is a scalar callable.
+whole columns. The controls are sampled once on `rk4_stage_times` by
+`sample`: an `ArrayFunction`, such as every built-in control kind, takes the
+whole time array in one call, and any other callable of time is called once
+per distinct time through `at_distinct_times`.
 """
 from __future__ import annotations
 
@@ -126,6 +128,33 @@ def rk4_constant(mode: int, p0, u1: float, u2: float, u3: float,
     for column, value in zip(out.T, flow(mode, [float(v) for v in p0], u1, u2, u3, t)):
         column[:] = value
     return out
+
+
+class ArrayFunction:
+    """A function of time that takes a whole array of times and returns their values.
+
+    Wrapping a callable in this type is how it declares that one array call
+    gives, elementwise, what one scalar call per time would; `sample` then
+    makes that one call. Called directly, it is the wrapped function.
+    """
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, t):
+        return self.fn(t)
+
+
+def sample(fn, t) -> np.ndarray:
+    """fn over the array t: the one rule by which a control is sampled.
+
+    An `ArrayFunction` is called once with the whole array; any other
+    callable goes through `at_distinct_times`, one scalar call per distinct time.
+    """
+    if isinstance(fn, ArrayFunction):
+        return np.asarray(fn(np.asarray(t, dtype=float)), dtype=float)
+    return at_distinct_times(fn, t)
 
 
 def at_distinct_times(fn, t) -> np.ndarray:

@@ -183,8 +183,11 @@ class ControlProgram:
     """Open-loop controls for one maneuver segment.
 
     Each control is a constant, a callable of time, or a control spec such as
-    `fibration.ControlSpec`, which is sampled through its own `values`. G2
-    laws ignore u3 only in the strict mode.
+    `fibration.ControlSpec`, which is sampled through its own `values`. A
+    callable wrapped in `kernels.ArrayFunction`, as every built-in control
+    kind's `value_fn` is, samples a whole time array in one call; any other
+    callable is called once per distinct time. G2 laws ignore u3 only in the
+    strict mode.
     """
     mode: ManeuverMode
     u1: "float | Callable[[float], float] | ControlSpec"
@@ -210,11 +213,12 @@ class ControlProgram:
     def controls_on(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(u1, u2, u3) over an array of times.
 
-        A spec samples the array itself; a bare callable runs once per
-        distinct time, always with one scalar time.
+        A spec samples the array itself and a bare callable goes through
+        `kernels.sample`: one array call for an `ArrayFunction`, otherwise
+        one scalar call per distinct time.
         """
         return tuple(u.values(t) if _is_spec(u)
-                     else kernels.at_distinct_times(u, t) if callable(u)
+                     else kernels.sample(u, t) if callable(u)
                      else np.full(np.shape(t), float(u))
                      for u in (self.u1, self.u2, self.u3))
 
@@ -285,7 +289,7 @@ def integrate_trajectory(program: ControlProgram, p0: Sequence[float]) -> Trajec
                                   kernels.rk4_column(p0[2], h, *slopes_z), a, b])
     vels = kernels.velocity(kid, states, *controls)
 
-    escaped = bool(np.max(np.abs(states)) > BOX_HALF_WIDTH)
+    escaped = bool(max(states.max(), -states.min()) > BOX_HALF_WIDTH)
     if escaped:
         warnings.warn("trajectory left the sampling box", ChartEscapeWarning,
                       stacklevel=2)
@@ -337,10 +341,12 @@ def constraint_residuals(traj: Trajectory, mode: ManeuverMode | None = None) -> 
             - 2.0 * ((1.0 + b * b) * va - a * b * vb) * vy
         nullity["metric"] = np.abs(g)
     else:
-        X = np.stack([vx, vy, -vb / 3.0, va], axis=1)
+        # (m, 4) view of four contiguous columns, so every product below
+        # runs over contiguous memory
+        X = np.stack([vx, vy, -vb / 3.0, va]).T
         if mode == ManeuverMode.G2_STRICT:
-            for name, G in zip(("g1", "g2", "g3"), gl2.BILINEAR_MATRICES):
-                nullity[name] = np.abs(np.einsum("si,ij,sj->s", X, G, X))
+            for name, g in zip(("g1", "g2", "g3"), gl2.bilinear_diagonals(X)):
+                nullity[name] = np.abs(g)
         nullity["upsilon"] = np.abs(gl2.quartic_upsilon(X))
     return ResidualReport(mode, contact, nullity)
 

@@ -53,8 +53,9 @@ def _config_checks(seed: int) -> list[Check]:
 
     def roundtrip() -> CheckResult:
         pts = sample_chart_points(100, seed, "config.roundtrip")
-        worst = float(np.max(np.abs(chart_from_ambient(ambient_from_chart(pts)) - pts)))
-        return _result("chart-roundtrip", worst, 1e-12, "100 points")
+        errors = np.max(np.abs(chart_from_ambient(ambient_from_chart(pts)) - pts), axis=1)
+        worst, where = _worst_sample(errors, pts)
+        return _result("chart-roundtrip", worst, 1e-12, f"100 points; {where}")
 
     def rejection() -> CheckResult:
         bad = AmbientConfig(r=np.zeros(3), n=np.array([1.0, 0.0, 0.0]))
@@ -70,11 +71,12 @@ def _config_checks(seed: int) -> list[Check]:
         pts = sample_chart_points(50, seed, "config.duality")
         Z = np.stack([field.value(pts) for field in Z_FRAME], axis=-1)
         E = np.stack([field.value(pts) for field in E_FRAME], axis=-1)
-        worst = float(np.max(np.abs(g2_coframe(pts) @ Z - np.eye(4))))
-        worst = max(worst, float(np.max(np.abs(
-            np.einsum("zi,zij->zj", contact_covector(pts), E)))))
+        errors = np.maximum(
+            np.max(np.abs(g2_coframe(pts) @ Z - np.eye(4)), axis=(1, 2)),
+            np.max(np.abs(np.einsum("zi,zij->zj", contact_covector(pts), E)), axis=1))
+        worst, where = _worst_sample(errors, pts)
         return _result("frame-duality", worst, 1e-12,
-                       "coframe vs Z frame; w0 annihilates the distribution")
+                       f"coframe vs Z frame; w0 annihilates the distribution; {where}")
 
     return [("contact-constant", contact_constant),
             ("ambient-triple-match", ambient_triple),
@@ -110,23 +112,24 @@ def _structure_checks(seed: int) -> list[Check]:
 
     def landing_square() -> CheckResult:
         pts = sample_chart_points(200, seed, "structure.landing")
-        worst = 0.0
+        errors = []
         for p in pts:
             K = structure.landing_k_operator(p)
             expected = -1.0 / (1.0 + p[3] ** 2 + p[4] ** 2)
-            worst = max(worst, abs(K.square_scalar - expected) / abs(expected))
+            errors.append(abs(K.square_scalar - expected) / abs(expected))
+        worst, where = _worst_sample(np.array(errors), pts)
         return _result("landing-square-scalar", worst, 1e-9,
-                       "raw K^2 = -(1+a^2+b^2)^{-1} Id, relative")
+                       f"raw K^2 = -(1+a^2+b^2)^{{-1}} Id, relative; {where}")
 
     def landing_orientation() -> CheckResult:
         pts = sample_chart_points(100, seed, "structure.orientation")
-        worst = 0.0
+        errors = []
         for p in pts:
             K = structure.landing_k_operator(p)
             Z1, _ = structure.landing_frame_z(p)
-            resid = np.linalg.norm(K.matrix @ Z1 - 1j * Z1) / np.linalg.norm(Z1)
-            worst = max(worst, float(resid))
-        return _result("landing-orientation", worst, 1e-9, "K Z1 = +i Z1")
+            errors.append(np.linalg.norm(K.matrix @ Z1 - 1j * Z1) / np.linalg.norm(Z1))
+        worst, where = _worst_sample(np.array(errors), pts)
+        return _result("landing-orientation", worst, 1e-9, f"K Z1 = +i Z1; {where}")
 
     def levi() -> CheckResult:
         pts = sample_chart_points(100, seed, "structure.levi")
@@ -377,22 +380,26 @@ def _fibration_checks(seed: int) -> list[Check]:
 
     def roundtrip() -> CheckResult:
         pts = sample_vectors(100, 6, seed, "fibration.roundtrip")
-        worst = max(float(np.max(np.abs(fibration.x_from_y(fibration.y_from_x(pts)) - pts))),
-                    float(np.max(np.abs(fibration.y_from_x(fibration.x_from_y(pts)) - pts))))
+        errors = np.maximum(
+            np.max(np.abs(fibration.x_from_y(fibration.y_from_x(pts)) - pts), axis=1),
+            np.max(np.abs(fibration.y_from_x(fibration.x_from_y(pts)) - pts), axis=1))
+        worst, where = _worst_sample(errors, pts)
         example = fibration.y_from_x(np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0]))
         target = np.array([-1.0, 1.0, -1.0, 1.0, 1.0, 1.0])
-        worst = max(worst, float(np.max(np.abs(example - target))))
+        pinned = float(np.max(np.abs(example - target)))
+        if pinned > worst:
+            worst, where = pinned, "worst at the pinned example"
         return _result("transition-roundtrip", worst, 1e-12,
-                       "100 points plus the pinned example")
+                       f"100 points plus the pinned example; {where}")
+
+    def duality_residuals(chart_name: str, pts: np.ndarray) -> np.ndarray:
+        C = fibration.coframe(chart_name, pts)
+        F = fibration.frame(chart_name, pts)
+        return np.max(np.abs(C @ F - np.eye(6)), axis=(1, 2))
 
     def duality() -> CheckResult:
-        worst = 0.0
-        for chart_name in ("x", "y"):
-            pts = sample_vectors(25, 6, seed, f"fibration.dual.{chart_name}")
-            C = fibration.coframe(chart_name, pts)
-            F = fibration.frame(chart_name, pts)
-            worst = max(worst, float(np.max(np.abs(C @ F - np.eye(6)))))
-        return _result("coframe-frame-duality", worst, 1e-12, "both charts")
+        worst, where = per_chart("fibration.dual", 25, duality_residuals)
+        return _result("coframe-frame-duality", worst, 1e-12, f"both charts; {where}")
 
     def commutators() -> CheckResult:
         worst, where = per_chart("fibration.comm", 10, fibration.frame_commutator_residuals)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import saucer
-from saucer import cli, fibration
+from saucer import cli, fibration, kernels
 from saucer.maneuvers import ControlProgram, ManeuverMode, integrate_trajectory
 
 
@@ -360,8 +360,8 @@ def test_simulate_samples_control_specs_as_arrays(capsys):
         times_seen.append(np.ndim(t))
         return control.value_fn(t)
 
-    counted = fibration.ControlSpec(watched, control.derivative_fn, control.describe,
-                                    vectorized=True)
+    counted = fibration.ControlSpec(kernels.ArrayFunction(watched), control.derivative_fn,
+                                    control.describe)
     mode = ManeuverMode.LANDING
     p0 = [0.1, -0.2, 0.3, 0.2, -0.1]
     by_spec = integrate_trajectory(

@@ -192,3 +192,16 @@ def test_stacked_gl2_routes_equal_pointwise_calls():
     np.testing.assert_allclose(spinor, [_spinor_route_pointwise(v) for v in X],
                                rtol=0, atol=1e-13)
     np.testing.assert_allclose(spinor, gl2.endomorphism_L(X), rtol=0, atol=1e-12)
+
+
+def test_bilinear_diagonals_are_the_bilinears_on_the_diagonal():
+    X = np.random.default_rng(43).uniform(-2.0, 2.0, (200, 4))
+    stacked = gl2.bilinear_diagonals(X)
+    for k, v in enumerate(X):
+        single = gl2.bilinear_diagonals(v)
+        assert tuple(g[k] for g in stacked) == single
+        np.testing.assert_allclose(single, gl2.bilinears(v, v), rtol=0,
+                                   atol=1e-14 * float(v @ v))
+    t = np.linspace(-1.5, 1.5, 7)
+    for g in gl2.bilinear_diagonals(gl2.cubic_point(t)):
+        np.testing.assert_array_equal(g, np.zeros_like(t))

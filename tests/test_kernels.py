@@ -138,3 +138,15 @@ def test_g2_strict_velocity_is_cubic_cone_direction():
     c = 1.5 * np.array([1.0, t, t ** 2, t ** 3])
     expected = np.array([c[0], c[1], 0.0, c[3], -3 * c[2]])
     np.testing.assert_allclose(v, expected, atol=1e-14)
+
+
+def test_sample_makes_one_array_call_for_an_array_function():
+    calls = []
+
+    def square(t):
+        calls.append(np.shape(t))
+        return t * t
+
+    t = np.array([[0.5, 0.25], [0.5, 1.0]])
+    np.testing.assert_array_equal(kernels.sample(kernels.ArrayFunction(square), t), t * t)
+    assert calls == [t.shape]

@@ -1,16 +1,19 @@
 """Maneuver laws: admissibility, nullity, and trajectory integration."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saucer import chart, gl2
+from saucer import chart, cli, fibration, gl2, kernels
 from saucer.maneuvers import (
     ChartEscapeWarning,
     ControlProgram,
     ManeuverMode,
+    Trajectory,
     ambient_nullity_pair,
     constraint_residuals,
     integrate_trajectory,
@@ -173,3 +176,99 @@ def test_time_varying_integration_matches_per_step_rk4(mode):
                                    atol=1e-12 * np.abs(states).max())
         np.testing.assert_allclose(traj.velocities, vels, rtol=1e-12,
                                    atol=1e-12 * np.abs(vels).max())
+
+
+def _record_array_calls(fn, ndims):
+    """Make the built-in ArrayFunction fn append np.ndim of every argument to ndims."""
+    inner = fn.fn
+
+    def recorded(t):
+        ndims.append(np.ndim(t))
+        return inner(t)
+
+    fn.fn = recorded
+    return fn
+
+
+def _builtin_controls():
+    return [fibration.ControlSpec.from_spec(
+                {"kind": "sin", "amplitude": 0.4, "frequency": 2.5, "phase": 0.3}),
+            fibration.ControlSpec.from_spec([0.2, -0.5, 0.3]),
+            cli._shift_spec({"kind": "cos", "amplitude": 0.6, "frequency": 1.5}, 0.75)]
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_bare_builtin_value_fn_is_sampled_by_array_calls_only(index):
+    spec = _builtin_controls()[index]
+    ndims = []
+    # a second, separately built copy: recording replaces its inner function
+    bare = _record_array_calls(_builtin_controls()[index].value_fn, ndims)
+    p0 = chart.point(0.1, -0.2, 0.3, 0.2, -0.1)
+    for mode in (ManeuverMode.LANDING, ManeuverMode.G2_SIMPLE):
+        by_spec = integrate_trajectory(
+            ControlProgram(mode, spec, 0.5, spec, duration=0.5, dt=1e-3), p0)
+        by_fn = integrate_trajectory(
+            ControlProgram(mode, bare, 0.5, bare, duration=0.5, dt=1e-3), p0)
+        for field in ("times", "states", "velocities"):
+            np.testing.assert_array_equal(getattr(by_fn, field), getattr(by_spec, field))
+    assert ndims == [1] * 4
+    ndims.clear()
+    curve_spec = fibration.integrate_d2_curve(spec, 1.2, duration=0.5, n_steps=500)
+    curve_fn = fibration.integrate_d2_curve(bare, 1.2, duration=0.5, n_steps=500)
+    assert ndims and set(ndims) == {1}
+    for field in ("times", "states", "u", "w"):
+        np.testing.assert_array_equal(getattr(curve_fn, field), getattr(curve_spec, field))
+    np.testing.assert_allclose(curve_fn.du, curve_spec.du, rtol=0, atol=1e-8)
+
+
+def test_scalar_only_callable_still_integrates():
+    calls = []
+
+    def switch(t):
+        if np.ndim(t) != 0:
+            raise TypeError("scalar times only")
+        calls.append(t)
+        return 1.0 if t < 0.25 else -1.0
+
+    prog = ControlProgram(ManeuverMode.G2_STRICT, 1.0, switch, 0.0, duration=0.5, dt=1e-2)
+    traj = integrate_trajectory(prog, chart.point(0, 0, 0, 0, 0))
+    assert len(calls) == len(set(calls))
+    assert set(calls) == set(kernels.rk4_stage_times(traj.times, 0.5 / 50).tolist())
+    assert constraint_residuals(traj).passed()
+    states, _ = _rk4_loop(prog, chart.point(0, 0, 0, 0, 0))
+    np.testing.assert_allclose(traj.states, states, rtol=1e-12, atol=1e-14)
+    curve = fibration.integrate_d2_curve(switch, 1.0, duration=0.5, n_steps=50)
+    np.testing.assert_array_equal(curve.u, [switch(t) for t in curve.times])
+
+
+@pytest.mark.parametrize("mode", [ManeuverMode.G2_SIMPLE, ManeuverMode.G2_STRICT])
+def test_g2_residuals_match_an_einsum_reference_off_the_cone(mode):
+    rng = np.random.default_rng(17)
+    states = rng.uniform(-2.0, 2.0, (5000, 5))
+    vels = rng.uniform(-2.0, 2.0, (5000, 5))
+    traj = Trajectory(mode, np.arange(5000.0), states, vels)
+    report = constraint_residuals(traj)
+    X = np.stack([vels[:, 0], vels[:, 1], -vels[:, 4] / 3.0, vels[:, 3]], axis=1)
+    norm2 = np.einsum("si,si->s", X, X)
+    names = ("g1", "g2", "g3") if mode == ManeuverMode.G2_STRICT else ()
+    assert set(report.nullity) == set(names) | {"upsilon"}
+    for name, G in zip(names, gl2.BILINEAR_MATRICES):
+        expected = np.abs(np.einsum("si,ij,sj->s", X, G, X))
+        assert np.all(np.abs(report.nullity[name] - expected) <= 1e-14 * norm2)
+    expected = np.abs(np.einsum("ABCD,sA,sB,sC,sD->s", gl2.UPSILON_TENSOR, X, X, X, X))
+    assert np.all(np.abs(report.nullity["upsilon"] - expected) <= 1e-14 * norm2 * norm2)
+    assert report.max_nullity > 1.0
+    np.testing.assert_array_equal(report.contact,
+                                  np.abs(vels[:, 2] - states[:, 3] * vels[:, 0]
+                                         - states[:, 4] * vels[:, 1]))
+
+
+def test_escape_below_the_box_warns():
+    # b = -3 t is the only coordinate that moves, so only the minimum escapes
+    low = ControlProgram(ManeuverMode.ATTACKING, 1.0, 0.0, 0.0, duration=1.0, dt=1e-2)
+    with pytest.warns(ChartEscapeWarning):
+        assert integrate_trajectory(low, chart.point(0, 0, 0, 0, 0)).escaped
+    inside = ControlProgram(ManeuverMode.ATTACKING, 1.0, 0.0, 0.0, duration=0.5, dt=1e-2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ChartEscapeWarning)
+        assert not integrate_trajectory(inside, chart.point(0, 0, 0, 0, 0)).escaped

@@ -111,7 +111,9 @@ def test_verify_pass_stays_within_call_budgets(monkeypatch):
 
 WORST_SAMPLE_CHECKS = ("structure-equations", "contact-constant", "ambient-triple-match",
                        "bracket-generating", "frame-commutators", "quartic-dual-route",
-                       "polarization-diagonal")
+                       "polarization-diagonal", "chart-roundtrip", "frame-duality",
+                       "landing-square-scalar", "landing-orientation",
+                       "transition-roundtrip", "coframe-frame-duality")
 
 
 def test_residual_checks_name_their_worst_sample():
