@@ -4,8 +4,12 @@ Each maneuver mode carries a four-member family of admissible vector fields,
 every member an instance of the mode's control law with frozen controls. The
 four fields span the contact distribution, and their pairwise brackets
 restore the missing fifth direction, so piecewise flows reach any nearby
-target: phase 1 matches (x, y, a, b) by a linear solve in the flow
-durations, phase 2 closes the z gap with commutator rectangles.
+target. The planner shoots one fixed word of 8 legs, the four family flows
+and one commutator rectangle, and solves for its six durations by
+Gauss-Newton with the exact Jacobian of the word's endpoint. A loop that
+matches (x, y, a, b) by a linear solve in the flow durations and closes the
+z gap with one capped rectangle per iteration remains as the fallback for
+Newton misses.
 """
 from __future__ import annotations
 
@@ -88,7 +92,12 @@ def bracket_family(mode: ManeuverMode) -> tuple[VectorField, ...]:
 
 
 def bracket_field(X: VectorField, Y: VectorField) -> VectorField:
-    """[X, Y] as a field; its own Jacobian falls back to finite differences."""
+    """[X, Y] as a field, for the bracket checks.
+
+    It registers no Jacobian, so a bracket nested in another one takes
+    central differences of it; only the stated landing depth-3 identity
+    nests them.
+    """
     return VectorField(f"[{X.id},{Y.id}]", X.dim,
                        lambda p: bracket(X, Y, p))
 
@@ -304,6 +313,11 @@ def _sup(v: Sequence[float]) -> float:
     return math.nan if any(x != x for x in v) else worst
 
 
+def _gap_max(target: Sequence[float], p: Sequence[float]) -> float:
+    """max |target - p| by `_sup`."""
+    return _sup([g - q for g, q in zip(target, p)])
+
+
 @dataclasses.dataclass(frozen=True)
 class Plan:
     mode: ManeuverMode
@@ -315,9 +329,17 @@ class Plan:
     iterations: int
     tol: float
     success: bool
-    #: Per iteration: max |gap| when it began and the legs it added; only
-    #: recorded when `plan_path` is asked to trace.
+    #: Per iteration: max |gap| when it began and the legs it added to the
+    #: plan; only recorded when `plan_path` is asked to trace.
     trace: tuple[tuple[float, int], ...] | None = None
+    #: "newton" for the shot word, "rectangles" for the fallback loop.
+    planner: str = "newton"
+    #: Why the plan failed; None on success.
+    reason: str | None = None
+    #: Per iteration, recorded with `trace`: (|gap|, |step|) in the 2-norm
+    #: for a Newton iteration, the step 0.0 when it took none (it met tol or
+    #: its attempt ended); None for the guess and the fallback loop.
+    newton_trace: tuple[tuple[float, float] | None, ...] | None = None
 
     def to_json_dict(self) -> dict:
         payload = {
@@ -330,11 +352,205 @@ class Plan:
             "iterations": self.iterations,
             "tolerance": self.tol,
             "success": self.success,
+            "planner": self.planner,
         }
+        if self.reason is not None:
+            payload["reason"] = self.reason
         if self.trace is not None:
             payload["trace"] = [{"gap_max": gap, "legs_added": added}
                                 for gap, added in self.trace]
+            for step, newton in zip(payload["trace"], self.newton_trace):
+                if newton is not None:
+                    step["residual"], step["step"] = newton
         return payload
+
+
+class _Iterations:
+    """The iteration record of one `plan_path` call, against its budget."""
+
+    def __init__(self, budget: int):
+        self.left = budget
+        self.steps: list[tuple[float, int]] = []
+        self.newton: list[tuple[float, float] | None] = []
+
+    def record(self, gap_max: float, added: int,
+               newton: tuple[float, float] | None = None) -> None:
+        self.left -= 1
+        self.steps.append((gap_max, added))
+        self.newton.append(newton)
+
+    def drop_legs(self) -> None:
+        """The legs recorded so far leave the plan: no iteration added any."""
+        self.steps = [(gap_max, 0) for gap_max, _ in self.steps]
+
+
+#: The word `plan_path` shoots on, per family mode: the four family flows,
+#: then the commutator rectangle of the mode's pair (i, j). Each leg is
+#: (family index, slot of theta = (s1, s2, s3, s4, e1, e2), sign).
+_WORDS = {
+    fmode: ((0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (3, 3, 1.0),
+            (i, 4, 1.0), (j, 5, 1.0), (i, 4, -1.0), (j, 5, -1.0))
+    for fmode, ((i, j), _) in _RECTANGLE.items()
+}
+#: Signs of (e1, e2) in the order they are tried, for dz >= 0 and for dz < 0;
+#: the rectangle moves z by about gain * e1 * e2.
+_SIGN_PATTERNS = {True: ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)),
+                  False: ((1.0, -1.0), (-1.0, 1.0), (1.0, 1.0))}
+#: Halvings of a Newton step before it counts as giving no descent.
+MAX_HALVINGS = 10
+
+
+def _shoot(fmode: ManeuverMode, start: Sequence[float], theta: Sequence[float]) -> list:
+    """Start and the endpoint of every leg of the word at durations theta."""
+    kid = fmode.kernel_id
+    controls = FAMILY_CONTROLS[fmode]
+    points = [start]
+    for k, slot, sign in _WORDS[fmode]:
+        points.append(kernels.flow(kid, points[-1], *controls[k], sign * theta[slot]))
+    return points
+
+
+def _word_legs(fmode: ManeuverMode, theta: Sequence[float]) -> list:
+    legs: list[tuple[int, float]] = []
+    for k, slot, sign in _WORDS[fmode]:
+        _append_leg(legs, k, sign * theta[slot])
+    return legs
+
+
+def _word_jacobian(fmode: ManeuverMode, points: Sequence, theta: Sequence[float]) -> list:
+    """d(endpoint)/d(theta) of the word: six columns of five floats.
+
+    Every flow moves (a, b) by a translation and adds to (x, y, z) a function
+    of (a0, b0), so a leg's derivative is [[I3, M], [0, I2]] with M =
+    d(x, y, z)/d(a0, b0), and the derivative of all later legs is [[I3, A],
+    [0, I2]] with A the sum of their M. Leg l therefore adds sign times
+    V(p_l) + A V_ab(p_l) to the column of its slot, V its field and p_l its
+    endpoint. Walking the legs backwards accumulates A. Under the attacking
+    and G2 laws c1, c2 are constant, so M is zero but for dz/d(a0, b0) =
+    t (c1, c2); under the landing law M integrates the (a, b) gradient of
+    (c1, c2, c1 a + c2 b) over the leg, a polynomial of degree 2 in time, so
+    Simpson's rule is exact.
+    """
+    kid = fmode.kernel_id
+    controls = FAMILY_CONTROLS[fmode]
+    landing = kid == kernels.LANDING
+    columns = [[0.0] * DIM for _ in theta]
+    xa = xb = ya = yb = za = zb = 0.0   # A
+    for l in range(len(points) - 1, 0, -1):
+        k, slot, sign = _WORDS[fmode][l - 1]
+        u = controls[k]
+        a, b = points[l][3], points[l][4]
+        c1, c2, c3, c4 = kernels.zcoeffs(kid, a, b, *u)
+        vb = -3.0 * c3
+        column = columns[slot]
+        column[0] += sign * (c1 + xa * c4 + xb * vb)
+        column[1] += sign * (c2 + ya * c4 + yb * vb)
+        column[2] += sign * (c1 * a + c2 * b + za * c4 + zb * vb)
+        column[3] += sign * c4
+        column[4] += sign * vb
+        t = sign * theta[slot]
+        if not landing:
+            za += t * c1
+            zb += t * c2
+            continue
+        a0, b0 = points[l - 1][3], points[l - 1][4]
+        m = [0.0] * 6
+        for weight, a, b in ((1.0, a0, b0), (4.0, 0.5 * (a0 + a), 0.5 * (b0 + b)),
+                             (1.0, a, b)):
+            c1, c2 = kernels.zcoeffs(kid, a, b, *u)[:2]
+            (d1a, d2a), (d1b, d2b) = kernels.zcoeff_grads(kid, a, b, *u)
+            m[0] += weight * d1a
+            m[1] += weight * d1b
+            m[2] += weight * d2a
+            m[3] += weight * d2b
+            m[4] += weight * (d1a * a + c1 + d2a * b)
+            m[5] += weight * (d1b * a + c2 + d2b * b)
+        t /= 6.0
+        xa += t * m[0]
+        xb += t * m[1]
+        ya += t * m[2]
+        yb += t * m[3]
+        za += t * m[4]
+        zb += t * m[5]
+    return columns
+
+
+def _newton_step(fmode: ManeuverMode, start: list, theta: list, points: list,
+                 r: list, norm: float):
+    """One damped Gauss-Newton step: (theta, points, step norm), or a reason.
+
+    The step is the minimum-norm solution of J delta = r; it is halved until
+    |r| falls, at most MAX_HALVINGS times.
+    """
+    jt = np.array(_word_jacobian(fmode, points, theta))
+    try:
+        delta = (jt @ np.linalg.solve(jt.T @ jt, r)).tolist()
+    except np.linalg.LinAlgError:
+        return None, "singular Jacobian"
+    if not all(map(math.isfinite, delta)):
+        return None, "singular Jacobian"
+    target = [q + g for q, g in zip(points[-1], r)]
+    scale = 1.0
+    for _ in range(MAX_HALVINGS + 1):
+        trial = [s + scale * d for s, d in zip(theta, delta)]
+        shot = _shoot(fmode, start, trial)
+        if math.hypot(*[g - q for g, q in zip(target, shot[-1])]) < norm:
+            return (trial, shot, scale * math.hypot(*delta)), None
+        scale *= 0.5
+    return None, "no descent"
+
+
+def _newton(fmode: ManeuverMode, start: list, target: list, tol: float,
+            log: _Iterations) -> tuple[list, list, str | None]:
+    """Shoot the word at the goal: (legs, endpoint, reason), reason None on success.
+
+    Iteration 1 builds the guess: one phase-1 solve for s1..s4, then
+    |e1| = |e2| = sqrt(|dz| / gain) with dz and the gain (1 + b^2 for
+    landing) taken where the phase-1 legs end, in the first sign pattern
+    whose e1 e2 has the sign of dz. The rectangle is left out when the
+    phase-1 legs meet tol. Every
+    later iteration takes one Newton step; an attempt that ends on a
+    singular Jacobian or no descent moves on to the next sign pattern.
+    """
+    gap_max = _gap_max(target, start)
+    if not tol <= gap_max < math.inf:
+        log.record(gap_max, 0)
+        return [], start, None if gap_max < tol else "gap not finite"
+    s = np.linalg.solve(_phase1_matrix(fmode, start),
+                        [target[i] - start[i] for i in IDX4]).tolist()
+    theta = s + [0.0, 0.0]
+    points = _shoot(fmode, start, theta)
+    patterns: list = []
+    mid = points[4]
+    if tol <= _gap_max(target, mid) < math.inf:
+        dz = target[2] - mid[2]
+        gain = _RECTANGLE[fmode][1] or 1.0 + mid[4] * mid[4]
+        e = math.sqrt(abs(dz) / gain)
+        patterns = [[e * s1, e * s2] for s1, s2 in _SIGN_PATTERNS[dz >= 0.0]]
+        theta = s + patterns.pop(0)
+        points = _shoot(fmode, start, theta)
+    legs = _word_legs(fmode, theta)
+    log.record(gap_max, len(legs))
+    while log.left > 0:
+        r = [g - q for g, q in zip(target, points[-1])]
+        gap_max, norm = _sup(r), math.hypot(*r)
+        if not tol <= gap_max < math.inf:
+            log.record(gap_max, 0, (norm, 0.0))
+            return legs, points[-1], None if gap_max < tol else "gap not finite"
+        step, reason = _newton_step(fmode, start, theta, points, r, norm)
+        if step is None and not patterns:
+            log.record(gap_max, 0, (norm, 0.0))
+            return legs, points[-1], reason
+        if step is None:
+            theta, length = s + patterns.pop(0), 0.0
+            points = _shoot(fmode, start, theta)
+        else:
+            theta, points, length = step
+        n_before = len(legs)
+        legs = _word_legs(fmode, theta)
+        log.record(gap_max, len(legs) - n_before, (norm, length))
+    met = _gap_max(target, points[-1]) < tol
+    return legs, points[-1], None if met else "max_iterations spent"
 
 
 def _append_leg(legs: list, k: int, s: float) -> None:
@@ -342,51 +558,24 @@ def _append_leg(legs: list, k: int, s: float) -> None:
         legs.append((k, float(s)))
 
 
-def _check_plan_inputs(start: np.ndarray, goal: np.ndarray, tol: float,
-                       max_iterations: int) -> None:
-    if start.shape != (DIM,) or goal.shape != (DIM,):
-        raise ValueError(f"start and goal must have shape ({DIM},)")
-    if not (np.all(np.isfinite(start)) and np.all(np.isfinite(goal))):
-        raise ValueError("start and goal must be finite")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be at least 1, got {max_iterations!r}")
+def _rectangles(fmode: ManeuverMode, p: list, target: list, tol: float,
+                log: _Iterations) -> tuple[list, list, str | None]:
+    """The fallback loop: per iteration one phase-1 solve, one capped rectangle.
 
-
-@np.errstate(over="ignore", invalid="ignore")
-def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
-              tol: float = 1e-3, max_iterations: int = 200,
-              trace: bool = False) -> Plan:
-    """Plan admissible legs from start to goal within sup-norm tol.
-
-    Phase 1: durations along the family from a linear solve on the
-    (x, y, a, b) block, damped for the landing family whose matrix is
-    state-dependent. Phase 2: one commutator rectangle per iteration to move
-    z by eps^2 times the bracket's z gain (for landing, the contact value
-    1 + b^2 of [Y2, Y4] at the current point); negative z gaps swap the legs.
-    The state is carried as Python floats, moved by `flow`. With `trace`,
-    the plan records max |gap| and the legs added per iteration.
-
-    Planning stops, unsuccessful, at the first gap that is not finite: the
-    state overflowed (flows far from the origin do) or the gap itself did.
+    Phase 1 matches (x, y, a, b) by a linear solve in the family durations,
+    damped for the landing family whose matrix is state-dependent. Phase 2
+    moves z by eps^2 times the bracket's z gain (for landing, the contact
+    value 1 + b^2 of [Y2, Y4] at the current point), eps at most
+    MAX_RECTANGLE_EPS; negative z gaps swap the legs. Returns the legs it
+    added, the endpoint and the reason as `_newton` does.
     """
-    start = np.asarray(start, dtype=float)
-    goal = np.asarray(goal, dtype=float)
-    _check_plan_inputs(start, goal, tol, max_iterations)
-    fmode = _family_mode(mode)
-    target = goal.tolist()
-    p = start.tolist()
     legs: list[tuple[int, float]] = []
-    steps: list[tuple[float, int]] | None = [] if trace else None
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        gap_max = _sup([g - q for g, q in zip(target, p)])
+    while log.left > 0:
+        gap_max = _gap_max(target, p)
         n_before = len(legs)
-        if gap_max < tol or not gap_max < math.inf:
-            if steps is not None:
-                steps.append((gap_max, 0))
-            break
+        if not tol <= gap_max < math.inf:
+            log.record(gap_max, 0)
+            return legs, p, None if gap_max < tol else "gap not finite"
         # phase 1: the 4 matched coordinates
         gap4 = [target[i] - p[i] for i in IDX4]
         if _sup(gap4) > 1e-15:
@@ -425,13 +614,74 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
             for k, s in ((i, eps), (j, eps), (i, -eps), (j, -eps)):
                 _append_leg(legs, k, s)
                 p = flow(fmode, k, p, s)
-        if steps is not None:
-            steps.append((gap_max, len(legs) - n_before))
+        log.record(gap_max, len(legs) - n_before)
+    met = _gap_max(target, p) < tol
+    return legs, p, None if met else "max_iterations spent"
+
+
+def _check_plan_inputs(start: np.ndarray, goal: np.ndarray, tol: float,
+                       max_iterations: int) -> None:
+    if start.shape != (DIM,) or goal.shape != (DIM,):
+        raise ValueError(f"start and goal must have shape ({DIM},)")
+    if not (np.all(np.isfinite(start)) and np.all(np.isfinite(goal))):
+        raise ValueError("start and goal must be finite")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations!r}")
+
+
+#: Newton misses after which `plan_path` runs the rectangle loop.
+_FALLBACK_REASONS = ("singular Jacobian", "no descent")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
+              tol: float = 1e-3, max_iterations: int = 200,
+              trace: bool = False) -> Plan:
+    """Plan admissible legs from start to goal within sup-norm tol.
+
+    The plan is one word of 8 legs, Y1 Y2 Y3 Y4 (i, e1) (j, e2) (i, -e1)
+    (j, -e2), with (i, j) the mode's commutator pair: its six durations are
+    solved for by Gauss-Newton shooting from a phase-1 guess (`_newton`),
+    with the exact Jacobian of the word's endpoint. The state is carried as
+    Python floats, moved by `kernels.flow`. When every sign pattern of
+    (e1, e2) ends on a singular Jacobian or no descent, the rectangle loop
+    (`_rectangles`) runs with the iterations left, from where the last
+    attempt stopped (keeping its legs) or from the start (dropping them),
+    whichever is nearer the goal; the plan says which `planner` produced
+    it. Every iteration, whether it builds a guess, takes a Newton
+    step or runs the loop, counts against `max_iterations`. With `trace`,
+    the plan records max |gap| and the legs added per iteration, and the
+    Newton residual and step.
+
+    A failed plan carries a `reason`: a singular Jacobian or no descent (the
+    fallback had no iterations left), "max_iterations spent", or "gap not
+    finite": planning stops at the first gap that is not finite, where the
+    state overflowed (flows far from the origin do) or the gap itself did.
+    """
+    start = np.asarray(start, dtype=float)
+    goal = np.asarray(goal, dtype=float)
+    _check_plan_inputs(start, goal, tol, max_iterations)
+    fmode = _family_mode(mode)
+    target = goal.tolist()
+    log = _Iterations(max_iterations)
+    legs, p, reason = _newton(fmode, start.tolist(), target, tol, log)
+    planner = "newton"
+    if reason in _FALLBACK_REASONS and log.left > 0:
+        if _gap_max(target, start) < _gap_max(target, p):
+            legs, p = [], start.tolist()
+            log.drop_legs()
+        more, p, reason = _rectangles(fmode, p, target, tol, log)
+        legs += more
+        planner = "rectangles"
     achieved = np.array(p)
     gap = goal - achieved
     success = float(np.max(np.abs(gap))) < tol
-    return Plan(mode, start, goal, tuple(legs), achieved, gap, iterations, tol, success,
-                None if steps is None else tuple(steps))
+    return Plan(mode, start, goal, tuple(legs), achieved, gap, len(log.steps), tol,
+                success, tuple(log.steps) if trace else None, planner,
+                None if success else reason,
+                tuple(log.newton) if trace else None)
 
 
 def _negated_controls(kid: int, u: tuple[float, float, float]) -> tuple[float, float, float]:

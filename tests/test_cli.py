@@ -292,9 +292,9 @@ def test_plan_roundtrip_payload(capsys, tmp_path):
 
 
 def test_plan_failure_exits_one(capsys):
-    # one rectangle moves z by at most 3 * 0.5^2, short of the goal
+    # the phase-1 guess toward this goal overflows, so no plan reaches it
     code, out, _ = run_cli(capsys, "plan", "--mode", "attacking",
-                           "--from", "0,0,0,0,0", "--to", "0,0,5,0,0",
+                           "--from", "0,0,0,0,0", "--to", "1e308,1e308,1e308,1e308,1e308",
                            "--max-iterations", "1", "--tol", "1e-9")
     assert code == 1
     assert json.loads(out)["success"] is False
@@ -325,7 +325,7 @@ def test_plan_trace_is_opt_in(capsys):
     _, traced, _ = run_cli(capsys, *args, "--trace")
     plain, traced = json.loads(plain), json.loads(traced)
     assert set(plain) == {"mode", "start", "goal", "legs", "achieved", "gap_max",
-                          "iterations", "tolerance", "success", "replay"}
+                          "iterations", "tolerance", "success", "planner", "replay"}
     trace = traced.pop("trace")
     assert traced == plain
     assert len(trace) == plain["iterations"]

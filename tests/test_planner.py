@@ -9,7 +9,7 @@ import pytest
 import sympy as sp
 
 from saucer import kernels, planner
-from saucer.forms import bracket
+from saucer.forms import bracket, complex_step_derivative
 from saucer.maneuvers import ManeuverMode, constraint_residuals, maneuver_velocity
 from saucer.sampling import BOX_HALF_WIDTH, rng_for, sample_chart_points
 
@@ -211,6 +211,132 @@ def test_plan_trace_accounts_for_every_leg():
     assert gaps[-1] < traced.tol <= min(gaps[:-1])
     assert traced.to_json_dict()["trace"][0] == {"gap_max": gaps[0],
                                                  "legs_added": traced.trace[0][1]}
+
+
+# -- Newton shooting -----------------------------------------------------------
+
+def _word_endpoint(mode, start):
+    """The word's endpoint as a function of durations, in plain arithmetic."""
+    fmode = planner._family_mode(mode)
+    controls = planner.FAMILY_CONTROLS[fmode]
+
+    def endpoint(theta):
+        p = tuple(start)
+        for k, slot, sign in planner._WORDS[fmode]:
+            p = kernels.flow(fmode.kernel_id, p, *controls[k], sign * theta[..., slot])
+        return np.stack(np.broadcast_arrays(*p), axis=-1)
+
+    return endpoint
+
+
+@pytest.mark.parametrize("mode", list(ManeuverMode))
+def test_word_jacobian_matches_complex_steps(mode):
+    fmode = planner._family_mode(mode)
+    starts = sample_chart_points(10, 93, f"test-word-{mode.value}", box=BOX_HALF_WIDTH)
+    thetas = rng_for(93, f"test-word-theta-{mode.value}").uniform(-1.0, 1.0, (10, 6))
+    for start, theta in zip(starts, thetas):
+        want = complex_step_derivative(_word_endpoint(mode, start), theta).T
+        points = planner._shoot(fmode, start.tolist(), theta.tolist())
+        got = np.array(planner._word_jacobian(fmode, points, theta.tolist())).T
+        assert got.shape == (5, 6)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("mode,start,goal", [
+    # g2d, seed 35, pair 15399 of the plan workload's stream
+    (ManeuverMode.G2_STRICT,
+     [1.3845288603361197, -1.9928088325868165, 0.5793468415951457, 1.765415974332364,
+      -1.9546292599384043],
+     [-0.9476894875553088, 1.9138436372288252, 1.7678790941294444, -0.31333420631874387,
+      0.4663061981747605]),
+    # g2s, seed 36, pair 24542
+    (ManeuverMode.G2_SIMPLE,
+     [-1.9438874757163762, 1.9751573015688004, -0.6483141413592817, -1.2781046997984777,
+      1.6580892868675265],
+     [-0.2000466048982248, -1.9210472520108872, 1.5923978106850267, 1.0679164372530723,
+      -1.304993965829839]),
+])
+def test_corner_pairs_the_rectangle_loop_missed(mode, start, goal):
+    # one capped rectangle per iteration spent 200 iterations and 804 legs on each
+    plan = planner.plan_path(mode, start, goal, tol=1e-3)
+    assert plan.success and plan.planner == "newton"
+    assert len(plan.legs) <= 8
+    traj = planner.replay(plan)
+    np.testing.assert_allclose(traj.endpoint, plan.achieved, atol=1e-8)
+    assert constraint_residuals(traj).passed()
+
+
+@pytest.mark.parametrize("mode", [ManeuverMode.ATTACKING, ManeuverMode.G2_SIMPLE,
+                                  ManeuverMode.G2_STRICT])
+def test_state_free_families_take_no_newton_step(mode):
+    # c1..c4 do not depend on the state, so the phase-1 guess and the
+    # rectangle sized by the bracket's gain land on the goal
+    pts = sample_chart_points(8, 94, f"test-exact-{mode.value}", box=BOX_HALF_WIDTH)
+    for start, goal in zip(pts[0::2], pts[1::2]):
+        plan = planner.plan_path(mode, start, goal, tol=1e-10, trace=True)
+        assert plan.success and plan.iterations == 2
+        assert len(plan.legs) == 8 and plan.trace[0][1] == 8
+        assert plan.newton_trace[0] is None and plan.newton_trace[1][1] == 0.0
+
+
+# landing pairs of the plan workload's stream (seed 1) on which every sign
+# pattern of the Newton word ends without descent: the last attempt stops
+# farther from the goal than the start for the first and third, nearer for
+# the second. From the third's Newton endpoint the loop spends all 200
+# iterations (2 292 legs); from its start it needs 12.
+FALLBACK_PAIRS = [
+    ([-1.0740562141271297, 0.4637008625297012, 0.06444747988807764, 0.7028340300431295,
+      1.6938282531436446],
+     [-1.2317210802892502, 1.8426055952805878, 1.4566137642203643, -0.005107755593690477,
+      -0.3331669546734042]),
+    ([1.039289071456607, 1.6706785550945291, 1.7850089323889615, 0.4528741152918041,
+      0.9798594527631419],
+     [-1.1694961521968816, -1.3606933308002183, -0.43893899693594385, -1.7048948438116382,
+      0.9772877482621358]),
+    ([-1.0383791535421771, -1.9894760377538998, -0.379573930911699, -1.816612835423954,
+      -0.9569528024424265],
+     [1.9993742738813656, 1.3505067388717378, -0.43234028552785997, -0.029076666732177348,
+      1.8569494384506249]),
+]
+
+
+@pytest.mark.parametrize("pair,kept", [(0, False), (1, True), (2, False)])
+def test_landing_fallback_starts_from_the_nearer_point(pair, kept):
+    start, goal = FALLBACK_PAIRS[pair]
+    plan = planner.plan_path(ManeuverMode.LANDING, start, goal, trace=True)
+    assert plan.success and plan.planner == "rectangles" and plan.reason is None
+    assert len(plan.trace) == len(plan.newton_trace) == plan.iterations
+    assert sum(added for _, added in plan.trace) == len(plan.legs) > 8
+    newton = [k for k, step in enumerate(plan.newton_trace) if step is not None]
+    assert newton == list(range(1, len(newton) + 1))
+    # each of the three sign patterns ends in an iteration that takes no step
+    assert sum(plan.newton_trace[k][1] == 0.0 for k in newton) == 3
+    # the Newton word's legs stay in the plan only when the loop goes on from them
+    assert plan.trace[0][1] == (8 if kept else 0)
+    traj = planner.replay(plan)
+    np.testing.assert_allclose(traj.endpoint, plan.achieved, atol=1e-8)
+    assert constraint_residuals(traj).passed()
+    # with no iterations left for the fallback, the Newton miss is the reason
+    spent = planner.plan_path(ManeuverMode.LANDING, start, goal,
+                              max_iterations=len(newton) + 1)
+    assert not spent.success
+    assert (spent.planner, spent.reason) == ("newton", "no descent")
+    assert spent.to_json_dict()["reason"] == "no descent"
+
+
+def test_plan_reports_why_it_failed():
+    start, goal = [0.1, -0.2, 0.3, 0.0, 0.2], [-0.4, 0.2, -0.1, 0.3, 0.2]
+    done = planner.plan_path(ManeuverMode.LANDING, start, goal, trace=True)
+    payload = done.to_json_dict()
+    assert done.success and payload["planner"] == "newton" and "reason" not in payload
+    for step, newton in zip(payload["trace"][1:], done.newton_trace[1:]):
+        assert (step["residual"], step["step"]) == newton
+    assert [step["step"] > 0.0 for step in payload["trace"][1:]] == \
+        [True] * (done.iterations - 2) + [False]
+    short = planner.plan_path(ManeuverMode.LANDING, start, goal, max_iterations=2)
+    assert (short.success, short.reason) == (False, "max_iterations spent")
+    overflow = planner.plan_path(ManeuverMode.ATTACKING, np.zeros(5), [1e308] * 5)
+    assert (overflow.success, overflow.reason) == (False, "gap not finite")
 
 
 # -- replay --------------------------------------------------------------------
