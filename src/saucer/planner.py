@@ -359,7 +359,7 @@ class Plan:
         if self.trace is not None:
             payload["trace"] = [{"gap_max": gap, "legs_added": added}
                                 for gap, added in self.trace]
-            for step, newton in zip(payload["trace"], self.newton_trace):
+            for step, newton in zip(payload["trace"], self.newton_trace or ()):
                 if newton is not None:
                     step["residual"], step["step"] = newton
         return payload
@@ -380,7 +380,7 @@ class _Iterations:
         self.newton.append(newton)
 
     def drop_legs(self) -> None:
-        """The legs recorded so far leave the plan: no iteration added any."""
+        """The legs recorded so far leave the plan: no iteration kept any."""
         self.steps = [(gap_max, 0) for gap_max, _ in self.steps]
 
 
@@ -402,11 +402,9 @@ MAX_HALVINGS = 10
 
 def _shoot(fmode: ManeuverMode, start: Sequence[float], theta: Sequence[float]) -> list:
     """Start and the endpoint of every leg of the word at durations theta."""
-    kid = fmode.kernel_id
-    controls = FAMILY_CONTROLS[fmode]
     points = [start]
     for k, slot, sign in _WORDS[fmode]:
-        points.append(kernels.flow(kid, points[-1], *controls[k], sign * theta[slot]))
+        points.append(flow(fmode, k, points[-1], sign * theta[slot]))
     return points
 
 
@@ -566,8 +564,8 @@ def _rectangles(fmode: ManeuverMode, p: list, target: list, tol: float,
     damped for the landing family whose matrix is state-dependent. Phase 2
     moves z by eps^2 times the bracket's z gain (for landing, the contact
     value 1 + b^2 of [Y2, Y4] at the current point), eps at most
-    MAX_RECTANGLE_EPS; negative z gaps swap the legs. Returns the legs it
-    added, the endpoint and the reason as `_newton` does.
+    MAX_RECTANGLE_EPS; negative z gaps swap the legs. Returns the legs,
+    the endpoint and the reason as `_newton` does.
     """
     legs: list[tuple[int, float]] = []
     while log.left > 0:
@@ -645,12 +643,11 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
     (j, -e2), with (i, j) the mode's commutator pair: its six durations are
     solved for by Gauss-Newton shooting from a phase-1 guess (`_newton`),
     with the exact Jacobian of the word's endpoint. The state is carried as
-    Python floats, moved by `kernels.flow`. When every sign pattern of
+    Python floats, moved by `flow`. When every sign pattern of
     (e1, e2) ends on a singular Jacobian or no descent, the rectangle loop
-    (`_rectangles`) runs with the iterations left, from where the last
-    attempt stopped (keeping its legs) or from the start (dropping them),
-    whichever is nearer the goal; the plan says which `planner` produced
-    it. Every iteration, whether it builds a guess, takes a Newton
+    (`_rectangles`) runs from the start with the iterations left, and the
+    Newton word's legs leave the plan; the plan says which `planner`
+    produced it. Every iteration, whether it builds a guess, takes a Newton
     step or runs the loop, counts against `max_iterations`. With `trace`,
     the plan records max |gap| and the legs added per iteration, and the
     Newton residual and step.
@@ -669,11 +666,8 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
     legs, p, reason = _newton(fmode, start.tolist(), target, tol, log)
     planner = "newton"
     if reason in _FALLBACK_REASONS and log.left > 0:
-        if _gap_max(target, start) < _gap_max(target, p):
-            legs, p = [], start.tolist()
-            log.drop_legs()
-        more, p, reason = _rectangles(fmode, p, target, tol, log)
-        legs += more
+        log.drop_legs()
+        legs, p, reason = _rectangles(fmode, start.tolist(), target, tol, log)
         planner = "rectangles"
     achieved = np.array(p)
     gap = goal - achieved

@@ -1,6 +1,7 @@
 """Bracket-generating families, distinguished brackets, and path planning."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -279,11 +280,23 @@ def test_state_free_families_take_no_newton_step(mode):
         assert plan.newton_trace[0] is None and plan.newton_trace[1][1] == 0.0
 
 
+def test_the_word_is_shot_through_planner_flow(monkeypatch):
+    # planner.flow is the planner's one way to move the state, so wrapping
+    # it sees every leg the shooter flows
+    calls = []
+    real = planner.flow
+    monkeypatch.setattr(planner, "flow", lambda *args: calls.append(args) or real(*args))
+    start, goal = [0.1, -0.2, 0.3, 0.0, 0.2], [-0.4, 0.2, -0.1, 0.3, 0.2]
+    plan = planner.plan_path(ManeuverMode.ATTACKING, start, goal, tol=1e-10)
+    # the phase-1 legs, then the word with its rectangle
+    assert plan.success and len(calls) == 16
+
+
 # landing pairs of the plan workload's stream (seed 1) on which every sign
-# pattern of the Newton word ends without descent: the last attempt stops
+# pattern of the Newton word ends without descent. The last attempt stops
 # farther from the goal than the start for the first and third, nearer for
-# the second. From the third's Newton endpoint the loop spends all 200
-# iterations (2 292 legs); from its start it needs 12.
+# the second; from the third's Newton endpoint the rectangle loop would
+# spend all 200 iterations (2 292 legs), from its start it needs 12.
 FALLBACK_PAIRS = [
     ([-1.0740562141271297, 0.4637008625297012, 0.06444747988807764, 0.7028340300431295,
       1.6938282531436446],
@@ -300,8 +313,8 @@ FALLBACK_PAIRS = [
 ]
 
 
-@pytest.mark.parametrize("pair,kept", [(0, False), (1, True), (2, False)])
-def test_landing_fallback_starts_from_the_nearer_point(pair, kept):
+@pytest.mark.parametrize("pair", range(len(FALLBACK_PAIRS)))
+def test_landing_fallback_restarts_from_the_start(pair):
     start, goal = FALLBACK_PAIRS[pair]
     plan = planner.plan_path(ManeuverMode.LANDING, start, goal, trace=True)
     assert plan.success and plan.planner == "rectangles" and plan.reason is None
@@ -311,8 +324,14 @@ def test_landing_fallback_starts_from_the_nearer_point(pair, kept):
     assert newton == list(range(1, len(newton) + 1))
     # each of the three sign patterns ends in an iteration that takes no step
     assert sum(plan.newton_trace[k][1] == 0.0 for k in newton) == 3
-    # the Newton word's legs stay in the plan only when the loop goes on from them
-    assert plan.trace[0][1] == (8 if kept else 0)
+    # the Newton word's legs leave the plan, and the loop plans from the start
+    # with the iterations left
+    assert all(added == 0 for _, added in plan.trace[:len(newton) + 1])
+    log = planner._Iterations(200 - len(newton) - 1)
+    legs, p, reason = planner._rectangles(ManeuverMode.LANDING, list(start), goal,
+                                          1e-3, log)
+    assert plan.legs == tuple(legs) and reason is None
+    assert plan.achieved.tolist() == list(p)
     traj = planner.replay(plan)
     np.testing.assert_allclose(traj.endpoint, plan.achieved, atol=1e-8)
     assert constraint_residuals(traj).passed()
@@ -348,6 +367,13 @@ def _hand_plan(mode, start, legs):
         p = np.array(planner.flow(mode, k, p, s))
     return planner.Plan(mode, np.asarray(start, dtype=float), p, tuple(legs), p,
                         np.zeros(5), 1, 1e-3, True)
+
+
+def test_hand_built_traced_plan_reports_its_trace():
+    # a Plan with a trace but no Newton trace, as the rectangle loop records it
+    plan = dataclasses.replace(_hand_plan(ManeuverMode.ATTACKING, np.zeros(5), [(0, 0.5)]),
+                               trace=((0.5, 1),), planner="rectangles")
+    assert plan.to_json_dict()["trace"] == [{"gap_max": 0.5, "legs_added": 1}]
 
 
 def _leg_controls(mode, k, s):
