@@ -16,7 +16,6 @@ import numpy as np
 
 from .forms import DifferentialForm, FormValue, VectorField, exterior_derivative_stack
 
-COORD_NAMES = ("x", "y", "z", "a", "b")
 DIM = 5
 
 _UNIT_NORM_TOL = 1e-12
@@ -45,16 +44,9 @@ class AmbientConfig:
         if np.any(np.abs(np.linalg.norm(self.n, axis=-1) - 1.0) > _UNIT_NORM_TOL):
             raise ValueError("normal must be a unit vector")
 
-    def to_json_dict(self) -> dict:
-        return {"r": [float(v) for v in self.r], "n": [float(v) for v in self.n]}
-
 
 def point(x: float, y: float, z: float, a: float, b: float) -> np.ndarray:
     return np.array([x, y, z, a, b], dtype=float)
-
-
-def point_to_json_dict(p: np.ndarray) -> dict:
-    return {name: float(v) for name, v in zip(COORD_NAMES, p)}
 
 
 def normal_scale(p: np.ndarray) -> "float | np.ndarray":
@@ -167,8 +159,6 @@ Z_FRAME = (
     _frame_field("Z3", 0.0, 0.0, 0.0, -3.0),
     _frame_field("Z4", 0.0, 0.0, 1.0, 0.0),
 )
-
-FRAMES = {"E": E_FRAME, "Z": Z_FRAME}
 
 #: The frame-oriented coordinate volume is dx^dy^db^da^dz, the orientation in
 #: which (E1, E2, E3, E4, dz-dir) is positively oriented. Evaluating a 5-form

@@ -92,8 +92,12 @@ def _parse_time_range(text: str) -> tuple[float, float, float]:
         t0, t1, step = (float(v) for v in parts)
     except ValueError:
         raise _usage_error(f"--t must be numeric start:end:step, got {text!r}")
+    if not all(map(math.isfinite, (t0, t1, step))):
+        raise _usage_error(f"--t must be finite start:end:step, got {text!r}")
     if step <= 0.0 or t1 <= t0:
         raise _usage_error("--t needs end > start and step > 0")
+    if not math.isfinite((t1 - t0) / step):
+        raise _usage_error(f"--t spans more steps than a float holds, got {text!r}")
     return t0, t1, step
 
 
@@ -257,8 +261,11 @@ def _cmd_simulate(args) -> int:
         start = np.asarray(start_spec, dtype=float)
         if start.shape != (5,):
             raise _usage_error("start in controls file needs 5 components")
-    program = ControlProgram(mode, _control(u1), _control(u2), _control(u3),
-                             duration=duration, dt=dt)
+    try:
+        program = ControlProgram(mode, _control(u1), _control(u2), _control(u3),
+                                 duration=duration, dt=dt)
+    except ValueError as exc:
+        raise _usage_error(str(exc))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ChartEscapeWarning)
         traj = integrate_trajectory(program, start)
@@ -470,8 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replay-csv", metavar="FILE", default=None,
                    help="write the replayed trajectory as CSV")
     p.add_argument("--trace", action="store_true",
-                   help="add a per-iteration trace (max |gap|, legs added, Newton "
-                        "residual and step) to the report")
+                   help="add a per-iteration trace (max |gap| to the waypoint the "
+                        "iteration aims at, legs added, Newton residual and step) "
+                        "to the report")
     _add_common(p)
     p.set_defaults(func=_cmd_plan)
 

@@ -16,6 +16,7 @@ parameter T = -y4.
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 from typing import Callable, Sequence
 
@@ -406,8 +407,10 @@ def integrate_d2_curve(u_spec, w_spec, duration: float, n_steps: int,
     """
     u_spec = ControlSpec.from_spec(u_spec)
     w_spec = ControlSpec.from_spec(w_spec)
-    if duration <= 0.0 or n_steps < 1:
-        raise ValueError("need positive duration and at least one step")
+    if not (math.isfinite(duration) and duration > 0.0):
+        raise ValueError(f"duration must be finite and positive, got {duration!r}")
+    if n_steps < 1:
+        raise ValueError(f"need at least one step, got {n_steps!r}")
     start = np.zeros(5) if y0 is None else np.asarray(y0, dtype=float)
     if start.shape != (5,):
         raise ValueError("engine state must have 5 components")

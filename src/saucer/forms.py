@@ -69,10 +69,6 @@ class FormValue:
             assert len(idx) == self.degree and tuple(sorted(idx)) == idx
 
     @staticmethod
-    def zero(dim: int, degree: int) -> "FormValue":
-        return FormValue(dim, degree, {})
-
-    @staticmethod
     def covector(components: np.ndarray) -> "FormValue":
         comps = np.asarray(components, dtype=float)
         coeffs = {(i,): float(c) for i, c in enumerate(comps) if c != 0.0}
@@ -160,14 +156,6 @@ class DifferentialForm:
 
     def value(self, p: np.ndarray) -> FormValue:
         return self.coeff_fn(np.asarray(p, dtype=float))
-
-
-def constant_form(name: str, dim: int, degree: int, coeffs: Coeffs) -> DifferentialForm:
-    value = FormValue(dim, degree, dict(coeffs))
-    zero = FormValue.zero(dim, degree + 1) if degree < dim else None
-    return DifferentialForm(name, dim, degree,
-                            lambda p: value,
-                            (lambda p: zero) if zero is not None else None)
 
 
 def exterior_derivative(alpha: DifferentialForm, p: np.ndarray) -> FormValue:

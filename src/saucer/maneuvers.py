@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 import warnings
 from typing import Callable, Sequence
 
@@ -28,9 +29,6 @@ from .sampling import BOX_HALF_WIDTH
 #: Index order of distribution tensors: coframe (dx, dy, da, db) restricted
 #: to the contact distribution.
 DIST_COFRAME = ("dx", "dy", "da", "db")
-
-#: Chart coordinates carried by each distribution slot.
-DIST_COORD_INDICES = (0, 1, 3, 4)
 
 
 class ManeuverMode(enum.Enum):
@@ -106,12 +104,6 @@ def g2_coframe(p: np.ndarray) -> np.ndarray:
     C[..., 2, 4] = -1.0 / 3.0
     C[..., 3, 3] = 1.0
     return C
-
-
-def g2_components(v: np.ndarray) -> np.ndarray:
-    """Quartic-mode components (v_x, v_y, -(1/3) v_b, v_a) of a chart vector."""
-    v = np.asarray(v, dtype=float)
-    return np.array([v[0], v[1], -v[4] / 3.0, v[3]])
 
 
 # -- full-chart tensor fields (used by the symmetry solver) ------------------
@@ -197,10 +189,12 @@ class ControlProgram:
     dt: float = 1e-3
 
     def __post_init__(self):
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        for name in ("duration", "dt"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not math.isfinite(self.duration / self.dt):
+            raise ValueError(f"duration / dt must be finite, got {self.duration!r} / {self.dt!r}")
 
     @property
     def is_constant(self) -> bool:

@@ -6,10 +6,8 @@ four fields span the contact distribution, and their pairwise brackets
 restore the missing fifth direction, so piecewise flows reach any nearby
 target. The planner shoots one fixed word of 8 legs, the four family flows
 and one commutator rectangle, and solves for its six durations by
-Gauss-Newton with the exact Jacobian of the word's endpoint. A loop that
-matches (x, y, a, b) by a linear solve in the flow durations and closes the
-z gap with one capped rectangle per iteration remains as the fallback for
-Newton misses.
+Gauss-Newton with the exact Jacobian of the word's endpoint. A goal the
+word misses is reached by chaining words through evenly spaced waypoints.
 """
 from __future__ import annotations
 
@@ -33,7 +31,6 @@ LEG_DT = 1e-2
 LEG_MIN_STEPS = 20
 #: `replay` thins its legs evenly when they would take more samples than this.
 MAX_REPLAY_SAMPLES = 200_000
-MAX_RECTANGLE_EPS = 0.5
 
 #: Frozen (u1, u2, u3) triples whose control-law velocities form the family.
 FAMILY_CONTROLS: dict[ManeuverMode, tuple[tuple[float, float, float], ...]] = {
@@ -47,7 +44,7 @@ FAMILY_CONTROLS: dict[ManeuverMode, tuple[tuple[float, float, float], ...]] = {
 
 #: Commutator rectangle (field pair, z gain of the bracket) per mode. The
 #: landing gain is the contact value 1 + b^2 of [Y2, Y4] at the current point
-#: (`landing_depth2_contact_values`); `plan_path` takes it in that closed form.
+#: (`landing_depth2_contact_values`); `_newton` takes it in that closed form.
 _RECTANGLE = {
     ManeuverMode.ATTACKING: ((1, 2), 3.0),
     ManeuverMode.LANDING: ((1, 3), None),
@@ -329,16 +326,17 @@ class Plan:
     iterations: int
     tol: float
     success: bool
-    #: Per iteration: max |gap| when it began and the legs it added to the
-    #: plan; only recorded when `plan_path` is asked to trace.
+    #: Per iteration: max |gap| to the waypoint it aims at when it began and
+    #: the legs it added to the plan; only recorded when `plan_path` is asked
+    #: to trace.
     trace: tuple[tuple[float, int], ...] | None = None
-    #: "newton" for the shot word, "rectangles" for the fallback loop.
-    planner: str = "newton"
+    #: Waypoints of the attempt that made the plan: one word is shot at each.
+    pieces: int = 1
     #: Why the plan failed; None on success.
     reason: str | None = None
     #: Per iteration, recorded with `trace`: (|gap|, |step|) in the 2-norm
     #: for a Newton iteration, the step 0.0 when it took none (it met tol or
-    #: its attempt ended); None for the guess and the fallback loop.
+    #: its attempt ended); None for the guess of each word.
     newton_trace: tuple[tuple[float, float] | None, ...] | None = None
 
     def to_json_dict(self) -> dict:
@@ -352,7 +350,7 @@ class Plan:
             "iterations": self.iterations,
             "tolerance": self.tol,
             "success": self.success,
-            "planner": self.planner,
+            "pieces": self.pieces,
         }
         if self.reason is not None:
             payload["reason"] = self.reason
@@ -409,10 +407,9 @@ def _shoot(fmode: ManeuverMode, start: Sequence[float], theta: Sequence[float]) 
 
 
 def _word_legs(fmode: ManeuverMode, theta: Sequence[float]) -> list:
-    legs: list[tuple[int, float]] = []
-    for k, slot, sign in _WORDS[fmode]:
-        _append_leg(legs, k, sign * theta[slot])
-    return legs
+    """The word's legs at durations theta, legs of zero duration left out."""
+    return [(k, float(sign * theta[slot])) for k, slot, sign in _WORDS[fmode]
+            if abs(theta[slot]) > 1e-15]
 
 
 def _word_jacobian(fmode: ManeuverMode, points: Sequence, theta: Sequence[float]) -> list:
@@ -500,15 +497,15 @@ def _newton_step(fmode: ManeuverMode, start: list, theta: list, points: list,
 
 def _newton(fmode: ManeuverMode, start: list, target: list, tol: float,
             log: _Iterations) -> tuple[list, list, str | None]:
-    """Shoot the word at the goal: (legs, endpoint, reason), reason None on success.
+    """Shoot the word at target: (legs, endpoint, reason), reason None on success.
 
     Iteration 1 builds the guess: one phase-1 solve for s1..s4, then
     |e1| = |e2| = sqrt(|dz| / gain) with dz and the gain (1 + b^2 for
     landing) taken where the phase-1 legs end, in the first sign pattern
     whose e1 e2 has the sign of dz. The rectangle is left out when the
-    phase-1 legs meet tol. Every
-    later iteration takes one Newton step; an attempt that ends on a
-    singular Jacobian or no descent moves on to the next sign pattern.
+    phase-1 legs meet tol. Every later iteration takes one Newton step; an
+    attempt that ends on a singular Jacobian or no descent moves on to the
+    next sign pattern.
     """
     gap_max = _gap_max(target, start)
     if not tol <= gap_max < math.inf:
@@ -551,72 +548,6 @@ def _newton(fmode: ManeuverMode, start: list, target: list, tol: float,
     return legs, points[-1], None if met else "max_iterations spent"
 
 
-def _append_leg(legs: list, k: int, s: float) -> None:
-    if abs(s) > 1e-15:
-        legs.append((k, float(s)))
-
-
-def _rectangles(fmode: ManeuverMode, p: list, target: list, tol: float,
-                log: _Iterations) -> tuple[list, list, str | None]:
-    """The fallback loop: per iteration one phase-1 solve, one capped rectangle.
-
-    Phase 1 matches (x, y, a, b) by a linear solve in the family durations,
-    damped for the landing family whose matrix is state-dependent. Phase 2
-    moves z by eps^2 times the bracket's z gain (for landing, the contact
-    value 1 + b^2 of [Y2, Y4] at the current point), eps at most
-    MAX_RECTANGLE_EPS; negative z gaps swap the legs. Returns the legs,
-    the endpoint and the reason as `_newton` does.
-    """
-    legs: list[tuple[int, float]] = []
-    while log.left > 0:
-        gap_max = _gap_max(target, p)
-        n_before = len(legs)
-        if not tol <= gap_max < math.inf:
-            log.record(gap_max, 0)
-            return legs, p, None if gap_max < tol else "gap not finite"
-        # phase 1: the 4 matched coordinates
-        gap4 = [target[i] - p[i] for i in IDX4]
-        if _sup(gap4) > 1e-15:
-            if fmode == ManeuverMode.LANDING:
-                for _ in range(40):
-                    gap4 = [target[i] - p[i] for i in IDX4]
-                    if not 0.1 * tol <= _sup(gap4) < math.inf:
-                        break
-                    s = np.linalg.solve(_phase1_matrix(fmode, p), gap4).tolist()
-                    before = float(np.linalg.norm(gap4))
-                    for damping in (1.0, 0.5, 0.25):
-                        q = p
-                        trial: list[tuple[int, float]] = []
-                        for k in range(4):
-                            _append_leg(trial, k, damping * s[k])
-                            q = flow(fmode, k, q, damping * s[k])
-                        after = float(np.linalg.norm([target[i] - q[i] for i in IDX4]))
-                        if after < before or damping == 0.25:
-                            p = q
-                            legs.extend(trial)
-                            break
-            else:
-                s = np.linalg.solve(_phase1_matrix(fmode, p), gap4).tolist()
-                for k in range(4):
-                    _append_leg(legs, k, s[k])
-                    p = flow(fmode, k, p, s[k])
-        # phase 2: commutator rectangle for the z gap
-        dz = target[2] - p[2]
-        if abs(dz) >= 0.1 * tol:
-            (i, j), coeff = _RECTANGLE[fmode]
-            if coeff is None:
-                coeff = 1.0 + p[4] * p[4]
-            if dz < 0.0:
-                i, j = j, i
-            eps = min(MAX_RECTANGLE_EPS, math.sqrt(abs(dz) / coeff))
-            for k, s in ((i, eps), (j, eps), (i, -eps), (j, -eps)):
-                _append_leg(legs, k, s)
-                p = flow(fmode, k, p, s)
-        log.record(gap_max, len(legs) - n_before)
-    met = _gap_max(target, p) < tol
-    return legs, p, None if met else "max_iterations spent"
-
-
 def _check_plan_inputs(start: np.ndarray, goal: np.ndarray, tol: float,
                        max_iterations: int) -> None:
     if start.shape != (DIM,) or goal.shape != (DIM,):
@@ -629,8 +560,30 @@ def _check_plan_inputs(start: np.ndarray, goal: np.ndarray, tol: float,
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations!r}")
 
 
-#: Newton misses after which `plan_path` runs the rectangle loop.
-_FALLBACK_REASONS = ("singular Jacobian", "no descent")
+#: Newton misses after which `plan_path` restarts with twice the waypoints.
+_MISSES = ("singular Jacobian", "no descent")
+
+
+def _waypoints(fmode: ManeuverMode, start: list, target: list, pieces: int,
+               tol: float, log: _Iterations) -> tuple[list, list, str | None]:
+    """Shoot the word at waypoint k of `pieces`, start + k/pieces (target - start).
+
+    Each word starts where the last one ended, and the last waypoint is the
+    target itself. Returns the legs, the endpoint and the reason as `_newton`
+    does; a waypoint met with no iterations left ends the attempt.
+    """
+    legs: list[tuple[int, float]] = []
+    p = start
+    for k in range(1, pieces + 1):
+        if log.left <= 0:
+            return legs, p, "max_iterations spent"
+        waypoint = target if k == pieces else [
+            s + (g - s) * k / pieces for s, g in zip(start, target)]
+        more, p, reason = _newton(fmode, p, waypoint, tol, log)
+        legs += more
+        if reason is not None:
+            return legs, p, reason
+    return legs, p, None
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -643,17 +596,17 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
     (j, -e2), with (i, j) the mode's commutator pair: its six durations are
     solved for by Gauss-Newton shooting from a phase-1 guess (`_newton`),
     with the exact Jacobian of the word's endpoint. The state is carried as
-    Python floats, moved by `flow`. When every sign pattern of
-    (e1, e2) ends on a singular Jacobian or no descent, the rectangle loop
-    (`_rectangles`) runs from the start with the iterations left, and the
-    Newton word's legs leave the plan; the plan says which `planner`
-    produced it. Every iteration, whether it builds a guess, takes a Newton
-    step or runs the loop, counts against `max_iterations`. With `trace`,
-    the plan records max |gap| and the legs added per iteration, and the
-    Newton residual and step.
+    Python floats, moved by `flow`. When every sign pattern of (e1, e2) ends
+    on a singular Jacobian or no descent, the attempt's legs leave the plan
+    and planning restarts from the start with twice the `pieces`: one word
+    is shot at each of that many evenly spaced waypoints (`_waypoints`).
+    Every iteration, whether it builds a guess or takes a Newton step,
+    counts against `max_iterations`. With `trace`, the plan records, per
+    iteration, max |gap| to the waypoint it aims at, the legs it added, and
+    the Newton residual and step.
 
-    A failed plan carries a `reason`: a singular Jacobian or no descent (the
-    fallback had no iterations left), "max_iterations spent", or "gap not
+    A failed plan carries a `reason`: a singular Jacobian or no descent (no
+    iterations were left to restart), "max_iterations spent", or "gap not
     finite": planning stops at the first gap that is not finite, where the
     state overflowed (flows far from the origin do) or the gap itself did.
     """
@@ -663,17 +616,18 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
     fmode = _family_mode(mode)
     target = goal.tolist()
     log = _Iterations(max_iterations)
-    legs, p, reason = _newton(fmode, start.tolist(), target, tol, log)
-    planner = "newton"
-    if reason in _FALLBACK_REASONS and log.left > 0:
+    pieces = 1
+    while True:
+        legs, p, reason = _waypoints(fmode, start.tolist(), target, pieces, tol, log)
+        if reason not in _MISSES or log.left <= 0:
+            break
         log.drop_legs()
-        legs, p, reason = _rectangles(fmode, start.tolist(), target, tol, log)
-        planner = "rectangles"
+        pieces *= 2
     achieved = np.array(p)
     gap = goal - achieved
     success = float(np.max(np.abs(gap))) < tol
     return Plan(mode, start, goal, tuple(legs), achieved, gap, len(log.steps), tol,
-                success, tuple(log.steps) if trace else None, planner,
+                success, tuple(log.steps) if trace else None, pieces,
                 None if success else reason,
                 tuple(log.newton) if trace else None)
 

@@ -325,7 +325,7 @@ def test_plan_trace_is_opt_in(capsys):
     _, traced, _ = run_cli(capsys, *args, "--trace")
     plain, traced = json.loads(plain), json.loads(traced)
     assert set(plain) == {"mode", "start", "goal", "legs", "achieved", "gap_max",
-                          "iterations", "tolerance", "success", "planner", "replay"}
+                          "iterations", "tolerance", "success", "pieces", "replay"}
     trace = traced.pop("trace")
     assert traced == plain
     assert len(trace) == plain["iterations"]
@@ -337,6 +337,27 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["transmogrify"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("simulate", "--mode", "attacking", "--duration", "inf"), "duration"),
+    (("simulate", "--mode", "attacking", "--duration", "nan"), "duration"),
+    (("simulate", "--mode", "attacking", "--dt", "nan"), "dt"),
+    (("simulate", "--mode", "attacking", "--dt=-inf"), "dt"),
+    (("simulate", "--mode", "attacking", "--duration", "1e300", "--dt", "1e-10"), "duration"),
+    (("lift", "--t", "0:inf:0.1"), "--t"),
+    (("lift", "--t", "0:1:nan"), "--t"),
+    (("lift", "--t=-1e308:1e308:1"), "--t"),
+    (("lift", "--duration", "nan"), "duration"),
+    (("lift", "--duration", "inf"), "duration"),
+])
+def test_non_finite_times_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"saucer: error: {flag} ")
 
 
 BAD_CONTROL_SPECS = ("[]", "[[1, 2]]", "NaN", '{"kind": "sin", "amplitude": NaN}')

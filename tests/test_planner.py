@@ -260,7 +260,7 @@ def test_word_jacobian_matches_complex_steps(mode):
 def test_corner_pairs_the_rectangle_loop_missed(mode, start, goal):
     # one capped rectangle per iteration spent 200 iterations and 804 legs on each
     plan = planner.plan_path(mode, start, goal, tol=1e-3)
-    assert plan.success and plan.planner == "newton"
+    assert plan.success and plan.pieces == 1
     assert len(plan.legs) <= 8
     traj = planner.replay(plan)
     np.testing.assert_allclose(traj.endpoint, plan.achieved, atol=1e-8)
@@ -293,10 +293,8 @@ def test_the_word_is_shot_through_planner_flow(monkeypatch):
 
 
 # landing pairs of the plan workload's stream (seed 1) on which every sign
-# pattern of the Newton word ends without descent. The last attempt stops
-# farther from the goal than the start for the first and third, nearer for
-# the second; from the third's Newton endpoint the rectangle loop would
-# spend all 200 iterations (2 292 legs), from its start it needs 12.
+# pattern of the Newton word ends without descent. Shot at the midpoint and
+# then at the goal, the word reaches each.
 FALLBACK_PAIRS = [
     ([-1.0740562141271297, 0.4637008625297012, 0.06444747988807764, 0.7028340300431295,
       1.6938282531436446],
@@ -311,43 +309,74 @@ FALLBACK_PAIRS = [
      [1.9993742738813656, 1.3505067388717378, -0.43234028552785997, -0.029076666732177348,
       1.8569494384506249]),
 ]
+# landing, seed 1, pair 3581: the word also misses the midpoint, and four
+# waypoints reach the goal
+FOUR_WORD_PAIR = (
+    [0.4834120718333512, 1.3585201435462837, 1.8702660819472117, -1.7924294640434821,
+     -1.814830345685639],
+    [-1.9327964962233806, -1.8251399309154532, -1.7337041606581494, -0.7196892668628954,
+     1.7712709541456304])
 
 
-@pytest.mark.parametrize("pair", range(len(FALLBACK_PAIRS)))
-def test_landing_fallback_restarts_from_the_start(pair):
-    start, goal = FALLBACK_PAIRS[pair]
+def _assert_waypoint_plan(start, goal, pieces):
+    """The plan shoots `pieces` words from the start; returns its guesses."""
     plan = planner.plan_path(ManeuverMode.LANDING, start, goal, trace=True)
-    assert plan.success and plan.planner == "rectangles" and plan.reason is None
+    assert plan.success and plan.pieces == pieces and plan.reason is None
+    assert len(plan.legs) == 8 * pieces
     assert len(plan.trace) == len(plan.newton_trace) == plan.iterations
-    assert sum(added for _, added in plan.trace) == len(plan.legs) > 8
-    newton = [k for k, step in enumerate(plan.newton_trace) if step is not None]
-    assert newton == list(range(1, len(newton) + 1))
-    # each of the three sign patterns ends in an iteration that takes no step
-    assert sum(plan.newton_trace[k][1] == 0.0 for k in newton) == 3
-    # the Newton word's legs leave the plan, and the loop plans from the start
-    # with the iterations left
-    assert all(added == 0 for _, added in plan.trace[:len(newton) + 1])
-    log = planner._Iterations(200 - len(newton) - 1)
-    legs, p, reason = planner._rectangles(ManeuverMode.LANDING, list(start), goal,
-                                          1e-3, log)
+    assert sum(added for _, added in plan.trace) == len(plan.legs)
+    # every word opens with its guess; the last attempt's words open at the
+    # last `pieces` guesses, and the earlier attempts' legs left the plan
+    guesses = [k for k, step in enumerate(plan.newton_trace) if step is None]
+    words = guesses[-pieces:]
+    assert all(added == 0 for _, added in plan.trace[:words[0]])
+    assert [plan.trace[k][1] for k in words] == [8] * pieces
+    # each word aims at its waypoint and meets it before the next one starts
+    assert plan.trace[words[0]][0] == pytest.approx(
+        float(np.max(np.abs(np.subtract(goal, start)))) / pieces, rel=1e-12)
+    assert all(plan.trace[k - 1][0] < plan.tol for k in words[1:] + [plan.iterations])
+    # the last attempt restarts from the start with the iterations left
+    log = planner._Iterations(200 - words[0])
+    legs, p, reason = planner._waypoints(ManeuverMode.LANDING, list(start), goal,
+                                         pieces, 1e-3, log)
     assert plan.legs == tuple(legs) and reason is None
     assert plan.achieved.tolist() == list(p)
     traj = planner.replay(plan)
     np.testing.assert_allclose(traj.endpoint, plan.achieved, atol=1e-8)
     assert constraint_residuals(traj).passed()
-    # with no iterations left for the fallback, the Newton miss is the reason
-    spent = planner.plan_path(ManeuverMode.LANDING, start, goal,
-                              max_iterations=len(newton) + 1)
+    return plan, guesses
+
+
+@pytest.mark.parametrize("pair", range(len(FALLBACK_PAIRS)))
+def test_landing_fallback_restarts_from_the_start(pair):
+    start, goal = FALLBACK_PAIRS[pair]
+    plan, guesses = _assert_waypoint_plan(start, goal, pieces=2)
+    # the word shot at the goal: each of the three sign patterns ends in an
+    # iteration that takes no step
+    first = guesses[1]
+    assert sum(plan.newton_trace[k][1] == 0.0 for k in range(1, first)) == 3
+    # with no iterations left to restart, the Newton miss is the reason
+    spent = planner.plan_path(ManeuverMode.LANDING, start, goal, max_iterations=first)
     assert not spent.success
-    assert (spent.planner, spent.reason) == ("newton", "no descent")
+    assert (spent.pieces, spent.reason) == (1, "no descent")
     assert spent.to_json_dict()["reason"] == "no descent"
+    # a waypoint met as the iterations run out ends the attempt there
+    short = planner.plan_path(ManeuverMode.LANDING, start, goal,
+                              max_iterations=guesses[-1])
+    assert (short.success, short.pieces, short.reason) == \
+        (False, 2, "max_iterations spent")
+    assert short.iterations == guesses[-1] and short.legs == plan.legs[:8]
+
+
+def test_landing_miss_plans_by_four_waypoints():
+    _assert_waypoint_plan(*FOUR_WORD_PAIR, pieces=4)
 
 
 def test_plan_reports_why_it_failed():
     start, goal = [0.1, -0.2, 0.3, 0.0, 0.2], [-0.4, 0.2, -0.1, 0.3, 0.2]
     done = planner.plan_path(ManeuverMode.LANDING, start, goal, trace=True)
     payload = done.to_json_dict()
-    assert done.success and payload["planner"] == "newton" and "reason" not in payload
+    assert done.success and payload["pieces"] == 1 and "reason" not in payload
     for step, newton in zip(payload["trace"][1:], done.newton_trace[1:]):
         assert (step["residual"], step["step"]) == newton
     assert [step["step"] > 0.0 for step in payload["trace"][1:]] == \
@@ -370,9 +399,9 @@ def _hand_plan(mode, start, legs):
 
 
 def test_hand_built_traced_plan_reports_its_trace():
-    # a Plan with a trace but no Newton trace, as the rectangle loop records it
+    # a Plan with a trace but no Newton trace
     plan = dataclasses.replace(_hand_plan(ManeuverMode.ATTACKING, np.zeros(5), [(0, 0.5)]),
-                               trace=((0.5, 1),), planner="rectangles")
+                               trace=((0.5, 1),))
     assert plan.to_json_dict()["trace"] == [{"gap_max": 0.5, "legs_added": 1}]
 
 
