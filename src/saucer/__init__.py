@@ -7,8 +7,7 @@ the chart calculus, the control kernels, invariant structures and their
 symmetry algebras, the engine double fibration, and a reachability planner.
 """
 from .chart import (AmbientConfig, OutsideChart, ambient_from_chart,
-                    chart_from_ambient, contact_covector, contact_form,
-                    contact_nondegeneracy)
+                    chart_from_ambient, contact_covector, contact_nondegeneracy)
 from .fibration import LiftSingular, run_joystick
 from .gl2 import NullClass, classify_direction, quartic_upsilon
 from .kernels import BACKEND
@@ -24,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbientConfig", "OutsideChart", "ambient_from_chart", "chart_from_ambient",
-    "contact_covector", "contact_form", "contact_nondegeneracy",
+    "contact_covector", "contact_nondegeneracy",
     "LiftSingular", "run_joystick",
     "NullClass", "classify_direction", "quartic_upsilon",
     "BACKEND",

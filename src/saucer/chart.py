@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import DifferentialForm, FormValue, VectorField, exterior_derivative_stack
+from .forms import VectorField, exterior_derivative_stack
 
 DIM = 5
 
@@ -97,18 +97,6 @@ def contact_value(p: np.ndarray, v: np.ndarray) -> float:
     return float(contact_covector(p) @ np.asarray(v, dtype=float))
 
 
-def _contact_coeff_fn(p: np.ndarray) -> FormValue:
-    return FormValue.covector(contact_covector(p))
-
-
-def _contact_d_fn(p: np.ndarray) -> FormValue:
-    # dw0 = dx^da + dy^db
-    return FormValue(DIM, 2, {(0, 3): 1.0, (1, 4): 1.0})
-
-
-#: w0 as a form field with its closed-form exterior derivative registered.
-CONTACT_FORM = DifferentialForm("w0", DIM, 1, _contact_coeff_fn, _contact_d_fn)
-
 #: dS[m, i] for w0: the only varying components are w0_x = -a and w0_y = -b.
 _CONTACT_POINT_DERIVATIVE = np.zeros((DIM, DIM))
 _CONTACT_POINT_DERIVATIVE[3, 0] = -1.0
@@ -116,12 +104,8 @@ _CONTACT_POINT_DERIVATIVE[4, 1] = -1.0
 
 
 def contact_point_derivative(p: np.ndarray) -> np.ndarray:
-    return _CONTACT_POINT_DERIVATIVE.copy()
-
-
-def contact_form(p: np.ndarray) -> FormValue:
-    """w0 at p as a form value."""
-    return CONTACT_FORM.value(p)
+    """dS[..., m, i] of w0 at one point (5,) or each point of a stack (m, 5)."""
+    return np.broadcast_to(_CONTACT_POINT_DERIVATIVE, np.shape(p)[:-1] + (DIM, DIM)).copy()
 
 
 def _frame_field(name: str, x_comp: float, y_comp: float, a_comp: float,
@@ -188,9 +172,9 @@ def _triple_tensor() -> np.ndarray:
 
 _TRIPLE_TENSOR = _triple_tensor()
 
-#: da ^ db ^ dx ^ dy ^ dz against the frame-oriented volume.
-_AREA_VOLUME = FormValue(DIM, 2, {(3, 4): 1.0}).wedge(
-    FormValue(DIM, 3, {(0, 1, 2): 1.0})).evaluate(*_VOLUME_FRAME_VECTORS)
+#: da ^ db ^ dx ^ dy ^ dz against the frame-oriented volume: the determinant
+#: of the frame vectors' (a, b, x, y, z) components.
+_AREA_VOLUME = float(np.linalg.det(np.column_stack(_VOLUME_FRAME_VECTORS)[[3, 4, 0, 1, 2]]))
 
 
 def _triple_coefficient(dw: np.ndarray, w: np.ndarray) -> "float | np.ndarray":

@@ -84,6 +84,17 @@ def _load_controls_file(path: str) -> dict:
     return data
 
 
+def _file_number(value, key: str) -> float:
+    """A controls-file number (a flag's value passes through); a usage error
+    naming the key for anything float() refuses, and for true and false."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise _usage_error(f"{key} in controls file must be a number, got {value!r}")
+
+
 def _parse_time_range(text: str) -> tuple[float, float, float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -252,15 +263,16 @@ def _cmd_simulate(args) -> int:
     u1 = _parse_control(args.u1) if args.u1 is not None else file_vals.get("u1", 1.0)
     u2 = _parse_control(args.u2) if args.u2 is not None else file_vals.get("u2", 0.0)
     u3 = _parse_control(args.u3) if args.u3 is not None else file_vals.get("u3", 0.0)
-    duration = float(pick(args.duration, "duration", 1.0))
-    dt = float(pick(args.dt, "dt", 1e-3))
+    duration = _file_number(pick(args.duration, "duration", 1.0), "duration")
+    dt = _file_number(pick(args.dt, "dt", 1e-3), "dt")
     start_spec = pick(args.start, "start", "0,0,0,0,0")
     if isinstance(start_spec, str):
-        start = _parse_vector(start_spec, 5, "--start")
+        start = _parse_vector(start_spec, 5,
+                              "--start" if args.start is not None else "start in controls file")
+    elif isinstance(start_spec, list) and len(start_spec) == 5:
+        start = np.array([_file_number(v, "start component") for v in start_spec])
     else:
-        start = np.asarray(start_spec, dtype=float)
-        if start.shape != (5,):
-            raise _usage_error("start in controls file needs 5 components")
+        raise _usage_error("start in controls file needs 5 components")
     try:
         program = ControlProgram(mode, _control(u1), _control(u2), _control(u3),
                                  duration=duration, dt=dt)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 
 import numpy as np
 
@@ -220,8 +221,11 @@ def classify_directions(X: np.ndarray, tol: float = CLASSIFY_TOL) -> np.ndarray:
     """Codes into NULL_CLASSES for a stack of directions (m, 4), as (m,).
 
     Type N on the cubic cone, type II on its tangent variety, else not null.
-    Thresholds are relative: |g_i| against |X|^2, |Upsilon| against |X|^4.
+    Thresholds are relative: |g_i| against |X|^2, |Upsilon| against |X|^4;
+    tol must be finite and positive.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     X = np.asarray(X, dtype=float)
     norm2 = np.einsum("...i,...i->...", X, X)
     if np.any(norm2 == 0.0):
@@ -237,4 +241,4 @@ def classify_direction(X: np.ndarray, tol: float = CLASSIFY_TOL) -> NullClass:
     X = np.asarray(X, dtype=float)
     if X.shape != (4,):
         raise ValueError(f"expected one direction of 4 components, got shape {X.shape}")
-    return NULL_CLASSES[int(classify_directions(X[None])[0])]
+    return NULL_CLASSES[int(classify_directions(X[None], tol)[0])]

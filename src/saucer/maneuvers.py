@@ -59,28 +59,69 @@ _KERNEL_IDS = {
 
 
 # -- distribution tensors ----------------------------------------------------
+#
+# Each metric is one chart tensor field. Neither has a dz slot, so its
+# restriction to the distribution over the E-frame is its (x, y, a, b) block.
 
-def attacking_metric(p: np.ndarray) -> np.ndarray:
-    """Split metric 2(dx . da + dy . db) over DIST_COFRAME; constant in p."""
-    G = np.zeros((4, 4))
-    G[0, 2] = G[2, 0] = 1.0
-    G[1, 3] = G[3, 1] = 1.0
-    return G
+#: Chart indices of DIST_COFRAME.
+_DIST_INDICES = np.array([0, 1, 3, 4])
 
 
-def landing_metric(p: np.ndarray) -> np.ndarray:
-    """Sphere-congruence metric ghat over DIST_COFRAME.
+def _restrict(G: np.ndarray) -> np.ndarray:
+    """The DIST_COFRAME block of chart tensors (..., 5, 5), (..., 4, 4)."""
+    return G[..., _DIST_INDICES[:, None], _DIST_INDICES]
+
+
+_ATTACKING_METRIC_5 = np.zeros((DIM, DIM))
+_ATTACKING_METRIC_5[0, 3] = _ATTACKING_METRIC_5[3, 0] = 1.0
+_ATTACKING_METRIC_5[1, 4] = _ATTACKING_METRIC_5[4, 1] = 1.0
+
+#: Split metric 2(dx . da + dy . db) on the chart; constant.
+ATTACKING_METRIC_FIELD = constant_symtensor("attacking-metric", "chart", _ATTACKING_METRIC_5)
+
+
+def _landing_metric_5(p: np.ndarray) -> np.ndarray:
+    """ghat on the chart at one point (5,) or each point of a stack (m, 5).
 
     ghat = 2 (1 + a^2) dx . db - 2 ab dx . da - 2 (1 + b^2) dy . da + 2 ab dy . db,
     written with symmetric products u . v = (u x v + v x u)/2.
     """
-    a, b = float(p[3]), float(p[4])
-    G = np.zeros((4, 4))
-    G[0, 3] = G[3, 0] = 1.0 + a * a
-    G[0, 2] = G[2, 0] = -a * b
-    G[1, 2] = G[2, 1] = -(1.0 + b * b)
-    G[1, 3] = G[3, 1] = a * b
+    a, b = p[..., 3], p[..., 4]
+    G = np.zeros(p.shape + (DIM,))
+    G[..., 0, 4] = G[..., 4, 0] = 1.0 + a * a
+    G[..., 0, 3] = G[..., 3, 0] = -a * b
+    G[..., 1, 3] = G[..., 3, 1] = -(1.0 + b * b)
+    G[..., 1, 4] = G[..., 4, 1] = a * b
     return G
+
+
+def _landing_metric_5_derivative(p: np.ndarray) -> np.ndarray:
+    """dG[..., m, i, j] = d(G_ij)/dx^m; only the a and b derivatives survive."""
+    a, b = p[..., 3], p[..., 4]
+    dG = np.zeros(p.shape + (DIM, DIM))
+    dG[..., 3, 0, 4] = dG[..., 3, 4, 0] = 2.0 * a
+    dG[..., 3, 0, 3] = dG[..., 3, 3, 0] = -b
+    dG[..., 3, 1, 4] = dG[..., 3, 4, 1] = b
+    dG[..., 4, 0, 3] = dG[..., 4, 3, 0] = -a
+    dG[..., 4, 1, 3] = dG[..., 4, 3, 1] = -2.0 * b
+    dG[..., 4, 1, 4] = dG[..., 4, 4, 1] = a
+    return dG
+
+
+#: Sphere-congruence metric ghat on the chart.
+LANDING_METRIC_FIELD = SymTensorField(
+    "landing-metric", DIM, 2, "chart",
+    _landing_metric_5, _landing_metric_5_derivative)
+
+
+def attacking_metric(p: np.ndarray) -> np.ndarray:
+    """The attacking metric over DIST_COFRAME; constant in p."""
+    return _restrict(_ATTACKING_METRIC_5)
+
+
+def landing_metric(p: np.ndarray) -> np.ndarray:
+    """ghat over DIST_COFRAME at one point (5,) or each point of a stack (m, 5)."""
+    return _restrict(_landing_metric_5(np.asarray(p, dtype=float)))
 
 
 def invariant_two_form_dist(p: np.ndarray) -> np.ndarray:
@@ -104,47 +145,6 @@ def g2_coframe(p: np.ndarray) -> np.ndarray:
     C[..., 2, 4] = -1.0 / 3.0
     C[..., 3, 3] = 1.0
     return C
-
-
-# -- full-chart tensor fields (used by the symmetry solver) ------------------
-
-def _attacking_metric_5(p: np.ndarray) -> np.ndarray:
-    G = np.zeros((DIM, DIM))
-    G[0, 3] = G[3, 0] = 1.0
-    G[1, 4] = G[4, 1] = 1.0
-    return G
-
-
-ATTACKING_METRIC_FIELD = constant_symtensor(
-    "attacking-metric", "chart", _attacking_metric_5(np.zeros(DIM)))
-
-
-def _landing_metric_5(p: np.ndarray) -> np.ndarray:
-    a, b = float(p[3]), float(p[4])
-    G = np.zeros((DIM, DIM))
-    G[0, 4] = G[4, 0] = 1.0 + a * a
-    G[0, 3] = G[3, 0] = -a * b
-    G[1, 3] = G[3, 1] = -(1.0 + b * b)
-    G[1, 4] = G[4, 1] = a * b
-    return G
-
-
-def _landing_metric_5_derivative(p: np.ndarray) -> np.ndarray:
-    """dG[m, i, j] = d(G_ij)/dx^m; only the a and b derivatives survive."""
-    a, b = float(p[3]), float(p[4])
-    dG = np.zeros((DIM, DIM, DIM))
-    dG[3, 0, 4] = dG[3, 4, 0] = 2.0 * a
-    dG[3, 0, 3] = dG[3, 3, 0] = -b
-    dG[3, 1, 4] = dG[3, 4, 1] = b
-    dG[4, 0, 3] = dG[4, 3, 0] = -a
-    dG[4, 1, 3] = dG[4, 3, 1] = -2.0 * b
-    dG[4, 1, 4] = dG[4, 4, 1] = a
-    return dG
-
-
-LANDING_METRIC_FIELD = SymTensorField(
-    "landing-metric", DIM, 2, "chart",
-    _landing_metric_5, _landing_metric_5_derivative)
 
 
 def _quartic_field_array() -> np.ndarray:

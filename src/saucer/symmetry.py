@@ -53,9 +53,8 @@ def _field_jacobians(fields: Sequence[VectorField], pts: np.ndarray) -> np.ndarr
 
 
 def _tensor_values(S: SymTensorField, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S and its point derivative at every point, stacked along axis 0."""
-    return (np.array([S.value(p) for p in pts]),
-            np.array([S.point_derivative(p) for p in pts]))
+    """S and its point derivative at every point, one stacked call each."""
+    return S.value(pts), S.point_derivative(pts)
 
 
 def _distribution_frames(pts: np.ndarray) -> np.ndarray:

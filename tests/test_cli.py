@@ -202,6 +202,25 @@ def test_classify_bad_vector_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("tol,expected", [("1e-3", "TypeN"), ("1e-9", "TypeII")])
+def test_classify_tolerance_reaches_the_classifier(capsys, tol, expected):
+    # nu(0.5) + 1e-6 e1
+    code, out, _ = run_cli(capsys, "classify", "--vector", "1.000001,0.5,0.25,0.125",
+                           "--tol", tol)
+    assert code == 0
+    assert json.loads(out)["class"] == expected
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "0"])
+def test_classify_rejects_bad_tolerance_as_usage_error(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classify", "--vector", "1,2,4,8", "--tol", tol])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tol" in captured.err
+
+
 def test_simulate_with_flags_and_csv(capsys, tmp_path):
     csv_file = tmp_path / "traj.csv"
     code, out, _ = run_cli(capsys, "simulate", "--mode", "attacking",
@@ -244,6 +263,29 @@ def test_simulate_flags_override_controls_file(capsys, tmp_path):
                            "--controls", str(controls), "--duration", "0.2")
     assert code == 0
     assert json.loads(out)["samples"] == 21
+
+
+@pytest.mark.parametrize("key,value", [
+    ("duration", "abc"),
+    ("duration", [1]),
+    ("duration", True),
+    ("dt", None),
+    ("dt", "fast"),
+    ("start", ["a", 0, 0, 0, 0]),
+    ("start", "a,0,0,0,0"),
+    ("start", [[0], 0, 0, 0, 0]),
+    ("start", [0, 0, 0]),
+    ("start", {"x": 0}),
+])
+def test_simulate_controls_file_values_must_be_numbers(capsys, tmp_path, key, value):
+    controls = tmp_path / "controls.json"
+    controls.write_text(json.dumps({"u1": 1.0, "duration": 0.1, key: value}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--mode", "attacking", "--controls", str(controls)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"saucer: error: {key}" in captured.err
 
 
 def test_lift_pipeline_with_time_range(capsys, tmp_path):

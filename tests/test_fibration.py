@@ -85,7 +85,7 @@ def test_unknown_chart_is_rejected():
 
 
 @given(coord, coord, coord, coord, safe, coord)
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 def test_transition_roundtrip(x0, x1, x2, x3, x4, x5):
     x = np.array([x0, x1, x2, x3, x4, x5])
     y = fibration.y_from_x(x)

@@ -1,79 +1,16 @@
-"""Exterior calculus engine: wedge, d, Lie derivatives, brackets."""
+"""Tensor calculus: brackets, Lie derivatives of symmetric tensors, d."""
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import pytest
 
-from saucer.chart import CONTACT_FORM, contact_covector
-from saucer.forms import (DifferentialForm, FormValue, VectorField, bracket,
-                          constant_field, exterior_derivative,
-                          exterior_derivative_stack,
-                          lie_derivative_form, lie_derivative_symtensor,
-                          SymTensorField, wedge)
-from saucer.sampling import rng_for, sample_chart_points
-
-vec5 = st.lists(st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
-                min_size=5, max_size=5).map(np.array)
-
-
-@given(vec5, vec5, vec5, vec5)
-@settings(max_examples=40, deadline=None)
-def test_wedge_of_covectors_is_antisymmetric_determinant(c1, c2, v, w):
-    a = FormValue.covector(c1)
-    b = FormValue.covector(c2)
-    ab = wedge(a, b)
-    ba = wedge(b, a)
-    det = (c1 @ v) * (c2 @ w) - (c1 @ w) * (c2 @ v)
-    assert abs(ab.evaluate(v, w) - det) < 1e-9
-    assert abs(ab.evaluate(v, w) + ba.evaluate(v, w)) < 1e-9
-
-
-def test_wedge_is_associative_on_covectors():
-    rng = rng_for(0, "forms.assoc")
-    for _ in range(10):
-        a, b, c = (FormValue.covector(rng.uniform(-1, 1, 5)) for _ in range(3))
-        v = rng.uniform(-1, 1, (3, 5))
-        left = wedge(wedge(a, b), c)
-        right = wedge(a, wedge(b, c))
-        assert abs(left.evaluate(*v) - right.evaluate(*v)) < 1e-12
-
-
-def test_interior_product_is_evaluation_slot():
-    rng = rng_for(0, "forms.interior")
-    a = FormValue.covector(rng.uniform(-1, 1, 5))
-    b = FormValue.covector(rng.uniform(-1, 1, 5))
-    v, w = rng.uniform(-1, 1, (2, 5))
-    two = wedge(a, b)
-    assert abs(two.interior(v).evaluate(w) - two.evaluate(v, w)) < 1e-12
-
-
-def test_registered_and_fd_exterior_derivative_agree():
-    # same coefficients as the contact form but without the registered d
-    fd_only = DifferentialForm("w0-fd", 5, 1,
-                               lambda p: FormValue.covector(contact_covector(p)))
-    for p in sample_chart_points(20, label="test.dreg"):
-        d_reg = exterior_derivative(CONTACT_FORM, p)
-        d_fd = exterior_derivative(fd_only, p)
-        diff = d_reg - d_fd
-        assert diff.norm() < 1e-9
-
-
-def _poly_one_form() -> DifferentialForm:
-    def coeff(p: np.ndarray) -> FormValue:
-        x, y, z, a, b = p
-        return FormValue.covector(np.array([z * y, x * x, a * b, y, x * z]))
-
-    return DifferentialForm("poly1", 5, 1, coeff)
-
-
-def test_d_squared_vanishes():
-    alpha = _poly_one_form()
-    dalpha = DifferentialForm("d(poly1)", 5, 2,
-                              lambda q: exterior_derivative(alpha, q))
-    for p in sample_chart_points(15, label="test.d2"):
-        dd = exterior_derivative(dalpha, p)
-        assert dd.norm() < 1e-6
+from saucer.chart import contact_covector
+from saucer.forms import (FD_STEP, VectorField, bracket, constant_field,
+                          exterior_derivative_stack, lie_derivative_stack,
+                          lie_derivative_symtensor, SymTensorField)
+from saucer.maneuvers import ATTACKING_METRIC_FIELD, LANDING_METRIC_FIELD, QUARTIC_FIELD
+from saucer.sampling import sample_chart_points
+from saucer.symmetry import CONTACT_TENSOR
 
 
 def _poly_field() -> VectorField:
@@ -95,10 +32,16 @@ def _poly_field() -> VectorField:
     return VectorField("poly-field", 5, value, jac)
 
 
+def _lie_derivative(X: VectorField, S: SymTensorField, p: np.ndarray) -> np.ndarray:
+    """L_X S at one point, through the stacked routine."""
+    return lie_derivative_stack(X.value(p)[None], X.jacobian(p)[None],
+                                S.value(p)[None], S.point_derivative(p)[None])[0]
+
+
 def test_cartan_formula_matches_flow_pullback():
-    """L_X alpha from Cartan's formula vs a finite-difference flow pullback."""
+    """L_X w0 from the stacked Lie derivative vs a finite-difference flow pullback."""
     X = _poly_field()
-    alpha = CONTACT_FORM
+    alpha = CONTACT_TENSOR
     eps = 1e-4
     def flow(p: np.ndarray, h: float) -> np.ndarray:
         # single RK4 step is exact enough for the eps-flow of a polynomial field
@@ -109,16 +52,16 @@ def test_cartan_formula_matches_flow_pullback():
         return p + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
 
     for p in sample_chart_points(10, label="test.cartan"):
-        lie = lie_derivative_form(X, alpha, p)
+        lie = _lie_derivative(X, alpha, p)
         J = X.jacobian(p)
         a_plus = alpha.value(flow(p, eps))
         a_minus = alpha.value(flow(p, -eps))
         for i in range(5):
             v = np.zeros(5)
             v[i] = 1.0
-            quotient = (a_plus.evaluate((np.eye(5) + eps * J) @ v)
-                        - a_minus.evaluate((np.eye(5) - eps * J) @ v)) / (2 * eps)
-            assert abs(lie.evaluate(v) - quotient) < 1e-4
+            quotient = (a_plus @ ((np.eye(5) + eps * J) @ v)
+                        - a_minus @ ((np.eye(5) - eps * J) @ v)) / (2 * eps)
+            assert abs(lie @ v - quotient) < 1e-4
 
 
 def test_bracket_antisymmetry_and_jacobi():
@@ -147,54 +90,81 @@ def bracket_of(A: VectorField, B: VectorField, C: VectorField,
 def test_symtensor_lie_derivative_directional_term():
     """For a constant field the Lie derivative reduces to X^m d_m S."""
     def gval(p: np.ndarray) -> np.ndarray:
-        G = np.zeros((5, 5))
-        G[0, 0] = p[3] ** 2
-        G[0, 1] = G[1, 0] = p[2]
+        G = np.zeros(p.shape + (5,))
+        G[..., 0, 0] = p[..., 3] ** 2
+        G[..., 0, 1] = G[..., 1, 0] = p[..., 2]
         return G
 
-    S = SymTensorField("g-test", 5, 2, "coords", gval)
+    def gder(p: np.ndarray) -> np.ndarray:
+        dG = np.zeros(p.shape + (5, 5))
+        dG[..., 3, 0, 0] = 2.0 * p[..., 3]
+        dG[..., 2, 0, 1] = dG[..., 2, 1, 0] = 1.0
+        return dG
+
+    S = SymTensorField("g-test", 5, 2, "coords", gval, gder)
     X = constant_field("dir", [0.0, 0.0, 1.0, 2.0, 0.0])
-    for p in sample_chart_points(10, label="test.liesym"):
-        lie = lie_derivative_symtensor(X, S, p)
+    pts = sample_chart_points(10, label="test.liesym")
+    lie = lie_derivative_stack(X.value(pts), X.jacobian(pts), S.value(pts),
+                               S.point_derivative(pts))
+    for p, L in zip(pts, lie):
         expected = np.zeros((5, 5))
         expected[0, 0] = 2.0 * p[3] * 2.0
         expected[0, 1] = expected[1, 0] = 1.0
-        assert np.max(np.abs(lie - expected)) < 1e-9
+        assert np.max(np.abs(L - expected)) < 1e-9
+        np.testing.assert_array_equal(lie_derivative_symtensor(X, S, p), L)
+
+
+@pytest.mark.parametrize("S", [LANDING_METRIC_FIELD, CONTACT_TENSOR,
+                               ATTACKING_METRIC_FIELD, QUARTIC_FIELD],
+                         ids=lambda S: S.name)
+def test_stacked_symtensor_fields_equal_pointwise_ones(S):
+    pts = sample_chart_points(40, label="test.stacked-symtensor")
+    T, dT = S.value(pts), S.point_derivative(pts)
+    assert T.shape == (40,) + (5,) * S.rank
+    assert dT.shape == (40, 5) + (5,) * S.rank
+    np.testing.assert_array_equal(T, [S.value(p) for p in pts])
+    np.testing.assert_array_equal(dT, [S.point_derivative(p) for p in pts])
+    # the closed-form derivative against central differences of the value
+    h = FD_STEP
+    fd = np.stack([(S.value(pts + h * e) - S.value(pts - h * e)) / (2.0 * h)
+                   for e in np.eye(5)], axis=1)
+    np.testing.assert_allclose(dT, fd, rtol=0.0, atol=1e-8)
 
 
 def test_complex_step_exterior_derivative_of_the_contact_form():
-    # dw0 = dx ^ da + dy ^ db, the registered closed form, to roundoff; the
-    # central differences it replaced agree to their own truncation level
-    fd_only = DifferentialForm("w0-fd", 5, 1,
-                               lambda p: FormValue.covector(contact_covector(p)))
+    # dw0 = dx ^ da + dy ^ db to roundoff; central differences agree to
+    # their own truncation level
+    exact = np.zeros((5, 5))
+    exact[0, 3] = exact[1, 4] = 1.0
+    exact = exact - exact.T
     pts = sample_chart_points(40, label="test.cstep")
     dw = exterior_derivative_stack(contact_covector, pts)
     assert dw.shape == (40, 5, 5)
     for p, F in zip(pts, dw):
-        for d_ref, tol in ((exterior_derivative(CONTACT_FORM, p), 1e-14),
-                           (exterior_derivative(fd_only, p), 1e-8)):
-            for (i, j), c in d_ref.coeffs.items():
-                assert abs(F[i, j] - c) <= tol
-                assert abs(F[j, i] + c) <= tol
-            listed = set(d_ref.coeffs)
-            rest = [F[i, j] for i in range(5) for j in range(i + 1, 5) if (i, j) not in listed]
-            assert max(map(abs, rest)) <= tol
+        assert np.max(np.abs(F - exact)) <= 1e-14
+        h = FD_STEP * max(1.0, float(np.linalg.norm(p)))
+        grad = np.array([(contact_covector(p + h * e) - contact_covector(p - h * e)) / (2.0 * h)
+                         for e in np.eye(5)])
+        assert np.max(np.abs(F - (grad - grad.T))) <= 1e-8
     np.testing.assert_array_equal(exterior_derivative_stack(contact_covector, pts[0]), dw[0])
 
 
 def test_complex_step_exterior_derivative_of_a_polynomial_form():
-    alpha = _poly_one_form()
-
+    # w = zy dx + x^2 dy + ab dz + y da + xz db
     def components(q):
         x, y, z, a, b = np.moveaxis(q, -1, 0)
         return np.stack([z * y, x * x, a * b, y, x * z], axis=-1)
 
     pts = sample_chart_points(10, label="test.cstep.poly")
     dw = exterior_derivative_stack(components, pts)
-    for p, F in zip(pts, dw):
-        d_fd = exterior_derivative(alpha, p)
-        for (i, j), c in d_fd.coeffs.items():
-            assert abs(F[i, j] - c) < 1e-8
+    for (x, y, z, a, b), F in zip(pts, dw):
+        grad = np.zeros((5, 5))   # grad[i, j] = d_i w_j
+        grad[1, 0], grad[2, 0] = z, y
+        grad[0, 1] = 2.0 * x
+        grad[3, 2], grad[4, 2] = b, a
+        grad[1, 3] = 1.0
+        grad[0, 4], grad[2, 4] = z, x
+        np.testing.assert_allclose(F, grad - grad.T, rtol=0.0, atol=1e-14)
 
 
 def test_stacked_brackets_equal_pointwise_brackets():

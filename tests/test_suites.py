@@ -89,6 +89,21 @@ def _count_calls(monkeypatch, functions):
     return counts
 
 
+def _count_method_calls(monkeypatch, cls, names):
+    """Count calls of each cls.name method."""
+    counts = {}
+    for name in names:
+        key = f"{cls.__name__}.{name}"
+        counts[key] = 0
+
+        def counted(self, *args, _fn=getattr(cls, name), _key=key, **kwargs):
+            counts[_key] += 1
+            return _fn(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    return counts
+
+
 def _verify_all(seed):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.main(["verify", "--suite", "all", "--seed", str(seed),
@@ -102,11 +117,16 @@ def test_verify_pass_stays_within_call_budgets(monkeypatch):
     _verify_all(5)
     counts = _count_calls(monkeypatch, [(forms, "bracket"), (fibration, "coframe"),
                                         (gl2, "quartic_upsilon")])
+    # tensor fields are evaluated once per residual check, not once per point
+    counts.update(_count_method_calls(monkeypatch, forms.SymTensorField,
+                                      ("value", "point_derivative")))
     code, _ = _verify_all(5)
     assert code == 0
     assert counts["forms.bracket"] <= 40, counts
     assert counts["fibration.coframe"] <= 20, counts
     assert counts["gl2.quartic_upsilon"] <= 150, counts
+    assert counts["SymTensorField.value"] <= 100, counts
+    assert counts["SymTensorField.point_derivative"] <= 100, counts
 
 
 WORST_SAMPLE_CHECKS = ("structure-equations", "contact-constant", "ambient-triple-match",

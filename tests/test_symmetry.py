@@ -8,7 +8,7 @@ import pytest
 
 from saucer import catalogs, symmetry
 from saucer.chart import contact_covector
-from saucer.forms import VectorField, constant_field, lie_derivative_symtensor
+from saucer.forms import VectorField, constant_field, lie_derivative_stack
 from saucer.maneuvers import (ATTACKING_METRIC_FIELD, LANDING_METRIC_FIELD,
                               QUARTIC_FIELD)
 from saucer.sampling import sample_chart_points
@@ -169,7 +169,8 @@ def _ideal_columns(rank, p):
 
 
 def _lstsq_membership(X, S, p, ideal):
-    lie = lie_derivative_symtensor(X, S, p).ravel()
+    lie = lie_derivative_stack(X.value(p)[None], X.jacobian(p)[None],
+                               S.value(p)[None], S.point_derivative(p)[None])[0].ravel()
     A = np.stack([S.value(p).ravel()] + ideal, axis=1)
     coef, *_ = np.linalg.lstsq(A, lie, rcond=None)
     return (float(np.linalg.norm(A @ coef - lie))
