@@ -27,7 +27,7 @@ from . import fibration, gl2, kernels, planner
 from .kernels import BACKEND
 from .maneuvers import (ChartEscapeWarning, ControlProgram, ManeuverMode,
                         constraint_residuals, integrate_trajectory)
-from .reports import format_compact, format_pretty, timings_payload
+from .reports import report_payload, timings_payload
 from .sampling import DEFAULT_SEED
 from .suites import SUITE_NAMES, catalog_report, run_suites
 
@@ -240,8 +240,7 @@ def _cmd_verify(args) -> int:
     start = time.perf_counter()
     reports = run_suites(names, seed)
     total_s = time.perf_counter() - start
-    text = format_pretty(reports) if fmt == "pretty" else format_compact(reports)
-    _emit(text, args.out)
+    _emit(_payload_text(report_payload(reports), fmt), args.out)
     if args.timings:
         with open(args.timings, "w", encoding="utf-8") as fh:
             json.dump(timings_payload(reports, total_s), fh, indent=2)

@@ -120,9 +120,6 @@ class SymTensorField:
     """
 
     name: str
-    dim: int
-    rank: int
-    frame: str
     value_fn: Callable[[np.ndarray], np.ndarray]
     point_derivative_fn: Callable[[np.ndarray], np.ndarray]
 
@@ -133,14 +130,13 @@ class SymTensorField:
         return np.asarray(self.point_derivative_fn(np.asarray(p, dtype=float)), dtype=float)
 
 
-def constant_symtensor(name: str, frame: str, T: np.ndarray) -> SymTensorField:
+def constant_symtensor(name: str, T: np.ndarray) -> SymTensorField:
     """The same tensor T at every point of one point (dim,) or a stack (m, dim)."""
     T = np.asarray(T, dtype=float)
-    dim, rank = T.shape[0], T.ndim
     return SymTensorField(
-        name, dim, rank, frame,
+        name,
         lambda p: np.broadcast_to(T, p.shape[:-1] + T.shape).copy(),
-        lambda p: np.zeros(p.shape[:-1] + (dim,) + T.shape))
+        lambda p: np.zeros(p.shape[:-1] + (T.shape[0],) + T.shape))
 
 
 def lie_derivative_symtensor(X: VectorField, S: SymTensorField, p: np.ndarray) -> np.ndarray:
@@ -157,13 +153,24 @@ def lie_derivative_symtensor(X: VectorField, S: SymTensorField, p: np.ndarray) -
 def lie_derivative_stack(V: np.ndarray, J: np.ndarray, T: np.ndarray,
                          dT: np.ndarray) -> np.ndarray:
     """L_X S at m points at once, from stacked pointwise data:
-    (L_X S)_{i...} = X^m dS_{m,i...} + sum over slots S_{..m..} J_X[m, i_slot].
+    (L_X S)_{i...} = X^m dS_{m,i...} + `leibniz_stack`(J_X, S).
 
     V (m, d) and J (m, d, d) are the values and Jacobians of X; T (m, d, .., d)
     and dT (m, d, d, .., d) those of the rank-k tensor S and its point
     derivative. Returns (m, d, .., d).
     """
-    out = np.einsum("zm,zm...->z...", V, dT)
+    return leibniz_stack(J, T, np.einsum("zm,zm...->z...", V, dT))
+
+
+def leibniz_stack(J: np.ndarray, T: np.ndarray, base) -> np.ndarray:
+    """base + sum over slots S_{..m..} J[m, i_slot]: the matrices J acting
+    on the covariant tensors S by the Leibniz rule, one per stack row.
+
+    J (m, d, d) and T (m, d, .., d), either possibly a broadcast view. The
+    slot terms are added to base (0.0, or the transport term of a Lie
+    derivative) one at a time in slot order. Returns (m, d, .., d).
+    """
+    out = base
     slots = "abcdefgh"[:T.ndim - 1]
     for k, slot in enumerate(slots):
         moved = slots[:k] + "m" + slots[k + 1:]

@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 
+from .forms import leibniz_stack
+
 #: Spinor volume form, eps_{12} = +1.
 EPSILON = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -41,7 +43,9 @@ def spinor_from_vector(X: np.ndarray) -> np.ndarray:
 
 
 def vector_from_spinor(T: np.ndarray) -> np.ndarray:
-    return np.array([T[0, 0, 0], T[0, 0, 1], T[0, 1, 1], T[1, 1, 1]])
+    """X (4,) for a symmetric (2, 2, 2) tensor, or (..., 4) for a stack."""
+    return np.stack([T[..., 0, 0, 0], T[..., 0, 0, 1], T[..., 0, 1, 1], T[..., 1, 1, 1]],
+                    axis=-1)
 
 
 def endomorphism_L(X: np.ndarray) -> np.ndarray:
@@ -167,33 +171,35 @@ def invariant_two_form(X: np.ndarray, Y: np.ndarray) -> float:
     return float(np.asarray(X, dtype=float) @ OMEGA_MATRIX @ np.asarray(Y, dtype=float))
 
 
+#: Spinor tensors of the four basis vectors of R^4, stacked (4, 2, 2, 2).
+_SPINOR_BASIS = spinor_from_vector(np.eye(4))
+
+
+def _columns(images: np.ndarray) -> np.ndarray:
+    """The matrix (C order, so products with it round as before) whose
+    column k is the image (4,) of basis vector k, from the rows of images."""
+    return np.ascontiguousarray(images.T)
+
+
 def gl2_action(alpha: np.ndarray) -> np.ndarray:
     """rho(alpha): the Sym^3 action pulled back to R^4; rho(ab) = rho(a)rho(b)."""
     alpha = np.asarray(alpha, dtype=float)
     assert alpha.shape == (2, 2)
     if abs(np.linalg.det(alpha)) < 1e-300:
         raise ValueError("alpha must be invertible")
-    rho = np.empty((4, 4))
-    eye = np.eye(4)
-    for col in range(4):
-        T = spinor_from_vector(eye[col])
-        T = np.einsum("Aa,Bb,Cc,abc->ABC", alpha, alpha, alpha, T)
-        rho[:, col] = vector_from_spinor(T)
-    return rho
+    T = np.einsum("Aa,Bb,Cc,zabc->zABC", alpha, alpha, alpha, _SPINOR_BASIS)
+    return _columns(vector_from_spinor(T))
 
 
 def gl2_action_derivative(A: np.ndarray) -> np.ndarray:
-    """d/dt rho(exp(tA)) at t = 0: the Leibniz action on Sym^3."""
+    """d/dt rho(exp(tA)) at t = 0: the Leibniz action of A on Sym^3.
+
+    A acts on each spinor index, T[..a..] -> A[A, a] T[..a..], which is
+    `forms.leibniz_stack` with the matrix A^T.
+    """
     A = np.asarray(A, dtype=float)
-    out = np.empty((4, 4))
-    eye = np.eye(4)
-    for col in range(4):
-        T = spinor_from_vector(eye[col])
-        dT = (np.einsum("Aa,aBC->ABC", A, T)
-              + np.einsum("Bb,AbC->ABC", A, T)
-              + np.einsum("Cc,ABc->ABC", A, T))
-        out[:, col] = vector_from_spinor(dT)
-    return out
+    J = np.broadcast_to(A.T, (4, 2, 2))
+    return _columns(vector_from_spinor(leibniz_stack(J, _SPINOR_BASIS, 0.0)))
 
 
 def cubic_point(t) -> np.ndarray:

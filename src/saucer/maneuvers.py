@@ -77,7 +77,7 @@ _ATTACKING_METRIC_5[0, 3] = _ATTACKING_METRIC_5[3, 0] = 1.0
 _ATTACKING_METRIC_5[1, 4] = _ATTACKING_METRIC_5[4, 1] = 1.0
 
 #: Split metric 2(dx . da + dy . db) on the chart; constant.
-ATTACKING_METRIC_FIELD = constant_symtensor("attacking-metric", "chart", _ATTACKING_METRIC_5)
+ATTACKING_METRIC_FIELD = constant_symtensor("attacking-metric", _ATTACKING_METRIC_5)
 
 
 def _landing_metric_5(p: np.ndarray) -> np.ndarray:
@@ -110,8 +110,7 @@ def _landing_metric_5_derivative(p: np.ndarray) -> np.ndarray:
 
 #: Sphere-congruence metric ghat on the chart.
 LANDING_METRIC_FIELD = SymTensorField(
-    "landing-metric", DIM, 2, "chart",
-    _landing_metric_5, _landing_metric_5_derivative)
+    "landing-metric", _landing_metric_5, _landing_metric_5_derivative)
 
 
 def attacking_metric(p: np.ndarray) -> np.ndarray:
@@ -125,10 +124,13 @@ def landing_metric(p: np.ndarray) -> np.ndarray:
 
 
 def invariant_two_form_dist(p: np.ndarray) -> np.ndarray:
-    """d(omega^0) restricted to the distribution, over DIST_COFRAME."""
-    W = np.zeros((4, 4))
-    W[0, 2] = W[1, 3] = 1.0
-    W[2, 0] = W[3, 1] = -1.0
+    """d(omega^0) restricted to the distribution, over DIST_COFRAME.
+
+    Constant: (4, 4) at one point (5,), (..., 4, 4) over a stack (..., 5).
+    """
+    W = np.zeros(np.shape(p)[:-1] + (4, 4))
+    W[..., 0, 2] = W[..., 1, 3] = 1.0
+    W[..., 2, 0] = W[..., 3, 1] = -1.0
     return W
 
 
@@ -153,7 +155,7 @@ def _quartic_field_array() -> np.ndarray:
 
 
 #: Upsilon pulled back to the chart through the quartic-mode coframe.
-QUARTIC_FIELD = constant_symtensor("g2-quartic", "chart", _quartic_field_array())
+QUARTIC_FIELD = constant_symtensor("g2-quartic", _quartic_field_array())
 
 
 # -- velocity laws and integration -------------------------------------------

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
-import json
 import time
 import traceback
 from typing import Callable, Sequence
@@ -103,10 +102,3 @@ def timings_payload(reports: Sequence[SuiteReport], total_s: float) -> dict:
     payload["total"] = total_s
     return payload
 
-
-def format_pretty(reports: Sequence[SuiteReport]) -> str:
-    return json.dumps(report_payload(reports), indent=2, sort_keys=True)
-
-
-def format_compact(reports: Sequence[SuiteReport]) -> str:
-    return json.dumps(report_payload(reports), separators=(",", ":"), sort_keys=True)

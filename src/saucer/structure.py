@@ -6,16 +6,21 @@ K^2 = -Id after normalization (landing: a complex structure). This module
 computes K from a pair of matrices, splits its eigenbundles, evaluates the
 Levi pairing of the landing CR structure, and solves for the joint
 infinitesimal stabilizer of a set of structural tensors.
+
+The K-operators, the landing frame and the Levi form take one point (5,)
+or a stack of points (m, 5), as the chart and form layers do: one point
+gives floats and tuples, a stack gives arrays whose rows equal the
+one-point results bit for bit.
 """
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from typing import Sequence
 
 import numpy as np
 
 from . import gl2
+from .forms import leibniz_stack
 from .maneuvers import attacking_metric, invariant_two_form_dist, landing_metric
 
 KAPPA_SCALAR_TOL = 1e-8
@@ -28,44 +33,42 @@ class NotScalarSquare(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class KOperator:
-    frame: str                # which coframe indexes the matrices
-    matrix: np.ndarray        # normalized endomorphism, matrix^2 = sign * Id
-    raw: np.ndarray           # g^{-1} Omega before normalization
-    square_scalar: float      # lambda with raw^2 = lambda Id
-    sign: int                 # +1 paracomplex, -1 complex
-
-    @property
-    def normalizer(self) -> float:
-        return float(np.sqrt(abs(self.square_scalar)))
+    """K at one point (float, int) or at each point of a stack (arrays)."""
+    matrix: np.ndarray                  # normalized endomorphism, matrix^2 = sign * Id
+    square_scalar: float | np.ndarray   # lambda with (g^{-1} Omega)^2 = lambda Id
+    sign: int | np.ndarray              # +1 paracomplex, -1 complex
 
 
-def k_operator(g: np.ndarray, omega: np.ndarray, frame: str = "dist-coord",
+def k_operator(g: np.ndarray, omega: np.ndarray,
                orientation: tuple[np.ndarray, complex] | None = None) -> KOperator:
-    """Normalized K with g(K., .) = Omega(., .), i.e. raw = g^{-1} Omega.
+    """Normalized K = g^{-1} Omega / sqrt|lambda|, with (g^{-1} Omega)^2 = lambda Id.
 
-    `orientation` picks the overall sign: a pair (v, mu) asking that v be an
-    eigenvector of K with eigenvalue mu rather than -mu.
+    g and omega are one pair of matrices (n, n) or stacks (m, n, n) that
+    broadcast together. `orientation` picks the overall sign: a pair (v, mu),
+    v of shape (n,) or (m, n), asking that v be an eigenvector of K with
+    eigenvalue mu rather than -mu. Raises NotScalarSquare if any pair fails.
     """
     g = np.asarray(g, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    n = g.shape[0]
+    n = g.shape[-1]
     raw = np.linalg.solve(g, omega)
     sq = raw @ raw
-    lam = float(np.trace(sq)) / n
-    if np.linalg.norm(sq - lam * np.eye(n)) > KAPPA_SCALAR_TOL * max(1.0, abs(lam)):
+    lam = np.trace(sq, axis1=-2, axis2=-1) / n
+    off = np.linalg.norm(sq - lam[..., None, None] * np.eye(n), axis=(-2, -1))
+    if np.any(off > KAPPA_SCALAR_TOL * np.maximum(1.0, np.abs(lam))):
         raise NotScalarSquare("K^2 is not scalar for this (g, omega) pair")
-    if lam == 0.0:
+    if np.any(lam == 0.0):
         raise NotScalarSquare("K is nilpotent for this (g, omega) pair")
-    K = raw / np.sqrt(abs(lam))
-    sign = 1 if lam > 0.0 else -1
+    K = raw / np.sqrt(np.abs(lam))[..., None, None]
     if orientation is not None:
         v, mu = orientation
-        v = np.asarray(v, dtype=complex)
-        plus = np.linalg.norm(K @ v - mu * v)
-        minus = np.linalg.norm(-K @ v - mu * v)
-        if minus < plus:
-            K = -K
-    return KOperator(frame, K, raw, lam, sign)
+        v = np.asarray(v, dtype=complex)[..., None]
+        plus = np.linalg.norm((K @ v - mu * v)[..., 0], axis=-1)
+        minus = np.linalg.norm((-K @ v - mu * v)[..., 0], axis=-1)
+        K = np.where((minus < plus)[..., None, None], -K, K)
+    if lam.ndim == 0:
+        return KOperator(K, float(lam), 1 if lam > 0.0 else -1)
+    return KOperator(K, lam, np.where(lam > 0.0, 1, -1))
 
 
 def attacking_k_operator() -> KOperator:
@@ -80,18 +83,21 @@ def attacking_k_operator() -> KOperator:
 def landing_frame_z(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complex frame (Z1, Z2) of the landing structure over DIST_COFRAME.
 
-    Z1 spans the +i eigendirection used to orient K; Z2 its partner.
+    Z1 spans the +i eigendirection used to orient K; Z2 its partner. One
+    point (5,) gives two (4,) vectors, a stack (m, 5) two (m, 4) stacks.
     """
-    a, b = float(p[3]), float(p[4])
-    D = 1.0 + a * a + b * b
-    s = np.sqrt(D)
-    Z1 = np.array([0.0, 0.0, 1j * (1.0 + a * a), s + 1j * a * b])
-    Z2 = np.array([1j * (1.0 + b * b), s - 1j * a * b, 0.0, 0.0])
+    p = np.asarray(p, dtype=float)
+    a, b = p[..., 3], p[..., 4]
+    s = np.sqrt(1.0 + a * a + b * b)
+    zero = np.zeros_like(a)
+    Z1 = np.stack([zero, zero, 1j * (1.0 + a * a), s + 1j * a * b], axis=-1)
+    Z2 = np.stack([1j * (1.0 + b * b), s - 1j * a * b, zero, zero], axis=-1)
     return Z1, Z2
 
 
 def landing_k_operator(p: np.ndarray) -> KOperator:
-    """K of the landing pair at p, oriented so K Z1 = +i Z1.
+    """K of the landing pair at one point (5,) or a stack (m, 5), oriented
+    so K Z1 = +i Z1.
 
     The raw operator squares to -(1 + a^2 + b^2)^{-1} Id.
     """
@@ -124,13 +130,15 @@ def eigen_split(K: KOperator, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarra
 
 @dataclasses.dataclass(frozen=True)
 class LeviForm:
-    matrix: np.ndarray        # 2x2 Hermitian pairing in the (Z1, Z2) frame
-    c_value: complex          # the single independent entry C
-    signature: tuple[int, int]
+    """The Levi form at one point (complex, tuple) or a stack (arrays)."""
+    matrix: np.ndarray                  # 2x2 Hermitian pairing in the (Z1, Z2) frame
+    c_value: complex | np.ndarray       # the single independent entry C
+    signature: tuple[int, int] | np.ndarray   # (pos, neg); (m, 2) over a stack
 
 
 def levi_form(p: np.ndarray) -> LeviForm:
-    """Levi pairing of the landing CR structure in the (Z1, Z2) frame.
+    """Levi pairing of the landing CR structure in the (Z1, Z2) frame, at
+    one point (5,) or each point of a stack (m, 5).
 
     The raw pairing Omega(Z_A, conj(Z_B)) is antisymmetric-Hermitian with
     off-diagonal entry -C; the reported form is the Hermitian normalization
@@ -138,13 +146,16 @@ def levi_form(p: np.ndarray) -> LeviForm:
     """
     Z1, Z2 = landing_frame_z(p)
     W = invariant_two_form_dist(p).astype(complex)
-    C = -(Z1 @ W @ np.conj(Z2))
-    M = np.array([[0.0, -C], [-np.conj(C), 0.0]])
+    C = -(Z1[..., None, :] @ W @ np.conj(Z2)[..., :, None])[..., 0, 0]
+    M = np.zeros(C.shape + (2, 2), dtype=complex)
+    M[..., 0, 1] = -C
+    M[..., 1, 0] = -np.conj(C)
     eig = np.linalg.eigvalsh(M)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(eig))))
-    pos = int(np.sum(eig > tol))
-    neg = int(np.sum(eig < -tol))
-    return LeviForm(M, complex(C), (pos, neg))
+    tol = 1e-12 * np.maximum(1.0, np.max(np.abs(eig), axis=-1))[..., None]
+    signature = np.stack([np.sum(eig > tol, axis=-1), np.sum(eig < -tol, axis=-1)], axis=-1)
+    if C.ndim == 0:
+        return LeviForm(M, complex(C), tuple(int(k) for k in signature))
+    return LeviForm(M, C, signature)
 
 
 # -- infinitesimal stabilizers ------------------------------------------------
@@ -153,7 +164,6 @@ def levi_form(p: np.ndarray) -> LeviForm:
 class StabilizerSolution:
     dimension: int
     matrices: tuple[np.ndarray, ...]   # basis of endomorphisms Y
-    scales: np.ndarray                 # (dimension, n_tensors) conformal factors
     residual: float                    # largest violation over the basis
 
     def contains(self, Y: np.ndarray, tol: float = 1e-8) -> bool:
@@ -166,71 +176,43 @@ class StabilizerSolution:
         return mis <= tol * max(1.0, float(np.linalg.norm(Y)))
 
 
-def _rank2_rows(S: np.ndarray, t_index: int, n_tensors: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient block for Y^T S + S Y = f S, unknowns (vec Y, f_1..f_T)."""
-    n = S.shape[0]
-    n_eq = n * n
-    A = np.zeros((n_eq, n * n + n_tensors))
-    for k in range(n):
-        for l in range(n):
-            row = k * n + l
-            for m in range(n):
-                A[row, m * n + k] += S[m, l]      # (Y^T S)_{kl} = Y_{mk} S_{ml}
-                A[row, m * n + l] += S[k, m]      # (S Y)_{kl} = S_{km} Y_{ml}
-            A[row, n * n + t_index] = -S[k, l]
-    return A
+def _stabilizer_rows(S: np.ndarray, t_index: int, n_tensors: int) -> np.ndarray:
+    """Coefficient block of Y . S - f_t S = 0 in the unknowns (vec Y, f_1..f_T).
 
-
-def _rank4_rows(S: np.ndarray, t_index: int, n_tensors: int) -> np.ndarray:
-    """Coefficient block for the Leibniz action on a symmetric 4-tensor."""
+    Column m * n + c is the Leibniz action of the unit matrix E_mc on S.
+    """
     n = S.shape[0]
-    n_eq = n ** 4
-    A = np.zeros((n_eq, n * n + n_tensors))
-    for idx in itertools.product(range(n), repeat=4):
-        row = ((idx[0] * n + idx[1]) * n + idx[2]) * n + idx[3]
-        for slot in range(4):
-            for m in range(n):
-                jdx = list(idx)
-                jdx[slot] = m
-                # (Y . S)_{idx} picks up Y_{m, idx[slot]} S_{..m..}
-                A[row, m * n + idx[slot]] += S[tuple(jdx)]
-        A[row, n * n + t_index] = -S[idx]
-    return A
+    units = np.eye(n * n).reshape(n * n, n, n)
+    action = leibniz_stack(units, np.broadcast_to(S, units.shape[:1] + S.shape), 0.0)
+    scales = np.zeros((S.size, n_tensors))
+    scales[:, t_index] = -S.ravel()
+    return np.hstack([action.reshape(n * n, -1).T, scales])
 
 
 def solve_infinitesimal_stabilizer(
         tensors: Sequence[np.ndarray],
         threshold: float = STABILIZER_THRESHOLD) -> StabilizerSolution:
-    """Joint conformal stabilizer of symmetric/antisymmetric tensors.
+    """Joint conformal stabilizer of covariant tensors of any rank.
 
-    Solves for endomorphisms Y and one scale f_S per tensor with
-    Y acting by the Leibniz rule on each S equal to f_S * S. Rank-2 and
-    rank-4 tensors are supported; all must share one frame. The nullspace is
-    cut at `threshold` times the largest singular value.
+    Solves for endomorphisms Y and one scale f_S per tensor with Y acting
+    by the Leibniz rule on each S equal to f_S * S; all tensors must share
+    one frame. The nullspace is cut at `threshold` times the largest
+    singular value.
     """
     tensors = [np.asarray(S, dtype=float) for S in tensors]
     if not tensors:
         raise ValueError("need at least one tensor")
     n = tensors[0].shape[0]
     n_t = len(tensors)
-    blocks = []
-    for t_index, S in enumerate(tensors):
-        if S.ndim == 2:
-            blocks.append(_rank2_rows(S, t_index, n_t))
-        elif S.ndim == 4:
-            blocks.append(_rank4_rows(S, t_index, n_t))
-        else:
-            raise ValueError(f"unsupported tensor rank {S.ndim}")
-    A = np.vstack(blocks)
+    A = np.vstack([_stabilizer_rows(S, t, n_t) for t, S in enumerate(tensors)])
     _, sv, Vt = np.linalg.svd(A, full_matrices=True)
     cut = threshold * sv[0]
     n_unknowns = n * n + n_t
     dim = n_unknowns - int(np.sum(sv > cut))
     basis = Vt[n_unknowns - dim:] if dim else Vt[:0]
     matrices = tuple(row[:n * n].reshape(n, n) for row in basis)
-    scales = np.array([row[n * n:] for row in basis]) if dim else np.zeros((0, n_t))
     residual = float(np.max(np.abs(A @ basis.T))) if dim else 0.0
-    return StabilizerSolution(dim, matrices, scales, residual)
+    return StabilizerSolution(dim, matrices, residual)
 
 
 # -- the five-parameter stabilizer of the attacking pair ----------------------
@@ -275,7 +257,7 @@ def verify_commutation_table(basis: Sequence[np.ndarray],
     return worst
 
 
-def attacking_pair_e(p: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def attacking_pair_e() -> tuple[np.ndarray, np.ndarray]:
     """(attacking metric, invariant 2-form) in the frame of STABILIZER_BASIS.
 
     Coframe order (dx, dy, db, da): the metric becomes antidiag(1, 1, 1, 1)

@@ -24,13 +24,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chart import DIM, E_FRAME, contact_covector, contact_point_derivative
+from .chart import E_FRAME, contact_covector, contact_point_derivative
 from .forms import SymTensorField, VectorField, lie_derivative_stack
 from .maneuvers import QUARTIC_FIELD
 
 #: w0 as a rank-1 tensor field with its exact point derivative.
-CONTACT_TENSOR = SymTensorField("w0", DIM, 1, "chart",
-                                contact_covector, contact_point_derivative)
+CONTACT_TENSOR = SymTensorField("w0", contact_covector, contact_point_derivative)
 
 KILLING_ZERO_TOL = 1e-8
 RANK_TOL = 1e-8
@@ -346,21 +345,18 @@ def _octonion_table() -> np.ndarray:
     return T
 
 
+def _derivation_system(T: np.ndarray) -> np.ndarray:
+    """(512, 64): row (i, j, c), column (r, s) is the coefficient of D[r, s]
+    in the c component of D(e_i e_j) - D(e_i) e_j - e_i D(e_j)."""
+    eye = np.eye(8)
+    return (np.einsum("rc,ijs->ijcrs", eye, T)
+            - np.einsum("si,rjc->ijcrs", eye, T)
+            - np.einsum("sj,irc->ijcrs", eye, T)).reshape(8 * 8 * 8, 64)
+
+
 def split_g2_basis() -> list[np.ndarray]:
     """Derivations of the split octonions; a 14-dimensional matrix algebra."""
-    T = _octonion_table()
-    A = np.zeros((8 * 8 * 8, 64))
-    row = 0
-    for i in range(8):
-        for j in range(8):
-            for comp in range(8):
-                # coefficient of D[r, s]
-                for s in range(8):
-                    A[row, comp * 8 + s] += T[i, j, s]
-                for r in range(8):
-                    A[row, r * 8 + i] -= T[r, j, comp]
-                    A[row, r * 8 + j] -= T[i, r, comp]
-                row += 1
+    A = _derivation_system(_octonion_table())
     _, sv, Vt = np.linalg.svd(A, full_matrices=False)
     cut = 1e-10 * sv[0]
     dim = 64 - int(np.sum(sv > cut))

@@ -16,6 +16,7 @@ import pytest
 import saucer
 from saucer import cli, fibration, kernels
 from saucer.maneuvers import ControlProgram, ManeuverMode, integrate_trajectory
+from saucer.reports import CheckResult, SuiteReport, run_checks
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +171,19 @@ def test_verify_timings_cover_every_check_and_leave_stdout_alone(capsys, tmp_pat
     seconds = [v for checks in data.values() for v in checks.values()]
     assert all(v >= 0.0 for v in seconds)
     assert total >= sum(seconds)
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "compact"])
+def test_verify_reports_a_non_finite_residual_as_null(capsys, monkeypatch, fmt):
+    def nan_suite(names, seed):
+        check = ("nan-check", lambda: CheckResult("nan-check", False, float("nan"), "", 1e-9))
+        return [SuiteReport("structure", seed, run_checks([check]))]
+
+    monkeypatch.setattr(cli, "run_suites", nan_suite)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "structure", "--format", fmt)
+    assert code == 1
+    (suite,) = _strict_json(out)["suites"]
+    assert suite["checks"][0]["residual"] is None
 
 
 def test_verify_timings_do_not_apply_to_catalog_reports(capsys, tmp_path):

@@ -107,6 +107,39 @@ def test_action_derivative_is_leibniz_linearization():
                                atol=1e-8)
 
 
+def _action_reference(alpha):
+    """rho(alpha) column by column, as it was first written."""
+    rho = np.empty((4, 4))
+    for col in range(4):
+        T = gl2.spinor_from_vector(np.eye(4)[col])
+        rho[:, col] = gl2.vector_from_spinor(
+            np.einsum("Aa,Bb,Cc,abc->ABC", alpha, alpha, alpha, T))
+    return rho
+
+
+def _action_derivative_reference(A):
+    """d rho(A) column by column, one einsum per spinor slot."""
+    out = np.empty((4, 4))
+    for col in range(4):
+        T = gl2.spinor_from_vector(np.eye(4)[col])
+        out[:, col] = gl2.vector_from_spinor(np.einsum("Aa,aBC->ABC", A, T)
+                                             + np.einsum("Bb,AbC->ABC", A, T)
+                                             + np.einsum("Cc,ABc->ABC", A, T))
+    return out
+
+
+def test_action_and_derivative_equal_the_column_loops():
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        alpha = rng.uniform(-1.0, 1.0, size=(2, 2))
+        A = rng.uniform(-1.0, 1.0, size=(2, 2))
+        rho = gl2.gl2_action(alpha)
+        assert rho.flags.c_contiguous
+        np.testing.assert_array_equal(rho, _action_reference(alpha))
+        np.testing.assert_array_equal(gl2.gl2_action_derivative(A),
+                                      _action_derivative_reference(A))
+
+
 def test_classification_on_the_variety():
     assert gl2.classify_direction(gl2.cubic_point(0.7)) is gl2.NullClass.TYPE_N
     assert gl2.classify_direction(

@@ -1,6 +1,8 @@
 """Paracomplex/complex structure operators and infinitesimal stabilizers."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from saucer import structure
 from saucer.maneuvers import attacking_metric, invariant_two_form_dist, landing_metric
+from saucer.sampling import sample_chart_points
 
 coord = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
 
@@ -56,12 +59,16 @@ def test_landing_orientation_follows_z1(a, b):
     assert np.linalg.norm(KL.matrix @ Z2 - 1j * Z2) < 1e-9 * np.linalg.norm(Z2)
 
 
-def test_generic_pair_is_rejected():
+def _generic_pair():
     rng = np.random.default_rng(2)
     M = rng.normal(size=(4, 4))
     g = M + M.T + 8 * np.eye(4)
     A = rng.normal(size=(4, 4))
-    w = A - A.T
+    return g, A - A.T
+
+
+def test_generic_pair_is_rejected():
+    g, w = _generic_pair()
     with pytest.raises(structure.NotScalarSquare):
         structure.k_operator(g, w)
 
@@ -124,3 +131,91 @@ def test_stabilizer_scales_annihilate_central_elements():
 def test_stabilizer_rejects_empty_input():
     with pytest.raises(ValueError):
         structure.solve_infinitesimal_stabilizer([])
+
+
+# -- stacked inputs ----------------------------------------------------------
+
+def _stack_points():
+    return sample_chart_points(50, 3, "test.structure-stack")
+
+
+def test_stacked_landing_frame_equals_pointwise():
+    pts = _stack_points()
+    Z1, Z2 = structure.landing_frame_z(pts)
+    for p, z1, z2 in zip(pts, Z1, Z2):
+        one1, one2 = structure.landing_frame_z(p)
+        np.testing.assert_array_equal(z1, one1)
+        np.testing.assert_array_equal(z2, one2)
+
+
+def test_stacked_landing_k_operator_equals_pointwise():
+    pts = _stack_points()
+    K = structure.landing_k_operator(pts)
+    assert K.matrix.shape == (50, 4, 4)
+    for p, matrix, scalar, sign in zip(pts, K.matrix, K.square_scalar, K.sign):
+        one = structure.landing_k_operator(p)
+        assert isinstance(one.square_scalar, float) and isinstance(one.sign, int)
+        np.testing.assert_array_equal(matrix, one.matrix)
+        assert scalar == one.square_scalar
+        assert sign == one.sign
+
+
+def test_stacked_levi_form_equals_pointwise():
+    pts = _stack_points()
+    L = structure.levi_form(pts)
+    assert L.signature.shape == (50, 2)
+    for p, matrix, c, signature in zip(pts, L.matrix, L.c_value, L.signature):
+        one = structure.levi_form(p)
+        assert isinstance(one.c_value, complex) and isinstance(one.signature, tuple)
+        np.testing.assert_array_equal(matrix, one.matrix)
+        assert c == one.c_value
+        assert tuple(signature) == one.signature
+
+
+def test_stack_with_a_generic_pair_is_rejected():
+    pts = _stack_points()[:5]
+    g = landing_metric(pts)
+    w = invariant_two_form_dist(pts)
+    assert structure.k_operator(g, w).matrix.shape == (5, 4, 4)
+    g[2], w[2] = _generic_pair()
+    with pytest.raises(structure.NotScalarSquare):
+        structure.k_operator(g, w)
+
+
+# -- the Leibniz-built stabilizer system against the hand-indexed one ----------
+
+def _rank2_rows_reference(S, t_index, n_tensors):
+    n = S.shape[0]
+    A = np.zeros((n * n, n * n + n_tensors))
+    for k in range(n):
+        for l in range(n):
+            row = k * n + l
+            for m in range(n):
+                A[row, m * n + k] += S[m, l]
+                A[row, m * n + l] += S[k, m]
+            A[row, n * n + t_index] = -S[k, l]
+    return A
+
+
+def _rank4_rows_reference(S, t_index, n_tensors):
+    n = S.shape[0]
+    A = np.zeros((n ** 4, n * n + n_tensors))
+    for idx in itertools.product(range(n), repeat=4):
+        row = ((idx[0] * n + idx[1]) * n + idx[2]) * n + idx[3]
+        for slot in range(4):
+            for m in range(n):
+                jdx = list(idx)
+                jdx[slot] = m
+                A[row, m * n + idx[slot]] += S[tuple(jdx)]
+        A[row, n * n + t_index] = -S[idx]
+    return A
+
+
+@pytest.mark.parametrize("tensors", [
+    structure.attacking_pair_e(), structure.quartic_mode_pair(),
+    structure.quartic_mode_pair()[1:]], ids=["attacking", "quartic", "omega"])
+def test_stabilizer_blocks_equal_the_hand_indexed_ones(tensors):
+    for t, S in enumerate(tensors):
+        reference = _rank2_rows_reference if S.ndim == 2 else _rank4_rows_reference
+        np.testing.assert_array_equal(structure._stabilizer_rows(S, t, len(tensors)),
+                                      reference(S, t, len(tensors)))

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from saucer import cli, fibration, forms, gl2, suites
+from saucer import cli, fibration, forms, gl2, structure, suites
 from saucer.sampling import rng_for
 
 #: sha256 over (label, samples) of every sample_chart_points and
@@ -112,11 +112,15 @@ def _verify_all(seed):
 
 
 def test_verify_pass_stays_within_call_budgets(monkeypatch):
-    # brackets, coframes and quartics run over whole sample stacks, a few
-    # calls per check; action-equivariance alone stays per iteration
+    # brackets, coframes, quartics, K-operators, landing frames and Levi
+    # forms run over whole sample stacks, a few calls per check;
+    # action-equivariance alone stays per iteration
     _verify_all(5)
     counts = _count_calls(monkeypatch, [(forms, "bracket"), (fibration, "coframe"),
-                                        (gl2, "quartic_upsilon")])
+                                        (gl2, "quartic_upsilon"),
+                                        (structure, "landing_k_operator"),
+                                        (structure, "landing_frame_z"),
+                                        (structure, "levi_form")])
     # tensor fields are evaluated once per residual check, not once per point
     counts.update(_count_method_calls(monkeypatch, forms.SymTensorField,
                                       ("value", "point_derivative")))
@@ -125,6 +129,9 @@ def test_verify_pass_stays_within_call_budgets(monkeypatch):
     assert counts["forms.bracket"] <= 40, counts
     assert counts["fibration.coframe"] <= 20, counts
     assert counts["gl2.quartic_upsilon"] <= 150, counts
+    assert counts["structure.landing_k_operator"] <= 4, counts
+    assert counts["structure.landing_frame_z"] <= 8, counts
+    assert counts["structure.levi_form"] <= 4, counts
     assert counts["SymTensorField.value"] <= 100, counts
     assert counts["SymTensorField.point_derivative"] <= 100, counts
 

@@ -113,6 +113,28 @@ def test_split_g2_basis_is_a_derivation_algebra():
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
+def _derivation_system_reference(T):
+    """The derivation system built entry by entry, as it was first written."""
+    A = np.zeros((8 * 8 * 8, 64))
+    row = 0
+    for i in range(8):
+        for j in range(8):
+            for comp in range(8):
+                for s in range(8):
+                    A[row, comp * 8 + s] += T[i, j, s]
+                for r in range(8):
+                    A[row, r * 8 + i] -= T[r, j, comp]
+                    A[row, r * 8 + j] -= T[i, r, comp]
+                row += 1
+    return A
+
+
+def test_derivation_system_equals_the_hand_indexed_one():
+    T = symmetry._octonion_table()
+    np.testing.assert_array_equal(symmetry._derivation_system(T),
+                                  _derivation_system_reference(T))
+
+
 def test_attacking_exact_and_homothety_split():
     fields = catalogs.attacking_catalog()
     pts = _pts(55, 6)
@@ -194,7 +216,7 @@ _EULER = VectorField("euler", 5, lambda p: p * _EULER_SCALE,
 def test_restricted_membership_matches_lstsq_oracle(fields, structure, expect_symmetric):
     tol = 1e-7
     pts = sample_chart_points(6, 5, "test.oracle")
-    ideal = [_ideal_columns(structure.rank, p) for p in pts]
+    ideal = [_ideal_columns(structure.value(p).ndim, p) for p in pts]
     catalog = (_EULER,) if fields == "euler" else catalogs.catalog(fields)
     for X in catalog:
         old = np.array([_lstsq_membership(X, structure, p, cols)
