@@ -19,6 +19,14 @@ whole columns. The controls are sampled once on `rk4_stage_times` by
 `sample`: an `ArrayFunction`, such as every built-in control kind, takes the
 whole time array in one call, and any other callable of time is called once
 per distinct time through `at_distinct_times`.
+
+Long stacks are evaluated in row blocks of `BLOCK_ROWS` rows (`row_blocks`):
+`rk4_constant` here, and velocities and admissibility residuals in
+`maneuvers`. A one-shot (200001,) column is larger than the cache and than
+malloc's mmap threshold, so each of the tens of temporaries a 200k-step
+evaluation makes would be faulted in as fresh pages; a block's temporaries
+stay in cache and are reused from malloc's free lists. Every operation is
+elementwise, so blocked results equal one-shot results bit for bit.
 """
 from __future__ import annotations
 
@@ -28,6 +36,15 @@ import numpy as np
 BACKEND = "python"
 
 ATTACKING, LANDING, G2_SIMPLE, G2_STRICT = 0, 1, 2, 3
+
+#: Rows per block of a long stacked evaluation; 8192 rows make a (8192,)
+#: temporary of 64 KiB.
+BLOCK_ROWS = 8192
+
+
+def row_blocks(n: int):
+    """The slices of at most `BLOCK_ROWS` rows that cover range(n), in order."""
+    return (slice(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS))
 
 
 def zcoeffs(mode: int, a, b, u1, u2, u3):
@@ -119,14 +136,17 @@ def rk4_constant(mode: int, p0, u1: float, u2: float, u3: float,
     """States of the constant-control flow at n_steps + 1 even times; (n_steps + 1, 5).
 
     Each row is the exact `flow` at its time, which is also what classical
-    RK4 returns at any step count.
+    RK4 returns at any step count. The rows are evaluated one `row_blocks`
+    block at a time.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
     t = np.linspace(0.0, duration, n_steps + 1)
     out = np.empty((n_steps + 1, 5))
-    for column, value in zip(out.T, flow(mode, [float(v) for v in p0], u1, u2, u3, t)):
-        column[:] = value
+    p0 = [float(v) for v in p0]
+    for rows in row_blocks(n_steps + 1):
+        for column, value in zip(out[rows].T, flow(mode, p0, u1, u2, u3, t[rows])):
+            column[:] = value
     return out
 
 

@@ -248,8 +248,8 @@ def integrate_trajectory(program: ControlProgram, p0: Sequence[float]) -> Trajec
     whole columns: the law is triangular (c3 and c4 see only the controls,
     and x, y, z never enter it), so a and b are integrated first from the
     controls alone, and their stage values give every stage slope of x, y
-    and z. The result equals the per-step RK4 loop. Velocities come from one
-    stacked `kernels.velocity` call over all samples.
+    and z. The result equals the per-step RK4 loop. Velocities and the
+    escape test are evaluated one `kernels.row_blocks` block at a time.
     """
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (DIM,):
@@ -258,8 +258,9 @@ def integrate_trajectory(program: ControlProgram, p0: Sequence[float]) -> Trajec
     h = program.duration / n_steps
     times = np.linspace(0.0, program.duration, n_steps + 1)
     kid = program.mode.kernel_id
+    constant = program.is_constant
 
-    if program.is_constant:
+    if constant:
         controls = program.controls_at(0.0)
         states = kernels.rk4_constant(kid, p0, *controls, program.duration, n_steps)
     else:
@@ -283,9 +284,17 @@ def integrate_trajectory(program: ControlProgram, p0: Sequence[float]) -> Trajec
         states = np.column_stack([kernels.rk4_column(p0[0], h, *slopes_x),
                                   kernels.rk4_column(p0[1], h, *slopes_y),
                                   kernels.rk4_column(p0[2], h, *slopes_z), a, b])
-    vels = kernels.velocity(kid, states, *controls)
+    vels = np.empty(states.shape)
+    highs, lows = [], []
+    for rows in kernels.row_blocks(len(states)):
+        block = states[rows]
+        vels[rows] = kernels.velocity(
+            kid, block, *(controls if constant else [u[rows] for u in controls]))
+        highs.append(block.max())
+        lows.append(block.min())
 
-    escaped = bool(max(states.max(), -states.min()) > BOX_HALF_WIDTH)
+    # np.max over the block extremes lets a NaN through, as a whole-array max does
+    escaped = bool(max(np.max(highs), -np.min(lows)) > BOX_HALF_WIDTH)
     if escaped:
         warnings.warn("trajectory left the sampling box", ChartEscapeWarning,
                       stacklevel=2)
@@ -313,38 +322,57 @@ class ResidualReport:
         return self.max_contact <= contact_tol and self.max_nullity <= nullity_tol
 
 
+#: Names of each mode's per-sample nullity residuals, in report order.
+_NULLITY_NAMES = {
+    ManeuverMode.ATTACKING: ("metric",),
+    ManeuverMode.LANDING: ("metric",),
+    ManeuverMode.G2_SIMPLE: ("upsilon",),
+    ManeuverMode.G2_STRICT: ("g1", "g2", "g3", "upsilon"),
+}
+
+
 def constraint_residuals(traj: Trajectory, mode: ManeuverMode | None = None) -> ResidualReport:
     """Pointwise admissibility of (state, velocity) samples for the mode.
 
     Contact: |v_z - a v_x - b v_y|. Attacking: |v_a v_x + v_b v_y|. Landing:
     |ghat(v, v)|. G2 strict: the three bilinears and Upsilon on the
-    quartic-mode components; G2 simple: Upsilon only.
+    quartic-mode components; G2 simple: Upsilon only. The samples are
+    evaluated one `kernels.row_blocks` block at a time.
     """
     if mode is None:
         mode = traj.mode
-    states, vels = traj.states, traj.velocities
+    n = len(traj.states)
+    contact = np.empty(n)
+    nullity = {name: np.empty(n) for name in _NULLITY_NAMES[mode]}
+    for rows in kernels.row_blocks(n):
+        block_contact, block_nullity = _block_residuals(
+            mode, traj.states[rows], traj.velocities[rows])
+        contact[rows] = block_contact
+        for values, block_values in zip(nullity.values(), block_nullity):
+            values[rows] = block_values
+    return ResidualReport(mode, contact, nullity)
+
+
+def _block_residuals(mode: ManeuverMode, states: np.ndarray, vels: np.ndarray) -> tuple:
+    """(contact, nullity residuals in `_NULLITY_NAMES` order) of one block of samples."""
     a = states[:, 3]
     b = states[:, 4]
     vx, vy, vz = vels[:, 0], vels[:, 1], vels[:, 2]
     va, vb = vels[:, 3], vels[:, 4]
     contact = np.abs(vz - a * vx - b * vy)
-
-    nullity: dict[str, np.ndarray] = {}
     if mode == ManeuverMode.ATTACKING:
-        nullity["metric"] = np.abs(va * vx + vb * vy)
-    elif mode == ManeuverMode.LANDING:
+        return contact, (np.abs(va * vx + vb * vy),)
+    if mode == ManeuverMode.LANDING:
         g = 2.0 * ((1.0 + a * a) * vb - a * b * va) * vx \
             - 2.0 * ((1.0 + b * b) * va - a * b * vb) * vy
-        nullity["metric"] = np.abs(g)
-    else:
-        # (m, 4) view of four contiguous columns, so every product below
-        # runs over contiguous memory
-        X = np.stack([vx, vy, -vb / 3.0, va]).T
-        if mode == ManeuverMode.G2_STRICT:
-            for name, g in zip(("g1", "g2", "g3"), gl2.bilinear_diagonals(X)):
-                nullity[name] = np.abs(g)
-        nullity["upsilon"] = np.abs(gl2.quartic_upsilon(X))
-    return ResidualReport(mode, contact, nullity)
+        return contact, (np.abs(g),)
+    # (m, 4) view of four contiguous columns, so every product below runs
+    # over contiguous memory
+    X = np.stack([vx, vy, -vb / 3.0, va]).T
+    upsilon = np.abs(gl2.quartic_upsilon(X))
+    if mode == ManeuverMode.G2_STRICT:
+        return contact, tuple(np.abs(g) for g in gl2.bilinear_diagonals(X)) + (upsilon,)
+    return contact, (upsilon,)
 
 
 def ambient_nullity_pair(p: np.ndarray, v: np.ndarray) -> tuple[float, float]:

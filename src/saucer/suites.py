@@ -6,6 +6,8 @@ identical reports.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import catalogs, fibration, gl2, planner, structure, symmetry
@@ -150,12 +152,15 @@ def _structure_checks(seed: int) -> list[Check]:
         return _result("levi-form", worst, 1e-12,
                        "signature (1,1) at 100 points; pinned values")
 
+    @functools.cache
+    def pair_stabilizers() -> tuple:
+        """The attacking-pair and quartic-pair stabilizers, solved once per pass."""
+        return (structure.solve_infinitesimal_stabilizer(structure.attacking_pair_e()),
+                structure.solve_infinitesimal_stabilizer(structure.quartic_mode_pair()))
+
     def stabilizer_dimensions() -> CheckResult:
-        G, W = structure.attacking_pair_e()
-        sol_pair = structure.solve_infinitesimal_stabilizer([G, W])
-        U, W2 = structure.quartic_mode_pair()
-        sol_quartic = structure.solve_infinitesimal_stabilizer([U, W2])
-        sol_omega = structure.solve_infinitesimal_stabilizer([W2])
+        sol_pair, sol_quartic = pair_stabilizers()
+        sol_omega = structure.solve_infinitesimal_stabilizer([gl2.OMEGA_MATRIX])
         dims = (sol_pair.dimension, sol_quartic.dimension, sol_omega.dimension)
         ok = dims == (5, 4, 11)
         worst = max(sol_pair.residual, sol_quartic.residual, sol_omega.residual)
@@ -163,13 +168,10 @@ def _structure_checks(seed: int) -> list[Check]:
                            f"dims {dims}, expected (5, 4, 11)")
 
     def stabilizer_span() -> CheckResult:
-        G, W = structure.attacking_pair_e()
-        sol = structure.solve_infinitesimal_stabilizer([G, W])
+        sol, solq = pair_stabilizers()
         ok = all(sol.contains(Y) for Y in structure.STABILIZER_BASIS)
         table = structure.verify_commutation_table(structure.STABILIZER_BASIS,
                                                    structure.STABILIZER_TABLE)
-        U, W2 = structure.quartic_mode_pair()
-        solq = structure.solve_infinitesimal_stabilizer([U, W2])
         eye2 = np.eye(2)
         for r in range(2):
             for s in range(2):

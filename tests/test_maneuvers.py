@@ -1,6 +1,7 @@
 """Maneuver laws: admissibility, nullity, and trajectory integration."""
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -292,3 +293,81 @@ def test_escape_below_the_box_warns():
     with warnings.catch_warnings():
         warnings.simplefilter("error", ChartEscapeWarning)
         assert not integrate_trajectory(inside, chart.point(0, 0, 0, 0, 0)).escaped
+
+
+def _sine_controls():
+    return [fibration.ControlSpec.from_spec(
+                {"kind": "sin", "amplitude": amplitude, "frequency": frequency, "phase": phase})
+            for amplitude, frequency, phase in ((0.4, 2.5, 0.3), (0.3, 1.1, 2.0), (0.5, 0.7, 4.1))]
+
+
+def _at_block_rows(monkeypatch, block_rows, program, p0):
+    """The trajectory and its residuals for every mode, evaluated in blocks of block_rows."""
+    monkeypatch.setattr(kernels, "BLOCK_ROWS", block_rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ChartEscapeWarning)
+        traj = integrate_trajectory(program, p0)
+    return traj, [constraint_residuals(traj, mode) for mode in ManeuverMode]
+
+
+@pytest.mark.parametrize("varying", [False, True], ids=["constant", "sine"])
+@pytest.mark.parametrize("mode", list(ManeuverMode))
+def test_trajectories_and_residuals_do_not_depend_on_the_block_size(monkeypatch, mode, varying):
+    controls = _sine_controls() if varying else (0.4, -0.3, 0.5)
+    p0 = chart.point(0.1, -0.2, 0.3, 0.2, -0.1)
+    rows = kernels.BLOCK_ROWS
+    # n_steps + 1 rows: the fewest there are and one less, equal or more than
+    # a block, first in blocks of 1 and 7, then in blocks of BLOCK_ROWS
+    for n_rows, block_sizes in [(n, (1, 7)) for n in (2, 6, 7, 8)] + \
+            [(n, (rows,)) for n in (rows - 1, rows, rows + 1)]:
+        program = ControlProgram(mode, *controls, duration=0.8, dt=0.8 / (n_rows - 1))
+        want, want_residuals = _at_block_rows(monkeypatch, n_rows + 1, program, p0)
+        assert len(want) == n_rows
+        for block_rows in block_sizes:
+            traj, residuals = _at_block_rows(monkeypatch, block_rows, program, p0)
+            for field in ("times", "states", "velocities"):
+                assert np.array_equal(getattr(traj, field), getattr(want, field)), field
+            assert traj.escaped == want.escaped
+            for report, want_report in zip(residuals, want_residuals):
+                assert np.array_equal(report.contact, want_report.contact)
+                assert list(report.nullity) == list(want_report.nullity)
+                for name, values in report.nullity.items():
+                    assert np.array_equal(values, want_report.nullity[name]), name
+
+
+def test_residuals_of_an_empty_or_one_sample_trajectory_keep_every_name():
+    names = {ManeuverMode.ATTACKING: ["metric"], ManeuverMode.LANDING: ["metric"],
+             ManeuverMode.G2_SIMPLE: ["upsilon"],
+             ManeuverMode.G2_STRICT: ["g1", "g2", "g3", "upsilon"]}
+    for n in (0, 1):
+        traj = Trajectory(ManeuverMode.LANDING, np.zeros(n), np.full((n, 5), 0.5),
+                          np.full((n, 5), 0.5))
+        for mode in ManeuverMode:
+            report = constraint_residuals(traj, mode)
+            assert list(report.nullity) == names[mode]
+            assert report.contact.shape == (n,)
+            assert all(values.shape == (n,) for values in report.nullity.values())
+
+
+@pytest.mark.parametrize("mode", list(ManeuverMode))
+def test_long_trajectories_allocate_little_beyond_what_they_return(mode):
+    # a one-shot (200001,) temporary is 1.6 MB; blocks keep every call's
+    # peak within 4 MB of the arrays it hands back
+    program = ControlProgram(mode, 0.3, -0.2, 0.4, duration=1.0, dt=1.0 / 200_000)
+    p0 = chart.point(0.1, -0.2, 0.3, 0.2, -0.1)
+    tracemalloc.start()
+    try:
+        traj = integrate_trajectory(program, p0)
+        held, peak = tracemalloc.get_traced_memory()
+        over_integration = peak - (traj.times.nbytes + traj.states.nbytes
+                                   + traj.velocities.nbytes)
+        tracemalloc.reset_peak()
+        report = constraint_residuals(traj)
+        over_residuals = tracemalloc.get_traced_memory()[1] - held - (
+            report.contact.nbytes + sum(values.nbytes for values in report.nullity.values()))
+    finally:
+        tracemalloc.stop()
+    assert not traj.escaped
+    assert report.passed()
+    assert over_integration < 4e6, over_integration
+    assert over_residuals < 4e6, over_residuals

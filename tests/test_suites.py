@@ -136,6 +136,15 @@ def test_verify_pass_stays_within_call_budgets(monkeypatch):
     assert counts["SymTensorField.point_derivative"] <= 100, counts
 
 
+def test_structure_pass_solves_each_stabilizer_system_once(monkeypatch):
+    # the attacking pair, the quartic pair and the 2-form alone
+    counts = _count_calls(monkeypatch, [(structure, "solve_infinitesimal_stabilizer")])
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["verify", "--suite", "structure", "--seed", "5", "--format", "compact"])
+    assert code == 0
+    assert counts["structure.solve_infinitesimal_stabilizer"] == 3, counts
+
+
 WORST_SAMPLE_CHECKS = ("structure-equations", "contact-constant", "ambient-triple-match",
                        "bracket-generating", "frame-commutators", "quartic-dual-route",
                        "polarization-diagonal", "chart-roundtrip", "frame-duality",
