@@ -4,16 +4,18 @@ Each catalog is a tuple of the paper's printed fields on the chart
 (x, y, z, a, b), written once as plain arithmetic: a function of the five
 coordinates that returns the five components. Rationals are integer
 divisions, so the same functions take floats, numpy arrays (real or
-complex) and sympy symbols, exactly. A field's value comes from one call
-over a point (5,) or a stack (m, 5); its Jacobian comes from one call over
-the five complex-step copies of the stack,
+complex) and sympy symbols, exactly. The values of every field of a
+catalog come from one fill of an (..., n, 5) array over a point (5,) or a
+stack (m, 5); their Jacobians come from one fill over the five complex-step
+copies of the stack,
 
     J[..., :, k] = Im F(p + i h e_k) / h,    h = 1e-30,
 
 which is exact to roundoff for real-analytic fields (Squire and Trapp, SIAM
 Review 40, 1998): there is no subtraction, so h can be far below the
-rounding unit. The attacking and landing catalogs span 15-dimensional
-algebras, the G2 catalog a 14-dimensional one.
+rounding unit. Each field on its own is the same fill with n = 1. The
+attacking and landing catalogs span 15-dimensional algebras, the G2
+catalog a 14-dimensional one.
 """
 from __future__ import annotations
 
@@ -105,39 +107,70 @@ G2_FIELDS = (
     lambda x, y, z, a, b: (0, 0, 1, 0, 0),
 )
 
-def _components(fn, p: np.ndarray) -> np.ndarray:
-    """fn at every point of a stack (..., 5), as (..., 5); constants broadcast."""
-    shape = p.shape[:-1]
-    return np.stack([np.broadcast_to(c, shape) for c in fn(*np.moveaxis(p, -1, 0))],
-                    axis=-1)
+def _fill(fns, p: np.ndarray) -> np.ndarray:
+    """Every field of fns at every point of a stack (..., 5), as (..., n, 5).
+
+    One preallocated array of p's dtype (real, or complex for the complex
+    steps): each component is assigned into it, so constants broadcast
+    without an array of their own.
+    """
+    out = np.empty(p.shape[:-1] + (len(fns), 5), dtype=p.dtype)
+    coords = np.moveaxis(p, -1, 0)
+    for i, fn in enumerate(fns):
+        for k, comp in enumerate(fn(*coords)):
+            out[..., i, k] = comp
+    return out
+
+
+def _fill_jacobians(fns, p: np.ndarray) -> np.ndarray:
+    """J[..., i, :, k] = d(field i)/dx^k, (..., n, 5, 5), from one complex-step fill."""
+    return np.moveaxis(complex_step_derivative(lambda q: _fill(fns, q), p), 0, -1)
 
 
 def _field(name: str, fn) -> VectorField:
-    def value(p: np.ndarray) -> np.ndarray:
-        return _components(fn, p)
+    """One field as its own n = 1 fill."""
+    fns = (fn,)
+    return VectorField(name, 5, lambda p: _fill(fns, p)[..., 0, :],
+                       lambda p: _fill_jacobians(fns, p)[..., 0, :, :])
 
-    def jacobian(p: np.ndarray) -> np.ndarray:
-        return np.moveaxis(complex_step_derivative(value, p), 0, -1)
 
-    return VectorField(name, 5, value, jacobian)
+class Catalog(tuple):
+    """The printed fields of one geometry: a tuple of per-field `VectorField`s,
+    whose values and Jacobians also come for all n fields at once, from one
+    fill each. A field's row of the stacked arrays equals its own call bit
+    for bit."""
+
+    def __new__(cls, prefix: str, fns):
+        self = super().__new__(cls, (_field(f"{prefix}-{i + 1}", fn)
+                                     for i, fn in enumerate(fns)))
+        self.fns = tuple(fns)
+        return self
+
+    def values(self, p: np.ndarray) -> np.ndarray:
+        """(..., n, 5): every field at one point (5,) or each point of a stack."""
+        return _fill(self.fns, np.asarray(p, dtype=float))
+
+    def jacobians(self, p: np.ndarray) -> np.ndarray:
+        """(..., n, 5, 5): every field's Jacobian, J[..., i, m, k] = d(X_i^m)/dx^k."""
+        return _fill_jacobians(self.fns, np.asarray(p, dtype=float))
 
 
 @lru_cache(maxsize=None)
-def attacking_catalog() -> tuple[VectorField, ...]:
-    return tuple(_field(f"att-{i + 1}", f) for i, f in enumerate(ATTACKING_FIELDS))
+def attacking_catalog() -> Catalog:
+    return Catalog("att", ATTACKING_FIELDS)
 
 
 @lru_cache(maxsize=None)
-def landing_catalog() -> tuple[VectorField, ...]:
-    return tuple(_field(f"lnd-{i + 1}", f) for i, f in enumerate(LANDING_FIELDS))
+def landing_catalog() -> Catalog:
+    return Catalog("lnd", LANDING_FIELDS)
 
 
 @lru_cache(maxsize=None)
-def g2_catalog() -> tuple[VectorField, ...]:
-    return tuple(_field(f"g2-{i + 1}", f) for i, f in enumerate(G2_FIELDS))
+def g2_catalog() -> Catalog:
+    return Catalog("g2", G2_FIELDS)
 
 
-def catalog(name: str) -> tuple[VectorField, ...]:
+def catalog(name: str) -> Catalog:
     """Catalog by geometry name: attacking, landing, or g2 (either G2 mode)."""
     key = name.strip().lower()
     if key in ("attacking",):

@@ -142,7 +142,8 @@ def constant_symtensor(name: str, T: np.ndarray) -> SymTensorField:
 def lie_derivative_symtensor(X: VectorField, S: SymTensorField, p: np.ndarray) -> np.ndarray:
     """L_X S at one point (d,); `lie_derivative_stack` of that one point.
 
-    The checks call `lie_derivative_stack`; perfbench's tracer lists this
+    The symmetry checks build L_X S restricted to the contact distribution
+    instead (`symmetry._membership_residuals`); perfbench's tracer lists this
     name among the L1 functions it wraps.
     """
     p = np.asarray(p, dtype=float)

@@ -177,17 +177,22 @@ _SPINOR_BASIS = spinor_from_vector(np.eye(4))
 
 def _columns(images: np.ndarray) -> np.ndarray:
     """The matrix (C order, so products with it round as before) whose
-    column k is the image (4,) of basis vector k, from the rows of images."""
-    return np.ascontiguousarray(images.T)
+    column k is the image (4,) of basis vector k, from the rows of images;
+    (..., 4, 4) for a stack of them."""
+    return np.ascontiguousarray(np.swapaxes(images, -1, -2))
 
 
 def gl2_action(alpha: np.ndarray) -> np.ndarray:
-    """rho(alpha): the Sym^3 action pulled back to R^4; rho(ab) = rho(a)rho(b)."""
+    """rho(alpha): the Sym^3 action pulled back to R^4; rho(ab) = rho(a)rho(b).
+
+    alpha is one matrix (2, 2), giving (4, 4), or a stack (..., 2, 2), giving
+    (..., 4, 4); a stacked matrix equals the single call bit for bit.
+    """
     alpha = np.asarray(alpha, dtype=float)
-    assert alpha.shape == (2, 2)
-    if abs(np.linalg.det(alpha)) < 1e-300:
+    assert alpha.shape[-2:] == (2, 2)
+    if np.any(np.abs(np.linalg.det(alpha)) < 1e-300):
         raise ValueError("alpha must be invertible")
-    T = np.einsum("Aa,Bb,Cc,zabc->zABC", alpha, alpha, alpha, _SPINOR_BASIS)
+    T = np.einsum("...Aa,...Bb,...Cc,zabc->...zABC", alpha, alpha, alpha, _SPINOR_BASIS)
     return _columns(vector_from_spinor(T))
 
 

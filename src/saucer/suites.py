@@ -17,8 +17,8 @@ from .chart import (E_FRAME, Z_FRAME, AmbientConfig, OutsideChart,
                     contact_nondegeneracy)
 from .forms import VectorField, constant_field
 from .maneuvers import (ATTACKING_METRIC_FIELD, LANDING_METRIC_FIELD,
-                        ManeuverMode, attacking_metric, constraint_residuals,
-                        g2_coframe, invariant_two_form_dist)
+                        QUARTIC_FIELD, ManeuverMode, attacking_metric,
+                        constraint_residuals, g2_coframe, invariant_two_form_dist)
 from .reports import Check, CheckResult, SuiteReport, run_checks
 from .sampling import rng_for, sample_chart_points, sample_vectors
 
@@ -219,20 +219,15 @@ def _gl2_checks(seed: int) -> list[Check]:
                        "closed form vs epsilon contractions")
 
     def equivariance() -> CheckResult:
-        rng = rng_for(seed, "gl2.equivariance")
-        worst = 0.0
-        for _ in range(50):
-            alpha = rng.uniform(-1.0, 1.0, size=(2, 2))
-            beta = rng.uniform(-1.0, 1.0, size=(2, 2))
-            if abs(np.linalg.det(alpha)) < 0.05 or abs(np.linalg.det(beta)) < 0.05:
-                continue
-            worst = max(worst, float(np.max(np.abs(
-                gl2.gl2_action(alpha @ beta)
-                - gl2.gl2_action(alpha) @ gl2.gl2_action(beta)))))
-            X = rng.uniform(-1.0, 1.0, size=4)
-            lhs = gl2.quartic_upsilon(gl2.gl2_action(alpha) @ X)
-            rhs = float(np.linalg.det(alpha)) ** 6 * gl2.quartic_upsilon(X)
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+        alpha, beta, X = _equivariance_draws(seed)
+        rho = gl2.gl2_action(alpha)
+        worst = float(np.max(np.abs(gl2.gl2_action(alpha @ beta) - rho @ gl2.gl2_action(beta)),
+                             initial=0.0))
+        lhs = gl2.quartic_upsilon((rho @ X[..., None])[..., 0])
+        # float_power is C pow, as a Python float's ** 6 is
+        rhs = np.float_power(np.linalg.det(alpha), 6) * gl2.quartic_upsilon(X)
+        scale = np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale, initial=0.0)))
         lam = 1.7
         scal = gl2.gl2_action(np.diag([lam, lam])) - lam ** 3 * np.eye(4)
         worst = max(worst, float(np.max(np.abs(scal))))
@@ -251,6 +246,24 @@ def _gl2_checks(seed: int) -> list[Check]:
             ("endomorphism-spinor-route", spinor_route),
             ("action-equivariance", equivariance),
             ("null-classification", classification)]
+
+
+def _equivariance_draws(seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kept (alpha, beta, X) of action-equivariance as stacks (n, 2, 2),
+    (n, 2, 2), (n, 4): 50 scalar draws of (alpha, beta), each kept with one
+    more draw X when both determinants reach 0.05, in the order they always were."""
+    rng = rng_for(seed, "gl2.equivariance")
+    alphas, betas, xs = [], [], []
+    for _ in range(50):
+        alpha = rng.uniform(-1.0, 1.0, size=(2, 2))
+        beta = rng.uniform(-1.0, 1.0, size=(2, 2))
+        if abs(np.linalg.det(alpha)) < 0.05 or abs(np.linalg.det(beta)) < 0.05:
+            continue
+        alphas.append(alpha)
+        betas.append(beta)
+        xs.append(rng.uniform(-1.0, 1.0, size=4))
+    return (np.reshape(alphas, (-1, 2, 2)), np.reshape(betas, (-1, 2, 2)),
+            np.reshape(xs, (-1, 4)))
 
 
 #: null-classification signs, drawn as rng.integers(2): the same stream
@@ -279,13 +292,16 @@ def _classification_samples(seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 # -- symmetry suite ----------------------------------------------------------------
 
+_CATALOG_STRUCTURES = {"attacking": ATTACKING_METRIC_FIELD,
+                       "landing": LANDING_METRIC_FIELD, "g2": QUARTIC_FIELD}
+
+
 def _catalog_reports(label: str, pts: np.ndarray):
-    """Each field of a catalog with its SymmetryReport against its own structure."""
+    """Each field of a catalog with its SymmetryReport against its own
+    structure, all from one (points x fields) stack."""
     fields = catalogs.catalog(label)
-    if label == "g2":
-        return [(X, symmetry.g2_symmetry_residual(X, pts)) for X in fields]
-    metric = ATTACKING_METRIC_FIELD if label == "attacking" else LANDING_METRIC_FIELD
-    return [(X, symmetry.legendrean_symmetry_residual(X, metric, pts)) for X in fields]
+    reports = symmetry.catalog_symmetry_reports(fields, _CATALOG_STRUCTURES[label], pts)
+    return list(zip(fields, reports))
 
 
 def _worst(rep: symmetry.SymmetryReport) -> float:
@@ -347,7 +363,7 @@ def _symmetry_checks(seed: int) -> list[Check]:
     def negative_controls() -> CheckResult:
         pts = sample_chart_points(10, seed, "symmetry.negative")
         da = constant_field("da-dir", [0.0, 0.0, 0.0, 1.0, 0.0])
-        rep = symmetry.legendrean_symmetry_residual(da, ATTACKING_METRIC_FIELD, pts)
+        rep, = symmetry.catalog_symmetry_reports((da,), ATTACKING_METRIC_FIELD, pts)
         ok = rep.contact > 1e-2 and rep.membership < 1e-10
         scale = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
         euler = VectorField(

@@ -4,11 +4,13 @@ A chart vector field X is a symmetry candidate when L_X w0 is proportional
 to w0 (contact residual) and the Lie derivative of the structural tensor S
 stays inside the conformal ideal spanned by S itself and terms divisible by
 w0 (membership residual). The tensors divisible by w0 are exactly those that
-vanish on the distribution D = ker w0, so membership is tested by restricting
-L_X S and S to D through the E-frame and asking for proportionality there.
-Every residual and bracket is evaluated for all sample points at once, so a
-vector field handed to this module must take a stack of points (m, 5) as
-well as one point, as the catalog fields do. Catalogs of candidates are
+vanish on the distribution D = ker w0, so membership is tested on D: L_X S is
+built restricted to D through the E-frame, never as a full chart tensor, and
+asked to be proportional to S restricted there. Every residual and bracket
+is evaluated for all sample points and all fields at once, over (points x
+fields) stacks, so a vector field handed to this module must take a stack of
+points (m, 5) as well as one point, as the catalog fields do; a catalog
+gives all its fields' values from one fill. Catalogs of candidates are
 compressed into structure constants by least squares over sample points,
 and the resulting algebras are identified through their Killing forms
 against independently constructed matrix models: sl(4, R), su(2, 2), and
@@ -25,7 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chart import E_FRAME, contact_covector, contact_point_derivative
-from .forms import SymTensorField, VectorField, lie_derivative_stack
+from .catalogs import Catalog
+from .forms import SymTensorField, VectorField
 from .maneuvers import QUARTIC_FIELD
 
 #: w0 as a rank-1 tensor field with its exact point derivative.
@@ -42,12 +45,17 @@ def _as_points(points: np.ndarray) -> np.ndarray:
 
 
 def _field_values(fields: Sequence[VectorField], pts: np.ndarray) -> np.ndarray:
-    """(m, n, 5): every field's value at every point, one stacked call per field."""
+    """(m, n, 5): every field's value at every point; one fill for a catalog,
+    one stacked call per field for any other fields."""
+    if isinstance(fields, Catalog):
+        return fields.values(pts)
     return np.stack([X.value(pts) for X in fields], axis=1)
 
 
 def _field_jacobians(fields: Sequence[VectorField], pts: np.ndarray) -> np.ndarray:
-    """(m, n, 5, 5): every field's Jacobian at every point, one stacked call per field."""
+    """(m, n, 5, 5): every field's Jacobian at every point, as `_field_values`."""
+    if isinstance(fields, Catalog):
+        return fields.jacobians(pts)
     return np.stack([X.jacobian(pts) for X in fields], axis=1)
 
 
@@ -61,45 +69,77 @@ def _distribution_frames(pts: np.ndarray) -> np.ndarray:
     return np.stack([E.value(pts) for E in E_FRAME], axis=-1)
 
 
-def _restrict_to_distribution(T: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """Stacked covariant tensors (m, 5, .., 5) restricted to D, (m, 4, .., 4)."""
-    for _ in range(T.ndim - 1):
-        T = np.einsum("zi...,zia->z...a", T, frames)
+def _restrict_slots(T: np.ndarray, frames: np.ndarray, count: int) -> np.ndarray:
+    """Restrict the first `count` slots of stacked tensors (m, 5, ...) to D.
+
+    Each restricted slot moves to the end, (m, 5, rest) -> (m, rest, 4), so
+    restricting every slot of a tensor keeps their order.
+    """
+    m = len(T)
+    for _ in range(count):
+        shape = (m,) + T.shape[2:] + (frames.shape[-1],)
+        T = (T.reshape(m, T.shape[1], -1).transpose(0, 2, 1) @ frames).reshape(shape)
     return T
 
 
 def _contact_residuals(V: np.ndarray, J: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Per point, |(L_X w0) ^ w0| / (|w0| (|w0| + |L_X w0|)); zero iff L_X w0 || w0."""
+    """(m, n): |(L_X w0) ^ w0| / (|w0| (|w0| + |L_X w0|)) for n fields at m
+    points; zero iff L_X w0 || w0. w0 and d w0 are evaluated once."""
     w, dw = _tensor_values(CONTACT_TENSOR, pts)
-    lie = lie_derivative_stack(V, J, w, dw)
-    wedge = lie[:, :, None] * w[:, None, :]
-    wedge = wedge - wedge.transpose(0, 2, 1)
-    wedge_norm = np.sqrt(0.5 * np.sum(wedge ** 2, axis=(1, 2)))
-    nw = np.linalg.norm(w, axis=1)
-    return wedge_norm / (nw * (nw + np.linalg.norm(lie, axis=1)))
+    lie = np.einsum("znm,zmi->zni", V, dw) + np.einsum("zm,znmi->zni", w, J)
+    wedge = lie[..., :, None] * w[:, None, None, :]
+    wedge = wedge - np.swapaxes(wedge, -1, -2)
+    wedge_norm = np.sqrt(0.5 * np.sum(wedge ** 2, axis=(-2, -1)))
+    nw = np.linalg.norm(w, axis=-1)[:, None]
+    return wedge_norm / (nw * (nw + np.linalg.norm(lie, axis=-1)))
+
+
+def _restricted_lie(V: np.ndarray, J: np.ndarray, S: SymTensorField,
+                    pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """l = (L_X S)|_D for n fields at m points, (m, n, 4^k), and s = S|_D, (m, 4^k).
+
+    l is built on D directly, never as a chart tensor of 5^k components:
+    with E the frame of D and P = S restricted on all slots but one,
+    (m, 5, 4, .., 4),
+
+        l = V . (dS)|_D + sum over slots of (J E)^T P, that slot first,
+
+    and since S is symmetric the slot sum is one product and k - 1
+    transposes. S, dS and E are evaluated once for all the fields.
+    """
+    T, dT = _tensor_values(S, pts)
+    frames = _distribution_frames(pts)
+    m, n = V.shape[:2]
+    k = T.ndim - 1
+    P = _restrict_slots(T, frames, k - 1)
+    s = _restrict_slots(P, frames, 1).reshape(m, -1)
+    dS = _restrict_slots(np.moveaxis(dT, 1, -1), frames, k)
+    Q = np.swapaxes(J @ frames[:, None], -1, -2) @ P.reshape(m, 1, 5, -1)
+    Q = Q.reshape((m, n) + (4,) * k)
+    # one (1, 5) row per field and point, so a field's rows do not depend on n
+    lie = (V[..., None, :] @ dS.reshape(m, 1, 5, -1)).reshape(Q.shape)
+    for slot in range(k):
+        lie += np.moveaxis(Q, 2, 2 + slot)
+    return lie.reshape(m, n, -1), s
 
 
 def _membership_residuals(V: np.ndarray, J: np.ndarray, S: SymTensorField,
                           pts: np.ndarray) -> np.ndarray:
-    """Per point, distance of (L_X S)|_D from span{S|_D}, relative.
+    """(m, n): distance of (L_X S)|_D from span{S|_D} for n fields at m points.
 
     |l - (l.s / s.s) s| / (|s| + |l|) with l = (L_X S)|_D and s = S|_D: zero
     exactly when L_X S lies in span{S} + w0 . Sym^(k-1).
     """
-    T, dT = _tensor_values(S, pts)
-    frames = _distribution_frames(pts)
-    m = len(pts)
-    lie = lie_derivative_stack(V, J, T, dT)
-    lie = _restrict_to_distribution(lie, frames).reshape(m, -1)
-    s = _restrict_to_distribution(T, frames).reshape(m, -1)
-    coef = np.einsum("zi,zi->z", lie, s) / np.einsum("zi,zi->z", s, s)
-    mis = np.linalg.norm(lie - coef[:, None] * s, axis=1)
-    return mis / (np.linalg.norm(s, axis=1) + np.linalg.norm(lie, axis=1))
+    lie, s = _restricted_lie(V, J, S, pts)
+    coef = np.einsum("zni,zi->zn", lie, s) / np.einsum("zi,zi->z", s, s)[:, None]
+    mis = np.linalg.norm(lie - coef[..., None] * s[:, None], axis=-1)
+    return mis / (np.linalg.norm(s, axis=-1)[:, None] + np.linalg.norm(lie, axis=-1))
 
 
 def _single_field(X: VectorField, points: np.ndarray):
+    """Points, values (m, 1, 5) and Jacobians (m, 1, 5, 5): the n = 1 stack."""
     pts = _as_points(points)
-    return pts, _field_values((X,), pts)[:, 0], _field_jacobians((X,), pts)[:, 0]
+    return pts, _field_values((X,), pts), _field_jacobians((X,), pts)
 
 
 # -- residuals ---------------------------------------------------------------------
@@ -119,8 +159,7 @@ def metric_membership_residual(X: VectorField, metric: SymTensorField,
 
 def quartic_membership_residual(X: VectorField, points: np.ndarray) -> float:
     """Worst distance of L_X Upsilon from span{Upsilon, w0 . sym^3}, tested on D."""
-    pts, V, J = _single_field(X, points)
-    return float(np.max(_membership_residuals(V, J, QUARTIC_FIELD, pts)))
+    return metric_membership_residual(X, QUARTIC_FIELD, points)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,25 +172,29 @@ class SymmetryReport:
         return self.contact <= tol and self.membership <= tol
 
 
-def _symmetry_report(X: VectorField, S: SymTensorField,
-                     points: np.ndarray) -> SymmetryReport:
-    pts, V, J = _single_field(X, points)
+def catalog_symmetry_reports(fields: Sequence[VectorField], S: SymTensorField,
+                             points: np.ndarray) -> list[SymmetryReport]:
+    """One SymmetryReport per field against (w0, S), from one (points x fields)
+    stack: a catalog is filled once for its values and once for its Jacobians."""
+    pts = _as_points(points)
+    V, J = _field_values(fields, pts), _field_jacobians(fields, pts)
     contact = _contact_residuals(V, J, pts)
     member = _membership_residuals(V, J, S, pts)
-    worst = int(np.argmax(np.maximum(contact, member)))
-    return SymmetryReport(float(np.max(contact)), float(np.max(member)),
-                          tuple(float(v) for v in pts[worst]))
+    worst = np.argmax(np.maximum(contact, member), axis=0)
+    return [SymmetryReport(float(np.max(contact[:, i])), float(np.max(member[:, i])),
+                           tuple(float(v) for v in pts[worst[i]]))
+            for i in range(V.shape[1])]
 
 
 def legendrean_symmetry_residual(X: VectorField, metric: SymTensorField,
                                  points: np.ndarray) -> SymmetryReport:
     """Worst-case residuals of X as a conformal symmetry of (w0, metric)."""
-    return _symmetry_report(X, metric, points)
+    return catalog_symmetry_reports((X,), metric, points)[0]
 
 
 def g2_symmetry_residual(X: VectorField, points: np.ndarray) -> SymmetryReport:
     """Worst-case residuals of X as a symmetry of (w0, quartic cone field)."""
-    return _symmetry_report(X, QUARTIC_FIELD, points)
+    return catalog_symmetry_reports((X,), QUARTIC_FIELD, points)[0]
 
 
 # -- structure constants -------------------------------------------------------
@@ -227,14 +270,15 @@ def matrix_structure_constants(basis: Sequence[np.ndarray]) -> StructureConstant
 
 def jacobi_residual(c: np.ndarray) -> float:
     """Largest violation of the Jacobi identity by the constants."""
-    term = np.einsum("ijm,mkl->ijkl", c, c)
-    total = term + np.einsum("jkm,mil->ijkl", c, c) + np.einsum("kim,mjl->ijkl", c, c)
+    # P[i, j, k, l] = c[i, j, m] c[m, k, l]; the cyclic sum permutes (i, j, k)
+    P = np.tensordot(c, c, axes=(2, 0))
+    total = P + P.transpose(2, 0, 1, 3) + P.transpose(1, 2, 0, 3)
     return float(np.max(np.abs(total)))
 
 
 def killing_matrix(c: np.ndarray) -> np.ndarray:
     """B_ij = c^a_{ib} c^b_{ja}."""
-    return np.einsum("aib,bja->ij", c, c)
+    return np.tensordot(c, c, axes=([0, 2], [2, 0]))
 
 
 def killing_signature(B: np.ndarray, zero_tol: float = KILLING_ZERO_TOL) -> tuple[int, int, int]:

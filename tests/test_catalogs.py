@@ -145,3 +145,17 @@ def test_catalog_names():
     assert catalogs.catalog("g2s") is catalogs.catalog("G2") is catalogs.g2_catalog()
     with pytest.raises(ValueError):
         catalogs.catalog("octonion")
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_catalog_fill_equals_the_per_field_calls(name):
+    fields = catalogs.catalog(name)
+    pts = _points(11, 200)
+    values, jacobians = fields.values(pts), fields.jacobians(pts)
+    assert values.shape == (200, len(fields), 5)
+    assert jacobians.shape == (200, len(fields), 5, 5)
+    for i, X in enumerate(fields):
+        np.testing.assert_array_equal(values[:, i], X.value(pts), err_msg=X.id)
+        np.testing.assert_array_equal(jacobians[:, i], X.jacobian(pts), err_msg=X.id)
+    np.testing.assert_array_equal(fields.values(pts[0]), values[0])
+    np.testing.assert_array_equal(fields.jacobians(pts[0]), jacobians[0])

@@ -370,3 +370,38 @@ def test_complex_step_structure_equations_resolve_roundoff():
     # the central differences they replaced left a floor near 1e-9
     for chart in ("x", "y"):
         assert fibration.eds_residual(chart, _pts6(37, 50)) < 1e-13
+
+
+#: A verify seed whose `joystick-certification` fails at contact 2.87e-8
+#: against its 1e-8 bound, in its second run at sample 13 (t = 0.13).
+JOYSTICK_FLAKE_SEED = 566551698
+
+
+def test_joystick_flake_is_pushforward_rounding_over_a_near_zero_speed():
+    # the check's draws, up to and including its second run
+    rng = rng_for(JOYSTICK_FLAKE_SEED, "fibration.joystick")
+    for _ in range(2):
+        u = list(rng.uniform(-1.0, 1.0, size=3))
+        w = [float(rng.uniform(0.8, 1.5)), float(rng.uniform(-0.2, 0.2))]
+    run = fibration.run_joystick(u, w, duration=2.0, n_steps=200)
+    contact = run.report.contact
+    k = int(np.argmax(contact))
+    assert k == 13 and run.lifted.times[k] == pytest.approx(0.13)
+    assert 2.8e-8 < contact[k] < 2.9e-8
+    # every other sample of the run certifies at rounding level
+    assert np.max(np.delete(contact, k)) < 1e-14
+    # the projected speed |c| there is nearly zero
+    speed = float(np.linalg.norm(run.contact.velocities[k, [4, 3, 2, 1]]))
+    assert 1.5e-10 < speed < 1.52e-10
+    # row 0 of x_from_y_pushforward: products of 0.02-0.04 that cancel to 2.4e-15
+    _, y1, y2, _, y4, y5 = run.lifted.states[k]
+    v0, v1, v2, _, v4, v5 = run.lifted.velocities[k]
+    products = np.array([v0, -y5 * v1, -3 * y4 * y5 * v2, -3 * y5 * (y2 + y4 * y4 * y5) * v4,
+                         -(y1 + 3 * y2 * y4 + 2 * y4 ** 3 * y5) * v5])
+    assert np.sort(np.abs(products))[-3:] == pytest.approx([0.0192, 0.0193, 0.0386], abs=1e-4)
+    assert abs(run.contact.velocities[k, 0]) < 2.5e-15
+    # so rounding alone allows eps * sum|products| / |c|, about 1.1e-7: above
+    # the 1e-8 bound and above the residual reported
+    floor = np.finfo(float).eps * np.sum(np.abs(products)) / speed
+    assert 1.1e-7 < floor < 1.2e-7
+    assert contact[k] < floor

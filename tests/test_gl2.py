@@ -173,6 +173,18 @@ def test_classify_direction_uses_its_tolerance(tol, expected):
 def test_action_rejects_singular_matrix():
     with pytest.raises(ValueError):
         gl2.gl2_action(np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        gl2.gl2_action(np.stack([np.eye(2), np.zeros((2, 2))]))
+
+
+def test_stacked_action_equals_the_single_calls():
+    alpha = np.random.default_rng(43).uniform(-1.0, 1.0, (200, 2, 2))
+    rho = gl2.gl2_action(alpha)
+    assert rho.shape == (200, 4, 4) and rho.flags["C_CONTIGUOUS"]
+    for a, r in zip(alpha, rho):
+        np.testing.assert_array_equal(gl2.gl2_action(a), r)
+    np.testing.assert_array_equal(gl2.gl2_action(alpha.reshape(10, 20, 2, 2)),
+                                  rho.reshape(10, 20, 4, 4))
 
 
 def test_bilinears_and_two_form_on_cubic_frame():

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from saucer import cli, fibration, forms, gl2, structure, suites
+from saucer import catalogs, cli, fibration, forms, gl2, structure, suites, symmetry
 from saucer.sampling import rng_for
 
 #: sha256 over (label, samples) of every sample_chart_points and
@@ -143,6 +143,49 @@ def test_structure_pass_solves_each_stabilizer_system_once(monkeypatch):
         code = cli.main(["verify", "--suite", "structure", "--seed", "5", "--format", "compact"])
     assert code == 0
     assert counts["structure.solve_infinitesimal_stabilizer"] == 3, counts
+
+
+def test_symmetry_pass_fills_each_catalog_stack_once_per_use(monkeypatch):
+    # residuals, ranks, closure and Killing forms fill whole catalogs, values
+    # and Jacobians once each per point set, in place of one call per field
+    counts = _count_calls(monkeypatch, [(catalogs, "_fill"),
+                                        (symmetry, "legendrean_symmetry_residual"),
+                                        (symmetry, "g2_symmetry_residual")])
+    assert suites.run_suite("symmetry", 5).passed
+    assert counts["catalogs._fill"] <= 30, counts
+    assert counts["symmetry.legendrean_symmetry_residual"] == 0, counts
+    assert counts["symmetry.g2_symmetry_residual"] == 0, counts
+
+
+#: action-equivariance's residual at seeds 1, 5 and 7919 when it evaluated
+#: each kept draw on its own.
+EQUIVARIANCE_AT = {1: "0x1.4974000000000p-50", 5: "0x1.f1388c0000000p-50",
+                   7919: "0x1.6000000000000p-50"}
+
+
+def _equivariance_draws_one_by_one(seed):
+    rng = rng_for(seed, "gl2.equivariance")
+    kept = []
+    for _ in range(50):
+        alpha = rng.uniform(-1.0, 1.0, size=(2, 2))
+        beta = rng.uniform(-1.0, 1.0, size=(2, 2))
+        if abs(np.linalg.det(alpha)) < 0.05 or abs(np.linalg.det(beta)) < 0.05:
+            continue
+        kept.append((alpha, beta, rng.uniform(-1.0, 1.0, size=4)))
+    return kept
+
+
+def test_stacked_equivariance_keeps_the_draws_and_the_residual():
+    for seed, residual in EQUIVARIANCE_AT.items():
+        kept = _equivariance_draws_one_by_one(seed)
+        alpha, beta, X = suites._equivariance_draws(seed)
+        assert len(alpha) == len(kept) > 30
+        for k, (a, b, x) in enumerate(kept):
+            np.testing.assert_array_equal(alpha[k], a)
+            np.testing.assert_array_equal(beta[k], b)
+            np.testing.assert_array_equal(X[k], x)
+        check = dict(suites._gl2_checks(seed))["action-equivariance"]()
+        assert check.passed and check.value == float.fromhex(residual), seed
 
 
 WORST_SAMPLE_CHECKS = ("structure-equations", "contact-constant", "ambient-triple-match",

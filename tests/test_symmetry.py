@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from saucer import catalogs, symmetry
-from saucer.chart import contact_covector
-from saucer.forms import VectorField, constant_field, lie_derivative_stack
+from saucer.chart import E_FRAME, contact_covector
+from saucer.forms import (SymTensorField, VectorField, constant_field,
+                          lie_derivative_stack)
 from saucer.maneuvers import (ATTACKING_METRIC_FIELD, LANDING_METRIC_FIELD,
                               QUARTIC_FIELD)
 from saucer.sampling import sample_chart_points
@@ -241,3 +242,98 @@ def test_report_names_its_worst_sample():
     worst = max(symmetry.contact_symmetry_residual(X, pts[k]),
                 symmetry.metric_membership_residual(X, LANDING_METRIC_FIELD, pts[k]))
     assert worst == pytest.approx(max(rep.contact, rep.membership))
+
+
+# -- restricted-first membership against the full-tensor route ------------------
+#
+# The package builds L_X S restricted to D directly. The oracle below builds
+# the full chart tensor L_X S (5^k components) with `lie_derivative_stack`,
+# one field at a time, and restricts it and S to D afterwards.
+
+def _restrict_fully(T, frames):
+    for _ in range(T.ndim - 1):
+        T = np.einsum("zi...,zia->z...a", T, frames)
+    return T
+
+
+def _full_tensor_membership(X, S, pts):
+    frames = np.stack([E.value(pts) for E in E_FRAME], axis=-1)
+    lie = lie_derivative_stack(X.value(pts), X.jacobian(pts), S.value(pts),
+                               S.point_derivative(pts))
+    lie = _restrict_fully(lie, frames).reshape(len(pts), -1)
+    s = _restrict_fully(S.value(pts), frames).reshape(len(pts), -1)
+    coef = np.einsum("zi,zi->z", lie, s) / np.einsum("zi,zi->z", s, s)
+    mis = np.linalg.norm(lie - coef[:, None] * s, axis=1)
+    return mis / (np.linalg.norm(s, axis=1) + np.linalg.norm(lie, axis=1))
+
+
+def _deformed(S):
+    """S + 0.3 y (dx)^k: a structure the catalogs mostly do not preserve."""
+    def value(p):
+        T = S.value(p)
+        k = T.ndim - 1
+        dxk = np.zeros((5,) * k)
+        dxk[(0,) * k] = 1.0
+        return T + 0.3 * p[..., 1].reshape(p.shape[:-1] + (1,) * k) * dxk
+
+    def point_derivative(p):
+        dT = S.point_derivative(p)
+        dy_dxk = np.zeros((5,) * (dT.ndim - 1))
+        dy_dxk[(1,) + (0,) * (dT.ndim - 2)] = 1.0
+        return dT + 0.3 * dy_dxk
+
+    return SymTensorField(f"{S.name}+0.3y(dx)^k", value, point_derivative)
+
+
+_DA = constant_field("d-a", [0.0, 0.0, 0.0, 1.0, 0.0])
+
+_MEMBERSHIP_CASES = {
+    "attacking": ("attacking", ATTACKING_METRIC_FIELD),
+    "landing": ("landing", LANDING_METRIC_FIELD),
+    "quartic": ("g2", QUARTIC_FIELD),
+    "da": ((_DA,), ATTACKING_METRIC_FIELD),
+    "da-quartic": ((_DA,), QUARTIC_FIELD),
+    "euler": ((_EULER,), QUARTIC_FIELD),
+    "deformed-attacking": ("attacking", _deformed(ATTACKING_METRIC_FIELD)),
+    "deformed-landing": ("landing", _deformed(LANDING_METRIC_FIELD)),
+    "deformed-quartic": ("g2", _deformed(QUARTIC_FIELD)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MEMBERSHIP_CASES))
+def test_restricted_first_membership_matches_the_full_tensor_route(case):
+    fields, S = _MEMBERSHIP_CASES[case]
+    fields = catalogs.catalog(fields) if isinstance(fields, str) else fields
+    pts = sample_chart_points(12, 9, f"test.full-tensor.{case}")
+    V, J = symmetry._field_values(fields, pts), symmetry._field_jacobians(fields, pts)
+    got = symmetry._membership_residuals(V, J, S, pts)
+    assert got.shape == (12, len(fields))
+    for i, X in enumerate(fields):
+        np.testing.assert_allclose(got[:, i], _full_tensor_membership(X, S, pts),
+                                   rtol=0, atol=1e-14, err_msg=X.id)
+    worst = got.max(axis=0)
+    if case in ("attacking", "landing", "quartic", "da", "da-quartic"):
+        assert worst.max() < 1e-13
+    elif case == "euler":
+        assert worst[0] > 1e-3
+    else:
+        assert np.count_nonzero(worst > 5e-2) >= 10, worst
+    if case.startswith("da"):
+        # d/da fails through the contact condition
+        assert np.min(symmetry._contact_residuals(V, J, pts)) > 1e-2
+
+
+@pytest.mark.parametrize("name,S", [
+    ("attacking", ATTACKING_METRIC_FIELD), ("landing", LANDING_METRIC_FIELD),
+    ("g2", QUARTIC_FIELD), ("landing", QUARTIC_FIELD)])
+def test_catalog_reports_equal_the_per_field_reports(name, S):
+    fields = catalogs.catalog(name)
+    pts = sample_chart_points(12, 3, f"test.reports.{name}")
+    reports = symmetry.catalog_symmetry_reports(fields, S, pts)
+    assert len(reports) == len(fields)
+    for X, rep in zip(fields, reports):
+        assert rep == symmetry.legendrean_symmetry_residual(X, S, pts), X.id
+    # a plain tuple of the fields takes one call per field, to the same bits
+    assert symmetry.catalog_symmetry_reports(tuple(fields), S, pts) == reports
+    if S is QUARTIC_FIELD and name == "g2":
+        assert reports == [symmetry.g2_symmetry_residual(X, pts) for X in fields]
