@@ -122,16 +122,10 @@ def _fill(fns, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fill_jacobians(fns, p: np.ndarray) -> np.ndarray:
-    """J[..., i, :, k] = d(field i)/dx^k, (..., n, 5, 5), from one complex-step fill."""
-    return np.moveaxis(complex_step_derivative(lambda q: _fill(fns, q), p), 0, -1)
-
-
 def _field(name: str, fn) -> VectorField:
     """One field as its own n = 1 fill."""
     fns = (fn,)
-    return VectorField(name, 5, lambda p: _fill(fns, p)[..., 0, :],
-                       lambda p: _fill_jacobians(fns, p)[..., 0, :, :])
+    return VectorField(name, 5, lambda p: _fill(fns, p)[..., 0, :])
 
 
 class Catalog(tuple):
@@ -152,7 +146,7 @@ class Catalog(tuple):
 
     def jacobians(self, p: np.ndarray) -> np.ndarray:
         """(..., n, 5, 5): every field's Jacobian, J[..., i, m, k] = d(X_i^m)/dx^k."""
-        return _fill_jacobians(self.fns, np.asarray(p, dtype=float))
+        return np.moveaxis(complex_step_derivative(lambda q: _fill(self.fns, q), p), 0, -1)
 
 
 @lru_cache(maxsize=None)

@@ -97,33 +97,16 @@ def contact_value(p: np.ndarray, v: np.ndarray) -> float:
     return float(contact_covector(p) @ np.asarray(v, dtype=float))
 
 
-#: dS[m, i] for w0: the only varying components are w0_x = -a and w0_y = -b.
-_CONTACT_POINT_DERIVATIVE = np.zeros((DIM, DIM))
-_CONTACT_POINT_DERIVATIVE[3, 0] = -1.0
-_CONTACT_POINT_DERIVATIVE[4, 1] = -1.0
-
-
-def contact_point_derivative(p: np.ndarray) -> np.ndarray:
-    """dS[..., m, i] of w0 at one point (5,) or each point of a stack (m, 5)."""
-    return np.broadcast_to(_CONTACT_POINT_DERIVATIVE, np.shape(p)[:-1] + (DIM, DIM)).copy()
-
-
 def _frame_field(name: str, x_comp: float, y_comp: float, a_comp: float,
                  b_comp: float) -> VectorField:
     # distribution fields c1*(dx-dir + a dz-dir) + ... have only one varying slot
     def value(p: np.ndarray) -> np.ndarray:
-        out = np.empty(p.shape)
+        out = np.empty(p.shape, dtype=np.result_type(p, float))
         out[..., :] = (x_comp, y_comp, 0.0, a_comp, b_comp)
         out[..., 2] = x_comp * p[..., 3] + y_comp * p[..., 4]
         return out
 
-    def jacobian(p: np.ndarray) -> np.ndarray:
-        J = np.zeros(p.shape + (DIM,))
-        J[..., 2, 3] = x_comp
-        J[..., 2, 4] = y_comp
-        return J
-
-    return VectorField(name, DIM, value, jacobian)
+    return VectorField(name, DIM, value)
 
 
 #: E-frame of the distribution: E1 = dx-dir + a dz-dir, E2 = dy-dir + b dz-dir,
@@ -194,8 +177,7 @@ def contact_nondegeneracy(p: np.ndarray) -> "float | np.ndarray":
     makes the distribution frame positive); against the alphabetical ordering
     dx^dy^da^db^dz the same 5-form has coefficient -2, which is the price of
     one transposition. At one point (5,) or each point of a stack (m, 5).
-    dw0 is the complex-step exterior derivative of the components, not the
-    registered closed form.
+    dw0 is the complex-step exterior derivative of the components.
     """
     p = np.asarray(p, dtype=float)
     return _triple_coefficient(exterior_derivative_stack(contact_covector, p),

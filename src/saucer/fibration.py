@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import kernels
-from .forms import VectorField, bracket, exterior_derivative_stack
+from .forms import brackets, complex_step_derivative, exterior_derivative_stack
 
 FDIM = 6
 FORM_LABELS = ("w0", "w1", "w2", "w3", "w4", "w7")
@@ -37,10 +37,9 @@ class LiftSingular(ValueError):
 # -- charts and coframes -------------------------------------------------------
 #
 # Each chart's coframe C and its dual frame E = C^-1 are written out as
-# matrices of the six chart coordinates, and the frame's derivative
-# dE[i, j, m] = d E[i, j] / d(coord m) as its nonzero entries. Both coframes
-# are unitriangular up to a signed permutation of the last two slots, so the
-# inverses are short polynomials.
+# matrices of the six chart coordinates. Both coframes are unitriangular up
+# to a signed permutation of the last two slots, so the inverses are short
+# polynomials.
 
 def _x_coframe(x0, x1, x2, x3, x4, x5):
     return [[1, 0, 0, -3 * x2, x1, 0],
@@ -58,13 +57,6 @@ def _x_frame(x0, x1, x2, x3, x4, x5):
             [0, 0, 0, 1, -x5, 0],
             [0, 0, 0, 0, 1, 0],
             [0, 0, 0, 0, 0, -1]]
-
-
-def _x_frame_derivative(x0, x1, x2, x3, x4, x5):
-    return {(1, 2, 5): -3,
-            (0, 3, 2): 3, (1, 3, 5): 6 * x5, (2, 3, 5): -2,
-            (0, 4, 1): -1, (0, 4, 2): -3 * x5, (0, 4, 5): -3 * x2,
-            (1, 4, 5): -3 * x5 * x5, (2, 4, 5): 2 * x5, (3, 4, 5): -1}
 
 
 def _y_coframe(y0, y1, y2, y3, y4, y5):
@@ -85,21 +77,12 @@ def _y_frame(y0, y1, y2, y3, y4, y5):
             [0, 0, 0, 0, 1, 0]]
 
 
-def _y_frame_derivative(y0, y1, y2, y3, y4, y5):
-    return {(0, 1, 5): 1,
-            (1, 2, 4): -3,
-            (0, 3, 2): 3, (1, 3, 4): 6 * y4, (2, 3, 4): -2,
-            (0, 5, 2): -3 * y5, (0, 5, 5): -3 * y2, (1, 5, 4): -6 * y4 * y5,
-            (1, 5, 5): -3 * y4 * y4, (2, 5, 4): 2 * y5, (2, 5, 5): 2 * y4, (3, 5, 5): -1}
-
-
-_CHARTS = {"x": (_x_coframe, _x_frame, _x_frame_derivative),
-           "y": (_y_coframe, _y_frame, _y_frame_derivative)}
+_CHARTS = {"x": (_x_coframe, _x_frame), "y": (_y_coframe, _y_frame)}
 
 
 def _chart_at(chart: str, p: np.ndarray) -> tuple:
-    """The chart's (coframe, frame, frame derivative) builders, p's six
-    coordinates, and the leading shape and dtype of the matrices to build."""
+    """The chart's (coframe, frame) builders, p's six coordinates, and the
+    leading shape and dtype of the matrices to build."""
     try:
         builders = _CHARTS[chart]
     except KeyError:
@@ -136,22 +119,6 @@ def frame(chart: str, p: np.ndarray) -> np.ndarray:
     return _matrix(builders[1](*coords), lead, dtype)
 
 
-def frame_derivative(chart: str, p: np.ndarray) -> np.ndarray:
-    """dE[..., i, j, m] = d E[i, j] / d(coord m): the frame's exact point derivative."""
-    builders, coords, lead, dtype = _chart_at(chart, p)
-    dE = np.zeros(lead + (FDIM,) * 3, dtype=dtype)
-    for index, value in builders[2](*coords).items():
-        dE[(...,) + index] = value
-    return dE
-
-
-def frame_field(chart: str, j: int) -> VectorField:
-    """Frame vector e_j as a vector field on the chart, exact Jacobian."""
-    name = f"{chart}-e{(0, 1, 2, 3, 4, 7)[j]}"
-    return VectorField(name, FDIM, lambda p: frame(chart, p)[..., :, j],
-                       lambda p: frame_derivative(chart, p)[..., :, j, :])
-
-
 #: Nonzero frame commutators, keyed by frame positions (0..4 = e0..e4, 5 = e7):
 #: [e4, e7] = -e3, [e7, e3] = 2 e2, [e7, e2] = 3 e1, [e3, e2] = -3 e0,
 #: [e4, e1] = e0; [e4, e2] and [e4, e0] vanish. Each coefficient is forced by
@@ -169,17 +136,24 @@ FRAME_COMMUTATORS = {
 
 
 def frame_commutator_residuals(chart: str, points: np.ndarray) -> np.ndarray:
-    """Per point (m,): worst deviation of the listed frame brackets from the table."""
+    """Per point (m,): worst deviation of the listed frame brackets from the table.
+
+    Every bracket of the six frame fields comes from one complex step of
+    `frame`.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    fields = [frame_field(chart, j) for j in range(FDIM)]
-    F = frame(chart, pts)
+
+    def fields(q: np.ndarray) -> np.ndarray:
+        return np.swapaxes(frame(chart, q), -1, -2)
+
+    V = fields(pts)
+    B = brackets(V, np.moveaxis(complex_step_derivative(fields, pts), 0, -1))
     worst = np.zeros(len(pts))
     for (i, j), combo in FRAME_COMMUTATORS.items():
         expected = np.zeros(pts.shape)
         for k, coef in combo.items():
-            expected += coef * F[:, :, k]
-        got = bracket(fields[i], fields[j], pts)
-        worst = np.maximum(worst, np.max(np.abs(got - expected), axis=1))
+            expected += coef * V[:, k]
+        worst = np.maximum(worst, np.max(np.abs(B[:, i, j] - expected), axis=1))
     return worst
 
 
@@ -258,9 +232,8 @@ def eds_residuals(chart: str, points: np.ndarray) -> np.ndarray:
 
     The error of an equation is the norm of its 2-form, the root of the sum
     of squared coefficients over i < j. The exterior derivatives are complex
-    steps of the coframe's own entries through the generic engine, so this
-    exercises the coframe itself rather than any registered closed form;
-    the coframe is built once for the points and once for their copies.
+    steps of the coframe's own entries, so the coframe is built once for the
+    points and once for their copies.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     C = coframe(chart, pts)

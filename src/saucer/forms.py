@@ -3,72 +3,51 @@
 Every field takes one point (d,) or a stack of points (m, d) and evaluates
 it with array expressions, so the certificates work on whole sample sets at
 once: brackets, Lie derivatives of symmetric tensors and the exterior
-derivative of 1-forms. That derivative is a complex step,
+derivative of 1-forms. A field is given by its value function alone. Every
+derivative of it, the Jacobian of a vector field, the point derivative of a
+tensor field and d of a 1-form, is one complex step of that function,
 
     d_i w_j = Im w_j(p + i h e_i) / h,    h = 1e-30,
 
-exact to roundoff for real-analytic forms (Squire and Trapp, SIAM Review 40,
-1998), so it leaves no sqrt(eps) floor. Symmetric tensor fields carry their
-closed-form point derivatives; vector fields carry closed-form Jacobians
-where the caller knows them, and otherwise fall back to central finite
-differences with step h = 1e-5 * max(1, |p|), one step per point.
+exact to roundoff for real-analytic fields (Squire and Trapp, SIAM Review
+40, 1998), so it leaves no sqrt(eps) floor. `brackets` gives every bracket
+of n fields from their stacked values and Jacobians.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-FD_STEP = 1e-5
 
 #: Step of the complex-step derivatives; far below the rounding unit, since
 #: nothing is subtracted.
 COMPLEX_STEP = 1e-30
 
 
-def _fd_step(p: np.ndarray) -> np.ndarray:
-    """1e-5 * max(1, |p|) for one point (1,) or for each row of a stack (m, 1).
-
-    |p| is summed the same way for a point and for a row, so a stacked
-    difference quotient equals the per-point ones bit for bit.
-    """
-    return FD_STEP * np.maximum(1.0, np.sqrt(np.sum(p * p, axis=-1, keepdims=True)))
-
-
 @dataclass(frozen=True)
 class VectorField:
+    """A vector field given by its components: value_fn maps one point (d,)
+    or a stack (m, d) to (d,) or (m, d) in plain arithmetic, as
+    `complex_step_derivative` requires."""
+
     id: str
     dim: int
     value_fn: Callable[[np.ndarray], np.ndarray]
-    jacobian_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def value(self, p: np.ndarray) -> np.ndarray:
         return np.asarray(self.value_fn(np.asarray(p, dtype=float)), dtype=float)
 
     def jacobian(self, p: np.ndarray) -> np.ndarray:
-        """J[..., m, i] = d(X^m)/dx^i at one point (d,) or a stack (n, d).
-
-        Closed form when registered, else central differences with the step
-        of each point, so a stacked row equals the per-point call.
-        """
-        p = np.asarray(p, dtype=float)
-        if self.jacobian_fn is not None:
-            return np.asarray(self.jacobian_fn(p), dtype=float)
-        h = _fd_step(p)
-        cols = []
-        for i in range(self.dim):
-            step = h * np.eye(self.dim)[i]
-            cols.append((self.value(p + step) - self.value(p - step)) / (2.0 * h))
-        return np.stack(cols, axis=-1)
+        """J[..., m, i] = d(X^m)/dx^i at one point (d,) or a stack (n, d)."""
+        return np.moveaxis(complex_step_derivative(self.value_fn, p), 0, -1)
 
 
 def constant_field(name: str, components) -> VectorField:
     """The same vector at every point; takes one point (dim,) or a stack (m, dim)."""
     comps = np.asarray(components, dtype=float)
-    dim = len(comps)
-    return VectorField(name, dim, lambda p: np.broadcast_to(comps, p.shape).copy(),
-                       lambda p: np.zeros(p.shape + (dim,)))
+    return VectorField(name, len(comps), lambda p: np.broadcast_to(comps, p.shape).copy())
 
 
 def _apply(J: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -83,18 +62,35 @@ def bracket(X: VectorField, Y: VectorField, p: np.ndarray) -> np.ndarray:
     return _apply(Y.jacobian(p), X.value(p)) - _apply(X.jacobian(p), Y.value(p))
 
 
+def brackets(V: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """B[..., i, j, :] = [X_i, X_j] = J_j X_i - J_i X_j for n fields at once.
+
+    V (..., n, d) holds the fields' values and J (..., n, d, d) their
+    Jacobians, at one point or each point of a stack; returns (..., n, n, d).
+    """
+    # JV[..., i, j] = J_i X_j
+    JV = np.einsum("...iab,...jb->...ija", J, V)
+    return np.swapaxes(JV, -3, -2) - JV
+
+
 def complex_step_derivative(fn: Callable[[np.ndarray], np.ndarray],
                             p: np.ndarray) -> np.ndarray:
     """D[k, ...] = d fn / dx^k at one point (d,) or each point of a stack (m, d).
 
     fn maps points (..., d) to values (..., *shape) in plain arithmetic (no
-    float(), abs or norm), so it takes complex points; it is called once, on
-    the d copies p + i h e_k stacked on a new leading axis, h = COMPLEX_STEP.
+    float(), abs or norm, and arrays it allocates take the points' dtype),
+    so it takes complex points; it is called once, on the d copies
+    p + i h e_k stacked on a new leading axis, h = COMPLEX_STEP. A value
+    function that drops the imaginary part would give a zero derivative, so
+    numpy's ComplexWarning is raised as an error inside the call; the guard
+    is the process-wide warnings filter, set for the call's duration.
     """
     p = np.asarray(p, dtype=float)
     d = p.shape[-1]
     steps = (1j * COMPLEX_STEP * np.eye(d)).reshape((d,) + (1,) * (p.ndim - 1) + (d,))
-    return np.asarray(fn(p + steps)).imag / COMPLEX_STEP
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        return np.asarray(fn(p + steps)).imag / COMPLEX_STEP
 
 
 def exterior_derivative_stack(covector_fn: Callable[[np.ndarray], np.ndarray],
@@ -114,29 +110,25 @@ def exterior_derivative_stack(covector_fn: Callable[[np.ndarray], np.ndarray],
 class SymTensorField:
     """Fully symmetric covariant tensor field over a declared coframe.
 
-    value_fn and point_derivative_fn take one point (d,) or a stack (m, d),
-    as `VectorField` does, and give S[..., i1..ik] and
-    dS[..., m, i1..ik] = d(S_{i1..ik})/dx^m.
+    value_fn takes one point (d,) or a stack (m, d), as `VectorField`'s
+    does, and gives S[..., i1..ik]; the point derivative
+    dS[..., m, i1..ik] = d(S_{i1..ik})/dx^m is its complex step.
     """
 
     name: str
     value_fn: Callable[[np.ndarray], np.ndarray]
-    point_derivative_fn: Callable[[np.ndarray], np.ndarray]
 
     def value(self, p: np.ndarray) -> np.ndarray:
         return np.asarray(self.value_fn(np.asarray(p, dtype=float)), dtype=float)
 
     def point_derivative(self, p: np.ndarray) -> np.ndarray:
-        return np.asarray(self.point_derivative_fn(np.asarray(p, dtype=float)), dtype=float)
+        return np.moveaxis(complex_step_derivative(self.value_fn, p), 0, np.ndim(p) - 1)
 
 
 def constant_symtensor(name: str, T: np.ndarray) -> SymTensorField:
     """The same tensor T at every point of one point (dim,) or a stack (m, dim)."""
     T = np.asarray(T, dtype=float)
-    return SymTensorField(
-        name,
-        lambda p: np.broadcast_to(T, p.shape[:-1] + T.shape).copy(),
-        lambda p: np.zeros(p.shape[:-1] + (T.shape[0],) + T.shape))
+    return SymTensorField(name, lambda p: np.broadcast_to(T, p.shape[:-1] + T.shape).copy())
 
 
 def lie_derivative_symtensor(X: VectorField, S: SymTensorField, p: np.ndarray) -> np.ndarray:

@@ -189,7 +189,8 @@ def gl2_action(alpha: np.ndarray) -> np.ndarray:
     (..., 4, 4); a stacked matrix equals the single call bit for bit.
     """
     alpha = np.asarray(alpha, dtype=float)
-    assert alpha.shape[-2:] == (2, 2)
+    if alpha.shape[-2:] != (2, 2):
+        raise ValueError(f"alpha must be a 2x2 matrix or a stack of them; got {alpha.shape}")
     if np.any(np.abs(np.linalg.det(alpha)) < 1e-300):
         raise ValueError("alpha must be invertible")
     T = np.einsum("...Aa,...Bb,...Cc,zabc->...zABC", alpha, alpha, alpha, _SPINOR_BASIS)

@@ -83,12 +83,14 @@ def zcoeff_grads(mode: int, a, b, u1, u2, u3):
 def velocity(mode: int, p, u1, u2, u3) -> np.ndarray:
     """Chart velocity of the control law at one point (5,) or a stack (m, 5).
 
-    The controls may be scalars or, for a stack, per-row arrays.
+    The controls may be scalars or, for a stack, per-row arrays. The
+    velocity takes the points' dtype, so complex points give its complex step.
     """
-    p = np.asarray(p, dtype=float)
+    p = np.asarray(p)
     a, b = p.T[3], p.T[4]
     c1, c2, c3, c4 = zcoeffs(mode, a, b, u1, u2, u3)
-    out = np.empty(p.shape)
+    # promote_types costs a tenth of what result_type does on this hot path
+    out = np.empty(p.shape, dtype=np.promote_types(p.dtype, float))
     out.T[0] = c1
     out.T[1] = c2
     out.T[2] = c1 * a + c2 * b

@@ -87,7 +87,7 @@ def _landing_metric_5(p: np.ndarray) -> np.ndarray:
     written with symmetric products u . v = (u x v + v x u)/2.
     """
     a, b = p[..., 3], p[..., 4]
-    G = np.zeros(p.shape + (DIM,))
+    G = np.zeros(p.shape + (DIM,), dtype=np.result_type(p, float))
     G[..., 0, 4] = G[..., 4, 0] = 1.0 + a * a
     G[..., 0, 3] = G[..., 3, 0] = -a * b
     G[..., 1, 3] = G[..., 3, 1] = -(1.0 + b * b)
@@ -95,22 +95,8 @@ def _landing_metric_5(p: np.ndarray) -> np.ndarray:
     return G
 
 
-def _landing_metric_5_derivative(p: np.ndarray) -> np.ndarray:
-    """dG[..., m, i, j] = d(G_ij)/dx^m; only the a and b derivatives survive."""
-    a, b = p[..., 3], p[..., 4]
-    dG = np.zeros(p.shape + (DIM, DIM))
-    dG[..., 3, 0, 4] = dG[..., 3, 4, 0] = 2.0 * a
-    dG[..., 3, 0, 3] = dG[..., 3, 3, 0] = -b
-    dG[..., 3, 1, 4] = dG[..., 3, 4, 1] = b
-    dG[..., 4, 0, 3] = dG[..., 4, 3, 0] = -a
-    dG[..., 4, 1, 3] = dG[..., 4, 3, 1] = -2.0 * b
-    dG[..., 4, 1, 4] = dG[..., 4, 4, 1] = a
-    return dG
-
-
 #: Sphere-congruence metric ghat on the chart.
-LANDING_METRIC_FIELD = SymTensorField(
-    "landing-metric", _landing_metric_5, _landing_metric_5_derivative)
+LANDING_METRIC_FIELD = SymTensorField("landing-metric", _landing_metric_5)
 
 
 def attacking_metric(p: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 from typing import Sequence
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .chart import DIM, contact_covector
-from .forms import VectorField, bracket, constant_field
+from .forms import VectorField, brackets, complex_step_derivative
 from .maneuvers import ManeuverMode, Trajectory
 
 #: Chart slots matched directly by phase 1.
@@ -58,45 +57,29 @@ def _family_mode(mode: ManeuverMode) -> ManeuverMode:
 
 
 def family_field(mode: ManeuverMode, k: int) -> VectorField:
-    """Member k of the mode's admissible family, with exact Jacobian.
-
-    Value and Jacobian take one point (5,) or a stack (m, 5).
-    """
+    """Member k of the mode's admissible family; one point (5,) or a stack (m, 5)."""
     fmode = _family_mode(mode)
     u1, u2, u3 = FAMILY_CONTROLS[fmode][k]
     kid = fmode.kernel_id
-
-    def value(p: np.ndarray) -> np.ndarray:
-        return kernels.velocity(kid, p, u1, u2, u3)
-
-    def jacobian(p: np.ndarray) -> np.ndarray:
-        # one point's (a, b) as Python floats, which are cheaper than numpy scalars
-        a, b = (float(p[3]), float(p[4])) if p.ndim == 1 else (p[:, 3], p[:, 4])
-        c1, c2, _, _ = kernels.zcoeffs(kid, a, b, u1, u2, u3)
-        dca, dcb = kernels.zcoeff_grads(kid, a, b, u1, u2, u3)
-        J = np.zeros(p.shape + (DIM,))
-        J[..., 0, 3], J[..., 0, 4] = dca[0], dcb[0]
-        J[..., 1, 3], J[..., 1, 4] = dca[1], dcb[1]
-        J[..., 2, 3] = dca[0] * a + c1 + dca[1] * b
-        J[..., 2, 4] = dcb[0] * a + c2 + dcb[1] * b
-        return J
-
-    return VectorField(f"{fmode.value}-Y{k + 1}", DIM, value, jacobian)
+    return VectorField(f"{fmode.value}-Y{k + 1}", DIM,
+                       lambda p: kernels.velocity(kid, p, u1, u2, u3))
 
 
 def bracket_family(mode: ManeuverMode) -> tuple[VectorField, ...]:
     return tuple(family_field(mode, k) for k in range(4))
 
 
-def bracket_field(X: VectorField, Y: VectorField) -> VectorField:
-    """[X, Y] as a field, for the bracket checks.
+def _family_brackets(mode: ManeuverMode, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The family's values (..., 4, 5) and all its brackets [Y_i, Y_j]
+    (..., 4, 4, 5), at one point (5,) or a stack (m, 5), from one complex
+    step of the four stacked velocities."""
+    family = bracket_family(mode)
 
-    It registers no Jacobian, so a bracket nested in another one takes
-    central differences of it; only the stated landing depth-3 identity
-    nests them.
-    """
-    return VectorField(f"[{X.id},{Y.id}]", X.dim,
-                       lambda p: bracket(X, Y, p))
+    def values(q: np.ndarray) -> np.ndarray:
+        return np.stack([Y.value_fn(q) for Y in family], axis=-2)
+
+    V = values(p)
+    return V, brackets(V, np.moveaxis(complex_step_derivative(values, p), 0, -1))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -113,14 +96,13 @@ def bracket_generating_report(mode: ManeuverMode,
                               points: np.ndarray) -> GeneratingReport:
     """Rank of the family plus all pairwise brackets at each point.
 
-    Every field is evaluated once over the whole stack, and one stacked SVD
-    gives the singular values at all points.
+    The family and its brackets come over the whole stack at once, and one
+    stacked SVD gives the singular values at all points.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    fields = list(bracket_family(mode))
-    fields += [bracket_field(fields[i], fields[j])
-               for i, j in itertools.combinations(range(4), 2)]
-    A = np.stack([X.value(pts) for X in fields], axis=-1)
+    V, B = _family_brackets(mode, pts)
+    upper, lower = np.triu_indices(4, 1)
+    A = np.swapaxes(np.concatenate([V, B[:, upper, lower]], axis=1), -1, -2)
     sv = np.linalg.svd(A, compute_uv=False)
     scaled = sv[:, DIM - 1] / sv[:, 0]
     ranks = np.sum(sv > 1e-10 * sv[:, :1], axis=1)
@@ -129,41 +111,26 @@ def bracket_generating_report(mode: ManeuverMode,
                             tuple(float(v) for v in pts[worst]))
 
 
-@dataclasses.dataclass(frozen=True)
-class DistinguishedBracket:
-    label: str
-    field: VectorField          # the bracket expression
-    expected: VectorField       # the stated constant value
-
-
-def distinguished_bracket(mode: ManeuverMode) -> DistinguishedBracket:
-    """The bracket identity that certifies the missing contact direction.
-
-    Attacking: [Y2, Y3] = 3 dz. G2: [Y2, Y1] = dz. Landing: the stated
-    depth-3 identity [Y1, [Y2, [Y2, Y3]]] = 9 dz; the depth-3 expression
-    actually vanishes identically (see landing_nested_bracket_norm), so its
-    verification fails, while depth-2 brackets do leave the distribution.
-    """
-    Y = bracket_family(mode)
-    ez = np.zeros(DIM)
-    ez[2] = 1.0
-    fmode = _family_mode(mode)
-    if fmode == ManeuverMode.ATTACKING:
-        return DistinguishedBracket("[Y2,Y3] = 3 dz", bracket_field(Y[1], Y[2]),
-                                    constant_field("3dz", 3.0 * ez))
-    if fmode == ManeuverMode.G2_STRICT:
-        return DistinguishedBracket("[Y2,Y1] = dz", bracket_field(Y[1], Y[0]),
-                                    constant_field("dz", ez))
-    nested = bracket_field(Y[0], bracket_field(Y[1], bracket_field(Y[1], Y[2])))
-    return DistinguishedBracket("[Y1,[Y2,[Y2,Y3]]] = 9 dz", nested,
-                                constant_field("9dz", 9.0 * ez))
-
-
 def distinguished_bracket_residual(mode: ManeuverMode, points: np.ndarray) -> float:
-    """Sup norm of the identity's two sides, evaluated over the stack at once."""
-    db = distinguished_bracket(mode)
+    """Sup norm of the two sides of the bracket identity that certifies the
+    missing contact direction, over one point or a stack at once.
+
+    Attacking: [Y2, Y3] = 3 dz. G2: [Y2, Y1] = dz. These are the brackets
+    and gains of the modes' commutator rectangles. Landing: the stated
+    depth-3 identity [Y1, [Y2, [Y2, Y3]]] = 9 dz, taken on the exact
+    `_landing_nested` polynomials; its left side vanishes identically (see
+    landing_nested_bracket_norm), so its verification fails, while depth-2
+    brackets do leave the distribution.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return float(np.max(np.abs(db.field.value(pts) - db.expected.value(pts))))
+    fmode = _family_mode(mode)
+    if fmode == ManeuverMode.LANDING:
+        lhs, gain = np.stack([c(pts[:, 3], pts[:, 4]) for c in _landing_nested()], axis=-1), 9.0
+    else:
+        (i, j), gain = _RECTANGLE[fmode]
+        lhs = _family_brackets(fmode, pts)[1][:, i, j]
+    lhs[:, 2] -= gain
+    return float(np.max(np.abs(lhs)))
 
 
 class _ABPolynomial:
@@ -250,8 +217,7 @@ def landing_nested_bracket_norm(points: np.ndarray) -> float:
 
     The family's components are polynomials in (a, b) with small-integer
     coefficients, built by the control law itself, so the bracket is taken
-    exactly on them (nested finite differencing amplifies roundoff past 1e-6)
-    and then evaluated at the points.
+    exactly on them and then evaluated at the points.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     return max(float(np.max(np.abs(c(pts[:, 3], pts[:, 4])))) for c in _landing_nested())
@@ -264,11 +230,11 @@ def landing_depth2_contact_values(p: np.ndarray) -> tuple:
     actually generates the missing direction for the landing family. At one
     point (5,) they are floats; over a stack (m, 5), arrays.
     """
-    Y = bracket_family(ManeuverMode.LANDING)
     p = np.asarray(p, dtype=float)
+    B = _family_brackets(ManeuverMode.LANDING, p)[1]
     w = contact_covector(p)[..., None, :]
-    v24 = (w @ bracket(Y[1], Y[3], p)[..., None])[..., 0, 0]
-    v13 = (w @ bracket(Y[0], Y[2], p)[..., None])[..., 0, 0]
+    v24 = (w @ B[..., 1, 3, :, None])[..., 0, 0]
+    v13 = (w @ B[..., 0, 2, :, None])[..., 0, 0]
     return (float(v24), float(v13)) if p.ndim == 1 else (v24, v13)
 
 

@@ -26,13 +26,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chart import E_FRAME, contact_covector, contact_point_derivative
+from .chart import E_FRAME, contact_covector
 from .catalogs import Catalog
-from .forms import SymTensorField, VectorField
+from .forms import SymTensorField, VectorField, brackets
 from .maneuvers import QUARTIC_FIELD
 
-#: w0 as a rank-1 tensor field with its exact point derivative.
-CONTACT_TENSOR = SymTensorField("w0", contact_covector, contact_point_derivative)
+#: w0 as a rank-1 tensor field.
+CONTACT_TENSOR = SymTensorField("w0", contact_covector)
 
 KILLING_ZERO_TOL = 1e-8
 RANK_TOL = 1e-8
@@ -211,8 +211,12 @@ class StructureConstants:
 
 
 def _solve_structure(A: np.ndarray, B: np.ndarray, n: int) -> StructureConstants:
-    """Least squares A c = B, one column of B per ordered pair i < j."""
-    C, *_ = np.linalg.lstsq(A, B, rcond=None)
+    """Least squares A c = B, one column of B per ordered pair i < j.
+
+    The rank counts the singular values of A that the least-squares solve
+    returns above RANK_TOL * |A|_F.
+    """
+    C, _, _, sv = np.linalg.lstsq(A, B, rcond=None)
     scale = max(float(np.linalg.norm(A)), 1e-300)
     denom = np.maximum(np.linalg.norm(B, axis=0), scale)
     misfit = float(np.max(np.linalg.norm(A @ C - B, axis=0) / denom, initial=0.0))
@@ -220,7 +224,7 @@ def _solve_structure(A: np.ndarray, B: np.ndarray, n: int) -> StructureConstants
     c = np.zeros((n, n, n))
     c[upper, lower] = C.T
     c[lower, upper] = -C.T
-    rank = int(np.linalg.matrix_rank(A, tol=RANK_TOL * np.linalg.norm(A)))
+    rank = int(np.count_nonzero(sv > RANK_TOL * scale))
     return StructureConstants(c, misfit, rank)
 
 
@@ -239,12 +243,9 @@ def extract_structure_constants(fields: Sequence[VectorField],
     pts = _as_points(points)
     n = len(fields)
     V = _field_values(fields, pts)
-    J = _field_jacobians(fields, pts)
-    # JV[z, i, j] = J_{X_i} X_j, so [X_i, X_j] = JV[z, j, i] - JV[z, i, j]
-    JV = np.einsum("ziab,zjb->zija", J, V)
     upper, lower = np.triu_indices(n, 1)
-    brackets = JV[:, lower, upper] - JV[:, upper, lower]
-    return _solve_structure(_stacked_columns(V), _stacked_columns(brackets), n)
+    B = brackets(V, _field_jacobians(fields, pts))[:, upper, lower]
+    return _solve_structure(_stacked_columns(V), _stacked_columns(B), n)
 
 
 def matrix_structure_constants(basis: Sequence[np.ndarray]) -> StructureConstants:

@@ -103,3 +103,20 @@ def test_stacked_ambient_roundtrip():
     with pytest.raises(OutsideChart):
         chart_from_ambient(AmbientConfig(r=np.zeros((2, 3)),
                                          n=np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])))
+
+
+def _frame_field_jacobian(x_comp, y_comp, p):
+    """The closed-form Jacobian of a distribution field: only dz/da and dz/db vary."""
+    J = np.zeros(p.shape + (5,))
+    J[..., 2, 3] = x_comp
+    J[..., 2, 4] = y_comp
+    return J
+
+
+def test_frame_jacobians_match_the_closed_form():
+    pts = sample_chart_points(30, label="test.frame-jacobians")
+    for X in (*E_FRAME, *Z_FRAME):
+        x_comp, y_comp = X.value(np.zeros(5))[:2]
+        np.testing.assert_allclose(X.jacobian(pts), _frame_field_jacobian(x_comp, y_comp, pts),
+                                   rtol=0.0, atol=1e-14, err_msg=X.id)
+        np.testing.assert_array_equal(X.jacobian(pts), [X.jacobian(p) for p in pts])

@@ -1,35 +1,47 @@
 """Tensor calculus: brackets, Lie derivatives of symmetric tensors, d."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from saucer.chart import contact_covector
-from saucer.forms import (FD_STEP, VectorField, bracket, constant_field,
-                          exterior_derivative_stack, lie_derivative_stack,
+from saucer.forms import (VectorField, bracket, brackets, complex_step_derivative,
+                          constant_field, exterior_derivative_stack, lie_derivative_stack,
                           lie_derivative_symtensor, SymTensorField)
 from saucer.maneuvers import ATTACKING_METRIC_FIELD, LANDING_METRIC_FIELD, QUARTIC_FIELD
 from saucer.sampling import sample_chart_points
 from saucer.symmetry import CONTACT_TENSOR
 
+#: Step of the test-local central differences.
+FD_STEP = 1e-5
+
+
+def _poly_value(p: np.ndarray) -> np.ndarray:
+    x, y, z, a, b = np.moveaxis(p, -1, 0)
+    return np.stack([y, -x, x * z, 0.5 * b, a * a], axis=-1)
+
+
+def _poly_jacobian(p: np.ndarray) -> np.ndarray:
+    """The closed-form Jacobian of `_poly_value`, the reference for its complex step."""
+    x, y, z, a, b = np.moveaxis(p, -1, 0)
+    J = np.zeros(p.shape + (5,))
+    J[..., 0, 1], J[..., 1, 0], J[..., 3, 4] = 1.0, -1.0, 0.5
+    J[..., 2, 0], J[..., 2, 2], J[..., 4, 3] = z, x, 2.0 * a
+    return J
+
 
 def _poly_field() -> VectorField:
+    return VectorField("poly-field", 5, _poly_value)
+
+
+def _zfield() -> VectorField:
     def value(p: np.ndarray) -> np.ndarray:
-        x, y, z, a, b = p
-        return np.array([y, -x, x * z, 0.5 * b, a * a])
+        x, y, z, a, b = np.moveaxis(p, -1, 0)
+        return np.stack([a, np.zeros_like(x), y * y, -b, x], axis=-1)
 
-    def jac(p: np.ndarray) -> np.ndarray:
-        x, y, z, a, b = p
-        J = np.zeros((5, 5))
-        J[0, 1] = 1.0
-        J[1, 0] = -1.0
-        J[2, 0] = z
-        J[2, 2] = x
-        J[3, 4] = 0.5
-        J[4, 3] = 2.0 * a
-        return J
-
-    return VectorField("poly-field", 5, value, jac)
+    return VectorField("zfield", 5, value)
 
 
 def _lie_derivative(X: VectorField, S: SymTensorField, p: np.ndarray) -> np.ndarray:
@@ -67,12 +79,7 @@ def test_cartan_formula_matches_flow_pullback():
 def test_bracket_antisymmetry_and_jacobi():
     X = _poly_field()
     Y = constant_field("ey", [0.0, 1.0, 0.0, 0.0, 0.0])
-
-    def zval(p: np.ndarray) -> np.ndarray:
-        x, y, z, a, b = p
-        return np.array([a, 0.0, y * y, -b, x])
-
-    Z = VectorField("zfield", 5, zval)
+    Z = _zfield()
     for p in sample_chart_points(10, label="test.jacobi"):
         assert np.max(np.abs(bracket(X, Y, p) + bracket(Y, X, p))) < 1e-12
         cyc = (bracket_of(X, Y, Z, p) + bracket_of(Y, Z, X, p)
@@ -80,17 +87,26 @@ def test_bracket_antisymmetry_and_jacobi():
         assert np.max(np.abs(cyc)) < 1e-6
 
 
+def _central_jacobian(fn, p: np.ndarray) -> np.ndarray:
+    """J[m, i] = d fn^m / dx^i at one point, by central differences."""
+    h = FD_STEP * max(1.0, float(np.linalg.norm(p)))
+    return np.stack([(fn(p + h * e) - fn(p - h * e)) / (2.0 * h) for e in np.eye(len(p))],
+                    axis=-1)
+
+
 def bracket_of(A: VectorField, B: VectorField, C: VectorField,
                p: np.ndarray) -> np.ndarray:
-    """[[A, B], C](p) with the inner bracket wrapped as a field."""
-    inner = VectorField(f"[{A.id},{B.id}]", 5, lambda q: bracket(A, B, q))
-    return bracket(inner, C, p)
+    """[[A, B], C](p); the inner bracket's Jacobian by central differences."""
+    def inner(q):
+        return bracket(A, B, q)
+
+    return C.jacobian(p) @ inner(p) - _central_jacobian(inner, p) @ C.value(p)
 
 
 def test_symtensor_lie_derivative_directional_term():
     """For a constant field the Lie derivative reduces to X^m d_m S."""
     def gval(p: np.ndarray) -> np.ndarray:
-        G = np.zeros(p.shape + (5,))
+        G = np.zeros(p.shape + (5,), dtype=np.result_type(p, float))
         G[..., 0, 0] = p[..., 3] ** 2
         G[..., 0, 1] = G[..., 1, 0] = p[..., 2]
         return G
@@ -101,9 +117,10 @@ def test_symtensor_lie_derivative_directional_term():
         dG[..., 2, 0, 1] = dG[..., 2, 1, 0] = 1.0
         return dG
 
-    S = SymTensorField("g-test", gval, gder)
+    S = SymTensorField("g-test", gval)
     X = constant_field("dir", [0.0, 0.0, 1.0, 2.0, 0.0])
     pts = sample_chart_points(10, label="test.liesym")
+    np.testing.assert_allclose(S.point_derivative(pts), gder(pts), rtol=0.0, atol=1e-14)
     lie = lie_derivative_stack(X.value(pts), X.jacobian(pts), S.value(pts),
                                S.point_derivative(pts))
     for p, L in zip(pts, lie):
@@ -112,6 +129,32 @@ def test_symtensor_lie_derivative_directional_term():
         expected[0, 1] = expected[1, 0] = 1.0
         assert np.max(np.abs(L - expected)) < 1e-9
         np.testing.assert_array_equal(lie_derivative_symtensor(X, S, p), L)
+
+
+def _landing_metric_derivative(p: np.ndarray) -> np.ndarray:
+    """dG[..., m, i, j] = d(G_ij)/dx^m of the landing metric, written out."""
+    a, b = p[..., 3], p[..., 4]
+    dG = np.zeros(p.shape + (5, 5))
+    dG[..., 3, 0, 4] = dG[..., 3, 4, 0] = 2.0 * a
+    dG[..., 3, 0, 3] = dG[..., 3, 3, 0] = -b
+    dG[..., 3, 1, 4] = dG[..., 3, 4, 1] = b
+    dG[..., 4, 0, 3] = dG[..., 4, 3, 0] = -a
+    dG[..., 4, 1, 3] = dG[..., 4, 3, 1] = -2.0 * b
+    dG[..., 4, 1, 4] = dG[..., 4, 4, 1] = a
+    return dG
+
+
+def _contact_derivative(p: np.ndarray) -> np.ndarray:
+    """dS[..., m, i] of w0: the only varying components are w0_x = -a and w0_y = -b."""
+    dS = np.zeros(p.shape + (5,))
+    dS[..., 3, 0] = dS[..., 4, 1] = -1.0
+    return dS
+
+
+#: The closed forms the complex-step point derivatives replaced; the other
+#: tensors are constant.
+_CLOSED_FORM_DERIVATIVES = {"landing-metric": _landing_metric_derivative,
+                            "w0": _contact_derivative}
 
 
 @pytest.mark.parametrize("S", [LANDING_METRIC_FIELD, CONTACT_TENSOR,
@@ -125,11 +168,10 @@ def test_stacked_symtensor_fields_equal_pointwise_ones(S):
     assert dT.shape == (40, 5) + (5,) * rank
     np.testing.assert_array_equal(T, [S.value(p) for p in pts])
     np.testing.assert_array_equal(dT, [S.point_derivative(p) for p in pts])
-    # the closed-form derivative against central differences of the value
-    h = FD_STEP
-    fd = np.stack([(S.value(pts + h * e) - S.value(pts - h * e)) / (2.0 * h)
-                   for e in np.eye(5)], axis=1)
-    np.testing.assert_allclose(dT, fd, rtol=0.0, atol=1e-8)
+    # the complex step against the closed form it replaced
+    reference = _CLOSED_FORM_DERIVATIVES.get(S.name)
+    want = reference(pts) if reference else np.zeros(dT.shape)
+    np.testing.assert_allclose(dT, want, rtol=0.0, atol=1e-14)
 
 
 def test_complex_step_exterior_derivative_of_the_contact_form():
@@ -168,28 +210,59 @@ def test_complex_step_exterior_derivative_of_a_polynomial_form():
         np.testing.assert_allclose(F, grad - grad.T, rtol=0.0, atol=1e-14)
 
 
+def test_complex_step_jacobian_matches_the_closed_form():
+    X = _poly_field()
+    pts = sample_chart_points(30, label="test.poly-jacobian")
+    np.testing.assert_allclose(X.jacobian(pts), _poly_jacobian(pts), rtol=0.0, atol=1e-14)
+    np.testing.assert_array_equal(X.jacobian(pts), [X.jacobian(p) for p in pts])
+    np.testing.assert_array_equal(constant_field("ey", [0.0, 1.0, 0.0, 0.0, 0.0]).jacobian(pts),
+                                  np.zeros((30, 5, 5)))
+
+
 def test_stacked_brackets_equal_pointwise_brackets():
-    # a closed-form Jacobian pair, and a bracket field whose Jacobian falls
-    # back to differences with each point's own step
-    def value(p):
-        x, y, z, a, b = np.moveaxis(p, -1, 0)
-        return np.stack([y, -x, x * z, 0.5 * b, a * a], axis=-1)
-
-    def jac(p):
-        x, y, z, a, b = np.moveaxis(p, -1, 0)
-        J = np.zeros(p.shape + (5,))
-        J[..., 0, 1], J[..., 1, 0], J[..., 3, 4] = 1.0, -1.0, 0.5
-        J[..., 2, 0], J[..., 2, 2], J[..., 4, 3] = z, x, 2.0 * a
-        return J
-
-    X = VectorField("poly-field", 5, value, jac)
+    X, Z = _poly_field(), _zfield()
     Y = constant_field("ey", [0.0, 1.0, 0.0, 0.0, 0.0])
-    Z = VectorField("[X,ey]", 5, lambda p: bracket(X, Y, p))
     pts = sample_chart_points(30, label="test.stacked-bracket")
-    for p in pts[:3]:
-        np.testing.assert_array_equal(X.jacobian(p), _poly_field().jacobian(p))
     for A, B in ((X, Y), (Z, X), (Z, Y)):
         stacked = bracket(A, B, pts)
         assert stacked.shape == (30, 5)
         np.testing.assert_array_equal(stacked, [bracket(A, B, p) for p in pts])
-    np.testing.assert_array_equal(Z.jacobian(pts), [Z.jacobian(p) for p in pts])
+
+
+def test_bracket_table_equals_pairwise_brackets():
+    fields = (_poly_field(), constant_field("ey", [0.0, 1.0, 0.0, 0.0, 0.0]), _zfield())
+    pts = sample_chart_points(30, label="test.bracket-table")
+    V = np.stack([X.value(pts) for X in fields], axis=1)
+    J = np.stack([X.jacobian(pts) for X in fields], axis=1)
+    B = brackets(V, J)
+    assert B.shape == (30, 3, 3, 5)
+    for i, X in enumerate(fields):
+        for j, Y in enumerate(fields):
+            np.testing.assert_allclose(B[:, i, j], bracket(X, Y, pts), rtol=0.0, atol=1e-14)
+            np.testing.assert_array_equal(B[:, i, j], -B[:, j, i])
+    for k in range(len(pts)):
+        np.testing.assert_array_equal(B[k], brackets(V[k], J[k]))
+
+
+def test_complex_step_rejects_a_value_function_that_drops_the_imaginary_part():
+    def as_float(p):
+        return np.asarray(p, dtype=float) * 2.0
+
+    def real_buffer(p):
+        out = np.zeros(p.shape)
+        out[..., 0] = p[..., 1] * p[..., 2]
+        return out
+
+    p = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    for fn in (as_float, real_buffer):
+        with pytest.raises(np.exceptions.ComplexWarning):
+            complex_step_derivative(fn, p)
+        with pytest.raises(np.exceptions.ComplexWarning):
+            VectorField("real", 5, fn).jacobian(p)
+    with pytest.raises(np.exceptions.ComplexWarning):
+        SymTensorField("real", real_buffer).point_derivative(p)
+    # the error is confined to the call
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        as_float(p + 1j)
+    assert [w.category for w in seen] == [np.exceptions.ComplexWarning]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,12 @@ def test_action_rejects_singular_matrix():
         gl2.gl2_action(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         gl2.gl2_action(np.stack([np.eye(2), np.zeros((2, 2))]))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3), (5, 3, 3), (2,)])
+def test_action_rejects_a_matrix_that_is_not_2x2(shape):
+    with pytest.raises(ValueError, match=r"2x2 .*" + re.escape(str(shape))):
+        gl2.gl2_action(np.ones(shape))
 
 
 def test_stacked_action_equals_the_single_calls():

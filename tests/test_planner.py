@@ -41,6 +41,36 @@ def test_family_jacobians_match_difference_quotients():
                 np.testing.assert_allclose(J[:, i], quotient, atol=1e-8)
 
 
+def _family_jacobian(mode, k, p):
+    """The closed-form Jacobian of family member k from `kernels.zcoeff_grads`,
+    the reference for its complex step; (m, 5, 5) over a stack (m, 5)."""
+    u = planner.FAMILY_CONTROLS[mode][k]
+    a, b = p[:, 3], p[:, 4]
+    c1, c2, _, _ = kernels.zcoeffs(mode.kernel_id, a, b, *u)
+    dca, dcb = kernels.zcoeff_grads(mode.kernel_id, a, b, *u)
+    J = np.zeros(p.shape + (5,))
+    J[..., 0, 3], J[..., 0, 4] = dca[0], dcb[0]
+    J[..., 1, 3], J[..., 1, 4] = dca[1], dcb[1]
+    J[..., 2, 3] = dca[0] * a + c1 + dca[1] * b
+    J[..., 2, 4] = dcb[0] * a + c2 + dcb[1] * b
+    return J
+
+
+def test_family_jacobians_and_brackets_match_the_closed_forms():
+    pts = sample_chart_points(40, 93, "test-family-closed-form")
+    for mode in MODES:
+        Y = planner.bracket_family(mode)
+        for k in range(4):
+            np.testing.assert_allclose(Y[k].jacobian(pts), _family_jacobian(mode, k, pts),
+                                       rtol=0.0, atol=1e-14)
+        V, B = planner._family_brackets(mode, pts)
+        np.testing.assert_array_equal(V, np.stack([X.value(pts) for X in Y], axis=1))
+        for i in range(4):
+            for j in range(4):
+                np.testing.assert_allclose(B[:, i, j], bracket(Y[i], Y[j], pts),
+                                           rtol=0.0, atol=1e-14)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_family_is_bracket_generating(mode):
     pts = sample_chart_points(30, 17, f"test-gen-{mode.value}")
@@ -68,7 +98,7 @@ def test_landing_nested_bracket_vanishes_identically():
     pts = sample_chart_points(12, 25, "test-nested")
     assert planner.landing_nested_bracket_norm(pts) == 0.0
     resid = planner.distinguished_bracket_residual(ManeuverMode.LANDING, pts)
-    assert abs(resid - 9.0) < 1e-4
+    assert resid == 9.0
 
 
 def _sympy_landing_family():
@@ -581,15 +611,12 @@ def test_stacked_family_fields_equal_pointwise_calls():
 
 
 def test_stacked_nested_landing_bracket_equals_pointwise():
-    # three nested finite-difference Jacobians, each with its row's own step;
-    # the points of acceptance criterion 8
+    # the exact depth-3 polynomials at the points of acceptance criterion 8
     pts = sample_chart_points(10, 7, "acc.ids")
-    field = planner.distinguished_bracket(ManeuverMode.LANDING).field
-    np.testing.assert_array_equal(field.value(pts), [field.value(p) for p in pts])
     resid = planner.distinguished_bracket_residual(ManeuverMode.LANDING, pts)
     assert resid == max(planner.distinguished_bracket_residual(ManeuverMode.LANDING, p)
                         for p in pts)
-    assert f"{resid:.3e}" == "9.000e+00"
+    assert resid == 9.0
 
 
 def test_stacked_depth2_values_and_generating_report():

@@ -112,11 +112,13 @@ def _verify_all(seed):
 
 
 def test_verify_pass_stays_within_call_budgets(monkeypatch):
-    # brackets, coframes, quartics, K-operators, landing frames and Levi
-    # forms run over whole sample stacks, a few calls per check;
+    # brackets, complex steps, coframes, quartics, K-operators, landing
+    # frames and Levi forms run over whole sample stacks, a few calls per check;
     # action-equivariance alone stays per iteration
     _verify_all(5)
-    counts = _count_calls(monkeypatch, [(forms, "bracket"), (fibration, "coframe"),
+    counts = _count_calls(monkeypatch, [(forms, "bracket"),
+                                        (forms, "complex_step_derivative"),
+                                        (fibration, "coframe"),
                                         (gl2, "quartic_upsilon"),
                                         (structure, "landing_k_operator"),
                                         (structure, "landing_frame_z"),
@@ -127,6 +129,8 @@ def test_verify_pass_stays_within_call_budgets(monkeypatch):
     code, _ = _verify_all(5)
     assert code == 0
     assert counts["forms.bracket"] <= 40, counts
+    # every Jacobian, point derivative and d is one complex step of a stack
+    assert counts["forms.complex_step_derivative"] <= 40, counts
     assert counts["fibration.coframe"] <= 20, counts
     assert counts["gl2.quartic_upsilon"] <= 150, counts
     assert counts["structure.landing_k_operator"] <= 4, counts

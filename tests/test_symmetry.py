@@ -72,6 +72,31 @@ def test_structure_constants_stable_across_point_sets():
     assert np.max(np.abs(sc1.c - sc2.c)) < 1e-7
 
 
+def _matrix_rank(A):
+    return int(np.linalg.matrix_rank(A, tol=symmetry.RANK_TOL * np.linalg.norm(A)))
+
+
+def test_structure_rank_is_the_matrix_rank():
+    # the rank is read off the least-squares solve's singular values; a
+    # repeated field makes the stack rank-deficient
+    for name, dim in (("attacking", 15), ("landing", 15), ("g2", 14)):
+        catalog = catalogs.catalog(name)
+        for fields in (catalog, tuple(catalog) + (catalog[0],)):
+            for seed in (1, 2, 3):
+                pts = _pts(seed)
+                sc = symmetry.extract_structure_constants(fields, pts)
+                A = symmetry._stacked_columns(symmetry._field_values(fields, pts))
+                assert sc.rank == _matrix_rank(A) == dim, (name, len(fields), seed)
+    builders = {"sl4": symmetry.sl4_basis, "su22": symmetry.su22_basis,
+                "g2-split": symmetry.split_g2_basis}
+    for name, build in builders.items():
+        basis = build()
+        sc = symmetry.matrix_structure_constants(basis)
+        flat = np.stack([np.concatenate([np.real(M).ravel(), np.imag(M).ravel()])
+                         if np.iscomplexobj(M) else M.ravel() for M in basis], axis=1)
+        assert sc.rank == _matrix_rank(flat) == len(basis), name
+
+
 def test_reference_models_verify_their_own_signatures():
     builders = {"sl4": symmetry.sl4_basis, "su22": symmetry.su22_basis,
                 "g2-split": symmetry.split_g2_basis}
@@ -201,8 +226,7 @@ def _lstsq_membership(X, S, p, ideal):
 
 
 _EULER_SCALE = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
-_EULER = VectorField("euler", 5, lambda p: p * _EULER_SCALE,
-                     lambda p: np.broadcast_to(np.diag(_EULER_SCALE), p.shape + (5,)))
+_EULER = VectorField("euler", 5, lambda p: p * _EULER_SCALE)
 
 
 @pytest.mark.parametrize("fields,structure,expect_symmetric", [
@@ -270,19 +294,13 @@ def _full_tensor_membership(X, S, pts):
 def _deformed(S):
     """S + 0.3 y (dx)^k: a structure the catalogs mostly do not preserve."""
     def value(p):
-        T = S.value(p)
-        k = T.ndim - 1
+        T = S.value_fn(p)
+        k = T.ndim - p.ndim + 1
         dxk = np.zeros((5,) * k)
         dxk[(0,) * k] = 1.0
         return T + 0.3 * p[..., 1].reshape(p.shape[:-1] + (1,) * k) * dxk
 
-    def point_derivative(p):
-        dT = S.point_derivative(p)
-        dy_dxk = np.zeros((5,) * (dT.ndim - 1))
-        dy_dxk[(1,) + (0,) * (dT.ndim - 2)] = 1.0
-        return dT + 0.3 * dy_dxk
-
-    return SymTensorField(f"{S.name}+0.3y(dx)^k", value, point_derivative)
+    return SymTensorField(f"{S.name}+0.3y(dx)^k", value)
 
 
 _DA = constant_field("d-a", [0.0, 0.0, 0.0, 1.0, 0.0])
