@@ -1,21 +1,21 @@
 """Symmetry vector-field catalogs for the three maneuver geometries.
 
-Each catalog is a tuple of the paper's printed fields on the chart
-(x, y, z, a, b), written once as plain arithmetic: a function of the five
-coordinates that returns the five components. Rationals are integer
-divisions, so the same functions take floats, numpy arrays (real or
-complex) and sympy symbols, exactly. The values of every field of a
-catalog come from one fill of an (..., n, 5) array over a point (5,) or a
-stack (m, 5); their Jacobians come from one fill over the five complex-step
+Each catalog holds the paper's printed fields on the chart (x, y, z, a, b),
+written once as plain arithmetic: a function of the five coordinates that
+returns the five components. Rationals are integer divisions, so the same
+functions take floats, numpy arrays (real or complex) and sympy symbols,
+exactly. A catalog is one `FieldStack` over `_fill`: the values of all its
+fields come from one fill of an (..., n, 5) array over a point (5,) or a
+stack (m, 5), and their Jacobians from one fill over the five complex-step
 copies of the stack,
 
     J[..., :, k] = Im F(p + i h e_k) / h,    h = 1e-30,
 
 which is exact to roundoff for real-analytic fields (Squire and Trapp, SIAM
 Review 40, 1998): there is no subtraction, so h can be far below the
-rounding unit. Each field on its own is the same fill with n = 1. The
-attacking and landing catalogs span 15-dimensional algebras, the G2
-catalog a 14-dimensional one.
+rounding unit. catalog[i] is field i as a `VectorField`, its row of the
+fill. The attacking and landing catalogs span 15-dimensional algebras, the
+G2 catalog a 14-dimensional one.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forms import VectorField, complex_step_derivative
+from .forms import FieldStack
 
 
 def _e(x, y, z, a, b):
@@ -122,49 +122,28 @@ def _fill(fns, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _field(name: str, fn) -> VectorField:
-    """One field as its own n = 1 fill."""
-    fns = (fn,)
-    return VectorField(name, 5, lambda p: _fill(fns, p)[..., 0, :])
-
-
-class Catalog(tuple):
-    """The printed fields of one geometry: a tuple of per-field `VectorField`s,
-    whose values and Jacobians also come for all n fields at once, from one
-    fill each. A field's row of the stacked arrays equals its own call bit
-    for bit."""
-
-    def __new__(cls, prefix: str, fns):
-        self = super().__new__(cls, (_field(f"{prefix}-{i + 1}", fn)
-                                     for i, fn in enumerate(fns)))
-        self.fns = tuple(fns)
-        return self
-
-    def values(self, p: np.ndarray) -> np.ndarray:
-        """(..., n, 5): every field at one point (5,) or each point of a stack."""
-        return _fill(self.fns, np.asarray(p, dtype=float))
-
-    def jacobians(self, p: np.ndarray) -> np.ndarray:
-        """(..., n, 5, 5): every field's Jacobian, J[..., i, m, k] = d(X_i^m)/dx^k."""
-        return np.moveaxis(complex_step_derivative(lambda q: _fill(self.fns, q), p), 0, -1)
+def _stack(prefix: str, fns) -> FieldStack:
+    """The catalog fns as one stack over `_fill`, looked up at call time."""
+    return FieldStack(tuple(f"{prefix}-{i + 1}" for i in range(len(fns))),
+                      lambda p: _fill(fns, p))
 
 
 @lru_cache(maxsize=None)
-def attacking_catalog() -> Catalog:
-    return Catalog("att", ATTACKING_FIELDS)
+def attacking_catalog() -> FieldStack:
+    return _stack("att", ATTACKING_FIELDS)
 
 
 @lru_cache(maxsize=None)
-def landing_catalog() -> Catalog:
-    return Catalog("lnd", LANDING_FIELDS)
+def landing_catalog() -> FieldStack:
+    return _stack("lnd", LANDING_FIELDS)
 
 
 @lru_cache(maxsize=None)
-def g2_catalog() -> Catalog:
-    return Catalog("g2", G2_FIELDS)
+def g2_catalog() -> FieldStack:
+    return _stack("g2", G2_FIELDS)
 
 
-def catalog(name: str) -> Catalog:
+def catalog(name: str) -> FieldStack:
     """Catalog by geometry name: attacking, landing, or g2 (either G2 mode)."""
     key = name.strip().lower()
     if key in ("attacking",):

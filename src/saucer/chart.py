@@ -5,7 +5,8 @@ n_z > 0 we use coordinates (x, y, z, a, b) where (x, y, z) = r and the normal
 is the normalization of N = (-a, -b, 1). Admissible disc motions are tangent
 to the kernel of the contact form w0 = dz - a dx - b dy.
 
-Coordinate order everywhere: (x, y, z, a, b) = indices 0..4.
+Coordinate order everywhere: (x, y, z, a, b) = indices 0..4. The E and Z
+frames of the distribution are one `FieldStack` each.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import VectorField, exterior_derivative_stack
+from .forms import FieldStack, exterior_derivative_stack
 
 DIM = 5
 
@@ -97,35 +98,31 @@ def contact_value(p: np.ndarray, v: np.ndarray) -> float:
     return float(contact_covector(p) @ np.asarray(v, dtype=float))
 
 
-def _frame_field(name: str, x_comp: float, y_comp: float, a_comp: float,
-                 b_comp: float) -> VectorField:
-    # distribution fields c1*(dx-dir + a dz-dir) + ... have only one varying slot
+def _distribution_stack(ids, comps) -> FieldStack:
+    """Fields c1 (dx-dir + a dz-dir) + c2 (dy-dir + b dz-dir) + c3 da-dir +
+    c4 db-dir, one per row (c1, c2, c3, c4) of comps; only the dz slot varies."""
+    comps = np.array(comps)
+
     def value(p: np.ndarray) -> np.ndarray:
-        out = np.empty(p.shape, dtype=np.result_type(p, float))
-        out[..., :] = (x_comp, y_comp, 0.0, a_comp, b_comp)
-        out[..., 2] = x_comp * p[..., 3] + y_comp * p[..., 4]
+        out = np.empty(p.shape[:-1] + (len(comps), DIM), dtype=np.result_type(p, float))
+        out[..., [0, 1, 3, 4]] = comps
+        out[..., 2] = comps[:, 0] * p[..., 3, None] + comps[:, 1] * p[..., 4, None]
         return out
 
-    return VectorField(name, DIM, value)
+    return FieldStack(ids, value)
 
 
 #: E-frame of the distribution: E1 = dx-dir + a dz-dir, E2 = dy-dir + b dz-dir,
 #: E3 = db-dir, E4 = da-dir. The four controls of the saucer.
-E_FRAME = (
-    _frame_field("E1", 1.0, 0.0, 0.0, 0.0),
-    _frame_field("E2", 0.0, 1.0, 0.0, 0.0),
-    _frame_field("E3", 0.0, 0.0, 0.0, 1.0),
-    _frame_field("E4", 0.0, 0.0, 1.0, 0.0),
-)
+E_FRAME = _distribution_stack(("E1", "E2", "E3", "E4"),
+                              [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                               [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]])
 
 #: Z-frame: identical to the E-frame except Z3 = -3 db-dir. Dual to the
 #: quartic-mode coframe (dx, dy, -db/3, da).
-Z_FRAME = (
-    _frame_field("Z1", 1.0, 0.0, 0.0, 0.0),
-    _frame_field("Z2", 0.0, 1.0, 0.0, 0.0),
-    _frame_field("Z3", 0.0, 0.0, 0.0, -3.0),
-    _frame_field("Z4", 0.0, 0.0, 1.0, 0.0),
-)
+Z_FRAME = _distribution_stack(("Z1", "Z2", "Z3", "Z4"),
+                              [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                               [0.0, 0.0, 0.0, -3.0], [0.0, 0.0, 1.0, 0.0]])
 
 #: The frame-oriented coordinate volume is dx^dy^db^da^dz, the orientation in
 #: which (E1, E2, E3, E4, dz-dir) is positively oriented. Evaluating a 5-form

@@ -48,6 +48,8 @@ def _parse_vector(text: str, size: int, what: str) -> np.ndarray:
         raise _usage_error(f"{what} must be numeric, got {text!r}")
     if len(vals) != size:
         raise _usage_error(f"{what} needs {size} components, got {len(vals)}")
+    if not all(map(math.isfinite, vals)):
+        raise _usage_error(f"{what} must be finite, got {text!r}")
     return np.array(vals)
 
 
@@ -270,6 +272,8 @@ def _cmd_simulate(args) -> int:
                               "--start" if args.start is not None else "start in controls file")
     elif isinstance(start_spec, list) and len(start_spec) == 5:
         start = np.array([_file_number(v, "start component") for v in start_spec])
+        if not np.all(np.isfinite(start)):
+            raise _usage_error(f"start in controls file must be finite, got {start_spec!r}")
     else:
         raise _usage_error("start in controls file needs 5 components")
     try:
@@ -364,8 +368,13 @@ def _cmd_lift(args) -> int:
     rep = run.report
     worst_t = (None if rep.worst_sample is None
                else t0 + float(run.engine.times[rep.worst_sample]))
+    samples = len(run.engine.times)
+    certified = rep.skipped < samples   # u/w constant keeps every contact speed at 0
+    if not certified:
+        print("saucer: lift certified no sample: every contact speed is below the floor",
+              file=sys.stderr)
     payload = {
-        "samples": int(len(run.engine.times)),
+        "samples": samples,
         "t0": t0,
         "duration": duration,
         "max_angular": float(rep.max_angular),
@@ -373,7 +382,7 @@ def _cmd_lift(args) -> int:
         "worst_t": worst_t,
         "skipped": int(rep.skipped),
         "endpoint": [float(v) for v in run.contact.states[-1]],
-        "pass": bool(rep.max_angular <= 1e-5 and rep.max_contact <= 1e-8),
+        "pass": bool(certified and rep.max_angular <= 1e-5 and rep.max_contact <= 1e-8),
     }
     _emit(_payload_text(payload, args.format), args.out)
     return 0 if payload["pass"] else 1

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import kernels
-from .forms import brackets, complex_step_derivative, exterior_derivative_stack
+from .forms import FieldStack, exterior_derivative_stack
 
 FDIM = 6
 FORM_LABELS = ("w0", "w1", "w2", "w3", "w4", "w7")
@@ -135,6 +135,12 @@ FRAME_COMMUTATORS = {
 }
 
 
+def frame_fields(chart: str) -> FieldStack:
+    """The chart's frame vectors e0..e4, e7 (the columns of `frame`) as one stack."""
+    return FieldStack(tuple("e" + label[1:] for label in FORM_LABELS),
+                      lambda q: np.swapaxes(frame(chart, q), -1, -2))
+
+
 def frame_commutator_residuals(chart: str, points: np.ndarray) -> np.ndarray:
     """Per point (m,): worst deviation of the listed frame brackets from the table.
 
@@ -142,12 +148,7 @@ def frame_commutator_residuals(chart: str, points: np.ndarray) -> np.ndarray:
     `frame`.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-
-    def fields(q: np.ndarray) -> np.ndarray:
-        return np.swapaxes(frame(chart, q), -1, -2)
-
-    V = fields(pts)
-    B = brackets(V, np.moveaxis(complex_step_derivative(fields, pts), 0, -1))
+    V, B = frame_fields(chart).brackets(pts)
     worst = np.zeros(len(pts))
     for (i, j), combo in FRAME_COMMUTATORS.items():
         expected = np.zeros(pts.shape)
@@ -155,11 +156,6 @@ def frame_commutator_residuals(chart: str, points: np.ndarray) -> np.ndarray:
             expected += coef * V[:, k]
         worst = np.maximum(worst, np.max(np.abs(B[:, i, j] - expected), axis=1))
     return worst
-
-
-def verify_frame_commutators(chart: str, points: np.ndarray) -> float:
-    """Worst deviation of the listed frame brackets from the stated table."""
-    return float(np.max(frame_commutator_residuals(chart, points)))
 
 
 # -- chart transition ----------------------------------------------------------
@@ -245,11 +241,6 @@ def eds_residuals(chart: str, points: np.ndarray) -> np.ndarray:
             rhs[:, k] += wedge - np.swapaxes(wedge, -1, -2)
     err = dw - rhs
     return np.max(np.sqrt(0.5 * np.sum(err * err, axis=(-2, -1))), axis=1)
-
-
-def eds_residual(chart: str, points: np.ndarray) -> float:
-    """Worst coefficient error in the six structure equations at the points."""
-    return float(np.max(eds_residuals(chart, points)))
 
 
 # -- joystick controls ---------------------------------------------------------
@@ -387,6 +378,8 @@ def integrate_d2_curve(u_spec, w_spec, duration: float, n_steps: int,
     start = np.zeros(5) if y0 is None else np.asarray(y0, dtype=float)
     if start.shape != (5,):
         raise ValueError("engine state must have 5 components")
+    if not np.all(np.isfinite(start)):
+        raise ValueError(f"engine state must be finite, got {start}")
     n = n_steps
     h = duration / n
     times = np.linspace(0.0, duration, n + 1)

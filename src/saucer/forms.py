@@ -10,8 +10,10 @@ tensor field and d of a 1-form, is one complex step of that function,
     d_i w_j = Im w_j(p + i h e_i) / h,    h = 1e-30,
 
 exact to roundoff for real-analytic fields (Squire and Trapp, SIAM Review
-40, 1998), so it leaves no sqrt(eps) floor. `brackets` gives every bracket
-of n fields from their stacked values and Jacobians.
+40, 1998), so it leaves no sqrt(eps) floor. A family of n fields is one
+`FieldStack`: one value function over (points x fields), whose values,
+Jacobians and brackets come from one call each; `brackets` gives every
+bracket of n fields from their stacked values and Jacobians.
 """
 from __future__ import annotations
 
@@ -33,7 +35,6 @@ class VectorField:
     `complex_step_derivative` requires."""
 
     id: str
-    dim: int
     value_fn: Callable[[np.ndarray], np.ndarray]
 
     def value(self, p: np.ndarray) -> np.ndarray:
@@ -47,7 +48,44 @@ class VectorField:
 def constant_field(name: str, components) -> VectorField:
     """The same vector at every point; takes one point (dim,) or a stack (m, dim)."""
     comps = np.asarray(components, dtype=float)
-    return VectorField(name, len(comps), lambda p: np.broadcast_to(comps, p.shape).copy())
+    return VectorField(name, lambda p: np.broadcast_to(comps, p.shape).copy())
+
+
+@dataclass(frozen=True)
+class FieldStack:
+    """n vector fields given by one value function: value_fn maps points
+    (..., d) to (..., n, d) in plain arithmetic, as `complex_step_derivative`
+    requires. stack[i] is field i, its row of the value function, so
+    iterating a stack yields its fields one by one; a row of the stacked
+    values or Jacobians equals that field's own, bit for bit."""
+
+    ids: tuple[str, ...]
+    value_fn: Callable[[np.ndarray], np.ndarray]
+
+    @classmethod
+    def of(cls, *fields: VectorField) -> "FieldStack":
+        """Single fields as one stack."""
+        return cls(tuple(X.id for X in fields),
+                   lambda p: np.stack([X.value_fn(p) for X in fields], axis=-2))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> VectorField:
+        return VectorField(self.ids[i], lambda p: self.value_fn(p)[..., i, :])
+
+    def values(self, p: np.ndarray) -> np.ndarray:
+        """(..., n, d): every field at one point (d,) or each point of a stack."""
+        return np.asarray(self.value_fn(np.asarray(p, dtype=float)), dtype=float)
+
+    def jacobians(self, p: np.ndarray) -> np.ndarray:
+        """(..., n, d, d): J[..., i, m, k] = d(X_i^m)/dx^k, one complex step."""
+        return np.moveaxis(complex_step_derivative(self.value_fn, p), 0, -1)
+
+    def brackets(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The values (..., n, d) and every bracket [X_i, X_j], (..., n, n, d)."""
+        V = self.values(p)
+        return V, brackets(V, self.jacobians(p))
 
 
 def _apply(J: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -234,11 +234,13 @@ def classify_directions(X: np.ndarray, tol: float = CLASSIFY_TOL) -> np.ndarray:
 
     Type N on the cubic cone, type II on its tangent variety, else not null.
     Thresholds are relative: |g_i| against |X|^2, |Upsilon| against |X|^4;
-    tol must be finite and positive.
+    X must be finite, and tol finite and positive.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     X = np.asarray(X, dtype=float)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("cannot classify a direction that is not finite")
     norm2 = np.einsum("...i,...i->...", X, X)
     if np.any(norm2 == 0.0):
         raise ValueError("cannot classify the zero vector")

@@ -240,6 +240,8 @@ def integrate_trajectory(program: ControlProgram, p0: Sequence[float]) -> Trajec
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (DIM,):
         raise ValueError(f"initial point must have shape ({DIM},)")
+    if not np.all(np.isfinite(p0)):
+        raise ValueError(f"initial point must be finite, got {p0}")
     n_steps = max(1, int(round(program.duration / program.dt)))
     h = program.duration / n_steps
     times = np.linspace(0.0, program.duration, n_steps + 1)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .chart import DIM, contact_covector
-from .forms import VectorField, brackets, complex_step_derivative
+from .forms import FieldStack
 from .maneuvers import ManeuverMode, Trajectory
 
 #: Chart slots matched directly by phase 1.
@@ -56,30 +56,14 @@ def _family_mode(mode: ManeuverMode) -> ManeuverMode:
     return ManeuverMode.G2_STRICT if mode == ManeuverMode.G2_SIMPLE else mode
 
 
-def family_field(mode: ManeuverMode, k: int) -> VectorField:
-    """Member k of the mode's admissible family; one point (5,) or a stack (m, 5)."""
+def family(mode: ManeuverMode) -> FieldStack:
+    """The mode's four admissible fields Y1..Y4 as one stack: the control law
+    at each frozen control triple, at one point (5,) or a stack (m, 5)."""
     fmode = _family_mode(mode)
-    u1, u2, u3 = FAMILY_CONTROLS[fmode][k]
-    kid = fmode.kernel_id
-    return VectorField(f"{fmode.value}-Y{k + 1}", DIM,
-                       lambda p: kernels.velocity(kid, p, u1, u2, u3))
-
-
-def bracket_family(mode: ManeuverMode) -> tuple[VectorField, ...]:
-    return tuple(family_field(mode, k) for k in range(4))
-
-
-def _family_brackets(mode: ManeuverMode, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The family's values (..., 4, 5) and all its brackets [Y_i, Y_j]
-    (..., 4, 4, 5), at one point (5,) or a stack (m, 5), from one complex
-    step of the four stacked velocities."""
-    family = bracket_family(mode)
-
-    def values(q: np.ndarray) -> np.ndarray:
-        return np.stack([Y.value_fn(q) for Y in family], axis=-2)
-
-    V = values(p)
-    return V, brackets(V, np.moveaxis(complex_step_derivative(values, p), 0, -1))
+    kid, controls = fmode.kernel_id, FAMILY_CONTROLS[fmode]
+    return FieldStack(tuple(f"{fmode.value}-Y{k + 1}" for k in range(4)),
+                      lambda p: np.stack([kernels.velocity(kid, p, *u) for u in controls],
+                                         axis=-2))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,7 +84,7 @@ def bracket_generating_report(mode: ManeuverMode,
     stacked SVD gives the singular values at all points.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    V, B = _family_brackets(mode, pts)
+    V, B = family(mode).brackets(pts)
     upper, lower = np.triu_indices(4, 1)
     A = np.swapaxes(np.concatenate([V, B[:, upper, lower]], axis=1), -1, -2)
     sv = np.linalg.svd(A, compute_uv=False)
@@ -128,7 +112,7 @@ def distinguished_bracket_residual(mode: ManeuverMode, points: np.ndarray) -> fl
         lhs, gain = np.stack([c(pts[:, 3], pts[:, 4]) for c in _landing_nested()], axis=-1), 9.0
     else:
         (i, j), gain = _RECTANGLE[fmode]
-        lhs = _family_brackets(fmode, pts)[1][:, i, j]
+        lhs = family(fmode).brackets(pts)[1][:, i, j]
     lhs[:, 2] -= gain
     return float(np.max(np.abs(lhs)))
 
@@ -231,7 +215,7 @@ def landing_depth2_contact_values(p: np.ndarray) -> tuple:
     point (5,) they are floats; over a stack (m, 5), arrays.
     """
     p = np.asarray(p, dtype=float)
-    B = _family_brackets(ManeuverMode.LANDING, p)[1]
+    B = family(ManeuverMode.LANDING).brackets(p)[1]
     w = contact_covector(p)[..., None, :]
     v24 = (w @ B[..., 1, 3, :, None])[..., 0, 0]
     v13 = (w @ B[..., 0, 2, :, None])[..., 0, 0]

@@ -10,7 +10,6 @@ import numpy as np
 DEFAULT_SEED = 0x5A0CE2
 
 BOX_HALF_WIDTH = 2.0
-NORMAL_SCALE_CUTOFF = 10.0
 
 
 def rng_for(seed: int, label: str = "") -> np.random.Generator:
@@ -19,29 +18,7 @@ def rng_for(seed: int, label: str = "") -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-def sample_chart_points(count: int, seed: int = DEFAULT_SEED, label: str = "chart",
-                        box: float = BOX_HALF_WIDTH, min_nz: float = 0.0) -> np.ndarray:
-    """Seeded points in [-box, box]^5.
-
-    Points with |N| = sqrt(1 + a^2 + b^2) > NORMAL_SCALE_CUTOFF are rejected to
-    stay away from chart distortion (vacuous for box <= 2, kept as a guard).
-    min_nz > 0 additionally requires n_z = 1/|N| >= min_nz.
-    """
-    rng = rng_for(seed, label)
-    out = np.empty((count, 5))
-    have = 0
-    while have < count:
-        cand = rng.uniform(-box, box, size=(count - have, 5))
-        scale = np.sqrt(1.0 + cand[:, 3] ** 2 + cand[:, 4] ** 2)
-        keep = scale <= NORMAL_SCALE_CUTOFF
-        if min_nz > 0.0:
-            keep &= (1.0 / scale) >= min_nz
-        kept = cand[keep]
-        out[have:have + len(kept)] = kept
-        have += len(kept)
-    return out
-
-
 def sample_vectors(count: int, dim: int, seed: int = DEFAULT_SEED,
                    label: str = "vec", box: float = BOX_HALF_WIDTH) -> np.ndarray:
+    """Seeded points in [-box, box]^dim, (count, dim); chart points take dim 5."""
     return rng_for(seed, label).uniform(-box, box, size=(count, dim))

@@ -15,12 +15,12 @@ from .chart import (E_FRAME, Z_FRAME, AmbientConfig, OutsideChart,
                     ambient_from_chart, ambient_nondegeneracy_pair,
                     chart_from_ambient, contact_covector,
                     contact_nondegeneracy)
-from .forms import VectorField, constant_field
+from .forms import FieldStack, VectorField, constant_field
 from .maneuvers import (ATTACKING_METRIC_FIELD, LANDING_METRIC_FIELD,
                         QUARTIC_FIELD, ManeuverMode, attacking_metric,
                         constraint_residuals, g2_coframe, invariant_two_form_dist)
 from .reports import Check, CheckResult, SuiteReport, run_checks
-from .sampling import rng_for, sample_chart_points, sample_vectors
+from .sampling import rng_for, sample_vectors
 
 SUITE_NAMES = ("config", "structure", "gl2", "symmetry", "fibration", "planner")
 
@@ -49,18 +49,18 @@ def _complex_norms(X: np.ndarray) -> np.ndarray:
 
 def _config_checks(seed: int) -> list[Check]:
     def contact_constant() -> CheckResult:
-        pts = sample_chart_points(100, seed, "config.contact")
+        pts = sample_vectors(100, 5, seed, "config.contact")
         worst, where = _worst_sample(np.abs(contact_nondegeneracy(pts) - 2.0), pts)
         return _result("contact-constant", worst, 1e-12, f"100 points, target 2; {where}")
 
     def ambient_triple() -> CheckResult:
-        pts = sample_chart_points(25, seed, "config.ambient")
+        pts = sample_vectors(25, 5, seed, "config.ambient")
         lhs, rhs = ambient_nondegeneracy_pair(pts)
         worst, where = _worst_sample(np.abs(lhs - rhs), pts)
         return _result("ambient-triple-match", worst, 1e-7, f"25 points; {where}")
 
     def roundtrip() -> CheckResult:
-        pts = sample_chart_points(100, seed, "config.roundtrip")
+        pts = sample_vectors(100, 5, seed, "config.roundtrip")
         errors = np.max(np.abs(chart_from_ambient(ambient_from_chart(pts)) - pts), axis=1)
         worst, where = _worst_sample(errors, pts)
         return _result("chart-roundtrip", worst, 1e-12, f"100 points; {where}")
@@ -76,9 +76,8 @@ def _config_checks(seed: int) -> list[Check]:
                            "no exception for n_z = 0")
 
     def duality() -> CheckResult:
-        pts = sample_chart_points(50, seed, "config.duality")
-        Z = np.stack([field.value(pts) for field in Z_FRAME], axis=-1)
-        E = np.stack([field.value(pts) for field in E_FRAME], axis=-1)
+        pts = sample_vectors(50, 5, seed, "config.duality")
+        Z, E = (np.swapaxes(F.values(pts), -1, -2) for F in (Z_FRAME, E_FRAME))
         errors = np.maximum(
             np.max(np.abs(g2_coframe(pts) @ Z - np.eye(4)), axis=(1, 2)),
             np.max(np.abs(np.einsum("zi,zij->zj", contact_covector(pts), E)), axis=1))
@@ -119,7 +118,7 @@ def _structure_checks(seed: int) -> list[Check]:
                        "both bundles null for g and Lagrangean for the 2-form")
 
     def landing_square() -> CheckResult:
-        pts = sample_chart_points(200, seed, "structure.landing")
+        pts = sample_vectors(200, 5, seed, "structure.landing")
         K = structure.landing_k_operator(pts)
         expected = -1.0 / (1.0 + pts[:, 3] ** 2 + pts[:, 4] ** 2)
         errors = np.abs(K.square_scalar - expected) / np.abs(expected)
@@ -128,7 +127,7 @@ def _structure_checks(seed: int) -> list[Check]:
                        f"raw K^2 = -(1+a^2+b^2)^{{-1}} Id, relative; {where}")
 
     def landing_orientation() -> CheckResult:
-        pts = sample_chart_points(100, seed, "structure.orientation")
+        pts = sample_vectors(100, 5, seed, "structure.orientation")
         K = structure.landing_k_operator(pts)
         Z1, _ = structure.landing_frame_z(pts)
         KZ1 = (K.matrix @ Z1[:, :, None])[:, :, 0]
@@ -137,7 +136,7 @@ def _structure_checks(seed: int) -> list[Check]:
         return _result("landing-orientation", worst, 1e-9, f"K Z1 = +i Z1; {where}")
 
     def levi() -> CheckResult:
-        pts = sample_chart_points(100, seed, "structure.levi")
+        pts = sample_vectors(100, 5, seed, "structure.levi")
         signature = structure.levi_form(pts).signature
         bad = np.flatnonzero(np.any(signature != (1, 1), axis=1))
         if bad.size:
@@ -301,7 +300,7 @@ def _catalog_reports(label: str, pts: np.ndarray):
     structure, all from one (points x fields) stack."""
     fields = catalogs.catalog(label)
     reports = symmetry.catalog_symmetry_reports(fields, _CATALOG_STRUCTURES[label], pts)
-    return list(zip(fields, reports))
+    return list(zip(fields.ids, reports))
 
 
 def _worst(rep: symmetry.SymmetryReport) -> float:
@@ -310,18 +309,18 @@ def _worst(rep: symmetry.SymmetryReport) -> float:
 
 def _worst_field_detail(reports) -> tuple[float, str]:
     """Largest residual of a catalog and a detail naming its field and sample."""
-    X, rep = max(reports, key=lambda item: _worst(item[1]))
-    return _worst(rep), f"worst field {X.id} at {_coords(rep.worst_point)}"
+    field_id, rep = max(reports, key=lambda item: _worst(item[1]))
+    return _worst(rep), f"worst field {field_id} at {_coords(rep.worst_point)}"
 
 
 def _symmetry_checks(seed: int) -> list[Check]:
     def catalog_residuals(name: str, label: str) -> CheckResult:
-        pts = sample_chart_points(12, seed, f"symmetry.{label}")
+        pts = sample_vectors(12, 5, seed, f"symmetry.{label}")
         worst, detail = _worst_field_detail(_catalog_reports(label, pts))
         return _result(name, worst, 1e-7, detail)
 
     def ranks() -> CheckResult:
-        pts = sample_chart_points(10, seed, "symmetry.rank")
+        pts = sample_vectors(10, 5, seed, "symmetry.rank")
         got = tuple(symmetry.catalog_rank(catalogs.catalog(lbl), pts)
                     for lbl in ("attacking", "landing", "g2"))
         return CheckResult("catalog-ranks", got == (15, 15, 14), None,
@@ -331,8 +330,8 @@ def _symmetry_checks(seed: int) -> list[Check]:
         worst = 0.0
         for lbl in ("attacking", "landing", "g2"):
             fields = catalogs.catalog(lbl)
-            pa = sample_chart_points(10, seed, f"symmetry.close.{lbl}.a")
-            pb = sample_chart_points(10, seed, f"symmetry.close.{lbl}.b")
+            pa = sample_vectors(10, 5, seed, f"symmetry.close.{lbl}.a")
+            pb = sample_vectors(10, 5, seed, f"symmetry.close.{lbl}.b")
             sa = symmetry.extract_structure_constants(fields, pa)
             sb = symmetry.extract_structure_constants(fields, pb)
             worst = max(worst, sa.misfit, sb.misfit)
@@ -348,7 +347,7 @@ def _symmetry_checks(seed: int) -> list[Check]:
         worst = 0.0
         for lbl, model_name in expected.items():
             fields = catalogs.catalog(lbl)
-            pts = sample_chart_points(10, seed, f"symmetry.killing.{lbl}")
+            pts = sample_vectors(10, 5, seed, f"symmetry.killing.{lbl}")
             sc = symmetry.extract_structure_constants(fields, pts)
             diag = symmetry.killing_diagnostics(sc)
             model = symmetry.reference_model(model_name)
@@ -361,13 +360,14 @@ def _symmetry_checks(seed: int) -> list[Check]:
                            "; ".join(detail))
 
     def negative_controls() -> CheckResult:
-        pts = sample_chart_points(10, seed, "symmetry.negative")
+        pts = sample_vectors(10, 5, seed, "symmetry.negative")
         da = constant_field("da-dir", [0.0, 0.0, 0.0, 1.0, 0.0])
-        rep, = symmetry.catalog_symmetry_reports((da,), ATTACKING_METRIC_FIELD, pts)
+        rep, = symmetry.catalog_symmetry_reports(FieldStack.of(da), ATTACKING_METRIC_FIELD, pts)
         ok = rep.contact > 1e-2 and rep.membership < 1e-10
         scale = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
-        euler = VectorField("euler", 5, lambda p: p * scale)
-        worstq = symmetry.quartic_membership_residual(euler, pts)
+        euler = VectorField("euler", lambda p: p * scale)
+        worstq = symmetry.catalog_symmetry_reports(FieldStack.of(euler), QUARTIC_FIELD,
+                                                   pts)[0].membership
         ok = ok and worstq > 1e-3
         return CheckResult("negative-controls", ok, worstq,
                            f"da contact {rep.contact:.3g}, membership "
@@ -477,7 +477,7 @@ def _planner_checks(seed: int) -> list[Check]:
         min_rank = 5
         where = ""
         for mode in _PLAN_MODES:
-            pts = sample_chart_points(40, seed, f"planner.rank.{mode.value}")
+            pts = sample_vectors(40, 5, seed, f"planner.rank.{mode.value}")
             rep = planner.bracket_generating_report(mode, pts)
             min_rank = min(min_rank, rep.min_rank)
             if rep.worst_fifth_singular < worst:
@@ -488,23 +488,23 @@ def _planner_checks(seed: int) -> list[Check]:
                            f"smallest scaled 5th singular value {where}")
 
     def attacking_identity() -> CheckResult:
-        pts = sample_chart_points(25, seed, "planner.id.attacking")
+        pts = sample_vectors(25, 5, seed, "planner.id.attacking")
         worst = planner.distinguished_bracket_residual(ManeuverMode.ATTACKING, pts)
         return _result("attacking-bracket-identity", worst, 1e-8, "[Y2,Y3] = 3 dz")
 
     def g2_identity() -> CheckResult:
-        pts = sample_chart_points(25, seed, "planner.id.g2")
+        pts = sample_vectors(25, 5, seed, "planner.id.g2")
         worst = planner.distinguished_bracket_residual(ManeuverMode.G2_STRICT, pts)
         return _result("g2-bracket-identity", worst, 1e-8, "[Y2,Y1] = dz")
 
     def landing_depth3() -> CheckResult:
-        pts = sample_chart_points(25, seed, "planner.id.landing")
+        pts = sample_vectors(25, 5, seed, "planner.id.landing")
         worst = planner.landing_nested_bracket_norm(pts)
         return _result("landing-depth3-vanishes", worst, 1e-6,
                        "the depth-3 expression is identically zero")
 
     def landing_depth2() -> CheckResult:
-        pts = sample_chart_points(25, seed, "planner.depth2")
+        pts = sample_vectors(25, 5, seed, "planner.depth2")
         low = float(min(np.min(v) for v in planner.landing_depth2_contact_values(pts)))
         return CheckResult("landing-depth2-transversal", low >= 0.5, low,
                            "contact values of [Y2,Y4] and [Y1,Y3] stay >= 1")
@@ -513,7 +513,7 @@ def _planner_checks(seed: int) -> list[Check]:
         worst = 0.0
         for mode, coeff in ((ManeuverMode.ATTACKING, 3.0),
                             (ManeuverMode.G2_STRICT, 1.0)):
-            p0 = sample_chart_points(1, seed, f"planner.rect.{mode.value}")[0]
+            p0 = sample_vectors(1, 5, seed, f"planner.rect.{mode.value}")[0]
             (i, j), _ = planner._RECTANGLE[mode]
             for eps in (0.2, 0.1, 0.05):
                 p = p0.copy()
@@ -529,7 +529,7 @@ def _planner_checks(seed: int) -> list[Check]:
         worst_resid = 0.0
         n_legs = 0
         for mode in _PLAN_MODES:
-            pts = sample_chart_points(6, seed, f"planner.plan.{mode.value}", box=0.8)
+            pts = sample_vectors(6, 5, seed, f"planner.plan.{mode.value}", box=0.8)
             for k in range(3):
                 start, goal = pts[2 * k], pts[2 * k + 1]
                 plan = planner.plan_path(mode, start, goal, tol=1e-3)
@@ -587,11 +587,11 @@ def catalog_report(label: str, seed: int) -> dict:
         raise ValueError(f"unknown catalog {label!r}; expected one of "
                          f"{tuple(_CATALOG_MODELS)}")
     fields = catalogs.catalog(name)
-    pts = sample_chart_points(12, seed, f"symmetry.catalog.{name}")
+    pts = sample_vectors(12, 5, seed, f"symmetry.catalog.{name}")
     reports = _catalog_reports(name, pts)
-    residuals = {X.id: float(_worst(rep)) for X, rep in reports}
+    residuals = {field_id: float(_worst(rep)) for field_id, rep in reports}
     _, detail = _worst_field_detail(reports)
-    sc_pts = sample_chart_points(10, seed, f"symmetry.catalog.{name}.sc")
+    sc_pts = sample_vectors(10, 5, seed, f"symmetry.catalog.{name}.sc")
     sc = symmetry.extract_structure_constants(fields, sc_pts)
     diag = symmetry.killing_diagnostics(sc)
     model = symmetry.reference_model(_CATALOG_MODELS[name])

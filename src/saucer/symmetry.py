@@ -8,9 +8,9 @@ vanish on the distribution D = ker w0, so membership is tested on D: L_X S is
 built restricted to D through the E-frame, never as a full chart tensor, and
 asked to be proportional to S restricted there. Every residual and bracket
 is evaluated for all sample points and all fields at once, over (points x
-fields) stacks, so a vector field handed to this module must take a stack of
-points (m, 5) as well as one point, as the catalog fields do; a catalog
-gives all its fields' values from one fill. Catalogs of candidates are
+fields) stacks: the fields come as one `FieldStack`, whose values and
+Jacobians are one call each (a catalog fills all its fields at once), and a
+single field X as the stack `FieldStack.of(X)`. Catalogs of candidates are
 compressed into structure constants by least squares over sample points,
 and the resulting algebras are identified through their Killing forms
 against independently constructed matrix models: sl(4, R), su(2, 2), and
@@ -27,8 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chart import E_FRAME, contact_covector
-from .catalogs import Catalog
-from .forms import SymTensorField, VectorField, brackets
+from .forms import FieldStack, SymTensorField, VectorField
 from .maneuvers import QUARTIC_FIELD
 
 #: w0 as a rank-1 tensor field.
@@ -44,29 +43,9 @@ def _as_points(points: np.ndarray) -> np.ndarray:
     return np.atleast_2d(np.asarray(points, dtype=float))
 
 
-def _field_values(fields: Sequence[VectorField], pts: np.ndarray) -> np.ndarray:
-    """(m, n, 5): every field's value at every point; one fill for a catalog,
-    one stacked call per field for any other fields."""
-    if isinstance(fields, Catalog):
-        return fields.values(pts)
-    return np.stack([X.value(pts) for X in fields], axis=1)
-
-
-def _field_jacobians(fields: Sequence[VectorField], pts: np.ndarray) -> np.ndarray:
-    """(m, n, 5, 5): every field's Jacobian at every point, as `_field_values`."""
-    if isinstance(fields, Catalog):
-        return fields.jacobians(pts)
-    return np.stack([X.jacobian(pts) for X in fields], axis=1)
-
-
-def _tensor_values(S: SymTensorField, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S and its point derivative at every point, one stacked call each."""
-    return S.value(pts), S.point_derivative(pts)
-
-
 def _distribution_frames(pts: np.ndarray) -> np.ndarray:
     """(m, 5, 4): the E-frame of D = ker w0 as columns at every point."""
-    return np.stack([E.value(pts) for E in E_FRAME], axis=-1)
+    return np.swapaxes(E_FRAME.values(pts), -1, -2)
 
 
 def _restrict_slots(T: np.ndarray, frames: np.ndarray, count: int) -> np.ndarray:
@@ -85,7 +64,7 @@ def _restrict_slots(T: np.ndarray, frames: np.ndarray, count: int) -> np.ndarray
 def _contact_residuals(V: np.ndarray, J: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """(m, n): |(L_X w0) ^ w0| / (|w0| (|w0| + |L_X w0|)) for n fields at m
     points; zero iff L_X w0 || w0. w0 and d w0 are evaluated once."""
-    w, dw = _tensor_values(CONTACT_TENSOR, pts)
+    w, dw = CONTACT_TENSOR.value(pts), CONTACT_TENSOR.point_derivative(pts)
     lie = np.einsum("znm,zmi->zni", V, dw) + np.einsum("zm,znmi->zni", w, J)
     wedge = lie[..., :, None] * w[:, None, None, :]
     wedge = wedge - np.swapaxes(wedge, -1, -2)
@@ -107,7 +86,7 @@ def _restricted_lie(V: np.ndarray, J: np.ndarray, S: SymTensorField,
     and since S is symmetric the slot sum is one product and k - 1
     transposes. S, dS and E are evaluated once for all the fields.
     """
-    T, dT = _tensor_values(S, pts)
+    T, dT = S.value(pts), S.point_derivative(pts)
     frames = _distribution_frames(pts)
     m, n = V.shape[:2]
     k = T.ndim - 1
@@ -136,31 +115,7 @@ def _membership_residuals(V: np.ndarray, J: np.ndarray, S: SymTensorField,
     return mis / (np.linalg.norm(s, axis=-1)[:, None] + np.linalg.norm(lie, axis=-1))
 
 
-def _single_field(X: VectorField, points: np.ndarray):
-    """Points, values (m, 1, 5) and Jacobians (m, 1, 5, 5): the n = 1 stack."""
-    pts = _as_points(points)
-    return pts, _field_values((X,), pts), _field_jacobians((X,), pts)
-
-
 # -- residuals ---------------------------------------------------------------------
-
-def contact_symmetry_residual(X: VectorField, points: np.ndarray) -> float:
-    """Worst scale-free size of (L_X w0) ^ w0 over one point or a stack of them."""
-    pts, V, J = _single_field(X, points)
-    return float(np.max(_contact_residuals(V, J, pts)))
-
-
-def metric_membership_residual(X: VectorField, metric: SymTensorField,
-                               points: np.ndarray) -> float:
-    """Worst distance of L_X g from span{g, w0 . any covector}, tested on D."""
-    pts, V, J = _single_field(X, points)
-    return float(np.max(_membership_residuals(V, J, metric, pts)))
-
-
-def quartic_membership_residual(X: VectorField, points: np.ndarray) -> float:
-    """Worst distance of L_X Upsilon from span{Upsilon, w0 . sym^3}, tested on D."""
-    return metric_membership_residual(X, QUARTIC_FIELD, points)
-
 
 @dataclasses.dataclass(frozen=True)
 class SymmetryReport:
@@ -172,12 +127,12 @@ class SymmetryReport:
         return self.contact <= tol and self.membership <= tol
 
 
-def catalog_symmetry_reports(fields: Sequence[VectorField], S: SymTensorField,
+def catalog_symmetry_reports(fields: FieldStack, S: SymTensorField,
                              points: np.ndarray) -> list[SymmetryReport]:
     """One SymmetryReport per field against (w0, S), from one (points x fields)
-    stack: a catalog is filled once for its values and once for its Jacobians."""
+    stack: one values call and one Jacobians call."""
     pts = _as_points(points)
-    V, J = _field_values(fields, pts), _field_jacobians(fields, pts)
+    V, J = fields.values(pts), fields.jacobians(pts)
     contact = _contact_residuals(V, J, pts)
     member = _membership_residuals(V, J, S, pts)
     worst = np.argmax(np.maximum(contact, member), axis=0)
@@ -189,12 +144,12 @@ def catalog_symmetry_reports(fields: Sequence[VectorField], S: SymTensorField,
 def legendrean_symmetry_residual(X: VectorField, metric: SymTensorField,
                                  points: np.ndarray) -> SymmetryReport:
     """Worst-case residuals of X as a conformal symmetry of (w0, metric)."""
-    return catalog_symmetry_reports((X,), metric, points)[0]
+    return catalog_symmetry_reports(FieldStack.of(X), metric, points)[0]
 
 
 def g2_symmetry_residual(X: VectorField, points: np.ndarray) -> SymmetryReport:
     """Worst-case residuals of X as a symmetry of (w0, quartic cone field)."""
-    return catalog_symmetry_reports((X,), QUARTIC_FIELD, points)[0]
+    return catalog_symmetry_reports(FieldStack.of(X), QUARTIC_FIELD, points)[0]
 
 
 # -- structure constants -------------------------------------------------------
@@ -233,19 +188,17 @@ def _stacked_columns(values: np.ndarray) -> np.ndarray:
     return values.transpose(0, 2, 1).reshape(-1, values.shape[1])
 
 
-def extract_structure_constants(fields: Sequence[VectorField],
+def extract_structure_constants(fields: FieldStack,
                                 points: np.ndarray) -> StructureConstants:
     """Structure constants of a catalog from values at sample points.
 
     Stacks the field values at every point into one matrix and solves all
     bracket pairs simultaneously; the misfit certifies closure under brackets.
     """
-    pts = _as_points(points)
     n = len(fields)
-    V = _field_values(fields, pts)
+    V, B = fields.brackets(_as_points(points))
     upper, lower = np.triu_indices(n, 1)
-    B = brackets(V, _field_jacobians(fields, pts))[:, upper, lower]
-    return _solve_structure(_stacked_columns(V), _stacked_columns(B), n)
+    return _solve_structure(_stacked_columns(V), _stacked_columns(B[:, upper, lower]), n)
 
 
 def matrix_structure_constants(basis: Sequence[np.ndarray]) -> StructureConstants:
@@ -305,9 +258,9 @@ def killing_diagnostics(sc: StructureConstants) -> KillingDiagnostics:
     return KillingDiagnostics(B, killing_signature(B), jacobi_residual(sc.c))
 
 
-def catalog_rank(fields: Sequence[VectorField], points: np.ndarray) -> int:
+def catalog_rank(fields: FieldStack, points: np.ndarray) -> int:
     """Numerical rank of the stacked values; full rank = pointwise independence."""
-    A = _stacked_columns(_field_values(fields, _as_points(points)))
+    A = _stacked_columns(fields.values(_as_points(points)))
     return int(np.linalg.matrix_rank(A, tol=RANK_TOL * np.linalg.norm(A)))
 
 

@@ -11,7 +11,7 @@ from saucer.chart import (E_FRAME, Z_FRAME, AmbientConfig, OutsideChart,
                           chart_from_ambient, contact_covector,
                           contact_nondegeneracy, contact_value, normal_scale,
                           point)
-from saucer.sampling import sample_chart_points
+from saucer.sampling import sample_vectors
 
 coord = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
@@ -35,7 +35,7 @@ def test_chart_ambient_roundtrip(x, y, z, a, b):
 
 
 def test_ambient_normal_is_unit():
-    for p in sample_chart_points(20, label="test.unit"):
+    for p in sample_vectors(20, 5, label="test.unit"):
         cfg = ambient_from_chart(p)
         assert abs(np.linalg.norm(cfg.n) - 1.0) < 1e-12
         assert cfg.n[2] > 0.0
@@ -59,19 +59,19 @@ def test_normal_scale():
 
 
 def test_contact_constant_is_two():
-    pts = sample_chart_points(100, label="test.contact")
+    pts = sample_vectors(100, 5, label="test.contact")
     worst = max(abs(contact_nondegeneracy(p) - 2.0) for p in pts)
     assert worst < 1e-9
 
 
 def test_ambient_triple_product_matches_chart_route():
-    for p in sample_chart_points(25, label="test.ambient3"):
+    for p in sample_vectors(25, 5, label="test.ambient3"):
         lhs, rhs = ambient_nondegeneracy_pair(p)
         assert abs(lhs - rhs) < 1e-7
 
 
 def test_frames_annihilated_by_contact_form():
-    for p in sample_chart_points(30, label="test.frames"):
+    for p in sample_vectors(30, 5, label="test.frames"):
         for X in (*E_FRAME, *Z_FRAME):
             assert abs(contact_value(p, X.value(p))) < 1e-14
 
@@ -83,7 +83,7 @@ def test_frame_vectors_span_distribution():
 
 
 def test_stacked_contact_certificates_equal_pointwise_calls():
-    pts = sample_chart_points(40, label="test.stacked-contact")
+    pts = sample_vectors(40, 5, label="test.stacked-contact")
     values = contact_nondegeneracy(pts)
     np.testing.assert_array_equal(values, [contact_nondegeneracy(p) for p in pts])
     assert np.max(np.abs(values - 2.0)) <= 1e-14
@@ -95,7 +95,7 @@ def test_stacked_contact_certificates_equal_pointwise_calls():
 
 
 def test_stacked_ambient_roundtrip():
-    pts = sample_chart_points(40, label="test.stacked-ambient")
+    pts = sample_vectors(40, 5, label="test.stacked-ambient")
     cfg = ambient_from_chart(pts)
     assert cfg.n.shape == (40, 3)
     np.testing.assert_allclose(np.linalg.norm(cfg.n, axis=1), 1.0, atol=1e-15)
@@ -114,7 +114,7 @@ def _frame_field_jacobian(x_comp, y_comp, p):
 
 
 def test_frame_jacobians_match_the_closed_form():
-    pts = sample_chart_points(30, label="test.frame-jacobians")
+    pts = sample_vectors(30, 5, label="test.frame-jacobians")
     for X in (*E_FRAME, *Z_FRAME):
         x_comp, y_comp = X.value(np.zeros(5))[:2]
         np.testing.assert_allclose(X.jacobian(pts), _frame_field_jacobian(x_comp, y_comp, pts),

@@ -290,6 +290,9 @@ def test_simulate_flags_override_controls_file(capsys, tmp_path):
     ("start", [[0], 0, 0, 0, 0]),
     ("start", [0, 0, 0]),
     ("start", {"x": 0}),
+    ("start", [float("nan"), 0, 0, 0, 0]),
+    ("start", [0, 0, float("inf"), 0, 0]),
+    ("start", "0,inf,0,0,0"),
 ])
 def test_simulate_controls_file_values_must_be_numbers(capsys, tmp_path, key, value):
     controls = tmp_path / "controls.json"
@@ -321,6 +324,16 @@ def test_lift_pipeline_with_time_range(capsys, tmp_path):
     with (out_dir / "engine.csv").open() as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 402
+
+
+def test_lift_that_certifies_no_sample_fails(capsys):
+    # u/w constant keeps y5 constant, so the projected contact velocity vanishes
+    code, out, err = run_cli(capsys, "lift", "--u", "1", "--w", "1", "--format", "compact")
+    assert code == 1
+    data = json.loads(out)
+    assert data["skipped"] == data["samples"] == 401
+    assert data["pass"] is False
+    assert "certified no sample" in err
 
 
 def test_lift_singularity_exits_one(capsys):
@@ -406,6 +419,13 @@ def test_unknown_subcommand_exits_two(capsys):
     (("lift", "--t=-1e308:1e308:1"), "--t"),
     (("lift", "--duration", "nan"), "duration"),
     (("lift", "--duration", "inf"), "duration"),
+    (("simulate", "--mode", "attacking", "--start", "nan,0,0,0,0"), "--start"),
+    (("simulate", "--mode", "attacking", "--start", "inf,0,0,0,0"), "--start"),
+    (("lift", "--u", "0.5", "--w", "[1, 0.3]", "--y0", "nan,0,0,0,0"), "--y0"),
+    (("classify", "--vector", "nan,0,0,1"), "--vector"),
+    (("classify", "--vector", "inf,0,0,1"), "--vector"),
+    (("plan", "--mode", "attacking", "--from", "nan,0,0,0,0", "--to", "0,0,0,0,0"),
+     "--from"),
 ])
 def test_non_finite_times_are_usage_errors(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -499,9 +519,10 @@ VECTOR_RUNS = [
       "--duration", "0.1", "--format", "compact"),
      (("--start", "-0.5,0,0,0,0"),),
      lambda d: d["endpoint"][0] == -0.5),
-    (("lift", "--u", "1", "--w", "1", "--steps", "20", "--format", "compact"),
+    (("lift", "--u", "[0, 1]", "--w", "1", "--steps", "20", "--format", "compact"),
      (("--y0", "-1,0,0,0,0"),),
-     lambda d: abs(d["endpoint"][0] + 1.0) < 1e-12),
+     lambda d: d["endpoint"] == list(fibration.run_joystick(
+         [0, 1], 1, duration=2.0, n_steps=20, y0=[-1.0, 0, 0, 0, 0]).contact.states[-1])),
     (("classify", "--format", "compact"),
      (("--vector", "-1,-2,-4,-8"),),
      lambda d: d["class"] == "TypeN"),
@@ -539,7 +560,7 @@ def test_runtime_never_imports_sympy():
              "--u3", "0.2", "--duration", "0.2"],
             ["plan", "--mode", "landing", "--from", "0,0,0,0,0",
              "--to", "0.3,-0.2,0.1,0.2,-0.4"],
-            ["lift", "--u", "1", "--w", "1", "--steps", "50"],
+            ["lift", "--u", "[0, 1]", "--w", "1", "--steps", "50"],
         ]
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [cli.main(argv) for argv in runs]

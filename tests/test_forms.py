@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from saucer.chart import contact_covector
-from saucer.forms import (VectorField, bracket, brackets, complex_step_derivative,
+from saucer.forms import (FieldStack, VectorField, bracket, brackets, complex_step_derivative,
                           constant_field, exterior_derivative_stack, lie_derivative_stack,
                           lie_derivative_symtensor, SymTensorField)
 from saucer.maneuvers import ATTACKING_METRIC_FIELD, LANDING_METRIC_FIELD, QUARTIC_FIELD
-from saucer.sampling import sample_chart_points
+from saucer.sampling import sample_vectors
 from saucer.symmetry import CONTACT_TENSOR
 
 #: Step of the test-local central differences.
@@ -33,7 +33,7 @@ def _poly_jacobian(p: np.ndarray) -> np.ndarray:
 
 
 def _poly_field() -> VectorField:
-    return VectorField("poly-field", 5, _poly_value)
+    return VectorField("poly-field", _poly_value)
 
 
 def _zfield() -> VectorField:
@@ -41,7 +41,7 @@ def _zfield() -> VectorField:
         x, y, z, a, b = np.moveaxis(p, -1, 0)
         return np.stack([a, np.zeros_like(x), y * y, -b, x], axis=-1)
 
-    return VectorField("zfield", 5, value)
+    return VectorField("zfield", value)
 
 
 def _lie_derivative(X: VectorField, S: SymTensorField, p: np.ndarray) -> np.ndarray:
@@ -63,7 +63,7 @@ def test_cartan_formula_matches_flow_pullback():
         k4 = X.value(p + h * k3)
         return p + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
 
-    for p in sample_chart_points(10, label="test.cartan"):
+    for p in sample_vectors(10, 5, label="test.cartan"):
         lie = _lie_derivative(X, alpha, p)
         J = X.jacobian(p)
         a_plus = alpha.value(flow(p, eps))
@@ -80,7 +80,7 @@ def test_bracket_antisymmetry_and_jacobi():
     X = _poly_field()
     Y = constant_field("ey", [0.0, 1.0, 0.0, 0.0, 0.0])
     Z = _zfield()
-    for p in sample_chart_points(10, label="test.jacobi"):
+    for p in sample_vectors(10, 5, label="test.jacobi"):
         assert np.max(np.abs(bracket(X, Y, p) + bracket(Y, X, p))) < 1e-12
         cyc = (bracket_of(X, Y, Z, p) + bracket_of(Y, Z, X, p)
                + bracket_of(Z, X, Y, p))
@@ -119,7 +119,7 @@ def test_symtensor_lie_derivative_directional_term():
 
     S = SymTensorField("g-test", gval)
     X = constant_field("dir", [0.0, 0.0, 1.0, 2.0, 0.0])
-    pts = sample_chart_points(10, label="test.liesym")
+    pts = sample_vectors(10, 5, label="test.liesym")
     np.testing.assert_allclose(S.point_derivative(pts), gder(pts), rtol=0.0, atol=1e-14)
     lie = lie_derivative_stack(X.value(pts), X.jacobian(pts), S.value(pts),
                                S.point_derivative(pts))
@@ -161,7 +161,7 @@ _CLOSED_FORM_DERIVATIVES = {"landing-metric": _landing_metric_derivative,
                                ATTACKING_METRIC_FIELD, QUARTIC_FIELD],
                          ids=lambda S: S.name)
 def test_stacked_symtensor_fields_equal_pointwise_ones(S):
-    pts = sample_chart_points(40, label="test.stacked-symtensor")
+    pts = sample_vectors(40, 5, label="test.stacked-symtensor")
     T, dT = S.value(pts), S.point_derivative(pts)
     rank = S.value(pts[0]).ndim
     assert T.shape == (40,) + (5,) * rank
@@ -180,7 +180,7 @@ def test_complex_step_exterior_derivative_of_the_contact_form():
     exact = np.zeros((5, 5))
     exact[0, 3] = exact[1, 4] = 1.0
     exact = exact - exact.T
-    pts = sample_chart_points(40, label="test.cstep")
+    pts = sample_vectors(40, 5, label="test.cstep")
     dw = exterior_derivative_stack(contact_covector, pts)
     assert dw.shape == (40, 5, 5)
     for p, F in zip(pts, dw):
@@ -198,7 +198,7 @@ def test_complex_step_exterior_derivative_of_a_polynomial_form():
         x, y, z, a, b = np.moveaxis(q, -1, 0)
         return np.stack([z * y, x * x, a * b, y, x * z], axis=-1)
 
-    pts = sample_chart_points(10, label="test.cstep.poly")
+    pts = sample_vectors(10, 5, label="test.cstep.poly")
     dw = exterior_derivative_stack(components, pts)
     for (x, y, z, a, b), F in zip(pts, dw):
         grad = np.zeros((5, 5))   # grad[i, j] = d_i w_j
@@ -212,7 +212,7 @@ def test_complex_step_exterior_derivative_of_a_polynomial_form():
 
 def test_complex_step_jacobian_matches_the_closed_form():
     X = _poly_field()
-    pts = sample_chart_points(30, label="test.poly-jacobian")
+    pts = sample_vectors(30, 5, label="test.poly-jacobian")
     np.testing.assert_allclose(X.jacobian(pts), _poly_jacobian(pts), rtol=0.0, atol=1e-14)
     np.testing.assert_array_equal(X.jacobian(pts), [X.jacobian(p) for p in pts])
     np.testing.assert_array_equal(constant_field("ey", [0.0, 1.0, 0.0, 0.0, 0.0]).jacobian(pts),
@@ -222,7 +222,7 @@ def test_complex_step_jacobian_matches_the_closed_form():
 def test_stacked_brackets_equal_pointwise_brackets():
     X, Z = _poly_field(), _zfield()
     Y = constant_field("ey", [0.0, 1.0, 0.0, 0.0, 0.0])
-    pts = sample_chart_points(30, label="test.stacked-bracket")
+    pts = sample_vectors(30, 5, label="test.stacked-bracket")
     for A, B in ((X, Y), (Z, X), (Z, Y)):
         stacked = bracket(A, B, pts)
         assert stacked.shape == (30, 5)
@@ -231,7 +231,7 @@ def test_stacked_brackets_equal_pointwise_brackets():
 
 def test_bracket_table_equals_pairwise_brackets():
     fields = (_poly_field(), constant_field("ey", [0.0, 1.0, 0.0, 0.0, 0.0]), _zfield())
-    pts = sample_chart_points(30, label="test.bracket-table")
+    pts = sample_vectors(30, 5, label="test.bracket-table")
     V = np.stack([X.value(pts) for X in fields], axis=1)
     J = np.stack([X.jacobian(pts) for X in fields], axis=1)
     B = brackets(V, J)
@@ -242,6 +242,31 @@ def test_bracket_table_equals_pairwise_brackets():
             np.testing.assert_array_equal(B[:, i, j], -B[:, j, i])
     for k in range(len(pts)):
         np.testing.assert_array_equal(B[k], brackets(V[k], J[k]))
+
+
+def test_field_stack_rows_are_the_single_fields():
+    fields = (_poly_field(), constant_field("ey", [0.0, 1.0, 0.0, 0.0, 0.0]), _zfield())
+    stack = FieldStack.of(*fields)
+    pts = sample_vectors(30, 5, label="test.field-stack")
+    assert len(stack) == 3 and stack.ids == ("poly-field", "ey", "zfield")
+    V, J = stack.values(pts), stack.jacobians(pts)
+    assert V.shape == (30, 3, 5) and J.shape == (30, 3, 5, 5)
+    for i, X in enumerate(fields):
+        # the stack's rows, and each row as a field of its own, are X bit for bit
+        for got_v, got_j in ((V[:, i], J[:, i]), (stack[i].value(pts), stack[i].jacobian(pts))):
+            np.testing.assert_array_equal(got_v, X.value(pts), err_msg=X.id)
+            np.testing.assert_array_equal(got_j, X.jacobian(pts), err_msg=X.id)
+        assert stack[i].id == X.id
+    assert [X.id for X in stack] == list(stack.ids)
+    values, B = stack.brackets(pts)
+    np.testing.assert_array_equal(values, V)
+    for i, X in enumerate(fields):
+        for j, Y in enumerate(fields):
+            np.testing.assert_allclose(B[:, i, j], bracket(X, Y, pts), rtol=0.0, atol=1e-14)
+    for k, p in enumerate(pts):
+        np.testing.assert_array_equal(stack.values(p), V[k])
+        np.testing.assert_array_equal(stack.jacobians(p), J[k])
+        np.testing.assert_array_equal(stack.brackets(p)[1], B[k])
 
 
 def test_complex_step_rejects_a_value_function_that_drops_the_imaginary_part():
@@ -258,7 +283,7 @@ def test_complex_step_rejects_a_value_function_that_drops_the_imaginary_part():
         with pytest.raises(np.exceptions.ComplexWarning):
             complex_step_derivative(fn, p)
         with pytest.raises(np.exceptions.ComplexWarning):
-            VectorField("real", 5, fn).jacobian(p)
+            VectorField("real", fn).jacobian(p)
     with pytest.raises(np.exceptions.ComplexWarning):
         SymTensorField("real", real_buffer).point_derivative(p)
     # the error is confined to the call

@@ -22,7 +22,7 @@ from saucer.maneuvers import (
     landing_metric,
     maneuver_velocity,
 )
-from saucer.sampling import sample_chart_points
+from saucer.sampling import sample_vectors
 
 ctrl = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 coord = st.floats(-1.2, 1.2, allow_nan=False, allow_infinity=False)
@@ -61,7 +61,7 @@ def test_each_mode_is_null_for_its_own_tensor(a, b, u1, u2, u3):
 
 def test_distribution_metrics_are_the_chart_fields_restricted():
     # the hand-written 4x4 forms over (dx, dy, da, db)
-    pts = sample_chart_points(100, label="test.dist-metrics")
+    pts = sample_vectors(100, 5, label="test.dist-metrics")
     attacking = np.zeros((4, 4))
     attacking[0, 2] = attacking[2, 0] = attacking[1, 3] = attacking[3, 1] = 1.0
     for p in pts:
@@ -371,3 +371,17 @@ def test_long_trajectories_allocate_little_beyond_what_they_return(mode):
     assert report.passed()
     assert over_integration < 4e6, over_integration
     assert over_residuals < 4e6, over_residuals
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_starts_and_directions_are_rejected(bad):
+    point = np.array([0.1, bad, 0.0, 0.2, -0.3])
+    program = ControlProgram(ManeuverMode.ATTACKING, 1.0, 0.0, 0.0, duration=0.1, dt=0.01)
+    with pytest.raises(ValueError, match="finite"):
+        integrate_trajectory(program, point)
+    with pytest.raises(ValueError, match="finite"):
+        fibration.integrate_d2_curve(0.5, 1.0, 1.0, 10, y0=point)
+    with pytest.raises(ValueError, match="finite"):
+        gl2.classify_directions(np.array([[1.0, 0.0, 0.0, 1.0], point[:4]]))
+    with pytest.raises(ValueError, match="finite"):
+        gl2.classify_direction(point[1:])

@@ -12,16 +12,16 @@ import sympy as sp
 from saucer import kernels, planner
 from saucer.forms import bracket, complex_step_derivative
 from saucer.maneuvers import ManeuverMode, constraint_residuals, maneuver_velocity
-from saucer.sampling import BOX_HALF_WIDTH, rng_for, sample_chart_points
+from saucer.sampling import BOX_HALF_WIDTH, rng_for, sample_vectors
 
 MODES = (ManeuverMode.ATTACKING, ManeuverMode.LANDING, ManeuverMode.G2_STRICT)
 
 
 def test_family_fields_match_the_control_law():
-    pts = sample_chart_points(6, 91, "test-family")
+    pts = sample_vectors(6, 5, 91, "test-family")
     for mode in MODES:
         for k, u in enumerate(planner.FAMILY_CONTROLS[mode]):
-            X = planner.family_field(mode, k)
+            X = planner.family(mode)[k]
             for p in pts:
                 np.testing.assert_allclose(
                     X.value(p), maneuver_velocity(mode, p, *u), atol=1e-12)
@@ -32,7 +32,7 @@ def test_family_jacobians_match_difference_quotients():
     eps = 1e-6
     for mode in MODES:
         for k in range(4):
-            X = planner.family_field(mode, k)
+            X = planner.family(mode)[k]
             J = X.jacobian(p)
             for i in range(5):
                 dp = np.zeros(5)
@@ -57,13 +57,13 @@ def _family_jacobian(mode, k, p):
 
 
 def test_family_jacobians_and_brackets_match_the_closed_forms():
-    pts = sample_chart_points(40, 93, "test-family-closed-form")
+    pts = sample_vectors(40, 5, 93, "test-family-closed-form")
     for mode in MODES:
-        Y = planner.bracket_family(mode)
+        Y = planner.family(mode)
         for k in range(4):
             np.testing.assert_allclose(Y[k].jacobian(pts), _family_jacobian(mode, k, pts),
                                        rtol=0.0, atol=1e-14)
-        V, B = planner._family_brackets(mode, pts)
+        V, B = Y.brackets(pts)
         np.testing.assert_array_equal(V, np.stack([X.value(pts) for X in Y], axis=1))
         for i in range(4):
             for j in range(4):
@@ -73,7 +73,7 @@ def test_family_jacobians_and_brackets_match_the_closed_forms():
 
 @pytest.mark.parametrize("mode", MODES)
 def test_family_is_bracket_generating(mode):
-    pts = sample_chart_points(30, 17, f"test-gen-{mode.value}")
+    pts = sample_vectors(30, 5, 17, f"test-gen-{mode.value}")
     report = planner.bracket_generating_report(mode, pts)
     assert report.passed()
     assert report.min_rank == 5
@@ -81,13 +81,13 @@ def test_family_is_bracket_generating(mode):
 
 
 def test_attacking_bracket_identity():
-    pts = sample_chart_points(10, 23, "test-att-id")
+    pts = sample_vectors(10, 5, 23, "test-att-id")
     assert planner.distinguished_bracket_residual(
         ManeuverMode.ATTACKING, pts) < 1e-8
 
 
 def test_g2_bracket_identity():
-    pts = sample_chart_points(10, 24, "test-g2-id")
+    pts = sample_vectors(10, 5, 24, "test-g2-id")
     assert planner.distinguished_bracket_residual(
         ManeuverMode.G2_STRICT, pts) < 1e-8
 
@@ -95,7 +95,7 @@ def test_g2_bracket_identity():
 def test_landing_nested_bracket_vanishes_identically():
     # The depth-3 landing expression is exactly zero: its stated constant
     # value is unreachable, and the depth-2 brackets do the generating work.
-    pts = sample_chart_points(12, 25, "test-nested")
+    pts = sample_vectors(12, 5, 25, "test-nested")
     assert planner.landing_nested_bracket_norm(pts) == 0.0
     resid = planner.distinguished_bracket_residual(ManeuverMode.LANDING, pts)
     assert resid == 9.0
@@ -135,7 +135,7 @@ def test_polynomial_brackets_match_sympy_expand():
 
 
 def test_landing_depth2_contact_values():
-    for p in sample_chart_points(12, 26, "test-depth2"):
+    for p in sample_vectors(12, 5, 26, "test-depth2"):
         a, b = p[3], p[4]
         v24, v13 = planner.landing_depth2_contact_values(p)
         assert abs(v24 - (1 + b * b)) < 1e-6
@@ -144,7 +144,7 @@ def test_landing_depth2_contact_values():
 
 def test_depth2_matches_direct_bracket_contact_pairing():
     p = np.array([0.1, 0.2, -0.1, 0.5, -0.4])
-    Y = planner.bracket_family(ManeuverMode.LANDING)
+    Y = planner.family(ManeuverMode.LANDING)
     w = np.array([-p[3], -p[4], 1.0, 0.0, 0.0])
     v24, v13 = planner.landing_depth2_contact_values(p)
     assert abs(v24 - w @ bracket(Y[1], Y[3], p)) < 1e-12
@@ -160,7 +160,7 @@ def test_flow_base_case():
 def test_rectangle_asymptotics():
     for mode, coeff in ((ManeuverMode.ATTACKING, 3.0),
                         (ManeuverMode.G2_STRICT, 1.0)):
-        p0 = sample_chart_points(1, 31, f"test-rect-{mode.value}")[0]
+        p0 = sample_vectors(1, 5, 31, f"test-rect-{mode.value}")[0]
         (i, j), stated = planner._RECTANGLE[mode]
         assert stated == coeff
         for eps in (0.2, 0.1):
@@ -263,7 +263,7 @@ def _word_endpoint(mode, start):
 @pytest.mark.parametrize("mode", list(ManeuverMode))
 def test_word_jacobian_matches_complex_steps(mode):
     fmode = planner._family_mode(mode)
-    starts = sample_chart_points(10, 93, f"test-word-{mode.value}", box=BOX_HALF_WIDTH)
+    starts = sample_vectors(10, 5, 93, f"test-word-{mode.value}", box=BOX_HALF_WIDTH)
     thetas = rng_for(93, f"test-word-theta-{mode.value}").uniform(-1.0, 1.0, (10, 6))
     for start, theta in zip(starts, thetas):
         want = complex_step_derivative(_word_endpoint(mode, start), theta).T
@@ -302,7 +302,7 @@ def test_corner_pairs_the_rectangle_loop_missed(mode, start, goal):
 def test_state_free_families_take_no_newton_step(mode):
     # c1..c4 do not depend on the state, so the phase-1 guess and the
     # rectangle sized by the bracket's gain land on the goal
-    pts = sample_chart_points(8, 94, f"test-exact-{mode.value}", box=BOX_HALF_WIDTH)
+    pts = sample_vectors(8, 5, 94, f"test-exact-{mode.value}", box=BOX_HALF_WIDTH)
     for start, goal in zip(pts[0::2], pts[1::2]):
         plan = planner.plan_path(mode, start, goal, tol=1e-10, trace=True)
         assert plan.success and plan.iterations == 2
@@ -558,7 +558,7 @@ def test_simple_mode_plans_with_the_strict_family():
 
 @pytest.mark.parametrize("mode", list(ManeuverMode))
 def test_every_mode_plans_across_the_sampling_box(mode):
-    pts = sample_chart_points(12, 97, f"test-box-{mode.value}", box=BOX_HALF_WIDTH)
+    pts = sample_vectors(12, 5, 97, f"test-box-{mode.value}", box=BOX_HALF_WIDTH)
     for start, goal in zip(pts[0::2], pts[1::2]):
         plan = planner.plan_path(mode, start, goal, tol=1e-3)
         assert plan.success, (mode, start, goal)
@@ -598,13 +598,13 @@ def test_replay_survives_a_plan_that_overflows():
 
 
 def test_stacked_family_fields_equal_pointwise_calls():
-    pts = sample_chart_points(50, 92, "test-family-stack")
+    pts = sample_vectors(50, 5, 92, "test-family-stack")
     for mode in MODES:
         for k in range(4):
-            X = planner.family_field(mode, k)
+            X = planner.family(mode)[k]
             np.testing.assert_array_equal(X.value(pts), [X.value(p) for p in pts])
             np.testing.assert_array_equal(X.jacobian(pts), [X.jacobian(p) for p in pts])
-        Y = planner.bracket_family(mode)
+        Y = planner.family(mode)
         for i, j in ((0, 1), (1, 3), (2, 3)):
             np.testing.assert_array_equal(bracket(Y[i], Y[j], pts),
                                           [bracket(Y[i], Y[j], p) for p in pts])
@@ -612,7 +612,7 @@ def test_stacked_family_fields_equal_pointwise_calls():
 
 def test_stacked_nested_landing_bracket_equals_pointwise():
     # the exact depth-3 polynomials at the points of acceptance criterion 8
-    pts = sample_chart_points(10, 7, "acc.ids")
+    pts = sample_vectors(10, 5, 7, "acc.ids")
     resid = planner.distinguished_bracket_residual(ManeuverMode.LANDING, pts)
     assert resid == max(planner.distinguished_bracket_residual(ManeuverMode.LANDING, p)
                         for p in pts)
@@ -620,7 +620,7 @@ def test_stacked_nested_landing_bracket_equals_pointwise():
 
 
 def test_stacked_depth2_values_and_generating_report():
-    pts = sample_chart_points(40, 27, "test-depth2-stack")
+    pts = sample_vectors(40, 5, 27, "test-depth2-stack")
     v24, v13 = planner.landing_depth2_contact_values(pts)
     per_point = np.array([planner.landing_depth2_contact_values(p) for p in pts])
     np.testing.assert_allclose(v24, per_point[:, 0], rtol=1e-13, atol=0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from saucer import structure
 from saucer.maneuvers import attacking_metric, invariant_two_form_dist, landing_metric
-from saucer.sampling import sample_chart_points
+from saucer.sampling import sample_vectors
 
 coord = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
 
@@ -136,7 +136,7 @@ def test_stabilizer_rejects_empty_input():
 # -- stacked inputs ----------------------------------------------------------
 
 def _stack_points():
-    return sample_chart_points(50, 3, "test.structure-stack")
+    return sample_vectors(50, 5, 3, "test.structure-stack")
 
 
 def test_stacked_landing_frame_equals_pointwise():

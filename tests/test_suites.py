@@ -13,10 +13,10 @@ import numpy as np
 from saucer import catalogs, cli, fibration, forms, gl2, structure, suites, symmetry
 from saucer.sampling import rng_for
 
-#: sha256 over (label, samples) of every sample_chart_points and
-#: sample_vectors call the config, gl2, fibration and planner suites make at
-#: seed 5, labels sorted: the draws these checks made when they still
-#: evaluated their samples one point at a time.
+#: sha256 over (label, samples) of every sample_vectors call the config,
+#: gl2, fibration and planner suites make at seed 5, labels sorted: the draws
+#: these checks made when they still evaluated their samples one point at a
+#: time.
 DRAWS_AT_SEED_5 = "48cbc2790abba9855fca184c13e689525f41dfbfa9f346c177a53622a0d0ef67"
 DRAW_LABELS = 26
 
@@ -32,8 +32,7 @@ def test_stacked_checks_draw_the_samples_they_always_drew(monkeypatch):
             return out
         return sampler
 
-    for name in ("sample_chart_points", "sample_vectors"):
-        monkeypatch.setattr(suites, name, recorded(getattr(suites, name)))
+    monkeypatch.setattr(suites, "sample_vectors", recorded(suites.sample_vectors))
     for name in ("config", "gl2", "fibration", "planner"):
         assert suites.run_suite(name, 5).passed
     digest = hashlib.sha256()
@@ -126,6 +125,8 @@ def test_verify_pass_stays_within_call_budgets(monkeypatch):
     # tensor fields are evaluated once per residual check, not once per point
     counts.update(_count_method_calls(monkeypatch, forms.SymTensorField,
                                       ("value", "point_derivative")))
+    # every family of fields takes its Jacobians in one call per stack
+    counts.update(_count_method_calls(monkeypatch, forms.FieldStack, ("jacobians",)))
     code, _ = _verify_all(5)
     assert code == 0
     assert counts["forms.bracket"] <= 40, counts
@@ -138,6 +139,7 @@ def test_verify_pass_stays_within_call_budgets(monkeypatch):
     assert counts["structure.levi_form"] <= 4, counts
     assert counts["SymTensorField.value"] <= 100, counts
     assert counts["SymTensorField.point_derivative"] <= 100, counts
+    assert counts["FieldStack.jacobians"] <= 24, counts
 
 
 def test_structure_pass_solves_each_stabilizer_system_once(monkeypatch):

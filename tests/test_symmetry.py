@@ -8,15 +8,15 @@ import pytest
 
 from saucer import catalogs, symmetry
 from saucer.chart import E_FRAME, contact_covector
-from saucer.forms import (SymTensorField, VectorField, constant_field,
+from saucer.forms import (FieldStack, SymTensorField, VectorField, constant_field,
                           lie_derivative_stack)
 from saucer.maneuvers import (ATTACKING_METRIC_FIELD, LANDING_METRIC_FIELD,
                               QUARTIC_FIELD)
-from saucer.sampling import sample_chart_points
+from saucer.sampling import sample_vectors
 
 
 def _pts(seed, n=10):
-    return sample_chart_points(n, seed=seed)
+    return sample_vectors(n, 5, seed, "chart")
 
 
 def test_attacking_catalog_members_are_symmetries():
@@ -81,11 +81,11 @@ def test_structure_rank_is_the_matrix_rank():
     # repeated field makes the stack rank-deficient
     for name, dim in (("attacking", 15), ("landing", 15), ("g2", 14)):
         catalog = catalogs.catalog(name)
-        for fields in (catalog, tuple(catalog) + (catalog[0],)):
+        for fields in (catalog, FieldStack.of(*catalog, catalog[0])):
             for seed in (1, 2, 3):
                 pts = _pts(seed)
                 sc = symmetry.extract_structure_constants(fields, pts)
-                A = symmetry._stacked_columns(symmetry._field_values(fields, pts))
+                A = symmetry._stacked_columns(fields.values(pts))
                 assert sc.rank == _matrix_rank(A) == dim, (name, len(fields), seed)
     builders = {"sl4": symmetry.sl4_basis, "su22": symmetry.su22_basis,
                 "g2-split": symmetry.split_g2_basis}
@@ -226,7 +226,7 @@ def _lstsq_membership(X, S, p, ideal):
 
 
 _EULER_SCALE = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
-_EULER = VectorField("euler", 5, lambda p: p * _EULER_SCALE)
+_EULER = VectorField("euler", lambda p: p * _EULER_SCALE)
 
 
 @pytest.mark.parametrize("fields,structure,expect_symmetric", [
@@ -240,22 +240,22 @@ _EULER = VectorField("euler", 5, lambda p: p * _EULER_SCALE)
 ])
 def test_restricted_membership_matches_lstsq_oracle(fields, structure, expect_symmetric):
     tol = 1e-7
-    pts = sample_chart_points(6, 5, "test.oracle")
+    pts = sample_vectors(6, 5, 5, "test.oracle")
     ideal = [_ideal_columns(structure.value(p).ndim, p) for p in pts]
-    catalog = (_EULER,) if fields == "euler" else catalogs.catalog(fields)
-    for X in catalog:
+    catalog = FieldStack.of(_EULER) if fields == "euler" else catalogs.catalog(fields)
+    at_points = [symmetry.catalog_symmetry_reports(catalog, structure, p) for p in pts]
+    overall = symmetry.catalog_symmetry_reports(catalog, structure, pts)
+    for i, X in enumerate(catalog):
         old = np.array([_lstsq_membership(X, structure, p, cols)
                         for p, cols in zip(pts, ideal)])
-        new = np.array([symmetry.metric_membership_residual(X, structure, p)
-                        for p in pts])
+        new = np.array([reports[i].membership for reports in at_points])
         np.testing.assert_array_equal(old <= tol, new <= tol, err_msg=X.id)
         if expect_symmetric:
             assert new.max() <= tol, X.id
         elif new.max() > tol:
-            assert symmetry.contact_symmetry_residual(X, pts) <= tol, X.id
+            assert overall[i].contact <= tol, X.id
             assert old.max() > 4e-2 and new.max() > 4e-2, X.id
-    if fields == "euler":
-        assert symmetry.quartic_membership_residual(_EULER, pts) == pytest.approx(new.max())
+        assert overall[i].membership == pytest.approx(new.max()), X.id
 
 
 def test_report_names_its_worst_sample():
@@ -263,8 +263,8 @@ def test_report_names_its_worst_sample():
     X = catalogs.landing_catalog()[0]
     rep = symmetry.legendrean_symmetry_residual(X, LANDING_METRIC_FIELD, pts)
     k = [tuple(p) for p in pts].index(rep.worst_point)
-    worst = max(symmetry.contact_symmetry_residual(X, pts[k]),
-                symmetry.metric_membership_residual(X, LANDING_METRIC_FIELD, pts[k]))
+    at_k = symmetry.legendrean_symmetry_residual(X, LANDING_METRIC_FIELD, pts[k])
+    worst = max(at_k.contact, at_k.membership)
     assert worst == pytest.approx(max(rep.contact, rep.membership))
 
 
@@ -309,9 +309,9 @@ _MEMBERSHIP_CASES = {
     "attacking": ("attacking", ATTACKING_METRIC_FIELD),
     "landing": ("landing", LANDING_METRIC_FIELD),
     "quartic": ("g2", QUARTIC_FIELD),
-    "da": ((_DA,), ATTACKING_METRIC_FIELD),
-    "da-quartic": ((_DA,), QUARTIC_FIELD),
-    "euler": ((_EULER,), QUARTIC_FIELD),
+    "da": (FieldStack.of(_DA), ATTACKING_METRIC_FIELD),
+    "da-quartic": (FieldStack.of(_DA), QUARTIC_FIELD),
+    "euler": (FieldStack.of(_EULER), QUARTIC_FIELD),
     "deformed-attacking": ("attacking", _deformed(ATTACKING_METRIC_FIELD)),
     "deformed-landing": ("landing", _deformed(LANDING_METRIC_FIELD)),
     "deformed-quartic": ("g2", _deformed(QUARTIC_FIELD)),
@@ -322,8 +322,8 @@ _MEMBERSHIP_CASES = {
 def test_restricted_first_membership_matches_the_full_tensor_route(case):
     fields, S = _MEMBERSHIP_CASES[case]
     fields = catalogs.catalog(fields) if isinstance(fields, str) else fields
-    pts = sample_chart_points(12, 9, f"test.full-tensor.{case}")
-    V, J = symmetry._field_values(fields, pts), symmetry._field_jacobians(fields, pts)
+    pts = sample_vectors(12, 5, 9, f"test.full-tensor.{case}")
+    V, J = fields.values(pts), fields.jacobians(pts)
     got = symmetry._membership_residuals(V, J, S, pts)
     assert got.shape == (12, len(fields))
     for i, X in enumerate(fields):
@@ -346,12 +346,12 @@ def test_restricted_first_membership_matches_the_full_tensor_route(case):
     ("g2", QUARTIC_FIELD), ("landing", QUARTIC_FIELD)])
 def test_catalog_reports_equal_the_per_field_reports(name, S):
     fields = catalogs.catalog(name)
-    pts = sample_chart_points(12, 3, f"test.reports.{name}")
+    pts = sample_vectors(12, 5, 3, f"test.reports.{name}")
     reports = symmetry.catalog_symmetry_reports(fields, S, pts)
     assert len(reports) == len(fields)
     for X, rep in zip(fields, reports):
         assert rep == symmetry.legendrean_symmetry_residual(X, S, pts), X.id
-    # a plain tuple of the fields takes one call per field, to the same bits
-    assert symmetry.catalog_symmetry_reports(tuple(fields), S, pts) == reports
+    # the fields stacked one by one give the same bits
+    assert symmetry.catalog_symmetry_reports(FieldStack.of(*fields), S, pts) == reports
     if S is QUARTIC_FIELD and name == "g2":
         assert reports == [symmetry.g2_symmetry_residual(X, pts) for X in fields]
