@@ -19,6 +19,10 @@ from .forms import FieldStack, exterior_derivative_stack
 
 DIM = 5
 
+#: Chart slots of (dx, dy, da, db), the coframe of the contact distribution:
+#: every coordinate but z.
+DIST_SLOTS = np.array([0, 1, 3, 4])
+
 _UNIT_NORM_TOL = 1e-12
 
 
@@ -105,7 +109,7 @@ def _distribution_stack(ids, comps) -> FieldStack:
 
     def value(p: np.ndarray) -> np.ndarray:
         out = np.empty(p.shape[:-1] + (len(comps), DIM), dtype=np.result_type(p, float))
-        out[..., [0, 1, 3, 4]] = comps
+        out[..., DIST_SLOTS] = comps
         out[..., 2] = comps[:, 0] * p[..., 3, None] + comps[:, 1] * p[..., 4, None]
         return out
 

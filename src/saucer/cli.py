@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
-import numbers
 import os
 import re
 import sys
@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fibration, gl2, kernels, planner
-from .kernels import BACKEND
+from .kernels import BACKEND, ControlSpec
 from .maneuvers import (ChartEscapeWarning, ControlProgram, ManeuverMode,
                         constraint_residuals, integrate_trajectory)
 from .reports import report_payload, timings_payload
@@ -64,15 +64,17 @@ def _parse_control(text: str):
             raise _usage_error(f"cannot parse control spec {text!r}")
 
 
-def _control(spec):
-    """A number stays a constant control; any other spec becomes a ControlSpec."""
+def _control(spec) -> ControlSpec:
+    """The spec's `ControlSpec`; a usage error if the spec is malformed."""
     try:
-        control = fibration.ControlSpec.from_spec(spec)
+        return ControlSpec.from_spec(spec)
     except (TypeError, ValueError) as exc:
         raise _usage_error(f"bad control spec {spec!r}: {exc}")
-    if isinstance(spec, numbers.Real) and not isinstance(spec, bool):
-        return float(spec)
-    return control
+
+
+def _read_control(flag: str | None, file_vals: dict, key: str, default: float) -> ControlSpec:
+    """The control of a flag, else of the controls file's key, else the default."""
+    return _control(_parse_control(flag) if flag is not None else file_vals.get(key, default))
 
 
 def _load_controls_file(path: str) -> dict:
@@ -114,19 +116,15 @@ def _parse_time_range(text: str) -> tuple[float, float, float]:
     return t0, t1, step
 
 
-def _shift_spec(spec, t0: float):
+def _shift_spec(spec, t0: float) -> ControlSpec:
     """Control spec evaluated at absolute time t0 + s, derivatives intact."""
-    base = fibration.ControlSpec.from_spec(spec)
+    base = ControlSpec.from_spec(spec)
     if t0 == 0.0:
         return base
-
-    def shifted(fn):
-        def moved(s):
-            return fn(t0 + s)
-        return kernels.ArrayFunction(moved) if isinstance(fn, kernels.ArrayFunction) else moved
-
-    return fibration.ControlSpec(shifted(base.value_fn), shifted(base.derivative_fn),
-                                 f"{base.describe} shifted by {t0:g}")
+    return dataclasses.replace(
+        base, value_fn=kernels.ArrayFunction(lambda s: base.values(t0 + s)),
+        derivative_fn=kernels.ArrayFunction(lambda s: base.derivatives(t0 + s)),
+        describe=f"{base.describe} shifted by {t0:g}")
 
 
 def _load_config(path: str) -> dict:
@@ -261,9 +259,9 @@ def _cmd_simulate(args) -> int:
             return flag
         return file_vals.get(key, fallback)
 
-    u1 = _parse_control(args.u1) if args.u1 is not None else file_vals.get("u1", 1.0)
-    u2 = _parse_control(args.u2) if args.u2 is not None else file_vals.get("u2", 0.0)
-    u3 = _parse_control(args.u3) if args.u3 is not None else file_vals.get("u3", 0.0)
+    u1 = _read_control(args.u1, file_vals, "u1", 1.0)
+    u2 = _read_control(args.u2, file_vals, "u2", 0.0)
+    u3 = _read_control(args.u3, file_vals, "u3", 0.0)
     duration = _file_number(pick(args.duration, "duration", 1.0), "duration")
     dt = _file_number(pick(args.dt, "dt", 1e-3), "dt")
     start_spec = pick(args.start, "start", "0,0,0,0,0")
@@ -277,8 +275,7 @@ def _cmd_simulate(args) -> int:
     else:
         raise _usage_error("start in controls file needs 5 components")
     try:
-        program = ControlProgram(mode, _control(u1), _control(u2), _control(u3),
-                                 duration=duration, dt=dt)
+        program = ControlProgram(mode, u1, u2, u3, duration=duration, dt=dt)
     except ValueError as exc:
         raise _usage_error(str(exc))
     with warnings.catch_warnings():
@@ -327,8 +324,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_lift(args) -> int:
     file_vals = _load_controls_file(args.controls) if args.controls else {}
-    u_spec = _parse_control(args.u) if args.u is not None else file_vals.get("u", 1.0)
-    w_spec = _parse_control(args.w) if args.w is not None else file_vals.get("w", 1.0)
+    u_spec = _read_control(args.u, file_vals, "u", 1.0)
+    w_spec = _read_control(args.w, file_vals, "w", 1.0)
     t0 = 0.0
     duration, n_steps = args.duration, args.steps
     if args.t is not None:

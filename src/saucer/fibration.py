@@ -8,22 +8,23 @@ engine space on the other (forget y5). A global coframe
     d w0 = w1 ^ w4 - 3 w2 ^ w3,    d w1 = 3 w2 ^ w7,    d w2 = 2 w3 ^ w7,
     d w3 = w4 ^ w7,                d w4 = 0,            d w7 = 0.
 
-A joystick input is a pair of scalar controls (u, w): integrate the engine
-curve, lift it through y5 = u/w, push it into the x chart, and certify that
-the projected contact velocity is tangent to the twisted-cubic cone with
-parameter T = -y4.
+A joystick input is a pair of scalar controls (u, w), each a
+`kernels.ControlSpec`: integrate the engine curve (`_ENGINE_RATES`, by the
+same triangular RK4 as the saucer's time-varying law), lift it through
+y5 = u/w, push it into the x chart, and certify that the projected contact
+velocity is tangent to the twisted-cubic cone with parameter T = -y4.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import kernels
 from .forms import FieldStack, exterior_derivative_stack
+from .kernels import ControlSpec
 
 FDIM = 6
 FORM_LABELS = ("w0", "w1", "w2", "w3", "w4", "w7")
@@ -243,110 +244,16 @@ def eds_residuals(chart: str, points: np.ndarray) -> np.ndarray:
     return np.max(np.sqrt(0.5 * np.sum(err * err, axis=(-2, -1))), axis=1)
 
 
-# -- joystick controls ---------------------------------------------------------
-
-@dataclasses.dataclass(frozen=True)
-class ControlSpec:
-    """A scalar control with an exact (or finite-difference) derivative.
-
-    Built from a real number (constant), a non-empty flat list of polynomial
-    coefficients in increasing degree, a dict {"kind": "sin"|"cos",
-    "amplitude", "frequency", "phase"} meaning amplitude * sin(frequency * t
-    + phase), or any callable (derivative by central differences). Numbers
-    must be finite.
-
-    `values` and `derivatives` sample value_fn and derivative_fn through
-    `kernels.sample`. The built-in kinds, and a callable that is itself a
-    `kernels.ArrayFunction`, wrap both in `kernels.ArrayFunction`, so each
-    samples a whole time array in one call, also when value_fn is passed on
-    alone; a plain callable is called once per distinct time.
-    """
-    value_fn: Callable[[float], float]
-    derivative_fn: Callable[[float], float]
-    describe: str
-
-    def value(self, t: float) -> float:
-        return float(self.value_fn(t))
-
-    def derivative(self, t: float) -> float:
-        return float(self.derivative_fn(t))
-
-    def values(self, t: np.ndarray) -> np.ndarray:
-        return kernels.sample(self.value_fn, t)
-
-    def derivatives(self, t: np.ndarray) -> np.ndarray:
-        return kernels.sample(self.derivative_fn, t)
-
-    @staticmethod
-    def from_spec(obj) -> "ControlSpec":
-        if isinstance(obj, ControlSpec):
-            return obj
-        if isinstance(obj, numbers.Real):
-            c = _finite(obj, "constant control")
-            return _array_spec(lambda t: np.full(np.shape(t), c),
-                               lambda t: np.zeros(np.shape(t)), f"const({c:g})")
-        if isinstance(obj, (list, tuple)):
-            try:
-                coeffs = np.asarray(obj, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"polynomial coefficients must be numbers: {exc}") from None
-            if coeffs.ndim != 1 or len(coeffs) == 0:
-                raise ValueError("polynomial coefficients must be a non-empty flat list")
-            if not np.all(np.isfinite(coeffs)):
-                raise ValueError("polynomial coefficients must be finite")
-            dcoeffs = np.polynomial.polynomial.polyder(coeffs) if len(coeffs) > 1 \
-                else np.zeros(1)
-            return _array_spec(lambda t: np.polynomial.polynomial.polyval(t, coeffs),
-                               lambda t: np.polynomial.polynomial.polyval(t, dcoeffs),
-                               f"poly({list(map(float, coeffs))})")
-        if isinstance(obj, dict):
-            kind = obj.get("kind")
-            if kind not in ("sin", "cos"):
-                raise ValueError(f"unknown control kind {kind!r}")
-            A = _finite(obj.get("amplitude", 1.0), "amplitude")
-            f = _finite(obj.get("frequency", 1.0), "frequency")
-            ph = _finite(obj.get("phase", 0.0), "phase")
-            if kind == "sin":
-                return _array_spec(lambda t: A * np.sin(f * t + ph),
-                                   lambda t: A * f * np.cos(f * t + ph),
-                                   f"sin(A={A:g}, f={f:g}, ph={ph:g})")
-            return _array_spec(lambda t: A * np.cos(f * t + ph),
-                               lambda t: -A * f * np.sin(f * t + ph),
-                               f"cos(A={A:g}, f={f:g}, ph={ph:g})")
-        if callable(obj):
-            h = 1e-6
-            if isinstance(obj, kernels.ArrayFunction):
-                return _array_spec(obj.fn, lambda t: (obj(t + h) - obj(t - h)) / (2.0 * h),
-                                   "callable")
-            return ControlSpec(
-                lambda t: float(obj(t)),
-                lambda t: (float(obj(t + h)) - float(obj(t - h))) / (2.0 * h),
-                "callable")
-        raise TypeError(f"cannot build a control from {type(obj).__name__}")
-
-
-def _array_spec(value_fn, derivative_fn, describe: str) -> ControlSpec:
-    """A spec whose two functions each take a whole array of times."""
-    return ControlSpec(kernels.ArrayFunction(value_fn), kernels.ArrayFunction(derivative_fn),
-                       describe)
-
-
-def _finite(value, what: str) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
-    if not np.isfinite(number):
-        raise ValueError(f"{what} must be finite, got {value!r}")
-    return number
-
-
 # -- engine curves, lift, projection -------------------------------------------
 
-def _engine_rhs(y: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Engine velocity u e_row + w e_col along a stack of states (m, 5)."""
-    y2, y4 = y[:, 2], y[:, 4]
-    return np.column_stack([3.0 * y2 * u, 3.0 * y4 ** 2 * u, -2.0 * y4 * u, u, w])
+#: The engine velocity u e_row + w e_col as `kernels.rk4_triangular` rates over
+#: the controls (u, w): y4' = w from the controls alone, then y2' = -2 y4 u
+#: from y4, then y0' = 3 y2 u, y1' = 3 y4^2 u and y3' = u, which no rate reads.
+_ENGINE_RATES = (
+    ((4,), lambda y, u: (u[1],)),
+    ((2,), lambda y, u: (-2.0 * y[4] * u[0],)),
+    ((0, 1, 3), lambda y, u: (3.0 * y[2] * u[0], 3.0 * y[4] ** 2 * u[0], u[0])),
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -363,11 +270,9 @@ def integrate_d2_curve(u_spec, w_spec, duration: float, n_steps: int,
                        y0: Sequence[float] | None = None) -> D2Curve:
     """RK4 integration of the engine system y' = u e_row + w e_col.
 
-    The system is triangular: y3' = u and y4' = w see only the controls,
-    y2' = -2 y4 u and y1' = 3 y4^2 u see only y4, and y0' = 3 y2 u sees only
-    y2. So each coordinate is integrated over whole columns once the ones it
-    depends on are known, with the same stage values and the same additions
-    as a per-step RK4 loop.
+    The system is triangular (`_ENGINE_RATES`), so `kernels.rk4_triangular`
+    integrates it over whole columns, with the same stage values and the
+    same additions as a per-step RK4 loop.
     """
     u_spec = ControlSpec.from_spec(u_spec)
     w_spec = ControlSpec.from_spec(w_spec)
@@ -380,25 +285,9 @@ def integrate_d2_curve(u_spec, w_spec, duration: float, n_steps: int,
         raise ValueError("engine state must have 5 components")
     if not np.all(np.isfinite(start)):
         raise ValueError(f"engine state must be finite, got {start}")
-    n = n_steps
-    h = duration / n
-    times = np.linspace(0.0, duration, n + 1)
-    stage_times = kernels.rk4_stage_times(times, h)
-    u_all, w_all = u_spec.values(stage_times), w_spec.values(stage_times)
-    u = kernels.rk4_stage_values(u_all, n)
-    w = kernels.rk4_stage_values(w_all, n)
-    col = kernels.rk4_column
-    y3 = col(start[3], h, *u)
-    y4 = col(start[4], h, *w)
-    y4_stages = kernels.rk4_stages(y4, h, *w[:3])
-    slopes_y2 = [-2.0 * y4s * us for y4s, us in zip(y4_stages, u)]
-    y2 = col(start[2], h, *slopes_y2)
-    y2_stages = kernels.rk4_stages(y2, h, *slopes_y2[:3])
-    y1 = col(start[1], h, *(3.0 * y4s ** 2 * us for y4s, us in zip(y4_stages, u)))
-    slopes_y0 = (3.0 * y2s * us for y2s, us in zip(y2_stages, u))
-    states = np.column_stack([col(start[0], h, *slopes_y0), y1, y2, y3, y4])
-    return D2Curve(times, states, u_all[:n + 1], w_all[:n + 1],
-                   u_spec.derivatives(times), w_spec.derivatives(times))
+    times, states, (u, w) = kernels.rk4_triangular(start, duration, n_steps,
+                                                   (u_spec, w_spec), _ENGINE_RATES)
+    return D2Curve(times, states, u, w, u_spec.derivatives(times), w_spec.derivatives(times))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -409,7 +298,11 @@ class LiftedCurve:
 
 
 def lift_curve(curve: D2Curve) -> LiftedCurve:
-    """Canonical lift y5 = u / w; the curve must stay away from w = 0."""
+    """Canonical lift y5 = u / w; the curve must stay away from w = 0.
+
+    The engine velocities are `_ENGINE_RATES`, the table the curve was
+    integrated by, evaluated at the samples.
+    """
     small = np.abs(curve.w) < LIFT_EPS
     if np.any(small):
         idx = int(np.argmax(small))
@@ -417,8 +310,11 @@ def lift_curve(curve: D2Curve) -> LiftedCurve:
                            f"(t = {curve.times[idx]:.6g})")
     y5 = curve.u / curve.w
     states = np.column_stack([curve.states, y5])
-    vels = np.column_stack([_engine_rhs(curve.states, curve.u, curve.w),
-                            (curve.du * curve.w - curve.u * curve.dw) / curve.w ** 2])
+    engine = [None] * 5
+    for slots, rate in _ENGINE_RATES:
+        for slot, value in zip(slots, rate(curve.states.T, (curve.u, curve.w))):
+            engine[slot] = value
+    vels = np.column_stack(engine + [(curve.du * curve.w - curve.u * curve.dw) / curve.w ** 2])
     return LiftedCurve(curve.times, states, vels)
 
 

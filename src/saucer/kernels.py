@@ -1,4 +1,4 @@
-"""The maneuver control law and its exact constant-control flows.
+"""The maneuver control law, its controls and its flows.
 
 Every mode steers along c1 Z1 + c2 Z2 + c3 Z3 + c4 Z4, where the Z frame is
 Z1 = dx + a dz, Z2 = dy + b dz, Z3 = -3 db, Z4 = da and the coefficients
@@ -11,14 +11,19 @@ degree at most 3. Simpson's rule over [0, t] is exact on such integrands,
 so `flow` is a closed-form evaluation rather than a stepper, and
 `rk4_constant` only samples it at even times.
 
+Every control is a `ControlSpec`: a constant, a polynomial, a sine or
+cosine, or any callable of time, with its derivative. A constant holds its
+number in `constant`, which is how a program knows to take the closed form.
+`sample` is the one rule by which a control is sampled: an `ArrayFunction`,
+such as every built-in control kind, takes the whole time array in one call,
+and any other callable of time is called once per distinct time.
+
 Under time-varying controls the law is still triangular: c3 and c4 see only
-the controls, and c1, c2 see only (a, b) and the controls. Every RK4 stage
-slope of every step is then known before the states are, so
-`rk4_stages` and `rk4_column` run classical RK4 one coordinate at a time over
-whole columns. The controls are sampled once on `rk4_stage_times` by
-`sample`: an `ArrayFunction`, such as every built-in control kind, takes the
-whole time array in one call, and any other callable of time is called once
-per distinct time through `at_distinct_times`.
+the controls, and c1, c2 see only (a, b) and the controls. So is the
+joystick's engine system. Every RK4 stage slope of every step is then known
+before the states are, so `rk4_triangular`, the one time-varying integrator,
+runs classical RK4 one coordinate at a time over whole columns, with each
+control sampled once on the stage grid.
 
 Long stacks are evaluated in row blocks of `BLOCK_ROWS` rows (`row_blocks`):
 `rk4_constant` here, and velocities and admissibility residuals in
@@ -29,6 +34,11 @@ stay in cache and are reused from malloc's free lists. Every operation is
 elementwise, so blocked results equal one-shot results bit for bit.
 """
 from __future__ import annotations
+
+import dataclasses
+import math
+import numbers
+from typing import Callable
 
 import numpy as np
 
@@ -172,58 +182,142 @@ def sample(fn, t) -> np.ndarray:
     """fn over the array t: the one rule by which a control is sampled.
 
     An `ArrayFunction` is called once with the whole array; any other
-    callable goes through `at_distinct_times`, one scalar call per distinct time.
-    """
-    if isinstance(fn, ArrayFunction):
-        return np.asarray(fn(np.asarray(t, dtype=float)), dtype=float)
-    return at_distinct_times(fn, t)
-
-
-def at_distinct_times(fn, t) -> np.ndarray:
-    """float(fn(s)) for every s in the array t, calling fn once per distinct s.
-
-    fn is only ever called with one scalar time, never with an array.
+    callable is called once per distinct time, always with one scalar time.
     """
     t = np.asarray(t, dtype=float)
+    if isinstance(fn, ArrayFunction):
+        return np.asarray(fn(t), dtype=float)
     distinct, where = np.unique(t, return_inverse=True)
     values = np.array([float(fn(s)) for s in distinct.tolist()])
     return values[where.reshape(t.shape)]
 
 
-def rk4_stage_times(times: np.ndarray, h: float) -> np.ndarray:
-    """The step times, then every step's midpoint t + h/2, then its end t + h.
+@dataclasses.dataclass(frozen=True)
+class ControlSpec:
+    """A scalar control of time with its derivative: the one type of every control.
 
-    A control is sampled on these (3n + 1,) times once; `rk4_stage_values`
-    then hands each RK4 stage its part.
+    `from_spec` builds one from a real number (a constant, which `constant`
+    then holds; it is None for every other kind), a non-empty flat list of
+    polynomial coefficients in increasing degree, a dict {"kind":
+    "sin"|"cos", "amplitude", "frequency", "phase"} meaning amplitude *
+    sin(frequency * t + phase), or any callable (derivative by central
+    differences). Every number must be finite, and true, false and strings
+    are not numbers.
+
+    `values` and `derivatives` sample value_fn and derivative_fn through
+    `sample`. The built-in kinds, and a callable that is itself an
+    `ArrayFunction`, wrap both in `ArrayFunction`, so each samples a whole
+    time array in one call, also when value_fn is passed on alone; a plain
+    callable is called once per distinct time.
     """
-    return np.concatenate([times, times[:-1] + 0.5 * h, times[:-1] + h])
+    value_fn: Callable[[float], float]
+    derivative_fn: Callable[[float], float]
+    describe: str
+    constant: float | None = None
+
+    def value(self, t: float) -> float:
+        return float(self.value_fn(t))
+
+    def derivative(self, t: float) -> float:
+        return float(self.derivative_fn(t))
+
+    def values(self, t: np.ndarray) -> np.ndarray:
+        return sample(self.value_fn, t)
+
+    def derivatives(self, t: np.ndarray) -> np.ndarray:
+        return sample(self.derivative_fn, t)
+
+    @staticmethod
+    def from_spec(obj) -> "ControlSpec":
+        if isinstance(obj, ControlSpec):
+            return obj
+        if isinstance(obj, numbers.Real):
+            c = _finite(obj, "constant control")
+            return _array_spec(lambda t: np.full(np.shape(t), c),
+                               lambda t: np.zeros(np.shape(t)), f"const({c:g})", c)
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                raise ValueError("polynomial coefficients must be a non-empty flat list")
+            coeffs = np.array([_finite(c, "polynomial coefficient") for c in obj])
+            dcoeffs = np.polynomial.polynomial.polyder(coeffs) if len(coeffs) > 1 \
+                else np.zeros(1)
+            return _array_spec(lambda t: np.polynomial.polynomial.polyval(t, coeffs),
+                               lambda t: np.polynomial.polynomial.polyval(t, dcoeffs),
+                               f"poly({list(map(float, coeffs))})")
+        if isinstance(obj, dict):
+            kind = obj.get("kind")
+            if kind not in ("sin", "cos"):
+                raise ValueError(f"unknown control kind {kind!r}")
+            A = _finite(obj.get("amplitude", 1.0), "amplitude")
+            f = _finite(obj.get("frequency", 1.0), "frequency")
+            ph = _finite(obj.get("phase", 0.0), "phase")
+            if kind == "sin":
+                return _array_spec(lambda t: A * np.sin(f * t + ph),
+                                   lambda t: A * f * np.cos(f * t + ph),
+                                   f"sin(A={A:g}, f={f:g}, ph={ph:g})")
+            return _array_spec(lambda t: A * np.cos(f * t + ph),
+                               lambda t: -A * f * np.sin(f * t + ph),
+                               f"cos(A={A:g}, f={f:g}, ph={ph:g})")
+        if callable(obj):
+            h = 1e-6
+            if isinstance(obj, ArrayFunction):
+                return _array_spec(obj.fn, lambda t: (obj(t + h) - obj(t - h)) / (2.0 * h),
+                                   "callable")
+            return ControlSpec(
+                lambda t: float(obj(t)),
+                lambda t: (float(obj(t + h)) - float(obj(t - h))) / (2.0 * h),
+                "callable")
+        raise TypeError(f"cannot build a control from {type(obj).__name__}")
 
 
-def rk4_stage_values(sampled: np.ndarray, n: int) -> list:
-    """Split a sampling on `rk4_stage_times` into the four stages of n steps.
+def _array_spec(value_fn, derivative_fn, describe: str, constant=None) -> ControlSpec:
+    """A spec whose two functions each take a whole array of times."""
+    return ControlSpec(ArrayFunction(value_fn), ArrayFunction(derivative_fn), describe,
+                       constant)
 
-    The stages of a step at t see t, t + h/2, t + h/2 and t + h; the values at
-    the n + 1 step times themselves are sampled[:n + 1].
+
+def _finite(value, what: str) -> float:
+    """value as a float; a ValueError unless it is a finite real number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return number
+
+
+def rk4_triangular(start, duration: float, n: int, controls, rates) -> tuple:
+    """Classical RK4 over n steps of a triangular system y' = f(y, u(t)).
+
+    `rates` lists (slots, rate) pairs in integration order: rate(y, u) gives
+    the slopes of its slots from the controls u and from the slots of y that
+    earlier pairs integrate. Each control (a `ControlSpec`) is sampled once,
+    on the step times, then every step's midpoint t + h/2, then its end
+    t + h. A pair's four stage slopes at every step are then known before its
+    own values are, so each slot is integrated over its whole column: the
+    increments (h/6)(k1 + 2 k2 + 2 k3 + k4) are summed in order by
+    `np.cumsum`, and the stage values are formed as y + (h/2) k1,
+    y + (h/2) k2, y + h k3, the same arithmetic as a per-step loop. No rate
+    reads the last pair's slots, so their stage values are never formed.
+
+    Returns the n + 1 step times, the states (n + 1, len(start)) and each
+    control at the step times.
     """
-    return [sampled[lo:lo + n] for lo in (0, n + 1, n + 1, 2 * n + 1)]
-
-
-def rk4_stages(column: np.ndarray, h: float, k1, k2, k3) -> tuple:
-    """The four RK4 stage values of one coordinate at every step.
-
-    column holds the coordinate at the n + 1 step times and k1..k3 its stage
-    slopes at the n steps; each stage is formed exactly as the per-step
-    update y + (h/2) k1, y + (h/2) k2, y + h k3 forms it.
-    """
-    start = column[:-1]
-    return start, start + 0.5 * h * k1, start + 0.5 * h * k2, start + h * k3
-
-
-def rk4_column(start: float, h: float, k1, k2, k3, k4) -> np.ndarray:
-    """Classical RK4 values of one coordinate whose n stage slopes are known.
-
-    The increments (h/6)(k1 + 2 k2 + 2 k3 + k4) are summed in order by
-    `np.cumsum`, the same additions a per-step loop makes; (n + 1,).
-    """
-    inc = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return np.cumsum(np.concatenate(([start], inc)))
+    h = duration / n
+    times = np.linspace(0.0, duration, n + 1)
+    grid = np.concatenate([times, times[:-1] + 0.5 * h, times[:-1] + h])
+    sampled = [control.values(grid) for control in controls]
+    stage_controls = [[u[lo:lo + n] for u in sampled] for lo in (0, n + 1, n + 1, 2 * n + 1)]
+    stage_states = [[None] * len(start) for _ in range(4)]
+    columns = [None] * len(start)
+    for i, (slots, rate) in enumerate(rates):
+        slopes = [rate(y, u) for y, u in zip(stage_states, stage_controls)]
+        for slot, (k1, k2, k3, k4) in zip(slots, zip(*slopes)):
+            inc = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            columns[slot] = column = np.cumsum(np.concatenate(([start[slot]], inc)))
+            if i < len(rates) - 1:
+                y = column[:-1]
+                for stage, value in zip(stage_states, (y, y + 0.5 * h * k1, y + 0.5 * h * k2,
+                                                       y + h * k3)):
+                    stage[slot] = value
+    return times, np.column_stack(columns), [u[:n + 1] for u in sampled]

@@ -9,7 +9,9 @@ Three admissibility structures live on the rank-4 contact distribution:
 
 Every structure comes with a closed-form control law producing admissible
 velocities, and `constraint_residuals` checks a trajectory against the
-structure after the fact.
+structure after the fact. A `ControlProgram` holds its three controls as
+`kernels.ControlSpec`s, whatever form they were given in, so
+`integrate_trajectory` samples every one by the same rule.
 """
 from __future__ import annotations
 
@@ -17,12 +19,12 @@ import dataclasses
 import enum
 import math
 import warnings
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import gl2, kernels
-from .chart import DIM, contact_covector
+from .chart import DIM, DIST_SLOTS, contact_covector
 from .forms import SymTensorField, constant_symtensor
 from .sampling import BOX_HALF_WIDTH
 
@@ -63,13 +65,9 @@ _KERNEL_IDS = {
 # Each metric is one chart tensor field. Neither has a dz slot, so its
 # restriction to the distribution over the E-frame is its (x, y, a, b) block.
 
-#: Chart indices of DIST_COFRAME.
-_DIST_INDICES = np.array([0, 1, 3, 4])
-
-
 def _restrict(G: np.ndarray) -> np.ndarray:
     """The DIST_COFRAME block of chart tensors (..., 5, 5), (..., 4, 4)."""
-    return G[..., _DIST_INDICES[:, None], _DIST_INDICES]
+    return G[..., DIST_SLOTS[:, None], DIST_SLOTS]
 
 
 _ATTACKING_METRIC_5 = np.zeros((DIM, DIM))
@@ -153,30 +151,26 @@ def maneuver_velocity(mode: ManeuverMode, p: np.ndarray,
                             float(u1), float(u2), float(u3))
 
 
-def _is_spec(u) -> bool:
-    """A control spec samples itself: `value(t)` for one time, `values(t)` for an array."""
-    return hasattr(u, "values") and hasattr(u, "value")
-
-
 @dataclasses.dataclass(frozen=True)
 class ControlProgram:
     """Open-loop controls for one maneuver segment.
 
-    Each control is a constant, a callable of time, or a control spec such as
-    `fibration.ControlSpec`, which is sampled through its own `values`. A
-    callable wrapped in `kernels.ArrayFunction`, as every built-in control
-    kind's `value_fn` is, samples a whole time array in one call; any other
-    callable is called once per distinct time. G2 laws ignore u3 only in the
-    strict mode.
+    Each control is given as anything `kernels.ControlSpec.from_spec` takes:
+    a number, a polynomial list, a sine or cosine dict, a callable of time
+    or a spec. It is stored as that `ControlSpec`. A program whose three
+    controls are all constants takes the closed form; any other is
+    integrated by RK4. G2 laws ignore u3 only in the strict mode.
     """
     mode: ManeuverMode
-    u1: "float | Callable[[float], float] | ControlSpec"
-    u2: "float | Callable[[float], float] | ControlSpec"
-    u3: "float | Callable[[float], float] | ControlSpec" = 0.0
+    u1: kernels.ControlSpec
+    u2: kernels.ControlSpec
+    u3: kernels.ControlSpec = 0.0
     duration: float = 1.0
     dt: float = 1e-3
 
     def __post_init__(self):
+        for name in ("u1", "u2", "u3"):
+            object.__setattr__(self, name, kernels.ControlSpec.from_spec(getattr(self, name)))
         for name in ("duration", "dt"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -185,24 +179,15 @@ class ControlProgram:
             raise ValueError(f"duration / dt must be finite, got {self.duration!r} / {self.dt!r}")
 
     @property
+    def controls(self) -> tuple:
+        return self.u1, self.u2, self.u3
+
+    @property
     def is_constant(self) -> bool:
-        return not any(callable(u) or _is_spec(u) for u in (self.u1, self.u2, self.u3))
+        return all(u.constant is not None for u in self.controls)
 
     def controls_at(self, t: float) -> tuple[float, float, float]:
-        return tuple(u.value(t) if _is_spec(u) else float(u(t)) if callable(u) else float(u)
-                     for u in (self.u1, self.u2, self.u3))
-
-    def controls_on(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u1, u2, u3) over an array of times.
-
-        A spec samples the array itself and a bare callable goes through
-        `kernels.sample`: one array call for an `ArrayFunction`, otherwise
-        one scalar call per distinct time.
-        """
-        return tuple(u.values(t) if _is_spec(u)
-                     else kernels.sample(u, t) if callable(u)
-                     else np.full(np.shape(t), float(u))
-                     for u in (self.u1, self.u2, self.u3))
+        return tuple(u.value(t) for u in self.controls)
 
 
 class ChartEscapeWarning(RuntimeWarning):
@@ -225,17 +210,32 @@ class Trajectory:
         return self.states[-1]
 
 
+def _law_rates(kid: int) -> tuple:
+    """The control law as `kernels.rk4_triangular` rates: (a, b) from the
+    controls alone, then (x, y, z) from (a, b) and the controls."""
+    def ab(y, u):
+        _, _, c3, c4 = kernels.zcoeffs(kid, 0.0, 0.0, *u)
+        return c4, -3.0 * c3
+
+    def xyz(y, u):
+        a, b = y[3], y[4]
+        c1, c2, _, _ = kernels.zcoeffs(kid, a, b, *u)
+        return c1, c2, c1 * a + c2 * b
+
+    return ((3, 4), ab), ((0, 1, 2), xyz)
+
+
 def integrate_trajectory(program: ControlProgram, p0: Sequence[float]) -> Trajectory:
     """Sample the control law's trajectory from p0 at fixed dt.
 
     Constant-control programs are evaluated in closed form by
     `kernels.rk4_constant`, exact up to rounding at every sample. Controls
-    that vary in time are integrated by classical RK4 at step dt, run on
-    whole columns: the law is triangular (c3 and c4 see only the controls,
-    and x, y, z never enter it), so a and b are integrated first from the
-    controls alone, and their stage values give every stage slope of x, y
-    and z. The result equals the per-step RK4 loop. Velocities and the
-    escape test are evaluated one `kernels.row_blocks` block at a time.
+    that vary in time are integrated by classical RK4 at step dt in
+    `kernels.rk4_triangular`: the law is triangular (c3 and c4 see only the
+    controls, and x, y, z never enter it), so a and b are integrated first
+    from the controls alone, and their stage values give every stage slope
+    of x, y and z. The result equals the per-step RK4 loop. Velocities and
+    the escape test are evaluated one `kernels.row_blocks` block at a time.
     """
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (DIM,):
@@ -243,35 +243,15 @@ def integrate_trajectory(program: ControlProgram, p0: Sequence[float]) -> Trajec
     if not np.all(np.isfinite(p0)):
         raise ValueError(f"initial point must be finite, got {p0}")
     n_steps = max(1, int(round(program.duration / program.dt)))
-    h = program.duration / n_steps
-    times = np.linspace(0.0, program.duration, n_steps + 1)
     kid = program.mode.kernel_id
     constant = program.is_constant
-
     if constant:
-        controls = program.controls_at(0.0)
+        times = np.linspace(0.0, program.duration, n_steps + 1)
+        controls = tuple(u.constant for u in program.controls)
         states = kernels.rk4_constant(kid, p0, *controls, program.duration, n_steps)
     else:
-        sampled = program.controls_on(kernels.rk4_stage_times(times, h))
-        controls = tuple(u[:n_steps + 1] for u in sampled)
-        stage_controls = list(zip(*(kernels.rk4_stage_values(u, n_steps) for u in sampled)))
-        slopes_a, slopes_b = [], []
-        for u in stage_controls:
-            _, _, c3, c4 = kernels.zcoeffs(kid, 0.0, 0.0, *u)
-            slopes_a.append(c4)
-            slopes_b.append(-3.0 * c3)
-        a = kernels.rk4_column(p0[3], h, *slopes_a)
-        b = kernels.rk4_column(p0[4], h, *slopes_b)
-        slopes_x, slopes_y, slopes_z = [], [], []
-        for a_s, b_s, u in zip(kernels.rk4_stages(a, h, *slopes_a[:3]),
-                               kernels.rk4_stages(b, h, *slopes_b[:3]), stage_controls):
-            c1, c2, _, _ = kernels.zcoeffs(kid, a_s, b_s, *u)
-            slopes_x.append(c1)
-            slopes_y.append(c2)
-            slopes_z.append(c1 * a_s + c2 * b_s)
-        states = np.column_stack([kernels.rk4_column(p0[0], h, *slopes_x),
-                                  kernels.rk4_column(p0[1], h, *slopes_y),
-                                  kernels.rk4_column(p0[2], h, *slopes_z), a, b])
+        times, states, controls = kernels.rk4_triangular(
+            p0, program.duration, n_steps, program.controls, _law_rates(kid))
     vels = np.empty(states.shape)
     highs, lows = [], []
     for rows in kernels.row_blocks(len(states)):

@@ -19,12 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .chart import DIM, contact_covector
+from .chart import DIM, DIST_SLOTS, contact_covector
 from .forms import FieldStack
 from .maneuvers import ManeuverMode, Trajectory
-
-#: Chart slots matched directly by phase 1.
-IDX4 = (0, 1, 3, 4)
 
 LEG_DT = 1e-2
 LEG_MIN_STEPS = 20
@@ -462,7 +459,7 @@ def _newton(fmode: ManeuverMode, start: list, target: list, tol: float,
         log.record(gap_max, 0)
         return [], start, None if gap_max < tol else "gap not finite"
     s = np.linalg.solve(_phase1_matrix(fmode, start),
-                        [target[i] - start[i] for i in IDX4]).tolist()
+                        [target[i] - start[i] for i in DIST_SLOTS]).tolist()
     theta = s + [0.0, 0.0]
     points = _shoot(fmode, start, theta)
     patterns: list = []

@@ -291,15 +291,18 @@ def _classification_samples(seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 # -- symmetry suite ----------------------------------------------------------------
 
-_CATALOG_STRUCTURES = {"attacking": ATTACKING_METRIC_FIELD,
-                       "landing": LANDING_METRIC_FIELD, "g2": QUARTIC_FIELD}
+#: Each symmetry catalog's label, the structure its fields preserve and the
+#: name of its matrix-model oracle.
+_CATALOGS = {"attacking": (ATTACKING_METRIC_FIELD, "sl4"),
+             "landing": (LANDING_METRIC_FIELD, "su22"),
+             "g2": (QUARTIC_FIELD, "g2-split")}
 
 
 def _catalog_reports(label: str, pts: np.ndarray):
     """Each field of a catalog with its SymmetryReport against its own
     structure, all from one (points x fields) stack."""
     fields = catalogs.catalog(label)
-    reports = symmetry.catalog_symmetry_reports(fields, _CATALOG_STRUCTURES[label], pts)
+    reports = symmetry.catalog_symmetry_reports(fields, _CATALOGS[label][0], pts)
     return list(zip(fields.ids, reports))
 
 
@@ -321,14 +324,13 @@ def _symmetry_checks(seed: int) -> list[Check]:
 
     def ranks() -> CheckResult:
         pts = sample_vectors(10, 5, seed, "symmetry.rank")
-        got = tuple(symmetry.catalog_rank(catalogs.catalog(lbl), pts)
-                    for lbl in ("attacking", "landing", "g2"))
+        got = tuple(symmetry.catalog_rank(catalogs.catalog(lbl), pts) for lbl in _CATALOGS)
         return CheckResult("catalog-ranks", got == (15, 15, 14), None,
                            f"ranks {got}, expected (15, 15, 14)")
 
     def closure() -> CheckResult:
         worst = 0.0
-        for lbl in ("attacking", "landing", "g2"):
+        for lbl in _CATALOGS:
             fields = catalogs.catalog(lbl)
             pa = sample_vectors(10, 5, seed, f"symmetry.close.{lbl}.a")
             pb = sample_vectors(10, 5, seed, f"symmetry.close.{lbl}.b")
@@ -341,11 +343,10 @@ def _symmetry_checks(seed: int) -> list[Check]:
                        "misfit and agreement across disjoint point sets")
 
     def killing() -> CheckResult:
-        expected = {"attacking": "sl4", "landing": "su22", "g2": "g2-split"}
         detail = []
         ok = True
         worst = 0.0
-        for lbl, model_name in expected.items():
+        for lbl, (_, model_name) in _CATALOGS.items():
             fields = catalogs.catalog(lbl)
             pts = sample_vectors(10, 5, seed, f"symmetry.killing.{lbl}")
             sc = symmetry.extract_structure_constants(fields, pts)
@@ -576,16 +577,13 @@ _BUILDERS = {
 }
 
 
-_CATALOG_MODELS = {"attacking": "sl4", "landing": "su22", "g2": "g2-split"}
-
-
 def catalog_report(label: str, seed: int) -> dict:
     """Focused symmetry-catalog report: per-field residuals, structure
     constants, Killing signature against the matrix-model oracle."""
     name = {"g2s": "g2", "g2d": "g2"}.get(label, label)
-    if name not in _CATALOG_MODELS:
+    if name not in _CATALOGS:
         raise ValueError(f"unknown catalog {label!r}; expected one of "
-                         f"{tuple(_CATALOG_MODELS)}")
+                         f"{tuple(_CATALOGS)}")
     fields = catalogs.catalog(name)
     pts = sample_vectors(12, 5, seed, f"symmetry.catalog.{name}")
     reports = _catalog_reports(name, pts)
@@ -594,7 +592,7 @@ def catalog_report(label: str, seed: int) -> dict:
     sc_pts = sample_vectors(10, 5, seed, f"symmetry.catalog.{name}.sc")
     sc = symmetry.extract_structure_constants(fields, sc_pts)
     diag = symmetry.killing_diagnostics(sc)
-    model = symmetry.reference_model(_CATALOG_MODELS[name])
+    model = symmetry.reference_model(_CATALOGS[name][1])
     passed = (max(residuals.values()) < 1e-7 and sc.misfit < 1e-8
               and diag.signature == model.killing_signature
               and len(fields) == model.dimension)

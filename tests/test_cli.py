@@ -436,7 +436,9 @@ def test_non_finite_times_are_usage_errors(capsys, argv, flag):
     assert captured.err.startswith(f"saucer: error: {flag} ")
 
 
-BAD_CONTROL_SPECS = ("[]", "[[1, 2]]", "NaN", '{"kind": "sin", "amplitude": NaN}')
+BAD_CONTROL_SPECS = ("[]", "[[1, 2]]", "NaN", '{"kind": "sin", "amplitude": NaN}',
+                     "true", "[true,false]", '["1",2]', '{"kind":"sin","amplitude":"2"}',
+                     '{"kind":"cos","frequency":false}')
 
 
 @pytest.mark.parametrize("spec", BAD_CONTROL_SPECS)

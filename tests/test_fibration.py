@@ -7,7 +7,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saucer import fibration
+from saucer import fibration, kernels
 from saucer.forms import complex_step_derivative
 from saucer.sampling import rng_for
 
@@ -297,6 +297,29 @@ def test_callable_controls_are_called_once_per_distinct_scalar_time():
     stage_times = set(np.concatenate([curve.times, start + 0.5 * h, start + h]).tolist())
     assert len(calls) == len(set(calls))
     assert set(calls) == stage_times
+
+
+def test_engine_samples_each_array_control_once_on_the_stage_grid():
+    calls = []
+
+    def recorded(name, fn):
+        def record(t):
+            calls.append((name, np.array(t, copy=True)))
+            return fn(t)
+        return kernels.ArrayFunction(record)
+
+    specs = []
+    for name, spec in (("u", {"kind": "sin", "amplitude": 0.7, "frequency": 2.0}),
+                       ("w", [1.2, 0.3, -0.1])):
+        base = fibration.ControlSpec.from_spec(spec)
+        specs.append(fibration.ControlSpec(recorded(name, base.value_fn),
+                                           recorded("d" + name, base.derivative_fn), name))
+    curve = fibration.integrate_d2_curve(*specs, duration=1.1, n_steps=40)
+    h, start = 1.1 / 40, curve.times[:-1]
+    grid = np.concatenate([curve.times, start + 0.5 * h, start + h])
+    assert [name for name, _ in calls] == ["u", "w", "du", "dw"]
+    for name, t in calls:
+        np.testing.assert_array_equal(t, grid if name in ("u", "w") else curve.times)
 
 
 def test_project_to_contact_matches_per_sample_jacobian_product():

@@ -150,3 +150,35 @@ def test_sample_makes_one_array_call_for_an_array_function():
     t = np.array([[0.5, 0.25], [0.5, 1.0]])
     np.testing.assert_array_equal(kernels.sample(kernels.ArrayFunction(square), t), t * t)
     assert calls == [t.shape]
+
+
+def test_rk4_triangular_equals_a_per_step_rk4_loop():
+    # y2' = u, then y0' = y2 w, then y1' = y0 y2 - u: each pair reads only
+    # slots that earlier pairs integrate. Polynomial controls evaluate with
+    # the same Horner arithmetic on a scalar and on an array, so the loop
+    # agrees bit for bit.
+    u = kernels.ControlSpec.from_spec([0.3, -1.1, 0.4])
+    w = kernels.ControlSpec.from_spec([1.2, 0.5])
+    rates = (((2,), lambda y, c: (c[0],)),
+             ((0,), lambda y, c: (y[2] * c[1],)),
+             ((1,), lambda y, c: (y[0] * y[2] - c[0],)))
+
+    def f(y, c):
+        return np.array([y[2] * c[1], y[0] * y[2] - c[0], c[0]])
+
+    start, duration, n = np.array([0.5, -0.25, 1.5]), 1.3, 37
+    times, states, (u_steps, w_steps) = kernels.rk4_triangular(start, duration, n, (u, w), rates)
+    h = duration / n
+    np.testing.assert_array_equal(times, np.linspace(0.0, duration, n + 1))
+    y, expected = start, [start]
+    for t in times[:-1]:
+        k1 = f(y, (u.value(t), w.value(t)))
+        mid = (u.value(t + 0.5 * h), w.value(t + 0.5 * h))
+        k2 = f(y + 0.5 * h * k1, mid)
+        k3 = f(y + 0.5 * h * k2, mid)
+        k4 = f(y + h * k3, (u.value(t + h), w.value(t + h)))
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        expected.append(y)
+    np.testing.assert_array_equal(states, expected)
+    np.testing.assert_array_equal(u_steps, [u.value(t) for t in times])
+    np.testing.assert_array_equal(w_steps, [w.value(t) for t in times])

@@ -254,12 +254,46 @@ def test_scalar_only_callable_still_integrates():
     prog = ControlProgram(ManeuverMode.G2_STRICT, 1.0, switch, 0.0, duration=0.5, dt=1e-2)
     traj = integrate_trajectory(prog, chart.point(0, 0, 0, 0, 0))
     assert len(calls) == len(set(calls))
-    assert set(calls) == set(kernels.rk4_stage_times(traj.times, 0.5 / 50).tolist())
+    h, start = 0.5 / 50, traj.times[:-1]
+    assert set(calls) == set(np.concatenate([traj.times, start + 0.5 * h, start + h]).tolist())
     assert constraint_residuals(traj).passed()
     states, _ = _rk4_loop(prog, chart.point(0, 0, 0, 0, 0))
     np.testing.assert_allclose(traj.states, states, rtol=1e-12, atol=1e-14)
     curve = fibration.integrate_d2_curve(switch, 1.0, duration=0.5, n_steps=50)
     np.testing.assert_array_equal(curve.u, [switch(t) for t in curve.times])
+
+
+def test_shifted_scalar_only_callable_is_called_once_per_distinct_stage_time():
+    calls = []
+
+    def ramp(t):
+        if np.ndim(t) != 0:
+            raise TypeError("scalar times only")
+        calls.append(t)
+        return 0.5 - t
+
+    prog = ControlProgram(ManeuverMode.LANDING, 0.4, cli._shift_spec(ramp, 0.75), 0.3,
+                          duration=0.5, dt=1e-2)
+    traj = integrate_trajectory(prog, chart.point(0.1, 0, 0, 0.2, 0))
+    h, start = 0.5 / 50, traj.times[:-1]
+    grid = np.concatenate([traj.times, start + 0.5 * h, start + h])
+    assert len(calls) == len(set(calls))
+    assert set(calls) == set((0.75 + grid).tolist())
+
+
+@pytest.mark.parametrize("mode", list(ManeuverMode))
+def test_constant_specs_take_the_closed_form_as_numbers_do(mode):
+    p0 = chart.point(0.1, -0.2, 0.3, 0.2, -0.1)
+    by_number = ControlProgram(mode, 0.3, -0.2, 0.5, duration=0.7, dt=1e-3)
+    by_spec = ControlProgram(mode, kernels.ControlSpec.from_spec(0.3), -0.2,
+                             kernels.ControlSpec.from_spec(0.5), duration=0.7, dt=1e-3)
+    assert by_number.is_constant and by_spec.is_constant
+    want, got = integrate_trajectory(by_number, p0), integrate_trajectory(by_spec, p0)
+    for field in ("times", "states", "velocities"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            ControlProgram(mode, 0.3, bad, 0.5)
 
 
 @pytest.mark.parametrize("mode", [ManeuverMode.G2_SIMPLE, ManeuverMode.G2_STRICT])
