@@ -38,6 +38,17 @@ def _r2(x, y, z):
     return x * x + y * y + z * z
 
 
+def _with_s(fn):
+    """The landing field fn(x, y, z, a, b, s), with s = `_s(a, b)` taken once."""
+    return lambda x, y, z, a, b: fn(x, y, z, a, b, _s(a, b))
+
+
+def _landing_sphere(x, y, z, a, b):
+    """The landing field built on r^2 = x^2 + y^2 + z^2, with r^2 and s taken once."""
+    r2, s = _r2(x, y, z), _s(a, b)
+    return (-r2 / 2 * a / s, -r2 / 2 * b / s, r2 / 2 / s, s * (a * z + x), s * (b * z + y))
+
+
 ATTACKING_FIELDS = (
     lambda x, y, z, a, b: (z * x, z * y, z * z, _e(x, y, z, a, b) * a,
                            _e(x, y, z, a, b) * b),
@@ -64,20 +75,14 @@ LANDING_FIELDS = (
                            -((1 + a * a) * z - b * y), -a * (b * z + y)),
     lambda x, y, z, a, b: (y * x, (y * y - x * x - z * z) / 2, y * z,
                            b * (a * z + x), (1 + b * b) * z - a * x),
-    lambda x, y, z, a, b: (-_r2(x, y, z) / 2 * a / _s(a, b),
-                           -_r2(x, y, z) / 2 * b / _s(a, b),
-                           _r2(x, y, z) / 2 / _s(a, b),
-                           _s(a, b) * (a * z + x), _s(a, b) * (b * z + y)),
+    _landing_sphere,
     lambda x, y, z, a, b: (-z, 0, x, a * a + 1, a * b),
     lambda x, y, z, a, b: (0, -z, y, a * b, b * b + 1),
     lambda x, y, z, a, b: (y, -x, 0, b, -a),
-    lambda x, y, z, a, b: (-x * a / _s(a, b), -x * b / _s(a, b), x / _s(a, b),
-                           _s(a, b), 0),
-    lambda x, y, z, a, b: (-z * a / _s(a, b), -z * b / _s(a, b), z / _s(a, b),
-                           _s(a, b) * a, _s(a, b) * b),
-    lambda x, y, z, a, b: (-y * a / _s(a, b), -y * b / _s(a, b), y / _s(a, b),
-                           0, _s(a, b)),
-    lambda x, y, z, a, b: (-a / _s(a, b), -b / _s(a, b), 1 / _s(a, b), 0, 0),
+    _with_s(lambda x, y, z, a, b, s: (-x * a / s, -x * b / s, x / s, s, 0)),
+    _with_s(lambda x, y, z, a, b, s: (-z * a / s, -z * b / s, z / s, s * a, s * b)),
+    _with_s(lambda x, y, z, a, b, s: (-y * a / s, -y * b / s, y / s, 0, s)),
+    _with_s(lambda x, y, z, a, b, s: (-a / s, -b / s, 1 / s, 0, 0)),
     lambda x, y, z, a, b: (x, y, z, 0, 0),
     lambda x, y, z, a, b: (1, 0, 0, 0, 0),
     lambda x, y, z, a, b: (0, 1, 0, 0, 0),

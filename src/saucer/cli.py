@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -422,7 +423,9 @@ def _add_common(sub) -> None:
                      help="also write the report to FILE")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="saucer",
         description="Numerical engine for saucer maneuver geometries.")

@@ -8,13 +8,19 @@ target. The planner shoots one fixed word of 8 legs, the four family flows
 and one commutator rectangle, and solves for its six durations by
 Gauss-Newton with the exact Jacobian of the word's endpoint. A goal the
 word misses is reached by chaining words through evenly spaced waypoints.
+
+The word is written once, in `_WORDS` over `FAMILY_CONTROLS`; at import it
+becomes one leg table per family mode (`_WORD_TABLES`), from which the
+shooter calls `kernels.flow` on Python floats leg by leg and the Jacobian
+reads its controls. `replay` expands a plan's legs to its samples with one
+stacked repeat of a per-leg table.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -233,7 +239,8 @@ def flow(mode: ManeuverMode, k: int, p: Sequence[float], duration: float) -> tup
     """Endpoint of the time-`duration` flow of family member k from p.
 
     `kernels.flow` on Python floats, returned as five floats: the last row
-    of any `rk4_constant` sampling of the leg, bit for bit.
+    of any `rk4_constant` sampling of the leg, bit for bit. The shooter
+    flows the same legs from its word table without this lookup (`_shoot`).
     """
     fmode = _family_mode(mode)
     u1, u2, u3 = FAMILY_CONTROLS[fmode][k]
@@ -241,12 +248,12 @@ def flow(mode: ManeuverMode, k: int, p: Sequence[float], duration: float) -> tup
                         float(duration))
 
 
-def _phase1_matrix(mode: ManeuverMode, p: Sequence[float]) -> np.ndarray:
+def _phase1_matrix(word: _Word, p: Sequence[float]) -> np.ndarray:
     """Columns: (x, y, a, b) components of the family fields at p."""
     a, b = float(p[3]), float(p[4])
     rows = []
-    for u in FAMILY_CONTROLS[mode]:
-        c1, c2, c3, c4 = kernels.zcoeffs(mode.kernel_id, a, b, *u)
+    for u in word.controls:
+        c1, c2, c3, c4 = kernels.zcoeffs(word.kid, a, b, *u)
         rows.append((c1, c2, c4, -3.0 * c3))
     return np.array(rows).T
 
@@ -337,6 +344,23 @@ _WORDS = {
             (i, 4, 1.0), (j, 5, 1.0), (i, 4, -1.0), (j, 5, -1.0))
     for fmode, ((i, j), _) in _RECTANGLE.items()
 }
+
+
+class _Word(NamedTuple):
+    """A family mode's word as one table, so shooting it looks nothing up by mode."""
+    kid: int
+    controls: tuple[tuple[float, float, float], ...]   # FAMILY_CONTROLS of the mode
+    gain: float | None   # the rectangle's z gain; None for landing
+    #: Per leg: (family index, u1, u2, u3, slot of theta, sign).
+    legs: tuple[tuple[int, float, float, float, int, float], ...]
+
+
+#: `_WORDS` with each leg's controls filled in from `FAMILY_CONTROLS`.
+_WORD_TABLES = {
+    fmode: _Word(fmode.kernel_id, FAMILY_CONTROLS[fmode], _RECTANGLE[fmode][1],
+                 tuple((k, *FAMILY_CONTROLS[fmode][k], slot, sign) for k, slot, sign in word))
+    for fmode, word in _WORDS.items()
+}
 #: Signs of (e1, e2) in the order they are tried, for dz >= 0 and for dz < 0;
 #: the rectangle moves z by about gain * e1 * e2.
 _SIGN_PATTERNS = {True: ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)),
@@ -345,21 +369,29 @@ _SIGN_PATTERNS = {True: ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)),
 MAX_HALVINGS = 10
 
 
-def _shoot(fmode: ManeuverMode, start: Sequence[float], theta: Sequence[float]) -> list:
-    """Start and the endpoint of every leg of the word at durations theta."""
+def _shoot(word: _Word, start: Sequence[float], theta: Sequence[float]) -> list:
+    """Start and the endpoint of every leg of the word at durations theta.
+
+    Each leg is one `kernels.flow` on Python floats, its controls, theta
+    slot and sign read from the word's table: the same arithmetic as a chain
+    of `flow` calls, bit for bit.
+    """
+    kid = word.kid
     points = [start]
-    for k, slot, sign in _WORDS[fmode]:
-        points.append(flow(fmode, k, points[-1], sign * theta[slot]))
+    p = start
+    for _, u1, u2, u3, slot, sign in word.legs:
+        p = kernels.flow(kid, p, u1, u2, u3, sign * theta[slot])
+        points.append(p)
     return points
 
 
-def _word_legs(fmode: ManeuverMode, theta: Sequence[float]) -> list:
+def _word_legs(word: _Word, theta: Sequence[float]) -> list:
     """The word's legs at durations theta, legs of zero duration left out."""
-    return [(k, float(sign * theta[slot])) for k, slot, sign in _WORDS[fmode]
+    return [(k, float(sign * theta[slot])) for k, _, _, _, slot, sign in word.legs
             if abs(theta[slot]) > 1e-15]
 
 
-def _word_jacobian(fmode: ManeuverMode, points: Sequence, theta: Sequence[float]) -> list:
+def _word_jacobian(word: _Word, points: Sequence, theta: Sequence[float]) -> list:
     """d(endpoint)/d(theta) of the word: six columns of five floats.
 
     Every flow moves (a, b) by a translation and adds to (x, y, z) a function
@@ -373,16 +405,14 @@ def _word_jacobian(fmode: ManeuverMode, points: Sequence, theta: Sequence[float]
     (c1, c2, c1 a + c2 b) over the leg, a polynomial of degree 2 in time, so
     Simpson's rule is exact.
     """
-    kid = fmode.kernel_id
-    controls = FAMILY_CONTROLS[fmode]
+    kid = word.kid
     landing = kid == kernels.LANDING
     columns = [[0.0] * DIM for _ in theta]
     xa = xb = ya = yb = za = zb = 0.0   # A
     for l in range(len(points) - 1, 0, -1):
-        k, slot, sign = _WORDS[fmode][l - 1]
-        u = controls[k]
+        _, u1, u2, u3, slot, sign = word.legs[l - 1]
         a, b = points[l][3], points[l][4]
-        c1, c2, c3, c4 = kernels.zcoeffs(kid, a, b, *u)
+        c1, c2, c3, c4 = kernels.zcoeffs(kid, a, b, u1, u2, u3)
         vb = -3.0 * c3
         column = columns[slot]
         column[0] += sign * (c1 + xa * c4 + xb * vb)
@@ -399,8 +429,8 @@ def _word_jacobian(fmode: ManeuverMode, points: Sequence, theta: Sequence[float]
         m = [0.0] * 6
         for weight, a, b in ((1.0, a0, b0), (4.0, 0.5 * (a0 + a), 0.5 * (b0 + b)),
                              (1.0, a, b)):
-            c1, c2 = kernels.zcoeffs(kid, a, b, *u)[:2]
-            (d1a, d2a), (d1b, d2b) = kernels.zcoeff_grads(kid, a, b, *u)
+            c1, c2 = kernels.zcoeffs(kid, a, b, u1, u2, u3)[:2]
+            (d1a, d2a), (d1b, d2b) = kernels.zcoeff_grads(kid, a, b, u1, u2, u3)
             m[0] += weight * d1a
             m[1] += weight * d1b
             m[2] += weight * d2a
@@ -417,14 +447,14 @@ def _word_jacobian(fmode: ManeuverMode, points: Sequence, theta: Sequence[float]
     return columns
 
 
-def _newton_step(fmode: ManeuverMode, start: list, theta: list, points: list,
+def _newton_step(word: _Word, start: list, theta: list, points: list,
                  r: list, norm: float):
     """One damped Gauss-Newton step: (theta, points, step norm), or a reason.
 
     The step is the minimum-norm solution of J delta = r; it is halved until
     |r| falls, at most MAX_HALVINGS times.
     """
-    jt = np.array(_word_jacobian(fmode, points, theta))
+    jt = np.array(_word_jacobian(word, points, theta))
     try:
         delta = (jt @ np.linalg.solve(jt.T @ jt, r)).tolist()
     except np.linalg.LinAlgError:
@@ -435,14 +465,14 @@ def _newton_step(fmode: ManeuverMode, start: list, theta: list, points: list,
     scale = 1.0
     for _ in range(MAX_HALVINGS + 1):
         trial = [s + scale * d for s, d in zip(theta, delta)]
-        shot = _shoot(fmode, start, trial)
+        shot = _shoot(word, start, trial)
         if math.hypot(*[g - q for g, q in zip(target, shot[-1])]) < norm:
             return (trial, shot, scale * math.hypot(*delta)), None
         scale *= 0.5
     return None, "no descent"
 
 
-def _newton(fmode: ManeuverMode, start: list, target: list, tol: float,
+def _newton(word: _Word, start: list, target: list, tol: float,
             log: _Iterations) -> tuple[list, list, str | None]:
     """Shoot the word at target: (legs, endpoint, reason), reason None on success.
 
@@ -458,20 +488,20 @@ def _newton(fmode: ManeuverMode, start: list, target: list, tol: float,
     if not tol <= gap_max < math.inf:
         log.record(gap_max, 0)
         return [], start, None if gap_max < tol else "gap not finite"
-    s = np.linalg.solve(_phase1_matrix(fmode, start),
+    s = np.linalg.solve(_phase1_matrix(word, start),
                         [target[i] - start[i] for i in DIST_SLOTS]).tolist()
     theta = s + [0.0, 0.0]
-    points = _shoot(fmode, start, theta)
+    points = _shoot(word, start, theta)
     patterns: list = []
     mid = points[4]
     if tol <= _gap_max(target, mid) < math.inf:
         dz = target[2] - mid[2]
-        gain = _RECTANGLE[fmode][1] or 1.0 + mid[4] * mid[4]
+        gain = word.gain or 1.0 + mid[4] * mid[4]
         e = math.sqrt(abs(dz) / gain)
         patterns = [[e * s1, e * s2] for s1, s2 in _SIGN_PATTERNS[dz >= 0.0]]
         theta = s + patterns.pop(0)
-        points = _shoot(fmode, start, theta)
-    legs = _word_legs(fmode, theta)
+        points = _shoot(word, start, theta)
+    legs = _word_legs(word, theta)
     log.record(gap_max, len(legs))
     while log.left > 0:
         r = [g - q for g, q in zip(target, points[-1])]
@@ -479,17 +509,17 @@ def _newton(fmode: ManeuverMode, start: list, target: list, tol: float,
         if not tol <= gap_max < math.inf:
             log.record(gap_max, 0, (norm, 0.0))
             return legs, points[-1], None if gap_max < tol else "gap not finite"
-        step, reason = _newton_step(fmode, start, theta, points, r, norm)
+        step, reason = _newton_step(word, start, theta, points, r, norm)
         if step is None and not patterns:
             log.record(gap_max, 0, (norm, 0.0))
             return legs, points[-1], reason
         if step is None:
             theta, length = s + patterns.pop(0), 0.0
-            points = _shoot(fmode, start, theta)
+            points = _shoot(word, start, theta)
         else:
             theta, points, length = step
         n_before = len(legs)
-        legs = _word_legs(fmode, theta)
+        legs = _word_legs(word, theta)
         log.record(gap_max, len(legs) - n_before, (norm, length))
     met = _gap_max(target, points[-1]) < tol
     return legs, points[-1], None if met else "max_iterations spent"
@@ -499,7 +529,7 @@ def _check_plan_inputs(start: np.ndarray, goal: np.ndarray, tol: float,
                        max_iterations: int) -> None:
     if start.shape != (DIM,) or goal.shape != (DIM,):
         raise ValueError(f"start and goal must have shape ({DIM},)")
-    if not (np.all(np.isfinite(start)) and np.all(np.isfinite(goal))):
+    if not all(map(math.isfinite, start.tolist() + goal.tolist())):
         raise ValueError("start and goal must be finite")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
@@ -519,6 +549,7 @@ def _waypoints(fmode: ManeuverMode, start: list, target: list, pieces: int,
     target itself. Returns the legs, the endpoint and the reason as `_newton`
     does; a waypoint met with no iterations left ends the attempt.
     """
+    word = _WORD_TABLES[fmode]
     legs: list[tuple[int, float]] = []
     p = start
     for k in range(1, pieces + 1):
@@ -526,7 +557,7 @@ def _waypoints(fmode: ManeuverMode, start: list, target: list, pieces: int,
             return legs, p, "max_iterations spent"
         waypoint = target if k == pieces else [
             s + (g - s) * k / pieces for s, g in zip(start, target)]
-        more, p, reason = _newton(fmode, p, waypoint, tol, log)
+        more, p, reason = _newton(word, p, waypoint, tol, log)
         legs += more
         if reason is not None:
             return legs, p, reason
@@ -543,10 +574,11 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
     (j, -e2), with (i, j) the mode's commutator pair: its six durations are
     solved for by Gauss-Newton shooting from a phase-1 guess (`_newton`),
     with the exact Jacobian of the word's endpoint. The state is carried as
-    Python floats, moved by `flow`. When every sign pattern of (e1, e2) ends
-    on a singular Jacobian or no descent, the attempt's legs leave the plan
-    and planning restarts from the start with twice the `pieces`: one word
-    is shot at each of that many evenly spaced waypoints (`_waypoints`).
+    Python floats, moved leg by leg by `kernels.flow` from the word's table
+    (`_shoot`). When every sign pattern of (e1, e2) ends on a singular
+    Jacobian or no descent, the attempt's legs leave the plan and planning
+    restarts from the start with twice the `pieces`: one word is shot at
+    each of that many evenly spaced waypoints (`_waypoints`).
     Every iteration, whether it builds a guess or takes a Newton step,
     counts against `max_iterations`. With `trace`, the plan records, per
     iteration, max |gap| to the waypoint it aims at, the legs it added, and
@@ -600,66 +632,56 @@ def _replay_counts(durations: Sequence[float]) -> list[int]:
     return counts
 
 
-def _per_row(values: Sequence[float], counts: Sequence[int]):
-    """One value per leg repeated over its samples.
-
-    A value every leg shares (u3 of the G2 family) stays one float, which
-    spares the replay a column.
-    """
-    first = values[0]
-    if all(v == first for v in values):
-        return first
-    return np.repeat(values, counts)
-
-
 def replay(plan: Plan) -> Trajectory:
     """Evaluate the plan's legs as one admissible trajectory.
 
     Backward legs are replayed as forward legs of the reversed control law,
     so time increases monotonically and every sample satisfies the mode's
     constraints; endpoint agreement with the plan certifies the replay.
-    The leg start points are chained on Python floats; then every sample of
-    every leg comes from one stacked `kernels.flow` call, with its own
-    start, controls and local time per row, and one `kernels.velocity` call.
-    Each sample, joints included, moves with the leg that leaves it, and the
-    final sample keeps the last leg's controls.
+    The leg start points are chained on Python floats. One table then holds
+    per leg its start, its controls, the row of its first sample, its sample
+    spacing and its start time; one `np.repeat` expands it to a column per
+    sample, and every sample of every leg comes from one stacked
+    `kernels.flow` call and one `kernels.velocity` call. Each sample, joints
+    included, moves with the leg that leaves it, and the final sample keeps
+    the last leg's controls.
     """
-    fmode = _family_mode(plan.mode)
-    kid = fmode.kernel_id
+    word = _WORD_TABLES[_family_mode(plan.mode)]
+    kid = word.kid
     if not plan.legs:
         return Trajectory(plan.mode, np.zeros(1), plan.start[None, :].copy(),
                           np.zeros((1, DIM)))
-    controls, durations, starts, t0s = [], [], [], []
+    legs = []   # (start, controls, duration, start time)
     p, t0 = [float(v) for v in plan.start], 0.0
     for k, s in plan.legs:
-        u = FAMILY_CONTROLS[fmode][k]
+        u = word.controls[k]
         if s < 0.0:
             u = _negated_controls(kid, u)
         dur = abs(s)
-        controls.append(u)
-        durations.append(dur)
-        starts.append(p)
-        t0s.append(t0)
+        legs.append((p, u, dur, t0))
         p = kernels.flow(kid, p, *u, dur)
         t0 += dur
     # sample i of leg j sits at local time i * (dur_j / n_j), as np.linspace
     # spaces it; the last leg also holds the final sample, at its full duration
+    durations = [dur for _, _, dur, _ in legs]
     steps = _replay_counts(durations)
     counts = steps[:-1] + [steps[-1] + 1]
-    m = sum(counts)
-    local = np.arange(m, dtype=float)
-    local -= np.repeat(np.cumsum([0] + counts[:-1]), counts)
-    local *= np.repeat([d / n for d, n in zip(durations, steps)], counts)
+    table, first = [], 0
+    for (p, u, dur, t0), n, count in zip(legs, steps, counts):
+        table.append((*p, *u, first, dur / n, t0))
+        first += count
+    # one column per sample, from its leg: rows 0-4 the start (then the
+    # state), 5-7 the controls, 8 the index of the first sample (then the
+    # local time, then the time), 9 the sample spacing, 10 the start time
+    rows = np.repeat(np.array(table).T, counts, axis=1)
+    local = rows[8]
+    np.subtract(np.arange(first, dtype=float), local, out=local)
+    local *= rows[9]
     local[-1] = durations[-1]
-    u1, u2, u3 = (_per_row(column, counts) for column in zip(*controls))
-    # column-major, so each coordinate is one contiguous column; the columns
-    # hold the leg starts until the flow overwrites them
-    states = np.empty((DIM, m)).T
-    for column, values in zip(states.T, zip(*starts)):
-        column[:] = np.repeat(values, counts)
-    for column, value in zip(states.T, kernels.flow(kid, states.T, u1, u2, u3, local)):
-        column[:] = value
-    del starts, value   # the velocity pass below is the replay's memory peak
-    local += np.repeat(t0s, counts)
-    vels = kernels.velocity(kid, states, u1, u2, u3)
-    return Trajectory(plan.mode, local, states, vels)
+    controls = rows[5:8]
+    for row, value in zip(rows, kernels.flow(kid, rows[:5], *controls, local)):
+        row[:] = value
+    del value   # the velocity pass below is the replay's memory peak
+    local += rows[10]
+    states = rows[:5].T
+    return Trajectory(plan.mode, local, states, kernels.velocity(kid, states, *controls))

@@ -63,6 +63,20 @@ def test_verify_reports_are_deterministic(capsys):
     assert json.dumps(j1, sort_keys=True) == json.dumps(j2, sort_keys=True)
 
 
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    verify = ("verify", "--suite", "all", "--seed", "11")
+    code1, out1, _ = run_cli(capsys, *verify)
+    code, out, _ = run_cli(capsys, "plan", "--mode", "landing", "--from", "0,0,0,0,0",
+                           "--to", "0.3,-0.2,0.1,0.2,-0.4", "--format", "compact",
+                           "--trace", "--tol", "1e-4")
+    assert code == 0 and "trace" in json.loads(out)
+    code2, out2, _ = run_cli(capsys, *verify)
+    assert code1 == code2 == 0
+    timestamp = re.compile(r'"timestamp": "[^"]*"')
+    assert timestamp.sub("", out1) == timestamp.sub("", out2)
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_verify_seed_changes_samples_not_verdicts(capsys):
     _, out1, _ = run_cli(capsys, "verify", "--suite", "gl2", "--seed", "1")
     _, out2, _ = run_cli(capsys, "verify", "--suite", "gl2", "--seed", "2")

@@ -267,8 +267,9 @@ def test_word_jacobian_matches_complex_steps(mode):
     thetas = rng_for(93, f"test-word-theta-{mode.value}").uniform(-1.0, 1.0, (10, 6))
     for start, theta in zip(starts, thetas):
         want = complex_step_derivative(_word_endpoint(mode, start), theta).T
-        points = planner._shoot(fmode, start.tolist(), theta.tolist())
-        got = np.array(planner._word_jacobian(fmode, points, theta.tolist())).T
+        word = planner._WORD_TABLES[fmode]
+        points = planner._shoot(word, start.tolist(), theta.tolist())
+        got = np.array(planner._word_jacobian(word, points, theta.tolist())).T
         assert got.shape == (5, 6)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -311,15 +312,38 @@ def test_state_free_families_take_no_newton_step(mode):
 
 
 def test_the_word_is_shot_through_planner_flow(monkeypatch):
-    # planner.flow is the planner's one way to move the state, so wrapping
-    # it sees every leg the shooter flows
+    # the shooter moves the state by kernels.flow, one call per leg straight
+    # from the word's table, so wrapping it as the planner sees it sees every
+    # leg the shooter flows
     calls = []
-    real = planner.flow
-    monkeypatch.setattr(planner, "flow", lambda *args: calls.append(args) or real(*args))
+    real = kernels.flow
+    monkeypatch.setattr(planner.kernels, "flow",
+                        lambda *args: calls.append(args) or real(*args))
     start, goal = [0.1, -0.2, 0.3, 0.0, 0.2], [-0.4, 0.2, -0.1, 0.3, 0.2]
     plan = planner.plan_path(ManeuverMode.ATTACKING, start, goal, tol=1e-10)
     # the phase-1 legs, then the word with its rectangle
     assert plan.success and len(calls) == 16
+
+
+@pytest.mark.parametrize("mode", list(ManeuverMode))
+def test_shoot_equals_a_chain_of_planner_flow(mode):
+    # the word's table spells the word: shooting it flows the legs that a
+    # chain of planner.flow calls does, bit for bit, at any signs of theta
+    fmode = planner._family_mode(mode)
+    starts = sample_vectors(4, 5, 95, f"test-shoot-{mode.value}", box=BOX_HALF_WIDTH)
+    rng = rng_for(95, f"test-shoot-theta-{mode.value}")
+    for start in starts:
+        theta, delta = rng.uniform(-1.0, 1.0, (2, 6)).tolist()
+        assert min(theta) < 0.0
+        # the third trial of a Newton step, its step halved twice
+        trial = [s + 0.25 * d for s, d in zip(theta, delta)]
+        for durations in (theta, trial):
+            points = planner._shoot(planner._WORD_TABLES[fmode], start.tolist(), durations)
+            chain = [tuple(start.tolist())]
+            for k, slot, sign in planner._WORDS[fmode]:
+                chain.append(planner.flow(mode, k, chain[-1], sign * durations[slot]))
+            assert len(points) == len(chain) == 9
+            assert np.array(points).tobytes() == np.array(chain).tobytes()
 
 
 # landing pairs of the plan workload's stream (seed 1) on which every sign
@@ -479,9 +503,13 @@ def _assert_matches_per_leg_replay(plan):
 @pytest.mark.parametrize("mode", list(ManeuverMode))
 def test_stacked_replay_matches_the_per_leg_replay(mode):
     rng = rng_for(78, f"test-stacked-{mode.value}")
-    for _ in range(2):
-        plan = planner.plan_path(mode, rng.uniform(-2.0, 2.0, 5),
-                                 rng.uniform(-2.0, 2.0, 5), tol=1e-3)
+    plans = [planner.plan_path(mode, rng.uniform(-2.0, 2.0, 5),
+                               rng.uniform(-2.0, 2.0, 5), tol=1e-3) for _ in range(2)]
+    if mode is ManeuverMode.LANDING:
+        # a plan of two words, shot at the midpoint and then at the goal
+        plans.append(planner.plan_path(mode, *FALLBACK_PAIRS[0]))
+        assert len(plans[-1].legs) == 16
+    for plan in plans:
         assert any(s < 0.0 for _, s in plan.legs)
         traj = _assert_matches_per_leg_replay(plan)
         np.testing.assert_array_equal(traj.endpoint, plan.achieved)
