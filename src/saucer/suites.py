@@ -6,6 +6,7 @@ identical reports.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -249,41 +250,58 @@ def _gl2_checks(seed: int) -> list[Check]:
 
 def _equivariance_draws(seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The kept (alpha, beta, X) of action-equivariance as stacks (n, 2, 2),
-    (n, 2, 2), (n, 4): 50 scalar draws of (alpha, beta), each kept with one
-    more draw X when both determinants reach 0.05, in the order they always were."""
-    rng = rng_for(seed, "gl2.equivariance")
-    alphas, betas, xs = [], [], []
+    (n, 2, 2), (n, 4).
+
+    The check's stream is 50 draws of (alpha, beta), each kept with one more
+    draw X when both determinants reach 0.05. Those are at most 50 x 12
+    uniform doubles, taken in one call; a stacked np.linalg.det gives every
+    2 x 2 block's determinant, and the kept blocks are found by walking the
+    stream's offsets, so the draws are the ones the one-at-a-time loop made.
+    """
+    draws = rng_for(seed, "gl2.equivariance").uniform(-1.0, 1.0, size=600)
+    dets = np.abs(np.linalg.det(draws.reshape(-1, 2, 2))).tolist()
+    kept, at = [], 0
     for _ in range(50):
-        alpha = rng.uniform(-1.0, 1.0, size=(2, 2))
-        beta = rng.uniform(-1.0, 1.0, size=(2, 2))
-        if abs(np.linalg.det(alpha)) < 0.05 or abs(np.linalg.det(beta)) < 0.05:
+        if dets[at // 4] < 0.05 or dets[at // 4 + 1] < 0.05:
+            at += 8
             continue
-        alphas.append(alpha)
-        betas.append(beta)
-        xs.append(rng.uniform(-1.0, 1.0, size=4))
-    return (np.reshape(alphas, (-1, 2, 2)), np.reshape(betas, (-1, 2, 2)),
-            np.reshape(xs, (-1, 4)))
+        kept.append(at)
+        at += 12
+    blocks = np.array(kept, dtype=int)[:, None] + np.arange(4)
+    return (draws[blocks].reshape(-1, 2, 2), draws[blocks + 4].reshape(-1, 2, 2),
+            draws[blocks + 8])
 
 
-#: null-classification signs, drawn as rng.integers(2): the same stream
-#: values, and the same signs, as rng.choice([-1.0, 1.0]) at a quarter of
-#: the cost.
-_SIGNS = (-1.0, 1.0)
+def _unit_doubles(words: np.ndarray) -> np.ndarray:
+    """numpy's next_double of each raw 64-bit word: its top 53 bits / 2^53."""
+    return (words >> np.uint64(11)) * 2.0 ** -53
 
 
 def _classification_samples(seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The labeled directions of null-classification, (1000, 4), and their
     codes into gl2.NULL_CLASSES: 300 on the cubic cone, 300 on its tangent
-    variety, 400 generic. Drawn one at a time, in the order they always were.
+    variety, 400 generic.
+
+    The stream is 600 draws (t, |s|, sign of s) and then 400 generic points,
+    decoded from one block of 3 100 raw PCG64 words. rng.uniform(low, high)
+    takes one word, low + (high - low) * next_double. rng.integers(2) takes
+    32 bits, which PCG64 hands out low half first from one word, and its
+    bounded draw over a range of 2 reads their top bit: bit 31 of a new word,
+    then bit 63 of the same word. So each pair of (t, s) draws is five
+    words, t, |s|, signs, t, |s|, and the generic points are the last 1 600.
+    That is the layout of numpy's PCG64 and of its 32-bit buffering for
+    integers(2); the tests pin the samples against the draws made one at a
+    time. On a numpy with another layout the samples would still be valid
+    draws, just not these bits.
     """
-    rng = rng_for(seed, "gl2.classify")
-    draws = []
-    for low, high in ((0.2, 2.0), (0.1, 1.0)):
-        for _ in range(300):
-            t = rng.uniform(-1.5, 1.5)
-            draws.append((t, rng.uniform(low, high) * _SIGNS[rng.integers(2)]))
-    generic = [rng.uniform(-2.0, 2.0, size=4) for _ in range(400)]
-    t, s = np.array(draws).T
+    words = rng_for(seed, "gl2.classify").bit_generator.random_raw(3100)
+    pairs = words[:1500].reshape(300, 5)
+    t = -1.5 + 3.0 * _unit_doubles(pairs[:, [0, 3]].ravel())
+    bits = np.stack([pairs[:, 2] >> np.uint64(31), pairs[:, 2] >> np.uint64(63)], axis=1)
+    signs = np.where(bits.ravel() & np.uint64(1), 1.0, -1.0)
+    low, width = np.repeat([[0.2, 2.0 - 0.2], [0.1, 1.0 - 0.1]], 300, axis=0).T
+    s = (low + width * _unit_doubles(pairs[:, [1, 4]].ravel())) * signs
+    generic = -2.0 + 4.0 * _unit_doubles(words[1500:]).reshape(400, 4)
     X = np.concatenate([s[:300, None] * gl2.cubic_point(t[:300]),
                         gl2.tangent_point(t[300:], s[300:]), generic])
     return X, np.repeat([0, 1, 2], [300, 300, 400])
@@ -298,12 +316,36 @@ _CATALOGS = {"attacking": (ATTACKING_METRIC_FIELD, "sl4"),
              "g2": (QUARTIC_FIELD, "g2-split")}
 
 
-def _catalog_reports(label: str, pts: np.ndarray):
-    """Each field of a catalog with its SymmetryReport against its own
-    structure, all from one (points x fields) stack."""
+@dataclasses.dataclass(frozen=True)
+class _CatalogEvaluation:
+    """What the symmetry checks read of one catalog: its fields' reports at
+    the residual points, its rank at the rank points (None when not asked
+    for) and its structure constants at each structure point set."""
+
+    reports: list[tuple[str, symmetry.SymmetryReport]]
+    rank: int | None
+    constants: tuple[symmetry.StructureConstants, ...]
+
+
+def _evaluate_catalog(label: str, report_pts: np.ndarray, rank_pts: np.ndarray | None,
+                      constant_pts: list[np.ndarray]) -> _CatalogEvaluation:
+    """A catalog's reports, rank and structure constants from one values and
+    one Jacobians fill over the union of the point sets.
+
+    A point's rows of the fill do not depend on the other points, so each
+    set's slice gives what the set alone gives, bit for bit. The stacked
+    values and Jacobians are dropped on return; only the results are kept.
+    """
     fields = catalogs.catalog(label)
-    reports = symmetry.catalog_symmetry_reports(fields, _CATALOGS[label][0], pts)
-    return list(zip(fields.ids, reports))
+    sets = [report_pts, *constant_pts, *([] if rank_pts is None else [rank_pts])]
+    pts = np.concatenate(sets)
+    cuts = np.cumsum([len(p) for p in sets])[:-1]
+    V, J = np.split(fields.values(pts), cuts), np.split(fields.jacobians(pts), cuts)
+    reports = symmetry.stacked_symmetry_reports(V[0], J[0], _CATALOGS[label][0], report_pts)
+    k = 1 + len(constant_pts)
+    constants = tuple(map(symmetry.stacked_structure_constants, V[1:k], J[1:k]))
+    rank = None if rank_pts is None else symmetry.stacked_rank(V[k])
+    return _CatalogEvaluation(list(zip(fields.ids, reports)), rank, constants)
 
 
 def _worst(rep: symmetry.SymmetryReport) -> float:
@@ -317,25 +359,31 @@ def _worst_field_detail(reports) -> tuple[float, str]:
 
 
 def _symmetry_checks(seed: int) -> list[Check]:
+    @functools.cache
+    def evaluated(label: str) -> _CatalogEvaluation:
+        """One catalog at every point set the pass reads, from one fill of
+        its values and one of its Jacobians; timings charge it to the first
+        check that asks for it."""
+        constant_labels = (f"symmetry.close.{label}.a", f"symmetry.close.{label}.b",
+                           f"symmetry.killing.{label}")
+        return _evaluate_catalog(
+            label, sample_vectors(12, 5, seed, f"symmetry.{label}"),
+            sample_vectors(10, 5, seed, "symmetry.rank"),
+            [sample_vectors(10, 5, seed, lbl) for lbl in constant_labels])
+
     def catalog_residuals(name: str, label: str) -> CheckResult:
-        pts = sample_vectors(12, 5, seed, f"symmetry.{label}")
-        worst, detail = _worst_field_detail(_catalog_reports(label, pts))
+        worst, detail = _worst_field_detail(evaluated(label).reports)
         return _result(name, worst, 1e-7, detail)
 
     def ranks() -> CheckResult:
-        pts = sample_vectors(10, 5, seed, "symmetry.rank")
-        got = tuple(symmetry.catalog_rank(catalogs.catalog(lbl), pts) for lbl in _CATALOGS)
+        got = tuple(evaluated(lbl).rank for lbl in _CATALOGS)
         return CheckResult("catalog-ranks", got == (15, 15, 14), None,
                            f"ranks {got}, expected (15, 15, 14)")
 
     def closure() -> CheckResult:
         worst = 0.0
         for lbl in _CATALOGS:
-            fields = catalogs.catalog(lbl)
-            pa = sample_vectors(10, 5, seed, f"symmetry.close.{lbl}.a")
-            pb = sample_vectors(10, 5, seed, f"symmetry.close.{lbl}.b")
-            sa = symmetry.extract_structure_constants(fields, pa)
-            sb = symmetry.extract_structure_constants(fields, pb)
+            sa, sb, _ = evaluated(lbl).constants
             worst = max(worst, sa.misfit, sb.misfit)
             scale = max(1.0, float(np.max(np.abs(sa.c))))
             worst = max(worst, float(np.max(np.abs(sa.c - sb.c))) / scale)
@@ -347,13 +395,11 @@ def _symmetry_checks(seed: int) -> list[Check]:
         ok = True
         worst = 0.0
         for lbl, (_, model_name) in _CATALOGS.items():
-            fields = catalogs.catalog(lbl)
-            pts = sample_vectors(10, 5, seed, f"symmetry.killing.{lbl}")
-            sc = symmetry.extract_structure_constants(fields, pts)
+            sc = evaluated(lbl).constants[2]
             diag = symmetry.killing_diagnostics(sc)
             model = symmetry.reference_model(model_name)
             ok = ok and diag.signature == model.killing_signature
-            ok = ok and len(fields) == model.dimension
+            ok = ok and sc.dimension == model.dimension
             worst = max(worst, diag.jacobi)
             detail.append(f"{lbl}: {diag.signature} vs {model.name} "
                           f"{model.killing_signature}")
@@ -585,12 +631,13 @@ def catalog_report(label: str, seed: int) -> dict:
         raise ValueError(f"unknown catalog {label!r}; expected one of "
                          f"{tuple(_CATALOGS)}")
     fields = catalogs.catalog(name)
-    pts = sample_vectors(12, 5, seed, f"symmetry.catalog.{name}")
-    reports = _catalog_reports(name, pts)
+    evaluation = _evaluate_catalog(
+        name, sample_vectors(12, 5, seed, f"symmetry.catalog.{name}"), None,
+        [sample_vectors(10, 5, seed, f"symmetry.catalog.{name}.sc")])
+    reports = evaluation.reports
     residuals = {field_id: float(_worst(rep)) for field_id, rep in reports}
     _, detail = _worst_field_detail(reports)
-    sc_pts = sample_vectors(10, 5, seed, f"symmetry.catalog.{name}.sc")
-    sc = symmetry.extract_structure_constants(fields, sc_pts)
+    sc, = evaluation.constants
     diag = symmetry.killing_diagnostics(sc)
     model = symmetry.reference_model(_CATALOGS[name][1])
     passed = (max(residuals.values()) < 1e-7 and sc.misfit < 1e-8

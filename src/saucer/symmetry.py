@@ -10,12 +10,14 @@ asked to be proportional to S restricted there. Every residual and bracket
 is evaluated for all sample points and all fields at once, over (points x
 fields) stacks: the fields come as one `FieldStack`, whose values and
 Jacobians are one call each (a catalog fills all its fields at once), and a
-single field X as the stack `FieldStack.of(X)`. Catalogs of candidates are
-compressed into structure constants by least squares over sample points,
-and the resulting algebras are identified through their Killing forms
-against independently constructed matrix models: sl(4, R), su(2, 2), and
-the split form of the 14-dimensional exceptional algebra realized as
-derivations of the split octonions.
+single field X as the stack `FieldStack.of(X)`. Each certificate is written
+once, as a `stacked_*` function of the stacked values and Jacobians, so one
+fill can serve several point sets; the field-taking names wrap them.
+Catalogs of candidates are compressed into structure constants by least
+squares over sample points, and the resulting algebras are identified
+through their Killing forms against independently constructed matrix
+models: sl(4, R), su(2, 2), and the split form of the 14-dimensional
+exceptional algebra realized as derivations of the split octonions.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chart import E_FRAME, contact_covector
-from .forms import FieldStack, SymTensorField, VectorField
+from .forms import FieldStack, SymTensorField, VectorField, brackets
 from .maneuvers import QUARTIC_FIELD
 
 #: w0 as a rank-1 tensor field.
@@ -127,18 +129,24 @@ class SymmetryReport:
         return self.contact <= tol and self.membership <= tol
 
 
-def catalog_symmetry_reports(fields: FieldStack, S: SymTensorField,
-                             points: np.ndarray) -> list[SymmetryReport]:
-    """One SymmetryReport per field against (w0, S), from one (points x fields)
-    stack: one values call and one Jacobians call."""
-    pts = _as_points(points)
-    V, J = fields.values(pts), fields.jacobians(pts)
+def stacked_symmetry_reports(V: np.ndarray, J: np.ndarray, S: SymTensorField,
+                             pts: np.ndarray) -> list[SymmetryReport]:
+    """One SymmetryReport per field against (w0, S), from the fields' stacked
+    values V (m, n, 5) and Jacobians J (m, n, 5, 5) at the points pts (m, 5)."""
     contact = _contact_residuals(V, J, pts)
     member = _membership_residuals(V, J, S, pts)
     worst = np.argmax(np.maximum(contact, member), axis=0)
     return [SymmetryReport(float(np.max(contact[:, i])), float(np.max(member[:, i])),
                            tuple(float(v) for v in pts[worst[i]]))
             for i in range(V.shape[1])]
+
+
+def catalog_symmetry_reports(fields: FieldStack, S: SymTensorField,
+                             points: np.ndarray) -> list[SymmetryReport]:
+    """One SymmetryReport per field against (w0, S), from one (points x fields)
+    stack: one values call and one Jacobians call."""
+    pts = _as_points(points)
+    return stacked_symmetry_reports(fields.values(pts), fields.jacobians(pts), S, pts)
 
 
 def legendrean_symmetry_residual(X: VectorField, metric: SymTensorField,
@@ -169,8 +177,11 @@ def _solve_structure(A: np.ndarray, B: np.ndarray, n: int) -> StructureConstants
     """Least squares A c = B, one column of B per ordered pair i < j.
 
     The rank counts the singular values of A that the least-squares solve
-    returns above RANK_TOL * |A|_F.
+    returns above RANK_TOL * |A|_F. A system with a non-finite entry is a
+    failed certificate, rank 0 and misfit inf, and never reaches LAPACK.
     """
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        return StructureConstants(np.zeros((n, n, n)), np.inf, 0)
     C, _, _, sv = np.linalg.lstsq(A, B, rcond=None)
     scale = max(float(np.linalg.norm(A)), 1e-300)
     denom = np.maximum(np.linalg.norm(B, axis=0), scale)
@@ -185,20 +196,28 @@ def _solve_structure(A: np.ndarray, B: np.ndarray, n: int) -> StructureConstants
 
 def _stacked_columns(values: np.ndarray) -> np.ndarray:
     """(m, n, 5) -> (5m, n): one column per field, points stacked down the rows."""
-    return values.transpose(0, 2, 1).reshape(-1, values.shape[1])
+    m, n, d = values.shape
+    return values.transpose(0, 2, 1).reshape(m * d, n)
 
 
-def extract_structure_constants(fields: FieldStack,
-                                points: np.ndarray) -> StructureConstants:
-    """Structure constants of a catalog from values at sample points.
+def stacked_structure_constants(V: np.ndarray, J: np.ndarray) -> StructureConstants:
+    """Structure constants of n fields from their stacked values V (m, n, 5)
+    and Jacobians J (m, n, 5, 5) at m sample points.
 
     Stacks the field values at every point into one matrix and solves all
     bracket pairs simultaneously; the misfit certifies closure under brackets.
     """
-    n = len(fields)
-    V, B = fields.brackets(_as_points(points))
+    n = V.shape[1]
     upper, lower = np.triu_indices(n, 1)
-    return _solve_structure(_stacked_columns(V), _stacked_columns(B[:, upper, lower]), n)
+    B = brackets(V, J)[:, upper, lower]
+    return _solve_structure(_stacked_columns(V), _stacked_columns(B), n)
+
+
+def extract_structure_constants(fields: FieldStack,
+                                points: np.ndarray) -> StructureConstants:
+    """Structure constants of a catalog from values at sample points."""
+    pts = _as_points(points)
+    return stacked_structure_constants(fields.values(pts), fields.jacobians(pts))
 
 
 def matrix_structure_constants(basis: Sequence[np.ndarray]) -> StructureConstants:
@@ -224,10 +243,15 @@ def matrix_structure_constants(basis: Sequence[np.ndarray]) -> StructureConstant
 
 def jacobi_residual(c: np.ndarray) -> float:
     """Largest violation of the Jacobi identity by the constants."""
-    # P[i, j, k, l] = c[i, j, m] c[m, k, l]; the cyclic sum permutes (i, j, k)
+    # P[i, j, k, l] = c[i, j, m] c[m, k, l]; the cyclic sum permutes (i, j, k),
+    # P + P.transpose(2, 0, 1, 3) + P.transpose(1, 2, 0, 3), summed four slabs
+    # of i at a time: the same additions, and the max is the same float, but
+    # the temporaries stay small enough to reuse freed memory, where full-size
+    # ones are faulted in as fresh pages on every call
     P = np.tensordot(c, c, axes=(2, 0))
-    total = P + P.transpose(2, 0, 1, 3) + P.transpose(1, 2, 0, 3)
-    return float(np.max(np.abs(total)))
+    return float(np.max([np.max(np.abs(P[i:i + 4] + P[:, :, i:i + 4].transpose(2, 0, 1, 3)
+                                       + P[:, i:i + 4].transpose(1, 2, 0, 3)))
+                         for i in range(0, len(P), 4)]))
 
 
 def killing_matrix(c: np.ndarray) -> np.ndarray:
@@ -258,10 +282,18 @@ def killing_diagnostics(sc: StructureConstants) -> KillingDiagnostics:
     return KillingDiagnostics(B, killing_signature(B), jacobi_residual(sc.c))
 
 
-def catalog_rank(fields: FieldStack, points: np.ndarray) -> int:
-    """Numerical rank of the stacked values; full rank = pointwise independence."""
-    A = _stacked_columns(fields.values(_as_points(points)))
+def stacked_rank(V: np.ndarray) -> int:
+    """Numerical rank of stacked values (m, n, 5); full rank = pointwise
+    independence. Non-finite values have rank 0 and never reach LAPACK."""
+    A = _stacked_columns(V)
+    if not np.isfinite(A).all():
+        return 0
     return int(np.linalg.matrix_rank(A, tol=RANK_TOL * np.linalg.norm(A)))
+
+
+def catalog_rank(fields: FieldStack, points: np.ndarray) -> int:
+    """Numerical rank of a catalog's values at sample points."""
+    return stacked_rank(fields.values(_as_points(points)))
 
 
 # -- reference matrix models ---------------------------------------------------

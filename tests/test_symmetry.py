@@ -355,3 +355,49 @@ def test_catalog_reports_equal_the_per_field_reports(name, S):
     assert symmetry.catalog_symmetry_reports(FieldStack.of(*fields), S, pts) == reports
     if S is QUARTIC_FIELD and name == "g2":
         assert reports == [symmetry.g2_symmetry_residual(X, pts) for X in fields]
+
+
+def test_one_field_stack_has_trivial_structure_constants():
+    # no bracket pairs: an empty right-hand side, not a reshape error
+    X = catalogs.catalog("attacking")[0]
+    sc = symmetry.extract_structure_constants(FieldStack.of(X), sample_vectors(10, 5, 1, "x"))
+    np.testing.assert_array_equal(sc.c, np.zeros((1, 1, 1)))
+    assert sc.misfit == 0.0 and sc.rank == 1
+    assert symmetry.killing_diagnostics(sc).jacobi == 0.0
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e200])
+def test_non_finite_points_give_failing_certificates(value, capfd):
+    # NaN points, and points whose field values overflow, fail the
+    # certificate instead of raising LinAlgError from LAPACK
+    pts = np.full((3, 5), value)
+    for name in ("attacking", "landing", "g2"):
+        fields = catalogs.catalog(name)
+        with np.errstate(all="ignore"):
+            sc = symmetry.extract_structure_constants(fields, pts)
+            rank = symmetry.catalog_rank(fields, pts)
+        assert sc.rank == 0 and sc.misfit == np.inf and rank == 0, name
+        np.testing.assert_array_equal(sc.c, np.zeros((len(fields),) * 3))
+    assert "DLASCL" not in capfd.readouterr().err
+
+
+def _jacobi_residual_one_shot(c):
+    """The cyclic Jacobi sum as one full-size expression."""
+    P = np.tensordot(c, c, axes=(2, 0))
+    total = P + P.transpose(2, 0, 1, 3) + P.transpose(1, 2, 0, 3)
+    return float(np.max(np.abs(total)))
+
+
+def test_jacobi_residual_equals_the_one_shot_sum():
+    for name in ("attacking", "landing", "g2"):
+        fields = catalogs.catalog(name)
+        for seed in range(1, 51):
+            c = symmetry.extract_structure_constants(fields, _pts(seed)).c
+            assert symmetry.jacobi_residual(c) == _jacobi_residual_one_shot(c), (name, seed)
+    # constants of no algebra: an O(1) residual, so a misplaced slab shows
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 5, 14, 15):
+        c = rng.standard_normal((n, n, n))
+        c = c - c.transpose(1, 0, 2)
+        want = _jacobi_residual_one_shot(c)
+        assert symmetry.jacobi_residual(c) == want and (n < 3 or want > 0.1), n
