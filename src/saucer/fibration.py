@@ -161,30 +161,39 @@ def frame_commutator_residuals(chart: str, points: np.ndarray) -> np.ndarray:
 
 # -- chart transition ----------------------------------------------------------
 
+def _stack_last(rows) -> np.ndarray:
+    """The six coordinate arrays stacked as contiguous rows, viewed as (..., 6)."""
+    return np.moveaxis(np.stack(rows), 0, -1)
+
+
 def y_from_x(x: np.ndarray) -> np.ndarray:
     """y chart coordinates of one x point (6,) or a stack (..., 6)."""
     x0, x1, x2, x3, x4, x5 = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
-    return np.stack([
-        x0 + x1 * x4 + 3 * x5 * x2 * x4 - x5 ** 3 * x4 ** 2,
-        x1 + x5 ** 3 * x4,
+    # numpy takes a power of a negative base tens of times slower than of a
+    # positive one, so the cube is taken once
+    x5_3 = x5 ** 3
+    return _stack_last([
+        x0 + x1 * x4 + 3 * x5 * x2 * x4 - x5_3 * x4 ** 2,
+        x1 + x5_3 * x4,
         x2 - x5 ** 2 * x4,
         x3 + x5 * x4,
         x5,
         x4,
-    ], axis=-1)
+    ])
 
 
 def x_from_y(y: np.ndarray) -> np.ndarray:
     """x chart coordinates of one y point (6,) or a stack (..., 6)."""
     y0, y1, y2, y3, y4, y5 = np.moveaxis(np.asarray(y, dtype=float), -1, 0)
-    return np.stack([
-        y0 - y1 * y5 - 3 * y2 * y4 * y5 - y4 ** 3 * y5 ** 2,
-        y1 - y4 ** 3 * y5,
+    y4_3 = y4 ** 3
+    return _stack_last([
+        y0 - y1 * y5 - 3 * y2 * y4 * y5 - y4_3 * y5 ** 2,
+        y1 - y4_3 * y5,
         y2 + y4 ** 2 * y5,
         y3 - y4 * y5,
         y5,
         y4,
-    ], axis=-1)
+    ])
 
 
 def x_from_y_pushforward(y: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -193,7 +202,7 @@ def x_from_y_pushforward(y: np.ndarray, v: np.ndarray) -> np.ndarray:
     _, y1, y2, _, y4, y5 = np.moveaxis(y, -1, 0)
     v0, v1, v2, v3, v4, v5 = np.moveaxis(v, -1, 0)
     y4y4 = y4 * y4
-    return np.stack([
+    return _stack_last([
         v0 - y5 * v1 - 3 * y4 * y5 * v2 - 3 * y5 * (y2 + y4y4 * y5) * v4
         - (y1 + 3 * y2 * y4 + 2 * y4y4 * y4 * y5) * v5,
         v1 - 3 * y4y4 * y5 * v4 - y4y4 * y4 * v5,
@@ -201,7 +210,7 @@ def x_from_y_pushforward(y: np.ndarray, v: np.ndarray) -> np.ndarray:
         v3 - y5 * v4 - y4 * v5,
         v5,
         v4,
-    ], axis=-1)
+    ])
 
 
 def x_from_y_jacobian(y: np.ndarray) -> np.ndarray:
@@ -309,12 +318,12 @@ def lift_curve(curve: D2Curve) -> LiftedCurve:
         raise LiftSingular(f"|w| < {LIFT_EPS:g} at sample {idx} "
                            f"(t = {curve.times[idx]:.6g})")
     y5 = curve.u / curve.w
-    states = np.column_stack([curve.states, y5])
+    states = np.vstack([curve.states.T, y5]).T
     engine = [None] * 5
     for slots, rate in _ENGINE_RATES:
         for slot, value in zip(slots, rate(curve.states.T, (curve.u, curve.w))):
             engine[slot] = value
-    vels = np.column_stack(engine + [(curve.du * curve.w - curve.u * curve.dw) / curve.w ** 2])
+    vels = np.stack(engine + [(curve.du * curve.w - curve.u * curve.dw) / curve.w ** 2]).T
     return LiftedCurve(curve.times, states, vels)
 
 
@@ -358,18 +367,26 @@ def certify_twisted_cubic_tangency(curve: ContactCurve,
     the cone means c is parallel to d = (1, T, T^2, T^3) with T = -y4. The
     angle's sine is the projection residual |c - (c.d / d.d) d| / |c|, which
     resolves angles down to rounding, unlike sqrt(1 - cos^2).
+
+    Every quantity is a whole column of samples, read from the velocity
+    columns as they are stored, and T^3 is the product T^2 T.
     """
-    x, v = curve.states, curve.velocities
-    c = v[:, [4, 3, 2, 1]]
-    c0 = v[:, 0] + c[:, 0] * x[:, 1] - 3.0 * c[:, 1] * x[:, 2]
-    speed = np.linalg.norm(c, axis=1)
+    x, v = curve.states.T, curve.velocities.T
+    c0 = v[0] + v[4] * x[1] - 3.0 * v[3] * x[2]
+    c = v[4], v[3], v[2], v[1]
+    speed = np.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2] + c[3] * c[3])
     skip = speed < speed_floor
     keep = ~skip
-    c, c0, speed = c[keep], c0[keep], speed[keep]
-    T = curve.cone_parameter[keep]
-    d = np.stack([np.ones_like(T), T, T ** 2, T ** 3], axis=1)
-    along = np.einsum("ki,ki->k", c, d) / np.einsum("ki,ki->k", d, d)
-    angular = np.linalg.norm(c - along[:, None] * d, axis=1) / speed
+    T = curve.cone_parameter
+    if skip.any():
+        c = tuple(column[keep] for column in c)
+        c0, speed, T = c0[keep], speed[keep], T[keep]
+    T2 = T * T
+    T3 = T2 * T
+    # each dot product sums its four terms in the pairs numpy's einsum takes
+    along = (c[0] + c[2] * T2 + (c[1] * T + c[3] * T3)) / (1.0 + T2 * T2 + (T2 + T3 * T3))
+    r = c[0] - along, c[1] - along * T, c[2] - along * T2, c[3] - along * T3
+    angular = np.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2] + r[3] * r[3]) / speed
     worst = int(np.flatnonzero(keep)[np.argmax(angular)]) if len(angular) else None
     return TangencyReport(angular, np.abs(c0) / speed, int(np.count_nonzero(skip)), worst)
 

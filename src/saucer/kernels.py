@@ -25,6 +25,13 @@ before the states are, so `rk4_triangular`, the one time-varying integrator,
 runs classical RK4 one coordinate at a time over whole columns, with each
 control sampled once on the stage grid.
 
+Long trajectories are stored in column storage: one contiguous row per
+coordinate, (5, n), handed out as its (n, 5) transposed view. So
+`rk4_constant` and `rk4_triangular` return (n, 5) arrays whose columns are
+contiguous, and every column the law, the velocities and the residuals read
+is a unit-stride run. `velocity` writes into a given `out`, so a caller
+fills its final storage block by block, with no temporary and no copy.
+
 Long stacks are evaluated in row blocks of `BLOCK_ROWS` rows (`row_blocks`):
 `rk4_constant` here, and velocities and admissibility residuals in
 `maneuvers`. A one-shot (200001,) column is larger than the cache and than
@@ -90,17 +97,20 @@ def zcoeff_grads(mode: int, a, b, u1, u2, u3):
     raise ValueError("unknown mode id %r" % (mode,))
 
 
-def velocity(mode: int, p, u1, u2, u3) -> np.ndarray:
+def velocity(mode: int, p, u1, u2, u3, out=None) -> np.ndarray:
     """Chart velocity of the control law at one point (5,) or a stack (m, 5).
 
     The controls may be scalars or, for a stack, per-row arrays. The
     velocity takes the points' dtype, so complex points give its complex step.
+    Given `out` (p's shape, any layout), the velocity is written into it and
+    `out` is returned.
     """
     p = np.asarray(p)
     a, b = p.T[3], p.T[4]
     c1, c2, c3, c4 = zcoeffs(mode, a, b, u1, u2, u3)
-    # promote_types costs a tenth of what result_type does on this hot path
-    out = np.empty(p.shape, dtype=np.promote_types(p.dtype, float))
+    if out is None:
+        # promote_types costs a tenth of what result_type does on this hot path
+        out = np.empty(p.shape, dtype=np.promote_types(p.dtype, float))
     out.T[0] = c1
     out.T[1] = c2
     out.T[2] = c1 * a + c2 * b
@@ -149,17 +159,25 @@ def rk4_constant(mode: int, p0, u1: float, u2: float, u3: float,
 
     Each row is the exact `flow` at its time, which is also what classical
     RK4 returns at any step count. The rows are evaluated one `row_blocks`
-    block at a time.
+    block at a time, each at its own slice of the times
+    `np.linspace(0, duration, n_steps + 1)`, and written into (5, n_steps + 1)
+    column storage, returned as its transpose.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
-    t = np.linspace(0.0, duration, n_steps + 1)
-    out = np.empty((n_steps + 1, 5))
+    h = duration / n_steps
+    out = np.empty((5, n_steps + 1))
     p0 = [float(v) for v in p0]
     for rows in row_blocks(n_steps + 1):
-        for column, value in zip(out[rows].T, flow(mode, p0, u1, u2, u3, t[rows])):
+        # linspace's own samples: k * h + 0.0, then the last one set to duration
+        t = np.arange(rows.start, rows.stop) * h
+        if rows.start == 0:
+            t[0] = 0.0
+        if rows.stop == n_steps + 1:
+            t[-1] = duration
+        for column, value in zip(out[:, rows], flow(mode, p0, u1, u2, u3, t)):
             column[:] = value
-    return out
+    return out.T
 
 
 class ArrayFunction:
@@ -300,8 +318,9 @@ def rk4_triangular(start, duration: float, n: int, controls, rates) -> tuple:
     y + (h/2) k2, y + h k3, the same arithmetic as a per-step loop. No rate
     reads the last pair's slots, so their stage values are never formed.
 
-    Returns the n + 1 step times, the states (n + 1, len(start)) and each
-    control at the step times.
+    Returns the n + 1 step times, the states (n + 1, len(start)), the
+    transpose of their (len(start), n + 1) column storage, and each control at
+    the step times.
     """
     h = duration / n
     times = np.linspace(0.0, duration, n + 1)
@@ -320,4 +339,4 @@ def rk4_triangular(start, duration: float, n: int, controls, rates) -> tuple:
                 for stage, value in zip(stage_states, (y, y + 0.5 * h * k1, y + 0.5 * h * k2,
                                                        y + h * k3)):
                     stage[slot] = value
-    return times, np.column_stack(columns), [u[:n + 1] for u in sampled]
+    return times, np.stack(columns).T, [u[:n + 1] for u in sampled]

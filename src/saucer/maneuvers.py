@@ -196,6 +196,12 @@ class ChartEscapeWarning(RuntimeWarning):
 
 @dataclasses.dataclass(frozen=True)
 class Trajectory:
+    """Samples of one maneuver: times (m,), states and velocities (m, 5).
+
+    `integrate_trajectory` stores states and velocities in column storage,
+    each the (m, 5) transposed view of a contiguous (5, m) array, so every
+    coordinate's column is contiguous. Any other layout works as well.
+    """
     mode: ManeuverMode
     times: np.ndarray          # (m,)
     states: np.ndarray         # (m, 5)
@@ -235,7 +241,9 @@ def integrate_trajectory(program: ControlProgram, p0: Sequence[float]) -> Trajec
     controls, and x, y, z never enter it), so a and b are integrated first
     from the controls alone, and their stage values give every stage slope
     of x, y and z. The result equals the per-step RK4 loop. Velocities and
-    the escape test are evaluated one `kernels.row_blocks` block at a time.
+    the escape test are evaluated one `kernels.row_blocks` block at a time,
+    and each block's velocities are written straight into (5, m) column
+    storage.
     """
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (DIM,):
@@ -252,12 +260,12 @@ def integrate_trajectory(program: ControlProgram, p0: Sequence[float]) -> Trajec
     else:
         times, states, controls = kernels.rk4_triangular(
             p0, program.duration, n_steps, program.controls, _law_rates(kid))
-    vels = np.empty(states.shape)
+    vels = np.empty((DIM, len(states))).T
     highs, lows = [], []
     for rows in kernels.row_blocks(len(states)):
         block = states[rows]
-        vels[rows] = kernels.velocity(
-            kid, block, *(controls if constant else [u[rows] for u in controls]))
+        kernels.velocity(kid, block, *(controls if constant else [u[rows] for u in controls]),
+                         out=vels[rows])
         highs.append(block.max())
         lows.append(block.min())
 

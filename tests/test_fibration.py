@@ -1,6 +1,8 @@
 """Six-dimensional coframes, the chart transition, and the joystick pipeline."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -400,6 +402,61 @@ def test_tangency_report_names_its_worst_sample():
     empty = fibration.certify_twisted_cubic_tangency(
         fibration.ContactCurve(T, np.zeros((len(T), 5)), np.zeros((len(T), 5)), T))
     assert empty.worst_sample is None
+
+
+def _einsum_certificate(curve, speed_floor=1e-12):
+    """The certificate as a row-wise formula: einsum dot products, a cube by
+    np.power and np.linalg.norm over (m, 4) stacks."""
+    x, v = curve.states, curve.velocities
+    c = v[:, [4, 3, 2, 1]]
+    c0 = v[:, 0] + c[:, 0] * x[:, 1] - 3.0 * c[:, 1] * x[:, 2]
+    speed = np.linalg.norm(c, axis=1)
+    skip = speed < speed_floor
+    keep = ~skip
+    c, c0, speed = c[keep], c0[keep], speed[keep]
+    T = curve.cone_parameter[keep]
+    d = np.stack([np.ones_like(T), T, T ** 2, T ** 3], axis=1)
+    along = np.einsum("ki,ki->k", c, d) / np.einsum("ki,ki->k", d, d)
+    angular = np.linalg.norm(c - along[:, None] * d, axis=1) / speed
+    worst = int(np.flatnonzero(keep)[np.argmax(angular)]) if len(angular) else None
+    return angular, np.abs(c0) / speed, int(np.count_nonzero(skip)), worst
+
+
+def _certificate_curves():
+    """Joystick curves, one with slow and tilted samples, and random curves."""
+    run = fibration.run_joystick(
+        {"kind": "sin", "amplitude": 0.8, "frequency": 1.7, "phase": 0.4},
+        [1.1, 0.15], duration=2.0, n_steps=2000)
+    yield run.contact, False
+    velocities = np.array(run.contact.velocities)
+    velocities[[0, 17, 900]] *= 1e-13     # under the speed floor
+    velocities[1200, 2] += 1e-4           # the worst tilt
+    yield dataclasses.replace(run.contact, velocities=velocities), True
+    rng = np.random.default_rng(15)
+    for n in (1, 7, 500):
+        velocities = rng.normal(size=(n, 5))
+        velocities[::3] *= 1e-14
+        yield fibration.ContactCurve(np.arange(n), rng.normal(size=(n, 5)), velocities,
+                                     rng.uniform(-3.0, 3.0, n)), True
+
+
+def test_column_certificate_equals_the_einsum_formula():
+    for curve, distinct_worst in _certificate_curves():
+        report = fibration.certify_twisted_cubic_tangency(curve)
+        angular, contact, skipped, worst = _einsum_certificate(curve)
+        assert report.contact.tobytes() == contact.tobytes()
+        assert report.skipped == skipped
+        # T^3 is now a product, not a power: the angle moves by rounding only
+        assert report.angular.shape == angular.shape
+        assert np.max(np.abs(report.angular - angular), initial=0.0) <= 1e-15
+        if distinct_worst:
+            assert report.worst_sample == worst
+    # samples under the floor were met, and so was a curve with every sample under it
+    assert skipped > 0
+    slow = fibration.ContactCurve(np.arange(3), np.ones((3, 5)), np.full((3, 5), 1e-14),
+                                  np.ones(3))
+    report = fibration.certify_twisted_cubic_tangency(slow)
+    assert (report.skipped, report.worst_sample, report.angular.shape) == (3, None, (0,))
 
 
 @pytest.mark.parametrize("chart", ["x", "y"])

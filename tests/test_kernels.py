@@ -77,6 +77,40 @@ def test_flow_on_floats_equals_every_sampled_row(mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_rk4_constant_equals_one_flow_call_at_linspace_times(mode):
+    # the blocks sample their own times; they must be linspace's, bit for bit,
+    # at any duration and step count, across block edges included
+    rng = np.random.default_rng([mode, 13])
+    rows = kernels.BLOCK_ROWS
+    for duration in (1.0, 0.3, -0.9, 2.5e-7, 7.0 / 3.0, 1e3, 0.0):
+        for n_steps in (1, 2, 3, 7, rows - 2, rows - 1, rows, 2 * rows + 5, 20_000):
+            # x0 = -0.0 tells a first time of -0.0 from linspace's 0.0
+            p0 = [-0.0] + rng.uniform(-2.0, 2.0, 4).tolist()
+            u = rng.uniform(-2.0, 2.0, 3).tolist()
+            got = kernels.rk4_constant(mode, p0, *u, duration, n_steps)
+            assert got.shape == (n_steps + 1, 5)
+            assert got.T.flags.c_contiguous
+            times = np.linspace(0.0, duration, n_steps + 1)
+            want = np.column_stack(kernels.flow(mode, p0, *u, times))
+            assert got.tobytes() == want.tobytes(), (duration, n_steps)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_velocity_into_out_equals_the_allocating_call(mode):
+    rng = np.random.default_rng([mode, 14])
+    pts = rng.uniform(-2.0, 2.0, (40, 5))
+    u = rng.uniform(-2.0, 2.0, (40, 3))
+    for p in (pts, pts + 1e-20j * rng.uniform(-1.0, 1.0, (40, 5))):
+        for points, controls in ((p[0], u[0]), (p, u[0]), (p, u.T)):
+            want = kernels.velocity(mode, points, *controls)
+            for out in (np.empty_like(want), np.empty(want.shape[::-1], want.dtype).T):
+                got = kernels.velocity(mode, points, *controls, out=out)
+                assert got is out
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_flow_on_per_row_columns_equals_per_row_floats(mode):
     rng = np.random.default_rng([mode, 12])
     starts = rng.uniform(-2.0, 2.0, (30, 5))
