@@ -534,7 +534,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except SystemExit:
         raise
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except (ValueError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"saucer: error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,10 @@
 """The maneuver control law, its controls and its flows.
 
-Every mode steers along c1 Z1 + c2 Z2 + c3 Z3 + c4 Z4, where the Z frame is
-Z1 = dx + a dz, Z2 = dy + b dz, Z3 = -3 db, Z4 = da and the coefficients
-c1..c4 come from `zcoeffs`. This module is the only place the law is
-written; everything else evaluates it through `zcoeffs` or `velocity`.
+Every mode, a `ManeuverMode`, steers along c1 Z1 + c2 Z2 + c3 Z3 + c4 Z4,
+where the Z frame is Z1 = dx + a dz, Z2 = dy + b dz, Z3 = -3 db, Z4 = da.
+`law` is the only place the law is written: each mode gives its c1..c4,
+and one line expands them to the chart velocity (vx, vy, vz, va, vb).
+Everything else evaluates it through `law`, `law_gradient` or `velocity`.
 
 Under constant controls c3 and c4 do not depend on the state, so a and b
 move linearly in t and the velocity along the flow is a polynomial in t of
@@ -43,6 +44,7 @@ elementwise, so blocked results equal one-shot results bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import math
 import numbers
 from typing import Callable
@@ -52,7 +54,24 @@ import numpy as np
 #: Kept for report payloads and benchmark records; there is one backend.
 BACKEND = "python"
 
-ATTACKING, LANDING, G2_SIMPLE, G2_STRICT = 0, 1, 2, 3
+
+class ManeuverMode(enum.Enum):
+    """The four maneuver modes, the one mode type; `law` tells them by identity."""
+    ATTACKING = "attacking"
+    LANDING = "landing"
+    G2_SIMPLE = "g2s"
+    G2_STRICT = "g2d"
+
+    @classmethod
+    def from_name(cls, name: str) -> "ManeuverMode":
+        try:
+            return cls(name.strip().lower())
+        except ValueError:
+            valid = ", ".join(m.value for m in cls)
+            raise ValueError(f"unknown maneuver mode {name!r}; expected one of {valid}") from None
+
+
+ATTACKING, LANDING, G2_SIMPLE, G2_STRICT = ManeuverMode
 
 #: Rows per block of a long stacked evaluation; 8192 rows make a (8192,)
 #: temporary of 64 KiB.
@@ -64,40 +83,43 @@ def row_blocks(n: int):
     return (slice(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS))
 
 
-def zcoeffs(mode: int, a, b, u1, u2, u3):
-    """Z-frame coefficients (c1, c2, c3, c4) of the mode's control law.
+def law(mode: ManeuverMode, a, b, u1, u2, u3) -> tuple:
+    """Chart velocity (vx, vy, vz, va, vb) of the mode's control law at (a, b).
 
     Plain arithmetic only, so a, b and the controls may be floats, numpy
-    arrays, sympy symbols or the planner's exact (a, b) polynomials. c3 and
-    c4 never depend on (a, b).
+    arrays, sympy symbols or the planner's exact (a, b) polynomials. va and
+    vb never depend on (a, b); x, y and z never enter the law.
     """
-    if mode == ATTACKING:
-        return 3.0 * u1 * u3, u2 * u3, u1, u2
-    if mode == LANDING:
+    if mode is ATTACKING:
+        c1, c2, c3, c4 = 3.0 * u1 * u3, u2 * u3, u1, u2
+    elif mode is LANDING:
         c1 = u3 * ((1.0 + b * b) * u2 + 3.0 * a * b * u1)
         c2 = -u3 * (a * b * u2 + 3.0 * (1.0 + a * a) * u1)
-        return c1, c2, u1, u2
-    if mode == G2_SIMPLE:
-        return (u1,
-                u1 * (u2 + u3),
-                u1 * (u2 * u2 + 2.0 * u3 * u2),
-                u1 * (u2 * u2 * u2 + 3.0 * u3 * u2 * u2))
-    if mode == G2_STRICT:
-        return u1, u1 * u2, u1 * u2 * u2, u1 * u2 * u2 * u2
-    raise ValueError("unknown mode id %r" % (mode,))
+        c3, c4 = u1, u2
+    elif mode is G2_SIMPLE:
+        c1 = u1
+        c2 = u1 * (u2 + u3)
+        c3 = u1 * (u2 * u2 + 2.0 * u3 * u2)
+        c4 = u1 * (u2 * u2 * u2 + 3.0 * u3 * u2 * u2)
+    elif mode is G2_STRICT:
+        c1, c2, c3, c4 = u1, u1 * u2, u1 * u2 * u2, u1 * u2 * u2 * u2
+    else:
+        raise ValueError(f"unknown maneuver mode {mode!r}")
+    return c1, c2, c1 * a + c2 * b, c4, -3.0 * c3
 
 
-def zcoeff_grads(mode: int, a, b, u1, u2, u3):
-    """(d/da, d/db) of (c1, c2); only the landing law depends on the state."""
-    if mode == LANDING:
-        return ((3.0 * b * u1 * u3, -u3 * (b * u2 + 6.0 * a * u1)),
-                (u3 * (2.0 * b * u2 + 3.0 * a * u1), -u3 * a * u2))
-    if mode in (ATTACKING, G2_SIMPLE, G2_STRICT):
-        return (0.0, 0.0), (0.0, 0.0)
-    raise ValueError("unknown mode id %r" % (mode,))
+def law_gradient(mode: ManeuverMode, a, b, u1, u2, u3) -> tuple:
+    """d(vx, vy, vz)/d(a, b) of `law`, as (dvx/da, dvx/db, dvy/da, dvy/db,
+    dvz/da, dvz/db); only the landing law's vx and vy depend on the state."""
+    vx, vy, _, _, _ = law(mode, a, b, u1, u2, u3)
+    if mode is not LANDING:
+        return 0.0, 0.0, 0.0, 0.0, vx, vy
+    xa, xb = 3.0 * b * u1 * u3, u3 * (2.0 * b * u2 + 3.0 * a * u1)
+    ya, yb = -u3 * (b * u2 + 6.0 * a * u1), -u3 * a * u2
+    return xa, xb, ya, yb, xa * a + vx + ya * b, xb * a + vy + yb * b
 
 
-def velocity(mode: int, p, u1, u2, u3, out=None) -> np.ndarray:
+def velocity(mode: ManeuverMode, p, u1, u2, u3, out=None) -> np.ndarray:
     """Chart velocity of the control law at one point (5,) or a stack (m, 5).
 
     The controls may be scalars or, for a stack, per-row arrays. The
@@ -106,46 +128,44 @@ def velocity(mode: int, p, u1, u2, u3, out=None) -> np.ndarray:
     `out` is returned.
     """
     p = np.asarray(p)
-    a, b = p.T[3], p.T[4]
-    c1, c2, c3, c4 = zcoeffs(mode, a, b, u1, u2, u3)
+    v = law(mode, p.T[3], p.T[4], u1, u2, u3)
     if out is None:
         # promote_types costs a tenth of what result_type does on this hot path
         out = np.empty(p.shape, dtype=np.promote_types(p.dtype, float))
-    out.T[0] = c1
-    out.T[1] = c2
-    out.T[2] = c1 * a + c2 * b
-    out.T[3] = c4
-    out.T[4] = -3.0 * c3
+    columns = out.T
+    columns[0], columns[1], columns[2], columns[3], columns[4] = v
     return out
 
 
-def flow(mode: int, p0, u1, u2, u3, t) -> tuple:
+def flow(mode: ManeuverMode, p0, u1, u2, u3, t) -> tuple:
     """The exact constant-control flow from p0 for time t, as (x, y, z, a, b).
 
-    p0 holds (x0, y0, z0, a0, b0). Like `zcoeffs`, it is plain arithmetic:
-    the start coordinates, the controls and t may be Python floats or numpy
+    p0 holds (x0, y0, z0, a0, b0). Like `law`, it is plain arithmetic: the
+    start coordinates, the controls and t may be Python floats or numpy
     columns that broadcast together, so one call moves one point, samples
     one leg at many times, or evaluates a different leg on every row. The
-    value is p0 + t/6 (v(0) + 4 v(t/2) + v(t)). Columns are dropped as soon
-    as they are spent, which bounds the memory of a long stacked call.
+    value is p0 + t/6 (v(0) + 4 v(t/2) + v(t)), where va and vb are the
+    start's and (vx, vy, vz) is taken at the three nodes. Columns are
+    dropped as soon as they are spent, which bounds the memory of a long
+    stacked call.
     """
     x0, y0, z0, a0, b0 = p0
-    c1_0, c2_0, c3, c4 = zcoeffs(mode, a0, b0, u1, u2, u3)
-    a = t * c4 + a0
-    b = t * (-3.0 * c3) + b0
-    del c3, c4
+    vx0, vy0, vz0, va, vb = law(mode, a0, b0, u1, u2, u3)
+    a = t * va + a0
+    b = t * vb + b0
+    del va, vb
     # x, y, z hold 4 v(t/2), then add v(t) + v(0) in place (addition
     # commutes, so this rounds as (v(t) + v(0)) + 4 v(t/2) does)
     am, bm = 0.5 * (a + a0), 0.5 * (b + b0)
-    c1, c2 = zcoeffs(mode, am, bm, u1, u2, u3)[:2]
-    z = c1 * am + c2 * bm
-    del am, bm
-    x, y, z = 4.0 * c1, 4.0 * c2, 4.0 * z
-    c1, c2 = zcoeffs(mode, a, b, u1, u2, u3)[:2]
-    x += c1 + c1_0
-    y += c2 + c2_0
-    z += c1 * a + c2 * b + (c1_0 * a0 + c2_0 * b0)
-    del c1, c2, c1_0, c2_0
+    x, y, z, va, vb = law(mode, am, bm, u1, u2, u3)
+    del am, bm, va, vb
+    x, y, z = 4.0 * x, 4.0 * y, 4.0 * z
+    vx, vy, vz, va, vb = law(mode, a, b, u1, u2, u3)
+    del va, vb
+    x += vx + vx0
+    y += vy + vy0
+    z += vz + vz0
+    del vx, vy, vz, vx0, vy0, vz0
     t = t / 6.0
     x = x * t + x0
     y = y * t + y0
@@ -153,7 +173,7 @@ def flow(mode: int, p0, u1, u2, u3, t) -> tuple:
     return x, y, z, a, b
 
 
-def rk4_constant(mode: int, p0, u1: float, u2: float, u3: float,
+def rk4_constant(mode: ManeuverMode, p0, u1: float, u2: float, u3: float,
                  duration: float, n_steps: int) -> np.ndarray:
     """States of the constant-control flow at n_steps + 1 even times; (n_steps + 1, 5).
 

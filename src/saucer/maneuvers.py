@@ -16,7 +16,6 @@ structure after the fact. A `ControlProgram` holds its three controls as
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 import warnings
 from typing import Sequence
@@ -26,38 +25,12 @@ import numpy as np
 from . import gl2, kernels
 from .chart import DIM, DIST_SLOTS, contact_covector
 from .forms import SymTensorField, constant_symtensor
+from .kernels import ManeuverMode
 from .sampling import BOX_HALF_WIDTH
 
 #: Index order of distribution tensors: coframe (dx, dy, da, db) restricted
 #: to the contact distribution.
 DIST_COFRAME = ("dx", "dy", "da", "db")
-
-
-class ManeuverMode(enum.Enum):
-    ATTACKING = "attacking"
-    LANDING = "landing"
-    G2_SIMPLE = "g2s"
-    G2_STRICT = "g2d"
-
-    @property
-    def kernel_id(self) -> int:
-        return _KERNEL_IDS[self]
-
-    @classmethod
-    def from_name(cls, name: str) -> "ManeuverMode":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown maneuver mode {name!r}; expected one of {valid}") from None
-
-
-_KERNEL_IDS = {
-    ManeuverMode.ATTACKING: kernels.ATTACKING,
-    ManeuverMode.LANDING: kernels.LANDING,
-    ManeuverMode.G2_SIMPLE: kernels.G2_SIMPLE,
-    ManeuverMode.G2_STRICT: kernels.G2_STRICT,
-}
 
 
 # -- distribution tensors ----------------------------------------------------
@@ -147,7 +120,7 @@ QUARTIC_FIELD = constant_symtensor("g2-quartic", _quartic_field_array())
 def maneuver_velocity(mode: ManeuverMode, p: np.ndarray,
                       u1: float, u2: float, u3: float = 0.0) -> np.ndarray:
     """Admissible chart velocity of the mode's control law at p."""
-    return kernels.velocity(mode.kernel_id, np.asarray(p, dtype=float),
+    return kernels.velocity(mode, np.asarray(p, dtype=float),
                             float(u1), float(u2), float(u3))
 
 
@@ -216,17 +189,14 @@ class Trajectory:
         return self.states[-1]
 
 
-def _law_rates(kid: int) -> tuple:
+def _law_rates(mode: ManeuverMode) -> tuple:
     """The control law as `kernels.rk4_triangular` rates: (a, b) from the
     controls alone, then (x, y, z) from (a, b) and the controls."""
     def ab(y, u):
-        _, _, c3, c4 = kernels.zcoeffs(kid, 0.0, 0.0, *u)
-        return c4, -3.0 * c3
+        return kernels.law(mode, 0.0, 0.0, *u)[3:]
 
     def xyz(y, u):
-        a, b = y[3], y[4]
-        c1, c2, _, _ = kernels.zcoeffs(kid, a, b, *u)
-        return c1, c2, c1 * a + c2 * b
+        return kernels.law(mode, y[3], y[4], *u)[:3]
 
     return ((3, 4), ab), ((0, 1, 2), xyz)
 
@@ -251,20 +221,20 @@ def integrate_trajectory(program: ControlProgram, p0: Sequence[float]) -> Trajec
     if not np.all(np.isfinite(p0)):
         raise ValueError(f"initial point must be finite, got {p0}")
     n_steps = max(1, int(round(program.duration / program.dt)))
-    kid = program.mode.kernel_id
+    mode = program.mode
     constant = program.is_constant
     if constant:
         times = np.linspace(0.0, program.duration, n_steps + 1)
         controls = tuple(u.constant for u in program.controls)
-        states = kernels.rk4_constant(kid, p0, *controls, program.duration, n_steps)
+        states = kernels.rk4_constant(mode, p0, *controls, program.duration, n_steps)
     else:
         times, states, controls = kernels.rk4_triangular(
-            p0, program.duration, n_steps, program.controls, _law_rates(kid))
+            p0, program.duration, n_steps, program.controls, _law_rates(mode))
     vels = np.empty((DIM, len(states))).T
     highs, lows = [], []
     for rows in kernels.row_blocks(len(states)):
         block = states[rows]
-        kernels.velocity(kid, block, *(controls if constant else [u[rows] for u in controls]),
+        kernels.velocity(mode, block, *(controls if constant else [u[rows] for u in controls]),
                          out=vels[rows])
         highs.append(block.max())
         lows.append(block.min())
@@ -274,7 +244,7 @@ def integrate_trajectory(program: ControlProgram, p0: Sequence[float]) -> Trajec
     if escaped:
         warnings.warn("trajectory left the sampling box", ChartEscapeWarning,
                       stacklevel=2)
-    return Trajectory(program.mode, times, states, vels, escaped=escaped)
+    return Trajectory(mode, times, states, vels, escaped=escaped)
 
 
 # -- admissibility residuals --------------------------------------------------

@@ -63,9 +63,9 @@ def family(mode: ManeuverMode) -> FieldStack:
     """The mode's four admissible fields Y1..Y4 as one stack: the control law
     at each frozen control triple, at one point (5,) or a stack (m, 5)."""
     fmode = _family_mode(mode)
-    kid, controls = fmode.kernel_id, FAMILY_CONTROLS[fmode]
+    controls = FAMILY_CONTROLS[fmode]
     return FieldStack(tuple(f"{fmode.value}-Y{k + 1}" for k in range(4)),
-                      lambda p: np.stack([kernels.velocity(kid, p, *u) for u in controls],
+                      lambda p: np.stack([kernels.velocity(fmode, p, *u) for u in controls],
                                          axis=-2))
 
 
@@ -123,7 +123,7 @@ def distinguished_bracket_residual(mode: ManeuverMode, points: np.ndarray) -> fl
 class _ABPolynomial:
     """A polynomial in the chart slots (a, b): {(i, j): coefficient of a^i b^j}.
 
-    Just enough arithmetic for `kernels.zcoeffs` to build the landing family
+    Just enough arithmetic for `kernels.law` to build the landing family
     from it. The family's coefficients are small integers held as floats, so
     every sum and product here is exact and cancellation leaves no residue.
     """
@@ -184,12 +184,8 @@ def _ab_bracket(X: Sequence[_ABPolynomial], Y: Sequence[_ABPolynomial]) -> list:
 def _landing_family_polynomials() -> list[list[_ABPolynomial]]:
     """The landing family's components, from the control law, as polynomials."""
     a, b = _ABPolynomial({(1, 0): 1.0}), _ABPolynomial({(0, 1): 1.0})
-    family = []
-    for u in FAMILY_CONTROLS[ManeuverMode.LANDING]:
-        c1, c2, c3, c4 = kernels.zcoeffs(kernels.LANDING, a, b, *u)
-        family.append([_ABPolynomial.of(v)
-                       for v in (c1, c2, c1 * a + c2 * b, c4, -3.0 * c3)])
-    return family
+    return [[_ABPolynomial.of(v) for v in kernels.law(ManeuverMode.LANDING, a, b, *u)]
+            for u in FAMILY_CONTROLS[ManeuverMode.LANDING]]
 
 
 @functools.lru_cache(maxsize=1)
@@ -244,18 +240,14 @@ def flow(mode: ManeuverMode, k: int, p: Sequence[float], duration: float) -> tup
     """
     fmode = _family_mode(mode)
     u1, u2, u3 = FAMILY_CONTROLS[fmode][k]
-    return kernels.flow(fmode.kernel_id, [float(v) for v in p], u1, u2, u3,
+    return kernels.flow(fmode, [float(v) for v in p], u1, u2, u3,
                         float(duration))
 
 
 def _phase1_matrix(word: _Word, p: Sequence[float]) -> np.ndarray:
     """Columns: (x, y, a, b) components of the family fields at p."""
     a, b = float(p[3]), float(p[4])
-    rows = []
-    for u in word.controls:
-        c1, c2, c3, c4 = kernels.zcoeffs(word.kid, a, b, *u)
-        rows.append((c1, c2, c4, -3.0 * c3))
-    return np.array(rows).T
+    return np.array([kernels.law(word.mode, a, b, *u) for u in word.controls]).T[DIST_SLOTS]
 
 
 def _sup(v: Sequence[float]) -> float:
@@ -348,7 +340,7 @@ _WORDS = {
 
 class _Word(NamedTuple):
     """A family mode's word as one table, so shooting it looks nothing up by mode."""
-    kid: int
+    mode: ManeuverMode
     controls: tuple[tuple[float, float, float], ...]   # FAMILY_CONTROLS of the mode
     gain: float | None   # the rectangle's z gain; None for landing
     #: Per leg: (family index, u1, u2, u3, slot of theta, sign).
@@ -357,7 +349,7 @@ class _Word(NamedTuple):
 
 #: `_WORDS` with each leg's controls filled in from `FAMILY_CONTROLS`.
 _WORD_TABLES = {
-    fmode: _Word(fmode.kernel_id, FAMILY_CONTROLS[fmode], _RECTANGLE[fmode][1],
+    fmode: _Word(fmode, FAMILY_CONTROLS[fmode], _RECTANGLE[fmode][1],
                  tuple((k, *FAMILY_CONTROLS[fmode][k], slot, sign) for k, slot, sign in word))
     for fmode, word in _WORDS.items()
 }
@@ -376,11 +368,11 @@ def _shoot(word: _Word, start: Sequence[float], theta: Sequence[float]) -> list:
     slot and sign read from the word's table: the same arithmetic as a chain
     of `flow` calls, bit for bit.
     """
-    kid = word.kid
+    mode = word.mode
     points = [start]
     p = start
     for _, u1, u2, u3, slot, sign in word.legs:
-        p = kernels.flow(kid, p, u1, u2, u3, sign * theta[slot])
+        p = kernels.flow(mode, p, u1, u2, u3, sign * theta[slot])
         points.append(p)
     return points
 
@@ -400,50 +392,36 @@ def _word_jacobian(word: _Word, points: Sequence, theta: Sequence[float]) -> lis
     [0, I2]] with A the sum of their M. Leg l therefore adds sign times
     V(p_l) + A V_ab(p_l) to the column of its slot, V its field and p_l its
     endpoint. Walking the legs backwards accumulates A. Under the attacking
-    and G2 laws c1, c2 are constant, so M is zero but for dz/d(a0, b0) =
-    t (c1, c2); under the landing law M integrates the (a, b) gradient of
-    (c1, c2, c1 a + c2 b) over the leg, a polynomial of degree 2 in time, so
-    Simpson's rule is exact.
+    and G2 laws vx, vy do not depend on (a, b), so M is zero but for
+    dz/d(a0, b0) = t (vx, vy); under the landing law M integrates
+    `kernels.law_gradient` over the leg, a polynomial of degree 2 in time,
+    so Simpson's rule is exact.
     """
-    kid = word.kid
-    landing = kid == kernels.LANDING
+    mode = word.mode
+    landing = mode is ManeuverMode.LANDING
     columns = [[0.0] * DIM for _ in theta]
     xa = xb = ya = yb = za = zb = 0.0   # A
     for l in range(len(points) - 1, 0, -1):
         _, u1, u2, u3, slot, sign = word.legs[l - 1]
         a, b = points[l][3], points[l][4]
-        c1, c2, c3, c4 = kernels.zcoeffs(kid, a, b, u1, u2, u3)
-        vb = -3.0 * c3
+        vx, vy, vz, va, vb = kernels.law(mode, a, b, u1, u2, u3)
         column = columns[slot]
-        column[0] += sign * (c1 + xa * c4 + xb * vb)
-        column[1] += sign * (c2 + ya * c4 + yb * vb)
-        column[2] += sign * (c1 * a + c2 * b + za * c4 + zb * vb)
-        column[3] += sign * c4
+        column[0] += sign * (vx + xa * va + xb * vb)
+        column[1] += sign * (vy + ya * va + yb * vb)
+        column[2] += sign * (vz + za * va + zb * vb)
+        column[3] += sign * va
         column[4] += sign * vb
         t = sign * theta[slot]
         if not landing:
-            za += t * c1
-            zb += t * c2
+            za += t * vx
+            zb += t * vy
             continue
         a0, b0 = points[l - 1][3], points[l - 1][4]
-        m = [0.0] * 6
-        for weight, a, b in ((1.0, a0, b0), (4.0, 0.5 * (a0 + a), 0.5 * (b0 + b)),
-                             (1.0, a, b)):
-            c1, c2 = kernels.zcoeffs(kid, a, b, u1, u2, u3)[:2]
-            (d1a, d2a), (d1b, d2b) = kernels.zcoeff_grads(kid, a, b, u1, u2, u3)
-            m[0] += weight * d1a
-            m[1] += weight * d1b
-            m[2] += weight * d2a
-            m[3] += weight * d2b
-            m[4] += weight * (d1a * a + c1 + d2a * b)
-            m[5] += weight * (d1b * a + c2 + d2b * b)
+        g0, g1, g2 = (kernels.law_gradient(mode, a, b, u1, u2, u3)
+                      for a, b in ((a0, b0), (0.5 * (a0 + a), 0.5 * (b0 + b)), (a, b)))
         t /= 6.0
-        xa += t * m[0]
-        xb += t * m[1]
-        ya += t * m[2]
-        yb += t * m[3]
-        za += t * m[4]
-        zb += t * m[5]
+        xa, xb, ya, yb, za, zb = [s + t * (d0 + 4.0 * d1 + d2) for s, d0, d1, d2
+                                  in zip((xa, xb, ya, yb, za, zb), g0, g1, g2)]
     return columns
 
 
@@ -611,10 +589,11 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
                 tuple(log.newton) if trace else None)
 
 
-def _negated_controls(kid: int, u: tuple[float, float, float]) -> tuple[float, float, float]:
+def _negated_controls(mode: ManeuverMode,
+                      u: tuple[float, float, float]) -> tuple[float, float, float]:
     """Controls of the reversed field; reversal stays inside the control law."""
     u1, u2, u3 = u
-    if kid in (kernels.ATTACKING, kernels.LANDING):
+    if mode in (ManeuverMode.ATTACKING, ManeuverMode.LANDING):
         return (-u1, -u2, u3)
     return (-u1, u2, u3)
 
@@ -647,7 +626,7 @@ def replay(plan: Plan) -> Trajectory:
     the last leg's controls.
     """
     word = _WORD_TABLES[_family_mode(plan.mode)]
-    kid = word.kid
+    mode = word.mode
     if not plan.legs:
         return Trajectory(plan.mode, np.zeros(1), plan.start[None, :].copy(),
                           np.zeros((1, DIM)))
@@ -656,10 +635,10 @@ def replay(plan: Plan) -> Trajectory:
     for k, s in plan.legs:
         u = word.controls[k]
         if s < 0.0:
-            u = _negated_controls(kid, u)
+            u = _negated_controls(mode, u)
         dur = abs(s)
         legs.append((p, u, dur, t0))
-        p = kernels.flow(kid, p, *u, dur)
+        p = kernels.flow(mode, p, *u, dur)
         t0 += dur
     # sample i of leg j sits at local time i * (dur_j / n_j), as np.linspace
     # spaces it; the last leg also holds the final sample, at its full duration
@@ -679,9 +658,9 @@ def replay(plan: Plan) -> Trajectory:
     local *= rows[9]
     local[-1] = durations[-1]
     controls = rows[5:8]
-    for row, value in zip(rows, kernels.flow(kid, rows[:5], *controls, local)):
+    for row, value in zip(rows, kernels.flow(mode, rows[:5], *controls, local)):
         row[:] = value
     del value   # the velocity pass below is the replay's memory peak
     local += rows[10]
     states = rows[:5].T
-    return Trajectory(plan.mode, local, states, kernels.velocity(kid, states, *controls))
+    return Trajectory(plan.mode, local, states, kernels.velocity(mode, states, *controls))

@@ -471,7 +471,7 @@ def _fibration_checks(seed: int) -> list[Check]:
 
     def commutators() -> CheckResult:
         worst, where = per_chart("fibration.comm", 10, fibration.frame_commutator_residuals)
-        return _result("frame-commutators", worst, 1e-8, f"seven stated brackets; {where}")
+        return _result("frame-commutators", worst, 1e-12, f"seven stated brackets; {where}")
 
     def joystick() -> CheckResult:
         rng = rng_for(seed, "fibration.joystick")

@@ -358,6 +358,19 @@ def test_lift_singularity_exits_one(capsys):
     assert "lift failed" in err and "|w|" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--mode", "attacking", "--duration", "1e9", "--dt", "1e-9"),
+    ("lift", "--steps", "1000000000000000000"),
+])
+def test_an_unallocatable_step_count_is_a_one_line_error(capsys, argv):
+    # 1e18 samples are more than the address space holds, so numpy refuses
+    # them at once and nothing is allocated
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("saucer: error: ") and err.count("\n") == 1
+
+
 def test_plan_roundtrip_payload(capsys, tmp_path):
     replay_csv = tmp_path / "replay.csv"
     code, out, _ = run_cli(capsys, "plan", "--mode", "g2d",

@@ -5,9 +5,14 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from saucer import kernels, planner
+from saucer import kernels, maneuvers, planner
 
-MODES = (kernels.ATTACKING, kernels.LANDING, kernels.G2_SIMPLE, kernels.G2_STRICT)
+MODES = tuple(kernels.ManeuverMode)
+
+
+def _mode_id(mode) -> str:
+    """A mode's parametrized id: its index in MODES."""
+    return str(MODES.index(mode))
 
 
 def _oracle_rk4(mode, p0, u1, u2, u3, duration, n_steps):
@@ -28,10 +33,10 @@ def test_backend_label():
     assert kernels.BACKEND == "python"
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", MODES, ids=_mode_id)
 @pytest.mark.parametrize("duration,n_steps", [(1.3, 1), (1.3, 37), (-0.9, 1), (-1.7, 64)])
 def test_closed_form_matches_rk4_oracle(mode, duration, n_steps):
-    rng = np.random.default_rng([mode, n_steps])
+    rng = np.random.default_rng([MODES.index(mode), n_steps])
     p0 = rng.uniform(-2.0, 2.0, 5)
     u = rng.uniform(-2.0, 2.0, 3)
     got = kernels.rk4_constant(mode, p0, *u, duration, n_steps)
@@ -41,9 +46,9 @@ def test_closed_form_matches_rk4_oracle(mode, duration, n_steps):
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", MODES, ids=_mode_id)
 def test_stacked_velocity_equals_pointwise_calls(mode):
-    rng = np.random.default_rng(mode)
+    rng = np.random.default_rng(MODES.index(mode))
     pts = rng.uniform(-2.0, 2.0, (40, 5))
     u = rng.uniform(-2.0, 2.0, (40, 3))
     pointwise = np.stack([kernels.velocity(mode, p, 0.7, -0.4, 0.3) for p in pts])
@@ -52,19 +57,21 @@ def test_stacked_velocity_equals_pointwise_calls(mode):
     np.testing.assert_array_equal(kernels.velocity(mode, pts, *u.T), pointwise)
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_zcoeff_grads_are_the_derivatives_of_zcoeffs(mode):
+@pytest.mark.parametrize("mode", MODES, ids=_mode_id)
+def test_law_gradient_is_the_derivative_of_the_law(mode):
     a, b, u1, u2, u3 = sp.symbols("a b u1 u2 u3")
-    c1, c2, _, _ = kernels.zcoeffs(mode, a, b, u1, u2, u3)
-    grads = kernels.zcoeff_grads(mode, a, b, u1, u2, u3)
-    for var, (g1, g2) in zip((a, b), grads):
-        assert sp.simplify(sp.diff(c1, var) - g1) == 0
-        assert sp.simplify(sp.diff(c2, var) - g2) == 0
+    v = kernels.law(mode, a, b, u1, u2, u3)
+    grads = iter(kernels.law_gradient(mode, a, b, u1, u2, u3))
+    for component in v[:3]:
+        for var in (a, b):
+            assert sp.simplify(sp.diff(component, var) - next(grads)) == 0
+    for component in v[3:]:
+        assert not component.free_symbols & {a, b}
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", MODES, ids=_mode_id)
 def test_flow_on_floats_equals_every_sampled_row(mode):
-    rng = np.random.default_rng([mode, 11])
+    rng = np.random.default_rng([MODES.index(mode), 11])
     for duration, n_steps in ((1.3, 1), (0.8, 17), (-1.7, 40), (0.0, 3)):
         p0 = tuple(rng.uniform(-2.0, 2.0, 5).tolist())
         u = rng.uniform(-2.0, 2.0, 3).tolist()
@@ -76,11 +83,11 @@ def test_flow_on_floats_equals_every_sampled_row(mode):
             np.testing.assert_array_equal(got, row)
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", MODES, ids=_mode_id)
 def test_rk4_constant_equals_one_flow_call_at_linspace_times(mode):
     # the blocks sample their own times; they must be linspace's, bit for bit,
     # at any duration and step count, across block edges included
-    rng = np.random.default_rng([mode, 13])
+    rng = np.random.default_rng([MODES.index(mode), 13])
     rows = kernels.BLOCK_ROWS
     for duration in (1.0, 0.3, -0.9, 2.5e-7, 7.0 / 3.0, 1e3, 0.0):
         for n_steps in (1, 2, 3, 7, rows - 2, rows - 1, rows, 2 * rows + 5, 20_000):
@@ -95,9 +102,9 @@ def test_rk4_constant_equals_one_flow_call_at_linspace_times(mode):
             assert got.tobytes() == want.tobytes(), (duration, n_steps)
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", MODES, ids=_mode_id)
 def test_velocity_into_out_equals_the_allocating_call(mode):
-    rng = np.random.default_rng([mode, 14])
+    rng = np.random.default_rng([MODES.index(mode), 14])
     pts = rng.uniform(-2.0, 2.0, (40, 5))
     u = rng.uniform(-2.0, 2.0, (40, 3))
     for p in (pts, pts + 1e-20j * rng.uniform(-1.0, 1.0, (40, 5))):
@@ -110,9 +117,9 @@ def test_velocity_into_out_equals_the_allocating_call(mode):
                 assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", MODES, ids=_mode_id)
 def test_flow_on_per_row_columns_equals_per_row_floats(mode):
-    rng = np.random.default_rng([mode, 12])
+    rng = np.random.default_rng([MODES.index(mode), 12])
     starts = rng.uniform(-2.0, 2.0, (30, 5))
     u = rng.uniform(-2.0, 2.0, (30, 3))
     t = rng.uniform(-1.5, 1.5, 30)
@@ -132,7 +139,7 @@ def test_flow_is_the_last_row_of_a_leg_sampling(mode):
     p = np.array([0.3, -1.1, 0.7, 1.6, -1.4])
     for k, u in enumerate(planner.FAMILY_CONTROLS[mode]):
         for duration in (0.37, -1.25, 0.0):
-            dense = kernels.rk4_constant(mode.kernel_id, p, *u, duration,
+            dense = kernels.rk4_constant(mode, p, *u, duration,
                                          planner._leg_steps(duration))
             np.testing.assert_array_equal(planner.flow(mode, k, p, duration), dense[-1])
 
@@ -147,14 +154,22 @@ def test_rk4_negative_duration_reverses_flow():
 
 def test_mode_validation():
     p0 = np.zeros(5)
+    # the law takes a ManeuverMode only: no integer id and no mode name
+    with pytest.raises(ValueError):
+        kernels.velocity(0, p0, 1.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        kernels.law("attacking", 0.0, 0.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         kernels.velocity(7, p0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         kernels.rk4_constant(-1, p0, 1.0, 0.0, 0.0, 1.0, 10)
     with pytest.raises(ValueError):
-        kernels.rk4_constant(0, p0, 1.0, 0.0, 0.0, 1.0, 0)
+        kernels.rk4_constant(kernels.ATTACKING, p0, 1.0, 0.0, 0.0, 1.0, 0)
     with pytest.raises(ValueError):
-        kernels.zcoeff_grads(4, 0.0, 0.0, 1.0, 0.0, 0.0)
+        kernels.law_gradient(4, 0.0, 0.0, 1.0, 0.0, 0.0)
+    assert maneuvers.ManeuverMode is kernels.ManeuverMode
+    assert tuple(kernels.ManeuverMode) == (kernels.ATTACKING, kernels.LANDING,
+                                           kernels.G2_SIMPLE, kernels.G2_STRICT)
 
 
 def test_attacking_velocity_law():

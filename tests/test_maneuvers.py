@@ -372,16 +372,16 @@ def test_trajectories_and_residuals_do_not_depend_on_the_block_size(monkeypatch,
 def _c_order_reference(program, p0):
     """The trajectory as one-shot calls on row-major (m, 5) arrays."""
     n_steps = max(1, int(round(program.duration / program.dt)))
-    kid = program.mode.kernel_id
+    mode = program.mode
     if program.is_constant:
         times = np.linspace(0.0, program.duration, n_steps + 1)
         controls = [u.constant for u in program.controls]
-        states = np.column_stack(kernels.flow(kid, p0.tolist(), *controls, times))
+        states = np.column_stack(kernels.flow(mode, p0.tolist(), *controls, times))
     else:
         times, states, controls = kernels.rk4_triangular(
-            p0, program.duration, n_steps, program.controls, maneuvers._law_rates(kid))
+            p0, program.duration, n_steps, program.controls, maneuvers._law_rates(mode))
         states = np.ascontiguousarray(states)
-    return Trajectory(program.mode, times, states, kernels.velocity(kid, states, *controls))
+    return Trajectory(mode, times, states, kernels.velocity(mode, states, *controls))
 
 
 def _assert_same_trajectory(traj, want):

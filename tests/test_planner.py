@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import math
 import tracemalloc
 
@@ -11,7 +13,8 @@ import sympy as sp
 
 from saucer import kernels, planner
 from saucer.forms import bracket, complex_step_derivative
-from saucer.maneuvers import ManeuverMode, constraint_residuals, maneuver_velocity
+from saucer.maneuvers import (ControlProgram, ManeuverMode, constraint_residuals,
+                              integrate_trajectory, maneuver_velocity)
 from saucer.sampling import BOX_HALF_WIDTH, rng_for, sample_vectors
 
 MODES = (ManeuverMode.ATTACKING, ManeuverMode.LANDING, ManeuverMode.G2_STRICT)
@@ -42,17 +45,12 @@ def test_family_jacobians_match_difference_quotients():
 
 
 def _family_jacobian(mode, k, p):
-    """The closed-form Jacobian of family member k from `kernels.zcoeff_grads`,
+    """The closed-form Jacobian of family member k from `kernels.law_gradient`,
     the reference for its complex step; (m, 5, 5) over a stack (m, 5)."""
     u = planner.FAMILY_CONTROLS[mode][k]
-    a, b = p[:, 3], p[:, 4]
-    c1, c2, _, _ = kernels.zcoeffs(mode.kernel_id, a, b, *u)
-    dca, dcb = kernels.zcoeff_grads(mode.kernel_id, a, b, *u)
     J = np.zeros(p.shape + (5,))
-    J[..., 0, 3], J[..., 0, 4] = dca[0], dcb[0]
-    J[..., 1, 3], J[..., 1, 4] = dca[1], dcb[1]
-    J[..., 2, 3] = dca[0] * a + c1 + dca[1] * b
-    J[..., 2, 4] = dcb[0] * a + c2 + dcb[1] * b
+    (J[..., 0, 3], J[..., 0, 4], J[..., 1, 3], J[..., 1, 4],
+     J[..., 2, 3], J[..., 2, 4]) = kernels.law_gradient(mode, p[:, 3], p[:, 4], *u)
     return J
 
 
@@ -104,10 +102,8 @@ def test_landing_nested_bracket_vanishes_identically():
 def _sympy_landing_family():
     coords = sp.symbols("x y z a b")
     a, b = coords[3], coords[4]
-    family = []
-    for u in planner.FAMILY_CONTROLS[ManeuverMode.LANDING]:
-        c1, c2, c3, c4 = kernels.zcoeffs(kernels.LANDING, a, b, *map(sp.Rational, u))
-        family.append(sp.Matrix([c1, c2, c1 * a + c2 * b, c4, -3 * c3]))
+    family = [sp.Matrix(kernels.law(ManeuverMode.LANDING, a, b, *map(sp.Rational, u)))
+              for u in planner.FAMILY_CONTROLS[ManeuverMode.LANDING]]
 
     def br(X, Y):
         return sp.expand(Y.jacobian(coords) * X - X.jacobian(coords) * Y)
@@ -254,7 +250,7 @@ def _word_endpoint(mode, start):
     def endpoint(theta):
         p = tuple(start)
         for k, slot, sign in planner._WORDS[fmode]:
-            p = kernels.flow(fmode.kernel_id, p, *controls[k], sign * theta[..., slot])
+            p = kernels.flow(fmode, p, *controls[k], sign * theta[..., slot])
         return np.stack(np.broadcast_arrays(*p), axis=-1)
 
     return endpoint
@@ -462,7 +458,7 @@ def test_hand_built_traced_plan_reports_its_trace():
 def _leg_controls(mode, k, s):
     fmode = planner._family_mode(mode)
     u = planner.FAMILY_CONTROLS[fmode][k]
-    return planner._negated_controls(fmode.kernel_id, u) if s < 0.0 else u
+    return planner._negated_controls(fmode, u) if s < 0.0 else u
 
 
 def _per_leg_replay(plan):
@@ -472,13 +468,13 @@ def _per_leg_replay(plan):
     its start and its interior samples, and the final sample keeps the last
     leg's controls.
     """
-    kid = planner._family_mode(plan.mode).kernel_id
+    fmode = planner._family_mode(plan.mode)
     times, states, controls = [np.zeros(1)], [plan.start[None, :]], []
     t0, p = 0.0, plan.start
     for k, s in plan.legs:
         u = _leg_controls(plan.mode, k, s)
         n = planner._leg_steps(abs(s))
-        seg = kernels.rk4_constant(kid, p, *u, abs(s), n)
+        seg = kernels.rk4_constant(fmode, p, *u, abs(s), n)
         times.append(t0 + np.linspace(0.0, abs(s), n + 1)[1:])
         states.append(seg[1:])
         controls += [u] * n
@@ -486,7 +482,7 @@ def _per_leg_replay(plan):
         t0 += abs(s)
     controls.append(controls[-1])
     states = np.vstack(states)
-    vels = np.array([kernels.velocity(kid, x, *u) for x, u in zip(states, controls)])
+    vels = np.array([kernels.velocity(fmode, x, *u) for x, u in zip(states, controls)])
     return np.concatenate(times), states, vels
 
 
@@ -531,10 +527,10 @@ def test_replay_of_a_single_leg_is_its_sampling(s):
     n = planner._leg_steps(s)
     u = _leg_controls(mode, 2, s)
     np.testing.assert_array_equal(
-        traj.states, kernels.rk4_constant(mode.kernel_id, start, *u, abs(s), n))
+        traj.states, kernels.rk4_constant(mode, start, *u, abs(s), n))
     np.testing.assert_array_equal(traj.times, np.linspace(0.0, abs(s), n + 1))
     np.testing.assert_array_equal(traj.velocities,
-                                  kernels.velocity(mode.kernel_id, traj.states, *u))
+                                  kernels.velocity(mode, traj.states, *u))
 
 
 def test_replay_joints_move_with_the_leg_that_leaves_them():
@@ -545,14 +541,13 @@ def test_replay_joints_move_with_the_leg_that_leaves_them():
     joints = np.cumsum([planner._leg_steps(s) for _, s in legs])
     assert len(traj) == joints[-1] + 1
     assert np.all(np.diff(traj.times) > 0.0)
-    kid = mode.kernel_id
     for row, (k, s) in zip([0, *joints[:-1]], legs):
-        want = kernels.velocity(kid, traj.states[row], *_leg_controls(mode, k, s))
+        want = kernels.velocity(mode, traj.states[row], *_leg_controls(mode, k, s))
         np.testing.assert_array_equal(traj.velocities[row], want)
     k, s = legs[-1]
     np.testing.assert_array_equal(
         traj.velocities[-1],
-        kernels.velocity(kid, traj.states[-1], *_leg_controls(mode, k, s)))
+        kernels.velocity(mode, traj.states[-1], *_leg_controls(mode, k, s)))
     np.testing.assert_array_equal(traj.endpoint, plan.achieved)
 
 
@@ -659,3 +654,36 @@ def test_stacked_depth2_values_and_generating_report():
                   for p in pts]
         assert report.worst_fifth_singular == min(scaled)
         assert report.worst_point == tuple(pts[int(np.argmin(scaled))])
+
+
+#: sha256 of `_law_outputs_digest`. Plans, replays and trajectories take
+#: every value of the control law, its gradient and its flow, so a change
+#: to any of them that moves one bit shows here.
+LAW_OUTPUTS_SHA256 = "84a6849df34c25534f5b1e03ab58346754297fe3502d7e8dbe9864e54adfbb38"
+
+
+def _law_outputs_digest() -> str:
+    """40 traced plans between full-box pairs (10 per mode) with their
+    replays, and a constant and a polynomial `integrate_trajectory` in each
+    mode; no control takes a sine, so no libm value enters the digest."""
+    digest = hashlib.sha256()
+    rng = rng_for(24, "test-law-outputs")
+    modes = list(ManeuverMode)
+    for k in range(40):
+        plan = planner.plan_path(modes[k % 4], *rng.uniform(-BOX_HALF_WIDTH, BOX_HALF_WIDTH,
+                                                            (2, 5)), trace=True)
+        digest.update(json.dumps(plan.to_json_dict()).encode())
+        traj = planner.replay(plan)
+        for array in (traj.times, traj.states, traj.velocities):
+            digest.update(array.tobytes())
+    p0 = [0.1, -0.2, 0.3, 0.4, -0.5]
+    for mode in modes:
+        for controls in ((0.3, -0.7, 0.4), ([0.2, -0.5, 0.3], [0.4, 0.1], [-0.6, 0.0, 0.2])):
+            traj = integrate_trajectory(ControlProgram(mode, *controls, dt=1e-3), p0)
+            for array in (traj.times, traj.states, traj.velocities):
+                digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def test_plans_replays_and_trajectories_are_pinned_to_the_bit():
+    assert _law_outputs_digest() == LAW_OUTPUTS_SHA256

@@ -218,6 +218,20 @@ def test_stacked_equivariance_keeps_the_draws_and_the_residual():
         assert check.passed and check.value == float.fromhex(residual), seed
 
 
+def test_frame_commutators_resolve_a_perturbed_coefficient(monkeypatch):
+    # the brackets are complex steps, so a coefficient that is wrong by 1e-10
+    # stands far above their rounding (a few 1e-15): the bound of 1e-12 sees
+    # it, where one of 1e-8 would pass it
+    check = dict(suites._fibration_checks(1))["frame-commutators"]
+    assert check().passed and check().threshold == 1e-12
+    table = dict(fibration.FRAME_COMMUTATORS)
+    table[(4, 1)] = {0: 1.0 + 1e-10}
+    monkeypatch.setattr(fibration, "FRAME_COMMUTATORS", table)
+    result = check()
+    assert 1e-12 < result.value <= 1e-8
+    assert not result.passed
+
+
 WORST_SAMPLE_CHECKS = ("structure-equations", "contact-constant", "ambient-triple-match",
                        "bracket-generating", "frame-commutators", "quartic-dual-route",
                        "polarization-diagonal", "chart-roundtrip", "frame-duality",
@@ -240,6 +254,7 @@ def test_residual_checks_name_their_worst_sample():
 PAYLOADS_AT_SEED_5 = {
     "gl2": "ca0c9d825f8d8cdfbf46a45f5d6b870e76524608fc8c92b424f94f75926437fe",
     "symmetry": "b9dafe3f8c7c6ae1a73c1f7f40140913cd2da1f09dd15e01121055e855dd93e5",
+    "planner": "929a3502213930f0ab997d691252db252818c5af0353d852e2123913b7db3a62",
 }
 
 
