@@ -380,7 +380,7 @@ def _cmd_lift(args) -> int:
         "worst_t": worst_t,
         "skipped": int(rep.skipped),
         "endpoint": [float(v) for v in run.contact.states[-1]],
-        "pass": bool(certified and rep.max_angular <= 1e-5 and rep.max_contact <= 1e-8),
+        "pass": bool(certified and rep.passed()),
     }
     _emit(_payload_text(payload, args.format), args.out)
     return 0 if payload["pass"] else 1
@@ -406,7 +406,7 @@ def _cmd_plan(args) -> int:
         "endpoint_error": endpoint_error,
         "max_contact": float(residuals.max_contact),
         "max_nullity": float(residuals.max_nullity),
-        "pass": bool(residuals.passed()),
+        "pass": bool(residuals.passed() and endpoint_error < planner.REPLAY_TOL),
     }
     if args.replay_csv:
         _trajectory_csv(args.replay_csv, traj)

@@ -29,6 +29,10 @@ from .kernels import ControlSpec
 FDIM = 6
 FORM_LABELS = ("w0", "w1", "w2", "w3", "w4", "w7")
 LIFT_EPS = 1e-6
+#: A joystick run certifies when its worst angular sine and its worst contact
+#: ratio stay within these (`TangencyReport.passed`).
+ANGULAR_TOL = 1e-5
+CONTACT_TOL = 1e-8
 
 
 class LiftSingular(ValueError):
@@ -356,6 +360,9 @@ class TangencyReport:
     @property
     def max_contact(self) -> float:
         return float(np.max(self.contact)) if len(self.contact) else 0.0
+
+    def passed(self) -> bool:
+        return self.max_angular <= ANGULAR_TOL and self.max_contact <= CONTACT_TOL
 
 
 def certify_twisted_cubic_tangency(curve: ContactCurve,

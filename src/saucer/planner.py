@@ -33,6 +33,9 @@ LEG_DT = 1e-2
 LEG_MIN_STEPS = 20
 #: `replay` thins its legs evenly when they would take more samples than this.
 MAX_REPLAY_SAMPLES = 200_000
+#: A replay certifies its plan when its endpoint is strictly within this of the
+#: plan's achieved point; `plan-and-replay` holds its replay residuals to it too.
+REPLAY_TOL = 1e-8
 
 #: Frozen (u1, u2, u3) triples whose control-law velocities form the family.
 FAMILY_CONTROLS: dict[ManeuverMode, tuple[tuple[float, float, float], ...]] = {
@@ -616,7 +619,7 @@ def replay(plan: Plan) -> Trajectory:
 
     Backward legs are replayed as forward legs of the reversed control law,
     so time increases monotonically and every sample satisfies the mode's
-    constraints; endpoint agreement with the plan certifies the replay.
+    constraints; endpoint agreement within `REPLAY_TOL` certifies the replay.
     The leg start points are chained on Python floats. One table then holds
     per leg its start, its controls, the row of its first sample, its sample
     spacing and its start time; one `np.repeat` expands it to a column per

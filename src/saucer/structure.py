@@ -260,17 +260,12 @@ def verify_commutation_table(basis: Sequence[np.ndarray],
 def attacking_pair_e() -> tuple[np.ndarray, np.ndarray]:
     """(attacking metric, invariant 2-form) in the frame of STABILIZER_BASIS.
 
-    Coframe order (dx, dy, db, da): the metric becomes antidiag(1, 1, 1, 1)
-    and dx ^ da + dy ^ db becomes antidiag(1, 1, -1, -1). The joint conformal
-    stabilizer of this pair is exactly span(STABILIZER_BASIS).
+    The distribution pair in coframe order (dx, dy, db, da): the metric becomes
+    antidiag(1, 1, 1, 1) and dx ^ da + dy ^ db becomes antidiag(1, 1, -1, -1).
+    The joint conformal stabilizer of this pair is exactly span(STABILIZER_BASIS).
     """
-    G = np.zeros((4, 4))
-    G[0, 3] = G[3, 0] = 1.0
-    G[1, 2] = G[2, 1] = 1.0
-    W = np.zeros((4, 4))
-    W[0, 3] = W[1, 2] = 1.0
-    W[3, 0] = W[2, 1] = -1.0
-    return G, W
+    p, order = np.zeros(5), np.ix_([0, 1, 3, 2], [0, 1, 3, 2])
+    return attacking_metric(p)[order], invariant_two_form_dist(p)[order]
 
 
 def quartic_mode_pair() -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import saucer
-from saucer import cli, fibration, kernels
+from saucer import cli, fibration, kernels, planner, suites
 from saucer.maneuvers import ControlProgram, ManeuverMode, integrate_trajectory
 from saucer.reports import CheckResult, SuiteReport, run_checks
 
@@ -350,6 +350,21 @@ def test_lift_that_certifies_no_sample_fails(capsys):
     assert "certified no sample" in err
 
 
+@pytest.mark.parametrize("bound", ["ANGULAR_TOL", "CONTACT_TOL"])
+def test_lift_and_the_joystick_check_read_one_verdict(capsys, monkeypatch, bound):
+    spec = json.dumps({"kind": "sin", "amplitude": 1.0, "frequency": 2.0})
+    check = dict(suites._fibration_checks(1))["joystick-certification"]
+
+    def verdicts():
+        code, out, _ = run_cli(capsys, "lift", "--u", spec, "--w", "1", "--format", "compact")
+        return code, json.loads(out)["pass"], check().passed
+
+    assert verdicts() == (0, True, True)
+    # both residuals are above zero, so a zero bound fails lift and the check
+    monkeypatch.setattr(fibration, bound, 0.0)
+    assert verdicts() == (1, False, False)
+
+
 def test_lift_singularity_exits_one(capsys):
     code, out, err = run_cli(capsys, "lift", "--u", "1",
                              "--w", json.dumps([-0.5, 1.0]),
@@ -385,6 +400,26 @@ def test_plan_roundtrip_payload(capsys, tmp_path):
     assert replay_csv.exists()
     for leg in data["legs"]:
         assert set(leg) == {"field", "duration"}
+
+
+def test_plan_replay_off_its_endpoint_fails(capsys, monkeypatch):
+    # a replay that leaves the constraints satisfied but ends 1e-6 away in z
+    # from the plan's achieved point does not certify the plan
+    def shifted(plan, _replay=planner.replay):
+        traj = _replay(plan)
+        traj.states[-1, 2] += 1e-6
+        return traj
+
+    monkeypatch.setattr(planner, "replay", shifted)
+    code, out, _ = run_cli(capsys, "plan", "--mode", "g2d",
+                           "--from", "0,0,0,0,0", "--to", "0.5,0,0.2,0,0",
+                           "--tol", "1e-3", "--format", "compact")
+    data = json.loads(out)
+    assert data["success"] is True
+    assert data["replay"]["endpoint_error"] > planner.REPLAY_TOL
+    assert data["replay"]["max_contact"] <= 1e-9
+    assert data["replay"]["pass"] is False
+    assert code == 1
 
 
 def test_plan_failure_exits_one(capsys):
