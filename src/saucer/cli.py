@@ -33,7 +33,7 @@ from .sampling import DEFAULT_SEED
 from .suites import SUITE_NAMES, catalog_report, run_suites
 
 _CONFIG_KEYS = ("seed", "jobs", "format", "suite")
-_MODES = ("attacking", "landing", "g2s", "g2d")
+_MODES = tuple(mode.value for mode in ManeuverMode)
 
 
 def _usage_error(message: str) -> "SystemExit":

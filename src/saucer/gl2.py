@@ -108,22 +108,10 @@ def upsilon_polarized(X1, X2, X3, X4) -> "float | np.ndarray":
     return total / 24.0
 
 
-def _build_upsilon_tensor() -> np.ndarray:
-    """upsilon_polarized on every basis quadruple, in one stacked quartic call.
-
-    Row n of `slots` is the index tuple (i, j, k, l); each nonempty subset of
-    the four slots contributes the quartic of its basis-vector sum, signed
-    by (-1)^(4 - r) for a subset of size r.
-    """
-    slots = np.array(list(itertools.product(range(4), repeat=4)))
-    subsets = np.array(list(itertools.product((0, 1), repeat=4))[1:])
-    sums = np.einsum("sq,nqd->nsd", subsets, np.eye(4)[slots])
-    signs = (-1.0) ** (4 - subsets.sum(axis=1))
-    return (quartic_upsilon(sums) @ signs / 24.0).reshape(4, 4, 4, 4)
-
-
-#: Upsilon as a constant symmetric rank-4 tensor over the quartic-mode coframe.
-UPSILON_TENSOR = _build_upsilon_tensor()
+#: Upsilon as a constant symmetric rank-4 tensor over the quartic-mode coframe:
+#: `upsilon_polarized` on all 256 basis quadruples, in one stacked call.
+UPSILON_TENSOR = upsilon_polarized(
+    *np.eye(4)[np.indices((4,) * 4).reshape(4, -1)]).reshape(4, 4, 4, 4)
 
 #: Bilinear module as symmetric matrices: g_i(X, Y) = X^T G_i Y.
 G1_MATRIX = np.zeros((4, 4))

@@ -87,8 +87,8 @@ def law(mode: ManeuverMode, a, b, u1, u2, u3) -> tuple:
     """Chart velocity (vx, vy, vz, va, vb) of the mode's control law at (a, b).
 
     Plain arithmetic only, so a, b and the controls may be floats, numpy
-    arrays, sympy symbols or the planner's exact (a, b) polynomials. va and
-    vb never depend on (a, b); x, y and z never enter the law.
+    arrays or sympy symbols. va and vb never depend on (a, b); x, y and z
+    never enter the law.
     """
     if mode is ATTACKING:
         c1, c2, c3, c4 = 3.0 * u1 * u3, u2 * u3, u1, u2

@@ -107,15 +107,14 @@ def distinguished_bracket_residual(mode: ManeuverMode, points: np.ndarray) -> fl
 
     Attacking: [Y2, Y3] = 3 dz. G2: [Y2, Y1] = dz. These are the brackets
     and gains of the modes' commutator rectangles. Landing: the stated
-    depth-3 identity [Y1, [Y2, [Y2, Y3]]] = 9 dz, taken on the exact
-    `_landing_nested` polynomials; its left side vanishes identically (see
-    landing_nested_bracket_norm), so its verification fails, while depth-2
-    brackets do leave the distribution.
+    depth-3 identity [Y1, [Y2, [Y2, Y3]]] = 9 dz, whose left side is the
+    exact constant `_landing_nested`; it vanishes identically, so its
+    verification fails, while depth-2 brackets do leave the distribution.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     fmode = _family_mode(mode)
     if fmode == ManeuverMode.LANDING:
-        lhs, gain = np.stack([c(pts[:, 3], pts[:, 4]) for c in _landing_nested()], axis=-1), 9.0
+        lhs, gain = np.tile(_landing_nested(), (len(pts), 1)), 9.0
     else:
         (i, j), gain = _RECTANGLE[fmode]
         lhs = family(fmode).brackets(pts)[1][:, i, j]
@@ -123,90 +122,38 @@ def distinguished_bracket_residual(mode: ManeuverMode, points: np.ndarray) -> fl
     return float(np.max(np.abs(lhs)))
 
 
-class _ABPolynomial:
-    """A polynomial in the chart slots (a, b): {(i, j): coefficient of a^i b^j}.
-
-    Just enough arithmetic for `kernels.law` to build the landing family
-    from it. The family's coefficients are small integers held as floats, so
-    every sum and product here is exact and cancellation leaves no residue.
-    """
-
-    def __init__(self, terms: dict):
-        self.terms = {k: c for k, c in terms.items() if c != 0.0}
-
-    @staticmethod
-    def of(value) -> "_ABPolynomial":
-        return value if isinstance(value, _ABPolynomial) else _ABPolynomial({(0, 0): value})
-
-    def __add__(self, other) -> "_ABPolynomial":
-        terms = dict(self.terms)
-        for k, c in _ABPolynomial.of(other).terms.items():
-            terms[k] = terms.get(k, 0.0) + c
-        return _ABPolynomial(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "_ABPolynomial":
-        return _ABPolynomial({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other) -> "_ABPolynomial":
-        return self + -_ABPolynomial.of(other)
-
-    def __mul__(self, other) -> "_ABPolynomial":
-        terms: dict = {}
-        for (i, j), c in self.terms.items():
-            for (k, l), d in _ABPolynomial.of(other).terms.items():
-                terms[i + k, j + l] = terms.get((i + k, j + l), 0.0) + c * d
-        return _ABPolynomial(terms)
-
-    __rmul__ = __mul__
-
-    def derivative(self, slot: int) -> "_ABPolynomial":
-        """d/da for slot 0, d/db for slot 1."""
-        terms: dict = {}
-        for power, c in self.terms.items():
-            if power[slot]:
-                lowered = tuple(e - (n == slot) for n, e in enumerate(power))
-                terms[lowered] = c * power[slot]
-        return _ABPolynomial(terms)
-
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        total = np.zeros(np.shape(a))
-        for (i, j), c in self.terms.items():
-            total += c * a ** i * b ** j
-        return total
-
-
-def _ab_bracket(X: Sequence[_ABPolynomial], Y: Sequence[_ABPolynomial]) -> list:
-    """[X, Y] = J_Y X - J_X Y for fields whose components depend on (a, b) only."""
-    return [X[3] * Yi.derivative(0) + X[4] * Yi.derivative(1)
-            - Y[3] * Xi.derivative(0) - Y[4] * Xi.derivative(1)
-            for Xi, Yi in zip(X, Y)]
-
-
-def _landing_family_polynomials() -> list[list[_ABPolynomial]]:
-    """The landing family's components, from the control law, as polynomials."""
-    a, b = _ABPolynomial({(1, 0): 1.0}), _ABPolynomial({(0, 1): 1.0})
-    return [[_ABPolynomial.of(v) for v in kernels.law(ManeuverMode.LANDING, a, b, *u)]
-            for u in FAMILY_CONTROLS[ManeuverMode.LANDING]]
-
-
 @functools.lru_cache(maxsize=1)
-def _landing_nested() -> tuple[_ABPolynomial, ...]:
-    """Components of [Y1, [Y2, [Y2, Y3]]] for the landing family, exactly."""
-    Y = _landing_family_polynomials()
-    return tuple(_ab_bracket(Y[0], _ab_bracket(Y[1], _ab_bracket(Y[1], Y[2]))))
+def _landing_nested() -> np.ndarray:
+    """[Y1, [Y2, [Y2, Y3]]] of the landing family, exactly: one constant (5,).
+
+    Each member's (a, b) components are its constant controls (u2, -3 u1),
+    and x, y, z never enter the law, so every bracket is D_X Y - D_Y X along
+    those constant steps and the nested bracket is D_1 D_2 (D_2 Y3 - D_3 Y2).
+    The components have degree at most 3 in (a, b), so that is a constant,
+    and the same third difference at the origin equals it exactly: the steps
+    and the law's coefficients are integers, so every value is an exact
+    integer float.
+    """
+    Y = [lambda a, b, u=u: np.array(kernels.law(ManeuverMode.LANDING, a, b, *u))
+         for u in FAMILY_CONTROLS[ManeuverMode.LANDING]]
+    steps = [y(0.0, 0.0)[3:] for y in Y]
+
+    def diff(f, k):
+        """The difference of f along member Y[k]'s (a, b) step."""
+        da, db = steps[k]
+        return lambda a, b: f(a + da, b + db) - f(a, b)
+
+    def bracket23(a, b):  # [Y2, Y3] = D_2 Y3 - D_3 Y2
+        return diff(Y[2], 1)(a, b) - diff(Y[1], 2)(a, b)
+
+    return diff(diff(bracket23, 1), 0)(0.0, 0.0)
 
 
 def landing_nested_bracket_norm(points: np.ndarray) -> float:
-    """Sup norm of the landing depth-3 expression; it vanishes identically.
-
-    The family's components are polynomials in (a, b) with small-integer
-    coefficients, built by the control law itself, so the bracket is taken
-    exactly on them and then evaluated at the points.
-    """
+    """Sup norm of the landing depth-3 expression over the points; it
+    vanishes identically, being the constant `_landing_nested`."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return max(float(np.max(np.abs(c(pts[:, 3], pts[:, 4])))) for c in _landing_nested())
+    return float(np.max(np.abs(np.broadcast_to(_landing_nested(), pts.shape))))
 
 
 def landing_depth2_contact_values(p: np.ndarray) -> tuple:

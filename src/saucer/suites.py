@@ -118,7 +118,7 @@ def _structure_checks(seed: int) -> list[Check]:
         expected = -1.0 / (1.0 + pts[:, 3] ** 2 + pts[:, 4] ** 2)
         errors = np.abs(K.square_scalar - expected) / np.abs(expected)
         worst, where = _worst_sample(errors, pts)
-        return _result("landing-square-scalar", worst, 1e-9,
+        return _result("landing-square-scalar", worst, 1e-13,
                        f"raw K^2 = -(1+a^2+b^2)^{{-1}} Id, relative; {where}")
 
     def landing_orientation() -> CheckResult:
@@ -128,7 +128,7 @@ def _structure_checks(seed: int) -> list[Check]:
         KZ1 = (K.matrix @ Z1[:, :, None])[:, :, 0]
         errors = np.linalg.norm(KZ1 - 1j * Z1, axis=-1) / np.linalg.norm(Z1, axis=-1)
         worst, where = _worst_sample(errors, pts)
-        return _result("landing-orientation", worst, 1e-9, f"K Z1 = +i Z1; {where}")
+        return _result("landing-orientation", worst, 1e-13, f"K Z1 = +i Z1; {where}")
 
     def levi() -> CheckResult:
         pts = sample_vectors(100, 5, seed, "structure.levi")
@@ -516,10 +516,9 @@ def _planner_checks(seed: int) -> list[Check]:
 
     def rectangles() -> CheckResult:
         worst = 0.0
-        for mode, coeff in ((ManeuverMode.ATTACKING, 3.0),
-                            (ManeuverMode.G2_STRICT, 1.0)):
+        for mode in (ManeuverMode.ATTACKING, ManeuverMode.G2_STRICT):
             p0 = sample_vectors(1, 5, seed, f"planner.rect.{mode.value}")[0]
-            (i, j), _ = planner._RECTANGLE[mode]
+            (i, j), coeff = planner._RECTANGLE[mode]
             for eps in (0.2, 0.1, 0.05):
                 p = p0.copy()
                 for k, s in ((i, eps), (j, eps), (i, -eps), (j, -eps)):
@@ -530,6 +529,7 @@ def _planner_checks(seed: int) -> list[Check]:
                        "z displacement / eps^2 hits the bracket coefficient")
 
     def plans() -> CheckResult:
+        tol = 1e-3
         worst_gap = 0.0
         worst_resid = 0.0
         n_legs = 0
@@ -537,7 +537,7 @@ def _planner_checks(seed: int) -> list[Check]:
             pts = sample_vectors(6, 5, seed, f"planner.plan.{mode.value}", box=0.8)
             for k in range(3):
                 start, goal = pts[2 * k], pts[2 * k + 1]
-                plan = planner.plan_path(mode, start, goal, tol=1e-3)
+                plan = planner.plan_path(mode, start, goal, tol=tol)
                 if not plan.success:
                     return CheckResult("plan-and-replay", False, None,
                                        f"{mode.value} plan failed at pair {k}")
@@ -548,7 +548,7 @@ def _planner_checks(seed: int) -> list[Check]:
                 worst_resid = max(worst_resid, rep.max_contact, rep.max_nullity,
                                   end_err)
                 n_legs += len(plan.legs)
-        ok = worst_gap < 1e-3 and worst_resid < planner.REPLAY_TOL
+        ok = worst_gap < tol and worst_resid < planner.REPLAY_TOL
         return CheckResult("plan-and-replay", ok, worst_gap,
                            f"9 pairs, {n_legs} legs, replay residual "
                            f"{worst_resid:.3g}")

@@ -108,26 +108,50 @@ def _sympy_landing_family():
     def br(X, Y):
         return sp.expand(Y.jacobian(coords) * X - X.jacobian(coords) * Y)
 
-    return family, br, (a, b)
+    return family, br, coords
 
 
-def _as_terms(expr, a, b):
-    return {k: float(c) for k, c in sp.Poly(expr, a, b).as_dict().items() if c != 0}
+def _sympy_landing_nested():
+    family, br, _ = _sympy_landing_family()
+    return br(family[0], br(family[1], br(family[1], family[2])))
 
 
-def test_polynomial_brackets_match_sympy_expand():
-    family, br, (a, b) = _sympy_landing_family()
-    poly = planner._landing_family_polynomials()
-    for X, P in zip(family, poly):
-        assert [_as_terms(c, a, b) for c in X] == [c.terms for c in P]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            want = [_as_terms(c, a, b) for c in br(family[i], family[j])]
-            got = [c.terms for c in planner._ab_bracket(poly[i], poly[j])]
-            assert got == want, (i, j)
-    nested = br(family[0], br(family[1], br(family[1], family[2])))
-    assert list(nested) == [0] * 5
-    assert [c.terms for c in planner._landing_nested()] == [{}] * 5
+def test_landing_family_meets_the_third_difference_premises():
+    # constant (a, b) steps, no x, y, z, and cubic x/y/z components are what
+    # make the third difference at the origin the exact nested bracket
+    family, _, coords = _sympy_landing_family()
+    a, b = coords[3], coords[4]
+    for Y in family:
+        assert not Y.free_symbols & set(coords[:3])
+        assert not Y[3].free_symbols and not Y[4].free_symbols
+        assert all(sp.Poly(c, a, b).total_degree() <= 3 for c in Y[:3])
+
+
+def test_landing_nested_equals_the_sympy_bracket():
+    want = _sympy_landing_nested()
+    assert list(want) == [0] * 5
+    np.testing.assert_array_equal(planner._landing_nested(), np.zeros(5))
+
+
+def test_landing_nested_follows_a_perturbed_law(monkeypatch):
+    # negative control: cubic terms added to the law must show up exactly
+    law = kernels.law
+
+    def perturbed(mode, a, b, u1, u2, u3):
+        vx, vy, vz, va, vb = law(mode, a, b, u1, u2, u3)
+        return vx + u3 * a * a * b, vy, vz + u2 * a * b * b, va, vb
+
+    monkeypatch.setattr(kernels, "law", perturbed)
+    planner._landing_nested.cache_clear()
+    try:
+        want = _sympy_landing_nested()
+        got = planner._landing_nested()
+    finally:
+        monkeypatch.undo()
+        planner._landing_nested.cache_clear()
+    want = [float(c) for c in want]  # raises unless every component is a constant
+    assert want == [-6.0, 0.0, -18.0, 0.0, 0.0]
+    np.testing.assert_array_equal(got, want)
 
 
 def test_landing_depth2_contact_values():

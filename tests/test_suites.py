@@ -235,6 +235,37 @@ def test_frame_commutators_resolve_a_perturbed_coefficient(monkeypatch):
     assert not result.passed
 
 
+def test_landing_square_scalar_resolves_a_perturbed_metric(monkeypatch):
+    # the raw square is a handful of rounded products and one 4x4 solve, so
+    # its relative error sits near 1e-15: a metric off by a relative 5e-12
+    # moves it by 1e-11, which the bound of 1e-13 sees and one of 1e-9 passes
+    check = dict(suites._structure_checks(1))["landing-square-scalar"]
+    assert check().passed and check().threshold == 1e-13
+    metric = structure.landing_metric
+    monkeypatch.setattr(structure, "landing_metric", lambda p: metric(p) * (1.0 + 5e-12))
+    result = check()
+    assert 1e-13 < result.value <= 1e-9
+    assert not result.passed
+
+
+def test_landing_orientation_resolves_a_perturbed_frame(monkeypatch):
+    # K Z1 = +i Z1 holds to rounding (below 1e-15 relative); one frame
+    # component off by a relative 1e-11 breaks it by about that much
+    check = dict(suites._structure_checks(1))["landing-orientation"]
+    assert check().passed and check().threshold == 1e-13
+    frame = structure.landing_frame_z
+
+    def perturbed(p):
+        Z1, Z2 = frame(p)
+        Z1[..., 3] *= 1.0 + 1e-11
+        return Z1, Z2
+
+    monkeypatch.setattr(structure, "landing_frame_z", perturbed)
+    result = check()
+    assert 1e-13 < result.value <= 1e-9
+    assert not result.passed
+
+
 WORST_SAMPLE_CHECKS = ("structure-equations", "contact-constant", "ambient-triple-match",
                        "bracket-generating", "frame-commutators", "quartic-dual-route",
                        "polarization-diagonal", "chart-roundtrip", "frame-duality",
@@ -254,10 +285,15 @@ def test_residual_checks_name_their_worst_sample():
 #: sha256 of the default (pretty) `verify --suite NAME --seed 5` payload,
 #: timestamp blanked. Every residual in these suites is pinned to the bit,
 #: so a change that moves one by an ulp shows here. The gl2 digest is that of
-#: the plain seeded draws of action-equivariance and null-classification.
+#: the plain seeded draws of action-equivariance and null-classification; the
+#: structure digest carries the 1e-13 bounds of landing-square-scalar and
+#: landing-orientation.
 PAYLOADS_AT_SEED_5 = {
+    "config": "26175bc6099807abb255d6fb073b481d2e86ca0324d21c43dcbbc6f39278e7c6",
+    "structure": "d6584ac8e3d0e2f9436e17d3e30f65da7288742eb847f31188cd6fd2df10ad0f",
     "gl2": "4d027298cb7320a100b0d9d03995a9c4c5297960f72f4961830f0a2fd638e2ee",
     "symmetry": "b9dafe3f8c7c6ae1a73c1f7f40140913cd2da1f09dd15e01121055e855dd93e5",
+    "fibration": "d854dc55ea25947d5f0ca6e1091084f950b340c89dadc4a87402885ecb84798b",
     "planner": "929a3502213930f0ab997d691252db252818c5af0353d852e2123913b7db3a62",
 }
 
