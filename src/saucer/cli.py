@@ -406,7 +406,7 @@ def _cmd_plan(args) -> int:
         "endpoint_error": endpoint_error,
         "max_contact": float(residuals.max_contact),
         "max_nullity": float(residuals.max_nullity),
-        "pass": bool(residuals.passed() and endpoint_error < planner.REPLAY_TOL),
+        "pass": planner.replay_passed(residuals, endpoint_error),
     }
     if args.replay_csv:
         _trajectory_csv(args.replay_csv, traj)
@@ -443,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="key=value defaults: " + ", ".join(_CONFIG_KEYS))
     p.add_argument("--catalog", choices=("attacking", "landing", "g2", "g2s", "g2d"),
                    default=None,
-                   help="with --suite symmetry: focused per-field catalog report")
+                   help="with --suite symmetry: the suite's own checks of one catalog, per field")
     p.add_argument("--format", choices=("pretty", "compact"), default=None)
     p.add_argument("--out", metavar="FILE", default=None)
     p.add_argument("--timings", metavar="FILE", default=None,

@@ -33,6 +33,7 @@ LIFT_EPS = 1e-6
 #: ratio stay within these (`TangencyReport.passed`).
 ANGULAR_TOL = 1e-5
 CONTACT_TOL = 1e-8
+SPEED_FLOOR = 1e-12   # slower samples are skipped, not certified
 
 
 class LiftSingular(ValueError):
@@ -365,8 +366,7 @@ class TangencyReport:
         return self.max_angular <= ANGULAR_TOL and self.max_contact <= CONTACT_TOL
 
 
-def certify_twisted_cubic_tangency(curve: ContactCurve,
-                                   speed_floor: float = 1e-12) -> TangencyReport:
+def certify_twisted_cubic_tangency(curve: ContactCurve) -> TangencyReport:
     """Angular distance of projected velocities from the cubic cone direction.
 
     The projected velocity is decomposed against the contact Z frame of the x
@@ -382,7 +382,7 @@ def certify_twisted_cubic_tangency(curve: ContactCurve,
     c0 = v[0] + v[4] * x[1] - 3.0 * v[3] * x[2]
     c = v[4], v[3], v[2], v[1]
     speed = np.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2] + c[3] * c[3])
-    skip = speed < speed_floor
+    skip = speed < SPEED_FLOOR
     keep = ~skip
     T = curve.cone_parameter
     if skip.any():

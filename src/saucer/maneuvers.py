@@ -31,6 +31,10 @@ from .sampling import BOX_HALF_WIDTH
 #: Index order of distribution tensors: coframe (dx, dy, da, db) restricted
 #: to the contact distribution.
 DIST_COFRAME = ("dx", "dy", "da", "db")
+#: `ResidualReport.passed` holds a trajectory's worst contact and nullity
+#: residuals strictly below these.
+CONTACT_TOL = 1e-9
+NULLITY_TOL = 1e-8
 
 
 # -- distribution tensors ----------------------------------------------------
@@ -264,8 +268,8 @@ class ResidualReport:
         vals = [np.max(arr) for arr in self.nullity.values() if len(arr)]
         return float(max(vals)) if vals else 0.0
 
-    def passed(self, contact_tol: float = 1e-9, nullity_tol: float = 1e-8) -> bool:
-        return self.max_contact <= contact_tol and self.max_nullity <= nullity_tol
+    def passed(self) -> bool:
+        return self.max_contact < CONTACT_TOL and self.max_nullity < NULLITY_TOL
 
 
 #: Names of each mode's per-sample nullity residuals, in report order.

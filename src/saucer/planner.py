@@ -27,14 +27,14 @@ import numpy as np
 from . import kernels
 from .chart import DIM, DIST_SLOTS, contact_covector
 from .forms import FieldStack
-from .maneuvers import ManeuverMode, Trajectory
+from .maneuvers import ManeuverMode, ResidualReport, Trajectory
 
 LEG_DT = 1e-2
 LEG_MIN_STEPS = 20
 #: `replay` thins its legs evenly when they would take more samples than this.
 MAX_REPLAY_SAMPLES = 200_000
 #: A replay certifies its plan when its endpoint is strictly within this of the
-#: plan's achieved point; `plan-and-replay` holds its replay residuals to it too.
+#: plan's achieved point (`replay_passed`).
 REPLAY_TOL = 1e-8
 
 #: Frozen (u1, u2, u3) triples whose control-law velocities form the family.
@@ -614,3 +614,8 @@ def replay(plan: Plan) -> Trajectory:
     local += rows[10]
     states = rows[:5].T
     return Trajectory(plan.mode, local, states, kernels.velocity(mode, states, *controls))
+
+
+def replay_passed(residuals: ResidualReport, endpoint_error: float) -> bool:
+    """The replay verdict: its residuals pass and its endpoint is within `REPLAY_TOL`."""
+    return residuals.passed() and endpoint_error < REPLAY_TOL

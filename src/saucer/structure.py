@@ -25,6 +25,8 @@ from .maneuvers import attacking_metric, invariant_two_form_dist, landing_metric
 
 KAPPA_SCALAR_TOL = 1e-8
 STABILIZER_THRESHOLD = 1e-10
+EIGEN_SPLIT_TOL = 1e-10
+SPAN_TOL = 1e-8
 
 
 class NotScalarSquare(ValueError):
@@ -106,11 +108,12 @@ def landing_k_operator(p: np.ndarray) -> KOperator:
                       orientation=(Z1, 1j))
 
 
-def eigen_split(K: KOperator, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def eigen_split(K: KOperator) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases (columns) of the two eigenbundles of K.
 
     Paracomplex K: the +1 and -1 eigenspaces (real). Complex K: the +i and -i
-    eigenspaces inside the complexification.
+    eigenspaces inside the complexification. Each keeps the singular
+    values of its projector above `EIGEN_SPLIT_TOL` times the largest.
     """
     n = K.matrix.shape[0]
     if K.sign > 0:
@@ -123,7 +126,7 @@ def eigen_split(K: KOperator, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarra
     out = []
     for P in (P_plus, P_minus):
         U, s, _ = np.linalg.svd(P)
-        rank = int(np.sum(s > tol * s[0]))
+        rank = int(np.sum(s > EIGEN_SPLIT_TOL * s[0]))
         out.append(U[:, :rank])
     return tuple(out)
 
@@ -166,14 +169,14 @@ class StabilizerSolution:
     matrices: tuple[np.ndarray, ...]   # basis of endomorphisms Y
     residual: float                    # largest violation over the basis
 
-    def contains(self, Y: np.ndarray, tol: float = 1e-8) -> bool:
-        """Whether Y (up to its own scales) lies in the solved span."""
+    def contains(self, Y: np.ndarray) -> bool:
+        """Whether Y lies in the solved span, to `SPAN_TOL` times max(1, |Y|)."""
         if self.dimension == 0:
-            return float(np.linalg.norm(Y)) <= tol
+            return float(np.linalg.norm(Y)) <= SPAN_TOL
         A = np.stack([M.ravel() for M in self.matrices], axis=1)
         coef, *_ = np.linalg.lstsq(A, np.asarray(Y, dtype=float).ravel(), rcond=None)
         mis = np.linalg.norm(A @ coef - Y.ravel())
-        return mis <= tol * max(1.0, float(np.linalg.norm(Y)))
+        return mis <= SPAN_TOL * max(1.0, float(np.linalg.norm(Y)))
 
 
 def _stabilizer_rows(S: np.ndarray, t_index: int, n_tensors: int) -> np.ndarray:
@@ -189,15 +192,13 @@ def _stabilizer_rows(S: np.ndarray, t_index: int, n_tensors: int) -> np.ndarray:
     return np.hstack([action.reshape(n * n, -1).T, scales])
 
 
-def solve_infinitesimal_stabilizer(
-        tensors: Sequence[np.ndarray],
-        threshold: float = STABILIZER_THRESHOLD) -> StabilizerSolution:
+def solve_infinitesimal_stabilizer(tensors: Sequence[np.ndarray]) -> StabilizerSolution:
     """Joint conformal stabilizer of covariant tensors of any rank.
 
     Solves for endomorphisms Y and one scale f_S per tensor with Y acting
     by the Leibniz rule on each S equal to f_S * S; all tensors must share
-    one frame. The nullspace is cut at `threshold` times the largest
-    singular value.
+    one frame. The nullspace is cut at `STABILIZER_THRESHOLD` times the
+    largest singular value.
     """
     tensors = [np.asarray(S, dtype=float) for S in tensors]
     if not tensors:
@@ -206,7 +207,7 @@ def solve_infinitesimal_stabilizer(
     n_t = len(tensors)
     A = np.vstack([_stabilizer_rows(S, t, n_t) for t, S in enumerate(tensors)])
     _, sv, Vt = np.linalg.svd(A, full_matrices=True)
-    cut = threshold * sv[0]
+    cut = STABILIZER_THRESHOLD * sv[0]
     n_unknowns = n * n + n_t
     dim = n_unknowns - int(np.sum(sv > cut))
     basis = Vt[n_unknowns - dim:] if dim else Vt[:0]

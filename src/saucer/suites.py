@@ -277,93 +277,89 @@ _CATALOGS = {"attacking": (ATTACKING_METRIC_FIELD, "sl4"),
 
 @dataclasses.dataclass(frozen=True)
 class _CatalogEvaluation:
-    """What the symmetry checks read of one catalog: its fields' reports at
-    the residual points, its rank at the rank points (None when not asked
-    for) and its structure constants at each structure point set."""
+    """One catalog as the symmetry checks read it at one seed."""
 
-    reports: list[tuple[str, symmetry.SymmetryReport]]
-    rank: int | None
-    constants: tuple[symmetry.StructureConstants, ...]
+    residuals: dict[str, float]   # per field, the worse of contact and membership
+    worst: float                  # the largest, at the field and sample detail names
+    detail: str
+    rank: int
+    closure: float                # misfits on two point sets and their disagreement
+    constants: symmetry.StructureConstants   # solved on the Killing point set
+    killing: symmetry.KillingDiagnostics
+    model: symmetry.LieAlgebraModel
+
+    def verdicts(self) -> dict[str, bool]:
+        """Its part of each check's verdict, by check ("catalog": its residuals)."""
+        return {"catalog": self.worst <= symmetry.CATALOG_TOL,
+                "catalog-ranks": self.rank == len(self.residuals),
+                "structure-constant-closure": self.closure <= symmetry.CLOSURE_TOL,
+                "killing-signatures": (self.killing.signature == self.model.killing_signature
+                                       and self.constants.dimension == self.model.dimension
+                                       and self.killing.jacobi <= 1e-8)}
 
 
-def _evaluate_catalog(label: str, report_pts: np.ndarray, rank_pts: np.ndarray | None,
-                      constant_pts: list[np.ndarray]) -> _CatalogEvaluation:
-    """A catalog's reports, rank and structure constants from one values and
-    one Jacobians fill over the union of the point sets.
-
-    A point's rows of the fill do not depend on the other points, so each
-    set's slice gives what the set alone gives, bit for bit. The stacked
-    values and Jacobians are dropped on return; only the results are kept.
-    """
+def _evaluate_catalog(label: str, seed: int) -> _CatalogEvaluation:
+    """A catalog at the symmetry suite's point sets for the seed (residual,
+    two closure sets, Killing, rank), from one values and one Jacobians fill
+    over their union. A point's rows of the fill do not depend on the other
+    points, so each set's slice gives what the set alone gives, bit for bit;
+    only the results are kept."""
+    S, model_name = _CATALOGS[label]
     fields = catalogs.catalog(label)
-    sets = [report_pts, *constant_pts, *([] if rank_pts is None else [rank_pts])]
-    pts = np.concatenate(sets)
+    sets = [sample_vectors(12, 5, seed, f"symmetry.{label}"),
+            *(sample_vectors(10, 5, seed, f"symmetry.{name}") for name in
+              (f"close.{label}.a", f"close.{label}.b", f"killing.{label}", "rank"))]
     cuts = np.cumsum([len(p) for p in sets])[:-1]
+    pts = np.concatenate(sets)
     V, J = np.split(fields.values(pts), cuts), np.split(fields.jacobians(pts), cuts)
-    reports = symmetry.stacked_symmetry_reports(V[0], J[0], _CATALOGS[label][0], report_pts)
-    k = 1 + len(constant_pts)
-    constants = tuple(map(symmetry.stacked_structure_constants, V[1:k], J[1:k]))
-    rank = None if rank_pts is None else symmetry.stacked_rank(V[k])
-    return _CatalogEvaluation(list(zip(fields.ids, reports)), rank, constants)
-
-
-def _worst(rep: symmetry.SymmetryReport) -> float:
-    return max(rep.contact, rep.membership)
-
-
-def _worst_field_detail(reports) -> tuple[float, str]:
-    """Largest residual of a catalog and a detail naming its field and sample."""
-    field_id, rep = max(reports, key=lambda item: _worst(item[1]))
-    return _worst(rep), f"worst field {field_id} at {_coords(rep.worst_point)}"
+    reports = dict(zip(fields.ids, symmetry.stacked_symmetry_reports(V[0], J[0], S, sets[0])))
+    residuals = {i: max(rep.contact, rep.membership) for i, rep in reports.items()}
+    worst = max(residuals, key=residuals.get)
+    detail = f"worst field {worst} at {_coords(reports[worst].worst_point)}"
+    sa, sb, sk = map(symmetry.stacked_structure_constants, V[1:4], J[1:4])
+    scale = max(1.0, float(np.max(np.abs(sa.c))))
+    closure = max(sa.misfit, sb.misfit, float(np.max(np.abs(sa.c - sb.c))) / scale)
+    return _CatalogEvaluation(residuals, residuals[worst], detail,
+                              symmetry.stacked_rank(V[4]), closure, sk,
+                              symmetry.killing_diagnostics(sk),
+                              symmetry.reference_model(model_name))
 
 
 def _symmetry_checks(seed: int) -> list[Check]:
     @functools.cache
     def evaluated(label: str) -> _CatalogEvaluation:
-        """One catalog at every point set the pass reads, from one fill of
-        its values and one of its Jacobians; timings charge it to the first
-        check that asks for it."""
-        constant_labels = (f"symmetry.close.{label}.a", f"symmetry.close.{label}.b",
-                           f"symmetry.killing.{label}")
-        return _evaluate_catalog(
-            label, sample_vectors(12, 5, seed, f"symmetry.{label}"),
-            sample_vectors(10, 5, seed, "symmetry.rank"),
-            [sample_vectors(10, 5, seed, lbl) for lbl in constant_labels])
+        """Shared by the pass; timings charge it to the first check asking."""
+        return _evaluate_catalog(label, seed)
+
+    def every() -> list[_CatalogEvaluation]:
+        return [evaluated(lbl) for lbl in _CATALOGS]
+
+    def passed(check: str) -> bool:
+        return all(ev.verdicts()[check] for ev in every())
 
     def catalog_residuals(name: str, label: str) -> CheckResult:
-        worst, detail = _worst_field_detail(evaluated(label).reports)
-        return _result(name, worst, 1e-7, detail)
+        ev = evaluated(label)
+        return CheckResult(name, ev.verdicts()["catalog"], ev.worst, ev.detail,
+                           symmetry.CATALOG_TOL)
 
     def ranks() -> CheckResult:
-        got = tuple(evaluated(lbl).rank for lbl in _CATALOGS)
-        return CheckResult("catalog-ranks", got == (15, 15, 14), None,
-                           f"ranks {got}, expected (15, 15, 14)")
+        got = tuple(ev.rank for ev in every())
+        expected = tuple(len(ev.residuals) for ev in every())
+        return CheckResult("catalog-ranks", passed("catalog-ranks"), None,
+                           f"ranks {got}, expected {expected}")
 
     def closure() -> CheckResult:
-        worst = 0.0
-        for lbl in _CATALOGS:
-            sa, sb, _ = evaluated(lbl).constants
-            worst = max(worst, sa.misfit, sb.misfit)
-            scale = max(1.0, float(np.max(np.abs(sa.c))))
-            worst = max(worst, float(np.max(np.abs(sa.c - sb.c))) / scale)
-        return _result("structure-constant-closure", worst, 1e-6,
-                       "misfit and agreement across disjoint point sets")
+        return CheckResult("structure-constant-closure", passed("structure-constant-closure"),
+                           max(ev.closure for ev in every()),
+                           "misfit and agreement across disjoint point sets",
+                           symmetry.CLOSURE_TOL)
 
     def killing() -> CheckResult:
-        detail = []
-        ok = True
-        worst = 0.0
-        for lbl, (_, model_name) in _CATALOGS.items():
-            sc = evaluated(lbl).constants[2]
-            diag = symmetry.killing_diagnostics(sc)
-            model = symmetry.reference_model(model_name)
-            ok = ok and diag.signature == model.killing_signature
-            ok = ok and sc.dimension == model.dimension
-            worst = max(worst, diag.jacobi)
-            detail.append(f"{lbl}: {diag.signature} vs {model.name} "
-                          f"{model.killing_signature}")
-        return CheckResult("killing-signatures", ok and worst <= 1e-8, worst,
-                           "; ".join(detail))
+        detail = "; ".join(f"{lbl}: {ev.killing.signature} vs {ev.model.name} "
+                           f"{ev.model.killing_signature}"
+                           for lbl, ev in zip(_CATALOGS, every()))
+        return CheckResult("killing-signatures", passed("killing-signatures"),
+                           max(ev.killing.jacobi for ev in every()), detail)
 
     def negative_controls() -> CheckResult:
         pts = sample_vectors(10, 5, seed, "symmetry.negative")
@@ -532,6 +528,7 @@ def _planner_checks(seed: int) -> list[Check]:
         tol = 1e-3
         worst_gap = 0.0
         worst_resid = 0.0
+        replayed = True
         n_legs = 0
         for mode in _PLAN_MODES:
             pts = sample_vectors(6, 5, seed, f"planner.plan.{mode.value}", box=0.8)
@@ -547,8 +544,9 @@ def _planner_checks(seed: int) -> list[Check]:
                 rep = constraint_residuals(traj)
                 worst_resid = max(worst_resid, rep.max_contact, rep.max_nullity,
                                   end_err)
+                replayed = replayed and planner.replay_passed(rep, end_err)
                 n_legs += len(plan.legs)
-        ok = worst_gap < tol and worst_resid < planner.REPLAY_TOL
+        ok = worst_gap < tol and replayed
         return CheckResult("plan-and-replay", ok, worst_gap,
                            f"9 pairs, {n_legs} legs, replay residual "
                            f"{worst_resid:.3g}")
@@ -582,40 +580,29 @@ _BUILDERS = {
 
 
 def catalog_report(label: str, seed: int) -> dict:
-    """Focused symmetry-catalog report: per-field residuals, structure
-    constants, Killing signature against the matrix-model oracle."""
+    """The symmetry suite's evaluation of one catalog at the seed, field by
+    field: the same samples and bounds, and `pass` exactly when the suite's
+    residual, rank, closure and Killing checks pass for this catalog."""
     name = {"g2s": "g2", "g2d": "g2"}.get(label, label)
     if name not in _CATALOGS:
         raise ValueError(f"unknown catalog {label!r}; expected one of "
                          f"{tuple(_CATALOGS)}")
-    fields = catalogs.catalog(name)
-    evaluation = _evaluate_catalog(
-        name, sample_vectors(12, 5, seed, f"symmetry.catalog.{name}"), None,
-        [sample_vectors(10, 5, seed, f"symmetry.catalog.{name}.sc")])
-    reports = evaluation.reports
-    residuals = {field_id: float(_worst(rep)) for field_id, rep in reports}
-    _, detail = _worst_field_detail(reports)
-    sc, = evaluation.constants
-    diag = symmetry.killing_diagnostics(sc)
-    model = symmetry.reference_model(_CATALOGS[name][1])
-    passed = (max(residuals.values()) < 1e-7 and sc.misfit < 1e-8
-              and diag.signature == model.killing_signature
-              and len(fields) == model.dimension)
+    ev = _evaluate_catalog(name, seed)
     return {
         "catalog": name,
         "seed": seed,
-        "dimension": len(fields),
-        "field_residuals": residuals,
-        "detail": detail,
-        "structure_constants": [[[float(v) for v in row] for row in block]
-                                for block in sc.c],
-        "closure_misfit": float(sc.misfit),
-        "jacobi_residual": float(diag.jacobi),
-        "killing_signature": list(diag.signature),
-        "oracle": {"model": model.name,
-                   "killing_signature": list(model.killing_signature),
-                   "dimension": model.dimension},
-        "pass": bool(passed),
+        "dimension": len(ev.residuals),
+        "rank": ev.rank,
+        "field_residuals": ev.residuals,
+        "detail": ev.detail,
+        "structure_constants": ev.constants.c.tolist(),
+        "closure_misfit": ev.closure,
+        "jacobi_residual": ev.killing.jacobi,
+        "killing_signature": list(ev.killing.signature),
+        "oracle": {"model": ev.model.name,
+                   "killing_signature": list(ev.model.killing_signature),
+                   "dimension": ev.model.dimension},
+        "pass": all(ev.verdicts().values()),
     }
 
 

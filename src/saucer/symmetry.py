@@ -37,6 +37,8 @@ CONTACT_TENSOR = SymTensorField("w0", contact_covector)
 
 KILLING_ZERO_TOL = 1e-8
 RANK_TOL = 1e-8
+CATALOG_TOL = 1e-7   # a catalog field's contact and membership residuals
+CLOSURE_TOL = 1e-8   # structure-constant misfits and cross-set disagreement
 
 
 # -- stacked evaluation ----------------------------------------------------------
@@ -125,8 +127,8 @@ class SymmetryReport:
     membership: float     # worst structural-tensor membership residual
     worst_point: tuple[float, ...]  # sample where max(contact, membership) peaks
 
-    def passed(self, tol: float = 1e-7) -> bool:
-        return self.contact <= tol and self.membership <= tol
+    def passed(self) -> bool:
+        return self.contact <= CATALOG_TOL and self.membership <= CATALOG_TOL
 
 
 def stacked_symmetry_reports(V: np.ndarray, J: np.ndarray, S: SymTensorField,
@@ -259,12 +261,12 @@ def killing_matrix(c: np.ndarray) -> np.ndarray:
     return np.tensordot(c, c, axes=([0, 2], [2, 0]))
 
 
-def killing_signature(B: np.ndarray, zero_tol: float = KILLING_ZERO_TOL) -> tuple[int, int, int]:
+def killing_signature(B: np.ndarray) -> tuple[int, int, int]:
     eig = np.linalg.eigvalsh(0.5 * (B + B.T))
     scale = float(np.max(np.abs(eig))) if len(eig) else 0.0
     if scale == 0.0:
         return (0, 0, len(eig))
-    cut = zero_tol * scale
+    cut = KILLING_ZERO_TOL * scale
     pos = int(np.sum(eig > cut))
     neg = int(np.sum(eig < -cut))
     return (pos, neg, len(eig) - pos - neg)
@@ -412,7 +414,7 @@ def reference_model(name: str) -> LieAlgebraModel:
         raise ValueError(f"unknown reference algebra {name!r}")
     basis = builders[name]()
     sc = matrix_structure_constants(basis)
-    if sc.misfit > 1e-8:
+    if sc.misfit > CLOSURE_TOL:
         raise RuntimeError(f"reference model {name} is not closed: {sc.misfit}")
     diag = killing_diagnostics(sc)
     return LieAlgebraModel(name, len(basis), diag.signature)

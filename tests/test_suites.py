@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import re
 import sys
@@ -287,12 +289,13 @@ def test_residual_checks_name_their_worst_sample():
 #: so a change that moves one by an ulp shows here. The gl2 digest is that of
 #: the plain seeded draws of action-equivariance and null-classification; the
 #: structure digest carries the 1e-13 bounds of landing-square-scalar and
-#: landing-orientation.
+#: landing-orientation; the symmetry digest carries the 1e-8 bound of
+#: structure-constant-closure.
 PAYLOADS_AT_SEED_5 = {
     "config": "26175bc6099807abb255d6fb073b481d2e86ca0324d21c43dcbbc6f39278e7c6",
     "structure": "d6584ac8e3d0e2f9436e17d3e30f65da7288742eb847f31188cd6fd2df10ad0f",
     "gl2": "4d027298cb7320a100b0d9d03995a9c4c5297960f72f4961830f0a2fd638e2ee",
-    "symmetry": "b9dafe3f8c7c6ae1a73c1f7f40140913cd2da1f09dd15e01121055e855dd93e5",
+    "symmetry": "353479b165e1011b8ee4cfccd5bda25466887248e6ecafb22aeb037551056725",
     "fibration": "d854dc55ea25947d5f0ca6e1091084f950b340c89dadc4a87402885ecb84798b",
     "planner": "929a3502213930f0ab997d691252db252818c5af0353d852e2123913b7db3a62",
 }
@@ -305,3 +308,111 @@ def test_gl2_and_symmetry_payloads_stay_byte_identical():
         text = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', out.getvalue())
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == want, name
+
+
+#: The same digest for `verify --suite symmetry --catalog NAME --seed 5`: the
+#: symmetry suite's own evaluation of the catalog, rank included.
+CATALOG_PAYLOADS_AT_SEED_5 = {
+    "attacking": "389eddb61db99ab39c01af937ad673250effbaf9c9099c5728e843acb6eeea2e",
+    "landing": "de2392a2d5e603db40f349d2538469bdc49daa629aa51629a96b0953aad653ca",
+    "g2": "0018772b7d65afcd7497eb0fa44f7746ffcbd4fe027a296355754cac088069ad",
+}
+
+
+def test_catalog_payloads_stay_byte_identical():
+    for name, want in CATALOG_PAYLOADS_AT_SEED_5.items():
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["verify", "--suite", "symmetry", "--catalog", name, "--seed", "5"])
+        assert code == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want, name
+
+
+def _catalog_checks(checks, name):
+    """The symmetry checks whose verdict covers the catalog `name`."""
+    return [checks[f"{name}-catalog"], checks["catalog-ranks"],
+            checks["structure-constant-closure"], checks["killing-signatures"]]
+
+
+def _catalog_payload(name, seed):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["verify", "--suite", "symmetry", "--catalog", name,
+                         "--seed", str(seed), "--format", "compact"])
+    data = json.loads(out.getvalue())
+    assert code == (0 if data["pass"] else 1)
+    return data
+
+
+def test_catalog_report_is_the_suite_evaluation(monkeypatch):
+    for seed in (1, 2, 3, 4, 5, 7919):
+        checks = {c.name: c for c in suites.run_suite("symmetry", seed).results}
+        for name in ("attacking", "landing", "g2"):
+            data = _catalog_payload(name, seed)
+            suite = checks[f"{name}-catalog"]
+            assert max(data["field_residuals"].values()) == suite.value, (seed, name)
+            assert data["detail"] == suite.detail, (seed, name)
+            assert data["rank"] == data["dimension"], (seed, name)
+            assert data["pass"] is all(c.passed for c in _catalog_checks(checks, name))
+    # a residual bound between the catalogs' worst fields fails the suite's
+    # check of the worst catalog, and that catalog's report with it, alone
+    checks = {c.name: c for c in suites.run_suite("symmetry", 1).results}
+    worst = sorted((checks[f"{name}-catalog"].value, name)
+                   for name in ("attacking", "landing", "g2"))
+    assert worst[1][0] < worst[2][0]
+    monkeypatch.setattr(symmetry, "CATALOG_TOL", worst[1][0])
+    checks = {c.name: c for c in suites.run_suite("symmetry", 1).results}
+    for _, name in worst:
+        passed = all(c.passed for c in _catalog_checks(checks, name))
+        assert passed is (name != worst[2][1])
+        assert _catalog_payload(name, 1)["pass"] is passed
+
+
+def test_structure_constant_closure_resolves_an_injected_error(monkeypatch):
+    # misfits and cross-set disagreements are rounding, 1.16e-14 at worst over
+    # seeds 1-500, 7919 and 566551698: an error of 1e-7 in either stands far
+    # above them, and the bound of 1e-8 sees it, where the old 1e-6 passed it
+    check = dict(suites._symmetry_checks(1))["structure-constant-closure"]
+    assert check().passed and check().threshold == 1e-8
+    solve = symmetry.stacked_structure_constants
+    calls = itertools.count()
+
+    def misfit(V, J):
+        return dataclasses.replace(solve(V, J), misfit=1e-7)
+
+    def disagreement(V, J):
+        # each catalog solves its closure sets a and b, then its Killing set
+        sc = solve(V, J)
+        return dataclasses.replace(sc, c=sc.c * (1.0 + 1e-7)) if next(calls) % 3 == 1 else sc
+
+    for injected in (misfit, disagreement):
+        monkeypatch.setattr(symmetry, "stacked_structure_constants", injected)
+        result = dict(suites._symmetry_checks(1))["structure-constant-closure"]()
+        assert 1e-8 < result.value <= 1e-6, injected.__name__
+        assert not result.passed
+        assert _catalog_payload("g2", 1)["pass"] is False
+
+
+def test_plan_and_replay_holds_replay_contact_to_the_residual_bound(monkeypatch):
+    # the check and `saucer plan` share planner.replay_passed: replay contact
+    # must stay below maneuvers.CONTACT_TOL (1e-9), where the check read 1e-8
+    check = dict(suites._planner_checks(1))["plan-and-replay"]
+    clean = check()
+    assert clean.passed
+    residuals = suites.constraint_residuals
+
+    def noisy(traj, *args):
+        rep = residuals(traj, *args)
+        return dataclasses.replace(rep, contact=rep.contact + 3e-9)
+
+    monkeypatch.setattr(suites, "constraint_residuals", noisy)
+    result = check()
+    assert not result.passed
+    assert result.value == clean.value
+    worst = float(result.detail.rsplit(" ", 1)[1])
+    assert 1e-9 < worst < 1e-8
+    monkeypatch.setattr(cli, "constraint_residuals", noisy)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["plan", "--mode", "g2d", "--from", "0,0,0,0,0",
+                         "--to", "0.5,0,0.2,0,0", "--format", "compact"])
+    replay = json.loads(out.getvalue())["replay"]
+    assert 1e-9 < replay["max_contact"] < 1e-8
+    assert replay["pass"] is False and code == 1

@@ -25,7 +25,7 @@ def test_attacking_catalog_members_are_symmetries():
     pts = _pts(101, 8)
     for X in fields:
         rep = symmetry.legendrean_symmetry_residual(X, ATTACKING_METRIC_FIELD, pts)
-        assert rep.passed(1e-7), X.id
+        assert rep.passed(), X.id
 
 
 def test_landing_catalog_members_are_symmetries():
@@ -34,7 +34,7 @@ def test_landing_catalog_members_are_symmetries():
     pts = _pts(102, 8)
     for X in fields:
         rep = symmetry.legendrean_symmetry_residual(X, LANDING_METRIC_FIELD, pts)
-        assert rep.passed(1e-7), X.id
+        assert rep.passed(), X.id
 
 
 def test_g2_catalog_members_are_symmetries():
@@ -43,7 +43,7 @@ def test_g2_catalog_members_are_symmetries():
     pts = _pts(103, 8)
     for X in fields:
         rep = symmetry.g2_symmetry_residual(X, pts)
-        assert rep.passed(1e-7), X.id
+        assert rep.passed(), X.id
 
 
 def test_catalog_ranks():
@@ -167,7 +167,7 @@ def test_attacking_exact_and_homothety_split():
     for i in catalogs.ATTACKING_EXACT + catalogs.ATTACKING_HOMOTHETY:
         X = fields[i]
         rep = symmetry.legendrean_symmetry_residual(X, ATTACKING_METRIC_FIELD, pts)
-        assert rep.passed(1e-7)
+        assert rep.passed()
 
 
 def test_negative_control_fields_fail():
