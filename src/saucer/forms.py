@@ -164,9 +164,11 @@ class SymTensorField:
 
 
 def constant_symtensor(name: str, T: np.ndarray) -> SymTensorField:
-    """The same tensor T at every point of one point (dim,) or a stack (m, dim)."""
+    """The same tensor T at every point of one point (dim,) or a stack (m, dim).
+
+    Its values are a read-only broadcast view of T: no copy per call."""
     T = np.asarray(T, dtype=float)
-    return SymTensorField(name, lambda p: np.broadcast_to(T, p.shape[:-1] + T.shape).copy())
+    return SymTensorField(name, lambda p: np.broadcast_to(T, p.shape[:-1] + T.shape))
 
 
 def lie_derivative_symtensor(X: VectorField, S: SymTensorField, p: np.ndarray) -> np.ndarray:

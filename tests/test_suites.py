@@ -11,8 +11,11 @@ import re
 import sys
 
 import numpy as np
+import pytest
 
-from saucer import catalogs, cli, fibration, forms, gl2, structure, suites, symmetry
+from saucer import (catalogs, chart, cli, fibration, forms, gl2, planner, reports,
+                    structure, suites, symmetry)
+from saucer.maneuvers import ManeuverMode
 from saucer.sampling import rng_for
 
 #: sha256 over (label, samples) of every sample_vectors call the config,
@@ -181,8 +184,80 @@ def test_verify_pass_stays_within_call_budgets(monkeypatch):
     assert counts["FieldStack.jacobians"] <= 13, counts
 
 
-def test_structure_pass_solves_each_stabilizer_system_once(monkeypatch):
-    # the attacking pair, the quartic pair and the 2-form alone
+#: The checks that draw no samples, by suite: each is computed once per process.
+SEED_FREE_CHECKS = {
+    "config": ("outside-chart-rejected",),
+    "structure": ("split-operator", "split-eigenbundles", "stabilizer-dimensions",
+                  "stabilizer-span"),
+    "fibration": ("cubic-example", "lift-singularity-detected"),
+    "planner": ("plan-example",),
+}
+
+
+def _seed_free_checks(seed):
+    """{name: thunk} of the seed-free checks as the suites list them at the seed."""
+    return {name: check for suite, names in SEED_FREE_CHECKS.items()
+            for name, check in suites._BUILDERS[suite](seed) if name in names}
+
+
+def _clear_seed_free_caches():
+    for check in _seed_free_checks(1).values():
+        check.cache_clear()
+    suites._pair_stabilizers.cache_clear()
+
+
+@pytest.fixture
+def cold_seed_free_checks():
+    """Seed-free checks computed afresh, and forgotten after the test."""
+    _clear_seed_free_caches()
+    yield
+    _clear_seed_free_caches()
+
+
+def test_seed_free_checks_give_one_result_at_every_seed(cold_seed_free_checks):
+    # computed afresh at each seed, so a seed that crept into one shows here
+    results = []
+    for seed in (1, 7919):
+        _clear_seed_free_caches()
+        checks = _seed_free_checks(seed)
+        assert len(checks) == 8
+        results.append({name: check() for name, check in checks.items()})
+    assert results[0] == results[1]
+    assert all(result.passed for result in results[0].values()), results[0]
+
+
+def test_a_second_pass_reuses_the_seed_free_checks(monkeypatch, cold_seed_free_checks):
+    first = suites.run_suites(suites.SUITE_NAMES, 5)
+    counts = _count_calls(monkeypatch, [(structure, "solve_infinitesimal_stabilizer")])
+    second = suites.run_suites(suites.SUITE_NAMES, 5)
+    assert counts["structure.solve_infinitesimal_stabilizer"] == 0, counts
+    assert first == second
+    assert all(r.seconds is not None for rep in second for r in rep.results)
+    texts = [json.dumps({**reports.report_payload(reps), "timestamp": ""})
+             for reps in (first, second)]
+    assert texts[0] == texts[1]
+
+
+def test_a_seed_free_check_that_raises_fails_on_every_pass(monkeypatch, cold_seed_free_checks):
+    # functools.cache keeps no exception, so the check runs and fails again
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("no plan")
+
+    monkeypatch.setattr(planner, "plan_path", broken)
+    check = _seed_free_checks(5)["plan-example"]
+    for n in (1, 2):
+        result, = reports.run_checks([("plan-example", check)])
+        assert not result.passed and result.detail.startswith("raised RuntimeError")
+        assert len(calls) == n
+    monkeypatch.undo()
+    assert check().passed
+
+
+def test_structure_pass_solves_each_stabilizer_system_once(monkeypatch, cold_seed_free_checks):
+    # the attacking pair, the quartic pair and the 2-form alone, on a cold pass
     counts = _count_calls(monkeypatch, [(structure, "solve_infinitesimal_stabilizer")])
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["verify", "--suite", "structure", "--seed", "5", "--format", "compact"])
@@ -268,6 +343,35 @@ def test_landing_orientation_resolves_a_perturbed_frame(monkeypatch):
     assert not result.passed
 
 
+def test_ambient_triple_match_resolves_a_perturbed_volume(monkeypatch):
+    # both sides lie in (0, 2] and agree to a few ulps (8.9e-16 at worst over
+    # seeds 1-200, 7919 and 566551698): an area volume off by a relative 1e-10
+    # moves the right side by up to 2e-10, which the bound of 1e-13 sees and
+    # one of 1e-7 passes
+    check = dict(suites._config_checks(1))["ambient-triple-match"]
+    assert check().passed and check().threshold == 1e-13
+    monkeypatch.setattr(chart, "_AREA_VOLUME", chart._AREA_VOLUME * (1.0 + 1e-10))
+    result = check()
+    assert 1e-13 < result.value <= 1e-7
+    assert not result.passed
+
+
+def test_rectangle_asymptotics_resolves_a_perturbed_coefficient(monkeypatch):
+    # the ratio is exact but for the rounding of z, amplified by 1/eps^2 = 400
+    # (1.6e-13 at worst over seeds 1-200, 7919 and 566551698): a bracket gain
+    # off by a relative 1e-10 reads 1e-10, which the bound of 1e-11 sees and
+    # one of 1e-8 passes
+    check = dict(suites._planner_checks(1))["rectangle-asymptotics"]
+    assert check().passed and check().threshold == 1e-11
+    table = dict(planner._RECTANGLE)
+    pair, coeff = table[ManeuverMode.G2_STRICT]
+    table[ManeuverMode.G2_STRICT] = (pair, coeff * (1.0 + 1e-10))
+    monkeypatch.setattr(planner, "_RECTANGLE", table)
+    result = check()
+    assert 1e-11 < result.value <= 1e-8
+    assert not result.passed
+
+
 WORST_SAMPLE_CHECKS = ("structure-equations", "contact-constant", "ambient-triple-match",
                        "bracket-generating", "frame-commutators", "quartic-dual-route",
                        "polarization-diagonal", "chart-roundtrip", "frame-duality",
@@ -290,14 +394,16 @@ def test_residual_checks_name_their_worst_sample():
 #: the plain seeded draws of action-equivariance and null-classification; the
 #: structure digest carries the 1e-13 bounds of landing-square-scalar and
 #: landing-orientation; the symmetry digest carries the 1e-8 bound of
-#: structure-constant-closure.
+#: structure-constant-closure; the config and planner digests carry the
+#: 1e-13 bound of ambient-triple-match and the 1e-11 bound of
+#: rectangle-asymptotics.
 PAYLOADS_AT_SEED_5 = {
-    "config": "26175bc6099807abb255d6fb073b481d2e86ca0324d21c43dcbbc6f39278e7c6",
+    "config": "e0956b08465cfaa8af9c1f60d89121017efe0d3cd85647b18322b29c8776e6ef",
     "structure": "d6584ac8e3d0e2f9436e17d3e30f65da7288742eb847f31188cd6fd2df10ad0f",
     "gl2": "4d027298cb7320a100b0d9d03995a9c4c5297960f72f4961830f0a2fd638e2ee",
     "symmetry": "353479b165e1011b8ee4cfccd5bda25466887248e6ecafb22aeb037551056725",
     "fibration": "d854dc55ea25947d5f0ca6e1091084f950b340c89dadc4a87402885ecb84798b",
-    "planner": "929a3502213930f0ab997d691252db252818c5af0353d852e2123913b7db3a62",
+    "planner": "a9964dcc433e958df7635102ee4e3ce55abefa964ea9f0985d97f9558b3ac4a2",
 }
 
 
