@@ -6,8 +6,11 @@ four fields span the contact distribution, and their pairwise brackets
 restore the missing fifth direction, so piecewise flows reach any nearby
 target. The planner shoots one fixed word of 8 legs, the four family flows
 and one commutator rectangle, and solves for its six durations by
-Gauss-Newton with the exact Jacobian of the word's endpoint. A goal the
-word misses is reached by chaining words through evenly spaced waypoints.
+Gauss-Newton with the exact Jacobian of the word's endpoint. The rectangle
+moves its start by exactly e1 e2 times a known displacement (`_RECTANGLE`),
+so the guess solves for the four family durations and e1 e2 together on the
+family legs alone (`_guess`). A goal the word misses is reached by chaining
+words through evenly spaced waypoints.
 
 The word is written once, in `_WORDS` over `FAMILY_CONTROLS`; at import it
 becomes one leg table per family mode (`_WORD_TABLES`), from which the
@@ -47,13 +50,16 @@ FAMILY_CONTROLS: dict[ManeuverMode, tuple[tuple[float, float, float], ...]] = {
                              (1.0, -1.0, 0.0), (1.0, 2.0, 0.0)),
 }
 
-#: Commutator rectangle (field pair, z gain of the bracket) per mode. The
-#: landing gain is the contact value 1 + b^2 of [Y2, Y4] at the current point
-#: (`landing_depth2_contact_values`); `_newton` takes it in that closed form.
+#: Commutator rectangle per mode: its field pair (i, j) and its displacement
+#: per unit e1 e2 at its start point p, as a constant vector plus a vector per
+#: unit b of p. The rectangle (i, e1) (j, e2) (i, -e1) (j, -e2) moves p by
+#: exactly e1 e2 times it, at any durations: attacking 3 dz ([Y2, Y3] = 3 dz),
+#: G2 dz ([Y2, Y1] = dz), landing dz - b dy, whose contact value is the
+#: 1 + b^2 of [Y2, Y4] (`landing_depth2_contact_values`).
 _RECTANGLE = {
-    ManeuverMode.ATTACKING: ((1, 2), 3.0),
-    ManeuverMode.LANDING: ((1, 3), None),
-    ManeuverMode.G2_STRICT: ((1, 0), 1.0),
+    ManeuverMode.ATTACKING: ((1, 2), (0.0, 0.0, 3.0, 0.0, 0.0), (0.0,) * DIM),
+    ManeuverMode.LANDING: ((1, 3), (0.0, 0.0, 1.0, 0.0, 0.0), (0.0, -1.0, 0.0, 0.0, 0.0)),
+    ManeuverMode.G2_STRICT: ((1, 0), (0.0, 0.0, 1.0, 0.0, 0.0), (0.0,) * DIM),
 }
 
 
@@ -116,8 +122,8 @@ def distinguished_bracket_residual(mode: ManeuverMode, points: np.ndarray) -> fl
     if fmode == ManeuverMode.LANDING:
         lhs, gain = np.tile(_landing_nested(), (len(pts), 1)), 9.0
     else:
-        (i, j), gain = _RECTANGLE[fmode]
-        lhs = family(fmode).brackets(pts)[1][:, i, j]
+        (i, j), displacement, _ = _RECTANGLE[fmode]
+        lhs, gain = family(fmode).brackets(pts)[1][:, i, j], displacement[2]
     lhs[:, 2] -= gain
     return float(np.max(np.abs(lhs)))
 
@@ -284,7 +290,7 @@ class _Iterations:
 _WORDS = {
     fmode: ((0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (3, 3, 1.0),
             (i, 4, 1.0), (j, 5, 1.0), (i, 4, -1.0), (j, 5, -1.0))
-    for fmode, ((i, j), _) in _RECTANGLE.items()
+    for fmode, ((i, j), _, _) in _RECTANGLE.items()
 }
 
 
@@ -292,23 +298,31 @@ class _Word(NamedTuple):
     """A family mode's word as one table, so shooting it looks nothing up by mode."""
     mode: ManeuverMode
     controls: tuple[tuple[float, float, float], ...]   # FAMILY_CONTROLS of the mode
-    gain: float | None   # the rectangle's z gain; None for landing
+    #: The rectangle's displacement per unit e1 e2 at its start p is
+    #: displacement + p[4] * per_b (`_RECTANGLE`).
+    displacement: tuple[float, ...]
+    per_b: tuple[float, ...]
     #: Per leg: (family index, u1, u2, u3, slot of theta, sign).
     legs: tuple[tuple[int, float, float, float, int, float], ...]
 
 
 #: `_WORDS` with each leg's controls filled in from `FAMILY_CONTROLS`.
 _WORD_TABLES = {
-    fmode: _Word(fmode, FAMILY_CONTROLS[fmode], _RECTANGLE[fmode][1],
+    fmode: _Word(fmode, FAMILY_CONTROLS[fmode], *_RECTANGLE[fmode][1:],
                  tuple((k, *FAMILY_CONTROLS[fmode][k], slot, sign) for k, slot, sign in word))
     for fmode, word in _WORDS.items()
 }
-#: Signs of (e1, e2) in the order they are tried, for dz >= 0 and for dz < 0;
-#: the rectangle moves z by about gain * e1 * e2.
+#: Signs of (e1, e2) in the order they are tried, for e1 e2 >= 0 and for
+#: e1 e2 < 0. The third pattern is no mirror of the second: some plans that
+#: miss in the first two land in it.
 _SIGN_PATTERNS = {True: ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)),
                   False: ((1.0, -1.0), (-1.0, 1.0), (1.0, 1.0))}
 #: Halvings of a Newton step before it counts as giving no descent.
 MAX_HALVINGS = 10
+#: Newton steps of the guess on the word's four family legs (`_guess`).
+MAX_GUESS_STEPS = 32
+#: The guess is done once its residual is below this fraction of tol.
+GUESS_TOL_FRACTION = 1e-2
 
 
 def _shoot(word: _Word, start: Sequence[float], theta: Sequence[float]) -> list:
@@ -375,6 +389,49 @@ def _word_jacobian(word: _Word, points: Sequence, theta: Sequence[float]) -> lis
     return columns
 
 
+def _guess(word: _Word, start: list, target: list, s: list, points: list,
+           tol: float) -> tuple[list, float]:
+    """The guess's family durations s and rectangle product P = e1 e2.
+
+    The word's endpoint is exactly q + P d(q), q the endpoint of its four
+    family legs and d the rectangle's displacement per unit e1 e2 at q
+    (`_RECTANGLE`): five equations q + P d(q) = target in (s, P). From the
+    phase-1 durations s, whose legs pass through `points`, and the P that
+    meets z there, Newton steps on them until their residual is below
+    GUESS_TOL_FRACTION of tol, at most MAX_GUESS_STEPS of them, each shooting
+    the four legs alone. The columns of s are `_word_jacobian` over those
+    legs plus P d'(q) dq_b/ds, and the column of P is d(q). A singular or
+    not finite solve falls back to the phase-1 s and P. The attacking and G2
+    legs move (x, y, a, b) linearly and their d is constant, so the phase-1
+    s and P meet the equations at once.
+    """
+    prefix = word._replace(legs=word.legs[:4])
+    q = points[-1]
+    product = (target[2] - q[2]) / word.displacement[2]
+    phase1 = s, product
+    for step in range(MAX_GUESS_STEPS + 1):
+        d = [c + q[4] * c_b for c, c_b in zip(word.displacement, word.per_b)]
+        r = [g - x - product * v for g, x, v in zip(target, q, d)]
+        gap_max = _sup(r)
+        if not gap_max < math.inf:
+            return phase1
+        if gap_max < GUESS_TOL_FRACTION * tol or step == MAX_GUESS_STEPS:
+            return s, product
+        columns = _word_jacobian(prefix, points, s + [0.0, 0.0])[:4]
+        jt = [[v + product * c_b * column[4] for v, c_b in zip(column, word.per_b)]
+              for column in columns] + [d]
+        try:
+            delta = np.linalg.solve(np.array(jt).T, r).tolist()
+        except np.linalg.LinAlgError:
+            return phase1
+        if not all(map(math.isfinite, delta)):
+            return phase1
+        s = [v + dv for v, dv in zip(s, delta)]
+        product += delta[4]
+        points = _shoot(prefix, start, s + [0.0, 0.0])
+        q = points[-1]
+
+
 def _newton_step(word: _Word, start: list, theta: list, points: list,
                  r: list, norm: float):
     """One damped Gauss-Newton step: (theta, points, step norm), or a reason.
@@ -405,12 +462,12 @@ def _newton(word: _Word, start: list, target: list, tol: float,
     """Shoot the word at target: (legs, endpoint, reason), reason None on success.
 
     Iteration 1 builds the guess: one phase-1 solve for s1..s4, then
-    |e1| = |e2| = sqrt(|dz| / gain) with dz and the gain (1 + b^2 for
-    landing) taken where the phase-1 legs end, in the first sign pattern
-    whose e1 e2 has the sign of dz. The rectangle is left out when the
-    phase-1 legs meet tol. Every later iteration takes one Newton step; an
-    attempt that ends on a singular Jacobian or no descent moves on to the
-    next sign pattern.
+    `_guess` solves the four legs and the rectangle's exact displacement
+    together for s1..s4 and P = e1 e2, and |e1| = |e2| = sqrt(|P|) in the
+    first sign pattern whose e1 e2 has the sign of P. The rectangle is left
+    out when the phase-1 legs meet tol. Every later iteration takes one
+    Newton step on the whole word; an attempt that ends on a singular
+    Jacobian or no descent moves on to the next sign pattern.
     """
     gap_max = _gap_max(target, start)
     if not tol <= gap_max < math.inf:
@@ -421,12 +478,10 @@ def _newton(word: _Word, start: list, target: list, tol: float,
     theta = s + [0.0, 0.0]
     points = _shoot(word, start, theta)
     patterns: list = []
-    mid = points[4]
-    if tol <= _gap_max(target, mid) < math.inf:
-        dz = target[2] - mid[2]
-        gain = word.gain or 1.0 + mid[4] * mid[4]
-        e = math.sqrt(abs(dz) / gain)
-        patterns = [[e * s1, e * s2] for s1, s2 in _SIGN_PATTERNS[dz >= 0.0]]
+    if tol <= _gap_max(target, points[4]) < math.inf:
+        s, product = _guess(word, start, target, s, points[:5], tol)
+        e = math.sqrt(abs(product))
+        patterns = [[e * s1, e * s2] for s1, s2 in _SIGN_PATTERNS[product >= 0.0]]
         theta = s + patterns.pop(0)
         points = _shoot(word, start, theta)
     legs = _word_legs(word, theta)

@@ -542,7 +542,8 @@ def _planner_checks(seed: int) -> list[Check]:
         worst = 0.0
         for mode in (ManeuverMode.ATTACKING, ManeuverMode.G2_STRICT):
             p0 = sample_vectors(1, 5, seed, f"planner.rect.{mode.value}")[0]
-            (i, j), coeff = planner._RECTANGLE[mode]
+            (i, j), displacement, _ = planner._RECTANGLE[mode]
+            coeff = displacement[2]
             for eps in (0.2, 0.1, 0.05):
                 p = p0.copy()
                 for k, s in ((i, eps), (j, eps), (i, -eps), (j, -eps)):
@@ -559,7 +560,7 @@ def _planner_checks(seed: int) -> list[Check]:
         worst_gap = 0.0
         worst_resid = 0.0
         replayed = True
-        n_legs = 0
+        n_legs = n_iterations = 0
         for mode in _PLAN_MODES:
             pts = sample_vectors(6, 5, seed, f"planner.plan.{mode.value}", box=0.8)
             for k in range(3):
@@ -576,10 +577,11 @@ def _planner_checks(seed: int) -> list[Check]:
                                   end_err)
                 replayed = replayed and planner.replay_passed(rep, end_err)
                 n_legs += len(plan.legs)
+                n_iterations += plan.iterations
         ok = worst_gap < tol and replayed
         return CheckResult("plan-and-replay", ok, worst_gap,
-                           f"9 pairs, {n_legs} legs, replay residual "
-                           f"{worst_resid:.3g}")
+                           f"9 pairs, {n_legs} legs, {n_iterations} iterations, "
+                           f"replay residual {worst_resid:.3g}")
 
     return [("bracket-generating", generating),
             ("attacking-bracket-identity", attacking_identity),

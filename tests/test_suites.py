@@ -364,8 +364,10 @@ def test_rectangle_asymptotics_resolves_a_perturbed_coefficient(monkeypatch):
     check = dict(suites._planner_checks(1))["rectangle-asymptotics"]
     assert check().passed and check().threshold == 1e-11
     table = dict(planner._RECTANGLE)
-    pair, coeff = table[ManeuverMode.G2_STRICT]
-    table[ManeuverMode.G2_STRICT] = (pair, coeff * (1.0 + 1e-10))
+    pair, displacement, per_b = table[ManeuverMode.G2_STRICT]
+    gain = displacement[2] * (1.0 + 1e-10)
+    table[ManeuverMode.G2_STRICT] = (pair, displacement[:2] + (gain,) + displacement[3:],
+                                     per_b)
     monkeypatch.setattr(planner, "_RECTANGLE", table)
     result = check()
     assert 1e-11 < result.value <= 1e-8
@@ -403,7 +405,7 @@ PAYLOADS_AT_SEED_5 = {
     "gl2": "4d027298cb7320a100b0d9d03995a9c4c5297960f72f4961830f0a2fd638e2ee",
     "symmetry": "353479b165e1011b8ee4cfccd5bda25466887248e6ecafb22aeb037551056725",
     "fibration": "d854dc55ea25947d5f0ca6e1091084f950b340c89dadc4a87402885ecb84798b",
-    "planner": "a9964dcc433e958df7635102ee4e3ce55abefa964ea9f0985d97f9558b3ac4a2",
+    "planner": "547623f92a0b26afc8e5ce020d661d4b163d209d9ea54716e3de1adc3849ede4",
 }
 
 
