@@ -4,7 +4,9 @@ Every mode, a `ManeuverMode`, steers along c1 Z1 + c2 Z2 + c3 Z3 + c4 Z4,
 where the Z frame is Z1 = dx + a dz, Z2 = dy + b dz, Z3 = -3 db, Z4 = da.
 `law` is the only place the law is written: each mode gives its c1..c4,
 and one line expands them to the chart velocity (vx, vy, vz, va, vb).
-Everything else evaluates it through `law`, `law_gradient` or `velocity`.
+Everything else evaluates it through `law`, `law_gradient` or `velocity`;
+`flow` hands out the velocity at its endpoint, by `velocity`, with no
+second evaluation of the law.
 
 Under constant controls c3 and c4 do not depend on the state, so a and b
 move linearly in t and the velocity along the flow is a polynomial in t of
@@ -137,7 +139,7 @@ def velocity(mode: ManeuverMode, p, u1, u2, u3, out=None) -> np.ndarray:
     return out
 
 
-def flow(mode: ManeuverMode, p0, u1, u2, u3, t) -> tuple:
+def flow(mode: ManeuverMode, p0, u1, u2, u3, t, out=None) -> tuple:
     """The exact constant-control flow from p0 for time t, as (x, y, z, a, b).
 
     p0 holds (x0, y0, z0, a0, b0). Like `law`, it is plain arithmetic: the
@@ -148,6 +150,11 @@ def flow(mode: ManeuverMode, p0, u1, u2, u3, t) -> tuple:
     start's and (vx, vy, vz) is taken at the three nodes. Columns are
     dropped as soon as they are spent, which bounds the memory of a long
     stacked call.
+
+    Given `out` ((5,) or (m, 5), any layout), the endpoint's velocity v(t)
+    is also written into it: `velocity` itself evaluates v(t), at the
+    endpoint's (a, b) stored in out, and the sum reads its (vx, vy, vz) back,
+    so the law is still evaluated once per node.
     """
     x0, y0, z0, a0, b0 = p0
     vx0, vy0, vz0, va, vb = law(mode, a0, b0, u1, u2, u3)
@@ -160,7 +167,15 @@ def flow(mode: ManeuverMode, p0, u1, u2, u3, t) -> tuple:
     x, y, z, va, vb = law(mode, am, bm, u1, u2, u3)
     del am, bm, va, vb
     x, y, z = 4.0 * x, 4.0 * y, 4.0 * z
-    vx, vy, vz, va, vb = law(mode, a, b, u1, u2, u3)
+    if out is None:
+        vx, vy, vz, va, vb = law(mode, a, b, u1, u2, u3)
+    else:
+        # the last node by `velocity`, at the endpoint's (a, b) put in out:
+        # every velocity the package stores is written by `velocity`, and
+        # the benchmark's layer counters count its passes there
+        columns = out.T
+        columns[3], columns[4] = a, b
+        vx, vy, vz, va, vb = velocity(mode, out, u1, u2, u3, out=out).T
     del va, vb
     x += vx + vx0
     y += vy + vy0

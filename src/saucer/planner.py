@@ -305,6 +305,11 @@ class _Word(NamedTuple):
     #: Per leg: (family index, u1, u2, u3, slot of theta, sign).
     legs: tuple[tuple[int, float, float, float, int, float], ...]
 
+    @property
+    def prefix(self) -> "_Word":
+        """The word's four family legs alone, which move its start by durations s1..s4."""
+        return self._replace(legs=self.legs[:4])
+
 
 #: `_WORDS` with each leg's controls filled in from `FAMILY_CONTROLS`.
 _WORD_TABLES = {
@@ -325,17 +330,19 @@ MAX_GUESS_STEPS = 32
 GUESS_TOL_FRACTION = 1e-2
 
 
-def _shoot(word: _Word, start: Sequence[float], theta: Sequence[float]) -> list:
+def _shoot(word: _Word, points: Sequence, theta: Sequence[float]) -> list:
     """Start and the endpoint of every leg of the word at durations theta.
 
-    Each leg is one `kernels.flow` on Python floats, its controls, theta
-    slot and sign read from the word's table: the same arithmetic as a chain
-    of `flow` calls, bit for bit.
+    `points` holds the start and the endpoints of the word's first legs,
+    already flowed at theta's durations (just [start] to shoot the whole
+    word); only the legs after them are flowed. Each is one `kernels.flow`
+    on Python floats, its controls, theta slot and sign read from the word's
+    table: the same arithmetic as a chain of `flow` calls, bit for bit.
     """
     mode = word.mode
-    points = [start]
-    p = start
-    for _, u1, u2, u3, slot, sign in word.legs:
+    points = list(points)
+    p = points[-1]
+    for _, u1, u2, u3, slot, sign in word.legs[len(points) - 1:]:
         p = kernels.flow(mode, p, u1, u2, u3, sign * theta[slot])
         points.append(p)
     return points
@@ -389,9 +396,10 @@ def _word_jacobian(word: _Word, points: Sequence, theta: Sequence[float]) -> lis
     return columns
 
 
-def _guess(word: _Word, start: list, target: list, s: list, points: list,
-           tol: float) -> tuple[list, float]:
-    """The guess's family durations s and rectangle product P = e1 e2.
+def _guess(word: _Word, target: list, s: list, points: list,
+           tol: float) -> tuple[list, float, list]:
+    """The guess's family durations s, rectangle product P = e1 e2, and the
+    start and endpoints of the four family legs at those s.
 
     The word's endpoint is exactly q + P d(q), q the endpoint of its four
     family legs and d the rectangle's displacement per unit e1 e2 at q
@@ -401,14 +409,15 @@ def _guess(word: _Word, start: list, target: list, s: list, points: list,
     GUESS_TOL_FRACTION of tol, at most MAX_GUESS_STEPS of them, each shooting
     the four legs alone. The columns of s are `_word_jacobian` over those
     legs plus P d'(q) dq_b/ds, and the column of P is d(q). A singular or
-    not finite solve falls back to the phase-1 s and P. The attacking and G2
-    legs move (x, y, a, b) linearly and their d is constant, so the phase-1
-    s and P meet the equations at once.
+    not finite solve falls back to the phase-1 s, P and points. The
+    attacking and G2 legs move (x, y, a, b) linearly and their d is
+    constant, so the phase-1 s and P meet the equations at once, and the
+    points returned are the ones passed in.
     """
-    prefix = word._replace(legs=word.legs[:4])
+    prefix = word.prefix
     q = points[-1]
     product = (target[2] - q[2]) / word.displacement[2]
-    phase1 = s, product
+    phase1 = s, product, points
     for step in range(MAX_GUESS_STEPS + 1):
         d = [c + q[4] * c_b for c, c_b in zip(word.displacement, word.per_b)]
         r = [g - x - product * v for g, x, v in zip(target, q, d)]
@@ -416,8 +425,8 @@ def _guess(word: _Word, start: list, target: list, s: list, points: list,
         if not gap_max < math.inf:
             return phase1
         if gap_max < GUESS_TOL_FRACTION * tol or step == MAX_GUESS_STEPS:
-            return s, product
-        columns = _word_jacobian(prefix, points, s + [0.0, 0.0])[:4]
+            return s, product, points
+        columns = _word_jacobian(prefix, points, s)
         jt = [[v + product * c_b * column[4] for v, c_b in zip(column, word.per_b)]
               for column in columns] + [d]
         try:
@@ -428,7 +437,7 @@ def _guess(word: _Word, start: list, target: list, s: list, points: list,
             return phase1
         s = [v + dv for v, dv in zip(s, delta)]
         product += delta[4]
-        points = _shoot(prefix, start, s + [0.0, 0.0])
+        points = _shoot(prefix, points[:1], s)
         q = points[-1]
 
 
@@ -450,7 +459,7 @@ def _newton_step(word: _Word, start: list, theta: list, points: list,
     scale = 1.0
     for _ in range(MAX_HALVINGS + 1):
         trial = [s + scale * d for s, d in zip(theta, delta)]
-        shot = _shoot(word, start, trial)
+        shot = _shoot(word, [start], trial)
         if math.hypot(*[g - q for g, q in zip(target, shot[-1])]) < norm:
             return (trial, shot, scale * math.hypot(*delta)), None
         scale *= 0.5
@@ -461,13 +470,17 @@ def _newton(word: _Word, start: list, target: list, tol: float,
             log: _Iterations) -> tuple[list, list, str | None]:
     """Shoot the word at target: (legs, endpoint, reason), reason None on success.
 
-    Iteration 1 builds the guess: one phase-1 solve for s1..s4, then
-    `_guess` solves the four legs and the rectangle's exact displacement
-    together for s1..s4 and P = e1 e2, and |e1| = |e2| = sqrt(|P|) in the
-    first sign pattern whose e1 e2 has the sign of P. The rectangle is left
-    out when the phase-1 legs meet tol. Every later iteration takes one
-    Newton step on the whole word; an attempt that ends on a singular
-    Jacobian or no descent moves on to the next sign pattern.
+    Iteration 1 builds the guess: one phase-1 solve for s1..s4, whose four
+    family legs alone are shot, then `_guess` solves the four legs and the
+    rectangle's exact displacement together for s1..s4 and P = e1 e2, and
+    |e1| = |e2| = sqrt(|P|) in the first sign pattern whose e1 e2 has the
+    sign of P. The rectangle is left out, and never flowed, when the
+    phase-1 legs meet tol or end where the gap is not finite. Every later
+    iteration takes one Newton step on the whole word; an attempt that ends
+    on a singular Jacobian or no descent moves on to the next sign pattern.
+    Each sign pattern's word flows only its four rectangle legs, from the
+    family legs' points that `_guess` returned; only a Newton step shoots
+    the whole word.
     """
     gap_max = _gap_max(target, start)
     if not tol <= gap_max < math.inf:
@@ -476,14 +489,14 @@ def _newton(word: _Word, start: list, target: list, tol: float,
     s = np.linalg.solve(_phase1_matrix(word, start),
                         [target[i] - start[i] for i in DIST_SLOTS]).tolist()
     theta = s + [0.0, 0.0]
-    points = _shoot(word, start, theta)
+    points = prefix = _shoot(word.prefix, [start], s)
     patterns: list = []
-    if tol <= _gap_max(target, points[4]) < math.inf:
-        s, product = _guess(word, start, target, s, points[:5], tol)
+    if tol <= _gap_max(target, prefix[-1]) < math.inf:
+        s, product, prefix = _guess(word, target, s, prefix, tol)
         e = math.sqrt(abs(product))
         patterns = [[e * s1, e * s2] for s1, s2 in _SIGN_PATTERNS[product >= 0.0]]
         theta = s + patterns.pop(0)
-        points = _shoot(word, start, theta)
+        points = _shoot(word, prefix, theta)
     legs = _word_legs(word, theta)
     log.record(gap_max, len(legs))
     while log.left > 0:
@@ -498,7 +511,7 @@ def _newton(word: _Word, start: list, target: list, tol: float,
             return legs, points[-1], reason
         if step is None:
             theta, length = s + patterns.pop(0), 0.0
-            points = _shoot(word, start, theta)
+            points = _shoot(word, prefix, theta)
         else:
             theta, points, length = step
         n_before = len(legs)
@@ -625,10 +638,11 @@ def replay(plan: Plan) -> Trajectory:
     The leg start points are chained on Python floats. One table then holds
     per leg its start, its controls, the row of its first sample, its sample
     spacing and its start time; one `np.repeat` expands it to a column per
-    sample, and every sample of every leg comes from one stacked
-    `kernels.flow` call and one `kernels.velocity` call. Each sample, joints
-    included, moves with the leg that leaves it, and the final sample keeps
-    the last leg's controls.
+    sample, and every sample of every leg, its state and its velocity, comes
+    from one stacked `kernels.flow` call: the flow evaluates the law at each
+    sample's state, and writes that value out as the sample's velocity. Each
+    sample, joints included, moves with the leg that leaves it, and the
+    final sample keeps the last leg's controls.
     """
     word = _WORD_TABLES[_family_mode(plan.mode)]
     mode = word.mode
@@ -662,13 +676,13 @@ def replay(plan: Plan) -> Trajectory:
     np.subtract(np.arange(first, dtype=float), local, out=local)
     local *= rows[9]
     local[-1] = durations[-1]
-    controls = rows[5:8]
-    for row, value in zip(rows, kernels.flow(mode, rows[:5], *controls, local)):
+    # the velocities in column storage, like the states
+    velocities = np.empty((DIM, first))
+    for row, value in zip(rows, kernels.flow(mode, rows[:5], *rows[5:8], local,
+                                             out=velocities.T)):
         row[:] = value
-    del value   # the velocity pass below is the replay's memory peak
     local += rows[10]
-    states = rows[:5].T
-    return Trajectory(plan.mode, local, states, kernels.velocity(mode, states, *controls))
+    return Trajectory(plan.mode, local, rows[:5].T, velocities.T)
 
 
 def replay_passed(residuals: ResidualReport, endpoint_error: float) -> bool:

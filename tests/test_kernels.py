@@ -134,6 +134,25 @@ def test_flow_on_per_row_columns_equals_per_row_floats(mode):
     np.testing.assert_array_equal(np.column_stack(stacked), rowwise)
 
 
+@pytest.mark.parametrize("mode", MODES, ids=_mode_id)
+def test_flow_into_out_hands_out_the_endpoint_velocity(mode):
+    # `out` leaves the flow's state as it is and holds `velocity` at that
+    # state, bit for bit, in either layout and at one point
+    rng = np.random.default_rng([MODES.index(mode), 15])
+    starts = rng.uniform(-2.0, 2.0, (30, 5))
+    u = rng.uniform(-2.0, 2.0, (30, 3))
+    t = rng.uniform(-1.5, 1.5, 30)
+    want = np.column_stack(kernels.flow(mode, starts.T, *u.T, t))
+    for out in (np.empty((30, 5)), np.empty((5, 30)).T):
+        got = np.column_stack(kernels.flow(mode, starts.T, *u.T, t, out=out))
+        assert got.tobytes() == want.tobytes()
+        assert out.tobytes() == kernels.velocity(mode, want, *u.T).tobytes()
+    out = np.empty(5)
+    point = kernels.flow(mode, starts[0].tolist(), *u[0].tolist(), float(t[0]), out=out)
+    assert np.array(point).tobytes() == want[0].tobytes()
+    assert out.tobytes() == kernels.velocity(mode, want[0], *u[0]).tobytes()
+
+
 @pytest.mark.parametrize("mode", list(planner.FAMILY_CONTROLS))
 def test_flow_is_the_last_row_of_a_leg_sampling(mode):
     p = np.array([0.3, -1.1, 0.7, 1.6, -1.4])

@@ -336,7 +336,7 @@ def test_word_jacobian_matches_complex_steps(mode):
     for start, theta in zip(starts, thetas):
         want = complex_step_derivative(_word_endpoint(mode, start), theta).T
         word = planner._WORD_TABLES[fmode]
-        points = planner._shoot(word, start.tolist(), theta.tolist())
+        points = planner._shoot(word, [start.tolist()], theta.tolist())
         got = np.array(planner._word_jacobian(word, points, theta.tolist())).T
         assert got.shape == (5, 6)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -394,15 +394,20 @@ def test_the_guess_solves_the_family_legs_and_the_rectangle_together(mode, monke
         gap = [g - p for g, p in zip(goal, start)]
         s = np.linalg.solve(planner._phase1_matrix(word, start),
                             [gap[i] for i in DIST_SLOTS]).tolist()
-        points = shoot(word, start, s + [0.0, 0.0])[:5]
+        points = shoot(word.prefix, [start], s)
+        assert len(points) == 5
         shots.clear()
-        guess, product = planner._guess(word, start, goal, s, points, 1e-3)
+        guess, product, prefix = planner._guess(word, goal, s, points, 1e-3)
         e = math.sqrt(abs(product))
         first = [e * sign for sign in planner._SIGN_PATTERNS[product >= 0.0][0]]
-        end = shoot(word, start, guess + first)[-1]
-        assert planner._gap_max(goal, end) < planner.GUESS_TOL_FRACTION * 1e-3
+        shot = shoot(word, [start], guess + first)
+        assert planner._gap_max(goal, shot[-1]) < planner.GUESS_TOL_FRACTION * 1e-3
+        # the points it returns are the family legs' at its s, bit for bit,
+        # so the shooter flows the rectangle from them alone
+        assert prefix == shot[:5]
+        assert shoot(word, prefix, guess + first) == shot
         if fmode is not ManeuverMode.LANDING:
-            assert guess is s and not shots
+            assert guess is s and prefix is points and not shots
             assert product == (goal[2] - points[-1][2]) / word.displacement[2]
         else:
             assert 0 < len(shots) <= planner.MAX_GUESS_STEPS
@@ -419,8 +424,34 @@ def test_the_word_is_shot_through_planner_flow(monkeypatch):
                         lambda *args: calls.append(args) or real(*args))
     start, goal = [0.1, -0.2, 0.3, 0.0, 0.2], [-0.4, 0.2, -0.1, 0.3, 0.2]
     plan = planner.plan_path(ManeuverMode.ATTACKING, start, goal, tol=1e-10)
-    # the phase-1 legs, then the word with its rectangle
-    assert plan.success and len(calls) == 16
+    # the four phase-1 legs, then the rectangle flowed from their endpoint
+    assert plan.success and len(calls) == 8
+    assert [args[5] for args in calls[4:]] == [s for _, s in plan.legs[4:]]
+
+
+@pytest.mark.parametrize("mode", list(ManeuverMode))
+def test_the_shooter_flows_no_leg_of_zero_duration(mode, monkeypatch):
+    # the rectangle is flowed only once its durations are sized, never at
+    # e1 = e2 = 0 behind the phase-1 legs
+    durations = []
+    real = kernels.flow
+    monkeypatch.setattr(planner.kernels, "flow",
+                        lambda *args: durations.append(args[5]) or real(*args))
+    pts = sample_vectors(12, 5, 99, f"test-no-zero-leg-{mode.value}", box=BOX_HALF_WIDTH)
+    for start, goal in list(zip(pts[0::2], pts[1::2])) + [FALLBACK_PAIRS[0]]:
+        durations.clear()
+        plan = planner.plan_path(mode, start, goal, tol=1e-3)
+        assert plan.success
+        assert len(durations) >= 8 and all(s != 0.0 for s in durations)
+    if mode is not ManeuverMode.LANDING:
+        # a goal the four phase-1 legs meet: the rectangle is never flowed
+        word = planner._WORD_TABLES[planner._family_mode(mode)]
+        start = pts[0].tolist()
+        goal = planner._shoot(word.prefix, [start], [0.3, -0.2, 0.4, 0.1])[-1]
+        durations.clear()
+        plan = planner.plan_path(mode, start, goal, tol=1e-3)
+        assert plan.success and len(plan.legs) == 4
+        assert len(durations) == 4 and all(s != 0.0 for s in durations)
 
 
 @pytest.mark.parametrize("mode", list(ManeuverMode))
@@ -436,7 +467,7 @@ def test_shoot_equals_a_chain_of_planner_flow(mode):
         # the third trial of a Newton step, its step halved twice
         trial = [s + 0.25 * d for s, d in zip(theta, delta)]
         for durations in (theta, trial):
-            points = planner._shoot(planner._WORD_TABLES[fmode], start.tolist(), durations)
+            points = planner._shoot(planner._WORD_TABLES[fmode], [start.tolist()], durations)
             chain = [tuple(start.tolist())]
             for k, slot, sign in planner._WORDS[fmode]:
                 chain.append(planner.flow(mode, k, chain[-1], sign * durations[slot]))
@@ -572,7 +603,8 @@ def _leg_controls(mode, k, s):
 
 
 def _per_leg_replay(plan):
-    """One rk4_constant sampling per leg, joints shared, velocities row by row.
+    """One rk4_constant sampling per leg, joints shared: its times, its states
+    and each sample's controls, (m, 3).
 
     A sample moves with the leg that leaves it, so every leg's controls cover
     its start and its interior samples, and the final sample keeps the last
@@ -591,18 +623,27 @@ def _per_leg_replay(plan):
         p = seg[-1]
         t0 += abs(s)
     controls.append(controls[-1])
-    states = np.vstack(states)
-    vels = np.array([kernels.velocity(fmode, x, *u) for x, u in zip(states, controls)])
-    return np.concatenate(times), states, vels
+    return np.concatenate(times), np.vstack(states), np.array(controls)
 
 
 def _assert_matches_per_leg_replay(plan):
-    traj = planner.replay(plan)
-    times, states, vels = _per_leg_replay(plan)
+    fmode = planner._family_mode(plan.mode)
+    real = kernels.law
+    passes = []   # the law's evaluations over the whole stack of samples
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "law", lambda mode, a, b, *u: passes.append(np.ndim(a))
+                      or real(mode, a, b, *u))
+        traj = planner.replay(plan)
+    times, states, controls = _per_leg_replay(plan)
     np.testing.assert_array_equal(traj.times, times)
-    for got, want in ((traj.states, states), (traj.velocities, vels)):
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+    assert traj.states.shape == states.shape
+    assert np.max(np.abs(traj.states - states)) <= 1e-13 * max(1.0, np.max(np.abs(states)))
+    # each sample's velocity is the law at its own state and controls, bit
+    # for bit, taken from the flow's own evaluation at the sample: the law
+    # runs over the stack once per node of the flow, and no more
+    np.testing.assert_array_equal(traj.velocities,
+                                  kernels.velocity(fmode, traj.states, *controls.T))
+    assert passes.count(1) == 3
     return traj
 
 
@@ -718,6 +759,64 @@ def test_plan_stops_when_the_gap_itself_overflows():
                              [1e308, 0, 0, 0, 0])
     assert not plan.success
     assert plan.iterations == 1 and plan.legs == ()
+    assert plan.reason == "gap not finite" and np.all(np.isfinite(plan.achieved))
+
+
+INF = math.inf
+#: Per mode and goal of `test_plan_stops_at_the_first_state_that_overflows`,
+#: planned from the origin: the default plan's reason, its legs, and which
+#: coordinates of its endpoint are finite (f), infinite (i) or nan (n). The
+#: rectangle is never flowed at these goals, so the endpoint is where the
+#: phase-1 legs end; flowing four legs of zero duration on from it turned
+#: no inf into nan. A plan stopped after its guess has the same legs and
+#: endpoint.
+OVERFLOW_PLANS = {
+    (ManeuverMode.ATTACKING, 0): (None, ((0, -3.3333333333333335e+299),
+                                         (2, 3.3333333333333335e+299)), "fffff"),
+    (ManeuverMode.LANDING, 0): ("gap not finite", ((1, -1e+300), (3, 1e+300)), "fnnff"),
+    (ManeuverMode.G2_SIMPLE, 0): (None, ((0, 1e+300),), "fffff"),
+    (ManeuverMode.G2_STRICT, 0): (None, ((0, 1e+300),), "fffff"),
+    (ManeuverMode.ATTACKING, 1): ("gap not finite", ((0, -INF), (2, 3.333333333333333e+307),
+                                                     (3, 1e+308)), "nnnni"),
+    (ManeuverMode.LANDING, 1): ("gap not finite", ((0, -1.6632002579455998e+291),
+                                                   (2, -3.333333333333333e+307),
+                                                   (3, 1e+308)), "nnnff"),
+    (ManeuverMode.G2_SIMPLE, 1): ("gap not finite", ((0, 1.3333333333333333e+308),
+                                                     (1, 3.333333333333333e+307),
+                                                     (2, -6.666666666666666e+307)), "ffnfi"),
+    (ManeuverMode.G2_STRICT, 1): ("gap not finite", ((0, 1.3333333333333333e+308),
+                                                     (1, 3.333333333333333e+307),
+                                                     (2, -6.666666666666666e+307)), "ffnfi"),
+    (ManeuverMode.ATTACKING, 2): ("gap not finite", ((0, -3.3333333333333336e+154),
+                                                     (1, -1e+155), (3, 1e+155)), "ffiff"),
+    (ManeuverMode.LANDING, 2): ("gap not finite", ((0, 1.984754276476537e+138),
+                                                   (2, -3.3333333333333336e+154)), "nfnff"),
+    (ManeuverMode.G2_SIMPLE, 2): ("gap not finite", ((0, -1.6666666666666665e+154),
+                                                     (1, 8.333333333333334e+154),
+                                                     (2, -5e+154),
+                                                     (3, -1.6666666666666668e+154)), "ffiff"),
+    (ManeuverMode.G2_STRICT, 2): ("gap not finite", ((0, -1.6666666666666665e+154),
+                                                     (1, 8.333333333333334e+154),
+                                                     (2, -5e+154),
+                                                     (3, -1.6666666666666668e+154)), "ffiff"),
+}
+
+
+def _finite_pattern(v) -> str:
+    return "".join("f" if math.isfinite(x) else "n" if x != x else "i" for x in v.tolist())
+
+
+@pytest.mark.parametrize("mode,goal", list(OVERFLOW_PLANS))
+def test_overflowing_plans_end_where_their_phase1_legs_do(mode, goal):
+    reason, legs, pattern = OVERFLOW_PLANS[mode, goal]
+    goal = [[1e300, 0, 0, 0, 0], [1e308] * 5, [0, 1e155, 0, 0, 1e155]][goal]
+    plan = planner.plan_path(mode, np.zeros(5), goal)
+    assert (plan.reason, plan.iterations, plan.legs) == (reason, 2, legs)
+    assert _finite_pattern(plan.achieved) == pattern
+    short = planner.plan_path(mode, np.zeros(5), goal, max_iterations=1)
+    assert (short.reason, short.iterations, short.legs) == \
+        (reason and "max_iterations spent", 1, legs)
+    assert _finite_pattern(short.achieved) == pattern
 
 
 def test_replay_survives_a_plan_that_overflows():
