@@ -498,8 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the replayed trajectory as CSV")
     p.add_argument("--trace", action="store_true",
                    help="add a per-iteration trace (max |gap| to the waypoint the "
-                        "iteration aims at, legs added, Newton residual and step) "
-                        "to the report")
+                        "iteration aims at, legs added) to the report")
     _add_common(p)
     p.set_defaults(func=_cmd_plan)
 

@@ -222,13 +222,17 @@ def classify_directions(X: np.ndarray, tol: float = CLASSIFY_TOL) -> np.ndarray:
 
     Type N on the cubic cone, type II on its tangent variety, else not null.
     Thresholds are relative: |g_i| against |X|^2, |Upsilon| against |X|^4;
-    X must be finite, and tol finite and positive.
+    X must be finite, and tol finite and positive. Each row is first scaled
+    by a power of two to a largest |component| in [1/2, 1), which changes
+    no class of a normal input and keeps |X|^4 from overflowing or
+    underflowing at the ends of the float range.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise ValueError("cannot classify a direction that is not finite")
+    X = np.ldexp(X, -np.frexp(np.max(np.abs(X), axis=-1))[1][..., None])
     norm2 = np.einsum("...i,...i->...", X, X)
     if np.any(norm2 == 0.0):
         raise ValueError("cannot classify the zero vector")

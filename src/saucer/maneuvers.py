@@ -243,8 +243,9 @@ def integrate_trajectory(program: ControlProgram, p0: Sequence[float]) -> Trajec
         highs.append(block.max())
         lows.append(block.min())
 
-    # np.max over the block extremes lets a NaN through, as a whole-array max does
-    escaped = bool(max(np.max(highs), -np.min(lows)) > BOX_HALF_WIDTH)
+    # np.maximum lets a NaN through, as a whole-array max does, and a
+    # trajectory whose extreme is not finite has escaped
+    escaped = not np.maximum(np.max(highs), -np.min(lows)) <= BOX_HALF_WIDTH
     if escaped:
         warnings.warn("trajectory left the sampling box", ChartEscapeWarning,
                       stacklevel=2)

@@ -5,12 +5,11 @@ every member an instance of the mode's control law with frozen controls. The
 four fields span the contact distribution, and their pairwise brackets
 restore the missing fifth direction, so piecewise flows reach any nearby
 target. The planner shoots one fixed word of 8 legs, the four family flows
-and one commutator rectangle, and solves for its six durations by
-Gauss-Newton with the exact Jacobian of the word's endpoint. The rectangle
-moves its start by exactly e1 e2 times a known displacement (`_RECTANGLE`),
-so the guess solves for the four family durations and e1 e2 together on the
-family legs alone (`_guess`). A goal the word misses is reached by chaining
-words through evenly spaced waypoints.
+and one commutator rectangle. The rectangle moves its start by exactly
+e1 e2 times a known displacement (`_RECTANGLE`), so one Newton solve on the
+family legs alone finds the four family durations and e1 e2 together
+(`_guess`), with the exact Jacobian of the legs' endpoint. A goal the word
+misses is reached by chaining words through evenly spaced waypoints.
 
 The word is written once, in `_WORDS` over `FAMILY_CONTROLS`; at import it
 becomes one leg table per family mode (`_WORD_TABLES`), from which the
@@ -236,10 +235,6 @@ class Plan:
     pieces: int = 1
     #: Why the plan failed; None on success.
     reason: str | None = None
-    #: Per iteration, recorded with `trace`: (|gap|, |step|) in the 2-norm
-    #: for a Newton iteration, the step 0.0 when it took none (it met tol or
-    #: its attempt ended); None for the guess of each word.
-    newton_trace: tuple[tuple[float, float] | None, ...] | None = None
 
     def to_json_dict(self) -> dict:
         payload = {
@@ -259,9 +254,6 @@ class Plan:
         if self.trace is not None:
             payload["trace"] = [{"gap_max": gap, "legs_added": added}
                                 for gap, added in self.trace]
-            for step, newton in zip(payload["trace"], self.newton_trace or ()):
-                if newton is not None:
-                    step["residual"], step["step"] = newton
         return payload
 
 
@@ -271,13 +263,10 @@ class _Iterations:
     def __init__(self, budget: int):
         self.left = budget
         self.steps: list[tuple[float, int]] = []
-        self.newton: list[tuple[float, float] | None] = []
 
-    def record(self, gap_max: float, added: int,
-               newton: tuple[float, float] | None = None) -> None:
+    def record(self, gap_max: float, added: int) -> None:
         self.left -= 1
         self.steps.append((gap_max, added))
-        self.newton.append(newton)
 
     def drop_legs(self) -> None:
         """The legs recorded so far leave the plan: no iteration kept any."""
@@ -317,13 +306,6 @@ _WORD_TABLES = {
                  tuple((k, *FAMILY_CONTROLS[fmode][k], slot, sign) for k, slot, sign in word))
     for fmode, word in _WORDS.items()
 }
-#: Signs of (e1, e2) in the order they are tried, for e1 e2 >= 0 and for
-#: e1 e2 < 0. The third pattern is no mirror of the second: some plans that
-#: miss in the first two land in it.
-_SIGN_PATTERNS = {True: ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)),
-                  False: ((1.0, -1.0), (-1.0, 1.0), (1.0, 1.0))}
-#: Halvings of a Newton step before it counts as giving no descent.
-MAX_HALVINGS = 10
 #: Newton steps of the guess on the word's four family legs (`_guess`).
 MAX_GUESS_STEPS = 32
 #: The guess is done once its residual is below this fraction of tol.
@@ -355,7 +337,7 @@ def _word_legs(word: _Word, theta: Sequence[float]) -> list:
 
 
 def _word_jacobian(word: _Word, points: Sequence, theta: Sequence[float]) -> list:
-    """d(endpoint)/d(theta) of the word: six columns of five floats.
+    """d(endpoint)/d(theta) of the word: one column of five floats per slot of theta.
 
     Every flow moves (a, b) by a translation and adds to (x, y, z) a function
     of (a0, b0), so a leg's derivative is [[I3, M], [0, I2]] with M =
@@ -441,46 +423,18 @@ def _guess(word: _Word, target: list, s: list, points: list,
         q = points[-1]
 
 
-def _newton_step(word: _Word, start: list, theta: list, points: list,
-                 r: list, norm: float):
-    """One damped Gauss-Newton step: (theta, points, step norm), or a reason.
-
-    The step is the minimum-norm solution of J delta = r; it is halved until
-    |r| falls, at most MAX_HALVINGS times.
-    """
-    jt = np.array(_word_jacobian(word, points, theta))
-    try:
-        delta = (jt @ np.linalg.solve(jt.T @ jt, r)).tolist()
-    except np.linalg.LinAlgError:
-        return None, "singular Jacobian"
-    if not all(map(math.isfinite, delta)):
-        return None, "singular Jacobian"
-    target = [q + g for q, g in zip(points[-1], r)]
-    scale = 1.0
-    for _ in range(MAX_HALVINGS + 1):
-        trial = [s + scale * d for s, d in zip(theta, delta)]
-        shot = _shoot(word, [start], trial)
-        if math.hypot(*[g - q for g, q in zip(target, shot[-1])]) < norm:
-            return (trial, shot, scale * math.hypot(*delta)), None
-        scale *= 0.5
-    return None, "no descent"
-
-
 def _newton(word: _Word, start: list, target: list, tol: float,
             log: _Iterations) -> tuple[list, list, str | None]:
     """Shoot the word at target: (legs, endpoint, reason), reason None on success.
 
-    Iteration 1 builds the guess: one phase-1 solve for s1..s4, whose four
+    Iteration 1 builds the word: one phase-1 solve for s1..s4, whose four
     family legs alone are shot, then `_guess` solves the four legs and the
     rectangle's exact displacement together for s1..s4 and P = e1 e2, and
-    |e1| = |e2| = sqrt(|P|) in the first sign pattern whose e1 e2 has the
-    sign of P. The rectangle is left out, and never flowed, when the
-    phase-1 legs meet tol or end where the gap is not finite. Every later
-    iteration takes one Newton step on the whole word; an attempt that ends
-    on a singular Jacobian or no descent moves on to the next sign pattern.
-    Each sign pattern's word flows only its four rectangle legs, from the
-    family legs' points that `_guess` returned; only a Newton step shoots
-    the whole word.
+    e1 = sqrt(|P|), e2 = e1 with the sign of P. The rectangle is flowed
+    only then, from the family legs' points that `_guess` returned; it is
+    left out when the phase-1 legs meet tol or end where the gap is not
+    finite. Iteration 2 checks the word's endpoint: a finite gap of at
+    least tol is a "word missed".
     """
     gap_max = _gap_max(target, start)
     if not tol <= gap_max < math.inf:
@@ -489,36 +443,21 @@ def _newton(word: _Word, start: list, target: list, tol: float,
     s = np.linalg.solve(_phase1_matrix(word, start),
                         [target[i] - start[i] for i in DIST_SLOTS]).tolist()
     theta = s + [0.0, 0.0]
-    points = prefix = _shoot(word.prefix, [start], s)
-    patterns: list = []
-    if tol <= _gap_max(target, prefix[-1]) < math.inf:
-        s, product, prefix = _guess(word, target, s, prefix, tol)
+    points = _shoot(word.prefix, [start], s)
+    if tol <= _gap_max(target, points[-1]) < math.inf:
+        s, product, prefix = _guess(word, target, s, points, tol)
         e = math.sqrt(abs(product))
-        patterns = [[e * s1, e * s2] for s1, s2 in _SIGN_PATTERNS[product >= 0.0]]
-        theta = s + patterns.pop(0)
+        theta = s + [e, e if product >= 0.0 else -e]
         points = _shoot(word, prefix, theta)
     legs = _word_legs(word, theta)
     log.record(gap_max, len(legs))
-    while log.left > 0:
-        r = [g - q for g, q in zip(target, points[-1])]
-        gap_max, norm = _sup(r), math.hypot(*r)
-        if not tol <= gap_max < math.inf:
-            log.record(gap_max, 0, (norm, 0.0))
-            return legs, points[-1], None if gap_max < tol else "gap not finite"
-        step, reason = _newton_step(word, start, theta, points, r, norm)
-        if step is None and not patterns:
-            log.record(gap_max, 0, (norm, 0.0))
-            return legs, points[-1], reason
-        if step is None:
-            theta, length = s + patterns.pop(0), 0.0
-            points = _shoot(word, prefix, theta)
-        else:
-            theta, points, length = step
-        n_before = len(legs)
-        legs = _word_legs(word, theta)
-        log.record(gap_max, len(legs) - n_before, (norm, length))
-    met = _gap_max(target, points[-1]) < tol
-    return legs, points[-1], None if met else "max_iterations spent"
+    gap_max = _gap_max(target, points[-1])
+    if log.left <= 0:
+        return legs, points[-1], None if gap_max < tol else "max_iterations spent"
+    log.record(gap_max, 0)
+    if gap_max < tol:
+        return legs, points[-1], None
+    return legs, points[-1], "word missed" if gap_max < math.inf else "gap not finite"
 
 
 def _check_plan_inputs(start: np.ndarray, goal: np.ndarray, tol: float,
@@ -533,8 +472,8 @@ def _check_plan_inputs(start: np.ndarray, goal: np.ndarray, tol: float,
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations!r}")
 
 
-#: Newton misses after which `plan_path` restarts with twice the waypoints.
-_MISSES = ("singular Jacobian", "no descent")
+#: Misses after which `plan_path` restarts with twice the waypoints.
+_MISSES = ("word missed",)
 
 
 def _waypoints(fmode: ManeuverMode, start: list, target: list, pieces: int,
@@ -567,23 +506,22 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
     """Plan admissible legs from start to goal within sup-norm tol.
 
     The plan is one word of 8 legs, Y1 Y2 Y3 Y4 (i, e1) (j, e2) (i, -e1)
-    (j, -e2), with (i, j) the mode's commutator pair: its six durations are
-    solved for by Gauss-Newton shooting from a phase-1 guess (`_newton`),
-    with the exact Jacobian of the word's endpoint. The state is carried as
-    Python floats, moved leg by leg by `kernels.flow` from the word's table
-    (`_shoot`). When every sign pattern of (e1, e2) ends on a singular
-    Jacobian or no descent, the attempt's legs leave the plan and planning
-    restarts from the start with twice the `pieces`: one word is shot at
-    each of that many evenly spaced waypoints (`_waypoints`).
-    Every iteration, whether it builds a guess or takes a Newton step,
-    counts against `max_iterations`. With `trace`, the plan records, per
-    iteration, max |gap| to the waypoint it aims at, the legs it added, and
-    the Newton residual and step.
+    (j, -e2), with (i, j) the mode's commutator pair: its six durations
+    come from a phase-1 solve and one Newton solve for the four family
+    durations and e1 e2 (`_newton`). The state is carried as Python floats,
+    moved leg by leg by `kernels.flow` from the word's table (`_shoot`).
+    When the word misses, the attempt's legs leave the plan and planning
+    restarts from the start with twice the `pieces`, while the iterations
+    left allow one per word: one word is shot at each of that many evenly
+    spaced waypoints (`_waypoints`). Each word takes two iterations, its
+    guess and its check, and both count against `max_iterations`. With
+    `trace`, the plan records, per iteration, max |gap| to the waypoint it
+    aims at and the legs it added.
 
-    A failed plan carries a `reason`: a singular Jacobian or no descent (no
-    iterations were left to restart), "max_iterations spent", or "gap not
-    finite": planning stops at the first gap that is not finite, where the
-    state overflowed (flows far from the origin do) or the gap itself did.
+    A failed plan carries a `reason`: "word missed" (too few iterations were
+    left to restart), "max_iterations spent", or "gap not finite": planning
+    stops at the first gap that is not finite, where the state overflowed
+    (flows far from the origin do) or the gap itself did.
     """
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
@@ -594,7 +532,7 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
     pieces = 1
     while True:
         legs, p, reason = _waypoints(fmode, start.tolist(), target, pieces, tol, log)
-        if reason not in _MISSES or log.left <= 0:
+        if reason not in _MISSES or 2 * pieces > log.left:
             break
         log.drop_legs()
         pieces *= 2
@@ -603,8 +541,7 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
     success = float(np.max(np.abs(gap))) < tol
     return Plan(mode, start, goal, tuple(legs), achieved, gap, len(log.steps), tol,
                 success, tuple(log.steps) if trace else None, pieces,
-                None if success else reason,
-                tuple(log.newton) if trace else None)
+                None if success else reason)
 
 
 def _negated_controls(mode: ManeuverMode,

@@ -224,6 +224,16 @@ def test_classify_zero_vector_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("vector", ["1e200,1e200,1e200,1e200", "1e-200,1e-200,1e-200,1e-200",
+                                    "1e-170,0,0,0"])
+def test_classify_is_scale_invariant_at_the_ends_of_the_float_range(capsys, vector):
+    # 1e200 nu(1), 1e-200 nu(1) and 1e-170 nu(0) lie on the cubic cone
+    with np.errstate(all="ignore"):
+        code, out, _ = run_cli(capsys, "classify", "--vector", vector, "--format", "compact")
+    assert code == 0
+    assert _strict_json(out)["class"] == "TypeN"
+
+
 def test_classify_bad_vector_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "classify", "--vector", "1,2,3")
@@ -268,6 +278,17 @@ def test_simulate_with_flags_and_csv(capsys, tmp_path):
     assert len(rows) == 502
     end = np.array([float(v) for v in rows[-1][1:6]])
     np.testing.assert_allclose(end, data["endpoint"], atol=1e-9)
+
+
+@pytest.mark.parametrize("flags", [("--mode", "landing", "--start", "0,0,0,1e200,0"),
+                                   ("--mode", "attacking", "--u1", "1e308", "--u3", "1e308")])
+def test_simulate_reports_a_trajectory_that_overflows_as_escaped(capsys, flags):
+    with np.errstate(all="ignore"):
+        code, out, _ = run_cli(capsys, "simulate", *flags, "--format", "compact")
+    data = _strict_json(out)
+    assert None in data["endpoint"]
+    assert data["escaped"] is True
+    assert (code, data["pass"]) == (1, False)
 
 
 def test_simulate_controls_file(capsys, tmp_path):

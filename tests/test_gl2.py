@@ -171,6 +171,21 @@ def test_classify_direction_uses_its_tolerance(tol, expected):
     assert gl2.classify_direction(NEAR_CUBIC, tol=tol) is expected
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-100, 1.0, 1e100, 1e200, 2.0 ** 1000])
+def test_classification_does_not_depend_on_the_scale(scale):
+    # each row is scaled by a power of two before the relative tests
+    X = np.array([gl2.cubic_point(1.0), gl2.cubic_point(0.0), gl2.tangent_point(0.7, 1.3),
+                  [1.0, 0.0, 0.0, 1.0], NEAR_CUBIC])
+    np.testing.assert_array_equal(gl2.classify_directions(X * scale), [0, 0, 1, 2, 1])
+    with pytest.raises(ValueError):
+        gl2.classify_directions(np.vstack([X * scale, np.zeros(4)]))
+
+
+def test_a_subnormal_direction_is_classified():
+    assert gl2.classify_direction(np.full(4, 5e-324)) is gl2.NullClass.TYPE_N
+    assert gl2.classify_direction(np.array([0.0, 0.0, 0.0, 5e-324])) is gl2.NullClass.TYPE_N
+
+
 def test_action_rejects_singular_matrix():
     with pytest.raises(ValueError):
         gl2.gl2_action(np.zeros((2, 2)))

@@ -376,7 +376,7 @@ def test_state_free_families_take_no_newton_step(mode):
         plan = planner.plan_path(mode, start, goal, tol=1e-10, trace=True)
         assert plan.success and plan.iterations == 2
         assert len(plan.legs) == 8 and plan.trace[0][1] == 8
-        assert plan.newton_trace[0] is None and plan.newton_trace[1][1] == 0.0
+        assert plan.trace[1][0] < 1e-10 and plan.trace[1][1] == 0
 
 
 @pytest.mark.parametrize("mode", list(ManeuverMode))
@@ -399,13 +399,13 @@ def test_the_guess_solves_the_family_legs_and_the_rectangle_together(mode, monke
         shots.clear()
         guess, product, prefix = planner._guess(word, goal, s, points, 1e-3)
         e = math.sqrt(abs(product))
-        first = [e * sign for sign in planner._SIGN_PATTERNS[product >= 0.0][0]]
-        shot = shoot(word, [start], guess + first)
+        rectangle = [e, e if product >= 0.0 else -e]
+        shot = shoot(word, [start], guess + rectangle)
         assert planner._gap_max(goal, shot[-1]) < planner.GUESS_TOL_FRACTION * 1e-3
         # the points it returns are the family legs' at its s, bit for bit,
         # so the shooter flows the rectangle from them alone
         assert prefix == shot[:5]
-        assert shoot(word, prefix, guess + first) == shot
+        assert shoot(word, prefix, guess + rectangle) == shot
         if fmode is not ManeuverMode.LANDING:
             assert guess is s and prefix is points and not shots
             assert product == (goal[2] - points[-1][2]) / word.displacement[2]
@@ -464,7 +464,6 @@ def test_shoot_equals_a_chain_of_planner_flow(mode):
     for start in starts:
         theta, delta = rng.uniform(-1.0, 1.0, (2, 6)).tolist()
         assert min(theta) < 0.0
-        # the third trial of a Newton step, its step halved twice
         trial = [s + 0.25 * d for s, d in zip(theta, delta)]
         for durations in (theta, trial):
             points = planner._shoot(planner._WORD_TABLES[fmode], [start.tolist()], durations)
@@ -476,8 +475,8 @@ def test_shoot_equals_a_chain_of_planner_flow(mode):
 
 
 # landing pairs of the plan workload's stream (seed 1, pairs 2381, 7909 and
-# 8789) on which every sign pattern of the Newton word ends without descent.
-# Shot at the midpoint and then at the goal, the word reaches each.
+# 8789) whose word misses the goal. Shot at the midpoint and then at the
+# goal, the word reaches each.
 FALLBACK_PAIRS = [
     ([0.48719314659947965, 0.22458907620311308, -1.5949372395677908, -1.363551221422858,
       0.7349961763295223],
@@ -501,79 +500,120 @@ FOUR_WORD_PAIR = (
     [-0.5496770498111943, 1.7461041925530125, -0.10557077160041173, 0.8052108889057084,
      -0.15499600149534087])
 # landing, seed 1, pair 30117 of the plan workload's stream: the guess misses
-# tol, and two Newton steps reach it
+# tol, and two waypoints reach the goal
 NEWTON_PAIR = (
     [1.529711367715017, 0.4008246431304885, 1.4883383333186067, 0.9503122269257069,
      1.1971996516202714],
     [-0.37961815663735443, -1.7654665030121497, -1.439494038561019, -0.9607768489229362,
      1.1985685773494312])
+#: sha256 of (legs, achieved, pieces) of the default plans of
+#: `FALLBACK_PAIRS` and `FOUR_WORD_PAIR`, pinned when a Gauss-Newton shooter
+#: on the whole word still ran after a missed guess: where it missed too,
+#: the restart alone makes the same plan.
+FALLBACK_PLANS_SHA256 = (
+    "b94f751a33e75649d09b68c7713f84c8929fc1a42aa9cb493a58b92e940aca7f",
+    "2b5409a51b5566906433df71a6bceb58affe8b3d12fee8ca6ae35d8df0ae81a9",
+    "cad1402d7e7eacf975b5b3f3b80a8d51fa589b2381ac9af6767696612cb8de95",
+)
+FOUR_WORD_PLAN_SHA256 = "240ffec5f19b0026fbfb53a55189e4e86313816bc00fec710888821113a7df1b"
 
 
-def _assert_waypoint_plan(start, goal, pieces):
-    """The plan shoots `pieces` words from the start; returns its guesses."""
+def _assert_waypoint_plan(start, goal, pieces, sha256=None):
+    """The plan shoots `pieces` words from the start, each in a guess and a
+    check iteration, after attempts that each ended on a missed word."""
     plan = planner.plan_path(ManeuverMode.LANDING, start, goal, trace=True)
     assert plan.success and plan.pieces == pieces and plan.reason is None
     assert len(plan.legs) == 8 * pieces
-    assert len(plan.trace) == len(plan.newton_trace) == plan.iterations
+    assert len(plan.trace) == plan.iterations
     assert sum(added for _, added in plan.trace) == len(plan.legs)
-    # every word opens with its guess; the last attempt's words open at the
-    # last `pieces` guesses, and the earlier attempts' legs left the plan
-    guesses = [k for k, step in enumerate(plan.newton_trace) if step is None]
-    words = guesses[-pieces:]
-    assert all(added == 0 for _, added in plan.trace[:words[0]])
+    # every word takes two iterations: the earlier attempts' words missed,
+    # one per attempt here, and their legs left the plan; the last attempt's
+    # words add all the legs at their guesses
+    first = plan.iterations - 2 * pieces
+    words = list(range(first, plan.iterations, 2))
+    attempts = (pieces - 1).bit_length()
+    assert first == 2 * attempts
+    assert all(added == 0 for _, added in plan.trace[:first])
     assert [plan.trace[k][1] for k in words] == [8] * pieces
-    # each word aims at its waypoint and meets it before the next one starts
+    # each missed word's check finds a finite gap of at least tol, and each
+    # word of the last attempt meets its waypoint at its check
+    assert all(plan.tol <= plan.trace[k][0] < math.inf for k in range(1, first, 2))
+    assert all(plan.trace[k + 1][0] < plan.tol for k in words)
+    # each word aims at its waypoint
     assert plan.trace[words[0]][0] == pytest.approx(
         float(np.max(np.abs(np.subtract(goal, start)))) / pieces, rel=1e-12)
-    assert all(plan.trace[k - 1][0] < plan.tol for k in words[1:] + [plan.iterations])
     # the last attempt restarts from the start with the iterations left
-    log = planner._Iterations(200 - words[0])
+    log = planner._Iterations(200 - first)
     legs, p, reason = planner._waypoints(ManeuverMode.LANDING, list(start), goal,
                                          pieces, 1e-3, log)
     assert plan.legs == tuple(legs) and reason is None
     assert plan.achieved.tolist() == list(p)
+    if sha256 is not None:
+        text = json.dumps([plan.legs, plan.achieved.tolist(), plan.pieces])
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
     traj = planner.replay(plan)
     np.testing.assert_allclose(traj.endpoint, plan.achieved, atol=1e-8)
     assert constraint_residuals(traj).passed()
-    return plan, guesses
+    return plan
 
 
 @pytest.mark.parametrize("pair", range(len(FALLBACK_PAIRS)))
 def test_landing_fallback_restarts_from_the_start(pair):
     start, goal = FALLBACK_PAIRS[pair]
-    plan, guesses = _assert_waypoint_plan(start, goal, pieces=2)
-    # the word shot at the goal: each of the three sign patterns ends in an
-    # iteration that takes no step
-    first = guesses[1]
-    assert sum(plan.newton_trace[k][1] == 0.0 for k in range(1, first)) == 3
-    # with no iterations left to restart, the Newton miss is the reason
-    spent = planner.plan_path(ManeuverMode.LANDING, start, goal, max_iterations=first)
-    assert not spent.success
-    assert (spent.pieces, spent.reason) == (1, "no descent")
-    assert spent.to_json_dict()["reason"] == "no descent"
+    plan = _assert_waypoint_plan(start, goal, pieces=2, sha256=FALLBACK_PLANS_SHA256[pair])
+    # the word shot at the goal misses in its guess and check iterations,
+    # then the two words take two iterations each
+    assert plan.iterations == 6
+    # with too few iterations left to restart, the miss is the reason
+    for budget in (2, 3):
+        spent = planner.plan_path(ManeuverMode.LANDING, start, goal, max_iterations=budget)
+        assert (spent.success, spent.pieces, spent.iterations) == (False, 1, 2)
+        assert spent.reason == spent.to_json_dict()["reason"] == "word missed"
+        assert len(spent.legs) == 8
     # a waypoint met as the iterations run out ends the attempt there
-    short = planner.plan_path(ManeuverMode.LANDING, start, goal,
-                              max_iterations=guesses[-1])
+    short = planner.plan_path(ManeuverMode.LANDING, start, goal, max_iterations=4)
     assert (short.success, short.pieces, short.reason) == \
         (False, 2, "max_iterations spent")
-    assert short.iterations == guesses[-1] and short.legs == plan.legs[:8]
+    assert short.iterations == 4 and short.legs == plan.legs[:8]
 
 
 def test_landing_miss_plans_by_four_waypoints():
-    _assert_waypoint_plan(*FOUR_WORD_PAIR, pieces=4)
+    plan = _assert_waypoint_plan(*FOUR_WORD_PAIR, pieces=4, sha256=FOUR_WORD_PLAN_SHA256)
+    # one missed word at the goal, one at the first of two waypoints, then
+    # four words
+    assert plan.iterations == 12
+
+
+def test_a_missed_word_costs_its_guess_and_its_check():
+    start, goal = NEWTON_PAIR
+    plan = _assert_waypoint_plan(start, goal, pieces=2)
+    assert plan.iterations == 6
+    # the missed word alone, its legs kept: the same two iterations
+    one = planner.plan_path(ManeuverMode.LANDING, start, goal, max_iterations=2, trace=True)
+    assert (one.pieces, len(one.legs)) == (1, 8)
+    assert one.trace == ((plan.trace[0][0], 8), plan.trace[1])
+
+
+@pytest.mark.parametrize("goal,tol", [([1e150, 0, 0, 0, 0], 1e-3), ([0.1, 0, 0, 0, 0], 1e-300)])
+def test_waypoint_restarts_stop_at_the_iterations_left(goal, tol):
+    # every word needs an iteration, so no attempt is made with more words
+    # than iterations left: an unreachable goal fails after a few doublings
+    plan = planner.plan_path(ManeuverMode.LANDING, np.zeros(5), goal, tol=tol)
+    assert (plan.success, plan.reason) == (False, "word missed")
+    assert (plan.pieces, plan.iterations) == (128, 16)
+    assert plan.to_json_dict()["pieces"] == 128
 
 
 def test_plan_reports_why_it_failed():
     start, goal = NEWTON_PAIR
     done = planner.plan_path(ManeuverMode.LANDING, start, goal, trace=True)
     payload = done.to_json_dict()
-    assert done.success and payload["pieces"] == 1 and "reason" not in payload
-    for step, newton in zip(payload["trace"][1:], done.newton_trace[1:]):
-        assert (step["residual"], step["step"]) == newton
-    assert [step["step"] > 0.0 for step in payload["trace"][1:]] == \
-        [True] * (done.iterations - 2) + [False]
-    short = planner.plan_path(ManeuverMode.LANDING, start, goal, max_iterations=2)
+    assert done.success and payload["pieces"] == 2 and "reason" not in payload
+    assert all(set(step) == {"gap_max", "legs_added"} for step in payload["trace"])
+    short = planner.plan_path(ManeuverMode.LANDING, start, goal, max_iterations=1)
     assert (short.success, short.reason) == (False, "max_iterations spent")
+    missed = planner.plan_path(ManeuverMode.LANDING, start, goal, max_iterations=2)
+    assert (missed.success, missed.reason) == (False, "word missed")
     overflow = planner.plan_path(ManeuverMode.ATTACKING, np.zeros(5), [1e308] * 5)
     assert (overflow.success, overflow.reason) == (False, "gap not finite")
 
@@ -590,7 +630,7 @@ def _hand_plan(mode, start, legs):
 
 
 def test_hand_built_traced_plan_reports_its_trace():
-    # a Plan with a trace but no Newton trace
+    # a Plan built by hand, with a trace
     plan = dataclasses.replace(_hand_plan(ManeuverMode.ATTACKING, np.zeros(5), [(0, 0.5)]),
                                trace=((0.5, 1),))
     assert plan.to_json_dict()["trace"] == [{"gap_max": 0.5, "legs_added": 1}]
@@ -870,10 +910,10 @@ def test_stacked_depth2_values_and_generating_report():
 #: every value of the control law, its gradient and its flow, so a change to
 #: any of them that moves one bit shows here.
 LAW_OUTPUTS_SHA256 = {
-    "attacking": "8d9257175c0d23c07b2ed30e653770720aa133ad4570a07760809571e88a1be2",
-    "landing": "c3b439cb00970e33e105393d27cd6e28096966deea8ba381b6e9ec501fb33bf5",
-    "g2s": "f0f6cccc1840731a3b257c54d756721d7c3c726201db25ca92b9b5b054fbe3f6",
-    "g2d": "d90bd70be5b923d89664ead6c908878734eb9b1dc9e0dc7044dc9ceeac84504c",
+    "attacking": "0141aede1dd8dc8b2c971028820b8d07c8332ecdf50ccb0a3966db5b5840b62e",
+    "landing": "a290e8fbfe398eb13eaedb0045f5e2cccdf258193ef71356d73f65dc8f0a29c3",
+    "g2s": "66351653256284f91d1ccf339335e66fd5ef3d11b0d43b904f6f8a9f99a9fdd6",
+    "g2d": "fcfbbae0531b0e1298764083c66972855dcb518b185cca75a3eeb7bc54b8ad1f",
     "trajectories": "8c0b540cf44bba12c73eeb8f4c2a9ce7663d9a62e641d82fc99001ff01ce9810",
 }
 
