@@ -398,10 +398,9 @@ def _cmd_plan(args) -> int:
     except ValueError as exc:
         raise _usage_error(str(exc))
     payload = plan.to_json_dict()
-    with np.errstate(over="ignore", invalid="ignore"):   # overflowed legs report null
-        traj = planner.replay(plan)
-        residuals = constraint_residuals(traj)
-        endpoint_error = float(np.max(np.abs(traj.endpoint - plan.achieved)))
+    traj = planner.replay(plan)
+    residuals = constraint_residuals(traj)
+    endpoint_error = float(np.max(np.abs(traj.endpoint - plan.achieved)))
     payload["replay"] = {
         "endpoint_error": endpoint_error,
         "max_contact": float(residuals.max_contact),
@@ -530,7 +529,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_glue_vector_values(argv))
     try:
-        return args.func(args)
+        # numbers that overflow report null, so numpy's warnings about them
+        # are noise on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except SystemExit:
         raise
     except (ValueError, np.linalg.LinAlgError, MemoryError) as exc:

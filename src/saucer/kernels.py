@@ -4,9 +4,9 @@ Every mode, a `ManeuverMode`, steers along c1 Z1 + c2 Z2 + c3 Z3 + c4 Z4,
 where the Z frame is Z1 = dx + a dz, Z2 = dy + b dz, Z3 = -3 db, Z4 = da.
 `law` is the only place the law is written: each mode gives its c1..c4,
 and one line expands them to the chart velocity (vx, vy, vz, va, vb).
-Everything else evaluates it through `law`, `law_gradient` or `velocity`;
-`flow` hands out the velocity at its endpoint, by `velocity`, with no
-second evaluation of the law.
+Everything else evaluates it through `law` or `velocity`; `flow` hands out
+the velocity at its endpoint, by `velocity`, with no second evaluation of
+the law.
 
 Under constant controls c3 and c4 do not depend on the state, so a and b
 move linearly in t and the velocity along the flow is a polynomial in t of
@@ -108,17 +108,6 @@ def law(mode: ManeuverMode, a, b, u1, u2, u3) -> tuple:
     else:
         raise ValueError(f"unknown maneuver mode {mode!r}")
     return c1, c2, c1 * a + c2 * b, c4, -3.0 * c3
-
-
-def law_gradient(mode: ManeuverMode, a, b, u1, u2, u3) -> tuple:
-    """d(vx, vy, vz)/d(a, b) of `law`, as (dvx/da, dvx/db, dvy/da, dvy/db,
-    dvz/da, dvz/db); only the landing law's vx and vy depend on the state."""
-    vx, vy, _, _, _ = law(mode, a, b, u1, u2, u3)
-    if mode is not LANDING:
-        return 0.0, 0.0, 0.0, 0.0, vx, vy
-    xa, xb = 3.0 * b * u1 * u3, u3 * (2.0 * b * u2 + 3.0 * a * u1)
-    ya, yb = -u3 * (b * u2 + 6.0 * a * u1), -u3 * a * u2
-    return xa, xb, ya, yb, xa * a + vx + ya * b, xb * a + vy + yb * b
 
 
 def velocity(mode: ManeuverMode, p, u1, u2, u3, out=None) -> np.ndarray:

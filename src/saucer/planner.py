@@ -8,14 +8,14 @@ target. The planner shoots one fixed word of 8 legs, the four family flows
 and one commutator rectangle. The rectangle moves its start by exactly
 e1 e2 times a known displacement (`_RECTANGLE`), so one Newton solve on the
 family legs alone finds the four family durations and e1 e2 together
-(`_guess`), with the exact Jacobian of the legs' endpoint. A goal the word
+(`_guess`), its Jacobian taken by one complex step per leg. A goal the word
 misses is reached by chaining words through evenly spaced waypoints.
 
 The word is written once, in `_WORDS` over `FAMILY_CONTROLS`; at import it
 becomes one leg table per family mode (`_WORD_TABLES`), from which the
-shooter calls `kernels.flow` on Python floats leg by leg and the Jacobian
-reads its controls. `replay` expands a plan's legs to its samples with one
-stacked repeat of a per-leg table.
+shooter calls `kernels.flow` leg by leg, on Python floats or, for the
+Jacobian, on Python complex numbers. `replay` expands a plan's legs to its
+samples with one stacked repeat of a per-leg table.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from .chart import DIM, DIST_SLOTS, contact_covector
-from .forms import FieldStack
+from .forms import COMPLEX_STEP, FieldStack
 from .maneuvers import ManeuverMode, ResidualReport, Trajectory
 
 LEG_DT = 1e-2
@@ -336,45 +336,27 @@ def _word_legs(word: _Word, theta: Sequence[float]) -> list:
             if abs(theta[slot]) > 1e-15]
 
 
-def _word_jacobian(word: _Word, points: Sequence, theta: Sequence[float]) -> list:
-    """d(endpoint)/d(theta) of the word: one column of five floats per slot of theta.
+def _word_jacobian(word: _Word, points: Sequence, theta: Sequence[float],
+                   product: float) -> list:
+    """d(q + P d(q))/d(theta), q the word's endpoint and d the rectangle's
+    displacement per unit e1 e2 there (`_RECTANGLE`), by one complex step
+    per leg: one column of five floats per leg, for its slot of theta, so
+    each leg must have a slot of its own (as the family legs do).
 
-    Every flow moves (a, b) by a translation and adds to (x, y, z) a function
-    of (a0, b0), so a leg's derivative is [[I3, M], [0, I2]] with M =
-    d(x, y, z)/d(a0, b0), and the derivative of all later legs is [[I3, A],
-    [0, I2]] with A the sum of their M. Leg l therefore adds sign times
-    V(p_l) + A V_ab(p_l) to the column of its slot, V its field and p_l its
-    endpoint. Walking the legs backwards accumulates A. Under the attacking
-    and G2 laws vx, vy do not depend on (a, b), so M is zero but for
-    dz/d(a0, b0) = t (vx, vy); under the landing law M integrates
-    `kernels.law_gradient` over the leg, a polynomial of degree 2 in time,
-    so Simpson's rule is exact.
+    A leg's flow moves its endpoint at the velocity of its field there, so
+    a step h in its duration moves the endpoint by h sign V. Leg l's endpoint
+    takes that step as i h sign V, h = `COMPLEX_STEP`, `_shoot` flows the
+    later legs from it, and Im(q + P d(q)) / h is leg l's column (Squire
+    and Trapp's complex step, as in `forms.complex_step_derivative`).
     """
-    mode = word.mode
-    landing = mode is ManeuverMode.LANDING
-    columns = [[0.0] * DIM for _ in theta]
-    xa = xb = ya = yb = za = zb = 0.0   # A
-    for l in range(len(points) - 1, 0, -1):
-        _, u1, u2, u3, slot, sign = word.legs[l - 1]
-        a, b = points[l][3], points[l][4]
-        vx, vy, vz, va, vb = kernels.law(mode, a, b, u1, u2, u3)
-        column = columns[slot]
-        column[0] += sign * (vx + xa * va + xb * vb)
-        column[1] += sign * (vy + ya * va + yb * vb)
-        column[2] += sign * (vz + za * va + zb * vb)
-        column[3] += sign * va
-        column[4] += sign * vb
-        t = sign * theta[slot]
-        if not landing:
-            za += t * vx
-            zb += t * vy
-            continue
-        a0, b0 = points[l - 1][3], points[l - 1][4]
-        g0, g1, g2 = (kernels.law_gradient(mode, a, b, u1, u2, u3)
-                      for a, b in ((a0, b0), (0.5 * (a0 + a), 0.5 * (b0 + b)), (a, b)))
-        t /= 6.0
-        xa, xb, ya, yb, za, zb = [s + t * (d0 + 4.0 * d1 + d2) for s, d0, d1, d2
-                                  in zip((xa, xb, ya, yb, za, zb), g0, g1, g2)]
+    columns = []
+    for l, (_, u1, u2, u3, _, sign) in enumerate(word.legs, 1):
+        p = points[l]
+        v = kernels.law(word.mode, p[3], p[4], u1, u2, u3)
+        moved = [complex(x, COMPLEX_STEP * sign * dx) for x, dx in zip(p, v)]
+        q = _shoot(word, [*points[:l], moved], theta)[-1]
+        columns.append([(x + product * (d + q[4] * d_b)).imag / COMPLEX_STEP
+                        for x, d, d_b in zip(q, word.displacement, word.per_b)])
     return columns
 
 
@@ -389,12 +371,12 @@ def _guess(word: _Word, target: list, s: list, points: list,
     phase-1 durations s, whose legs pass through `points`, and the P that
     meets z there, Newton steps on them until their residual is below
     GUESS_TOL_FRACTION of tol, at most MAX_GUESS_STEPS of them, each shooting
-    the four legs alone. The columns of s are `_word_jacobian` over those
-    legs plus P d'(q) dq_b/ds, and the column of P is d(q). A singular or
-    not finite solve falls back to the phase-1 s, P and points. The
-    attacking and G2 legs move (x, y, a, b) linearly and their d is
-    constant, so the phase-1 s and P meet the equations at once, and the
-    points returned are the ones passed in.
+    the four legs alone. The columns of s are `_word_jacobian` of q + P d(q)
+    over those legs, and the column of P is d(q). A singular or not finite
+    solve falls back to the phase-1 s, P and points. The attacking and G2
+    legs move (x, y, a, b) linearly and their d is constant, so the phase-1
+    s and P meet the equations at once, and the points returned are the
+    ones passed in.
     """
     prefix = word.prefix
     q = points[-1]
@@ -408,9 +390,7 @@ def _guess(word: _Word, target: list, s: list, points: list,
             return phase1
         if gap_max < GUESS_TOL_FRACTION * tol or step == MAX_GUESS_STEPS:
             return s, product, points
-        columns = _word_jacobian(prefix, points, s)
-        jt = [[v + product * c_b * column[4] for v, c_b in zip(column, word.per_b)]
-              for column in columns] + [d]
+        jt = _word_jacobian(prefix, points, s, product) + [d]
         try:
             delta = np.linalg.solve(np.array(jt).T, r).tolist()
         except np.linalg.LinAlgError:

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -594,6 +596,36 @@ def test_plan_that_overflows_stops_and_reports_strict_json(capsys, mode, goal):
     assert data["iterations"] == len(data["trace"]) <= 3
     assert data["replay"]["pass"] is False
     assert "Warning" not in err
+
+
+#: Commands whose numbers overflow, with the sha256 of their compact payloads.
+OVERFLOW_RUNS = [
+    (("classify", "--vector", "1e200,1e200,1e200,1e200"),
+     "96269f1f5d203aa7d734fbed3b5bdeeb302a1f0b320ed3095920648477a664b2"),
+    (("simulate", "--mode", "landing", "--start", "0,0,0,1e200,0"),
+     "38c34a52144e8696fa300e6bf10084b09597d62321014f7fd15d307f9a09109c"),
+    (("lift", "--y0", "0,0,1e200,1e200,1e200", "--steps", "20"),
+     "138f5425d63e2e49f06ec30b145c52278a5e05d0779dfd1a3cd2d7e56cdba4e8"),
+    (("lift", "--u", "1e300", "--steps", "20"),
+     "6a0b52e77636c10a75409341f6bd8b2f39b4f8bab033617d47fb5c8aaee35a7f"),
+]
+
+
+@pytest.mark.parametrize("argv,sha256", OVERFLOW_RUNS,
+                         ids=["classify", "simulate", "lift-y0", "lift-u"])
+def test_commands_that_overflow_raise_no_numpy_warnings(capsys, argv, sha256):
+    # every command runs with numpy's overflow and invalid warnings off, as
+    # plan does: the payload reports the numbers that overflowed as null
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv, "--format", "compact")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "Warning" not in err
+    assert "null" in out and _strict_json(out)
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+    assert code == (0 if argv[0] == "classify" else 1)
+    if "--u" in argv:
+        assert "certified no sample" in err
 
 
 VECTOR_RUNS = [

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-import sympy as sp
 
 from saucer import kernels, maneuvers, planner
 
@@ -55,18 +54,6 @@ def test_stacked_velocity_equals_pointwise_calls(mode):
     np.testing.assert_array_equal(kernels.velocity(mode, pts, 0.7, -0.4, 0.3), pointwise)
     pointwise = np.stack([kernels.velocity(mode, p, *c) for p, c in zip(pts, u)])
     np.testing.assert_array_equal(kernels.velocity(mode, pts, *u.T), pointwise)
-
-
-@pytest.mark.parametrize("mode", MODES, ids=_mode_id)
-def test_law_gradient_is_the_derivative_of_the_law(mode):
-    a, b, u1, u2, u3 = sp.symbols("a b u1 u2 u3")
-    v = kernels.law(mode, a, b, u1, u2, u3)
-    grads = iter(kernels.law_gradient(mode, a, b, u1, u2, u3))
-    for component in v[:3]:
-        for var in (a, b):
-            assert sp.simplify(sp.diff(component, var) - next(grads)) == 0
-    for component in v[3:]:
-        assert not component.free_symbols & {a, b}
 
 
 @pytest.mark.parametrize("mode", MODES, ids=_mode_id)
@@ -184,8 +171,6 @@ def test_mode_validation():
         kernels.rk4_constant(-1, p0, 1.0, 0.0, 0.0, 1.0, 10)
     with pytest.raises(ValueError):
         kernels.rk4_constant(kernels.ATTACKING, p0, 1.0, 0.0, 0.0, 1.0, 0)
-    with pytest.raises(ValueError):
-        kernels.law_gradient(4, 0.0, 0.0, 1.0, 0.0, 0.0)
     assert maneuvers.ManeuverMode is kernels.ManeuverMode
     assert tuple(kernels.ManeuverMode) == (kernels.ATTACKING, kernels.LANDING,
                                            kernels.G2_SIMPLE, kernels.G2_STRICT)

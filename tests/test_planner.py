@@ -46,12 +46,15 @@ def test_family_jacobians_match_difference_quotients():
 
 
 def _family_jacobian(mode, k, p):
-    """The closed-form Jacobian of family member k from `kernels.law_gradient`,
-    the reference for its complex step; (m, 5, 5) over a stack (m, 5)."""
-    u = planner.FAMILY_CONTROLS[mode][k]
+    """The closed-form Jacobian of family member k, sympy's derivative of
+    `kernels.law` in (a, b): the reference for its complex step; (m, 5, 5)
+    over a stack (m, 5)."""
+    a, b = sp.symbols("a b")
+    v = kernels.law(mode, a, b, *map(sp.Rational, planner.FAMILY_CONTROLS[mode][k]))
     J = np.zeros(p.shape + (5,))
-    (J[..., 0, 3], J[..., 0, 4], J[..., 1, 3], J[..., 1, 4],
-     J[..., 2, 3], J[..., 2, 4]) = kernels.law_gradient(mode, p[:, 3], p[:, 4], *u)
+    for i, component in enumerate(v):
+        for j, var in ((3, a), (4, b)):
+            J[..., i, j] = sp.lambdify((a, b), sp.diff(component, var))(p[:, 3], p[:, 4])
     return J
 
 
@@ -314,32 +317,52 @@ def test_plan_trace_accounts_for_every_leg():
 
 # -- Newton shooting -----------------------------------------------------------
 
-def _word_endpoint(mode, start):
-    """The word's endpoint as a function of durations, in plain arithmetic."""
-    fmode = planner._family_mode(mode)
-    controls = planner.FAMILY_CONTROLS[fmode]
+def _word_endpoint(word, start, product):
+    """q + P d(q) as a function of the word's durations, in plain
+    arithmetic: q the endpoint of the word's legs from start and d the
+    rectangle's displacement per unit e1 e2 there."""
 
     def endpoint(theta):
         p = tuple(start)
-        for k, slot, sign in planner._WORDS[fmode]:
-            p = kernels.flow(fmode, p, *controls[k], sign * theta[..., slot])
-        return np.stack(np.broadcast_arrays(*p), axis=-1)
+        for _, u1, u2, u3, slot, sign in word.legs:
+            p = kernels.flow(word.mode, p, u1, u2, u3, sign * theta[..., slot])
+        q = np.stack(np.broadcast_arrays(*p), axis=-1)
+        return q + product * (np.array(word.displacement) + q[..., 4:] * word.per_b)
 
     return endpoint
 
 
+def _assert_word_jacobian_matches_complex_steps(word, name):
+    """`_word_jacobian` of the word equals numpy's complex step of
+    `_word_endpoint`, at starts across the sampling box and at P = 0 and P != 0."""
+    starts = sample_vectors(10, 5, 93, f"test-word-{name}", box=BOX_HALF_WIDTH)
+    rng = rng_for(93, f"test-word-theta-{name}")
+    thetas = rng.uniform(-1.0, 1.0, (10, 4))
+    products = rng.uniform(-1.0, 1.0, 10)
+    for start, theta, product in zip(starts, thetas, products):
+        points = planner._shoot(word, [start.tolist()], theta.tolist())
+        for P in (0.0, float(product)):
+            want = complex_step_derivative(_word_endpoint(word, start, P), theta).T
+            got = np.array(planner._word_jacobian(word, points, theta.tolist(), P)).T
+            assert got.shape == (5, 4)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("mode", list(ManeuverMode))
 def test_word_jacobian_matches_complex_steps(mode):
-    fmode = planner._family_mode(mode)
-    starts = sample_vectors(10, 5, 93, f"test-word-{mode.value}", box=BOX_HALF_WIDTH)
-    thetas = rng_for(93, f"test-word-theta-{mode.value}").uniform(-1.0, 1.0, (10, 6))
-    for start, theta in zip(starts, thetas):
-        want = complex_step_derivative(_word_endpoint(mode, start), theta).T
-        word = planner._WORD_TABLES[fmode]
-        points = planner._shoot(word, [start.tolist()], theta.tolist())
-        got = np.array(planner._word_jacobian(word, points, theta.tolist())).T
-        assert got.shape == (5, 6)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    word = planner._WORD_TABLES[planner._family_mode(mode)].prefix
+    _assert_word_jacobian_matches_complex_steps(word, mode.value)
+
+
+def test_word_jacobian_assumes_nothing_of_the_family():
+    # four landing legs whose controls are no family member's, two of them
+    # backwards: the complex steps need only the flow and its law
+    controls = ((0.7, -0.4, 0.3), (-0.2, 0.9, 0.5), (1.3, 0.4, -0.8), (0.1, -1.1, 1.2))
+    assert not set(controls) & set(planner.FAMILY_CONTROLS[ManeuverMode.LANDING])
+    legs = tuple((k, *u, k, sign) for k, (u, sign) in enumerate(zip(controls, (1.0, -1.0) * 2)))
+    word = planner._Word(ManeuverMode.LANDING, controls,
+                         *planner._RECTANGLE[ManeuverMode.LANDING][1:], legs)
+    _assert_word_jacobian_matches_complex_steps(word, "hand-built")
 
 
 @pytest.mark.parametrize("mode,start,goal", [
@@ -389,6 +412,12 @@ def test_the_guess_solves_the_family_legs_and_the_rectangle_together(mode, monke
     shots = []
     shoot = planner._shoot
     monkeypatch.setattr(planner, "_shoot", lambda *args: shots.append(args) or shoot(*args))
+
+    def newton_shots():
+        """The shoots at the Newton's durations; the Jacobian's shoots start
+        from a complex point."""
+        return [args for args in shots if not isinstance(args[1][-1][0], complex)]
+
     pts = sample_vectors(20, 5, 98, f"test-guess-{mode.value}", box=BOX_HALF_WIDTH)
     for start, goal in zip(pts[0::2].tolist(), pts[1::2].tolist()):
         gap = [g - p for g, p in zip(goal, start)]
@@ -410,7 +439,10 @@ def test_the_guess_solves_the_family_legs_and_the_rectangle_together(mode, monke
             assert guess is s and prefix is points and not shots
             assert product == (goal[2] - points[-1][2]) / word.displacement[2]
         else:
-            assert 0 < len(shots) <= planner.MAX_GUESS_STEPS
+            # each Newton step shoots once from each family leg's complex
+            # step, then once at its new s
+            assert 0 < len(newton_shots()) <= planner.MAX_GUESS_STEPS
+            assert len(shots) == 5 * len(newton_shots())
             assert all(len(args[0].legs) == 4 for args in shots)
 
 
@@ -509,13 +541,15 @@ NEWTON_PAIR = (
 #: sha256 of (legs, achieved, pieces) of the default plans of
 #: `FALLBACK_PAIRS` and `FOUR_WORD_PAIR`, pinned when a Gauss-Newton shooter
 #: on the whole word still ran after a missed guess: where it missed too,
-#: the restart alone makes the same plan.
+#: the restart alone makes the same plan. Pairs 1 and 2 and the four-word
+#: plan were re-pinned when the guess's Jacobian became complex steps, which
+#: moved the last bits of their achieved points.
 FALLBACK_PLANS_SHA256 = (
     "b94f751a33e75649d09b68c7713f84c8929fc1a42aa9cb493a58b92e940aca7f",
-    "2b5409a51b5566906433df71a6bceb58affe8b3d12fee8ca6ae35d8df0ae81a9",
-    "cad1402d7e7eacf975b5b3f3b80a8d51fa589b2381ac9af6767696612cb8de95",
+    "7e4093a5b62100bbabeb7b66defeb853cc8f9bbd403477569edc9e743ed25427",
+    "2207d99395ea72ecb28d208cc5708ab9b0516898acbe77757f6810e082817021",
 )
-FOUR_WORD_PLAN_SHA256 = "240ffec5f19b0026fbfb53a55189e4e86313816bc00fec710888821113a7df1b"
+FOUR_WORD_PLAN_SHA256 = "f99e2e7a0535b4167241f8dde1a2b00f6d7ed8758eebc2ff08dbc39ddbb91c30"
 
 
 def _assert_waypoint_plan(start, goal, pieces, sha256=None):
@@ -907,11 +941,11 @@ def test_stacked_depth2_values_and_generating_report():
 
 #: sha256 of `_law_outputs_digests`, per mode for the plans and their
 #: replays, and for the trajectories. Plans, replays and trajectories take
-#: every value of the control law, its gradient and its flow, so a change to
-#: any of them that moves one bit shows here.
+#: every value of the control law and its flow, so a change to either
+#: that moves one bit shows here.
 LAW_OUTPUTS_SHA256 = {
     "attacking": "0141aede1dd8dc8b2c971028820b8d07c8332ecdf50ccb0a3966db5b5840b62e",
-    "landing": "a290e8fbfe398eb13eaedb0045f5e2cccdf258193ef71356d73f65dc8f0a29c3",
+    "landing": "e530703e417f8a3af7c951f673762c51a68fdf06f4abac77d1977697783f9653",
     "g2s": "66351653256284f91d1ccf339335e66fd5ef3d11b0d43b904f6f8a9f99a9fdd6",
     "g2d": "fcfbbae0531b0e1298764083c66972855dcb518b185cca75a3eeb7bc54b8ad1f",
     "trajectories": "8c0b540cf44bba12c73eeb8f4c2a9ce7663d9a62e641d82fc99001ff01ce9810",
