@@ -78,7 +78,7 @@ def quartic_upsilon(X: np.ndarray) -> "float | np.ndarray":
     The polynomial is evaluated in factored form, with products only.
     """
     X = np.asarray(X, dtype=float)
-    x1, x2, x3, x4 = np.moveaxis(X, -1, 0)
+    x1, x2, x3, x4 = X[..., 0], X[..., 1], X[..., 2], X[..., 3]
     value = (x3 * x3 * (3.0 * x2 * x2 - 4.0 * x1 * x3)
              + x4 * (x2 * (6.0 * x1 * x3 - 4.0 * x2 * x2) - x1 * x1 * x4))
     return float(value) if X.ndim == 1 else value
@@ -142,7 +142,8 @@ def bilinear_diagonals(X: np.ndarray) -> tuple:
     X is one vector (4,), giving three floats, or a stack (..., 4), giving
     three arrays (...); products only, so a stacked row equals the single call.
     """
-    x1, x2, x3, x4 = np.moveaxis(np.asarray(X, dtype=float), -1, 0)
+    X = np.asarray(X, dtype=float)
+    x1, x2, x3, x4 = X[..., 0], X[..., 1], X[..., 2], X[..., 3]
     return x1 * x3 - x2 * x2, x3 * x3 - x2 * x4, x1 * x4 - x2 * x3
 
 

@@ -99,12 +99,17 @@ def law(mode: ManeuverMode, a, b, u1, u2, u3) -> tuple:
         c2 = -u3 * (a * b * u2 + 3.0 * (1.0 + a * a) * u1)
         c3, c4 = u1, u2
     elif mode is G2_SIMPLE:
+        # u2 * u2 * u2 rounds as (u2 * u2) * u2, so the square is taken once
+        square = u2 * u2
         c1 = u1
         c2 = u1 * (u2 + u3)
-        c3 = u1 * (u2 * u2 + 2.0 * u3 * u2)
-        c4 = u1 * (u2 * u2 * u2 + 3.0 * u3 * u2 * u2)
+        c3 = u1 * (square + 2.0 * u3 * u2)
+        c4 = u1 * (square * u2 + 3.0 * u3 * u2 * u2)
     elif mode is G2_STRICT:
-        c1, c2, c3, c4 = u1, u1 * u2, u1 * u2 * u2, u1 * u2 * u2 * u2
+        # u1 u2^k left to right: each product is the last one times u2
+        c1, c2 = u1, u1 * u2
+        c3 = c2 * u2
+        c4 = c3 * u2
     else:
         raise ValueError(f"unknown maneuver mode {mode!r}")
     return c1, c2, c1 * a + c2 * b, c4, -3.0 * c3

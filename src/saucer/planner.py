@@ -8,8 +8,11 @@ target. The planner shoots one fixed word of 8 legs, the four family flows
 and one commutator rectangle. The rectangle moves its start by exactly
 e1 e2 times a known displacement (`_RECTANGLE`), so one Newton solve on the
 family legs alone finds the four family durations and e1 e2 together
-(`_guess`), its Jacobian taken by one complex step per leg. A goal the word
-misses is reached by chaining words through evenly spaced waypoints.
+(`_guess`). The family legs move (a, b) linearly, so the phase-1 durations
+meet (a, b) already, and Newton steps in three unknowns only: two directions
+of the durations that keep (a, b) (`_free_directions`) and e1 e2, its
+Jacobian taken by one complex step per direction. A goal the word misses is
+reached by chaining words through evenly spaced waypoints.
 
 The word is written once, in `_WORDS` over `FAMILY_CONTROLS`; at import it
 becomes one leg table per family mode (`_WORD_TABLES`), from which the
@@ -205,6 +208,18 @@ def _phase1_matrix(word: _Word, p: Sequence[float]) -> np.ndarray:
     return np.array([kernels.law(word.mode, a, b, *u) for u in word.controls]).T[DIST_SLOTS]
 
 
+def _phase1(word: _Word, p: Sequence[float], target: Sequence[float]) -> list | None:
+    """The phase-1 durations s1..s4: the family fields at p, times s, meet the
+    (x, y, a, b) gap to target. None when that system is singular or holds a
+    number that is not finite, as the landing fields far out in (a, b) do."""
+    matrix = _phase1_matrix(word, p)
+    try:
+        s = np.linalg.solve(matrix, [target[i] - p[i] for i in DIST_SLOTS]).tolist()
+    except np.linalg.LinAlgError:
+        return None
+    return s if np.isfinite(matrix).all() else None
+
+
 def _sup(v: Sequence[float]) -> float:
     """max |v_i| over a few floats; nan when any v_i is nan, as np.max gives."""
     worst = max(map(abs, v))
@@ -293,6 +308,9 @@ class _Word(NamedTuple):
     per_b: tuple[float, ...]
     #: Per leg: (family index, u1, u2, u3, slot of theta, sign).
     legs: tuple[tuple[int, float, float, float, int, float], ...]
+    #: Two directions n1, n2 of the family durations s1..s4 that leave the
+    #: family legs' (a, b) endpoint where it is (`_free_directions`).
+    free: tuple[tuple[float, ...], ...]
 
     @property
     def prefix(self) -> "_Word":
@@ -300,10 +318,38 @@ class _Word(NamedTuple):
         return self._replace(legs=self.legs[:4])
 
 
+def _free_directions(mode: ManeuverMode,
+                     controls: Sequence[tuple[float, float, float]]) -> tuple:
+    """Two directions n of the four family durations with sum_k n_k (va_k, vb_k)
+    = 0, the members' constant (va, vb) read from `kernels.law` at a = b = 0.
+
+    Each family leg moves (a, b) by its duration times (va, vb), so a step
+    along n leaves the legs' (a, b) endpoint where it is. Columns (i, j) of
+    the first nonzero 2x2 pivot are solved by Cramer's rule for each free
+    column f, with n_f = 1 and the other free entry 0: the family's (va, vb)
+    are small integers, so every product and quotient here is exact, and no
+    LAPACK call runs at import.
+    """
+    ab = [kernels.law(mode, 0.0, 0.0, *u)[3:] for u in controls]
+
+    def det(k, l):
+        """The 2x2 determinant of columns ab[k] and ab[l]."""
+        return ab[k][0] * ab[l][1] - ab[l][0] * ab[k][1]
+
+    i, j = next((i, j) for i in range(4) for j in range(i + 1, 4) if det(i, j) != 0.0)
+    free = []
+    for f in sorted({0, 1, 2, 3} - {i, j}):
+        n = [0.0] * 4
+        n[f], n[i], n[j] = 1.0, det(j, f) / det(i, j), det(f, i) / det(i, j)
+        free.append(tuple(n))
+    return tuple(free)
+
+
 #: `_WORDS` with each leg's controls filled in from `FAMILY_CONTROLS`.
 _WORD_TABLES = {
     fmode: _Word(fmode, FAMILY_CONTROLS[fmode], *_RECTANGLE[fmode][1:],
-                 tuple((k, *FAMILY_CONTROLS[fmode][k], slot, sign) for k, slot, sign in word))
+                 tuple((k, *FAMILY_CONTROLS[fmode][k], slot, sign) for k, slot, sign in word),
+                 _free_directions(fmode, FAMILY_CONTROLS[fmode]))
     for fmode, word in _WORDS.items()
 }
 #: Newton steps of the guess on the word's four family legs (`_guess`).
@@ -337,27 +383,32 @@ def _word_legs(word: _Word, theta: Sequence[float]) -> list:
 
 
 def _word_jacobian(word: _Word, points: Sequence, theta: Sequence[float],
-                   product: float) -> list:
-    """d(q + P d(q))/d(theta), q the word's endpoint and d the rectangle's
-    displacement per unit e1 e2 there (`_RECTANGLE`), by one complex step
-    per leg: one column of five floats per leg, for its slot of theta, so
-    each leg must have a slot of its own (as the family legs do).
+                   product: float, directions: Sequence[Sequence[float]]) -> list:
+    """d(q + P d(q))/d(theta) along each direction n, q the word's endpoint
+    and d the rectangle's displacement per unit e1 e2 there (`_RECTANGLE`),
+    by one complex step per direction: one column of five floats per n.
 
-    A leg's flow moves its endpoint at the velocity of its field there, so
-    a step h in its duration moves the endpoint by h sign V. Leg l's endpoint
-    takes that step as i h sign V, h = `COMPLEX_STEP`, `_shoot` flows the
-    later legs from it, and Im(q + P d(q)) / h is leg l's column (Squire
-    and Trapp's complex step, as in `forms.complex_step_derivative`).
+    The word is shot at the complex durations theta + i h n, h =
+    `COMPLEX_STEP`, from the start of the first leg whose slot n moves
+    (`points` holds the start and the endpoints of the legs at theta), and
+    Im(q + P d(q)) / h is the column (Squire and Trapp's complex step, as in
+    `forms.complex_step_derivative`). A unit n gives the column of its slot.
     """
     columns = []
-    for l, (_, u1, u2, u3, _, sign) in enumerate(word.legs, 1):
-        p = points[l]
-        v = kernels.law(word.mode, p[3], p[4], u1, u2, u3)
-        moved = [complex(x, COMPLEX_STEP * sign * dx) for x, dx in zip(p, v)]
-        q = _shoot(word, [*points[:l], moved], theta)[-1]
+    for n in directions:
+        first = next(l for l, leg in enumerate(word.legs) if n[leg[4]] != 0.0)
+        moved = [complex(t, COMPLEX_STEP * dt) for t, dt in zip(theta, n)]
+        q = _shoot(word, points[:first + 1], moved)[-1]
         columns.append([(x + product * (d + q[4] * d_b)).imag / COMPLEX_STEP
                         for x, d, d_b in zip(q, word.displacement, word.per_b)])
     return columns
+
+
+def _det3(a: Sequence[float], b: Sequence[float], c: Sequence[float]) -> float:
+    """The determinant of the 3x3 matrix whose columns are the first three
+    entries of a, b and c."""
+    return (a[0] * (b[1] * c[2] - b[2] * c[1]) - b[0] * (a[1] * c[2] - a[2] * c[1])
+            + c[0] * (a[1] * b[2] - a[2] * b[1]))
 
 
 def _guess(word: _Word, target: list, s: list, points: list,
@@ -367,18 +418,22 @@ def _guess(word: _Word, target: list, s: list, points: list,
 
     The word's endpoint is exactly q + P d(q), q the endpoint of its four
     family legs and d the rectangle's displacement per unit e1 e2 at q
-    (`_RECTANGLE`): five equations q + P d(q) = target in (s, P). From the
-    phase-1 durations s, whose legs pass through `points`, and the P that
-    meets z there, Newton steps on them until their residual is below
-    GUESS_TOL_FRACTION of tol, at most MAX_GUESS_STEPS of them, each shooting
-    the four legs alone. The columns of s are `_word_jacobian` of q + P d(q)
-    over those legs, and the column of P is d(q). A singular or not finite
-    solve falls back to the phase-1 s, P and points. The attacking and G2
-    legs move (x, y, a, b) linearly and their d is constant, so the phase-1
-    s and P meet the equations at once, and the points returned are the
-    ones passed in.
+    (`_RECTANGLE`): five equations q + P d(q) = target in (s, P). The
+    phase-1 durations s, whose legs pass through `points`, meet the (a, b)
+    rows already, since (a, b) moves linearly in s and d has no (a, b)
+    part; the P that meets z there starts P. Newton then steps only where
+    (a, b) stays: s + alpha1 n1 + alpha2 n2 along the word's `free`
+    directions, and P, each step one 3x3 solve of the (x, y, z) rows by
+    Cramer's rule, whose columns are `_word_jacobian` along n1 and n2 and
+    d(q). It stops once the residual is below GUESS_TOL_FRACTION of tol,
+    after at most MAX_GUESS_STEPS steps, each shooting the four legs alone.
+    A singular or not finite solve falls back to the phase-1 s, P and
+    points. The attacking and G2 legs move (x, y, a, b) linearly and their
+    d is constant, so the phase-1 s and P meet the equations at once, and
+    the points returned are the ones passed in.
     """
     prefix = word.prefix
+    n1, n2 = word.free
     q = points[-1]
     product = (target[2] - q[2]) / word.displacement[2]
     phase1 = s, product, points
@@ -390,15 +445,16 @@ def _guess(word: _Word, target: list, s: list, points: list,
             return phase1
         if gap_max < GUESS_TOL_FRACTION * tol or step == MAX_GUESS_STEPS:
             return s, product, points
-        jt = _word_jacobian(prefix, points, s, product) + [d]
-        try:
-            delta = np.linalg.solve(np.array(jt).T, r).tolist()
-        except np.linalg.LinAlgError:
+        c1, c2 = _word_jacobian(prefix, points, s, product, word.free)
+        det = _det3(c1, c2, d)
+        if det == 0.0:
             return phase1
+        delta = [_det3(r, c2, d) / det, _det3(c1, r, d) / det, _det3(c1, c2, r) / det]
         if not all(map(math.isfinite, delta)):
             return phase1
-        s = [v + dv for v, dv in zip(s, delta)]
-        product += delta[4]
+        alpha1, alpha2, dp = delta
+        s = [v + alpha1 * x1 + alpha2 * x2 for v, x1, x2 in zip(s, n1, n2)]
+        product += dp
         points = _shoot(prefix, points[:1], s)
         q = points[-1]
 
@@ -414,14 +470,17 @@ def _newton(word: _Word, start: list, target: list, tol: float,
     only then, from the family legs' points that `_guess` returned; it is
     left out when the phase-1 legs meet tol or end where the gap is not
     finite. Iteration 2 checks the word's endpoint: a finite gap of at
-    least tol is a "word missed".
+    least tol is a "word missed". A phase-1 system that `_phase1` cannot
+    solve ends the word in iteration 1, unshot: "phase-1 singular".
     """
     gap_max = _gap_max(target, start)
     if not tol <= gap_max < math.inf:
         log.record(gap_max, 0)
         return [], start, None if gap_max < tol else "gap not finite"
-    s = np.linalg.solve(_phase1_matrix(word, start),
-                        [target[i] - start[i] for i in DIST_SLOTS]).tolist()
+    s = _phase1(word, start, target)
+    if s is None:
+        log.record(gap_max, 0)
+        return [], start, "phase-1 singular"
     theta = s + [0.0, 0.0]
     points = _shoot(word.prefix, [start], s)
     if tol <= _gap_max(target, points[-1]) < math.inf:
@@ -499,9 +558,11 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
     aims at and the legs it added.
 
     A failed plan carries a `reason`: "word missed" (too few iterations were
-    left to restart), "max_iterations spent", or "gap not finite": planning
+    left to restart), "max_iterations spent", "gap not finite": planning
     stops at the first gap that is not finite, where the state overflowed
-    (flows far from the origin do) or the gap itself did.
+    (flows far from the origin do) or the gap itself did, or "phase-1
+    singular": the phase-1 system at a word's start is singular or not
+    finite, as the landing fields make it far out in (a, b).
     """
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)

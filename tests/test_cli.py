@@ -598,6 +598,20 @@ def test_plan_that_overflows_stops_and_reports_strict_json(capsys, mode, goal):
     assert "Warning" not in err
 
 
+@pytest.mark.parametrize("start", ["0,0,0,1e150,1e150", "0,0,0,-1e150,1e150",
+                                   "0,0,0,1e150,-1e150", "0,0,0,-1e150,-1e150",
+                                   "0,0,0,1e200,0"])
+def test_plan_whose_phase1_system_is_singular_fails_as_a_verdict(capsys, start):
+    # far out in (a, b) the landing fields' phase-1 system is singular or
+    # overflows: a failed plan with its reason, not a usage error
+    code, out, err = run_cli(capsys, "plan", "--mode", "landing", "--from", start,
+                             "--to", "0.1,0.1,0.1,0.1,0.1", "--format", "compact")
+    assert code == 1 and err == ""
+    data = _strict_json(out)
+    assert (data["success"], data["reason"], data["legs"]) == (False, "phase-1 singular", [])
+    assert data["achieved"] == data["start"]
+
+
 #: Commands whose numbers overflow, with the sha256 of their compact payloads.
 OVERFLOW_RUNS = [
     (("classify", "--vector", "1e200,1e200,1e200,1e200"),

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -332,19 +333,22 @@ def _word_endpoint(word, start, product):
     return endpoint
 
 
-def _assert_word_jacobian_matches_complex_steps(word, name):
-    """`_word_jacobian` of the word equals numpy's complex step of
-    `_word_endpoint`, at starts across the sampling box and at P = 0 and P != 0."""
+def _assert_word_jacobian_matches_complex_steps(word, name, directions=tuple(np.eye(4))):
+    """`_word_jacobian` of the word along each direction equals numpy's
+    complex step of `_word_endpoint` projected on it, at starts across the
+    sampling box and at P = 0 and P != 0; unit directions give its columns."""
     starts = sample_vectors(10, 5, 93, f"test-word-{name}", box=BOX_HALF_WIDTH)
     rng = rng_for(93, f"test-word-theta-{name}")
     thetas = rng.uniform(-1.0, 1.0, (10, 4))
     products = rng.uniform(-1.0, 1.0, 10)
+    n = np.array(directions, dtype=float)
     for start, theta, product in zip(starts, thetas, products):
         points = planner._shoot(word, [start.tolist()], theta.tolist())
         for P in (0.0, float(product)):
-            want = complex_step_derivative(_word_endpoint(word, start, P), theta).T
-            got = np.array(planner._word_jacobian(word, points, theta.tolist(), P)).T
-            assert got.shape == (5, 4)
+            want = complex_step_derivative(_word_endpoint(word, start, P), theta).T @ n.T
+            got = np.array(planner._word_jacobian(word, points, theta.tolist(), P,
+                                                  n.tolist())).T
+            assert got.shape == (5, len(n))
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -361,8 +365,59 @@ def test_word_jacobian_assumes_nothing_of_the_family():
     assert not set(controls) & set(planner.FAMILY_CONTROLS[ManeuverMode.LANDING])
     legs = tuple((k, *u, k, sign) for k, (u, sign) in enumerate(zip(controls, (1.0, -1.0) * 2)))
     word = planner._Word(ManeuverMode.LANDING, controls,
-                         *planner._RECTANGLE[ManeuverMode.LANDING][1:], legs)
+                         *planner._RECTANGLE[ManeuverMode.LANDING][1:], legs,
+                         planner._free_directions(ManeuverMode.LANDING, controls))
     _assert_word_jacobian_matches_complex_steps(word, "hand-built")
+    _assert_word_jacobian_matches_complex_steps(word, "hand-built-free", word.free)
+
+
+FREE_DIRECTIONS = {
+    ManeuverMode.ATTACKING: ((-1, 0, 1, 0), (0, -1, 0, 1)),
+    ManeuverMode.LANDING: ((-1, 0, 1, 0), (0, -1, 0, 1)),
+    ManeuverMode.G2_STRICT: ((1, 0, 0, 0), (0, -6, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_free_directions_leave_the_ab_endpoint_where_it_is(mode):
+    # the family legs move (a, b) by their durations times the members'
+    # constant (va, vb): exactly nothing along a free direction, in exact
+    # rational arithmetic, and the word's Jacobian along it has no (a, b) part
+    word = planner._WORD_TABLES[mode]
+    assert word.free == FREE_DIRECTIONS[mode]
+    ab = [[Fraction(v) for v in kernels.law(mode, 0.0, 0.0, *u)[3:]] for u in word.controls]
+    for n in word.free:
+        assert [sum(Fraction(n_k) * v[c] for n_k, v in zip(n, ab)) for c in (0, 1)] == [0, 0]
+    _assert_word_jacobian_matches_complex_steps(word.prefix, f"free-{mode.value}", word.free)
+    starts = sample_vectors(10, 5, 96, f"test-free-{mode.value}", box=BOX_HALF_WIDTH)
+    thetas = rng_for(96, f"test-free-theta-{mode.value}").uniform(-1.0, 1.0, (10, 4))
+    for start, theta in zip(starts, thetas):
+        points = planner._shoot(word.prefix, [start.tolist()], theta.tolist())
+        for column in planner._word_jacobian(word.prefix, points, theta.tolist(), 0.3,
+                                             word.free):
+            assert max(map(abs, column[3:])) <= 1e-15 * max(map(abs, column))
+
+
+def test_one_reduced_guess_step_is_one_full_newton_step(monkeypatch):
+    # the (a, b) rows are met from the phase-1 solve on, so the step of the
+    # 5x5 system in (s, P) lies along the free directions: one step of the
+    # 3x3 system in (alpha1, alpha2, P) lands where it does
+    word = planner._WORD_TABLES[ManeuverMode.LANDING]
+    monkeypatch.setattr(planner, "MAX_GUESS_STEPS", 1)
+    pts = sample_vectors(20, 5, 97, "test-reduced-step", box=BOX_HALF_WIDTH)
+    for start, goal in zip(pts[0::2].tolist(), pts[1::2].tolist()):
+        s = np.linalg.solve(planner._phase1_matrix(word, start),
+                            [goal[i] - start[i] for i in DIST_SLOTS]).tolist()
+        points = planner._shoot(word.prefix, [start], s)
+        q = np.array(points[-1])
+        P = (goal[2] - q[2]) / word.displacement[2]
+        d = np.array(word.displacement) + q[4] * np.array(word.per_b)
+        J = complex_step_derivative(_word_endpoint(word.prefix, start, P), np.array(s)).T
+        delta = np.linalg.solve(np.column_stack([J, d]), np.array(goal) - q - P * d)
+        guess, product, _ = planner._guess(word, goal, s, points, 1e-300)
+        want = np.append(np.array(s) + delta[:4], P + delta[4])
+        got = np.append(guess, product)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("mode,start,goal", [
@@ -414,9 +469,9 @@ def test_the_guess_solves_the_family_legs_and_the_rectangle_together(mode, monke
     monkeypatch.setattr(planner, "_shoot", lambda *args: shots.append(args) or shoot(*args))
 
     def newton_shots():
-        """The shoots at the Newton's durations; the Jacobian's shoots start
-        from a complex point."""
-        return [args for args in shots if not isinstance(args[1][-1][0], complex)]
+        """The shoots at the Newton's durations; the Jacobian's shoots are
+        at complex durations."""
+        return [args for args in shots if not isinstance(args[2][0], complex)]
 
     pts = sample_vectors(20, 5, 98, f"test-guess-{mode.value}", box=BOX_HALF_WIDTH)
     for start, goal in zip(pts[0::2].tolist(), pts[1::2].tolist()):
@@ -439,10 +494,10 @@ def test_the_guess_solves_the_family_legs_and_the_rectangle_together(mode, monke
             assert guess is s and prefix is points and not shots
             assert product == (goal[2] - points[-1][2]) / word.displacement[2]
         else:
-            # each Newton step shoots once from each family leg's complex
-            # step, then once at its new s
+            # each Newton step shoots once at the complex step along each
+            # free direction, then once at its new s
             assert 0 < len(newton_shots()) <= planner.MAX_GUESS_STEPS
-            assert len(shots) == 5 * len(newton_shots())
+            assert len(shots) == 3 * len(newton_shots())
             assert all(len(args[0].legs) == 4 for args in shots)
 
 
@@ -543,13 +598,14 @@ NEWTON_PAIR = (
 #: on the whole word still ran after a missed guess: where it missed too,
 #: the restart alone makes the same plan. Pairs 1 and 2 and the four-word
 #: plan were re-pinned when the guess's Jacobian became complex steps, which
-#: moved the last bits of their achieved points.
+#: moved the last bits of their achieved points, and all four plans again
+#: when the guess came to step along its free directions alone.
 FALLBACK_PLANS_SHA256 = (
-    "b94f751a33e75649d09b68c7713f84c8929fc1a42aa9cb493a58b92e940aca7f",
-    "7e4093a5b62100bbabeb7b66defeb853cc8f9bbd403477569edc9e743ed25427",
-    "2207d99395ea72ecb28d208cc5708ab9b0516898acbe77757f6810e082817021",
+    "837535082c270c109723b0418755e7ecf496b8682b73d578b1b6493a29e91c55",
+    "7f4cde03d01d62a9d96dbffdf556973235a9eaa85c3337e69e4ac821c468ef41",
+    "039702ef390f3890465344469e1a01d799b3a48f4f04b9849c1f1bba9b3f8cfc",
 )
-FOUR_WORD_PLAN_SHA256 = "f99e2e7a0535b4167241f8dde1a2b00f6d7ed8758eebc2ff08dbc39ddbb91c30"
+FOUR_WORD_PLAN_SHA256 = "8ed6b42234dbb626ab64194293c98b29a607a5999e235ab4df93183669add4f9"
 
 
 def _assert_waypoint_plan(start, goal, pieces, sha256=None):
@@ -828,6 +884,25 @@ def test_plan_stops_at_the_first_state_that_overflows(mode, goal):
     assert all(np.isfinite(plan.trace[k][0]) for k in range(len(plan.trace) - 1))
 
 
+@pytest.mark.parametrize("ab", [(1e150, 1e150), (-1e150, 1e150), (1e150, -1e150),
+                                (-1e150, -1e150), (1e200, 0.0), (0.0, 1e200)])
+def test_plan_from_a_singular_phase1_system_fails_with_its_reason(ab):
+    # the landing fields far out in (a, b): their phase-1 system is singular
+    # (LAPACK's LinAlgError) or holds inf; the word is never shot
+    start = [0.0, 0.0, 0.0, *ab]
+    plan = planner.plan_path(ManeuverMode.LANDING, start, [0.1] * 5, trace=True)
+    assert (plan.success, plan.reason, plan.legs, plan.pieces) == \
+        (False, "phase-1 singular", (), 1)
+    assert plan.iterations == 1 and plan.trace == ((max(map(abs, ab)), 0),)
+    assert plan.achieved.tolist() == start
+    assert plan.to_json_dict()["reason"] == "phase-1 singular"
+    # the other modes' phase-1 systems solve at the same start, and landing's
+    # does with b = 0
+    for mode in (ManeuverMode.ATTACKING, ManeuverMode.G2_STRICT):
+        assert planner.plan_path(mode, start, [0.1] * 5).reason != "phase-1 singular"
+    assert planner.plan_path(ManeuverMode.LANDING, [0, 0, 0, 1e150, 0], [0.1] * 5).success
+
+
 def test_plan_stops_when_the_gap_itself_overflows():
     plan = planner.plan_path(ManeuverMode.ATTACKING, [-1e308, 0, 0, 0, 0],
                              [1e308, 0, 0, 0, 0])
@@ -945,7 +1020,7 @@ def test_stacked_depth2_values_and_generating_report():
 #: that moves one bit shows here.
 LAW_OUTPUTS_SHA256 = {
     "attacking": "0141aede1dd8dc8b2c971028820b8d07c8332ecdf50ccb0a3966db5b5840b62e",
-    "landing": "e530703e417f8a3af7c951f673762c51a68fdf06f4abac77d1977697783f9653",
+    "landing": "96ed0c6642d79f6c9909203fbc10ba7f3ef7ab4de13f7c90171ce9a878a96817",
     "g2s": "66351653256284f91d1ccf339335e66fd5ef3d11b0d43b904f6f8a9f99a9fdd6",
     "g2d": "fcfbbae0531b0e1298764083c66972855dcb518b185cca75a3eeb7bc54b8ad1f",
     "trajectories": "8c0b540cf44bba12c73eeb8f4c2a9ce7663d9a62e641d82fc99001ff01ce9810",

@@ -405,7 +405,7 @@ PAYLOADS_AT_SEED_5 = {
     "gl2": "4d027298cb7320a100b0d9d03995a9c4c5297960f72f4961830f0a2fd638e2ee",
     "symmetry": "353479b165e1011b8ee4cfccd5bda25466887248e6ecafb22aeb037551056725",
     "fibration": "d854dc55ea25947d5f0ca6e1091084f950b340c89dadc4a87402885ecb84798b",
-    "planner": "547623f92a0b26afc8e5ce020d661d4b163d209d9ea54716e3de1adc3849ede4",
+    "planner": "5d4b81ab03786ac5862c75cd3a3751a51b8d0cccd1949598a8373d1fce911a2a",
 }
 
 
