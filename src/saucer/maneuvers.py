@@ -288,7 +288,8 @@ def constraint_residuals(traj: Trajectory, mode: ManeuverMode | None = None) -> 
     Contact: |v_z - a v_x - b v_y|. Attacking: |v_a v_x + v_b v_y|. Landing:
     |ghat(v, v)|. G2 strict: the three bilinears and Upsilon on the
     quartic-mode components; G2 simple: Upsilon only. The samples are
-    evaluated one `kernels.row_blocks` block at a time.
+    evaluated one `kernels.row_blocks` block at a time, each block's
+    residuals written straight into its rows of the report's arrays.
     """
     if mode is None:
         mode = traj.mode
@@ -296,34 +297,35 @@ def constraint_residuals(traj: Trajectory, mode: ManeuverMode | None = None) -> 
     contact = np.empty(n)
     nullity = {name: np.empty(n) for name in _NULLITY_NAMES[mode]}
     for rows in kernels.row_blocks(n):
-        block_contact, block_nullity = _block_residuals(
-            mode, traj.states[rows], traj.velocities[rows])
-        contact[rows] = block_contact
-        for values, block_values in zip(nullity.values(), block_nullity):
-            values[rows] = block_values
+        _block_residuals(mode, traj.states[rows], traj.velocities[rows], contact[rows],
+                         [values[rows] for values in nullity.values()])
     return ResidualReport(mode, contact, nullity)
 
 
-def _block_residuals(mode: ManeuverMode, states: np.ndarray, vels: np.ndarray) -> tuple:
-    """(contact, nullity residuals in `_NULLITY_NAMES` order) of one block of samples."""
+def _block_residuals(mode: ManeuverMode, states: np.ndarray, vels: np.ndarray,
+                     contact: np.ndarray, nullity: list) -> None:
+    """The contact and nullity residuals of one block of samples, written
+    into contact and the arrays of nullity, in `_NULLITY_NAMES` order."""
     a = states[:, 3]
     b = states[:, 4]
     vx, vy, vz = vels[:, 0], vels[:, 1], vels[:, 2]
     va, vb = vels[:, 3], vels[:, 4]
-    contact = np.abs(vz - a * vx - b * vy)
+    np.abs(vz - a * vx - b * vy, out=contact)
     if mode == ManeuverMode.ATTACKING:
-        return contact, (np.abs(va * vx + vb * vy),)
+        np.abs(va * vx + vb * vy, out=nullity[0])
+        return
     if mode == ManeuverMode.LANDING:
         g = 2.0 * ((1.0 + a * a) * vb - a * b * va) * vx \
             - 2.0 * ((1.0 + b * b) * va - a * b * vb) * vy
-        return contact, (np.abs(g),)
+        np.abs(g, out=nullity[0])
+        return
     # (m, 4) view of four contiguous columns, so every product below runs
     # over contiguous memory
     X = np.stack([vx, vy, -vb / 3.0, va]).T
-    upsilon = np.abs(gl2.quartic_upsilon(X))
+    np.abs(gl2.quartic_upsilon(X), out=nullity[-1])
     if mode == ManeuverMode.G2_STRICT:
-        return contact, tuple(np.abs(g) for g in gl2.bilinear_diagonals(X)) + (upsilon,)
-    return contact, (upsilon,)
+        for g, out in zip(gl2.bilinear_diagonals(X), nullity):
+            np.abs(g, out=out)
 
 
 def ambient_nullity_pair(p: np.ndarray, v: np.ndarray) -> tuple[float, float]:

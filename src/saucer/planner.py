@@ -11,8 +11,10 @@ family legs alone finds the four family durations and e1 e2 together
 (`_guess`). The family legs move (a, b) linearly, so the phase-1 durations
 meet (a, b) already, and Newton steps in three unknowns only: two directions
 of the durations that keep (a, b) (`_free_directions`) and e1 e2, its
-Jacobian taken by one complex step per direction. A goal the word misses is
-reached by chaining words through evenly spaced waypoints.
+Jacobian taken by one complex step per direction. Phase 1 itself is exact
+integer arithmetic on the (a, b) rows and one 2x2 Cramer step along those
+directions (`_phase1`), so planning makes no LAPACK call. A goal the word
+misses is reached by chaining words through evenly spaced waypoints.
 
 The word is written once, in `_WORDS` over `FAMILY_CONTROLS`; at import it
 becomes one leg table per family mode (`_WORD_TABLES`), from which the
@@ -30,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import kernels
-from .chart import DIM, DIST_SLOTS, contact_covector
+from .chart import DIM, contact_covector
 from .forms import COMPLEX_STEP, FieldStack
 from .maneuvers import ManeuverMode, ResidualReport, Trajectory
 
@@ -202,22 +204,39 @@ def flow(mode: ManeuverMode, k: int, p: Sequence[float], duration: float) -> tup
                         float(duration))
 
 
-def _phase1_matrix(word: _Word, p: Sequence[float]) -> np.ndarray:
-    """Columns: (x, y, a, b) components of the family fields at p."""
-    a, b = float(p[3]), float(p[4])
-    return np.array([kernels.law(word.mode, a, b, *u) for u in word.controls]).T[DIST_SLOTS]
-
-
 def _phase1(word: _Word, p: Sequence[float], target: Sequence[float]) -> list | None:
     """The phase-1 durations s1..s4: the family fields at p, times s, meet the
-    (x, y, a, b) gap to target. None when that system is singular or holds a
-    number that is not finite, as the landing fields far out in (a, b) do."""
-    matrix = _phase1_matrix(word, p)
-    try:
-        s = np.linalg.solve(matrix, [target[i] - p[i] for i in DIST_SLOTS]).tolist()
-    except np.linalg.LinAlgError:
+    (x, y, a, b) gap to target. None when that system is singular.
+
+    No LAPACK call. The (a, b) rows hold the members' constant small-integer
+    (va, vb): Cramer's rule solves them on the word's pivot columns (i, j)
+    for s_p, each numerator divided by the pivot's determinant last. The
+    word's `free` directions n1, n2 keep those rows, and s = s_p + alpha1 n1
+    + alpha2 n2 takes (alpha1, alpha2) from one 2x2 Cramer solve of the
+    (x, y) rows. That determinant is 3 (attacking), -6 (G2) or
+    3 (1 + a^2 + b^2) (landing), so the system is singular only where it
+    overflows: None when it is zero or not finite, as it is whenever a law
+    value is, which the landing fields make it far out in (a, b).
+    """
+    a, b = p[3], p[4]
+    vx, vy, _, va, vb = zip(*[kernels.law(word.mode, a, b, *u) for u in word.controls])
+    (x1, y1), (x2, y2) = [(n0 * vx[0] + n1 * vx[1] + n2 * vx[2] + n3 * vx[3],
+                           n0 * vy[0] + n1 * vy[1] + n2 * vy[2] + n3 * vy[3])
+                          for n0, n1, n2, n3 in word.free]
+    det = x1 * y2 - x2 * y1
+    if not (det != 0.0 and math.isfinite(det)):
         return None
-    return s if np.isfinite(matrix).all() else None
+    i, j = word.pivot
+    ga, gb = target[3] - p[3], target[4] - p[4]
+    pivot = va[i] * vb[j] - va[j] * vb[i]
+    s = [0.0] * 4
+    s[i] = si = (ga * vb[j] - va[j] * gb) / pivot
+    s[j] = sj = (va[i] * gb - ga * vb[i]) / pivot
+    rx = target[0] - p[0] - vx[i] * si - vx[j] * sj
+    ry = target[1] - p[1] - vy[i] * si - vy[j] * sj
+    alpha1 = (rx * y2 - x2 * ry) / det
+    alpha2 = (x1 * ry - rx * y1) / det
+    return [v + alpha1 * n1 + alpha2 * n2 for v, n1, n2 in zip(s, *word.free)]
 
 
 def _sup(v: Sequence[float]) -> float:
@@ -258,7 +277,7 @@ class Plan:
             "goal": [float(v) for v in self.goal],
             "legs": [{"field": int(k), "duration": float(s)} for k, s in self.legs],
             "achieved": [float(v) for v in self.achieved],
-            "gap_max": float(np.max(np.abs(self.gap))),
+            "gap_max": _gap_max(self.goal.tolist(), self.achieved.tolist()),
             "iterations": self.iterations,
             "tolerance": self.tol,
             "success": self.success,
@@ -308,8 +327,11 @@ class _Word(NamedTuple):
     per_b: tuple[float, ...]
     #: Per leg: (family index, u1, u2, u3, slot of theta, sign).
     legs: tuple[tuple[int, float, float, float, int, float], ...]
-    #: Two directions n1, n2 of the family durations s1..s4 that leave the
-    #: family legs' (a, b) endpoint where it is (`_free_directions`).
+    #: The family members (i, j) whose constant (va, vb) make the first
+    #: nonzero 2x2 determinant, on which `_phase1` solves the (a, b) rows,
+    #: and two directions n1, n2 of the family durations s1..s4 that leave
+    #: the family legs' (a, b) endpoint where it is (`_free_directions`).
+    pivot: tuple[int, int]
     free: tuple[tuple[float, ...], ...]
 
     @property
@@ -320,8 +342,9 @@ class _Word(NamedTuple):
 
 def _free_directions(mode: ManeuverMode,
                      controls: Sequence[tuple[float, float, float]]) -> tuple:
-    """Two directions n of the four family durations with sum_k n_k (va_k, vb_k)
-    = 0, the members' constant (va, vb) read from `kernels.law` at a = b = 0.
+    """The pivot (i, j) and two directions n of the four family durations
+    with sum_k n_k (va_k, vb_k) = 0, the members' constant (va, vb) read from
+    `kernels.law` at a = b = 0.
 
     Each family leg moves (a, b) by its duration times (va, vb), so a step
     along n leaves the legs' (a, b) endpoint where it is. Columns (i, j) of
@@ -342,14 +365,14 @@ def _free_directions(mode: ManeuverMode,
         n = [0.0] * 4
         n[f], n[i], n[j] = 1.0, det(j, f) / det(i, j), det(f, i) / det(i, j)
         free.append(tuple(n))
-    return tuple(free)
+    return (i, j), tuple(free)
 
 
 #: `_WORDS` with each leg's controls filled in from `FAMILY_CONTROLS`.
 _WORD_TABLES = {
     fmode: _Word(fmode, FAMILY_CONTROLS[fmode], *_RECTANGLE[fmode][1:],
                  tuple((k, *FAMILY_CONTROLS[fmode][k], slot, sign) for k, slot, sign in word),
-                 _free_directions(fmode, FAMILY_CONTROLS[fmode]))
+                 *_free_directions(fmode, FAMILY_CONTROLS[fmode]))
     for fmode, word in _WORDS.items()
 }
 #: Newton steps of the guess on the word's four family legs (`_guess`).
@@ -463,13 +486,13 @@ def _newton(word: _Word, start: list, target: list, tol: float,
             log: _Iterations) -> tuple[list, list, str | None]:
     """Shoot the word at target: (legs, endpoint, reason), reason None on success.
 
-    Iteration 1 builds the word: one phase-1 solve for s1..s4, whose four
-    family legs alone are shot, then `_guess` solves the four legs and the
-    rectangle's exact displacement together for s1..s4 and P = e1 e2, and
-    e1 = sqrt(|P|), e2 = e1 with the sign of P. The rectangle is flowed
-    only then, from the family legs' points that `_guess` returned; it is
-    left out when the phase-1 legs meet tol or end where the gap is not
-    finite. Iteration 2 checks the word's endpoint: a finite gap of at
+    Iteration 1 builds the word: the phase-1 durations s1..s4 (`_phase1`),
+    whose four family legs alone are shot, then `_guess` solves the four
+    legs and the rectangle's exact displacement together for s1..s4 and
+    P = e1 e2, and e1 = sqrt(|P|), e2 = e1 with the sign of P. The
+    rectangle is flowed only then, from the family legs' points that
+    `_guess` returned; it is left out when the phase-1 legs meet tol or end
+    where the gap is not finite. Iteration 2 checks the word's endpoint: a finite gap of at
     least tol is a "word missed". A phase-1 system that `_phase1` cannot
     solve ends the word in iteration 1, unshot: "phase-1 singular".
     """
@@ -546,9 +569,12 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
 
     The plan is one word of 8 legs, Y1 Y2 Y3 Y4 (i, e1) (j, e2) (i, -e1)
     (j, -e2), with (i, j) the mode's commutator pair: its six durations
-    come from a phase-1 solve and one Newton solve for the four family
+    come from the phase-1 durations, the exact (a, b) pivot plus one 2x2
+    Cramer step (`_phase1`), and one Newton solve for the four family
     durations and e1 e2 (`_newton`). The state is carried as Python floats,
-    moved leg by leg by `kernels.flow` from the word's table (`_shoot`).
+    moved leg by leg by `kernels.flow` from the word's table (`_shoot`), and
+    no step calls LAPACK. Success is max |goal - achieved| < tol by
+    `_gap_max`, the rule of the payload's `gap_max`.
     When the word misses, the attempt's legs leave the plan and planning
     restarts from the start with twice the `pieces`, while the iterations
     left allow one per word: one word is shot at each of that many evenly
@@ -561,8 +587,9 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
     left to restart), "max_iterations spent", "gap not finite": planning
     stops at the first gap that is not finite, where the state overflowed
     (flows far from the origin do) or the gap itself did, or "phase-1
-    singular": the phase-1 system at a word's start is singular or not
-    finite, as the landing fields make it far out in (a, b).
+    singular": the phase-1 determinant at a word's start is zero or not
+    finite, which it is only where the landing fields overflow, far out in
+    (a, b).
     """
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
@@ -578,9 +605,8 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
         log.drop_legs()
         pieces *= 2
     achieved = np.array(p)
-    gap = goal - achieved
-    success = float(np.max(np.abs(gap))) < tol
-    return Plan(mode, start, goal, tuple(legs), achieved, gap, len(log.steps), tol,
+    success = _gap_max(target, p) < tol
+    return Plan(mode, start, goal, tuple(legs), achieved, goal - achieved, len(log.steps), tol,
                 success, tuple(log.steps) if trace else None, pieces,
                 None if success else reason)
 

@@ -472,3 +472,21 @@ def test_non_finite_starts_and_directions_are_rejected(bad):
         gl2.classify_directions(np.array([[1.0, 0.0, 0.0, 1.0], point[:4]]))
     with pytest.raises(ValueError, match="finite"):
         gl2.classify_direction(point[1:])
+
+
+@pytest.mark.parametrize("mode", list(ManeuverMode))
+def test_residuals_over_many_blocks_equal_each_blocks_own(mode):
+    # every block's residuals land in its own rows of the report: three
+    # blocks, the last one short, each equal to the report of that block alone
+    n = 2 * kernels.BLOCK_ROWS + 5
+    rng = np.random.default_rng(31)
+    states = rng.uniform(-2.0, 2.0, (chart.DIM, n)).T
+    vels = rng.uniform(-2.0, 2.0, (chart.DIM, n)).T
+    report = constraint_residuals(Trajectory(mode, np.arange(float(n)), states, vels))
+    for rows in kernels.row_blocks(n):
+        alone = constraint_residuals(Trajectory(mode, np.arange(float(rows.stop - rows.start)),
+                                                np.array(states[rows]), np.array(vels[rows])))
+        assert report.contact[rows].tobytes() == alone.contact.tobytes()
+        assert list(report.nullity) == list(alone.nullity)
+        for name, values in report.nullity.items():
+            assert values[rows].tobytes() == alone.nullity[name].tobytes(), name

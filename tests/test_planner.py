@@ -366,7 +366,7 @@ def test_word_jacobian_assumes_nothing_of_the_family():
     legs = tuple((k, *u, k, sign) for k, (u, sign) in enumerate(zip(controls, (1.0, -1.0) * 2)))
     word = planner._Word(ManeuverMode.LANDING, controls,
                          *planner._RECTANGLE[ManeuverMode.LANDING][1:], legs,
-                         planner._free_directions(ManeuverMode.LANDING, controls))
+                         *planner._free_directions(ManeuverMode.LANDING, controls))
     _assert_word_jacobian_matches_complex_steps(word, "hand-built")
     _assert_word_jacobian_matches_complex_steps(word, "hand-built-free", word.free)
 
@@ -398,6 +398,14 @@ def test_free_directions_leave_the_ab_endpoint_where_it_is(mode):
             assert max(map(abs, column[3:])) <= 1e-15 * max(map(abs, column))
 
 
+def _lapack_phase1(word, p, target) -> list:
+    """The phase-1 durations by LAPACK, an oracle independent of `_phase1`:
+    the 4x4 (x, y, a, b) system whose columns are the family fields at p,
+    from `kernels.law`, solved by `np.linalg.solve`."""
+    matrix = np.array([kernels.law(word.mode, p[3], p[4], *u) for u in word.controls]).T
+    return np.linalg.solve(matrix[DIST_SLOTS], [target[i] - p[i] for i in DIST_SLOTS]).tolist()
+
+
 def test_one_reduced_guess_step_is_one_full_newton_step(monkeypatch):
     # the (a, b) rows are met from the phase-1 solve on, so the step of the
     # 5x5 system in (s, P) lies along the free directions: one step of the
@@ -406,8 +414,7 @@ def test_one_reduced_guess_step_is_one_full_newton_step(monkeypatch):
     monkeypatch.setattr(planner, "MAX_GUESS_STEPS", 1)
     pts = sample_vectors(20, 5, 97, "test-reduced-step", box=BOX_HALF_WIDTH)
     for start, goal in zip(pts[0::2].tolist(), pts[1::2].tolist()):
-        s = np.linalg.solve(planner._phase1_matrix(word, start),
-                            [goal[i] - start[i] for i in DIST_SLOTS]).tolist()
+        s = _lapack_phase1(word, start, goal)
         points = planner._shoot(word.prefix, [start], s)
         q = np.array(points[-1])
         P = (goal[2] - q[2]) / word.displacement[2]
@@ -475,9 +482,7 @@ def test_the_guess_solves_the_family_legs_and_the_rectangle_together(mode, monke
 
     pts = sample_vectors(20, 5, 98, f"test-guess-{mode.value}", box=BOX_HALF_WIDTH)
     for start, goal in zip(pts[0::2].tolist(), pts[1::2].tolist()):
-        gap = [g - p for g, p in zip(goal, start)]
-        s = np.linalg.solve(planner._phase1_matrix(word, start),
-                            [gap[i] for i in DIST_SLOTS]).tolist()
+        s = _lapack_phase1(word, start, goal)
         points = shoot(word.prefix, [start], s)
         assert len(points) == 5
         shots.clear()
@@ -598,14 +603,16 @@ NEWTON_PAIR = (
 #: on the whole word still ran after a missed guess: where it missed too,
 #: the restart alone makes the same plan. Pairs 1 and 2 and the four-word
 #: plan were re-pinned when the guess's Jacobian became complex steps, which
-#: moved the last bits of their achieved points, and all four plans again
-#: when the guess came to step along its free directions alone.
+#: moved the last bits of their achieved points, all four plans again
+#: when the guess came to step along its free directions alone, and again
+#: when phase 1 came to be solved by Cramer's rule on the exact (a, b)
+#: pivot instead of LAPACK (iterations and pieces unchanged each time).
 FALLBACK_PLANS_SHA256 = (
-    "837535082c270c109723b0418755e7ecf496b8682b73d578b1b6493a29e91c55",
-    "7f4cde03d01d62a9d96dbffdf556973235a9eaa85c3337e69e4ac821c468ef41",
-    "039702ef390f3890465344469e1a01d799b3a48f4f04b9849c1f1bba9b3f8cfc",
+    "eca021b3c430a521735cef392f90d859ea2ff0b5025d53eb3ac43fbf3eadb5b7",
+    "bc34a706b43f5b9df2428fb0b943c1fbe5ad4f4173ab903959ba67c145c6f247",
+    "96876b20d3e49993010511b56eabe0928950c530929827097a0afff31c67b217",
 )
-FOUR_WORD_PLAN_SHA256 = "8ed6b42234dbb626ab64194293c98b29a607a5999e235ab4df93183669add4f9"
+FOUR_WORD_PLAN_SHA256 = "ecb022d3becf8a0b050ebde8d7adcba665958aa3cbc77fa62edfc33332bb23d4"
 
 
 def _assert_waypoint_plan(start, goal, pieces, sha256=None):
@@ -887,8 +894,8 @@ def test_plan_stops_at_the_first_state_that_overflows(mode, goal):
 @pytest.mark.parametrize("ab", [(1e150, 1e150), (-1e150, 1e150), (1e150, -1e150),
                                 (-1e150, -1e150), (1e200, 0.0), (0.0, 1e200)])
 def test_plan_from_a_singular_phase1_system_fails_with_its_reason(ab):
-    # the landing fields far out in (a, b): their phase-1 system is singular
-    # (LAPACK's LinAlgError) or holds inf; the word is never shot
+    # the landing fields far out in (a, b): their phase-1 determinant
+    # overflows to inf or nan; the word is never shot
     start = [0.0, 0.0, 0.0, *ab]
     plan = planner.plan_path(ManeuverMode.LANDING, start, [0.1] * 5, trace=True)
     assert (plan.success, plan.reason, plan.legs, plan.pieces) == \
@@ -901,6 +908,61 @@ def test_plan_from_a_singular_phase1_system_fails_with_its_reason(ab):
     for mode in (ManeuverMode.ATTACKING, ManeuverMode.G2_STRICT):
         assert planner.plan_path(mode, start, [0.1] * 5).reason != "phase-1 singular"
     assert planner.plan_path(ManeuverMode.LANDING, [0, 0, 0, 1e150, 0], [0.1] * 5).success
+
+
+@pytest.mark.parametrize("mode", list(ManeuverMode))
+def test_phase1_solves_the_system_lapack_solves(mode):
+    # the exact (a, b) pivot and one 2x2 Cramer step along the free
+    # directions solve the 4x4 phase-1 system to its last few bits
+    word = planner._WORD_TABLES[planner._family_mode(mode)]
+    pts = sample_vectors(400, 5, 99, f"test-phase1-{mode.value}", box=BOX_HALF_WIDTH)
+    for start, target in zip(pts[0::2].tolist(), pts[1::2].tolist()):
+        got, want = planner._phase1(word, start, target), _lapack_phase1(word, start, target)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-13 * max(map(abs, want))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_phase1_determinant_has_its_closed_form(mode):
+    # the (x, y) rows of the family fields along the free directions make a
+    # 2x2 determinant of 3 (attacking), -6 (G2) or 3 (1 + a^2 + b^2)
+    # (landing): never zero, so phase 1 fails only by overflow
+    word = planner._WORD_TABLES[mode]
+    for a, b in sample_vectors(50, 2, 99, f"test-phase1-det-{mode.value}", box=4.0).tolist():
+        vx, vy = list(zip(*[kernels.law(mode, a, b, *u) for u in word.controls]))[:2]
+        (x1, y1), (x2, y2) = [(np.dot(n, vx), np.dot(n, vy)) for n in word.free]
+        closed = {ManeuverMode.ATTACKING: 3.0, ManeuverMode.G2_STRICT: -6.0,
+                  ManeuverMode.LANDING: 3.0 * (1.0 + a * a + b * b)}[mode]
+        assert x1 * y2 - x2 * y1 == pytest.approx(closed, rel=1e-14)
+        if mode is not ManeuverMode.LANDING:
+            assert x1 * y2 - x2 * y1 == closed
+
+
+@pytest.mark.parametrize("ab", [(1e150, 1e150), (-1e150, 1e150), (1e150, -1e150),
+                                (-1e150, -1e150), (1e200, 0.0)])
+def test_phase1_at_the_singular_cli_starts_is_none(ab):
+    # the starts of tests/test_cli.py's singular phase-1 plans: the 2x2
+    # determinant overflows there
+    word = planner._WORD_TABLES[ManeuverMode.LANDING]
+    assert planner._phase1(word, [0.0, 0.0, 0.0, *ab], [0.1] * 5) is None
+
+
+@pytest.mark.parametrize("mode", list(ManeuverMode))
+def test_plan_ops_call_no_lapack(mode, monkeypatch):
+    # plan_path, its replay and the replay's residuals: what one `saucer
+    # plan` computes
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for name in np.linalg.__all__:
+        if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    pts = sample_vectors(20, 5, 99, f"test-no-lapack-{mode.value}", box=BOX_HALF_WIDTH)
+    for start, goal in zip(pts[0::2], pts[1::2]):
+        plan = planner.plan_path(mode, start, goal)
+        assert plan.success
+        assert constraint_residuals(planner.replay(plan)).passed()
+    with pytest.raises(AssertionError, match="np.linalg called"):
+        np.linalg.solve(np.eye(2), np.ones(2))
 
 
 def test_plan_stops_when_the_gap_itself_overflows():
@@ -918,35 +980,30 @@ INF = math.inf
 #: rectangle is never flowed at these goals, so the endpoint is where the
 #: phase-1 legs end; flowing four legs of zero duration on from it turned
 #: no inf into nan. A plan stopped after its guess has the same legs and
-#: endpoint.
+#: endpoint. At [1e308] * 5 the phase-1 solve's integer-weighted numerators
+#: overflow, every duration is nan, and `_word_legs` keeps no leg of nan
+#: duration; the legs and endpoints at the other two goals are the phase-1
+#: solve's rounding, pinned from these `plan_path` calls.
 OVERFLOW_PLANS = {
     (ManeuverMode.ATTACKING, 0): (None, ((0, -3.3333333333333335e+299),
                                          (2, 3.3333333333333335e+299)), "fffff"),
     (ManeuverMode.LANDING, 0): ("gap not finite", ((1, -1e+300), (3, 1e+300)), "fnnff"),
     (ManeuverMode.G2_SIMPLE, 0): (None, ((0, 1e+300),), "fffff"),
     (ManeuverMode.G2_STRICT, 0): (None, ((0, 1e+300),), "fffff"),
-    (ManeuverMode.ATTACKING, 1): ("gap not finite", ((0, -INF), (2, 3.333333333333333e+307),
-                                                     (3, 1e+308)), "nnnni"),
-    (ManeuverMode.LANDING, 1): ("gap not finite", ((0, -1.6632002579455998e+291),
-                                                   (2, -3.333333333333333e+307),
-                                                   (3, 1e+308)), "nnnff"),
-    (ManeuverMode.G2_SIMPLE, 1): ("gap not finite", ((0, 1.3333333333333333e+308),
-                                                     (1, 3.333333333333333e+307),
-                                                     (2, -6.666666666666666e+307)), "ffnfi"),
-    (ManeuverMode.G2_STRICT, 1): ("gap not finite", ((0, 1.3333333333333333e+308),
-                                                     (1, 3.333333333333333e+307),
-                                                     (2, -6.666666666666666e+307)), "ffnfi"),
+    (ManeuverMode.ATTACKING, 1): ("gap not finite", (), "nnnnn"),
+    (ManeuverMode.LANDING, 1): ("gap not finite", (), "nnnnn"),
+    (ManeuverMode.G2_SIMPLE, 1): ("gap not finite", (), "nnnnn"),
+    (ManeuverMode.G2_STRICT, 1): ("gap not finite", (), "nnnnn"),
     (ManeuverMode.ATTACKING, 2): ("gap not finite", ((0, -3.3333333333333336e+154),
                                                      (1, -1e+155), (3, 1e+155)), "ffiff"),
-    (ManeuverMode.LANDING, 2): ("gap not finite", ((0, 1.984754276476537e+138),
-                                                   (2, -3.3333333333333336e+154)), "nfnff"),
+    (ManeuverMode.LANDING, 2): ("gap not finite", ((2, -3.3333333333333336e+154),), "nfnff"),
     (ManeuverMode.G2_SIMPLE, 2): ("gap not finite", ((0, -1.6666666666666665e+154),
-                                                     (1, 8.333333333333334e+154),
-                                                     (2, -5e+154),
+                                                     (1, 8.333333333333335e+154),
+                                                     (2, -5.0000000000000006e+154),
                                                      (3, -1.6666666666666668e+154)), "ffiff"),
     (ManeuverMode.G2_STRICT, 2): ("gap not finite", ((0, -1.6666666666666665e+154),
-                                                     (1, 8.333333333333334e+154),
-                                                     (2, -5e+154),
+                                                     (1, 8.333333333333335e+154),
+                                                     (2, -5.0000000000000006e+154),
                                                      (3, -1.6666666666666668e+154)), "ffiff"),
 }
 
@@ -970,7 +1027,7 @@ def test_overflowing_plans_end_where_their_phase1_legs_do(mode, goal):
 
 def test_replay_survives_a_plan_that_overflows():
     # finite inputs whose phase-1 solve overflows to an infinite leg
-    plan = planner.plan_path(ManeuverMode.ATTACKING, np.zeros(5), [1e308] * 5,
+    plan = planner.plan_path(ManeuverMode.ATTACKING, np.zeros(5), [0, 1e308, 0, 0, 0],
                              max_iterations=5)
     assert not all(math.isfinite(s) for _, s in plan.legs)
     with np.errstate(all="ignore"):
@@ -1017,12 +1074,13 @@ def test_stacked_depth2_values_and_generating_report():
 #: sha256 of `_law_outputs_digests`, per mode for the plans and their
 #: replays, and for the trajectories. Plans, replays and trajectories take
 #: every value of the control law and its flow, so a change to either
-#: that moves one bit shows here.
+#: that moves one bit shows here. The plan digests also follow the phase-1
+#: solve's rounding; they were re-pinned when it stopped calling LAPACK.
 LAW_OUTPUTS_SHA256 = {
-    "attacking": "0141aede1dd8dc8b2c971028820b8d07c8332ecdf50ccb0a3966db5b5840b62e",
-    "landing": "96ed0c6642d79f6c9909203fbc10ba7f3ef7ab4de13f7c90171ce9a878a96817",
-    "g2s": "66351653256284f91d1ccf339335e66fd5ef3d11b0d43b904f6f8a9f99a9fdd6",
-    "g2d": "fcfbbae0531b0e1298764083c66972855dcb518b185cca75a3eeb7bc54b8ad1f",
+    "attacking": "1aafc933a981e76ae852c9117a13b9e48694f92b9d5abd1d957dff168f06e861",
+    "landing": "49159a491c4f91f2622fa399bcba236d8464a6e6fa091b4ca4d2112351de49fb",
+    "g2s": "3b4854a782dca0a34fc6eea6380bf226c22524e0db43cde69c0d1cf817f07249",
+    "g2d": "8503e512ee35a565a07e5b25f8d69a105b98ee9eafd2781aded5303faabcb95d",
     "trajectories": "8c0b540cf44bba12c73eeb8f4c2a9ce7663d9a62e641d82fc99001ff01ce9810",
 }
 
