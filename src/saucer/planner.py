@@ -6,21 +6,22 @@ four fields span the contact distribution, and their pairwise brackets
 restore the missing fifth direction, so piecewise flows reach any nearby
 target. The planner shoots one fixed word of 8 legs, the four family flows
 and one commutator rectangle. The rectangle moves its start by exactly
-e1 e2 times a known displacement (`_RECTANGLE`), so one Newton solve on the
-family legs alone finds the four family durations and e1 e2 together
+e1 e2 times a known displacement (`_RECTANGLE`), so a solve on the family
+legs alone finds the four family durations and e1 e2 together
 (`_guess`). The family legs move (a, b) linearly, so the phase-1 durations
-meet (a, b) already, and Newton steps in three unknowns only: two directions
-of the durations that keep (a, b) (`_free_directions`) and e1 e2, its
-Jacobian taken by one complex step per direction. Phase 1 itself is exact
-integer arithmetic on the (a, b) rows and one 2x2 Cramer step along those
-directions (`_phase1`), so planning makes no LAPACK call. A goal the word
-misses is reached by chaining words through evenly spaced waypoints.
+meet (a, b) already, and e1 e2 then meets z. Attacking and G2 legs move
+(x, y) linearly too, so that is their word. Landing's is solved in closed
+form on the plane of durations that keeps (a, b) (`_free_directions`): its
+(x, y) gap there is a sextic in one unknown with a root between the two
+roots of a known quadratic (`_landing_sextic`, `_bracket`). Phase 1 itself
+is exact integer arithmetic on the (a, b) rows and one 2x2 Cramer step
+along those directions (`_phase1`), so planning makes no LAPACK call. A goal
+the word misses is reached by chaining words through evenly spaced waypoints.
 
 The word is written once, in `_WORDS` over `FAMILY_CONTROLS`; at import it
 becomes one leg table per family mode (`_WORD_TABLES`), from which the
-shooter calls `kernels.flow` leg by leg, on Python floats or, for the
-Jacobian, on Python complex numbers. `replay` expands a plan's legs to its
-samples with one stacked repeat of a per-leg table.
+shooter calls `kernels.flow` leg by leg on Python floats. `replay` expands
+a plan's legs to its samples with one stacked repeat of a per-leg table.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import kernels
 from .chart import DIM, contact_covector
-from .forms import COMPLEX_STEP, FieldStack
+from .forms import FieldStack
 from .maneuvers import ManeuverMode, ResidualReport, Trajectory
 
 LEG_DT = 1e-2
@@ -333,11 +334,8 @@ class _Word(NamedTuple):
     #: the family legs' (a, b) endpoint where it is (`_free_directions`).
     pivot: tuple[int, int]
     free: tuple[tuple[float, ...], ...]
-
-    @property
-    def prefix(self) -> "_Word":
-        """The word's four family legs alone, which move its start by durations s1..s4."""
-        return self._replace(legs=self.legs[:4])
+    #: The word's four family legs alone, which move its start by durations s1..s4.
+    prefix: "_Word | None" = None
 
 
 def _free_directions(mode: ManeuverMode,
@@ -368,17 +366,16 @@ def _free_directions(mode: ManeuverMode,
     return (i, j), tuple(free)
 
 
-#: `_WORDS` with each leg's controls filled in from `FAMILY_CONTROLS`.
-_WORD_TABLES = {
-    fmode: _Word(fmode, FAMILY_CONTROLS[fmode], *_RECTANGLE[fmode][1:],
-                 tuple((k, *FAMILY_CONTROLS[fmode][k], slot, sign) for k, slot, sign in word),
-                 *_free_directions(fmode, FAMILY_CONTROLS[fmode]))
-    for fmode, word in _WORDS.items()
-}
-#: Newton steps of the guess on the word's four family legs (`_guess`).
-MAX_GUESS_STEPS = 32
-#: The guess is done once its residual is below this fraction of tol.
-GUESS_TOL_FRACTION = 1e-2
+def _word_table(fmode: ManeuverMode, word: tuple) -> _Word:
+    """`_WORDS[fmode]` with each leg's controls filled in from `FAMILY_CONTROLS`."""
+    controls = FAMILY_CONTROLS[fmode]
+    table = _Word(fmode, controls, *_RECTANGLE[fmode][1:],
+                  tuple((k, *controls[k], slot, sign) for k, slot, sign in word),
+                  *_free_directions(fmode, controls))
+    return table._replace(prefix=table._replace(legs=table.legs[:4]))
+
+
+_WORD_TABLES = {fmode: _word_table(fmode, word) for fmode, word in _WORDS.items()}
 
 
 def _shoot(word: _Word, points: Sequence, theta: Sequence[float]) -> list:
@@ -400,42 +397,101 @@ def _shoot(word: _Word, points: Sequence, theta: Sequence[float]) -> list:
 
 
 def _word_legs(word: _Word, theta: Sequence[float]) -> list:
-    """The word's legs at durations theta, legs of zero duration left out."""
+    """The word's legs at durations theta, legs of zero duration left out;
+    a leg of nan duration stays, as `_shoot` flowed it."""
     return [(k, float(sign * theta[slot])) for k, _, _, _, slot, sign in word.legs
-            if abs(theta[slot]) > 1e-15]
+            if not abs(theta[slot]) <= 1e-15]
 
 
-def _word_jacobian(word: _Word, points: Sequence, theta: Sequence[float],
-                   product: float, directions: Sequence[Sequence[float]]) -> list:
-    """d(q + P d(q))/d(theta) along each direction n, q the word's endpoint
-    and d the rectangle's displacement per unit e1 e2 there (`_RECTANGLE`),
-    by one complex step per direction: one column of five floats per n.
+def _quadratic(fm: float, f0: float, fp: float) -> tuple:
+    """(c0, c1, c2) of c0 + c1 t + c2 t^2 through (-1, fm), (0, f0), (1, fp)."""
+    return f0, 0.5 * (fp - fm), 0.5 * (fp + fm) - f0
 
-    The word is shot at the complex durations theta + i h n, h =
-    `COMPLEX_STEP`, from the start of the first leg whose slot n moves
-    (`points` holds the start and the endpoints of the legs at theta), and
-    Im(q + P d(q)) / h is the column (Squire and Trapp's complex step, as in
-    `forms.complex_step_derivative`). A unit n gives the column of its slot.
+
+def _at(c: Sequence[float], t: float) -> float:
+    """The quadratic of coefficients c at t."""
+    return c[0] + t * (c[1] + t * c[2])
+
+
+def _landing_sextic(word: _Word, target: list, s: list, points: list) -> tuple:
+    """The landing word's (x, y) gap on the free plane of the phase-1
+    durations s, as quadratics (c0, c1, c2) in alpha1: (N, D, Y0, Y1, Y2).
+
+    At s + alpha1 n1 + alpha2 n2 (the `free` directions, which keep (a, b)
+    and so d) the family legs end at q, and the P that meets z leaves the
+    gap q + P d(q) - target at G_x = N + alpha2 D, G_y = Y0 + alpha2 Y1 +
+    alpha2^2 Y2. n1 moves the third leg's duration to sigma = s3 + alpha1,
+    and the landing law gives, exactly, D = 1 + b^2 - 3 b sigma - 9/2 sigma^2,
+    Y1 = 6 a sigma and Y2 = -3 sigma, with b where the legs end and a where
+    the second one ends, both at alpha = 0. N and Y0 are quadratics in
+    alpha1 (the law is quadratic in (a, b), which move linearly): the legs
+    shot at alpha1 = -1 and 1, alpha2 = 0, give them by the three-point
+    Lagrange rule, with `points`, the phase-1 shoot, at alpha1 = 0. No
+    step along n2 is shot, so none is lost to rounding where the second and
+    fourth legs' durations differ by many orders of magnitude.
     """
-    columns = []
-    for n in directions:
-        first = next(l for l, leg in enumerate(word.legs) if n[leg[4]] != 0.0)
-        moved = [complex(t, COMPLEX_STEP * dt) for t, dt in zip(theta, n)]
-        q = _shoot(word, points[:first + 1], moved)[-1]
-        columns.append([(x + product * (d + q[4] * d_b)).imag / COMPLEX_STEP
-                        for x, d, d_b in zip(q, word.displacement, word.per_b)])
-    return columns
+    (dx, dy, dz, _, _), (bx, by, _, _, _) = word.displacement, word.per_b
+    gx, gy = [], []
+    for a1 in (-1.0, 0.0, 1.0):
+        q = points[-1] if a1 == 0.0 else _shoot(
+            word.prefix, points[:1], [v + a1 * m for v, m in zip(s, word.free[0])])[-1]
+        product = (target[2] - q[2]) / dz
+        gx.append(q[0] + product * (dx + q[4] * bx) - target[0])
+        gy.append(q[1] + product * (dy + q[4] * by) - target[1])
+    a, b, sigma = points[2][3], points[-1][4], s[2]
+    return (_quadratic(*gx),
+            (1.0 + b * b - 3.0 * b * sigma - 4.5 * sigma * sigma, -3.0 * b - 9.0 * sigma, -4.5),
+            _quadratic(*gy), (6.0 * a * sigma, 6.0 * a, 0.0), (-3.0 * sigma, -3.0, 0.0))
 
 
-def _det3(a: Sequence[float], b: Sequence[float], c: Sequence[float]) -> float:
-    """The determinant of the 3x3 matrix whose columns are the first three
-    entries of a, b and c."""
-    return (a[0] * (b[1] * c[2] - b[2] * c[1]) - b[0] * (a[1] * c[2] - a[2] * c[1])
-            + c[0] * (a[1] * b[2] - a[2] * b[1]))
+def _sextic(coefficients: tuple, t: float) -> float:
+    """R(t) = Y0 D^2 - Y1 N D + Y2 N^2: G_y at alpha2 = -N/D, times D^2."""
+    n, d, y0, y1, y2 = [_at(c, t) for c in coefficients]
+    return (y0 * d - y1 * n) * d + y2 * n * n
 
 
-def _guess(word: _Word, target: list, s: list, points: list,
-           tol: float) -> tuple[list, float, list]:
+def _bracket(coefficients: tuple) -> tuple | None:
+    """(r1, r2, R(r1), R(r2), root): r1 < r2 the roots of D and a root of R
+    strictly between, None unless R(r1) > 0 > R(r2); None unless D opens
+    downward with two real roots, as it does wherever it is finite.
+
+    D's roots are sigma = (-3 b -+ sqrt(27 b^2 + 18)) / 9, one negative and
+    one positive, and Y2 = -3 sigma, so R = Y2 N^2 at the roots of D gives
+    R(r1) >= 0 >= R(r2), and a root where alpha2 = -N/D is finite. R(rk) = 0
+    only where N vanishes there too, and the root may sit on alpha2's pole:
+    that word is left to the restart. The Illinois rule finds the root: the
+    secant of the ends, its value at an end kept twice in a row halved, or
+    a bisection where the secant leaves the bracket, until R is 0 or no
+    float lies between the ends.
+    """
+    d0, d1, d2 = coefficients[1]
+    disc = d1 * d1 - 4.0 * d0 * d2
+    if not d2 < 0.0 < disc < math.inf:
+        return None
+    h = -0.5 * (d1 + math.copysign(math.sqrt(disc), d1))
+    lo, hi = sorted((h / d2, d0 / h))
+    f_lo, f_hi = _sextic(coefficients, lo), _sextic(coefficients, hi)
+    bracket, kept = (lo, hi, f_lo, f_hi), 0
+    if not f_lo > 0.0 > f_hi:
+        return bracket + (None,)
+    while True:
+        t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+            if not lo < t < hi:
+                return bracket + (lo,)
+        f = _sextic(coefficients, t)
+        if f > 0.0:
+            f_hi *= 0.5 if kept > 0 else 1.0
+            lo, f_lo, kept = t, f, 1
+        elif f < 0.0:
+            f_lo *= 0.5 if kept < 0 else 1.0
+            hi, f_hi, kept = t, f, -1
+        else:
+            return bracket + (t,)
+
+
+def _guess(word: _Word, target: list, s: list, points: list) -> tuple[list, float, list]:
     """The guess's family durations s, rectangle product P = e1 e2, and the
     start and endpoints of the four family legs at those s.
 
@@ -444,46 +500,30 @@ def _guess(word: _Word, target: list, s: list, points: list,
     (`_RECTANGLE`): five equations q + P d(q) = target in (s, P). The
     phase-1 durations s, whose legs pass through `points`, meet the (a, b)
     rows already, since (a, b) moves linearly in s and d has no (a, b)
-    part; the P that meets z there starts P. Newton then steps only where
-    (a, b) stays: s + alpha1 n1 + alpha2 n2 along the word's `free`
-    directions, and P, each step one 3x3 solve of the (x, y, z) rows by
-    Cramer's rule, whose columns are `_word_jacobian` along n1 and n2 and
-    d(q). It stops once the residual is below GUESS_TOL_FRACTION of tol,
-    after at most MAX_GUESS_STEPS steps, each shooting the four legs alone.
-    A singular or not finite solve falls back to the phase-1 s, P and
-    points. The attacking and G2 legs move (x, y, a, b) linearly and their
-    d is constant, so the phase-1 s and P meet the equations at once, and
-    the points returned are the ones passed in.
+    part, and P then meets z. The attacking and G2 legs move (x, y) linearly
+    and their d is constant, so that is their word, and the points returned
+    are the ones passed in. Landing's moves s along the `free` directions to
+    alpha1 the root of R in `_bracket` and alpha2 = -N/D, and shoots its legs
+    once more; with no root, or where those legs overflow, the phase-1 word
+    stands, and its check misses it.
     """
-    prefix = word.prefix
-    n1, n2 = word.free
-    q = points[-1]
-    product = (target[2] - q[2]) / word.displacement[2]
-    phase1 = s, product, points
-    for step in range(MAX_GUESS_STEPS + 1):
-        d = [c + q[4] * c_b for c, c_b in zip(word.displacement, word.per_b)]
-        r = [g - x - product * v for g, x, v in zip(target, q, d)]
-        gap_max = _sup(r)
-        if not gap_max < math.inf:
-            return phase1
-        if gap_max < GUESS_TOL_FRACTION * tol or step == MAX_GUESS_STEPS:
-            return s, product, points
-        c1, c2 = _word_jacobian(prefix, points, s, product, word.free)
-        det = _det3(c1, c2, d)
-        if det == 0.0:
-            return phase1
-        delta = [_det3(r, c2, d) / det, _det3(c1, r, d) / det, _det3(c1, c2, r) / det]
-        if not all(map(math.isfinite, delta)):
-            return phase1
-        alpha1, alpha2, dp = delta
-        s = [v + alpha1 * x1 + alpha2 * x2 for v, x1, x2 in zip(s, n1, n2)]
-        product += dp
-        points = _shoot(prefix, points[:1], s)
-        q = points[-1]
+    product = (target[2] - points[-1][2]) / word.displacement[2]
+    if word.mode is not ManeuverMode.LANDING:
+        return s, product, points
+    coefficients = _landing_sextic(word, target, s, points)
+    alpha1 = (_bracket(coefficients) or (None,) * 5)[4]
+    if alpha1 is not None:
+        d = _at(coefficients[1], alpha1)
+        alpha2 = -_at(coefficients[0], alpha1) / d if d != 0.0 else math.inf
+        moved = [v + alpha1 * m1 + alpha2 * m2 for v, m1, m2 in zip(s, *word.free)]
+        shot = _shoot(word.prefix, points[:1], moved)
+        if _sup(shot[-1]) < math.inf:
+            return moved, (target[2] - shot[-1][2]) / word.displacement[2], shot
+    return s, product, points
 
 
-def _newton(word: _Word, start: list, target: list, tol: float,
-            log: _Iterations) -> tuple[list, list, str | None]:
+def _solve_word(word: _Word, start: list, target: list, tol: float,
+                log: _Iterations) -> tuple[list, list, str | None]:
     """Shoot the word at target: (legs, endpoint, reason), reason None on success.
 
     Iteration 1 builds the word: the phase-1 durations s1..s4 (`_phase1`),
@@ -507,7 +547,7 @@ def _newton(word: _Word, start: list, target: list, tol: float,
     theta = s + [0.0, 0.0]
     points = _shoot(word.prefix, [start], s)
     if tol <= _gap_max(target, points[-1]) < math.inf:
-        s, product, prefix = _guess(word, target, s, points, tol)
+        s, product, prefix = _guess(word, target, s, points)
         e = math.sqrt(abs(product))
         theta = s + [e, e if product >= 0.0 else -e]
         points = _shoot(word, prefix, theta)
@@ -543,8 +583,8 @@ def _waypoints(fmode: ManeuverMode, start: list, target: list, pieces: int,
     """Shoot the word at waypoint k of `pieces`, start + k/pieces (target - start).
 
     Each word starts where the last one ended, and the last waypoint is the
-    target itself. Returns the legs, the endpoint and the reason as `_newton`
-    does; a waypoint met with no iterations left ends the attempt.
+    target itself. Returns the legs, the endpoint and the reason as
+    `_solve_word` does; a waypoint met with no iterations left ends the attempt.
     """
     word = _WORD_TABLES[fmode]
     legs: list[tuple[int, float]] = []
@@ -554,7 +594,7 @@ def _waypoints(fmode: ManeuverMode, start: list, target: list, pieces: int,
             return legs, p, "max_iterations spent"
         waypoint = target if k == pieces else [
             s + (g - s) * k / pieces for s, g in zip(start, target)]
-        more, p, reason = _newton(word, p, waypoint, tol, log)
+        more, p, reason = _solve_word(word, p, waypoint, tol, log)
         legs += more
         if reason is not None:
             return legs, p, reason
@@ -570,8 +610,8 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
     The plan is one word of 8 legs, Y1 Y2 Y3 Y4 (i, e1) (j, e2) (i, -e1)
     (j, -e2), with (i, j) the mode's commutator pair: its six durations
     come from the phase-1 durations, the exact (a, b) pivot plus one 2x2
-    Cramer step (`_phase1`), and one Newton solve for the four family
-    durations and e1 e2 (`_newton`). The state is carried as Python floats,
+    Cramer step (`_phase1`), and one solve for the four family durations
+    and e1 e2 (`_solve_word`). The state is carried as Python floats,
     moved leg by leg by `kernels.flow` from the word's table (`_shoot`), and
     no step calls LAPACK. Success is max |goal - achieved| < tol by
     `_gap_max`, the rule of the payload's `gap_max`.
@@ -656,12 +696,13 @@ def replay(plan: Plan) -> Trajectory:
     legs = []   # (start, controls, duration, start time)
     p, t0 = [float(v) for v in plan.start], 0.0
     for k, s in plan.legs:
+        if legs:   # where the last leg ends; the final leg's end is never read
+            p = kernels.flow(mode, legs[-1][0], *legs[-1][1], legs[-1][2])
         u = word.controls[k]
         if s < 0.0:
             u = _negated_controls(mode, u)
         dur = abs(s)
         legs.append((p, u, dur, t0))
-        p = kernels.flow(mode, p, *u, dur)
         t0 += dur
     # sample i of leg j sits at local time i * (dur_j / n_j), as np.linspace
     # spaces it; the last leg also holds the final sample, at its full duration

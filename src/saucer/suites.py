@@ -555,6 +555,14 @@ def _planner_checks(seed: int) -> list[Check]:
         return _result("rectangle-asymptotics", worst, 1e-11,
                        "z displacement / eps^2 hits the bracket coefficient")
 
+    @functools.cache
+    def planned(mode: ManeuverMode) -> list:
+        """The mode's three pairs of plan-and-replay and their traced plans."""
+        pts = sample_vectors(6, 5, seed, f"planner.plan.{mode.value}", box=0.8)
+        return [(pts[2 * k], pts[2 * k + 1],
+                 planner.plan_path(mode, pts[2 * k], pts[2 * k + 1], tol=1e-3, trace=True))
+                for k in range(3)]
+
     def plans() -> CheckResult:
         tol = 1e-3
         worst_gap = 0.0
@@ -562,10 +570,7 @@ def _planner_checks(seed: int) -> list[Check]:
         replayed = True
         n_legs = n_iterations = 0
         for mode in _PLAN_MODES:
-            pts = sample_vectors(6, 5, seed, f"planner.plan.{mode.value}", box=0.8)
-            for k in range(3):
-                start, goal = pts[2 * k], pts[2 * k + 1]
-                plan = planner.plan_path(mode, start, goal, tol=tol)
+            for k, (start, goal, plan) in enumerate(planned(mode)):
                 if not plan.success:
                     return CheckResult("plan-and-replay", False, None,
                                        f"{mode.value} plan failed at pair {k}")
@@ -583,6 +588,27 @@ def _planner_checks(seed: int) -> list[Check]:
                            f"9 pairs, {n_legs} legs, {n_iterations} iterations, "
                            f"replay residual {worst_resid:.3g}")
 
+    def landing_bracket() -> CheckResult:
+        word = planner._WORD_TABLES[ManeuverMode.LANDING]
+        worst = 0.0
+        for k, (start, goal, plan) in enumerate(planned(ManeuverMode.LANDING)):
+            start, goal = start.tolist(), goal.tolist()
+            s = planner._phase1(word, start, goal)
+            bracket = s and planner._bracket(planner._landing_sextic(
+                word, goal, s, planner._shoot(word.prefix, [start], s)))
+            r1, r2, low, high, root = bracket or (None,) * 5
+            if root is None or not (low >= 0.0 >= high and r1 < root < r2):
+                return CheckResult("landing-word-bracket", False, None,
+                                   f"no root strictly between the roots of D at pair {k}")
+            # the gap the pair's first word left, checked in its second
+            # iteration (the start's, if it met the goal already)
+            worst = max(worst, plan.trace[:2][-1][0])
+        # rounding alone: in [-0.8, 0.8]^5 the gap was at most 5.7e-14 on
+        # the 18 000 pairs of seeds 1-5999, and every bracket held
+        return _result("landing-word-bracket", worst, 1e-10,
+                       "3 pairs; R(r1) >= 0 >= R(r2) and a root strictly between, "
+                       "the word solved there ends this close to the goal")
+
     return [("bracket-generating", generating),
             ("attacking-bracket-identity", attacking_identity),
             ("g2-bracket-identity", g2_identity),
@@ -590,6 +616,7 @@ def _planner_checks(seed: int) -> list[Check]:
             ("landing-depth2-transversal", landing_depth2),
             ("rectangle-asymptotics", rectangles),
             ("plan-and-replay", plans),
+            ("landing-word-bracket", landing_bracket),
             ("plan-example", _plan_example)]
 
 

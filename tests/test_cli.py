@@ -183,7 +183,7 @@ def test_verify_timings_cover_every_check_and_leave_stdout_alone(capsys, tmp_pat
     total = data.pop("total")
     assert {(s["suite"], c["check"]) for s in report["suites"] for c in s["checks"]} \
         == {(suite, check) for suite, checks in data.items() for check in checks}
-    assert sum(len(checks) for checks in data.values()) == 39
+    assert sum(len(checks) for checks in data.values()) == 40
     seconds = [v for checks in data.values() for v in checks.values()]
     assert all(v >= 0.0 for v in seconds)
     assert total >= sum(seconds)
@@ -596,6 +596,20 @@ def test_plan_that_overflows_stops_and_reports_strict_json(capsys, mode, goal):
     assert data["iterations"] == len(data["trace"]) <= 3
     assert data["replay"]["pass"] is False
     assert "Warning" not in err
+
+
+@pytest.mark.parametrize("mode", ["attacking", "landing", "g2s", "g2d"])
+def test_plan_of_nan_legs_reports_them_as_null(capsys, mode):
+    # every phase-1 duration toward 1e308 in each coordinate is nan: the
+    # payload lists the four legs its achieved point was flowed by, with
+    # null durations, and stays strict JSON
+    code, out, err = run_cli(capsys, "plan", "--mode", mode, "--from", "0,0,0,0,0",
+                             "--to", "1e308,1e308,1e308,1e308,1e308", "--format", "compact")
+    assert code == 1 and "Warning" not in err
+    data = _strict_json(out)
+    assert data["legs"] == [{"field": k, "duration": None} for k in range(4)]
+    assert data["achieved"] == [None] * 5 and data["reason"] == "gap not finite"
+    assert data["replay"]["pass"] is False
 
 
 @pytest.mark.parametrize("start", ["0,0,0,1e150,1e150", "0,0,0,-1e150,1e150",

@@ -374,6 +374,21 @@ def test_rectangle_asymptotics_resolves_a_perturbed_coefficient(monkeypatch):
     assert not result.passed
 
 
+def test_landing_word_bracket_misses_with_the_wrong_rectangle_displacement(monkeypatch):
+    # the solve eliminates P through the rectangle's displacement dz - b dy;
+    # with dz alone in its place the bracket may still hold (D, Y1 and Y2
+    # are closed forms), but the word solved at its root misses the goal
+    clean = dict(suites._planner_checks(1))["landing-word-bracket"]()
+    assert clean.passed and clean.value < 1e-13 and clean.threshold == 1e-10
+    tables = dict(planner._WORD_TABLES)
+    word = tables[ManeuverMode.LANDING]
+    tables[ManeuverMode.LANDING] = word._replace(per_b=(0.0,) * 5)
+    monkeypatch.setattr(planner, "_WORD_TABLES", tables)
+    result = dict(suites._planner_checks(1))["landing-word-bracket"]()
+    assert not result.passed
+    assert result.value > 1e-3
+
+
 WORST_SAMPLE_CHECKS = ("structure-equations", "contact-constant", "ambient-triple-match",
                        "bracket-generating", "frame-commutators", "quartic-dual-route",
                        "polarization-diagonal", "chart-roundtrip", "frame-duality",
@@ -399,14 +414,16 @@ def test_residual_checks_name_their_worst_sample():
 #: structure-constant-closure; the config and planner digests carry the
 #: 1e-13 bound of ambient-triple-match and the 1e-11 bound of
 #: rectangle-asymptotics. The planner digest also carries the last bits of
-#: the plan-and-replay residual, which follow the phase-1 solve's rounding.
+#: the plan-and-replay residual, which follow the phase-1 solve's rounding
+#: and the landing word's closed-form solve, and the landing-word-bracket
+#: check.
 PAYLOADS_AT_SEED_5 = {
     "config": "e0956b08465cfaa8af9c1f60d89121017efe0d3cd85647b18322b29c8776e6ef",
     "structure": "d6584ac8e3d0e2f9436e17d3e30f65da7288742eb847f31188cd6fd2df10ad0f",
     "gl2": "4d027298cb7320a100b0d9d03995a9c4c5297960f72f4961830f0a2fd638e2ee",
     "symmetry": "353479b165e1011b8ee4cfccd5bda25466887248e6ecafb22aeb037551056725",
     "fibration": "d854dc55ea25947d5f0ca6e1091084f950b340c89dadc4a87402885ecb84798b",
-    "planner": "547623f92a0b26afc8e5ce020d661d4b163d209d9ea54716e3de1adc3849ede4",
+    "planner": "bd36170c956026fc783530d839295ba1ab93961c547bd0b7804b4e61c50058e0",
 }
 
 
