@@ -496,8 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replay-csv", metavar="FILE", default=None,
                    help="write the replayed trajectory as CSV")
     p.add_argument("--trace", action="store_true",
-                   help="add a per-iteration trace (max |gap| to the waypoint the "
-                        "iteration aims at, legs added) to the report")
+                   help="add a per-iteration trace (max |gap| to the goal when the "
+                        "iteration began, legs added) to the report")
     _add_common(p)
     p.set_defaults(func=_cmd_plan)
 

@@ -16,7 +16,8 @@ form on the plane of durations that keeps (a, b) (`_free_directions`): its
 roots of a known quadratic (`_landing_sextic`, `_bracket`). Phase 1 itself
 is exact integer arithmetic on the (a, b) rows and one 2x2 Cramer step
 along those directions (`_phase1`), so planning makes no LAPACK call. A goal
-the word misses is reached by chaining words through evenly spaced waypoints.
+the word misses is reached by chaining words at the goal, each from where the
+last one ended.
 
 The word is written once, in `_WORDS` over `FAMILY_CONTROLS`; at import it
 becomes one leg table per family mode (`_WORD_TABLES`), from which the
@@ -262,11 +263,10 @@ class Plan:
     iterations: int
     tol: float
     success: bool
-    #: Per iteration: max |gap| to the waypoint it aims at when it began and
-    #: the legs it added to the plan; only recorded when `plan_path` is asked
-    #: to trace.
+    #: Per iteration: max |gap| to the goal when it began and the legs it
+    #: added to the plan; only recorded when `plan_path` is asked to trace.
     trace: tuple[tuple[float, int], ...] | None = None
-    #: Waypoints of the attempt that made the plan: one word is shot at each.
+    #: Words the plan chains at the goal, each from where the last one ended.
     pieces: int = 1
     #: Why the plan failed; None on success.
     reason: str | None = None
@@ -302,10 +302,6 @@ class _Iterations:
     def record(self, gap_max: float, added: int) -> None:
         self.left -= 1
         self.steps.append((gap_max, added))
-
-    def drop_legs(self) -> None:
-        """The legs recorded so far leave the plan: no iteration kept any."""
-        self.steps = [(gap_max, 0) for gap_max, _ in self.steps]
 
 
 #: The word `plan_path` shoots on, per family mode: the four family flows,
@@ -459,7 +455,7 @@ def _bracket(coefficients: tuple) -> tuple | None:
     one positive, and Y2 = -3 sigma, so R = Y2 N^2 at the roots of D gives
     R(r1) >= 0 >= R(r2), and a root where alpha2 = -N/D is finite. R(rk) = 0
     only where N vanishes there too, and the root may sit on alpha2's pole:
-    that word is left to the restart. The Illinois rule finds the root: the
+    that word is left to the next chained word. The Illinois rule finds the root: the
     secant of the ends, its value at an end kept twice in a row halved, or
     a bisection where the secant leaves the bracket, until R is 0 or no
     float lies between the ends.
@@ -505,7 +501,7 @@ def _guess(word: _Word, target: list, s: list, points: list) -> tuple[list, floa
     are the ones passed in. Landing's moves s along the `free` directions to
     alpha1 the root of R in `_bracket` and alpha2 = -N/D, and shoots its legs
     once more; with no root, or where those legs overflow, the phase-1 word
-    stands, and its check misses it.
+    stands, and its check misses it; the next word starts where it ends.
     """
     product = (target[2] - points[-1][2]) / word.displacement[2]
     if word.mode is not ManeuverMode.LANDING:
@@ -574,33 +570,6 @@ def _check_plan_inputs(start: np.ndarray, goal: np.ndarray, tol: float,
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations!r}")
 
 
-#: Misses after which `plan_path` restarts with twice the waypoints.
-_MISSES = ("word missed",)
-
-
-def _waypoints(fmode: ManeuverMode, start: list, target: list, pieces: int,
-               tol: float, log: _Iterations) -> tuple[list, list, str | None]:
-    """Shoot the word at waypoint k of `pieces`, start + k/pieces (target - start).
-
-    Each word starts where the last one ended, and the last waypoint is the
-    target itself. Returns the legs, the endpoint and the reason as
-    `_solve_word` does; a waypoint met with no iterations left ends the attempt.
-    """
-    word = _WORD_TABLES[fmode]
-    legs: list[tuple[int, float]] = []
-    p = start
-    for k in range(1, pieces + 1):
-        if log.left <= 0:
-            return legs, p, "max_iterations spent"
-        waypoint = target if k == pieces else [
-            s + (g - s) * k / pieces for s, g in zip(start, target)]
-        more, p, reason = _solve_word(word, p, waypoint, tol, log)
-        legs += more
-        if reason is not None:
-            return legs, p, reason
-    return legs, p, None
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
               tol: float = 1e-3, max_iterations: int = 200,
@@ -615,35 +584,37 @@ def plan_path(mode: ManeuverMode, start: Sequence[float], goal: Sequence[float],
     moved leg by leg by `kernels.flow` from the word's table (`_shoot`), and
     no step calls LAPACK. Success is max |goal - achieved| < tol by
     `_gap_max`, the rule of the payload's `gap_max`.
-    When the word misses, the attempt's legs leave the plan and planning
-    restarts from the start with twice the `pieces`, while the iterations
-    left allow one per word: one word is shot at each of that many evenly
-    spaced waypoints (`_waypoints`). Each word takes two iterations, its
-    guess and its check, and both count against `max_iterations`. With
-    `trace`, the plan records, per iteration, max |gap| to the waypoint it
-    aims at and the legs it added.
+    When the word misses, another word is shot at the goal from where it
+    ended, and its legs join the plan's; `pieces` counts the words. Each
+    word takes two iterations, its guess and its check, and both count
+    against `max_iterations`. Chaining stops when a word meets tol, when its
+    check gap is not below the gap it started from, and when the iterations
+    run out. With `trace`, the plan records, per iteration, max |gap| to
+    the goal and the legs it added; a word's two entries are the gaps it
+    started from and ended at.
 
-    A failed plan carries a `reason`: "word missed" (too few iterations were
-    left to restart), "max_iterations spent", "gap not finite": planning
-    stops at the first gap that is not finite, where the state overflowed
-    (flows far from the origin do) or the gap itself did, or "phase-1
-    singular": the phase-1 determinant at a word's start is zero or not
-    finite, which it is only where the landing fields overflow, far out in
-    (a, b).
+    A failed plan carries a `reason`: "word missed" (the last word missed,
+    and made no progress or spent the last iterations), "max_iterations
+    spent", "gap not finite": planning stops at the first gap that is not
+    finite, where the state overflowed (flows far from the origin do) or
+    the gap itself did, or "phase-1 singular": the phase-1 determinant at a
+    word's start is zero or not finite, which it is only where the landing
+    fields overflow, far out in (a, b).
     """
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
     _check_plan_inputs(start, goal, tol, max_iterations)
-    fmode = _family_mode(mode)
+    word = _WORD_TABLES[_family_mode(mode)]
     target = goal.tolist()
     log = _Iterations(max_iterations)
-    pieces = 1
+    legs, p, pieces = [], start.tolist(), 0
     while True:
-        legs, p, reason = _waypoints(fmode, start.tolist(), target, pieces, tol, log)
-        if reason not in _MISSES or 2 * pieces > log.left:
+        more, p, reason = _solve_word(word, p, target, tol, log)
+        legs += more
+        pieces += 1
+        if reason != "word missed" or log.left <= 0 or \
+                not log.steps[-1][0] < log.steps[-2][0]:
             break
-        log.drop_legs()
-        pieces *= 2
     achieved = np.array(p)
     success = _gap_max(target, p) < tol
     return Plan(mode, start, goal, tuple(legs), achieved, goal - achieved, len(log.steps), tol,

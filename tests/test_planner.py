@@ -731,15 +731,15 @@ def test_shoot_equals_a_chain_of_planner_flow(mode):
             assert np.array(points).tobytes() == np.array(chain).tobytes()
 
 
-#: The plan tolerance of the restart tests: the landing word is solved in
+#: The plan tolerance of the chaining tests: the landing word is solved in
 #: closed form and misses no pair of the plan workload's first 20 000 items
 #: at seeds 1, 2 and 7919 even at 1e-11, while its rounding still misses a
 #: few pairs of [-4, 4]^5 at 1e-12.
 RESTART_TOL = 1e-12
 # landing pairs 3213, 2112 and 1916 of a seeded uniform search of [-4, 4]^5
 # (`np.random.default_rng(13)`, two draws of 5 per pair) whose word misses
-# RESTART_TOL by 2.0-3.1 times it. Shot at the midpoint and then at the goal,
-# the word reaches each.
+# RESTART_TOL by 2.0-3.1 times it. A second word, chained at the goal from
+# where the first ended, reaches each.
 FALLBACK_PAIRS = [
     ([0.4348220326937531, -1.0573469567092753, -0.911839576804435, -0.33761898994270023,
       2.9575269021585004],
@@ -755,62 +755,60 @@ FALLBACK_PAIRS = [
       3.6450932789110073]),
 ]
 # landing, pair 1294 of the same search under `np.random.default_rng(55)`:
-# the word misses RESTART_TOL by 3.2 times it, at two waypoints it meets the
-# first and misses the second by 4.5 times, and four waypoints reach the goal
+# the word misses RESTART_TOL by 3.2 times it; evenly spaced waypoints needed
+# four words to reach the goal, chained words at the goal need two
 FOUR_WORD_PAIR = (
     [3.8716416166687484, 3.0067085391438866, -0.630941266646273, 3.3060800842647513,
      1.9806511484241964],
     [-1.4571486567086822, -1.1884009061156844, 2.2161425783299045, -0.18591919920054245,
      3.6311006809651154])
 # landing, pair 1614 of the first search: the guess misses RESTART_TOL, and
-# two waypoints reach the goal
+# a second word reaches the goal
 NEWTON_PAIR = (
     [2.641464017587399, 2.937767252891999, 0.9844993766356387, -3.6634520919537357,
      -1.0686390962101928],
     [-3.3283179462745833, 3.207790094332088, 3.0625549532144802, 0.04826506127324759,
      3.688609613484992])
 #: sha256 of (legs, achieved, pieces) of the RESTART_TOL plans of
-#: `FALLBACK_PAIRS` and `FOUR_WORD_PAIR`, pinned when the landing word came
-#: to be solved in closed form.
+#: `FALLBACK_PAIRS` and `FOUR_WORD_PAIR`, pinned when missed words came to be
+#: chained at the goal.
 FALLBACK_PLANS_SHA256 = (
-    "7c3796dbe6f1fd7e1be8d1ddc5e838ff5e1605802774f0c7c6e41b86502522dc",
-    "e6852a104ca23ea0240f57362d875348d4045afbb56863fe5e09f7d3a191ae10",
-    "8130b06bc4f277de76e6aaa8179b57172a57fd9756a43300979eb541d479ac5a",
+    "3b44d7a696c262d50259e6104538cacbdfb3df57a791501917f32de6e4d52a2b",
+    "8f8aed4c6c81cefec3ba89d642ace548dce860665285421c27efc43aa63842be",
+    "1f991725abf696692920fcea704945c91b79ef4c01de99e766f7204016876c3f",
 )
-FOUR_WORD_PLAN_SHA256 = "f57feae26ac18feab82bcf39e7d83ae3111281696d5ee478c1b765fdf37d5489"
+FOUR_WORD_PLAN_SHA256 = "f64b33512931f7734370cc5ca9a5110107b4f74d3f91ae406df04152fcecebdd"
 
 
-def _assert_waypoint_plan(start, goal, pieces, sha256=None):
-    """The plan shoots `pieces` words from the start, each in a guess and a
-    check iteration, after attempts that each ended on a missed word."""
-    plan = planner.plan_path(ManeuverMode.LANDING, start, goal, tol=RESTART_TOL, trace=True)
-    assert plan.success and plan.pieces == pieces and plan.reason is None
-    assert len(plan.legs) == 8 * pieces
-    assert len(plan.trace) == plan.iterations
+def _assert_word_progress(plan):
+    """Each word of a traced plan adds its legs at its guess and none at its
+    check, ends below the gap it started from, and the next word starts
+    where it ended."""
+    assert len(plan.trace) == plan.iterations == 2 * plan.pieces
     assert sum(added for _, added in plan.trace) == len(plan.legs)
-    # every word takes two iterations: each earlier attempt ended on a
-    # missed word, and their legs left the plan; the last attempt's words
-    # add all the legs at their guesses
-    first = plan.iterations - 2 * pieces
-    words = list(range(first, plan.iterations, 2))
-    attempts = (pieces - 1).bit_length()
-    assert first >= 2 * attempts and first % 2 == 0
-    assert all(added == 0 for _, added in plan.trace[:first])
-    assert [plan.trace[k][1] for k in words] == [8] * pieces
-    # one check per earlier attempt finds a finite gap of at least tol, the
-    # others met their waypoints, and each word of the last attempt meets
-    # its waypoint at its check
-    checks = [plan.trace[k][0] for k in range(1, first, 2)]
-    assert sum(plan.tol <= gap < math.inf for gap in checks) == attempts
-    assert all(plan.trace[k + 1][0] < plan.tol for k in words)
-    # each word aims at its waypoint
-    assert plan.trace[words[0]][0] == pytest.approx(
-        float(np.max(np.abs(np.subtract(goal, start)))) / pieces, rel=1e-12)
-    # the last attempt restarts from the start with the iterations left
-    log = planner._Iterations(200 - first)
-    legs, p, reason = planner._waypoints(ManeuverMode.LANDING, list(start), goal,
-                                         pieces, RESTART_TOL, log)
-    assert plan.legs == tuple(legs) and reason is None
+    assert all(added == 0 for _, added in plan.trace[1::2])
+    starts, checks = [gap for gap, _ in plan.trace[0::2]], [gap for gap, _ in plan.trace[1::2]]
+    assert all(check < start for start, check in zip(starts, checks))
+    assert starts[1:] == checks[:-1]
+
+
+def _assert_chained_plan(start, goal, words, sha256=None):
+    """The landing plan at RESTART_TOL chains `words` words of 8 legs at the
+    goal, each in a guess and a check iteration, and keeps every word's legs."""
+    plan = planner.plan_path(ManeuverMode.LANDING, start, goal, tol=RESTART_TOL, trace=True)
+    assert plan.success and plan.pieces == words and plan.reason is None
+    assert len(plan.legs) == 8 * words
+    assert [added for _, added in plan.trace[0::2]] == [8] * words
+    _assert_word_progress(plan)
+    assert plan.trace[0][0] == float(np.max(np.abs(np.subtract(goal, start))))
+    assert all(gap >= plan.tol for gap, _ in plan.trace[:-1]) and plan.trace[-1][0] < plan.tol
+    # each word is shot at the goal from where the last one ended
+    word, log = planner._WORD_TABLES[ManeuverMode.LANDING], planner._Iterations(200)
+    legs, p = [], list(start)
+    for _ in range(words):
+        more, p, _ = planner._solve_word(word, p, goal, RESTART_TOL, log)
+        legs += more
+    assert plan.legs == tuple(legs) and plan.trace == tuple(log.steps)
     assert plan.achieved.tolist() == list(p)
     if sha256 is not None:
         text = json.dumps([plan.legs, plan.achieved.tolist(), plan.pieces])
@@ -822,53 +820,110 @@ def _assert_waypoint_plan(start, goal, pieces, sha256=None):
 
 
 @pytest.mark.parametrize("pair", range(len(FALLBACK_PAIRS)))
-def test_landing_fallback_restarts_from_the_start(pair):
+def test_a_missed_word_is_chained_at_the_goal(pair):
     start, goal = FALLBACK_PAIRS[pair]
-    plan = _assert_waypoint_plan(start, goal, pieces=2, sha256=FALLBACK_PLANS_SHA256[pair])
-    # the word shot at the goal misses in its guess and check iterations,
-    # then the two words take two iterations each
-    assert plan.iterations == 6
-    # with too few iterations left to restart, the miss is the reason
-    for budget in (2, 3):
-        spent = planner.plan_path(ManeuverMode.LANDING, start, goal, tol=RESTART_TOL,
-                                  max_iterations=budget)
-        assert (spent.success, spent.pieces, spent.iterations) == (False, 1, 2)
-        assert spent.reason == spent.to_json_dict()["reason"] == "word missed"
-        assert len(spent.legs) == 8
-    # a waypoint met as the iterations run out ends the attempt there
+    plan = _assert_chained_plan(start, goal, words=2, sha256=FALLBACK_PLANS_SHA256[pair])
+    # the first word misses in its guess and check iterations, the second meets the goal
+    assert plan.iterations == 4
+    # with the iterations spent by the first word, its miss is the reason
+    spent = planner.plan_path(ManeuverMode.LANDING, start, goal, tol=RESTART_TOL,
+                              max_iterations=2)
+    assert (spent.success, spent.pieces, spent.iterations) == (False, 1, 2)
+    assert spent.reason == spent.to_json_dict()["reason"] == "word missed"
+    assert spent.legs == plan.legs[:8]
+    # the second word cut off after its guess keeps its legs, which meet the goal
     short = planner.plan_path(ManeuverMode.LANDING, start, goal, tol=RESTART_TOL,
-                              max_iterations=4)
-    assert (short.success, short.pieces, short.reason) == \
-        (False, 2, "max_iterations spent")
-    assert short.iterations == 4 and short.legs == plan.legs[:8]
+                              max_iterations=3)
+    assert (short.success, short.pieces, short.iterations, short.reason) == (True, 2, 3, None)
+    assert short.legs == plan.legs and short.achieved.tolist() == plan.achieved.tolist()
+    # four iterations are the whole plan
+    four = planner.plan_path(ManeuverMode.LANDING, start, goal, tol=RESTART_TOL,
+                             max_iterations=4)
+    assert four.success and four.legs == plan.legs
 
 
-def test_landing_miss_plans_by_four_waypoints():
-    plan = _assert_waypoint_plan(*FOUR_WORD_PAIR, pieces=4, sha256=FOUR_WORD_PLAN_SHA256)
-    # one missed word at the goal, a met and a missed one at two waypoints,
-    # then four words
-    assert plan.iterations == 14
+def test_former_four_waypoint_pair_plans_in_two_chained_words():
+    plan = _assert_chained_plan(*FOUR_WORD_PAIR, words=2, sha256=FOUR_WORD_PLAN_SHA256)
+    assert plan.iterations == 4
 
 
 def test_a_missed_word_costs_its_guess_and_its_check():
     start, goal = NEWTON_PAIR
-    plan = _assert_waypoint_plan(start, goal, pieces=2)
-    assert plan.iterations == 6
-    # the missed word alone, its legs kept: the same two iterations
+    plan = _assert_chained_plan(start, goal, words=2)
+    assert plan.iterations == 4
+    # the missed word alone, its legs kept: the plan's first two iterations
     one = planner.plan_path(ManeuverMode.LANDING, start, goal, tol=RESTART_TOL,
                             max_iterations=2, trace=True)
-    assert (one.pieces, len(one.legs)) == (1, 8)
-    assert one.trace == ((plan.trace[0][0], 8), plan.trace[1])
+    assert (one.pieces, one.legs) == (1, plan.legs[:8])
+    assert one.trace == plan.trace[:2]
 
 
-@pytest.mark.parametrize("goal,tol", [([1e150, 0, 0, 0, 0], 1e-3), ([0.1, 0, 0, 0, 0], 1e-300)])
-def test_waypoint_restarts_stop_at_the_iterations_left(goal, tol):
-    # every word needs an iteration, so no attempt is made with more words
-    # than iterations left: an unreachable goal fails after a few doublings
-    plan = planner.plan_path(ManeuverMode.LANDING, np.zeros(5), goal, tol=tol)
-    assert (plan.success, plan.reason) == (False, "word missed")
-    assert (plan.pieces, plan.iterations) == (128, 16)
-    assert plan.to_json_dict()["pieces"] == 128
+def test_chaining_stops_at_a_word_that_makes_no_progress():
+    # the landing word toward a far goal ends farther from it than it began:
+    # no second word is shot
+    plan = planner.plan_path(ManeuverMode.LANDING, np.zeros(5), [1e150, 0, 0, 0, 0], trace=True)
+    assert (plan.success, plan.reason, plan.pieces, plan.iterations) == \
+        (False, "word missed", 1, 2)
+    assert plan.trace[1][0] > plan.trace[0][0] == 1e150
+    assert plan.to_json_dict()["pieces"] == 1
+    # the attacking word toward this goal ends exactly as far from it as it began
+    plan = planner.plan_path(ManeuverMode.ATTACKING, np.zeros(5), [1e100] * 5, trace=True)
+    assert (plan.success, plan.reason, plan.pieces, plan.iterations) == \
+        (False, "word missed", 1, 2)
+    assert plan.trace[1][0] == plan.trace[0][0] == 1e100
+
+
+def test_chained_words_close_a_tolerance_below_rounding():
+    # each word cuts the gap to about its own rounding, until it is exactly 0;
+    # the later words' durations are under 1e-15, so they add no legs
+    plan = planner.plan_path(ManeuverMode.LANDING, np.zeros(5), [0.1, 0, 0, 0, 0], tol=1e-300,
+                             trace=True)
+    assert (plan.success, plan.reason, plan.pieces, plan.iterations) == (True, None, 5, 10)
+    assert plan.to_json_dict()["gap_max"] == 0.0
+    _assert_word_progress(plan)
+
+
+#: Landing starts far out in a (scaled by 1e13, 1e15 and 1e20) from the
+#: scan of 300 pairs of [-1, 1]^5 under `np.random.default_rng(3)`: one word
+#: misses a by the |alpha2| that rounding drops from its long second leg,
+#: and the second word, shot from where it ended, meets the goal.
+FAR_OUT_PAIRS = [
+    ([0.8942813263313545, 0.6842307741978282, 0.48801268722496216, 6263274783891.217,
+      0.6402780832539134],
+     [-0.49248961047593354, -0.03607390562323487, -0.31456649868296993, -0.4765334127426917,
+      0.1431031662452611]),
+    ([-0.8287016657127513, -0.5263789868078006, 0.6025489304127938, 164324072128735.56,
+      -0.8117427155192016],
+     [-0.1337461195270524, -0.04189740371833195, -0.6805221707258429, 0.46915430281842907,
+      -0.7726559601571932]),
+    ([-0.21754361900867591, 0.03348036524272735, -0.1387439591716444, 1.7359714287628147e+19,
+      0.4756755745843204],
+     [0.9125345096721971, -0.4315976725024171, 0.2970944141596501, 0.39243199334031087,
+      -0.41455850197502575]),
+]
+
+
+@pytest.mark.parametrize("pair", range(len(FAR_OUT_PAIRS)))
+def test_far_out_landing_start_plans_in_chained_words(pair):
+    start, goal = FAR_OUT_PAIRS[pair]
+    plan = planner.plan_path(ManeuverMode.LANDING, start, goal, trace=True)
+    assert plan.success and plan.pieces <= 3
+    _assert_word_progress(plan)
+    traj = planner.replay(plan)
+    residuals = constraint_residuals(traj)
+    assert planner.replay_passed(residuals, float(np.max(np.abs(traj.endpoint - plan.achieved))))
+
+
+@pytest.mark.parametrize("mode", list(ManeuverMode))
+def test_chained_words_plan_across_a_wide_box(mode):
+    # pairs of [-256, 256]^5 at 1e-9: landing's word misses each by rounding,
+    # and every word chained on ends below the gap it started from
+    pts = sample_vectors(16, 5, 98, f"test-chain-{mode.value}", box=256.0)
+    for start, goal in zip(pts[0::2], pts[1::2]):
+        plan = planner.plan_path(mode, start, goal, tol=1e-9, trace=True)
+        assert plan.success, (mode, start, goal)
+        assert plan.pieces == (2 if mode is ManeuverMode.LANDING else 1)
+        _assert_word_progress(plan)
 
 
 def test_plan_reports_why_it_failed():
@@ -962,7 +1017,7 @@ def test_stacked_replay_matches_the_per_leg_replay(mode):
     plans = [planner.plan_path(mode, rng.uniform(-2.0, 2.0, 5),
                                rng.uniform(-2.0, 2.0, 5), tol=1e-3) for _ in range(2)]
     if mode is ManeuverMode.LANDING:
-        # a plan of two words, shot at the midpoint and then at the goal
+        # a plan of two words, both shot at the goal
         plans.append(planner.plan_path(mode, *FALLBACK_PAIRS[0], tol=RESTART_TOL))
         assert len(plans[-1].legs) == 16
     for plan in plans:
@@ -1076,10 +1131,11 @@ def test_plan_from_a_singular_phase1_system_fails_with_its_reason(ab):
     assert plan.achieved.tolist() == start
     assert plan.to_json_dict()["reason"] == "phase-1 singular"
     # the other modes' phase-1 systems solve at the same start, and landing's
-    # does with b = 0
+    # does with b = 0, in one word
     for mode in (ManeuverMode.ATTACKING, ManeuverMode.G2_STRICT):
         assert planner.plan_path(mode, start, [0.1] * 5).reason != "phase-1 singular"
-    assert planner.plan_path(ManeuverMode.LANDING, [0, 0, 0, 1e150, 0], [0.1] * 5).success
+    plan = planner.plan_path(ManeuverMode.LANDING, [0, 0, 0, 1e150, 0], [0.1] * 5)
+    assert plan.success and plan.pieces == 1
 
 
 @pytest.mark.parametrize("mode", list(ManeuverMode))
@@ -1122,8 +1178,8 @@ def test_phase1_at_the_singular_cli_starts_is_none(ab):
 def test_plan_ops_call_no_lapack(mode, monkeypatch):
     # plan_path, its replay and the replay's residuals: what one `saucer
     # plan` computes, over full-box pairs and the planner suite's pairs at a
-    # few seeds (landing's bracket check included), with every np.linalg
-    # function and np.roots patched to raise
+    # few seeds (landing's bracket check and chained plans included), with
+    # every np.linalg function and np.roots patched to raise
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg or np.roots called")
 
@@ -1137,9 +1193,13 @@ def test_plan_ops_call_no_lapack(mode, monkeypatch):
         suite = sample_vectors(6, 5, seed, f"planner.plan.{planner._family_mode(mode).value}",
                                box=0.8)
         pairs += list(zip(suite[0::2], suite[1::2]))
-    for start, goal in pairs:
-        plan = planner.plan_path(mode, start, goal)
-        assert plan.success
+    cases = [(start, goal, 1e-3, 1) for start, goal in pairs]
+    if mode is ManeuverMode.LANDING:
+        cases += [(start, goal, RESTART_TOL, 2) for start, goal in FALLBACK_PAIRS]
+        cases.append((*FAR_OUT_PAIRS[0], 1e-3, 2))
+    for start, goal, tol, words in cases:
+        plan = planner.plan_path(mode, start, goal, tol=tol)
+        assert plan.success and plan.pieces == words
         assert constraint_residuals(planner.replay(plan)).passed()
     if mode is ManeuverMode.LANDING:
         for seed in (1, 2, 5, 7919):
