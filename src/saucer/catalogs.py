@@ -19,8 +19,6 @@ G2 catalog a 14-dimensional one.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .forms import FieldStack
@@ -133,31 +131,20 @@ def _stack(prefix: str, fns) -> FieldStack:
                       lambda p: _fill(fns, p))
 
 
-@lru_cache(maxsize=None)
-def attacking_catalog() -> FieldStack:
-    return _stack("att", ATTACKING_FIELDS)
+_G2 = _stack("g2", G2_FIELDS)
 
-
-@lru_cache(maxsize=None)
-def landing_catalog() -> FieldStack:
-    return _stack("lnd", LANDING_FIELDS)
-
-
-@lru_cache(maxsize=None)
-def g2_catalog() -> FieldStack:
-    return _stack("g2", G2_FIELDS)
+#: Each catalog under its geometry name; g2 also under either G2 mode's.
+_CATALOGS = {"attacking": _stack("att", ATTACKING_FIELDS),
+             "landing": _stack("lnd", LANDING_FIELDS),
+             "g2": _G2, "g2s": _G2, "g2d": _G2}
 
 
 def catalog(name: str) -> FieldStack:
     """Catalog by geometry name: attacking, landing, or g2 (either G2 mode)."""
-    key = name.strip().lower()
-    if key in ("attacking",):
-        return attacking_catalog()
-    if key in ("landing",):
-        return landing_catalog()
-    if key in ("g2", "g2s", "g2d"):
-        return g2_catalog()
-    raise ValueError(f"unknown catalog {name!r}")
+    try:
+        return _CATALOGS[name.strip().lower()]
+    except KeyError:
+        raise ValueError(f"unknown catalog {name!r}") from None
 
 
 #: 0-based indices of attacking fields that preserve the contact form and the

@@ -97,11 +97,6 @@ def contact_covector(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def contact_value(p: np.ndarray, v: np.ndarray) -> float:
-    """w0(v) at p."""
-    return float(contact_covector(p) @ np.asarray(v, dtype=float))
-
-
 def _distribution_stack(ids, comps) -> FieldStack:
     """Fields c1 (dx-dir + a dz-dir) + c2 (dy-dir + b dz-dir) + c3 da-dir +
     c4 db-dir, one per row (c1, c2, c3, c4) of comps; only the dz slot varies."""

@@ -156,10 +156,6 @@ OMEGA_MATRIX = np.array([
 ])
 
 
-def invariant_two_form(X: np.ndarray, Y: np.ndarray) -> float:
-    return float(np.asarray(X, dtype=float) @ OMEGA_MATRIX @ np.asarray(Y, dtype=float))
-
-
 #: Spinor tensors of the four basis vectors of R^4, stacked (4, 2, 2, 2).
 _SPINOR_BASIS = spinor_from_vector(np.eye(4))
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gl2, kernels
-from .chart import DIM, DIST_SLOTS, contact_covector
+from .chart import DIM, DIST_SLOTS
 from .forms import SymTensorField, constant_symtensor
 from .kernels import ManeuverMode
 from .sampling import BOX_HALF_WIDTH
@@ -121,13 +121,6 @@ QUARTIC_FIELD = constant_symtensor("g2-quartic", _quartic_field_array())
 
 # -- velocity laws and integration -------------------------------------------
 
-def maneuver_velocity(mode: ManeuverMode, p: np.ndarray,
-                      u1: float, u2: float, u3: float = 0.0) -> np.ndarray:
-    """Admissible chart velocity of the mode's control law at p."""
-    return kernels.velocity(mode, np.asarray(p, dtype=float),
-                            float(u1), float(u2), float(u3))
-
-
 @dataclasses.dataclass(frozen=True)
 class ControlProgram:
     """Open-loop controls for one maneuver segment.
@@ -162,9 +155,6 @@ class ControlProgram:
     @property
     def is_constant(self) -> bool:
         return all(u.constant is not None for u in self.controls)
-
-    def controls_at(self, t: float) -> tuple[float, float, float]:
-        return tuple(u.value(t) for u in self.controls)
 
 
 class ChartEscapeWarning(RuntimeWarning):
@@ -282,8 +272,8 @@ _NULLITY_NAMES = {
 }
 
 
-def constraint_residuals(traj: Trajectory, mode: ManeuverMode | None = None) -> ResidualReport:
-    """Pointwise admissibility of (state, velocity) samples for the mode.
+def constraint_residuals(traj: Trajectory) -> ResidualReport:
+    """Pointwise admissibility of (state, velocity) samples for traj.mode.
 
     Contact: |v_z - a v_x - b v_y|. Attacking: |v_a v_x + v_b v_y|. Landing:
     |ghat(v, v)|. G2 strict: the three bilinears and Upsilon on the
@@ -291,8 +281,7 @@ def constraint_residuals(traj: Trajectory, mode: ManeuverMode | None = None) -> 
     evaluated one `kernels.row_blocks` block at a time, each block's
     residuals written straight into its rows of the report's arrays.
     """
-    if mode is None:
-        mode = traj.mode
+    mode = traj.mode
     n = len(traj.states)
     contact = np.empty(n)
     nullity = {name: np.empty(n) for name in _NULLITY_NAMES[mode]}

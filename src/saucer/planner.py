@@ -393,10 +393,11 @@ def _shoot(word: _Word, points: Sequence, theta: Sequence[float]) -> list:
 
 
 def _word_legs(word: _Word, theta: Sequence[float]) -> list:
-    """The word's legs at durations theta, legs of zero duration left out;
-    a leg of nan duration stays, as `_shoot` flowed it."""
+    """The word's legs at durations theta, legs of duration exactly 0 left
+    out (their flow is the identity); every other leg stays, however short
+    or nan, as `_shoot` flowed it."""
     return [(k, float(sign * theta[slot])) for k, _, _, _, slot, sign in word.legs
-            if not abs(theta[slot]) <= 1e-15]
+            if theta[slot] != 0.0]
 
 
 def _quadratic(fm: float, f0: float, fp: float) -> tuple:

@@ -38,11 +38,6 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    @property
-    def counts(self) -> tuple[int, int]:
-        good = sum(1 for r in self.results if r.passed)
-        return good, len(self.results)
-
 
 def run_checks(checks: Sequence[Check]) -> tuple[CheckResult, ...]:
     """Run check thunks in order; a check that raises becomes a failed result.

@@ -142,7 +142,7 @@ def test_stacked_evaluation_equals_per_point_calls(name):
 
 
 def test_catalog_names():
-    assert catalogs.catalog("g2s") is catalogs.catalog("G2") is catalogs.g2_catalog()
+    assert catalogs.catalog("g2s") is catalogs.catalog("G2") is catalogs.catalog(" g2d ")
     with pytest.raises(ValueError):
         catalogs.catalog("octonion")
 

@@ -716,3 +716,29 @@ def test_runtime_never_imports_sympy():
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.split() == ["[0,", "0,", "0,", "0,", "0]", "False"]
+
+
+def test_the_package_imports_no_module_and_each_module_imports_alone():
+    package = Path(saucer.__file__).resolve().parent
+    modules = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    script = textwrap.dedent("""
+        import importlib, sys
+        import numpy
+
+        def loaded():
+            return [k for k in sys.modules if k == "saucer" or k.startswith("saucer.")]
+
+        import saucer
+        print(sorted(k for k in loaded() if k != "saucer"))
+        for name in sys.argv[1:]:
+            for key in loaded():
+                del sys.modules[key]
+            importlib.import_module(f"saucer.{name}")
+            print(name)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    proc = subprocess.run([sys.executable, "-c", script, *modules], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["[]", *modules, ""]
+    assert "cli" in modules and "planner" in modules

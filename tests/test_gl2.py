@@ -215,7 +215,7 @@ def test_bilinears_and_two_form_on_cubic_frame():
     X = gl2.cubic_point(t)
     V = gl2.cubic_velocity(t)
     assert max(abs(g) for g in gl2.bilinears(X, X)) < 1e-12
-    omega = gl2.invariant_two_form(X, V)
+    omega = X @ gl2.OMEGA_MATRIX @ V
     assert abs(omega) < 1e-12
 
 

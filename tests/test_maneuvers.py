@@ -1,6 +1,7 @@
 """Maneuver laws: admissibility, nullity, and trajectory integration."""
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -20,7 +21,6 @@ from saucer.maneuvers import (
     constraint_residuals,
     integrate_trajectory,
     landing_metric,
-    maneuver_velocity,
 )
 from saucer.sampling import sample_vectors
 
@@ -30,7 +30,7 @@ coord = st.floats(-1.2, 1.2, allow_nan=False, allow_infinity=False)
 
 def _g2_components(mode, p, u1, u2, u3):
     """Coefficients of the velocity against the quartic-mode coframe."""
-    v = maneuver_velocity(mode, p, u1, u2, u3)
+    v = kernels.velocity(mode, p, u1, u2, u3)
     # (dx, dy, -db/3, da) applied to v
     return np.array([v[0], v[1], -v[4] / 3.0, v[3]])
 
@@ -40,17 +40,17 @@ def _g2_components(mode, p, u1, u2, u3):
 def test_every_mode_satisfies_contact_constraint(a, b, u1, u2, u3):
     p = chart.point(0.3, -0.1, 0.2, a, b)
     for mode in ManeuverMode:
-        v = maneuver_velocity(mode, p, u1, u2, u3)
-        assert abs(chart.contact_value(p, v)) < 1e-12
+        v = kernels.velocity(mode, p, u1, u2, u3)
+        assert abs(chart.contact_covector(p) @ v) < 1e-12
 
 
 @given(coord, coord, ctrl, ctrl, ctrl)
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_each_mode_is_null_for_its_own_tensor(a, b, u1, u2, u3):
     p = chart.point(0.0, 0.0, 0.0, a, b)
-    v = maneuver_velocity(ManeuverMode.ATTACKING, p, u1, u2, u3)
+    v = kernels.velocity(ManeuverMode.ATTACKING, p, u1, u2, u3)
     assert abs(v[3] * v[0] + v[4] * v[1]) < 1e-10
-    v = maneuver_velocity(ManeuverMode.LANDING, p, u1, u2, u3)
+    v = kernels.velocity(ManeuverMode.LANDING, p, u1, u2, u3)
     g = 2 * ((1 + a * a) * v[4] - a * b * v[3]) * v[0] \
         - 2 * ((1 + b * b) * v[3] - a * b * v[4]) * v[1]
     assert abs(g) < 1e-9
@@ -91,7 +91,7 @@ def test_g2_strict_directions_are_type_n():
 
 def test_ambient_nullity_pair_vanishes_for_attacking():
     p = chart.point(0.1, 0.2, -0.3, 0.4, 0.5)
-    v = maneuver_velocity(ManeuverMode.ATTACKING, p, 0.9, -1.1, 0.6)
+    v = kernels.velocity(ManeuverMode.ATTACKING, p, 0.9, -1.1, 0.6)
     q1, q2 = ambient_nullity_pair(p, v)
     assert abs(q1) < 1e-10 and abs(q2) < 1e-10
 
@@ -154,7 +154,7 @@ def test_landing_law_components():
     a, b = 0.4, -0.7
     p = chart.point(0.0, 0.0, 0.0, a, b)
     u1, u2, u3 = 0.9, -1.2, 0.5
-    v = maneuver_velocity(ManeuverMode.LANDING, p, u1, u2, u3)
+    v = kernels.velocity(ManeuverMode.LANDING, p, u1, u2, u3)
     c1 = u3 * ((1 + b * b) * u2 + 3 * a * b * u1)
     c2 = -u3 * (a * b * u2 + 3 * (1 + a * a) * u1)
     np.testing.assert_allclose(
@@ -168,7 +168,7 @@ def _rk4_loop(program, p0):
     times = np.linspace(0.0, program.duration, n_steps + 1)
 
     def f(t, p):
-        return maneuver_velocity(program.mode, p, *program.controls_at(t))
+        return kernels.velocity(program.mode, p, *(u.value(t) for u in program.controls))
 
     p = np.asarray(p0, dtype=float)
     states = [p]
@@ -335,13 +335,18 @@ def _sine_controls():
             for amplitude, frequency, phase in ((0.4, 2.5, 0.3), (0.3, 1.1, 2.0), (0.5, 0.7, 4.1))]
 
 
+def _residuals_per_mode(traj):
+    """The residuals of traj's samples under each mode's constraints."""
+    return [constraint_residuals(dataclasses.replace(traj, mode=mode)) for mode in ManeuverMode]
+
+
 def _at_block_rows(monkeypatch, block_rows, program, p0):
     """The trajectory and its residuals for every mode, evaluated in blocks of block_rows."""
     monkeypatch.setattr(kernels, "BLOCK_ROWS", block_rows)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ChartEscapeWarning)
         traj = integrate_trajectory(program, p0)
-    return traj, [constraint_residuals(traj, mode) for mode in ManeuverMode]
+    return traj, _residuals_per_mode(traj)
 
 
 @pytest.mark.parametrize("varying", [False, True], ids=["constant", "sine"])
@@ -387,8 +392,7 @@ def _c_order_reference(program, p0):
 def _assert_same_trajectory(traj, want):
     for field in ("times", "states", "velocities"):
         assert getattr(traj, field).tobytes() == getattr(want, field).tobytes(), field
-    for report, want_report in zip([constraint_residuals(traj, mode) for mode in ManeuverMode],
-                                   [constraint_residuals(want, mode) for mode in ManeuverMode]):
+    for report, want_report in zip(_residuals_per_mode(traj), _residuals_per_mode(want)):
         assert report.contact.tobytes() == want_report.contact.tobytes()
         assert list(report.nullity) == list(want_report.nullity)
         for name, values in report.nullity.items():
@@ -428,7 +432,7 @@ def test_residuals_of_an_empty_or_one_sample_trajectory_keep_every_name():
         traj = Trajectory(ManeuverMode.LANDING, np.zeros(n), np.full((n, 5), 0.5),
                           np.full((n, 5), 0.5))
         for mode in ManeuverMode:
-            report = constraint_residuals(traj, mode)
+            report = constraint_residuals(dataclasses.replace(traj, mode=mode))
             assert list(report.nullity) == names[mode]
             assert report.contact.shape == (n,)
             assert all(values.shape == (n,) for values in report.nullity.values())

@@ -16,7 +16,7 @@ from saucer import kernels, planner, suites
 from saucer.chart import DIST_SLOTS, contact_covector
 from saucer.forms import bracket, complex_step_derivative
 from saucer.maneuvers import (ControlProgram, ManeuverMode, constraint_residuals,
-                              integrate_trajectory, maneuver_velocity)
+                              integrate_trajectory)
 from saucer.sampling import BOX_HALF_WIDTH, rng_for, sample_vectors
 
 MODES = (ManeuverMode.ATTACKING, ManeuverMode.LANDING, ManeuverMode.G2_STRICT)
@@ -29,7 +29,7 @@ def test_family_fields_match_the_control_law():
             X = planner.family(mode)[k]
             for p in pts:
                 np.testing.assert_allclose(
-                    X.value(p), maneuver_velocity(mode, p, *u), atol=1e-12)
+                    X.value(p), kernels.velocity(mode, p, *u), atol=1e-12)
 
 
 def test_family_jacobians_match_difference_quotients():
@@ -1091,7 +1091,7 @@ def test_simple_mode_plans_with_the_strict_family():
     assert plan.success
     assert plan.mode is ManeuverMode.G2_SIMPLE
     traj = planner.replay(plan)
-    assert constraint_residuals(traj, mode=ManeuverMode.G2_STRICT).passed()
+    assert constraint_residuals(dataclasses.replace(traj, mode=ManeuverMode.G2_STRICT)).passed()
 
 
 @pytest.mark.parametrize("mode", list(ManeuverMode))
@@ -1220,6 +1220,17 @@ def test_a_plan_keeps_the_nan_legs_its_endpoint_was_flowed_by(mode):
     with np.errstate(all="ignore"):
         traj = planner.replay(plan)
     assert _finite_pattern(traj.endpoint) == _finite_pattern(plan.achieved) == "nnnnn"
+
+
+def test_a_plan_keeps_its_shortest_legs_so_its_replay_ends_at_achieved():
+    # at tol 1e-300 the later words chain legs of about 1e-17 to 1e-33, which
+    # the shooter flowed; only legs of duration exactly 0 are left out
+    plan = planner.plan_path(ManeuverMode.LANDING, np.zeros(5), [0.1, 0, 0, 0, 0],
+                             tol=1e-300)
+    assert plan.success
+    durations = [abs(s) for _, s in plan.legs]
+    assert min(durations) < 1e-30 and 0.0 not in durations
+    np.testing.assert_array_equal(planner.replay(plan).endpoint, plan.achieved)
 
 
 def test_plan_stops_when_the_gap_itself_overflows():

@@ -20,7 +20,7 @@ def _pts(seed, n=10):
 
 
 def test_attacking_catalog_members_are_symmetries():
-    fields = catalogs.attacking_catalog()
+    fields = catalogs.catalog("attacking")
     assert len(fields) == 15
     pts = _pts(101, 8)
     for X in fields:
@@ -29,7 +29,7 @@ def test_attacking_catalog_members_are_symmetries():
 
 
 def test_landing_catalog_members_are_symmetries():
-    fields = catalogs.landing_catalog()
+    fields = catalogs.catalog("landing")
     assert len(fields) == 15
     pts = _pts(102, 8)
     for X in fields:
@@ -38,7 +38,7 @@ def test_landing_catalog_members_are_symmetries():
 
 
 def test_g2_catalog_members_are_symmetries():
-    fields = catalogs.g2_catalog()
+    fields = catalogs.catalog("g2")
     assert len(fields) == 14
     pts = _pts(103, 8)
     for X in fields:
@@ -66,7 +66,7 @@ def test_structure_constants_and_killing_signature(name, model):
 
 
 def test_structure_constants_stable_across_point_sets():
-    fields = catalogs.g2_catalog()
+    fields = catalogs.catalog("g2")
     sc1 = symmetry.extract_structure_constants(fields, _pts(7, 12))
     sc2 = symmetry.extract_structure_constants(fields, _pts(8, 12))
     assert np.max(np.abs(sc1.c - sc2.c)) < 1e-7
@@ -162,7 +162,7 @@ def test_derivation_system_equals_the_hand_indexed_one():
 
 
 def test_attacking_exact_and_homothety_split():
-    fields = catalogs.attacking_catalog()
+    fields = catalogs.catalog("attacking")
     pts = _pts(55, 6)
     for i in catalogs.ATTACKING_EXACT + catalogs.ATTACKING_HOMOTHETY:
         X = fields[i]
@@ -260,7 +260,7 @@ def test_restricted_membership_matches_lstsq_oracle(fields, structure, expect_sy
 
 def test_report_names_its_worst_sample():
     pts = _pts(61, 8)
-    X = catalogs.landing_catalog()[0]
+    X = catalogs.catalog("landing")[0]
     rep = symmetry.legendrean_symmetry_residual(X, LANDING_METRIC_FIELD, pts)
     k = [tuple(p) for p in pts].index(rep.worst_point)
     at_k = symmetry.legendrean_symmetry_residual(X, LANDING_METRIC_FIELD, pts[k])
