@@ -34,6 +34,8 @@ LIFT_EPS = 1e-6
 ANGULAR_TOL = 1e-5
 CONTACT_TOL = 1e-8
 SPEED_FLOOR = 1e-12   # slower samples are skipped, not certified
+#: 100 times the worst angle, all rounding noise, of `verify` seeds 1-200 and 7919
+ANGULAR_FLOOR = 100 * 1.9e-11   # `worst_sample` names only a sample above it
 
 
 class LiftSingular(ValueError):
@@ -352,7 +354,7 @@ class TangencyReport:
     angular: np.ndarray         # per-sample sine of angle to the cone direction
     contact: np.ndarray         # per-sample |w0(v)| / |v|
     skipped: int                # samples with negligible velocity
-    worst_sample: int | None = None  # curve index of the largest angular value
+    worst_sample: int | None = None  # index of the largest angular value, if > ANGULAR_FLOOR
 
     @property
     def max_angular(self) -> float:
@@ -394,7 +396,8 @@ def certify_twisted_cubic_tangency(curve: ContactCurve) -> TangencyReport:
     along = (c[0] + c[2] * T2 + (c[1] * T + c[3] * T3)) / (1.0 + T2 * T2 + (T2 + T3 * T3))
     r = c[0] - along, c[1] - along * T, c[2] - along * T2, c[3] - along * T3
     angular = np.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2] + r[3] * r[3]) / speed
-    worst = int(np.flatnonzero(keep)[np.argmax(angular)]) if len(angular) else None
+    k = np.argmax(angular) if len(angular) else None   # a nan comes first, and is named
+    worst = None if k is None or angular[k] <= ANGULAR_FLOOR else int(np.flatnonzero(keep)[k])
     return TangencyReport(angular, np.abs(c0) / speed, int(np.count_nonzero(skip)), worst)
 
 

@@ -304,13 +304,14 @@ def _block_residuals(mode: ManeuverMode, states: np.ndarray, vels: np.ndarray,
         np.abs(va * vx + vb * vy, out=nullity[0])
         return
     if mode == ManeuverMode.LANDING:
-        g = 2.0 * ((1.0 + a * a) * vb - a * b * va) * vx \
-            - 2.0 * ((1.0 + b * b) * va - a * b * vb) * vy
+        ab = a * b
+        g = 2.0 * ((1.0 + a * a) * vb - ab * va) * vx \
+            - 2.0 * ((1.0 + b * b) * va - ab * vb) * vy
         np.abs(g, out=nullity[0])
         return
     # (m, 4) view of four contiguous columns, so every product below runs
     # over contiguous memory
-    X = np.stack([vx, vy, -vb / 3.0, va]).T
+    X = np.stack([vx, vy, vb / -3.0, va]).T
     np.abs(gl2.quartic_upsilon(X), out=nullity[-1])
     if mode == ManeuverMode.G2_STRICT:
         for g, out in zip(gl2.bilinear_diagonals(X), nullity):

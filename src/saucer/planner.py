@@ -242,9 +242,9 @@ def _phase1(word: _Word, p: Sequence[float], target: Sequence[float]) -> list | 
 
 
 def _sup(v: Sequence[float]) -> float:
-    """max |v_i| over a few floats; nan when any v_i is nan, as np.max gives."""
-    worst = max(map(abs, v))
-    return math.nan if any(x != x for x in v) else worst
+    """max |v_i| over a few floats; nan when any v_i is nan, as np.max gives
+    (the |v_i| are non-negative, so their sum is nan exactly when one is)."""
+    return math.nan if math.isnan(sum(map(abs, v))) else max(map(abs, v))
 
 
 def _gap_max(target: Sequence[float], p: Sequence[float]) -> float:
@@ -405,11 +405,6 @@ def _quadratic(fm: float, f0: float, fp: float) -> tuple:
     return f0, 0.5 * (fp - fm), 0.5 * (fp + fm) - f0
 
 
-def _at(c: Sequence[float], t: float) -> float:
-    """The quadratic of coefficients c at t."""
-    return c[0] + t * (c[1] + t * c[2])
-
-
 def _landing_sextic(word: _Word, target: list, s: list, points: list) -> tuple:
     """The landing word's (x, y) gap on the free plane of the phase-1
     durations s, as quadratics (c0, c1, c2) in alpha1: (N, D, Y0, Y1, Y2).
@@ -442,9 +437,12 @@ def _landing_sextic(word: _Word, target: list, s: list, points: list) -> tuple:
 
 
 def _sextic(coefficients: tuple, t: float) -> float:
-    """R(t) = Y0 D^2 - Y1 N D + Y2 N^2: G_y at alpha2 = -N/D, times D^2."""
-    n, d, y0, y1, y2 = [_at(c, t) for c in coefficients]
-    return (y0 * d - y1 * n) * d + y2 * n * n
+    """R(t) = Y0 D^2 - Y1 N D + Y2 N^2: G_y at alpha2 = -N/D, times D^2, each of
+    N, D, Y0, Y1, Y2 (n, d, p, q, r) evaluated as c0 + t (c1 + t c2)."""
+    (n0, n1, n2), (d0, d1, d2), (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = coefficients
+    n, d = n0 + t * (n1 + t * n2), d0 + t * (d1 + t * d2)
+    return ((p0 + t * (p1 + t * p2)) * d - (q0 + t * (q1 + t * q2)) * n) * d \
+        + (r0 + t * (r1 + t * r2)) * n * n
 
 
 def _bracket(coefficients: tuple) -> tuple | None:
@@ -510,8 +508,9 @@ def _guess(word: _Word, target: list, s: list, points: list) -> tuple[list, floa
     coefficients = _landing_sextic(word, target, s, points)
     alpha1 = (_bracket(coefficients) or (None,) * 5)[4]
     if alpha1 is not None:
-        d = _at(coefficients[1], alpha1)
-        alpha2 = -_at(coefficients[0], alpha1) / d if d != 0.0 else math.inf
+        (n0, n1, n2), (d0, d1, d2) = coefficients[:2]
+        d = d0 + alpha1 * (d1 + alpha1 * d2)
+        alpha2 = -(n0 + alpha1 * (n1 + alpha1 * n2)) / d if d != 0.0 else math.inf
         moved = [v + alpha1 * m1 + alpha2 * m2 for v, m1, m2 in zip(s, *word.free)]
         shot = _shoot(word.prefix, points[:1], moved)
         if _sup(shot[-1]) < math.inf:
@@ -651,9 +650,9 @@ def replay(plan: Plan) -> Trajectory:
     Backward legs are replayed as forward legs of the reversed control law,
     so time increases monotonically and every sample satisfies the mode's
     constraints; endpoint agreement within `REPLAY_TOL` certifies the replay.
-    The leg start points are chained on Python floats. One table then holds
-    per leg its start, its controls, the row of its first sample, its sample
-    spacing and its start time; one `np.repeat` expands it to a column per
+    One walk over the legs chains their starts on Python floats (the
+    certificate) and fills a table of each leg's start, controls, first row,
+    sample spacing and start time; one `np.repeat` expands it to a column per
     sample, and every sample of every leg, its state and its velocity, comes
     from one stacked `kernels.flow` call: the flow evaluates the law at each
     sample's state, and writes that value out as the sample's velocity. Each
@@ -665,34 +664,29 @@ def replay(plan: Plan) -> Trajectory:
     if not plan.legs:
         return Trajectory(plan.mode, np.zeros(1), plan.start[None, :].copy(),
                           np.zeros((1, DIM)))
-    legs = []   # (start, controls, duration, start time)
-    p, t0 = [float(v) for v in plan.start], 0.0
-    for k, s in plan.legs:
-        if legs:   # where the last leg ends; the final leg's end is never read
-            p = kernels.flow(mode, legs[-1][0], *legs[-1][1], legs[-1][2])
-        u = word.controls[k]
-        if s < 0.0:
-            u = _negated_controls(mode, u)
-        dur = abs(s)
-        legs.append((p, u, dur, t0))
-        t0 += dur
     # sample i of leg j sits at local time i * (dur_j / n_j), as np.linspace
     # spaces it; the last leg also holds the final sample, at its full duration
-    durations = [dur for _, _, dur, _ in legs]
-    steps = _replay_counts(durations)
+    steps = _replay_counts([abs(s) for _, s in plan.legs])
     counts = steps[:-1] + [steps[-1] + 1]
-    table, first = [], 0
-    for (p, u, dur, t0), n, count in zip(legs, steps, counts):
-        table.append((*p, *u, first, dur / n, t0))
+    flat, p, first, t0 = [], plan.start.tolist(), 0, 0.0
+    for (k, s), n, count in zip(plan.legs, steps, counts):
+        if flat:   # where the last leg ends; the final leg's end is never read
+            p = kernels.flow(mode, p, *u, dur)
+        u = _negated_controls(mode, word.controls[k]) if s < 0.0 else word.controls[k]
+        dur = abs(s)
+        flat += (*p, *u, first, dur / n, t0)
         first += count
+        t0 += dur
     # one column per sample, from its leg: rows 0-4 the start (then the
     # state), 5-7 the controls, 8 the index of the first sample (then the
     # local time, then the time), 9 the sample spacing, 10 the start time
-    rows = np.repeat(np.array(table).T, counts, axis=1)
+    table = np.empty((11, len(plan.legs)))
+    table.T.flat = flat
+    rows = table.repeat(counts, axis=1)
     local = rows[8]
     np.subtract(np.arange(first, dtype=float), local, out=local)
     local *= rows[9]
-    local[-1] = durations[-1]
+    local[-1] = dur
     # the velocities in column storage, like the states
     velocities = np.empty((DIM, first))
     for row, value in zip(rows, kernels.flow(mode, rows[:5], *rows[5:8], local,

@@ -572,15 +572,28 @@ def test_simulate_rejects_malformed_control_specs(capsys, spec):
     assert "bad control spec" in capsys.readouterr().err
 
 
-def test_lift_reports_the_absolute_time_of_its_worst_sample(capsys):
+def test_lift_reports_the_absolute_time_of_its_worst_sample(capsys, monkeypatch):
     spec = {"kind": "sin", "amplitude": 1.0, "frequency": 2.0}
-    code, out, _ = run_cli(capsys, "lift", "--u", json.dumps(spec), "--w", "1",
-                           "--t", "1:3:0.01", "--format", "compact")
+    argv = ("lift", "--u", json.dumps(spec), "--w", "1", "--t", "1:3:0.01",
+            "--format", "compact")
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     data = json.loads(out)
+    # every angle of the clean run is rounding noise, so no time is named
+    assert data["worst_t"] is None and data["max_angular"] <= fibration.ANGULAR_FLOOR
+    project = fibration.project_to_contact
+
+    def tilted(lifted):
+        curve = project(lifted)
+        curve.velocities[57, 2] += 1e-6
+        return curve
+
+    monkeypatch.setattr(fibration, "project_to_contact", tilted)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
     run = fibration.run_joystick(cli._shift_spec(spec, 1.0), 1.0, duration=2.0, n_steps=200)
-    assert data["worst_t"] == 1.0 + run.engine.times[run.report.worst_sample]
-    assert 1.0 <= data["worst_t"] <= 3.0
+    assert run.report.worst_sample == 57
+    assert json.loads(out)["worst_t"] == 1.0 + run.engine.times[57]
 
 
 @pytest.mark.parametrize("mode,goal", [("landing", "1e300,0,0,0,0"),

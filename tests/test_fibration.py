@@ -388,6 +388,18 @@ def test_control_spec_accepts_any_real_scalar():
 
 
 def test_tangency_report_names_its_worst_sample():
+    # a clean joystick run's angles are all rounding noise: no sample is named
+    run = fibration.run_joystick(
+        {"kind": "sin", "amplitude": 0.8, "frequency": 1.7, "phase": 0.4},
+        [1.1, 0.15], duration=2.0, n_steps=2000)
+    assert run.report.worst_sample is None
+    assert 0.0 < run.report.max_angular <= fibration.ANGULAR_FLOOR
+    # one tilted sample stands above the floor, and is named
+    velocities = np.array(run.contact.velocities)
+    velocities[1200, 2] += 1e-6
+    tilted = fibration.certify_twisted_cubic_tangency(
+        dataclasses.replace(run.contact, velocities=velocities))
+    assert tilted.worst_sample == 1200 and tilted.passed()
     T = np.linspace(-1.0, 1.0, 7)
     c = np.stack([np.ones_like(T), T, T ** 2, T ** 3], axis=1)
     c[4, 0] += 1e-3     # the worst tilt

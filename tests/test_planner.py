@@ -942,6 +942,19 @@ def test_plan_reports_why_it_failed():
     assert (overflow.success, overflow.reason) == (False, "gap not finite")
 
 
+@pytest.mark.parametrize("v", [[math.nan, 1.0, -2.0], [1.0, math.nan, -2.0],
+                               [1.0, -2.0, math.nan], [math.inf, -math.inf], [-0.0, 0.0],
+                               [0.5, -3.0, 2.0]])
+def test_sup_and_gap_max_propagate_nan_as_np_max_does(v):
+    want = float(np.max(np.abs(v)))
+    zeros = [0.0] * len(v)
+    for got in (planner._sup(v), planner._gap_max(v, zeros), planner._gap_max(zeros, v)):
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert got == want and math.copysign(1.0, got) == 1.0
+
+
 # -- replay --------------------------------------------------------------------
 
 def _hand_plan(mode, start, legs):
@@ -1064,6 +1077,26 @@ def test_replay_joints_move_with_the_leg_that_leaves_them():
         traj.velocities[-1],
         kernels.velocity(mode, traj.states[-1], *_leg_controls(mode, k, s)))
     np.testing.assert_array_equal(traj.endpoint, plan.achieved)
+
+
+@pytest.mark.parametrize("mode", list(ManeuverMode))
+def test_replay_fails_a_plan_whose_leg_was_stretched(mode):
+    # the replay re-chains every leg start from plan.start and plan.legs, so
+    # one leg's duration scaled by 1 + 1e-6 moves its endpoint off the
+    # recorded `achieved` and the replay fails; a replay that took its leg
+    # starts from the shooter's points, unchecked, would pass such a plan
+    plan = planner.plan_path(mode, np.zeros(5), [0.4, -0.3, 0.2, 0.3, -0.2])
+    assert plan.success
+    long_legs = [j for j, (_, s) in enumerate(plan.legs) if abs(s) >= 0.1]
+    assert long_legs
+    for j in [None] + long_legs:
+        legs = list(plan.legs)
+        if j is not None:
+            legs[j] = (legs[j][0], legs[j][1] * (1.0 + 1e-6))
+        stretched = dataclasses.replace(plan, legs=tuple(legs))
+        traj = planner.replay(stretched)
+        error = float(np.max(np.abs(traj.endpoint - stretched.achieved)))
+        assert planner.replay_passed(constraint_residuals(traj), error) is (j is None), j
 
 
 def test_replay_caps_the_samples_of_a_far_goal():
