@@ -131,18 +131,20 @@ def _stack(prefix: str, fns) -> FieldStack:
                       lambda p: _fill(fns, p))
 
 
-_G2 = _stack("g2", G2_FIELDS)
-
-#: Each catalog under its geometry name; g2 also under either G2 mode's.
+#: Each catalog under its geometry name.
 _CATALOGS = {"attacking": _stack("att", ATTACKING_FIELDS),
              "landing": _stack("lnd", LANDING_FIELDS),
-             "g2": _G2, "g2s": _G2, "g2d": _G2}
+             "g2": _stack("g2", G2_FIELDS)}
+
+#: The one table of catalog names: each name a catalog goes by, to its
+#: geometry name; g2 also goes by either G2 mode's.
+NAMES = {**{name: name for name in _CATALOGS}, "g2s": "g2", "g2d": "g2"}
 
 
 def catalog(name: str) -> FieldStack:
-    """Catalog by geometry name: attacking, landing, or g2 (either G2 mode)."""
+    """Catalog by any of its `NAMES`, in any case and padding."""
     try:
-        return _CATALOGS[name.strip().lower()]
+        return _CATALOGS[NAMES[name.strip().lower()]]
     except KeyError:
         raise ValueError(f"unknown catalog {name!r}") from None
 

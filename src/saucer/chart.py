@@ -10,7 +10,6 @@ frames of the distribution are one `FieldStack` each.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,46 +122,27 @@ Z_FRAME = _distribution_stack(("Z1", "Z2", "Z3", "Z4"),
                               [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
                                [0.0, 0.0, 0.0, -3.0], [0.0, 0.0, 1.0, 0.0]])
 
-#: The frame-oriented coordinate volume is dx^dy^db^da^dz, the orientation in
-#: which (E1, E2, E3, E4, dz-dir) is positively oriented. Evaluating a 5-form
-#: on this tuple reads off its coefficient against that volume.
-_VOLUME_FRAME_VECTORS = (
-    np.array([1.0, 0, 0, 0, 0]),
-    np.array([0, 1.0, 0, 0, 0]),
-    np.array([0, 0, 0, 0, 1.0]),
-    np.array([0, 0, 0, 1.0, 0]),
-    np.array([0, 0, 1.0, 0, 0]),
-)
-
-
-def _triple_tensor() -> np.ndarray:
-    """T with coefficient(dw ^ dw ^ w) = T[i, j, k, l, m] dw_ij dw_kl w_m.
-
-    dw = 1/2 dw_ij dx^i ^ dx^j, so the 5-form is 1/4 eps^{ijklm} dw_ij dw_kl
-    w_m against dx^0 ^ .. ^ dx^4; the frame-oriented volume differs from
-    that one by the determinant of the frame vectors.
-    """
-    eps = np.zeros((DIM,) * DIM)
-    for perm in itertools.permutations(range(DIM)):
-        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(DIM), 2))
-        eps[perm] = -1.0 if inversions % 2 else 1.0
-    return 0.25 * np.linalg.det(np.column_stack(_VOLUME_FRAME_VECTORS)) * eps
-
-
-_TRIPLE_TENSOR = _triple_tensor()
-
-#: da ^ db ^ dx ^ dy ^ dz against the frame-oriented volume: the determinant
-#: of the frame vectors' (a, b, x, y, z) components.
-_AREA_VOLUME = float(np.linalg.det(np.column_stack(_VOLUME_FRAME_VECTORS)[[3, 4, 0, 1, 2]]))
+#: da ^ db ^ dx ^ dy ^ dz against the frame-oriented volume dx^dy^db^da^dz,
+#: the orientation in which (E1, E2, E3, E4, dz-dir) is positive: moving the
+#: 2-form da^db past dx^dy^dz keeps the sign, and dx^dy^dz^da^db is one
+#: transposition (dz, db) from the frame-oriented volume.
+_AREA_VOLUME = -1.0
 
 
 def _triple_coefficient(dw: np.ndarray, w: np.ndarray) -> "float | np.ndarray":
-    """Coefficient of dw ^ dw ^ w against the frame-oriented volume, per point."""
-    # contract w first, G[.., ij, kl] = T[i, j, k, l, m] w_m, then F G F^T
-    # over the flattened dw: two matrix products instead of a five-index sum
-    G = (w @ _TRIPLE_TENSOR.reshape(DIM ** 4, DIM).T).reshape(w.shape[:-1] + (DIM * DIM,) * 2)
-    F = dw.reshape(dw.shape[:-2] + (1, DIM * DIM))
-    value = (F @ G @ np.swapaxes(F, -1, -2))[..., 0, 0]
+    """Coefficient of dw ^ dw ^ w against the frame-oriented volume, per point.
+
+    With dw = 1/2 dw_ij dx^i ^ dx^j, dw ^ dw ^ w is 2 sum_m (-1)^m w_m Pf_m
+    dx^0 ^ .. ^ dx^4, Pf_m the Pfaffian of dw without row and column m; the
+    frame-oriented volume is -dx^0 ^ .. ^ dx^4, one transposition (dz, db).
+    """
+    total = 0.0
+    for m in range(DIM):
+        i, j, k, l = (n for n in range(DIM) if n != m)
+        pfaffian = (dw[..., i, j] * dw[..., k, l] - dw[..., i, k] * dw[..., j, l]
+                    + dw[..., i, l] * dw[..., j, k])
+        total = total + (-1) ** m * w[..., m] * pfaffian
+    value = -2.0 * total
     return float(value) if w.ndim == 1 else value
 
 

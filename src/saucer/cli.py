@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import fibration, gl2, kernels, planner
+from . import catalogs, fibration, gl2, kernels, planner
 from .kernels import BACKEND, ControlSpec
 from .maneuvers import (ChartEscapeWarning, ControlProgram, ManeuverMode,
                         constraint_residuals, integrate_trajectory)
@@ -252,7 +252,7 @@ def _cmd_verify(args) -> int:
 # -- simulate -------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    mode = ManeuverMode.from_name(args.mode)
+    mode = ManeuverMode(args.mode)
     file_vals = _load_controls_file(args.controls) if args.controls else {}
 
     def pick(flag, key, fallback):
@@ -389,7 +389,7 @@ def _cmd_lift(args) -> int:
 # -- plan -----------------------------------------------------------------------
 
 def _cmd_plan(args) -> int:
-    mode = ManeuverMode.from_name(args.mode)
+    mode = ManeuverMode(args.mode)
     start = _parse_vector(args.start, 5, "--from")
     goal = _parse_vector(args.goal, 5, "--to")
     try:
@@ -440,8 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "be >= 1, but ignored: checks run serially")
     p.add_argument("--config", metavar="FILE", default=None,
                    help="key=value defaults: " + ", ".join(_CONFIG_KEYS))
-    p.add_argument("--catalog", choices=("attacking", "landing", "g2", "g2s", "g2d"),
-                   default=None,
+    p.add_argument("--catalog", choices=tuple(catalogs.NAMES), default=None,
                    help="with --suite symmetry: the suite's own checks of one catalog, per field")
     p.add_argument("--format", choices=("pretty", "compact"), default=None)
     p.add_argument("--out", metavar="FILE", default=None)

@@ -64,14 +64,6 @@ class ManeuverMode(enum.Enum):
     G2_SIMPLE = "g2s"
     G2_STRICT = "g2d"
 
-    @classmethod
-    def from_name(cls, name: str) -> "ManeuverMode":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown maneuver mode {name!r}; expected one of {valid}") from None
-
 
 ATTACKING, LANDING, G2_SIMPLE, G2_STRICT = ManeuverMode
 

@@ -16,11 +16,14 @@ from .kernels import BACKEND
 
 @dataclasses.dataclass(frozen=True)
 class CheckResult:
-    name: str
+    """A check's verdict, residual, detail and bound; a check returns it
+    nameless, and `run_checks` names it from the check's table entry."""
+
     passed: bool
     value: float | None = None
     detail: str = ""
     threshold: float | None = None
+    name: str = ""
     #: Wall time of the check, set by `run_checks`; never in the payload.
     seconds: float | None = dataclasses.field(default=None, compare=False)
 
@@ -42,7 +45,8 @@ class SuiteReport:
 def run_checks(checks: Sequence[Check]) -> tuple[CheckResult, ...]:
     """Run check thunks in order; a check that raises becomes a failed result.
 
-    Each result carries the check's wall time in `seconds`.
+    Each result carries the name of its (name, thunk) entry, the one place
+    a check is named, and the check's wall time in `seconds`.
     """
 
     def guarded(name: str, thunk: Callable[[], CheckResult]) -> CheckResult:
@@ -51,8 +55,8 @@ def run_checks(checks: Sequence[Check]) -> tuple[CheckResult, ...]:
             result = thunk()
         except Exception as exc:  # a crashed check is a failed check
             tb = traceback.format_exc(limit=2).strip().splitlines()[-1]
-            result = CheckResult(name, False, None, f"raised {exc!r} ({tb})")
-        return dataclasses.replace(result, seconds=time.perf_counter() - start)
+            result = CheckResult(False, None, f"raised {exc!r} ({tb})")
+        return dataclasses.replace(result, name=name, seconds=time.perf_counter() - start)
 
     return tuple(guarded(name, thunk) for name, thunk in checks)
 

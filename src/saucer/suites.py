@@ -1,7 +1,9 @@
 """Verification suites behind the `saucer verify` subcommand.
 
-Every suite is a list of named checks closed over a seed; sampling labels
-keep the random streams independent and reproducible, so a fixed seed yields
+Every suite is a list of (name, thunk) checks closed over a seed. The entry
+is the one place a check is named: the thunk returns a nameless
+`CheckResult`, and `reports.run_checks` names it. Sampling labels keep the
+random streams independent and reproducible, so a fixed seed yields
 identical reports. A check that draws no samples gives the same result at
 every seed, so it is a module-level function cached for the process
 (`functools.cache`): a process's first pass computes it, later passes reuse
@@ -29,8 +31,8 @@ from .sampling import rng_for, sample_vectors
 SUITE_NAMES = ("config", "structure", "gl2", "symmetry", "fibration", "planner")
 
 
-def _result(name: str, worst: float, tol: float, detail: str = "") -> CheckResult:
-    return CheckResult(name, bool(worst <= tol), float(worst), detail, tol)
+def _result(worst: float, tol: float, detail: str = "") -> CheckResult:
+    return CheckResult(bool(worst <= tol), float(worst), detail, tol)
 
 
 def _coords(point) -> str:
@@ -51,30 +53,28 @@ def _outside_chart_rejected() -> CheckResult:
     try:
         chart_from_ambient(bad)
     except OutsideChart:
-        return CheckResult("outside-chart-rejected", True, None,
-                           "equatorial normal raises")
-    return CheckResult("outside-chart-rejected", False, None,
-                       "no exception for n_z = 0")
+        return CheckResult(True, None, "equatorial normal raises")
+    return CheckResult(False, None, "no exception for n_z = 0")
 
 
 def _config_checks(seed: int) -> list[Check]:
     def contact_constant() -> CheckResult:
         pts = sample_vectors(100, 5, seed, "config.contact")
         worst, where = _worst_sample(np.abs(contact_nondegeneracy(pts) - 2.0), pts)
-        return _result("contact-constant", worst, 1e-12, f"100 points, target 2; {where}")
+        return _result(worst, 1e-12, f"100 points, target 2; {where}")
 
     def ambient_triple() -> CheckResult:
         pts = sample_vectors(25, 5, seed, "config.ambient")
         lhs, rhs = ambient_nondegeneracy_pair(pts)
         worst, where = _worst_sample(np.abs(lhs - rhs), pts)
         # both sides lie in (0, 2], so 1e-13 is a few hundred ulps of either
-        return _result("ambient-triple-match", worst, 1e-13, f"25 points; {where}")
+        return _result(worst, 1e-13, f"25 points; {where}")
 
     def roundtrip() -> CheckResult:
         pts = sample_vectors(100, 5, seed, "config.roundtrip")
         errors = np.max(np.abs(chart_from_ambient(ambient_from_chart(pts)) - pts), axis=1)
         worst, where = _worst_sample(errors, pts)
-        return _result("chart-roundtrip", worst, 1e-12, f"100 points; {where}")
+        return _result(worst, 1e-12, f"100 points; {where}")
 
     def duality() -> CheckResult:
         pts = sample_vectors(50, 5, seed, "config.duality")
@@ -83,7 +83,7 @@ def _config_checks(seed: int) -> list[Check]:
             np.max(np.abs(g2_coframe(pts) @ Z - np.eye(4)), axis=(1, 2)),
             np.max(np.abs(np.einsum("zi,zij->zj", contact_covector(pts), E)), axis=1))
         worst, where = _worst_sample(errors, pts)
-        return _result("frame-duality", worst, 1e-12,
+        return _result(worst, 1e-12,
                        f"coframe vs Z frame; w0 annihilates the distribution; {where}")
 
     return [("contact-constant", contact_constant),
@@ -101,7 +101,7 @@ def _split_operator() -> CheckResult:
     target = np.diag([1.0, 1.0, -1.0, -1.0])
     worst = float(np.max(np.abs(K.matrix - target)))
     worst = max(worst, float(np.max(np.abs(K.matrix @ K.matrix - np.eye(4)))))
-    return _result("split-operator", worst, 1e-14, "K and K^2 exact")
+    return _result(worst, 1e-14, "K and K^2 exact")
 
 
 @functools.cache
@@ -113,12 +113,10 @@ def _split_eigenbundles() -> CheckResult:
     worst = 0.0
     for basis in (plus, minus):
         if basis.shape[1] != 2:
-            return CheckResult("split-eigenbundles", False, None,
-                               f"bundle rank {basis.shape[1]} != 2")
+            return CheckResult(False, None, f"bundle rank {basis.shape[1]} != 2")
         for M in (G, W):
             worst = max(worst, float(np.max(np.abs(basis.T @ M @ basis))))
-    return _result("split-eigenbundles", worst, 1e-10,
-                   "both bundles null for g and Lagrangean for the 2-form")
+    return _result(worst, 1e-10, "both bundles null for g and Lagrangean for the 2-form")
 
 
 @functools.cache
@@ -135,8 +133,7 @@ def _stabilizer_dimensions() -> CheckResult:
     dims = (sol_pair.dimension, sol_quartic.dimension, sol_omega.dimension)
     ok = dims == (5, 4, 11)
     worst = max(sol_pair.residual, sol_quartic.residual, sol_omega.residual)
-    return CheckResult("stabilizer-dimensions", ok, worst,
-                       f"dims {dims}, expected (5, 4, 11)")
+    return CheckResult(ok, worst, f"dims {dims}, expected (5, 4, 11)")
 
 
 @functools.cache
@@ -150,7 +147,7 @@ def _stabilizer_span() -> CheckResult:
         for s in range(2):
             A = np.outer(eye2[r], eye2[s])
             ok = ok and solq.contains(gl2.gl2_action_derivative(A))
-    return CheckResult("stabilizer-span", ok and table <= 1e-10, table,
+    return CheckResult(ok and table <= 1e-10, table,
                        "printed basis and Sym^3 image lie in the solutions")
 
 
@@ -161,8 +158,7 @@ def _structure_checks(seed: int) -> list[Check]:
         expected = -1.0 / (1.0 + pts[:, 3] ** 2 + pts[:, 4] ** 2)
         errors = np.abs(K.square_scalar - expected) / np.abs(expected)
         worst, where = _worst_sample(errors, pts)
-        return _result("landing-square-scalar", worst, 1e-13,
-                       f"raw K^2 = -(1+a^2+b^2)^{{-1}} Id, relative; {where}")
+        return _result(worst, 1e-13, f"raw K^2 = -(1+a^2+b^2)^{{-1}} Id, relative; {where}")
 
     def landing_orientation() -> CheckResult:
         pts = sample_vectors(100, 5, seed, "structure.orientation")
@@ -171,7 +167,7 @@ def _structure_checks(seed: int) -> list[Check]:
         KZ1 = (K.matrix @ Z1[:, :, None])[:, :, 0]
         errors = np.linalg.norm(KZ1 - 1j * Z1, axis=-1) / np.linalg.norm(Z1, axis=-1)
         worst, where = _worst_sample(errors, pts)
-        return _result("landing-orientation", worst, 1e-13, f"K Z1 = +i Z1; {where}")
+        return _result(worst, 1e-13, f"K Z1 = +i Z1; {where}")
 
     def levi() -> CheckResult:
         pts = sample_vectors(100, 5, seed, "structure.levi")
@@ -179,15 +175,14 @@ def _structure_checks(seed: int) -> list[Check]:
         bad = np.flatnonzero(np.any(signature != (1, 1), axis=1))
         if bad.size:
             k = bad[0]
-            return CheckResult("levi-form", False, None,
+            return CheckResult(False, None,
                                f"signature {tuple(int(v) for v in signature[k])} "
                                f"at {pts[k].round(3)}")
         origin = structure.levi_form(np.zeros(5))
         worst = abs(origin.c_value - 2.0)
         one = structure.levi_form(np.array([0.0, 0.0, 0.0, 1.0, 1.0]))
         worst = max(worst, abs(one.c_value - 2.0 * (3.0 + 1j * np.sqrt(3.0))))
-        return _result("levi-form", worst, 1e-12,
-                       "signature (1,1) at 100 points; pinned values")
+        return _result(worst, 1e-12, "signature (1,1) at 100 points; pinned values")
 
     return [("split-operator", _split_operator),
             ("split-eigenbundles", _split_eigenbundles),
@@ -207,8 +202,7 @@ def _gl2_checks(seed: int) -> list[Check]:
         b = gl2.quartic_upsilon_det(X)
         scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
         worst, where = _worst_sample(np.abs(a - b) / scale, X)
-        return _result("quartic-dual-route", worst, 1e-10,
-                       f"det L vs expanded polynomial, 1000 samples; {where}")
+        return _result(worst, 1e-10, f"det L vs expanded polynomial, 1000 samples; {where}")
 
     def polarization() -> CheckResult:
         X = sample_vectors(200, 4, seed, "gl2.polar")
@@ -218,14 +212,12 @@ def _gl2_checks(seed: int) -> list[Check]:
         errors = np.maximum(np.abs(gl2.upsilon_polarized(X, X, X, X) - u) / scale,
                             np.abs(t - u) / scale)
         worst, where = _worst_sample(errors, X)
-        return _result("polarization-diagonal", worst, 1e-10,
-                       f"4-linear extension restores the quartic; {where}")
+        return _result(worst, 1e-10, f"4-linear extension restores the quartic; {where}")
 
     def spinor_route() -> CheckResult:
         X = sample_vectors(100, 4, seed, "gl2.spinor")
         worst = float(np.max(np.abs(gl2.endomorphism_L(X) - gl2.endomorphism_L_spinor(X))))
-        return _result("endomorphism-spinor-route", worst, 1e-12,
-                       "closed form vs epsilon contractions")
+        return _result(worst, 1e-12, "closed form vs epsilon contractions")
 
     def equivariance() -> CheckResult:
         alpha, beta, X = _equivariance_draws(seed)
@@ -240,15 +232,13 @@ def _gl2_checks(seed: int) -> list[Check]:
         lam = 1.7
         scal = gl2.gl2_action(np.diag([lam, lam])) - lam ** 3 * np.eye(4)
         worst = max(worst, float(np.max(np.abs(scal))))
-        return _result("action-equivariance", worst, 1e-8,
-                       "morphism property, det^6 scaling, central scaling")
+        return _result(worst, 1e-8, "morphism property, det^6 scaling, central scaling")
 
     def classification() -> CheckResult:
         X, expected = _classification_samples(seed)
         correct = int(np.count_nonzero(gl2.classify_directions(X) == expected))
         rate = correct / len(X)
-        return CheckResult("null-classification", rate >= 0.99, rate,
-                           f"{correct}/{len(X)} labeled samples")
+        return CheckResult(rate >= 0.99, rate, f"{correct}/{len(X)} labeled samples")
 
     return [("quartic-dual-route", dual_route),
             ("polarization-diagonal", polarization),
@@ -304,13 +294,13 @@ class _CatalogEvaluation:
     model: symmetry.LieAlgebraModel
 
     def verdicts(self) -> dict[str, bool]:
-        """Its part of each check's verdict, by check ("catalog": its residuals)."""
-        return {"catalog": self.worst <= symmetry.CATALOG_TOL,
-                "catalog-ranks": self.rank == len(self.residuals),
-                "structure-constant-closure": self.closure <= symmetry.CLOSURE_TOL,
-                "killing-signatures": (self.killing.signature == self.model.killing_signature
-                                       and self.constants.dimension == self.model.dimension
-                                       and self.killing.jacobi <= 1e-8)}
+        """Its part of each symmetry check's verdict, by what the check tests."""
+        return {"residuals": self.worst <= symmetry.CATALOG_TOL,
+                "rank": self.rank == len(self.residuals),
+                "closure": self.closure <= symmetry.CLOSURE_TOL,
+                "killing": (self.killing.signature == self.model.killing_signature
+                            and self.constants.dimension == self.model.dimension
+                            and self.killing.jacobi <= 1e-8)}
 
 
 def _evaluate_catalog(label: str, seed: int) -> _CatalogEvaluation:
@@ -349,23 +339,20 @@ def _symmetry_checks(seed: int) -> list[Check]:
     def every() -> list[_CatalogEvaluation]:
         return [evaluated(lbl) for lbl in _CATALOGS]
 
-    def passed(check: str) -> bool:
-        return all(ev.verdicts()[check] for ev in every())
+    def passed(test: str) -> bool:
+        return all(ev.verdicts()[test] for ev in every())
 
-    def catalog_residuals(name: str, label: str) -> CheckResult:
+    def catalog_residuals(label: str) -> CheckResult:
         ev = evaluated(label)
-        return CheckResult(name, ev.verdicts()["catalog"], ev.worst, ev.detail,
-                           symmetry.CATALOG_TOL)
+        return CheckResult(ev.verdicts()["residuals"], ev.worst, ev.detail, symmetry.CATALOG_TOL)
 
     def ranks() -> CheckResult:
         got = tuple(ev.rank for ev in every())
         expected = tuple(len(ev.residuals) for ev in every())
-        return CheckResult("catalog-ranks", passed("catalog-ranks"), None,
-                           f"ranks {got}, expected {expected}")
+        return CheckResult(passed("rank"), None, f"ranks {got}, expected {expected}")
 
     def closure() -> CheckResult:
-        return CheckResult("structure-constant-closure", passed("structure-constant-closure"),
-                           max(ev.closure for ev in every()),
+        return CheckResult(passed("closure"), max(ev.closure for ev in every()),
                            "misfit and agreement across disjoint point sets",
                            symmetry.CLOSURE_TOL)
 
@@ -373,8 +360,7 @@ def _symmetry_checks(seed: int) -> list[Check]:
         detail = "; ".join(f"{lbl}: {ev.killing.signature} vs {ev.model.name} "
                            f"{ev.model.killing_signature}"
                            for lbl, ev in zip(_CATALOGS, every()))
-        return CheckResult("killing-signatures", passed("killing-signatures"),
-                           max(ev.killing.jacobi for ev in every()), detail)
+        return CheckResult(passed("killing"), max(ev.killing.jacobi for ev in every()), detail)
 
     def negative_controls() -> CheckResult:
         pts = sample_vectors(10, 5, seed, "symmetry.negative")
@@ -386,13 +372,13 @@ def _symmetry_checks(seed: int) -> list[Check]:
         worstq = symmetry.catalog_symmetry_reports(FieldStack.of(euler), QUARTIC_FIELD,
                                                    pts)[0].membership
         ok = ok and worstq > 1e-3
-        return CheckResult("negative-controls", ok, worstq,
+        return CheckResult(ok, worstq,
                            f"da contact {rep.contact:.3g}, membership "
                            f"{rep.membership:.3g}; euler quartic {worstq:.3g}")
 
-    return [("attacking-catalog", lambda: catalog_residuals("attacking-catalog", "attacking")),
-            ("landing-catalog", lambda: catalog_residuals("landing-catalog", "landing")),
-            ("g2-catalog", lambda: catalog_residuals("g2-catalog", "g2")),
+    return [("attacking-catalog", functools.partial(catalog_residuals, "attacking")),
+            ("landing-catalog", functools.partial(catalog_residuals, "landing")),
+            ("g2-catalog", functools.partial(catalog_residuals, "g2")),
             ("catalog-ranks", ranks),
             ("structure-constant-closure", closure),
             ("killing-signatures", killing),
@@ -406,7 +392,7 @@ def _cubic_example() -> CheckResult:
     run = fibration.run_joystick(1.0, 1.0, duration=1.5, n_steps=300)
     t = run.engine.times
     worst = float(np.max(np.abs(run.engine.states[:, 0] + t ** 3)))
-    return _result("cubic-example", worst, 1e-10, "unit controls trace y0 = -t^3")
+    return _result(worst, 1e-10, "unit controls trace y0 = -t^3")
 
 
 @functools.cache
@@ -415,10 +401,8 @@ def _lift_singularity_detected() -> CheckResult:
     try:
         fibration.lift_curve(curve)
     except fibration.LiftSingular:
-        return CheckResult("lift-singularity-detected", True, None,
-                           "w crossing zero raises")
-    return CheckResult("lift-singularity-detected", False, None,
-                       "no exception for w -> 0")
+        return CheckResult(True, None, "w crossing zero raises")
+    return CheckResult(False, None, "no exception for w -> 0")
 
 
 def _fibration_checks(seed: int) -> list[Check]:
@@ -433,8 +417,7 @@ def _fibration_checks(seed: int) -> list[Check]:
 
     def eds() -> CheckResult:
         worst, where = per_chart("fibration.eds", 25, fibration.eds_residuals)
-        return _result("structure-equations", worst, 1e-12,
-                       f"both charts, 25 points; {where}")
+        return _result(worst, 1e-12, f"both charts, 25 points; {where}")
 
     def roundtrip() -> CheckResult:
         pts = sample_vectors(100, 6, seed, "fibration.roundtrip")
@@ -447,8 +430,7 @@ def _fibration_checks(seed: int) -> list[Check]:
         pinned = float(np.max(np.abs(example - target)))
         if pinned > worst:
             worst, where = pinned, "worst at the pinned example"
-        return _result("transition-roundtrip", worst, 1e-12,
-                       f"100 points plus the pinned example; {where}")
+        return _result(worst, 1e-12, f"100 points plus the pinned example; {where}")
 
     def duality_residuals(chart_name: str, pts: np.ndarray) -> np.ndarray:
         C = fibration.coframe(chart_name, pts)
@@ -457,11 +439,11 @@ def _fibration_checks(seed: int) -> list[Check]:
 
     def duality() -> CheckResult:
         worst, where = per_chart("fibration.dual", 25, duality_residuals)
-        return _result("coframe-frame-duality", worst, 1e-12, f"both charts; {where}")
+        return _result(worst, 1e-12, f"both charts; {where}")
 
     def commutators() -> CheckResult:
         worst, where = per_chart("fibration.comm", 10, fibration.frame_commutator_residuals)
-        return _result("frame-commutators", worst, 1e-12, f"seven stated brackets; {where}")
+        return _result(worst, 1e-12, f"seven stated brackets; {where}")
 
     def joystick() -> CheckResult:
         rng = rng_for(seed, "fibration.joystick")
@@ -473,8 +455,10 @@ def _fibration_checks(seed: int) -> list[Check]:
         worst_ang = max(rep.max_angular for rep in reports)
         worst_contact = max(rep.max_contact for rep in reports)
         ok = all(rep.passed() for rep in reports)
-        return CheckResult("joystick-certification", ok, worst_ang,
-                           f"6 runs; worst contact {worst_contact:.3g}")
+        return CheckResult(ok, worst_ang,
+                           f"6 runs; worst angular sine {worst_ang:.3g} "
+                           f"(bound {fibration.ANGULAR_TOL:g}), worst contact "
+                           f"{worst_contact:.3g} (bound {fibration.CONTACT_TOL:g})")
 
     return [("structure-equations", eds),
             ("transition-roundtrip", roundtrip),
@@ -497,7 +481,13 @@ def _plan_example() -> CheckResult:
     ok = (plan.success and len(plan.legs) == 1 and plan.legs[0][0] == 0
           and abs(plan.legs[0][1] + 1.0 / 3.0) < 1e-9)
     detail = f"legs {[(k, round(s, 6)) for k, s in plan.legs]}"
-    return CheckResult("plan-example", ok, None, detail)
+    return CheckResult(ok, None, detail)
+
+
+@functools.cache
+def _landing_depth3_vanishes() -> CheckResult:
+    worst = planner.landing_nested_bracket_norm(np.zeros((1, 5)))
+    return _result(worst, 1e-6, "the depth-3 expression is identically zero")
 
 
 def _planner_checks(seed: int) -> list[Check]:
@@ -512,31 +502,24 @@ def _planner_checks(seed: int) -> list[Check]:
             if rep.worst_fifth_singular < worst:
                 worst = rep.worst_fifth_singular
                 where = f"{mode.value} at {_coords(rep.worst_point)}"
-        return CheckResult("bracket-generating", min_rank == 5, worst,
+        return CheckResult(min_rank == 5, worst,
                            f"family + pairwise brackets span at rank {min_rank}; "
                            f"smallest scaled 5th singular value {where}")
 
     def attacking_identity() -> CheckResult:
         pts = sample_vectors(25, 5, seed, "planner.id.attacking")
         worst = planner.distinguished_bracket_residual(ManeuverMode.ATTACKING, pts)
-        return _result("attacking-bracket-identity", worst, 1e-8, "[Y2,Y3] = 3 dz")
+        return _result(worst, 1e-8, "[Y2,Y3] = 3 dz")
 
     def g2_identity() -> CheckResult:
         pts = sample_vectors(25, 5, seed, "planner.id.g2")
         worst = planner.distinguished_bracket_residual(ManeuverMode.G2_STRICT, pts)
-        return _result("g2-bracket-identity", worst, 1e-8, "[Y2,Y1] = dz")
-
-    def landing_depth3() -> CheckResult:
-        pts = sample_vectors(25, 5, seed, "planner.id.landing")
-        worst = planner.landing_nested_bracket_norm(pts)
-        return _result("landing-depth3-vanishes", worst, 1e-6,
-                       "the depth-3 expression is identically zero")
+        return _result(worst, 1e-8, "[Y2,Y1] = dz")
 
     def landing_depth2() -> CheckResult:
         pts = sample_vectors(25, 5, seed, "planner.depth2")
         low = float(min(np.min(v) for v in planner.landing_depth2_contact_values(pts)))
-        return CheckResult("landing-depth2-transversal", low >= 0.5, low,
-                           "contact values of [Y2,Y4] and [Y1,Y3] stay >= 1")
+        return CheckResult(low >= 0.5, low, "contact values of [Y2,Y4] and [Y1,Y3] stay >= 1")
 
     def rectangles() -> CheckResult:
         worst = 0.0
@@ -552,8 +535,7 @@ def _planner_checks(seed: int) -> list[Check]:
                 worst = max(worst, abs(ratio - coeff) / coeff)
         # one ulp of z (4.4e-16 for |z| < 4) reads 1.8e-13 at eps = 0.05 and
         # coeff = 1, so 1e-11 leaves the four flows about 50 ulps of rounding
-        return _result("rectangle-asymptotics", worst, 1e-11,
-                       "z displacement / eps^2 hits the bracket coefficient")
+        return _result(worst, 1e-11, "z displacement / eps^2 hits the bracket coefficient")
 
     @functools.cache
     def planned(mode: ManeuverMode) -> list:
@@ -572,8 +554,7 @@ def _planner_checks(seed: int) -> list[Check]:
         for mode in _PLAN_MODES:
             for k, (start, goal, plan) in enumerate(planned(mode)):
                 if not plan.success:
-                    return CheckResult("plan-and-replay", False, None,
-                                       f"{mode.value} plan failed at pair {k}")
+                    return CheckResult(False, None, f"{mode.value} plan failed at pair {k}")
                 worst_gap = max(worst_gap, float(np.max(np.abs(plan.gap))))
                 traj = planner.replay(plan)
                 end_err = float(np.max(np.abs(traj.endpoint - plan.achieved)))
@@ -584,7 +565,7 @@ def _planner_checks(seed: int) -> list[Check]:
                 n_legs += len(plan.legs)
                 n_iterations += plan.iterations
         ok = worst_gap < tol and replayed
-        return CheckResult("plan-and-replay", ok, worst_gap,
+        return CheckResult(ok, worst_gap,
                            f"9 pairs, {n_legs} legs, {n_iterations} iterations, "
                            f"replay residual {worst_resid:.3g}")
 
@@ -598,21 +579,20 @@ def _planner_checks(seed: int) -> list[Check]:
                 word, goal, s, planner._shoot(word.prefix, [start], s)))
             r1, r2, low, high, root = bracket or (None,) * 5
             if root is None or not (low >= 0.0 >= high and r1 < root < r2):
-                return CheckResult("landing-word-bracket", False, None,
+                return CheckResult(False, None,
                                    f"no root strictly between the roots of D at pair {k}")
             # the gap the pair's first word left, checked in its second
             # iteration (the start's, if it met the goal already)
             worst = max(worst, plan.trace[:2][-1][0])
         # rounding alone: in [-0.8, 0.8]^5 the gap was at most 5.7e-14 on
         # the 18 000 pairs of seeds 1-5999, and every bracket held
-        return _result("landing-word-bracket", worst, 1e-10,
-                       "3 pairs; R(r1) >= 0 >= R(r2) and a root strictly between, "
+        return _result(worst, 1e-10, "3 pairs; R(r1) >= 0 >= R(r2) and a root strictly between, "
                        "the word solved there ends this close to the goal")
 
     return [("bracket-generating", generating),
             ("attacking-bracket-identity", attacking_identity),
             ("g2-bracket-identity", g2_identity),
-            ("landing-depth3-vanishes", landing_depth3),
+            ("landing-depth3-vanishes", _landing_depth3_vanishes),
             ("landing-depth2-transversal", landing_depth2),
             ("rectangle-asymptotics", rectangles),
             ("plan-and-replay", plans),
@@ -634,10 +614,9 @@ def catalog_report(label: str, seed: int) -> dict:
     """The symmetry suite's evaluation of one catalog at the seed, field by
     field: the same samples and bounds, and `pass` exactly when the suite's
     residual, rank, closure and Killing checks pass for this catalog."""
-    name = {"g2s": "g2", "g2d": "g2"}.get(label, label)
-    if name not in _CATALOGS:
-        raise ValueError(f"unknown catalog {label!r}; expected one of "
-                         f"{tuple(_CATALOGS)}")
+    name = catalogs.NAMES.get(label)
+    if name is None:
+        raise ValueError(f"unknown catalog {label!r}; expected one of {tuple(catalogs.NAMES)}")
     ev = _evaluate_catalog(name, seed)
     return {
         "catalog": name,

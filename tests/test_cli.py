@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import saucer
-from saucer import cli, fibration, kernels, planner, suites
+from saucer import catalogs, cli, fibration, kernels, planner, suites
 from saucer.maneuvers import ControlProgram, ManeuverMode, integrate_trajectory
 from saucer.reports import CheckResult, SuiteReport, run_checks
 
@@ -122,6 +122,28 @@ def test_verify_catalog_requires_symmetry_suite(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_catalog_takes_exactly_the_catalog_names(capsys):
+    reports = {}
+    for name, geometry in catalogs.NAMES.items():
+        code, out, _ = run_cli(capsys, "verify", "--suite", "symmetry",
+                               "--catalog", name, "--seed", "7")
+        assert code == 0
+        reports[name] = json.loads(out)
+        assert reports[name] == reports[geometry]
+    for name in ("G2", "octonion"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "verify", "--suite", "symmetry", "--catalog", name)
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_an_unlisted_mode_name_exits_before_it_runs(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, command, "--mode", "Landing", "--from", "0,0,0,0,0",
+                "--to", "0,0,0,0,1")
+    assert exc.value.code == 2
+
+
 def test_verify_catalog_report(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "symmetry",
                            "--catalog", "g2", "--seed", "7")
@@ -192,7 +214,7 @@ def test_verify_timings_cover_every_check_and_leave_stdout_alone(capsys, tmp_pat
 @pytest.mark.parametrize("fmt", ["pretty", "compact"])
 def test_verify_reports_a_non_finite_residual_as_null(capsys, monkeypatch, fmt):
     def nan_suite(names, seed):
-        check = ("nan-check", lambda: CheckResult("nan-check", False, float("nan"), "", 1e-9))
+        check = ("nan-check", lambda: CheckResult(False, float("nan"), "", 1e-9))
         return [SuiteReport("structure", seed, run_checks([check]))]
 
     monkeypatch.setattr(cli, "run_suites", nan_suite)

@@ -21,9 +21,10 @@ from saucer.sampling import rng_for
 #: sha256 over (label, samples) of every sample_vectors call the config,
 #: gl2, fibration and planner suites make at seed 5, labels sorted: the draws
 #: these checks made when they still evaluated their samples one point at a
-#: time.
-DRAWS_AT_SEED_5 = "48cbc2790abba9855fca184c13e689525f41dfbfa9f346c177a53622a0d0ef67"
-DRAW_LABELS = 26
+#: time, but for the 25 points landing-depth3-vanishes drew before it was
+#: seed-free.
+DRAWS_AT_SEED_5 = "aa293ce67d6b985e500f8125d4d27f9fee4f35c33c5076a0520dc835bc61a1e8"
+DRAW_LABELS = 25
 
 #: The same digest for the symmetry suite: the draws its checks made when
 #: each filled its own catalogs at its own points.
@@ -190,7 +191,7 @@ SEED_FREE_CHECKS = {
     "structure": ("split-operator", "split-eigenbundles", "stabilizer-dimensions",
                   "stabilizer-span"),
     "fibration": ("cubic-example", "lift-singularity-detected"),
-    "planner": ("plan-example",),
+    "planner": ("landing-depth3-vanishes", "plan-example"),
 }
 
 
@@ -220,7 +221,7 @@ def test_seed_free_checks_give_one_result_at_every_seed(cold_seed_free_checks):
     for seed in (1, 7919):
         _clear_seed_free_caches()
         checks = _seed_free_checks(seed)
-        assert len(checks) == 8
+        assert len(checks) == 9
         results.append({name: check() for name, check in checks.items()})
     assert results[0] == results[1]
     assert all(result.passed for result in results[0].values()), results[0]
@@ -254,6 +255,50 @@ def test_a_seed_free_check_that_raises_fails_on_every_pass(monkeypatch, cold_see
         assert len(calls) == n
     monkeypatch.undo()
     assert check().passed
+
+
+def test_run_checks_names_each_result_from_its_table_entry(cold_seed_free_checks):
+    # a thunk returns no name: a plain result, a raised exception and a
+    # cached seed-free result listed twice are each named by their entry
+    def raises():
+        raise RuntimeError("no result")
+
+    cached = _seed_free_checks(1)["plan-example"]
+    results = reports.run_checks([("nameless", lambda: reports.CheckResult(True, 1.0)),
+                                  ("raises", raises),
+                                  ("cached", cached),
+                                  ("cached-again", cached)])
+    assert [r.name for r in results] == ["nameless", "raises", "cached", "cached-again"]
+    assert not results[1].passed and results[1].detail.startswith("raised RuntimeError")
+    assert results[2].passed and results[2] == dataclasses.replace(results[3], name="cached")
+    assert cached().name == ""
+
+
+def test_verify_names_each_check_once_in_table_order():
+    _, out = _verify_all(5)
+    names = [c["check"] for s in json.loads(out)["suites"] for c in s["checks"]]
+    table = [name for suite in suites.SUITE_NAMES for name, _ in suites._BUILDERS[suite](5)]
+    assert names == table
+    assert len(set(names)) == len(names) == 40
+
+
+def test_joystick_certification_names_the_bound_a_run_broke(monkeypatch):
+    # every angle holds its bound and every run's contact breaks 1e-8: the
+    # residual is the worst angle, so the detail alone names the broken bound
+    run_joystick = fibration.run_joystick
+
+    def off_contact(*args, **kwargs):
+        run = run_joystick(*args, **kwargs)
+        report = dataclasses.replace(run.report, contact=run.report.contact + 2e-8)
+        return dataclasses.replace(run, report=report)
+
+    check = dict(suites._fibration_checks(1))["joystick-certification"]
+    assert check().passed
+    monkeypatch.setattr(fibration, "run_joystick", off_contact)
+    result = check()
+    assert not result.passed and result.value <= fibration.ANGULAR_TOL
+    assert "(bound 1e-05)" in result.detail
+    assert "worst contact 2e-08 (bound 1e-08)" in result.detail, result.detail
 
 
 def test_structure_pass_solves_each_stabilizer_system_once(monkeypatch, cold_seed_free_checks):
@@ -344,7 +389,7 @@ def test_landing_orientation_resolves_a_perturbed_frame(monkeypatch):
 
 
 def test_ambient_triple_match_resolves_a_perturbed_volume(monkeypatch):
-    # both sides lie in (0, 2] and agree to a few ulps (8.9e-16 at worst over
+    # both sides lie in (0, 2] and agree to a few ulps (6.7e-16 at worst over
     # seeds 1-200, 7919 and 566551698): an area volume off by a relative 1e-10
     # moves the right side by up to 2e-10, which the bound of 1e-13 sees and
     # one of 1e-7 passes
@@ -413,16 +458,18 @@ def test_residual_checks_name_their_worst_sample():
 #: landing-orientation; the symmetry digest carries the 1e-8 bound of
 #: structure-constant-closure; the config and planner digests carry the
 #: 1e-13 bound of ambient-triple-match and the 1e-11 bound of
-#: rectangle-asymptotics. The planner digest also carries the last bits of
-#: the plan-and-replay residual, which follow the phase-1 solve's rounding
-#: and the landing word's closed-form solve, and the landing-word-bracket
-#: check.
+#: rectangle-asymptotics, and the config digest the Pfaffian triple
+#: product's rounding of ambient-triple-match; the fibration digest carries
+#: both bounds joystick-certification names. The planner digest also carries
+#: the last bits of the plan-and-replay residual, which follow the phase-1
+#: solve's rounding and the landing word's closed-form solve, and the
+#: landing-word-bracket check.
 PAYLOADS_AT_SEED_5 = {
-    "config": "e0956b08465cfaa8af9c1f60d89121017efe0d3cd85647b18322b29c8776e6ef",
+    "config": "e71a68c14e5b60ca1a0ddc5b6e76687adede22756038e5859804059c2721420b",
     "structure": "d6584ac8e3d0e2f9436e17d3e30f65da7288742eb847f31188cd6fd2df10ad0f",
     "gl2": "4d027298cb7320a100b0d9d03995a9c4c5297960f72f4961830f0a2fd638e2ee",
     "symmetry": "353479b165e1011b8ee4cfccd5bda25466887248e6ecafb22aeb037551056725",
-    "fibration": "d854dc55ea25947d5f0ca6e1091084f950b340c89dadc4a87402885ecb84798b",
+    "fibration": "15a3651dd4293b824915ed44d6af363cd8f1c64bae6043dffa9db6463e08c8b6",
     "planner": "bd36170c956026fc783530d839295ba1ab93961c547bd0b7804b4e61c50058e0",
 }
 
