@@ -32,7 +32,6 @@ from .reports import report_payload, timings_payload
 from .sampling import DEFAULT_SEED
 from .suites import SUITE_NAMES, catalog_report, run_suites
 
-_CONFIG_KEYS = ("seed", "jobs", "format", "suite")
 _MODES = tuple(mode.value for mode in ManeuverMode)
 
 
@@ -73,11 +72,6 @@ def _control(spec) -> ControlSpec:
         raise _usage_error(f"bad control spec {spec!r}: {exc}")
 
 
-def _read_control(flag: str | None, file_vals: dict, key: str, default: float) -> ControlSpec:
-    """The control of a flag, else of the controls file's key, else the default."""
-    return _control(_parse_control(flag) if flag is not None else file_vals.get(key, default))
-
-
 def _load_controls_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -87,17 +81,6 @@ def _load_controls_file(path: str) -> dict:
     if not isinstance(data, dict):
         raise _usage_error(f"controls file {path} must hold a JSON object")
     return data
-
-
-def _file_number(value, key: str) -> float:
-    """A controls-file number (a flag's value passes through); a usage error
-    naming the key for anything float() refuses, and for true and false."""
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise _usage_error(f"{key} in controls file must be a number, got {value!r}")
 
 
 def _parse_time_range(text: str) -> tuple[float, float, float]:
@@ -124,11 +107,11 @@ def _shift_spec(spec, t0: float) -> ControlSpec:
         return base
     return dataclasses.replace(
         base, value_fn=kernels.ArrayFunction(lambda s: base.values(t0 + s)),
-        derivative_fn=kernels.ArrayFunction(lambda s: base.derivatives(t0 + s)),
-        describe=f"{base.describe} shifted by {t0:g}")
+        derivative_fn=kernels.ArrayFunction(lambda s: base.derivatives(t0 + s)))
 
 
 def _load_config(path: str) -> dict:
+    """A verify config file's `key = value` lines as {key: value text}."""
     cfg = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -142,28 +125,8 @@ def _load_config(path: str) -> dict:
         if "=" not in line:
             raise _usage_error(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise _usage_error(f"{path}:{lineno}: unknown key {key!r} "
-                               f"(known: {', '.join(_CONFIG_KEYS)})")
         cfg[key] = value
     return cfg
-
-
-def _resolve_seed(flag_value, cfg: dict) -> int:
-    if flag_value is not None:
-        return flag_value
-    if "seed" in cfg:
-        try:
-            return int(cfg["seed"], 0)
-        except ValueError:
-            raise _usage_error(f"config seed must be an integer, got {cfg['seed']!r}")
-    env = os.environ.get("SAUCER_SEED", "").strip()
-    if env:
-        try:
-            return int(env, 0)
-        except ValueError:
-            raise _usage_error(f"SAUCER_SEED must be an integer, got {env!r}")
-    return DEFAULT_SEED
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -209,39 +172,25 @@ def _trajectory_csv(path: str, traj) -> None:
 # -- verify ---------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    seed = _resolve_seed(args.seed, cfg)
-    jobs = args.jobs if args.jobs is not None else cfg.get("jobs", "4")
-    fmt = args.format or cfg.get("format", "pretty")
-    suite = args.suite or cfg.get("suite", "all")
-    if fmt not in ("pretty", "compact"):
-        raise _usage_error(f"format must be pretty or compact, got {fmt!r}")
-    if suite != "all" and suite not in SUITE_NAMES:
-        raise _usage_error(f"unknown suite {suite!r} "
-                           f"(known: {', '.join(SUITE_NAMES)}, all)")
     # Checks run serially; jobs is still validated so old configs keep parsing.
-    try:
-        jobs_ok = int(jobs) >= 1
-    except ValueError:
-        jobs_ok = False
-    if not jobs_ok:
-        raise _usage_error(f"jobs must be an integer >= 1, got {jobs!r}")
+    if args.jobs < 1:
+        raise _usage_error(f"jobs must be an integer >= 1, got {args.jobs}")
     if args.catalog is not None:
         if args.timings:
             raise _usage_error("--timings applies to suite runs, not to --catalog")
-        if suite != "symmetry":
+        if args.suite != "symmetry":
             raise _usage_error("--catalog is only meaningful with --suite symmetry")
         try:
-            payload = catalog_report(args.catalog, seed)
+            payload = catalog_report(args.catalog, args.seed)
         except ValueError as exc:
             raise _usage_error(str(exc))
-        _emit(_payload_text(payload, fmt), args.out)
+        _emit(_payload_text(payload, args.format), args.out)
         return 0 if payload["pass"] else 1
-    names = SUITE_NAMES if suite == "all" else (suite,)
+    names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     start = time.perf_counter()
-    reports = run_suites(names, seed)
+    reports = run_suites(names, args.seed)
     total_s = time.perf_counter() - start
-    _emit(_payload_text(report_payload(reports), fmt), args.out)
+    _emit(_payload_text(report_payload(reports), args.format), args.out)
     if args.timings:
         with open(args.timings, "w", encoding="utf-8") as fh:
             json.dump(timings_payload(reports, total_s), fh, indent=2)
@@ -253,30 +202,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_simulate(args) -> int:
     mode = ManeuverMode(args.mode)
-    file_vals = _load_controls_file(args.controls) if args.controls else {}
-
-    def pick(flag, key, fallback):
-        if flag is not None:
-            return flag
-        return file_vals.get(key, fallback)
-
-    u1 = _read_control(args.u1, file_vals, "u1", 1.0)
-    u2 = _read_control(args.u2, file_vals, "u2", 0.0)
-    u3 = _read_control(args.u3, file_vals, "u3", 0.0)
-    duration = _file_number(pick(args.duration, "duration", 1.0), "duration")
-    dt = _file_number(pick(args.dt, "dt", 1e-3), "dt")
-    start_spec = pick(args.start, "start", "0,0,0,0,0")
-    if isinstance(start_spec, str):
-        start = _parse_vector(start_spec, 5,
-                              "--start" if args.start is not None else "start in controls file")
-    elif isinstance(start_spec, list) and len(start_spec) == 5:
-        start = np.array([_file_number(v, "start component") for v in start_spec])
-        if not np.all(np.isfinite(start)):
-            raise _usage_error(f"start in controls file must be finite, got {start_spec!r}")
-    else:
-        raise _usage_error("start in controls file needs 5 components")
+    u1, u2, u3 = (_control(_parse_control(u)) for u in (args.u1, args.u2, args.u3))
+    start = _parse_vector(args.start, 5, "--start")
     try:
-        program = ControlProgram(mode, u1, u2, u3, duration=duration, dt=dt)
+        program = ControlProgram(mode, u1, u2, u3, duration=args.duration, dt=args.dt)
     except ValueError as exc:
         raise _usage_error(str(exc))
     with warnings.catch_warnings():
@@ -288,7 +217,7 @@ def _cmd_simulate(args) -> int:
     payload = {
         "mode": mode.value,
         "backend": BACKEND,
-        "duration": duration,
+        "duration": args.duration,
         "samples": int(len(traj.times)),
         "endpoint": [float(v) for v in traj.endpoint],
         "max_contact": float(residuals.max_contact),
@@ -324,9 +253,7 @@ def _cmd_classify(args) -> int:
 # -- lift -----------------------------------------------------------------------
 
 def _cmd_lift(args) -> int:
-    file_vals = _load_controls_file(args.controls) if args.controls else {}
-    u_spec = _read_control(args.u, file_vals, "u", 1.0)
-    w_spec = _read_control(args.w, file_vals, "w", 1.0)
+    u_spec, w_spec = (_control(_parse_control(c)) for c in (args.u, args.w))
     t0 = 0.0
     duration, n_steps = args.duration, args.steps
     if args.t is not None:
@@ -367,8 +294,7 @@ def _cmd_lift(args) -> int:
     worst_t = (None if rep.worst_sample is None
                else t0 + float(run.engine.times[rep.worst_sample]))
     samples = len(run.engine.times)
-    certified = rep.skipped < samples   # u/w constant keeps every contact speed at 0
-    if not certified:
+    if rep.skipped == samples:   # u/w constant keeps every contact speed at 0
         print("saucer: lift certified no sample: every contact speed is below the floor",
               file=sys.stderr)
     payload = {
@@ -380,7 +306,7 @@ def _cmd_lift(args) -> int:
         "worst_t": worst_t,
         "skipped": int(rep.skipped),
         "endpoint": [float(v) for v in run.contact.states[-1]],
-        "pass": bool(certified and rep.passed()),
+        "pass": rep.passed(),
     }
     _emit(_payload_text(payload, args.format), args.out)
     return 0 if payload["pass"] else 1
@@ -430,36 +356,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical engine for saucer maneuver geometries.")
     subs = parser.add_subparsers(dest="command", required=True)
 
+    def integer(text: str) -> int:
+        return int(text, 0)
+
     p = subs.add_parser("verify", help="run deterministic check suites")
-    p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default=None,
+    p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all",
                    help="suite to run (default all)")
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
-                   help="sampling seed (overrides config and SAUCER_SEED)")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--seed", type=integer, default=DEFAULT_SEED,
+                   help=f"sampling seed (default SAUCER_SEED, else {DEFAULT_SEED})")
+    p.add_argument("--jobs", type=int, default=4,
                    help="accepted for old scripts and configs and checked to "
                         "be >= 1, but ignored: checks run serially")
     p.add_argument("--config", metavar="FILE", default=None,
-                   help="key=value defaults: " + ", ".join(_CONFIG_KEYS))
+                   help="key = value lines, each key one of these flags' names; "
+                        "flags win")
     p.add_argument("--catalog", choices=tuple(catalogs.NAMES), default=None,
                    help="with --suite symmetry: the suite's own checks of one catalog, per field")
-    p.add_argument("--format", choices=("pretty", "compact"), default=None)
-    p.add_argument("--out", metavar="FILE", default=None)
     p.add_argument("--timings", metavar="FILE", default=None,
                    help="also write per-check wall times in seconds, "
                         "{suite: {check: s}} and the total, to FILE")
+    _add_common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = subs.add_parser("simulate", help="integrate a maneuver control law")
     p.add_argument("--mode", choices=_MODES, required=True)
-    p.add_argument("--start", default=None, help="comma separated chart point")
+    p.add_argument("--start", default="0,0,0,0,0", help="comma separated chart point")
     p.add_argument("--controls", metavar="FILE", default=None,
-                   help="JSON file with u1,u2,u3 (and optionally start, "
-                        "duration, dt); explicit flags win")
-    p.add_argument("--u1", default=None, help="control: number, [c0,c1,...] or sin dict")
-    p.add_argument("--u2", default=None)
-    p.add_argument("--u3", default=None)
-    p.add_argument("--duration", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
+                   help="JSON object whose keys are these flags' names; flags win")
+    p.add_argument("--u1", default="1", help="control: number, [c0,c1,...] or sin dict")
+    p.add_argument("--u2", default="0")
+    p.add_argument("--u3", default="0")
+    p.add_argument("--duration", type=float, default=1.0)
+    p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--csv", metavar="FILE", default=None,
                    help="write samples t,x,y,z,a,b,vx..vb to FILE")
     _add_common(p)
@@ -473,9 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("lift", help="engine curve -> canonical lift -> contact side")
     p.add_argument("--controls", metavar="FILE", default=None,
-                   help="JSON file with u and w specs; explicit flags win")
-    p.add_argument("--u", default=None, help="row control spec")
-    p.add_argument("--w", default=None, help="column control spec (must avoid 0)")
+                   help="JSON object whose keys are these flags' names; flags win")
+    p.add_argument("--u", default="1", help="row control spec")
+    p.add_argument("--w", default="1", help="column control spec (must avoid 0)")
     p.add_argument("--t", metavar="T0:T1:STEP", default=None,
                    help="time range, e.g. 0:2:0.001 (overrides duration/steps)")
     p.add_argument("--duration", type=float, default=2.0)
@@ -524,9 +452,54 @@ def _glue_vector_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
+def _flag_text(value) -> str:
+    """A file's value as its flag's text: a string as it is, anything else as JSON."""
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _input_flags(args) -> list[str]:
+    """SAUCER_SEED and every key of the command's file, each as `--key=value`.
+
+    Every flag of a command that takes a file is `--` and its dest, with `-`
+    for `_`. A key must be exactly one of those names, the file flag's own
+    excepted, so no key is dropped and none is read as an abbreviation. A
+    list for a vector flag is written as its components joined by commas.
+    """
+    names = {dest.replace("_", "-") for dest in vars(args)} - {"command", "func"}
+    flags = []
+    env = os.environ.get("SAUCER_SEED", "").strip()
+    if env and "seed" in names:
+        try:
+            int(env, 0)
+        except ValueError:
+            raise _usage_error(f"SAUCER_SEED must be an integer, got {env!r}")
+        flags.append(f"--seed={env}")
+    for file_flag, read in (("config", _load_config), ("controls", _load_controls_file)):
+        path = getattr(args, file_flag, None)
+        if path is None:
+            continue
+        known = sorted(names - {file_flag})
+        for key, value in read(path).items():
+            if key not in known:
+                raise _usage_error(f"{path}: unknown key {key!r} (known: {', '.join(known)})")
+            if f"--{key}" in _VECTOR_FLAGS and isinstance(value, list):
+                value = ",".join(map(_flag_text, value))
+            flags.append(f"--{key}={_flag_text(value)}")
+    return flags
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_glue_vector_values(argv))
+    """Run one command. SAUCER_SEED and the command's file are written as its
+    own flags, after the command name and before the given flags, and parsed
+    again, so flag > file > SAUCER_SEED > default and each value meets its
+    flag's checks."""
+    argv = _glue_vector_values(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    flags = _input_flags(args)
+    if flags:
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + flags + argv[at:])
     try:
         # numbers that overflow report null, so numpy's warnings about them
         # are noise on stderr

@@ -127,43 +127,36 @@ def frame(chart: str, p: np.ndarray) -> np.ndarray:
     return _matrix(builders[1](*coords), lead, dtype)
 
 
-#: Nonzero frame commutators, keyed by frame positions (0..4 = e0..e4, 5 = e7):
-#: [e4, e7] = -e3, [e7, e3] = 2 e2, [e7, e2] = 3 e1, [e3, e2] = -3 e0,
-#: [e4, e1] = e0; [e4, e2] and [e4, e0] vanish. Each coefficient is forced by
-#: the structure equations through w^k([e_i, e_j]) = -dw^k(e_i, e_j), valid in
-#: any coframe convention, and holds in both charts.
-FRAME_COMMUTATORS = {
-    (4, 5): {3: -1.0},
-    (5, 3): {2: 2.0},
-    (5, 2): {1: 3.0},
-    (3, 2): {0: -3.0},
-    (4, 2): {},
-    (4, 0): {},
-    (4, 1): {0: 1.0},
-}
-
-
 def frame_fields(chart: str) -> FieldStack:
     """The chart's frame vectors e0..e4, e7 (the columns of `frame`) as one stack."""
     return FieldStack(tuple("e" + label[1:] for label in FORM_LABELS),
                       lambda q: np.swapaxes(frame(chart, q), -1, -2))
 
 
+def _bracket_coefficients() -> np.ndarray:
+    """c[i, j, k] with [e_i, e_j] = sum_k c[i, j, k] e_k, read from `_EDS_RHS`.
+
+    w^k([e_i, e_j]) = -dw^k(e_i, e_j), valid in any coframe convention.
+    """
+    c = np.zeros((FDIM, FDIM, FDIM))
+    for k, terms in _EDS_RHS.items():
+        for i, j, coef in terms:
+            c[i, j, k] -= coef
+            c[j, i, k] += coef
+    return c
+
+
 def frame_commutator_residuals(chart: str, points: np.ndarray) -> np.ndarray:
-    """Per point (m,): worst deviation of the listed frame brackets from the table.
+    """Per point (m,): worst deviation of the 15 frame brackets from the
+    structure equations (`_bracket_coefficients`).
 
     Every bracket of the six frame fields comes from one complex step of
     `frame`.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     V, B = frame_fields(chart).brackets(pts)
-    worst = np.zeros(len(pts))
-    for (i, j), combo in FRAME_COMMUTATORS.items():
-        expected = np.zeros(pts.shape)
-        for k, coef in combo.items():
-            expected += coef * V[:, k]
-        worst = np.maximum(worst, np.max(np.abs(B[:, i, j] - expected), axis=1))
-    return worst
+    expected = np.einsum("ijk,mkd->mijd", _bracket_coefficients(), V)
+    return np.max(np.abs(B - expected), axis=(1, 2, 3))
 
 
 # -- chart transition ----------------------------------------------------------
@@ -365,7 +358,9 @@ class TangencyReport:
         return float(np.max(self.contact)) if len(self.contact) else 0.0
 
     def passed(self) -> bool:
-        return self.max_angular <= ANGULAR_TOL and self.max_contact <= CONTACT_TOL
+        """At least one sample certified, and every certified one within both bounds."""
+        return (len(self.angular) > 0 and self.max_angular <= ANGULAR_TOL
+                and self.max_contact <= CONTACT_TOL)
 
 
 def certify_twisted_cubic_tangency(curve: ContactCurve) -> TangencyReport:

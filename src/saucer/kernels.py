@@ -251,7 +251,6 @@ class ControlSpec:
     """
     value_fn: Callable[[float], float]
     derivative_fn: Callable[[float], float]
-    describe: str
     constant: float | None = None
 
     def value(self, t: float) -> float:
@@ -273,7 +272,7 @@ class ControlSpec:
         if isinstance(obj, numbers.Real):
             c = _finite(obj, "constant control")
             return _array_spec(lambda t: np.full(np.shape(t), c),
-                               lambda t: np.zeros(np.shape(t)), f"const({c:g})", c)
+                               lambda t: np.zeros(np.shape(t)), c)
         if isinstance(obj, (list, tuple)):
             if not obj:
                 raise ValueError("polynomial coefficients must be a non-empty flat list")
@@ -281,8 +280,7 @@ class ControlSpec:
             dcoeffs = np.polynomial.polynomial.polyder(coeffs) if len(coeffs) > 1 \
                 else np.zeros(1)
             return _array_spec(lambda t: np.polynomial.polynomial.polyval(t, coeffs),
-                               lambda t: np.polynomial.polynomial.polyval(t, dcoeffs),
-                               f"poly({list(map(float, coeffs))})")
+                               lambda t: np.polynomial.polynomial.polyval(t, dcoeffs))
         if isinstance(obj, dict):
             kind = obj.get("kind")
             if kind not in ("sin", "cos"):
@@ -292,27 +290,22 @@ class ControlSpec:
             ph = _finite(obj.get("phase", 0.0), "phase")
             if kind == "sin":
                 return _array_spec(lambda t: A * np.sin(f * t + ph),
-                                   lambda t: A * f * np.cos(f * t + ph),
-                                   f"sin(A={A:g}, f={f:g}, ph={ph:g})")
+                                   lambda t: A * f * np.cos(f * t + ph))
             return _array_spec(lambda t: A * np.cos(f * t + ph),
-                               lambda t: -A * f * np.sin(f * t + ph),
-                               f"cos(A={A:g}, f={f:g}, ph={ph:g})")
+                               lambda t: -A * f * np.sin(f * t + ph))
         if callable(obj):
             h = 1e-6
             if isinstance(obj, ArrayFunction):
-                return _array_spec(obj.fn, lambda t: (obj(t + h) - obj(t - h)) / (2.0 * h),
-                                   "callable")
+                return _array_spec(obj.fn, lambda t: (obj(t + h) - obj(t - h)) / (2.0 * h))
             return ControlSpec(
                 lambda t: float(obj(t)),
-                lambda t: (float(obj(t + h)) - float(obj(t - h))) / (2.0 * h),
-                "callable")
+                lambda t: (float(obj(t + h)) - float(obj(t - h))) / (2.0 * h))
         raise TypeError(f"cannot build a control from {type(obj).__name__}")
 
 
-def _array_spec(value_fn, derivative_fn, describe: str, constant=None) -> ControlSpec:
+def _array_spec(value_fn, derivative_fn, constant=None) -> ControlSpec:
     """A spec whose two functions each take a whole array of times."""
-    return ControlSpec(ArrayFunction(value_fn), ArrayFunction(derivative_fn), describe,
-                       constant)
+    return ControlSpec(ArrayFunction(value_fn), ArrayFunction(derivative_fn), constant)
 
 
 def _finite(value, what: str) -> float:

@@ -443,7 +443,7 @@ def _fibration_checks(seed: int) -> list[Check]:
 
     def commutators() -> CheckResult:
         worst, where = per_chart("fibration.comm", 10, fibration.frame_commutator_residuals)
-        return _result(worst, 1e-12, f"seven stated brackets; {where}")
+        return _result(worst, 1e-12, f"all 15 brackets against the structure equations; {where}")
 
     def joystick() -> CheckResult:
         rng = rng_for(seed, "fibration.joystick")

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -338,6 +339,84 @@ def test_simulate_flags_override_controls_file(capsys, tmp_path):
     assert json.loads(out)["samples"] == 21
 
 
+def _input_file(tmp_path, command, values):
+    """The file flag and path of a file holding values: key = value lines for
+    verify, a JSON object for simulate and lift."""
+    if command == "verify":
+        path = tmp_path / "saucer.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        return "--config", str(path)
+    path = tmp_path / "controls.json"
+    path.write_text(json.dumps(values))
+    return "--controls", str(path)
+
+
+FILE_COMMANDS = {"verify": ("verify", "--suite", "config"),
+                 "simulate": ("simulate", "--mode", "attacking", "--duration", "0.1"),
+                 "lift": ("lift", "--steps", "10")}
+
+
+@pytest.mark.parametrize("command,key", [
+    (command, key) for command in FILE_COMMANDS
+    # a misspelt name, a prefix that argparse would take for a flag, the file flag
+    for key in ("durtion", "see" if command == "verify" else "dur",
+                "config" if command == "verify" else "controls")])
+def test_a_file_key_that_names_no_flag_is_a_usage_error(capsys, tmp_path, command, key):
+    flag, path = _input_file(tmp_path, command, {key: "3"})
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*FILE_COMMANDS[command], flag, path])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown key {key!r}" in captured.err
+
+
+def test_lift_controls_file_sets_duration_and_steps(capsys, tmp_path):
+    flag, path = _input_file(tmp_path, "lift", {"u": [0, 1], "duration": 1.5, "steps": 30})
+    code, out, _ = run_cli(capsys, "lift", flag, path, "--format", "compact")
+    by_flags = run_cli(capsys, "lift", "--u", "[0, 1]", "--duration", "1.5", "--steps", "30",
+                       "--format", "compact")
+    assert (code, out) == by_flags[:2]
+    data = json.loads(out)
+    assert (code, data["samples"], data["duration"]) == (0, 31, 1.5)
+
+
+def test_a_string_in_a_controls_file_is_read_as_its_flag_reads_it(capsys, tmp_path):
+    flag, path = _input_file(tmp_path, "simulate", {"u1": "1.5", "start": "0.1,0,0,0,0"})
+    base = ("simulate", "--mode", "landing", "--duration", "0.2", "--format", "compact")
+    from_file = run_cli(capsys, *base, flag, path)
+    from_flags = run_cli(capsys, *base, "--u1", "1.5", "--start", "0.1,0,0,0,0")
+    assert from_file == from_flags and from_file[0] == 0
+
+
+def test_a_bad_saucer_seed_is_named_and_reaches_only_verify(capsys, monkeypatch):
+    monkeypatch.setenv("SAUCER_SEED", "seven")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "config"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "SAUCER_SEED must be an integer, got 'seven'" in captured.err
+    code, _, _ = run_cli(capsys, "classify", "--vector", "1,2,4,8")
+    assert code == 0
+
+
+def _readme_commands():
+    """Every `saucer ...` command of the README's sh blocks, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    text = "\n".join(blocks).replace("\\\n", " ")
+    return [shlex.split(line) for line in text.splitlines()
+            if line.startswith("saucer ")]
+
+
+def test_every_readme_command_parses():
+    commands = _readme_commands()
+    assert len(commands) >= 9
+    for argv in commands:
+        cli.build_parser().parse_args(argv[1:])
+
+
 @pytest.mark.parametrize("key,value", [
     ("duration", "abc"),
     ("duration", [1]),
@@ -361,7 +440,7 @@ def test_simulate_controls_file_values_must_be_numbers(capsys, tmp_path, key, va
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"saucer: error: {key}" in captured.err
+    assert f"--{key}" in captured.err
 
 
 def test_lift_pipeline_with_time_range(capsys, tmp_path):
@@ -566,8 +645,7 @@ def test_simulate_samples_control_specs_as_arrays(capsys):
         times_seen.append(np.ndim(t))
         return control.value_fn(t)
 
-    counted = fibration.ControlSpec(kernels.ArrayFunction(watched), control.derivative_fn,
-                                    control.describe)
+    counted = fibration.ControlSpec(kernels.ArrayFunction(watched), control.derivative_fn)
     mode = ManeuverMode.LANDING
     p0 = [0.1, -0.2, 0.3, 0.2, -0.1]
     by_spec = integrate_trajectory(

@@ -349,9 +349,10 @@ def test_frame_commutators_resolve_a_perturbed_coefficient(monkeypatch):
     # it, where one of 1e-8 would pass it
     check = dict(suites._fibration_checks(1))["frame-commutators"]
     assert check().passed and check().threshold == 1e-12
-    table = dict(fibration.FRAME_COMMUTATORS)
-    table[(4, 1)] = {0: 1.0 + 1e-10}
-    monkeypatch.setattr(fibration, "FRAME_COMMUTATORS", table)
+    # dw0 = (1 + 1e-10) w1 ^ w4 - 3 w2 ^ w3 expects [e4, e1] = (1 + 1e-10) e0
+    table = dict(fibration._EDS_RHS)
+    table[0] = ((1, 4, 1.0 + 1e-10), (2, 3, -3.0))
+    monkeypatch.setattr(fibration, "_EDS_RHS", table)
     result = check()
     assert 1e-12 < result.value <= 1e-8
     assert not result.passed
@@ -460,16 +461,17 @@ def test_residual_checks_name_their_worst_sample():
 #: 1e-13 bound of ambient-triple-match and the 1e-11 bound of
 #: rectangle-asymptotics, and the config digest the Pfaffian triple
 #: product's rounding of ambient-triple-match; the fibration digest carries
-#: both bounds joystick-certification names. The planner digest also carries
-#: the last bits of the plan-and-replay residual, which follow the phase-1
-#: solve's rounding and the landing word's closed-form solve, and the
-#: landing-word-bracket check.
+#: both bounds joystick-certification names and frame-commutators' detail,
+#: which says all 15 brackets are held to the structure equations. The
+#: planner digest also carries the last bits of the plan-and-replay
+#: residual, which follow the phase-1 solve's rounding and the landing
+#: word's closed-form solve, and the landing-word-bracket check.
 PAYLOADS_AT_SEED_5 = {
     "config": "e71a68c14e5b60ca1a0ddc5b6e76687adede22756038e5859804059c2721420b",
     "structure": "d6584ac8e3d0e2f9436e17d3e30f65da7288742eb847f31188cd6fd2df10ad0f",
     "gl2": "4d027298cb7320a100b0d9d03995a9c4c5297960f72f4961830f0a2fd638e2ee",
     "symmetry": "353479b165e1011b8ee4cfccd5bda25466887248e6ecafb22aeb037551056725",
-    "fibration": "15a3651dd4293b824915ed44d6af363cd8f1c64bae6043dffa9db6463e08c8b6",
+    "fibration": "e16ff4115a7bf477ab20ccea799995cba0202fa88398d2549fcad27fc3cc3005",
     "planner": "bd36170c956026fc783530d839295ba1ab93961c547bd0b7804b4e61c50058e0",
 }
 
